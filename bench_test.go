@@ -278,7 +278,7 @@ func BenchmarkEngineSelection(b *testing.B) {
 	q := "SELECT * FROM TweetData WHERE TweetTime BETWEEN 1000 AND 3000"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.ExecutePlain(q); err != nil {
+		if _, err := env.ExecutePlain(q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -290,7 +290,7 @@ func BenchmarkEngineHashJoin(b *testing.B) {
 	q := "SELECT * FROM TweetData T1, State S WHERE T1.location = S.city"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.ExecutePlain(q); err != nil {
+		if _, err := env.ExecutePlain(q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,7 +302,7 @@ func BenchmarkEngineAggregation(b *testing.B) {
 	q := "SELECT location, count(*), avg(TweetTime) FROM TweetData GROUP BY location"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.ExecutePlain(q); err != nil {
+		if _, err := env.ExecutePlain(q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

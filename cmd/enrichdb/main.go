@@ -281,7 +281,7 @@ func (r *runner) exec(q string) error {
 		rows, enrichments = res.Rows, res.Enrichments
 	case "plain":
 		var err error
-		rows, err = r.execPlain(q, prof)
+		rows, err = r.env.ExecutePlain(q, prof)
 		if err != nil {
 			return err
 		}
@@ -325,11 +325,7 @@ func (r *runner) exec(q string) error {
 // observed selectivities from the env's runtime-statistics store. Nothing
 // executes — no scans, no enrichment.
 func (r *runner) explainPlan(q string) error {
-	stmt, err := sqlparser.Parse(q)
-	if err != nil {
-		return err
-	}
-	a, err := engine.Analyze(stmt, r.env.Data.DB.Catalog())
+	a, err := engine.AnalyzeSQL(q, r.env.Data.DB.Catalog())
 	if err != nil {
 		return err
 	}
@@ -344,23 +340,4 @@ func (r *runner) explainPlan(q string) error {
 	}
 	fmt.Print(engine.AnnotatedExplain(plan, &engine.CostModel{Store: r.env.Stats}))
 	return nil
-}
-
-// execPlain is Env.ExecutePlain with an optional profiler attached.
-func (r *runner) execPlain(query string, prof *engine.Profiler) ([]*expr.Row, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, r.env.Data.DB.Catalog())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := engine.Build(a, r.env.Data.DB)
-	if err != nil {
-		return nil, err
-	}
-	ctx := engine.NewExecCtx()
-	ctx.Prof = prof
-	return plan.Execute(ctx)
 }

@@ -32,11 +32,9 @@ import (
 	"enrichdb/internal/loose"
 	"enrichdb/internal/loose/remote"
 	"enrichdb/internal/ml"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
-	"enrichdb/internal/tight"
 	"enrichdb/internal/types"
 )
 
@@ -178,6 +176,12 @@ func (db *DB) Insert(relation string, id int64, values ...Value) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
+	if id != 0 && db.mgr.GenOf(relation, tid) != 0 {
+		// A caller-chosen id reuses a deleted tuple's (Delete left its state
+		// at an advanced generation): start over at the new tuple's, or its
+		// enrichment would never be kept.
+		db.mgr.ResetTupleGen(relation, tid, 0)
+	}
 	db.version.Add(1)
 	return tid, nil
 }
@@ -263,10 +267,16 @@ func (db *DB) Delete(relation string, id int64) error {
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	if tbl.Delete(id) == nil {
+	old := tbl.Delete(id)
+	if old == nil {
 		return fmt.Errorf("enrichdb: %s has no tuple %d", relation, id)
 	}
-	db.mgr.ResetTuple(relation, id)
+	// Sessions opened before this commit still see the tuple and may be
+	// enriching it right now. Clearing its state at an advanced generation,
+	// as Update does, makes their writes stale and their determinization a
+	// pure function of their own snapshot; clearing it in place would let
+	// them read the emptied state as "determined: NULL".
+	db.mgr.ResetTupleGen(relation, id, old.Gen+1)
 	db.version.Add(1)
 	return nil
 }
@@ -459,23 +469,7 @@ type EnrichmentStats struct {
 
 // analyzeSQL parses and analyzes a query against this database.
 func (db *DB) analyzeSQL(query string) (*engine.Analysis, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Analyze(stmt, db.store.Catalog())
-}
-
-// looseDriver builds the current loose driver.
-func (db *DB) looseDriver() *loose.Driver {
-	return &loose.Driver{DB: db.store, Mgr: db.mgr, Enricher: db.enricher, Tracer: db.tracer,
-		Stats: db.runtimeStats, NoAdaptive: db.NoAdaptive}
-}
-
-// tightDriver builds the current tight driver.
-func (db *DB) tightDriver() *tight.Driver {
-	return &tight.Driver{DB: db.store, Mgr: db.mgr, InvokeOverhead: db.TightInvokeOverhead, Tracer: db.tracer,
-		Stats: db.runtimeStats, NoAdaptive: db.NoAdaptive}
+	return engine.AnalyzeSQL(query, db.store.Catalog())
 }
 
 // RuntimeStats renders the database's runtime-statistics store — the EWMA

@@ -332,6 +332,38 @@ func TestDeletePublic(t *testing.T) {
 	}
 }
 
+// TestReinsertAfterDelete: a delete retires the tuple's enrichment state at
+// an advanced generation (sessions still holding the tuple must not read the
+// emptied state as determined); reusing the id must start fresh state at the
+// new tuple's generation, so its enrichment is kept like any other tuple's.
+func TestReinsertAfterDelete(t *testing.T) {
+	db, dataX, _ := buildReviewDB(t)
+	const q = "SELECT id, rating FROM Reviews WHERE id = 1 AND rating >= 0"
+	if _, err := db.QueryLoose(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete("Reviews", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("Reviews", 1, Int(1), Vector(dataX[5]), String("north"), Int(3), Null); err != nil {
+		t.Fatal(err)
+	}
+	first, err := db.QueryLoose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 1 || first.Enrichments != 2 {
+		t.Fatalf("re-inserted tuple: %d rows, %d enrichments, want 1 row enriched by both functions", first.Len(), first.Enrichments)
+	}
+	again, err := db.QueryLoose(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Len() != 1 || again.Enrichments != 0 {
+		t.Fatalf("second query: %d rows, %d enrichments, want the kept enrichment reused", again.Len(), again.Enrichments)
+	}
+}
+
 func TestStateCutoffPublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	db.SetStateCutoff(0.4)

@@ -21,7 +21,6 @@ import (
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/loose"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/telemetry"
 	"enrichdb/internal/tight"
@@ -62,11 +61,9 @@ type Env struct {
 	Tracer *telemetry.Tracer
 	// Stats is the env's shared runtime-statistics store (DESIGN §14),
 	// handed to every driver the env builds so queries feed and consume one
-	// adaptive feedback loop. Set NoAdaptive to ablate.
+	// adaptive feedback loop. Set it to nil to ablate (static plans, no
+	// stats feedback).
 	Stats *stats.Store
-	// NoAdaptive disables adaptive optimization on the drivers this env
-	// builds (static plans, no stats feedback).
-	NoAdaptive bool
 }
 
 // Telemetry returns the env's metrics registry (the manager's): every
@@ -123,7 +120,6 @@ func (e *Env) LooseDriver() *loose.Driver {
 	d := loose.NewDriver(e.Data.DB, e.Mgr)
 	d.Tracer = e.Tracer
 	d.Stats = e.Stats
-	d.NoAdaptive = e.NoAdaptive
 	return d
 }
 
@@ -132,7 +128,6 @@ func (e *Env) TightDriver() *tight.Driver {
 	d := tight.NewDriver(e.Data.DB, e.Mgr)
 	d.Tracer = e.Tracer
 	d.Stats = e.Stats
-	d.NoAdaptive = e.NoAdaptive
 	return d
 }
 
@@ -183,11 +178,7 @@ func (s Scale) Q3WithSelectivity(frac float64) string {
 // execution per (tuple, derived attribute, family function) over every
 // relation the query touches.
 func (e *Env) BaselineEnrichments(query string) (int64, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return 0, err
-	}
-	a, err := engine.Analyze(stmt, e.Data.DB.Catalog())
+	a, err := engine.AnalyzeSQL(query, e.Data.DB.Catalog())
 	if err != nil {
 		return 0, err
 	}
@@ -210,13 +201,10 @@ func (e *Env) BaselineEnrichments(query string) (int64, error) {
 	return total, nil
 }
 
-// ExecutePlain runs a query on the env without enrichment.
-func (e *Env) ExecutePlain(query string) ([]*expr.Row, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, e.Data.DB.Catalog())
+// ExecutePlain runs a query on the env without enrichment; a non-nil prof
+// collects its EXPLAIN ANALYZE tree.
+func (e *Env) ExecutePlain(query string, prof *engine.Profiler) ([]*expr.Row, error) {
+	a, err := engine.AnalyzeSQL(query, e.Data.DB.Catalog())
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +212,9 @@ func (e *Env) ExecutePlain(query string) ([]*expr.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.Execute(engine.NewExecCtx())
+	ctx := engine.NewExecCtx()
+	ctx.Prof = prof
+	return plan.Execute(ctx)
 }
 
 // Table is a rendered experiment result.

@@ -105,8 +105,12 @@ func Exp1bSelectivity(s Scale) (*Table, error) {
 
 // CumulativePoint is one query of the Figure 5 series.
 type CumulativePoint struct {
-	Query          int
-	Enrichments    int64
+	Query       int
+	Enrichments int64
+	// EagerExecs is what enriching every tuple at ingestion executes: one
+	// run of each family function per tuple. The cumulative Enrichments of
+	// the series are the machine-independent form of the figure.
+	EagerExecs     int64
 	CumulativeCost time.Duration
 	EagerCost      time.Duration
 }
@@ -123,10 +127,12 @@ func Exp1cCumulative(s Scale, queries int) (*Table, []CumulativePoint, error) {
 	}
 	// Eager cost estimate: per-object cost of each function × tuples.
 	var eager time.Duration
+	var eagerExecs int64
 	for _, attr := range []string{"sentiment", "topic"} {
 		fam := env.Mgr.Family("TweetData", attr)
 		for _, fn := range fam.Functions {
 			eager += fn.AvgCost() * time.Duration(s.Tweets)
+			eagerExecs += int64(s.Tweets)
 		}
 	}
 
@@ -150,7 +156,8 @@ func Exp1cCumulative(s Scale, queries int) (*Table, []CumulativePoint, error) {
 		}
 		cumulative += res.Timing.Enrich
 		points = append(points, CumulativePoint{
-			Query: qi, Enrichments: res.Enrichments, CumulativeCost: cumulative, EagerCost: eager,
+			Query: qi, Enrichments: res.Enrichments, EagerExecs: eagerExecs,
+			CumulativeCost: cumulative, EagerCost: eager,
 		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", qi),

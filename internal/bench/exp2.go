@@ -10,7 +10,6 @@ import (
 	"enrichdb/internal/loose"
 	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
-	"enrichdb/internal/sqlparser"
 )
 
 // QualityFn builds a per-epoch answer-quality scorer for a query: F1 against
@@ -22,11 +21,7 @@ func (e *Env) QualityFn(query string) (func([]*expr.Row) float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, tdb.Catalog())
+	a, err := engine.AnalyzeSQL(query, tdb.Catalog())
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +33,7 @@ func (e *Env) QualityFn(query string) (func([]*expr.Row) float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg := stmt.HasAggregate()
+	agg := a.Stmt.HasAggregate()
 	return func(got []*expr.Row) float64 {
 		if agg {
 			rmse, ok := metrics.GroupRMSE(got, want)

@@ -44,11 +44,6 @@ const (
 	adaptiveBuildSwapFactor = 2
 )
 
-// adaptiveOn reports whether adaptive execution decisions are enabled.
-func (ctx *ExecCtx) adaptiveOn() bool {
-	return ctx.Adapt != nil && !ctx.NoAdaptive
-}
-
 // predKey is the stats-store key of a predicate: its rendered form, which
 // is stable across plan rebuilds of the same query shape.
 func predKey(e expr.Expr) string { return fmt.Sprint(e) }
@@ -156,7 +151,7 @@ func (f *Filter) filterAdaptive(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row,
 
 	for i, r := range in {
 		if i%adaptiveStride == 0 {
-			if err := ctx.cancelErr(); err != nil {
+			if err := ctx.CancelErr(); err != nil {
 				return nil, err
 			}
 			if i > 0 && rerankConjs(order, meters) {
@@ -247,7 +242,7 @@ func (j *Join) hashJoinBuildLeft(ctx *ExecCtx, left, right []*expr.Row, rOffset 
 	total := 0
 	for ri, r := range right {
 		if ri%cancelCheckStride == 0 {
-			if err := ctx.cancelErr(); err != nil {
+			if err := ctx.CancelErr(); err != nil {
 				return nil, err
 			}
 		}
@@ -273,7 +268,7 @@ func (j *Join) hashJoinBuildLeft(ctx *ExecCtx, left, right []*expr.Row, rOffset 
 	out := make([]*expr.Row, 0, total)
 	for li, l := range left {
 		if li%cancelCheckStride == 0 {
-			if err := ctx.cancelErr(); err != nil {
+			if err := ctx.CancelErr(); err != nil {
 				return nil, err
 			}
 		}

@@ -53,6 +53,16 @@ type Analysis struct {
 	Const []expr.Expr
 }
 
+// AnalyzeSQL parses a SELECT statement and analyzes it against the catalog:
+// the front of every query pipeline.
+func AnalyzeSQL(query string, cat *catalog.Catalog) (*Analysis, error) {
+	stmt, err := sqlparser.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(stmt, cat)
+}
+
 // Analyze normalizes and classifies a parsed statement against the catalog.
 // It mutates the statement's expressions (qualifying unqualified columns);
 // callers that need the original should re-parse.

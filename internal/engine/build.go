@@ -42,13 +42,7 @@ type BuildOptions struct {
 	// orderInsensitiveOutput); everything else keeps the static greedy
 	// order, so results stay byte-identical with adaptivity off.
 	Stats *stats.Store
-	// NoAdaptive disables cost-based ordering even with Stats set (the
-	// ablation knob mirroring ExecCtx.NoAdaptive).
-	NoAdaptive bool
 }
-
-// adaptiveOn reports whether cost-based build decisions are enabled.
-func (o BuildOptions) adaptiveOn() bool { return o.Stats != nil && !o.NoAdaptive }
 
 // BuildOpt is Build with optimizer toggles.
 func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
@@ -71,7 +65,7 @@ func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
 	// loose design even though its join must run as a nested loop.
 	ordered := a
 	if !opts.NoJoinReorder {
-		if opts.adaptiveOn() && orderInsensitiveOutput(a) {
+		if opts.Stats != nil && orderInsensitiveOutput(a) {
 			// Cost-based order from observed cardinalities: same greedy
 			// connectivity tiers, ties broken by estimated post-selection
 			// cardinality instead of FROM order. Gated on queries whose

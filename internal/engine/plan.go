@@ -109,10 +109,6 @@ type ExecCtx struct {
 	// selectivities/cardinalities feed back into the store. Nil — the
 	// default — is the exact pre-adaptive code path.
 	Adapt *stats.Store
-	// NoAdaptive disables adaptive decisions even with Adapt set (ablation
-	// knob, mirrors NoVector): statistics already in the store are neither
-	// consulted nor updated.
-	NoAdaptive bool
 	// vec holds the context's reusable vectorized-scan buffers (snapshot,
 	// batch, bitmaps); lazily built, never shared across goroutines.
 	vec *vecBufs
@@ -140,8 +136,44 @@ func NewExecCtx() *ExecCtx {
 // that the poll never shows up in a profile.
 const cancelCheckStride = 1024
 
-// cancelErr polls the context's Done channel; ErrCanceled once it fired.
-func (ctx *ExecCtx) cancelErr() error {
+// Fork returns the context a sub-execution of ctx runs on: one shard of a
+// scatter, one partition of a parallel scan — anything that executes part of
+// ctx's query on its own goroutine. This is the one list of what such a
+// sub-execution inherits; a knob added to ExecCtx is threaded here or not at
+// all.
+func (ctx *ExecCtx) Fork() *ExecCtx {
+	return &ExecCtx{
+		// Counters, arena and eval scratch are not goroutine-safe: fresh per
+		// fork, the parent folds in what it reports. The UDF runtime is
+		// shared (it synchronizes itself).
+		Eval:  &expr.EvalCtx{Runtime: ctx.Eval.Runtime},
+		Stats: &Stats{},
+		Arena: &expr.RowArena{},
+
+		CopyRows:        ctx.CopyRows,
+		NoVector:        ctx.NoVector,
+		ParallelMinRows: ctx.ParallelMinRows,
+		Done:            ctx.Done,
+		Adapt:           ctx.Adapt,
+
+		// Pool is not inherited: a fork already is one unit of the parent's
+		// fan-out, and nesting another would oversubscribe the workers.
+		// Prof is not inherited: the profiler tree is not goroutine-safe; the
+		// parent records the fan-out as one node with inclusive figures.
+	}
+}
+
+// forkPartition forks ctx for one partition of a parallel scan. Adapt is
+// dropped: a partition sees only its slice, and its cardinalities would enter
+// the store as the whole operator's, in scheduling order.
+func (ctx *ExecCtx) forkPartition() *ExecCtx {
+	p := ctx.Fork()
+	p.Adapt = nil
+	return p
+}
+
+// CancelErr polls the context's Done channel; ErrCanceled once it fired.
+func (ctx *ExecCtx) CancelErr() error {
 	if ctx.Done == nil {
 		return nil
 	}
@@ -319,13 +351,13 @@ func (f *Filter) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 // filterInto appends the rows of in that satisfy the predicate to out; out
 // may alias in's prefix (the write index never passes the read index).
 func (f *Filter) filterInto(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, error) {
-	if ctx.adaptiveOn() && f.pureN >= 2 {
+	if ctx.Adapt != nil && f.pureN >= 2 {
 		return f.filterAdaptive(ctx, in, out)
 	}
 	n0 := len(out)
 	for i, r := range in {
 		if i%cancelCheckStride == 0 {
-			if err := ctx.cancelErr(); err != nil {
+			if err := ctx.CancelErr(); err != nil {
 				return nil, err
 			}
 		}
@@ -337,7 +369,7 @@ func (f *Filter) filterInto(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, err
 			out = append(out, r)
 		}
 	}
-	if ctx.adaptiveOn() && len(in) > 0 {
+	if ctx.Adapt != nil && len(in) > 0 {
 		// Not enough pure conjuncts to reorder, but the observed pass rate
 		// still feeds the cost model (EXPLAIN annotations, join ordering).
 		ctx.Adapt.ObservePredicate(predKey(f.Pred), int64(len(in)), int64(len(out)-n0), -1)
@@ -371,16 +403,9 @@ func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, error) {
 		if lo >= hi {
 			return nil
 		}
-		// Per-partition arena and eval context: the shared ones are not
-		// goroutine-safe. The predicate is UDF-free (gated above), so no
-		// runtime state or invocation counters are touched.
-		pctx := &ExecCtx{
-			Eval:     &expr.EvalCtx{Runtime: ctx.Eval.Runtime},
-			Stats:    &Stats{},
-			Arena:    &expr.RowArena{},
-			CopyRows: ctx.CopyRows,
-			Done:     ctx.Done,
-		}
+		// The predicate is UDF-free (gated above), so no runtime state or
+		// invocation counters are touched.
+		pctx := ctx.forkPartition()
 		in := s.materialize(pctx, tuples[lo:hi])
 		out, err := f.filterInto(pctx, in, in[:0])
 		results[pi] = out
@@ -472,7 +497,7 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 	if j.Hash() {
 		ctx.Stats.HashJoins++
 		rOffset := len(j.L.Schema().Cols)
-		if ctx.adaptiveOn() && len(left)*adaptiveBuildSwapFactor <= len(right) {
+		if ctx.Adapt != nil && len(left)*adaptiveBuildSwapFactor <= len(right) {
 			// Runtime build-side selection: both inputs are materialized, so
 			// the cardinalities are exact — build on the clearly smaller
 			// left input. Output order is byte-identical (see
@@ -485,7 +510,7 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 			return swapped, err
 		}
 		if fast, ok, err := j.hashJoinInt(ctx, left, right, rOffset); ok {
-			if err == nil && ctx.adaptiveOn() {
+			if err == nil && ctx.Adapt != nil {
 				ctx.Adapt.ObserveOp(j.opKey(), int64(len(left)+len(right)), int64(len(fast)))
 			}
 			return fast, err
@@ -500,7 +525,7 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 		}
 		for li, l := range left {
 			if li%cancelCheckStride == 0 {
-				if err := ctx.cancelErr(); err != nil {
+				if err := ctx.CancelErr(); err != nil {
 					return nil, err
 				}
 			}
@@ -528,14 +553,14 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 				}
 			}
 		}
-		if ctx.adaptiveOn() {
+		if ctx.Adapt != nil {
 			ctx.Adapt.ObserveOp(j.opKey(), int64(len(left)+len(right)), int64(len(out)))
 		}
 		return out, nil
 	}
 	ctx.Stats.NLJoins++
 	for _, l := range left {
-		if err := ctx.cancelErr(); err != nil {
+		if err := ctx.CancelErr(); err != nil {
 			return nil, err
 		}
 		for _, r := range right {
@@ -557,7 +582,7 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 			}
 		}
 	}
-	if ctx.adaptiveOn() {
+	if ctx.Adapt != nil {
 		ctx.Adapt.ObserveOp(j.opKey(), int64(len(left)+len(right)), int64(len(out)))
 	}
 	return out, nil
@@ -621,7 +646,7 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 		out := make([]*expr.Row, 0, total)
 		for li, l := range left {
 			if li%cancelCheckStride == 0 {
-				if err := ctx.cancelErr(); err != nil {
+				if err := ctx.CancelErr(); err != nil {
 					return nil, true, err
 				}
 			}
@@ -639,7 +664,7 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 	var out []*expr.Row
 	for li, l := range left {
 		if li%cancelCheckStride == 0 {
-			if err := ctx.cancelErr(); err != nil {
+			if err := ctx.CancelErr(); err != nil {
 				return nil, true, err
 			}
 		}

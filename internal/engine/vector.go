@@ -75,7 +75,7 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*typ
 	bufs.nf = bufs.nf.Reset(n)
 	bufs.nf.SetAll(n)
 	for lo := 0; lo < n; lo += expr.BatchSize {
-		if ctx.cancelErr() != nil {
+		if ctx.CancelErr() != nil {
 			return nil, nil, false // caller's row path surfaces ErrCanceled
 		}
 		hi := lo + expr.BatchSize
@@ -215,12 +215,8 @@ func (f *Filter) vecScanFilterParallel(ctx *ExecCtx, s *Scan, vp *expr.VecPred, 
 		if lo >= hi {
 			return nil
 		}
-		pctx := &ExecCtx{
-			Eval:     &expr.EvalCtx{Runtime: ctx.Eval.Runtime},
-			Stats:    &pstats[pi],
-			Arena:    &expr.RowArena{},
-			CopyRows: ctx.CopyRows,
-		}
+		pctx := ctx.forkPartition()
+		pctx.Stats = &pstats[pi]
 		out, ok, err := f.vecScanFilterRange(pctx, s, vp, tuples[lo:hi])
 		if !ok {
 			bails[pi] = true

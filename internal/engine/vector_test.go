@@ -131,6 +131,29 @@ func TestVectorFilterMatchesRowPath(t *testing.T) {
 	}
 }
 
+// TestParallelPartitionsCancelable: partition contexts come from Fork, so a
+// closed Done stops the parallel scan on the vector path as on the row path.
+func TestParallelPartitionsCancelable(t *testing.T) {
+	tbl := vectorTestTable(t, 2500)
+	done := make(chan struct{})
+	close(done)
+	for _, noVector := range []bool{false, true} {
+		scan := NewScan(tbl, "V")
+		pred := expr.NewCmp(expr.LT, expr.NewCol("V", "a"), expr.NewConst(types.NewInt(40)))
+		if err := pred.Resolve(scan.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewExecCtx()
+		ctx.Pool = &testPool{workers: 4}
+		ctx.ParallelMinRows = 16
+		ctx.NoVector = noVector
+		ctx.Done = done
+		if _, err := NewFilter(scan, pred).Execute(ctx); err != ErrCanceled {
+			t.Errorf("NoVector=%v: got %v, want ErrCanceled", noVector, err)
+		}
+	}
+}
+
 // TestVectorProjectFusion checks the fused project-filter-scan path against
 // the row path, including TID preservation.
 func TestVectorProjectFusion(t *testing.T) {

@@ -453,7 +453,14 @@ func (m *Manager) determine(relation string, tid int64, attr string, feature []f
 		return types.Null, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
 	}
 	st := m.StateTable(relation)
-	if gen != nil && st.GenOf(tid) != *gen {
+	var snap []*Output
+	current := true
+	if gen != nil {
+		snap, current = st.OutputSnapshotAt(tid, attr, *gen)
+	} else {
+		snap = st.OutputSnapshot(tid, attr)
+	}
+	if !current {
 		// The shared state belongs to a different tuple image than the
 		// caller's snapshot. Recompute the full family transiently from the
 		// caller's own feature vector so its answer stays a pure function of
@@ -468,7 +475,6 @@ func (m *Manager) determine(relation string, tid int64, attr string, feature []f
 		}
 		return fam.Det.Determine(outputs, fam.Domain), nil
 	}
-	snap := st.OutputSnapshot(tid, attr)
 	if snap == nil {
 		return types.Null, nil
 	}

@@ -248,6 +248,24 @@ func (st *StateTable) OutputSnapshot(tid int64, attr string) []*Output {
 	return out
 }
 
+// OutputSnapshotAt is OutputSnapshot for the tuple image at gen: current is
+// false, and nothing is returned, when the state belongs to another
+// generation. Generation and outputs are read under one lock, so a commit
+// resetting the tuple cannot slip between the check and the copy and make an
+// emptied state look like "nothing executed yet" for the caller's image.
+func (st *StateTable) OutputSnapshotAt(tid int64, attr string, gen uint64) (out []*Output, current bool) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.gens[tid] != gen {
+		return nil, false
+	}
+	if s := st.locked(tid, attr); s != nil {
+		out = make([]*Output, len(s.Outputs))
+		copy(out, s.Outputs)
+	}
+	return out, true
+}
+
 // locked is Get without locking; caller must hold st.mu.
 func (st *StateTable) locked(tid int64, attr string) *AttrState {
 	ai, ok := st.attrIdx[attr]

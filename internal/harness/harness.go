@@ -25,6 +25,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -396,6 +397,11 @@ func (h *runState) writer(w int) {
 // designs is the deterministic per-session rotation of query paths.
 var designs = []string{"loose", "tight", "progressive", "plain"}
 
+// libraryDesign maps the non-progressive rotation names onto Session.Run's.
+var libraryDesign = map[string]enrichdb.Design{
+	"plain": enrichdb.PlainDesign, "loose": enrichdb.LooseDesign, "tight": enrichdb.TightDesign,
+}
+
 // randQuery picks a query template with randomized constants.
 func randQuery(rng *rand.Rand) string {
 	switch rng.Intn(3) {
@@ -428,33 +434,21 @@ func (h *runState) session(s int) {
 			return
 		}
 		switch design {
-		case "plain":
-			rows, err := sess.Query(sql)
-			if err != nil {
-				h.fail("session %d: plain %q: %v", s, sql, err)
-			} else {
-				h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(rows)})
-			}
-		case "loose":
-			res, err := sess.QueryLoose(sql)
+		case "plain", "loose", "tight":
+			// Only loose can report failed enrichments; plain and tight
+			// always take the last arm.
+			res, err := sess.Run(context.Background(), libraryDesign[design], sql, enrichdb.QueryObs{})
 			switch {
 			case err != nil:
-				h.fail("session %d: loose %q: %v", s, sql, err)
+				h.fail("session %d: %s %q: %v", s, design, sql, err)
 			case res.FailedEnrichments > 0 && !h.cfg.faultsActive():
-				h.fail("session %d: loose %q: %d failed enrichments (no faults injected): %v",
-					s, sql, res.FailedEnrichments, res.EnrichErrors)
+				h.fail("session %d: %s %q: %d failed enrichments (no faults injected): %v",
+					s, design, sql, res.FailedEnrichments, res.EnrichErrors)
 			case res.FailedEnrichments > 0:
 				// Under a fault plan the NULL-on-failure answer is legitimate
 				// degradation, not snapshot state — tolerate and don't replay.
 				h.degraded.Add(1)
 			default:
-				h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(res.Rows)})
-			}
-		case "tight":
-			res, err := sess.QueryTight(sql)
-			if err != nil {
-				h.fail("session %d: tight %q: %v", s, sql, err)
-			} else {
 				h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(res.Rows)})
 			}
 		case "progressive":

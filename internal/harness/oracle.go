@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -67,31 +68,21 @@ func runRecorded(db *enrichdb.DB, q recordedQuery) (string, error) {
 		return "", err
 	}
 	defer sess.Close()
-	switch q.Design {
-	case "plain":
-		res, err := sess.QueryLoose(q.SQL)
-		if err != nil {
-			return "", err
-		}
-		return canon(res.Rows), nil
-	case "loose":
-		res, err := sess.QueryLoose(q.SQL)
-		if err != nil {
-			return "", err
-		}
-		if res.FailedEnrichments > 0 {
-			return "", fmt.Errorf("replay: %d failed enrichments", res.FailedEnrichments)
-		}
-		return canon(res.Rows), nil
-	case "tight":
-		res, err := sess.QueryTight(q.SQL)
-		if err != nil {
-			return "", err
-		}
-		return canon(res.Rows), nil
-	default:
+	design, ok := libraryDesign[q.Design]
+	if !ok {
 		return "", fmt.Errorf("replay: unknown design %q", q.Design)
 	}
+	if design == enrichdb.PlainDesign {
+		design = enrichdb.LooseDesign
+	}
+	res, err := sess.Run(context.Background(), design, q.SQL, enrichdb.QueryObs{})
+	if err != nil {
+		return "", err
+	}
+	if q.Design == "loose" && res.FailedEnrichments > 0 {
+		return "", fmt.Errorf("replay: %d failed enrichments", res.FailedEnrichments)
+	}
+	return canon(res.Rows), nil
 }
 
 // compare decides whether a recorded concurrent result is consistent with

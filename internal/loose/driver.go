@@ -7,7 +7,6 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
@@ -32,6 +31,9 @@ func (t Timing) Total() time.Duration { return t.Probe + t.Enrich + t.Network + 
 // Result is the outcome of a loose, non-progressive query execution.
 type Result struct {
 	Rows []*expr.Row
+	// Schema is the output schema of the final plan (column names survive an
+	// empty answer).
+	Schema *expr.RowSchema
 	// Enrichments is the number of enrichment function executions this
 	// query caused (Table 7).
 	Enrichments int64
@@ -83,9 +85,10 @@ type Driver struct {
 	// §14): probe and final plans feed observed selectivities/cardinalities
 	// into it and reorder multi-conjunct filters cheapest-rejection-first.
 	Stats *stats.Store
-	// NoAdaptive disables adaptive reordering even when Stats is set
-	// (ablation knob; stats are still neither read nor written).
-	NoAdaptive bool
+	// Done, when non-nil, cancels the query once closed: the probe scans and
+	// the final plan poll it and abort with engine.ErrCanceled, and no
+	// enrichment batch starts after it fired.
+	Done <-chan struct{}
 }
 
 // NewDriver builds a loose driver with an in-process enrichment server. The
@@ -96,11 +99,7 @@ func NewDriver(db storage.Source, mgr *enrich.Manager) *Driver {
 
 // Execute runs one query end to end.
 func (d *Driver) Execute(query string) (*Result, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, d.DB.Catalog())
+	a, err := engine.AnalyzeSQL(query, d.DB.Catalog())
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +112,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	ctx := engine.NewExecCtx()
 	ctx.Prof = d.Prof
 	ctx.Adapt = d.Stats
-	ctx.NoAdaptive = d.NoAdaptive
+	ctx.Done = d.Done
 	before := d.Mgr.Counters().Enrichments
 	qn := d.Prof.Phase("LooseQuery", "")
 
@@ -138,6 +137,9 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	reqs, err := d.BuildRequests(probes)
 	if err != nil {
 		return nil, err
+	}
+	if err := ctx.CancelErr(); err != nil {
+		return nil, err // canceled while probing: pay for no enrichment
 	}
 
 	// Phase 3: enrich at the server, then write the state and the
@@ -186,7 +188,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	t2 := time.Now()
 	spExec := d.Tracer.Start("loose.execute")
 	xn := d.Prof.Phase("LooseExecute", "")
-	plan, err := engine.Build(a, d.DB)
+	plan, err := engine.BuildOpt(a, d.DB, engine.BuildOptions{Stats: d.Stats})
 	if err != nil {
 		spExec.Str("error", err.Error()).End()
 		return nil, err
@@ -199,7 +201,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	d.Prof.End(xn, 0, int64(len(rows)))
 	spExec.Int("rows", int64(len(rows))).End()
 	res.Timing.DBMS += time.Since(t2)
-	res.Rows = rows
+	res.Rows, res.Schema = rows, plan.Schema()
 	res.Enrichments = d.Mgr.Counters().Enrichments - before
 	res.Stats = *ctx.Stats
 	ctx.PublishStats(d.Mgr.Telemetry().Add)

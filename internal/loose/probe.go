@@ -139,6 +139,10 @@ func GenerateProbesOpt(a *engine.Analysis, db storage.Source, mgr *enrich.Manage
 	return results, nil
 }
 
+// cancelCheckStride is how many tuples a probe scan reads between polls of
+// the context's Done channel (the engine's filter loops use the same stride).
+const cancelCheckStride = 1024
+
 // reduceAlias applies Step 1 to one alias: fixed selection conditions are
 // evaluated as-is; each derived condition C over attributes A₁..Aₙ passes a
 // tuple when C holds on the current determined values OR some Aᵢ is not yet
@@ -168,7 +172,14 @@ func reduceAlias(a *engine.Analysis, tm engine.TableMeta, db storage.Source, mgr
 
 	var out []*expr.Row
 	var evalErr error
+	scanned := 0
 	tbl.Scan(func(t *types.Tuple) bool {
+		if scanned%cancelCheckStride == 0 {
+			if evalErr = ctx.CancelErr(); evalErr != nil {
+				return false
+			}
+		}
+		scanned++
 		row := expr.RowFromTuple(rs, t)
 		keep := true
 		for _, ce := range conds {

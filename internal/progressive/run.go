@@ -14,7 +14,6 @@ import (
 	"enrichdb/internal/expr"
 	"enrichdb/internal/ivm"
 	"enrichdb/internal/loose"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
@@ -95,9 +94,11 @@ type Config struct {
 	// with Strategy == Adaptive auto-creates a run-local store; nil otherwise
 	// leaves the engine static.
 	Stats *stats.Store
-	// NoAdaptive disables all adaptive behavior regardless of Stats (ablation
-	// knob, mirrors NoVectorScan): static plans, no feedback, and the
-	// Adaptive strategy degrades to Benefit's static cost estimates.
+	// NoAdaptive is Stats == nil plus one thing a nil Stats cannot say: do
+	// not auto-create the run-local store for Strategy == Adaptive, which
+	// then degrades to Benefit's static cost estimates. It is the only
+	// NoAdaptive field below the root package; every engine layer reads
+	// "no store" as "static".
 	NoAdaptive bool
 
 	// PerRowUDF disables the tight runtime's micro-batching, so every
@@ -255,12 +256,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	spAnalyze := cfg.Tracer.Start("query.analyze").Str("design", cfg.Design.String())
-	stmt, err := sqlparser.Parse(cfg.Query)
-	if err != nil {
-		spAnalyze.Str("error", err.Error()).End()
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, cfg.DB.Catalog())
+	a, err := engine.AnalyzeSQL(cfg.Query, cfg.DB.Catalog())
 	if err != nil {
 		spAnalyze.Str("error", err.Error()).End()
 		return nil, err
@@ -272,7 +268,6 @@ func Run(cfg Config) (*Result, error) {
 	ctx := engine.NewExecCtx()
 	ctx.NoVector = cfg.NoVectorScan
 	ctx.Adapt = cfg.Stats
-	ctx.NoAdaptive = cfg.NoAdaptive
 	if !cfg.NoParallelScan && cfg.Workers > 1 {
 		// The epoch scheduler doubles as the engine's scan pool, so plan
 		// execution and enrichment share one worker budget.
@@ -743,7 +738,6 @@ func runTightEpoch(cfg Config, sched *enrich.Scheduler, a, rwa *engine.Analysis,
 	ectx := engine.NewExecCtx()
 	ectx.NoVector = cfg.NoVectorScan
 	ectx.Adapt = cfg.Stats
-	ectx.NoAdaptive = cfg.NoAdaptive
 	ectx.Eval.Runtime = rt
 
 	for _, tm := range rwa.Tables {

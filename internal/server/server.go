@@ -721,6 +721,13 @@ func (s *Server) maybeSlowLog(rec slowQueryRecord, wall time.Duration) {
 	s.cfg.SlowQueryLog.Write(append(b, '\n'))
 }
 
+// libraryDesign maps the wire's non-progressive designs onto the library's.
+var libraryDesign = [...]enrichdb.Design{
+	wire.DesignPlain: enrichdb.PlainDesign,
+	wire.DesignLoose: enrichdb.LooseDesign,
+	wire.DesignTight: enrichdb.TightDesign,
+}
+
 // runQuery executes one query under its cancel context and streams the
 // result. A leading EXPLAIN ANALYZE turns the query into its own profile:
 // the inner SELECT runs with the operator profiler attached and the result
@@ -762,27 +769,13 @@ func (c *conn) runQuery(ctx context.Context, id uint32, design wire.Design, sql 
 	var err error
 
 	switch design {
-	case wire.DesignPlain:
-		var rows *enrichdb.Rows
-		rows, prof, err = c.sess.QueryObsCtx(ctx, sql, obs)
-		if err == nil {
-			cols, numRows, at = rows.Columns(), rows.Len(), rows.At
-		}
-	case wire.DesignLoose:
+	case wire.DesignPlain, wire.DesignLoose, wire.DesignTight:
 		var res *enrichdb.Result
-		res, err = c.sess.QueryLooseObs(sql, obs)
+		res, err = c.sess.Run(ctx, libraryDesign[design], sql, obs)
 		if err == nil {
 			cols, numRows, at = res.Rows.Columns(), res.Rows.Len(), res.Rows.At
 			done.Enrichments = res.Enrichments
 			done.Failed = int64(res.FailedEnrichments)
-			prof = res.Profile
-		}
-	case wire.DesignTight:
-		var res *enrichdb.Result
-		res, err = c.sess.QueryTightObs(sql, obs)
-		if err == nil {
-			cols, numRows, at = res.Rows.Columns(), res.Rows.Len(), res.Rows.At
-			done.Enrichments = res.Enrichments
 			done.UDFCalls = res.UDFInvocations
 			prof = res.Profile
 		}

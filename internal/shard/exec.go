@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -37,20 +38,29 @@ func Eligible(a *engine.Analysis) bool {
 // is byte-identical to unsharded execution. Returns ok=false (and does
 // nothing) when the query shape is not Eligible.
 //
-// The parent context contributes cancellation and the ablation/adaptivity
-// knobs; each shard executes on a fresh context (executor state is not
-// goroutine-safe).
+// Each shard executes on its own fork of the parent context (see
+// engine.ExecCtx.Fork for what a shard inherits). A profiled parent records
+// the whole fan-out as one ShardScatter node: shards, rows scanned across
+// them, rows merged, wall.
 func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*expr.Row, *expr.RowSchema, bool, error) {
 	if !Eligible(a) {
 		return nil, nil, false, nil
 	}
+	if parent == nil {
+		parent = engine.NewExecCtx()
+	}
 	n := src.NumShards()
 	rel := a.Tables[0].Relation
+	var pn *engine.OpProfile
+	if parent.Prof != nil {
+		pn = parent.Prof.Phase("ShardScatter", fmt.Sprintf("%d shards", n))
+	}
 
 	type shardOut struct {
-		rows []*expr.Row
-		seqs []uint64
-		err  error
+		rows    []*expr.Row
+		seqs    []uint64
+		scanned int64
+		err     error
 	}
 	outs := make([]shardOut, n)
 	var schema *expr.RowSchema
@@ -71,14 +81,7 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 				schema = plan.Schema()
 			}
 			schemaMu.Unlock()
-			ctx := engine.NewExecCtx()
-			if parent != nil {
-				ctx.Done = parent.Done
-				ctx.NoVector = parent.NoVector
-				ctx.ParallelMinRows = parent.ParallelMinRows
-				ctx.Adapt = parent.Adapt
-				ctx.NoAdaptive = parent.NoAdaptive
-			}
+			ctx := parent.Fork()
 			rows, err := plan.Execute(ctx)
 			if err != nil {
 				outs[i].err = err
@@ -104,16 +107,17 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 				}
 				seqs[j] = prev
 			}
-			outs[i] = shardOut{rows: rows, seqs: seqs}
+			outs[i] = shardOut{rows: rows, seqs: seqs, scanned: ctx.Stats.RowsScanned}
 		}(i)
 	}
 	wg.Wait()
-	total := 0
+	total, scanned := 0, int64(0)
 	for i := range outs {
 		if outs[i].err != nil {
 			return nil, nil, false, outs[i].err
 		}
 		total += len(outs[i].rows)
+		scanned += outs[i].scanned
 	}
 	type tagged struct {
 		row   *expr.Row
@@ -140,5 +144,6 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 	for i := range merged {
 		rows[i] = merged[i].row
 	}
+	parent.Prof.End(pn, scanned, int64(len(rows)))
 	return rows, schema, true, nil
 }

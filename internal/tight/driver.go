@@ -6,7 +6,6 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
@@ -15,6 +14,9 @@ import (
 // Result is the outcome of a tight, non-progressive query execution.
 type Result struct {
 	Rows []*expr.Row
+	// Schema is the executed plan's output schema. The rewrite keeps the
+	// statement's select list and tables, so it is the original query's.
+	Schema *expr.RowSchema
 	// Enrichments counts the enrichment function executions the rewritten
 	// query triggered through read_udf (Table 7).
 	Enrichments int64
@@ -52,8 +54,9 @@ type Driver struct {
 	// and the executor reorders pure conjunct prefixes cheapest-rejection-
 	// first. UDF-bearing conjuncts keep their static order.
 	Stats *stats.Store
-	// NoAdaptive disables adaptive behavior even when Stats is set.
-	NoAdaptive bool
+	// Done, when non-nil, cancels the query once closed: the rewritten plan
+	// polls it and aborts with engine.ErrCanceled.
+	Done <-chan struct{}
 }
 
 // NewDriver builds a tight driver over a live database or a snapshot.
@@ -63,11 +66,7 @@ func NewDriver(db storage.Source, mgr *enrich.Manager) *Driver {
 
 // Execute runs one query end to end.
 func (d *Driver) Execute(query string) (*Result, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := engine.Analyze(stmt, d.DB.Catalog())
+	a, err := engine.AnalyzeSQL(query, d.DB.Catalog())
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +85,6 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	if bo.Stats == nil {
 		bo.Stats = d.Stats
 	}
-	bo.NoAdaptive = bo.NoAdaptive || d.NoAdaptive
 	plan, err := engine.BuildOpt(rewritten, d.DB, bo)
 	if err != nil {
 		return nil, err
@@ -97,7 +95,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	ctx := engine.NewExecCtx()
 	ctx.Prof = d.Prof
 	ctx.Adapt = d.Stats
-	ctx.NoAdaptive = d.NoAdaptive
+	ctx.Done = d.Done
 	ctx.Eval.Runtime = rt
 	// Stored tuples are immutable; rows must own their values so read_udf
 	// can patch freshly determined derived values into rows mid-plan (the
@@ -115,6 +113,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	ctx.PublishStats(d.Mgr.Telemetry().Add)
 	res := &Result{
 		Rows:           rows,
+		Schema:         plan.Schema(),
 		Enrichments:    d.Mgr.Counters().Enrichments - before,
 		UDFInvocations: ctx.Eval.UDFInvocations,
 		DBMS:           time.Since(t0),
@@ -130,11 +129,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 // Explain returns the rewritten query's plan tree (used by tests and the
 // CLI to show the forced nested-loop joins).
 func (d *Driver) Explain(query string) (string, error) {
-	stmt, err := sqlparser.Parse(query)
-	if err != nil {
-		return "", err
-	}
-	a, err := engine.Analyze(stmt, d.DB.Catalog())
+	a, err := engine.AnalyzeSQL(query, d.DB.Catalog())
 	if err != nil {
 		return "", err
 	}

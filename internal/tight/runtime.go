@@ -174,6 +174,15 @@ func (rt *Runtime) CheckState(relation string, tid int64, attr string) (bool, er
 	if err != nil {
 		return false, err
 	}
+	if len(p) > 0 && rt.Mgr.GenOf(relation, tid) != gen {
+		// The shared state belongs to another image of this tuple (a commit
+		// reset it under a frozen snapshot). Nothing this image enriches
+		// would be kept, and the verdict must not flip between the two
+		// evaluations the rewritten predicate makes: had the first one seen
+		// the pre-reset state as done, a "not done" now would fail both of
+		// its cases and drop the row. GetValue determinizes transiently.
+		return true, nil
+	}
 	return len(p) == 0, nil
 }
 

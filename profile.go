@@ -49,34 +49,6 @@ func (p *QueryProfile) String() string {
 	return engine.FormatProfile(p.Root)
 }
 
-// obsTracer resolves the tracer for one query: the per-query override when
-// set, the database's tracer otherwise.
-func (s *Session) obsTracer(obs QueryObs) *telemetry.Tracer {
-	if obs.Tracer != nil {
-		return obs.Tracer
-	}
-	return s.db.tracer
-}
-
-// newProfiler returns a profiler when obs asks for one, nil otherwise (the
-// nil flows into ExecCtx.Prof / Driver.Prof and disables instrumentation).
-func newProfiler(obs QueryObs) *engine.Profiler {
-	if !obs.Profile {
-		return nil
-	}
-	return engine.NewProfiler()
-}
-
-// profileResult wraps a profiler's tree, or nil when profiling was off or
-// nothing executed.
-func profileResult(design string, prof *engine.Profiler) *QueryProfile {
-	root := prof.Root()
-	if root == nil {
-		return nil
-	}
-	return &QueryProfile{Design: design, Root: root}
-}
-
 // progressiveProfile synthesizes the EXPLAIN ANALYZE tree for a progressive
 // run. Per-operator instrumentation would charge the IVM pipeline once per
 // epoch, so the profile reports the run's phase breakdown (Exp 4's overhead

@@ -35,18 +35,19 @@ func TestExplainAnalyzePlain(t *testing.T) {
 	defer sess.Close()
 
 	// Profiling off by default: no profile comes back.
-	rows, prof, err := sess.QueryObsCtx(context.Background(), "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{})
+	rows, err := sess.Run(context.Background(), PlainDesign, "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof != nil {
-		t.Fatalf("profile returned with obs off: %+v", prof)
+	if rows.Profile != nil {
+		t.Fatalf("profile returned with obs off: %+v", rows.Profile)
 	}
 
-	rows2, prof, err := sess.QueryObsCtx(context.Background(), "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{Profile: true})
+	rows2, err := sess.Run(context.Background(), PlainDesign, "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := rows2.Profile
 	if prof == nil || prof.Root == nil {
 		t.Fatal("no profile with obs.Profile set")
 	}
@@ -92,7 +93,7 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 	defer sess.Close()
 
 	q := "SELECT id, rating FROM Reviews WHERE rating = 2"
-	lres, err := sess.QueryLooseObs(q, QueryObs{Profile: true})
+	lres, err := sess.Run(context.Background(), LooseDesign, q, QueryObs{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 
 	// Tight runs the rewritten plan under the same profiler: the root is the
 	// plan's top operator and UDF-wrapped predicates show up as Filters.
-	tres, err := sess.QueryTightObs(q, QueryObs{Profile: true})
+	tres, err := sess.Run(context.Background(), TightDesign, q, QueryObs{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}

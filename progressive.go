@@ -10,14 +10,28 @@ import (
 	"enrichdb/internal/telemetry"
 )
 
-// Design selects the architecture for a progressive run.
+// Design selects how a query is executed (DB.Run, Session.Run) and which
+// architecture drives a progressive run.
 type Design int
 
-// The two architectures of the paper.
+// The paper's two architectures, and execution without enrichment.
 const (
-	LooseDesign Design = iota
-	TightDesign
+	LooseDesign Design = iota // §2.1: probe, enrich in batch, write back, run
+	TightDesign               // §2.2: rewrite with UDFs, enrich inside predicates
+	// PlainDesign runs the query as written: derived attributes read as
+	// currently determined, nothing is enriched. Not a progressive design.
+	PlainDesign
 )
+
+// String names the design as profiles and traces spell it.
+func (d Design) String() string {
+	if d < 0 || int(d) >= len(designNames) {
+		return fmt.Sprintf("design(%d)", int(d))
+	}
+	return designNames[d]
+}
+
+var designNames = [...]string{LooseDesign: "loose", TightDesign: "tight", PlainDesign: "plain"}
 
 // Strategy is a PlanTable selection strategy (§3.3.2).
 type Strategy int
@@ -184,15 +198,9 @@ func (r *ProgressiveResult) DeltaSince(epoch int) (inserted, deleted *Rows) {
 	return wrapRows(r.schema, ins), wrapRows(r.schema, del)
 }
 
-// ProgressiveOverhead breaks out the non-enrichment costs of a run.
-type ProgressiveOverhead struct {
-	Setup  time.Duration
-	Plan   time.Duration
-	Delta  time.Duration
-	State  time.Duration
-	UDF    time.Duration
-	Enrich time.Duration
-}
+// ProgressiveOverhead breaks out the non-enrichment costs of a run (Exp 4):
+// Setup, Plan, Delta, State and UDF, beside the Enrich time itself.
+type ProgressiveOverhead = progressive.Overheads
 
 // Score computes the progressive score PS (Equation 1) of the run's quality
 // series with the paper's default slope of 0.05.
@@ -206,6 +214,9 @@ func (r *ProgressiveResult) Score() float64 {
 // Results improve monotonically in enrichment coverage; stop reading when
 // satisfied.
 func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*ProgressiveResult, error) {
+	if opts.Design != LooseDesign && opts.Design != TightDesign {
+		return nil, fmt.Errorf("enrichdb: %v is not a progressive design", opts.Design)
+	}
 	tracer := db.tracer
 	if opts.Tracer != nil {
 		tracer = opts.Tracer
@@ -225,17 +236,12 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 		CollectDeltas:  true, // backs OnDelta and DeltaSince
 		Tracer:         tracer,
 		Cancel:         opts.Cancel,
-		Stats:          db.runtimeStats,
+		Stats:          db.adaptStore(),
 		NoAdaptive:     db.NoAdaptive || opts.NoAdaptive,
 	}
 	if opts.OnEpoch != nil {
 		cfg.OnEpoch = func(ep progressive.EpochReport) { opts.OnEpoch(wrapEpoch(ep)) }
 	}
-	a, err := db.analyzeSQL(query) // validate early and get the schema
-	if err != nil {
-		return nil, err
-	}
-	_ = a
 	if opts.Quality != nil {
 		cfg.Quality = func(rows []*expr.Row) float64 {
 			if len(rows) == 0 {
@@ -254,30 +260,19 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 		Quality:          res.Quality,
 		TotalEnrichments: res.TotalEnrichments,
 		FailedEpochs:     res.FailedEpochs,
-		Overhead: ProgressiveOverhead{
-			Setup:  res.Overhead.Setup,
-			Plan:   res.Overhead.Plan,
-			Delta:  res.Overhead.Delta,
-			State:  res.Overhead.State,
-			UDF:    res.Overhead.UDF,
-			Enrich: res.Overhead.Enrich,
-		},
+		Overhead:         res.Overhead,
 	}
+	// Config.Recompute is never set here, so the run maintained a view and
+	// its schema names the columns of the answer and of every delta.
+	out.schema = res.View.Schema()
+	out.Rows = wrapRows(out.schema, res.Rows)
 	for _, ep := range res.Epochs {
 		out.inserted = append(out.inserted, ep.InsertedRows)
 		out.deleted = append(out.deleted, ep.DeletedRows)
 		out.Epochs = append(out.Epochs, wrapEpoch(ep))
-		if opts.OnDelta != nil && res.View != nil {
-			opts.OnDelta(wrapDelta(res.View, ep.InsertedRows), wrapDelta(res.View, ep.DeletedRows))
+		if opts.OnDelta != nil {
+			opts.OnDelta(wrapRows(out.schema, ep.InsertedRows), wrapRows(out.schema, ep.DeletedRows))
 		}
-	}
-	if res.View != nil {
-		out.Rows = wrapRows(res.View.Schema(), res.Rows)
-		out.schema = res.View.Schema()
-	} else if len(res.Rows) > 0 {
-		out.Rows = wrapRows(res.Rows[0].Schema, res.Rows)
-	} else {
-		out.Rows = &Rows{}
 	}
 	if opts.Profile {
 		out.Profile = progressiveProfile(out, wall)
@@ -294,12 +289,4 @@ func wrapEpoch(ep progressive.EpochReport) Epoch {
 		PlanTime: ep.PlanTime, EnrichTime: ep.EnrichTime, DeltaTime: ep.DeltaTime,
 		EnrichErr: ep.EnrichErr,
 	}
-}
-
-// wrapDelta wraps delta rows under the view's output schema.
-func wrapDelta(view interface{ Schema() *expr.RowSchema }, rows []*expr.Row) *Rows {
-	if len(rows) == 0 {
-		return &Rows{}
-	}
-	return wrapRows(view.Schema(), rows)
 }

@@ -9,12 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"enrichdb/internal/engine"
-	"enrichdb/internal/loose"
-	"enrichdb/internal/shard"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
-	"enrichdb/internal/tight"
 )
 
 // TenantConfig bounds one tenant's share of the serving capacity.
@@ -381,179 +377,47 @@ func (s *Session) Version() uint64 { return s.version }
 // default tenant).
 func (s *Session) Tenant() string { return s.tenant }
 
+// errSessionClosed is returned by every query method of a closed session.
+var errSessionClosed = errors.New("enrichdb: session is closed")
+
+// Run is DB.Run against the session's snapshot: the same pipeline, the same
+// designs, cancellation and observability, reading the data committed as of
+// Version(). Enrichment performed by a loose or tight run lands in the
+// session's view and, generation-guarded, in the live tables.
+func (s *Session) Run(ctx context.Context, design Design, query string, obs QueryObs) (*Result, error) {
+	if s.closed.Load() {
+		return nil, errSessionClosed
+	}
+	return s.db.run(ctx, s.snap, design, query, obs)
+}
+
 // Query executes a query against the snapshot without any enrichment:
 // derived attributes read as frozen in the snapshot.
 func (s *Session) Query(query string) (*Rows, error) {
-	return s.QueryCtx(context.Background(), query)
-}
-
-// ExplainPlan renders the plan-only EXPLAIN (no ANALYZE) for a query
-// against the session's snapshot: the operator tree the adaptive optimizer
-// would run, annotated with estimated rows/costs and any observed
-// selectivities from the database's runtime-statistics store. Nothing
-// executes — no scans, no enrichment. `EXPLAIN SELECT ...` over the wire
-// protocol renders this tree.
-func (s *Session) ExplainPlan(query string) (string, error) {
-	if s.closed.Load() {
-		return "", fmt.Errorf("enrichdb: session is closed")
-	}
-	a, err := s.db.analyzeSQL(query)
-	if err != nil {
-		return "", err
-	}
-	st := s.db.runtimeStats
-	if s.db.NoAdaptive {
-		st = nil
-	}
-	plan, err := engine.BuildOpt(a, s.snap, engine.BuildOptions{Stats: st, NoAdaptive: s.db.NoAdaptive})
-	if err != nil {
-		return "", err
-	}
-	return engine.AnnotatedExplain(plan, &engine.CostModel{Store: st}), nil
-}
-
-// QueryCtx is Query with cancellation: the executor polls ctx's Done channel
-// between batches of work and aborts with ctx.Err() once it fires, so a long
-// scan, filter or join can be killed mid-flight.
-func (s *Session) QueryCtx(ctx context.Context, query string) (*Rows, error) {
-	rows, _, err := s.QueryObsCtx(ctx, query, QueryObs{})
-	return rows, err
-}
-
-// QueryObsCtx is QueryCtx with per-query observability: a tracer override
-// and, when obs.Profile is set, the EXPLAIN ANALYZE operator tree of the
-// executed plan.
-func (s *Session) QueryObsCtx(ctx context.Context, query string, obs QueryObs) (*Rows, *QueryProfile, error) {
-	if s.closed.Load() {
-		return nil, nil, fmt.Errorf("enrichdb: session is closed")
-	}
-	a, err := s.db.analyzeSQL(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	ec := engine.NewExecCtx()
-	ec.Done = ctx.Done()
-	ec.Adapt = s.db.runtimeStats
-	ec.NoAdaptive = s.db.NoAdaptive
-	prof := newProfiler(obs)
-	// Sharded snapshots fan eligible single-table shapes out across the
-	// per-shard frozen views (byte-identical merged answer). Profiled runs
-	// take the single-plan path so the operator tree stays meaningful.
-	if sc, ok := s.snap.(shard.Scatterable); ok && prof == nil {
-		rows, schema, hit, serr := shard.Scatter(a, sc, ec)
-		if serr != nil {
-			if errors.Is(serr, engine.ErrCanceled) && ctx.Err() != nil {
-				return nil, nil, ctx.Err()
-			}
-			return nil, nil, serr
-		}
-		if hit {
-			s.db.Telemetry().Counter("shard.scatter_queries").Add(1)
-			return wrapRows(schema, rows), nil, nil
-		}
-	}
-	plan, err := engine.Build(a, s.snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	ec.Prof = prof
-	sp := s.obsTracer(obs).Start("plain.execute")
-	rows, err := plan.Execute(ec)
-	if err != nil {
-		sp.Str("error", err.Error()).End()
-		if errors.Is(err, engine.ErrCanceled) && ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		return nil, nil, err
-	}
-	sp.Int("rows", int64(len(rows))).End()
-	return wrapRows(plan.Schema(), rows), profileResult("plain", prof), nil
+	return rowsOnly(s.Run(context.Background(), PlainDesign, query, QueryObs{}))
 }
 
 // QueryLoose executes a query against the snapshot with the loose design.
 // Enrichment runs on the snapshot's tuple images through the shared manager
-// and enrichment server; determined values land in the session's view and,
-// generation-guarded, in the live tables.
+// and enrichment server.
 func (s *Session) QueryLoose(query string) (*Result, error) {
-	return s.QueryLooseObs(query, QueryObs{})
-}
-
-// QueryLooseObs is QueryLoose with per-query observability: a tracer
-// override (spans land under the query's trace) and, when obs.Profile is
-// set, the EXPLAIN ANALYZE phase tree on Result.Profile.
-func (s *Session) QueryLooseObs(query string, obs QueryObs) (*Result, error) {
-	if s.closed.Load() {
-		return nil, fmt.Errorf("enrichdb: session is closed")
-	}
-	prof := newProfiler(obs)
-	drv := &loose.Driver{DB: s.snap, Mgr: s.db.mgr, Enricher: s.db.enricher,
-		Tracer: s.obsTracer(obs), Prof: prof,
-		Stats: s.db.runtimeStats, NoAdaptive: s.db.NoAdaptive}
-	res, err := drv.Execute(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.db.analyzeSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := engine.Build(a, s.snap)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Rows:              wrapRows(plan.Schema(), res.Rows),
-		Enrichments:       res.Enrichments,
-		FailedEnrichments: res.FailedEnrichments,
-		EnrichErrors:      res.EnrichErrors,
-		Timing: QueryTiming{
-			Probe:   res.Timing.Probe,
-			Enrich:  res.Timing.Enrich,
-			Network: res.Timing.Network,
-			DBMS:    res.Timing.DBMS,
-		},
-		Profile: profileResult("loose", prof),
-	}, nil
+	return s.Run(context.Background(), LooseDesign, query, QueryObs{})
 }
 
 // QueryTight executes a query against the snapshot with the tight design:
 // rewritten UDFs enrich the snapshot's tuple images lazily during predicate
 // evaluation, sharing state and deduplication with every other session.
 func (s *Session) QueryTight(query string) (*Result, error) {
-	return s.QueryTightObs(query, QueryObs{})
+	return s.Run(context.Background(), TightDesign, query, QueryObs{})
 }
 
-// QueryTightObs is QueryTight with per-query observability: a tracer
-// override and, when obs.Profile is set, the rewritten plan's EXPLAIN
-// ANALYZE tree on Result.Profile.
-func (s *Session) QueryTightObs(query string, obs QueryObs) (*Result, error) {
+// ExplainPlan is DB.ExplainPlan against the session's snapshot; `EXPLAIN
+// SELECT ...` over the wire protocol renders this tree.
+func (s *Session) ExplainPlan(query string) (string, error) {
 	if s.closed.Load() {
-		return nil, fmt.Errorf("enrichdb: session is closed")
+		return "", errSessionClosed
 	}
-	enrichBefore := s.db.mgr.Counters().EnrichTime
-	prof := newProfiler(obs)
-	drv := &tight.Driver{DB: s.snap, Mgr: s.db.mgr, InvokeOverhead: s.db.TightInvokeOverhead,
-		Tracer: s.obsTracer(obs), Prof: prof,
-		Stats: s.db.runtimeStats, NoAdaptive: s.db.NoAdaptive}
-	res, err := drv.Execute(query)
-	if err != nil {
-		return nil, err
-	}
-	a, err := s.db.analyzeSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := engine.Build(a, s.snap)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Rows:           wrapRows(plan.Schema(), res.Rows),
-		Enrichments:    res.Enrichments,
-		UDFInvocations: res.UDFInvocations,
-		Timing:         splitTightTiming(res.DBMS, s.db.mgr.Counters().EnrichTime-enrichBefore),
-		Profile:        profileResult("tight", prof),
-	}, nil
+	return s.db.explainPlan(s.snap, query)
 }
 
 // QueryProgressive executes a progressive query through the session. The
@@ -564,7 +428,7 @@ func (s *Session) QueryTightObs(query string, obs QueryObs) (*Result, error) {
 // enrichment state with every concurrent session.
 func (s *Session) QueryProgressive(query string, opts ProgressiveOptions) (*ProgressiveResult, error) {
 	if s.closed.Load() {
-		return nil, fmt.Errorf("enrichdb: session is closed")
+		return nil, errSessionClosed
 	}
 	return s.db.QueryProgressive(query, opts)
 }
