@@ -10,9 +10,10 @@
 //
 // -trace writes one JSON span per pipeline phase to the given file (use
 // cmd/tracefmt to pretty-print it); -metrics prints the telemetry snapshot
-// on exit. Without -q it reads queries from stdin, one per line. Special
-// inputs: ".help", ".stats", ".metrics", ".explain <query>",
-// ".design <name>", ".quit".
+// on exit. Without -q it reads queries from stdin, one per line; prefix a
+// query with EXPLAIN for the plan the current design runs, or EXPLAIN ANALYZE
+// for the operator profile of a real run. Special inputs: ".help", ".stats",
+// ".metrics", ".design <name>", ".paper", ".quit".
 //
 // Serving mode:
 //
@@ -66,7 +67,6 @@ import (
 	"enrichdb/internal/harness"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/telemetry"
-	"enrichdb/internal/tight"
 )
 
 func main() {
@@ -200,7 +200,7 @@ func (r *runner) command(line string) (quit bool) {
 	case line == ".help":
 		fmt.Println("enter a SELECT query (prefix with EXPLAIN for the annotated plan without")
 		fmt.Println("executing, or EXPLAIN ANALYZE for an operator profile of a real run),")
-		fmt.Println("or: .design loose|tight|plain, .explain <query>, .paper, .stats, .metrics, .quit")
+		fmt.Println("or: .design loose|tight|plain, .paper, .stats, .metrics, .quit")
 	case line == ".paper":
 		// Run the paper's nine query templates under the current design.
 		scale := bench.Small()
@@ -226,14 +226,6 @@ func (r *runner) command(line string) (quit bool) {
 		} else {
 			r.design = d
 			fmt.Printf("design = %s\n", d)
-		}
-	case strings.HasPrefix(line, ".explain "):
-		q := strings.TrimPrefix(line, ".explain ")
-		plan, err := r.env.TightDriver().Explain(q)
-		if err != nil {
-			fmt.Println("error:", err)
-		} else {
-			fmt.Print(plan)
 		}
 	default:
 		if err := r.exec(line); err != nil {
@@ -320,8 +312,8 @@ func (r *runner) exec(q string) error {
 }
 
 // explainPlan renders the plan-only EXPLAIN for the current design: the
-// operator tree the optimizer would run (the tight design's UDF-rewritten
-// tree when that design is active), annotated with estimated rows/costs and
+// operator tree the optimizer would run (the tight driver's own rewritten
+// plan when that design is active), annotated with estimated rows/costs and
 // observed selectivities from the env's runtime-statistics store. Nothing
 // executes — no scans, no enrichment.
 func (r *runner) explainPlan(q string) error {
@@ -329,12 +321,12 @@ func (r *runner) explainPlan(q string) error {
 	if err != nil {
 		return err
 	}
+	var plan engine.Plan
 	if r.design == "tight" {
-		if a, err = tight.RewriteAnalysis(a); err != nil {
-			return err
-		}
+		plan, err = r.env.TightDriver().Plan(a)
+	} else {
+		plan, err = engine.BuildOpt(a, r.env.Data.DB, engine.BuildOptions{Stats: r.env.Stats})
 	}
-	plan, err := engine.BuildOpt(a, r.env.Data.DB, engine.BuildOptions{Stats: r.env.Stats})
 	if err != nil {
 		return err
 	}

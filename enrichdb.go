@@ -27,8 +27,8 @@ import (
 	"time"
 
 	"enrichdb/internal/catalog"
-	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
+	"enrichdb/internal/faultinject"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/loose/remote"
 	"enrichdb/internal/ml"
@@ -343,7 +343,7 @@ func (db *DB) SetStateCutoff(threshold float64) {
 	db.mgr.SetCutoff(threshold)
 }
 
-// EnrichmentServerConfig tunes ServeEnrichmentConfig. The zero value means
+// EnrichmentServerConfig tunes ServeEnrichment. The zero value means
 // unlimited connections and the default shutdown drain.
 type EnrichmentServerConfig struct {
 	// MaxConns caps concurrent client connections (0 = unlimited).
@@ -363,23 +363,50 @@ type EnrichmentServerConfig struct {
 	FaultSeed int64
 }
 
+// EnrichmentServerHandle is a started enrichment server: its bound address,
+// plus the hooks the shard-fault harness uses to kill or degrade one fleet
+// member.
+type EnrichmentServerHandle struct {
+	srv  *remote.Server
+	addr string
+}
+
+// Addr returns the server's bound address.
+func (h *EnrichmentServerHandle) Addr() string { return h.addr }
+
+// Close drains and stops the server (a killed fleet member: in-flight
+// batches finish or time out, new calls fail over to other servers).
+func (h *EnrichmentServerHandle) Close() error { return h.srv.Close() }
+
+// DropConnections abruptly severs every live client connection without
+// stopping the listener (a network blip, not a dead server). Returns the
+// number of connections dropped.
+func (h *EnrichmentServerHandle) DropConnections() int { return h.srv.DropConnections() }
+
 // ServeEnrichment starts an enrichment server for the loose design on addr
-// (use "127.0.0.1:0" for an ephemeral port) and returns its address. The
-// server executes this database's registered function families.
-func (db *DB) ServeEnrichment(addr string) (string, error) {
-	return db.ServeEnrichmentConfig(addr, EnrichmentServerConfig{})
-}
-
-// ServeEnrichmentConfig is ServeEnrichment with explicit robustness knobs.
-func (db *DB) ServeEnrichmentConfig(addr string, cfg EnrichmentServerConfig) (string, error) {
-	h, err := db.ServeEnrichmentHandle(addr, cfg)
-	if err != nil {
-		return "", err
+// (use "127.0.0.1:0" for an ephemeral port). The server executes this
+// database's registered function families; Close on the database stops it
+// too.
+func (db *DB) ServeEnrichment(addr string, cfg EnrichmentServerConfig) (*EnrichmentServerHandle, error) {
+	var enricher loose.Enricher = &loose.LocalEnricher{Mgr: db.mgr, Workers: cfg.Workers}
+	if cfg.FaultLatency > 0 || cfg.FaultErrorRate > 0 {
+		enricher = faultinject.Wrap(enricher, faultinject.Plan{
+			Seed:      cfg.FaultSeed,
+			ErrorRate: cfg.FaultErrorRate,
+			Latency:   cfg.FaultLatency,
+		})
 	}
-	return h.Addr(), nil
+	srv, bound, err := remote.ServeEnricher(addr, enricher,
+		remote.ServerOptions{MaxConns: cfg.MaxConns, DrainTimeout: cfg.DrainTimeout,
+			Telemetry: db.mgr.Telemetry()})
+	if err != nil {
+		return nil, err
+	}
+	db.servers = append(db.servers, srv)
+	return &EnrichmentServerHandle{srv: srv, addr: bound}, nil
 }
 
-// EnrichmentClientConfig tunes ConnectEnrichmentServerConfig. The zero value
+// EnrichmentClientConfig tunes ConnectEnrichmentServer. The zero value
 // applies the production defaults: a 30s per-call deadline, 2 retries with
 // exponential backoff + jitter, and automatic re-dial after broken
 // connections. Negative values disable the corresponding mechanism.
@@ -395,18 +422,11 @@ type EnrichmentClientConfig struct {
 }
 
 // ConnectEnrichmentServer points the loose design at a remote enrichment
-// server instead of the default in-process one, with default fault
-// tolerance. extraLatency, if positive, is added per batch to emulate a
-// longer link.
-func (db *DB) ConnectEnrichmentServer(addr string, extraLatency time.Duration) error {
-	return db.ConnectEnrichmentServerConfig(addr, EnrichmentClientConfig{ExtraLatency: extraLatency})
-}
-
-// ConnectEnrichmentServerConfig is ConnectEnrichmentServer with explicit
-// fault-tolerance knobs. If the server fails mid-query, the loose design
-// degrades: failed enrichments leave their derived attributes NULL and are
-// counted in Result.FailedEnrichments; re-running the query retries them.
-func (db *DB) ConnectEnrichmentServerConfig(addr string, cfg EnrichmentClientConfig) error {
+// server instead of the default in-process one. If the server fails
+// mid-query, the loose design degrades: failed enrichments leave their
+// derived attributes NULL and are counted in Result.FailedEnrichments;
+// re-running the query retries them.
+func (db *DB) ConnectEnrichmentServer(addr string, cfg EnrichmentClientConfig) error {
 	client, err := remote.DialOptions(addr, remote.Options{
 		CallTimeout: cfg.CallTimeout,
 		MaxRetries:  cfg.MaxRetries,
@@ -465,11 +485,6 @@ type EnrichmentStats struct {
 	Skipped        int64
 	ReExecutions   int64
 	StateSizeBytes int64
-}
-
-// analyzeSQL parses and analyzes a query against this database.
-func (db *DB) analyzeSQL(query string) (*engine.Analysis, error) {
-	return engine.AnalyzeSQL(query, db.store.Catalog())
 }
 
 // RuntimeStats renders the database's runtime-statistics store — the EWMA

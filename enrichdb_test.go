@@ -179,14 +179,18 @@ func TestQueryTightPublic(t *testing.T) {
 
 func TestExplainTightPublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
-	ex, err := db.ExplainTight("SELECT * FROM Reviews WHERE rating = 1")
+	res, err := db.QueryTight("EXPLAIN SELECT * FROM Reviews WHERE rating = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ex := renderPlan(res.Rows)
 	for _, want := range []string{"read_udf", "CheckState", "Scan Reviews"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("explain missing %q:\n%s", want, ex)
 		}
+	}
+	if res.Enrichments != 0 || res.UDFInvocations != 0 || db.Stats().Enrichments != 0 {
+		t.Errorf("EXPLAIN executed work: %d enrichments, %d UDF calls", res.Enrichments, res.UDFInvocations)
 	}
 }
 
@@ -264,11 +268,11 @@ func TestProgressiveTightPublic(t *testing.T) {
 func TestRemoteEnrichmentServerPublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	defer db.Close()
-	addr, err := db.ServeEnrichment("127.0.0.1:0")
+	srv, err := db.ServeEnrichment("127.0.0.1:0", EnrichmentServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ConnectEnrichmentServer(addr, 0); err != nil {
+	if err := db.ConnectEnrichmentServer(srv.Addr(), EnrichmentClientConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.QueryLoose("SELECT * FROM Reviews WHERE rating = 0 AND day < 15")

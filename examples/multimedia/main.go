@@ -112,13 +112,13 @@ func main() {
 	// retries with backoff, and automatic re-dial if the server restarts.
 	looseDB := buildDB(99)
 	defer looseDB.Close()
-	addr, err := looseDB.ServeEnrichmentConfig("127.0.0.1:0", enrichdb.EnrichmentServerConfig{
+	srv, err := looseDB.ServeEnrichment("127.0.0.1:0", enrichdb.EnrichmentServerConfig{
 		MaxConns: 16, DrainTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = looseDB.ConnectEnrichmentServerConfig(addr, enrichdb.EnrichmentClientConfig{
+	err = looseDB.ConnectEnrichmentServer(srv.Addr(), enrichdb.EnrichmentClientConfig{
 		CallTimeout: 10 * time.Second, MaxRetries: 2,
 	})
 	if err != nil {
@@ -144,11 +144,14 @@ func main() {
 		lres.Enrichments-tres.Enrichments,
 		100*float64(lres.Enrichments-tres.Enrichments)/float64(lres.Enrichments))
 
-	// Show the rewritten plan that makes it possible.
-	plan, err := tightDB.ExplainTight(query)
+	// Show the rewritten plan that makes it possible: EXPLAIN under the tight
+	// design answers the plan that design runs, one line per row.
+	plan, err := tightDB.QueryTight("EXPLAIN " + query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\ntight rewritten plan:")
-	fmt.Println(plan)
+	for i := 0; i < plan.Len(); i++ {
+		fmt.Println(plan.At(i)[0].Str())
+	}
 }

@@ -146,22 +146,6 @@ func (a *Analysis) SelPred(alias string) expr.Expr {
 	return expr.NewAnd(kids...)
 }
 
-// FixedSelPred returns the conjunction of only the fixed selection conjuncts
-// of an alias, cloned (TruePred when none). Probe queries use it to exploit
-// "Selection Conditions on Fixed Attributes" (§2.1).
-func (a *Analysis) FixedSelPred(alias string) expr.Expr {
-	var kids []expr.Expr
-	for _, c := range a.Sel[alias] {
-		if !c.Derived {
-			kids = append(kids, c.E.Clone())
-		}
-	}
-	if len(kids) == 0 {
-		return expr.TruePred{}
-	}
-	return expr.NewAnd(kids...)
-}
-
 // DerivedAttrsOf returns the derived attributes of alias referenced anywhere
 // in the query (selections, joins, select list, group by), in first-use
 // order. These are the attributes that must be enriched for the query.

@@ -487,8 +487,7 @@ func (j *Join) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	return j.joinRows(ctx, left, right)
 }
 
-// joinRows joins two materialized inputs; exported via JoinMaterialized for
-// the IVM module, which re-joins deltas against stored inputs.
+// joinRows joins two materialized inputs.
 func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, error) {
 	// A TruePred residual means the keys cover the whole join condition —
 	// nothing to evaluate per emitted row.
@@ -685,12 +684,6 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 		}
 	}
 	return out, true, nil
-}
-
-// JoinMaterialized exposes the join kernel over explicit inputs (IVM delta
-// evaluation joins ΔL against stored R and vice versa).
-func (j *Join) JoinMaterialized(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, error) {
-	return j.joinRows(ctx, left, right)
 }
 
 // hashRowKey hashes the composite equi-join key through the shared

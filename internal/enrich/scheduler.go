@@ -140,37 +140,3 @@ func (s *Scheduler) DoTraced(tr *telemetry.Tracer, name string, epoch, n int, fn
 	wg.Wait()
 	return firstErr
 }
-
-// Task is one (relation, tuple, attribute, function) execution unit — a
-// PlanTable triplet joined with the tuple's feature vector.
-type Task struct {
-	Relation string
-	TID      int64
-	Attr     string
-	FnID     int
-	Feature  []float64
-}
-
-// ExecuteTasks runs every task through the manager on the pool. Duplicate
-// triplets (a self-join planning the same tuple under two aliases) are
-// deduplicated twice over: identical in-flight executions collapse via the
-// manager's singleflight, and late duplicates skip on the state bitmap. The
-// executed count is the number of tasks that actually ran a function.
-func (s *Scheduler) ExecuteTasks(mgr *Manager, tasks []Task) (executed int64, err error) {
-	var n int64
-	var mu sync.Mutex
-	doErr := s.Do(len(tasks), func(i int) error {
-		t := tasks[i]
-		ran, execErr := mgr.Execute(t.Relation, t.TID, t.Attr, t.FnID, t.Feature)
-		if execErr != nil {
-			return execErr
-		}
-		if ran {
-			mu.Lock()
-			n++
-			mu.Unlock()
-		}
-		return nil
-	})
-	return n, doErr
-}

@@ -190,8 +190,6 @@ func (m *PanicModel) Fired() bool { return m.fired.Load() }
 type SlowModel struct {
 	Inner ml.Classifier
 	Delay time.Duration
-
-	calls atomic.Int64
 }
 
 // Name implements ml.Classifier.
@@ -207,12 +205,8 @@ func (m *SlowModel) Classes() int { return m.Inner.Classes() }
 
 // PredictProba implements ml.Classifier with the configured delay.
 func (m *SlowModel) PredictProba(x []float64) []float64 {
-	m.calls.Add(1)
 	if m.Delay > 0 {
 		time.Sleep(m.Delay)
 	}
 	return m.Inner.PredictProba(x)
 }
-
-// Calls returns how many predictions the wrapper has served.
-func (m *SlowModel) Calls() int64 { return m.calls.Load() }

@@ -559,7 +559,7 @@ func Run(cfg Config) (*Report, error) {
 				srvCfg.FaultLatency = cfg.SlowServer
 				srvCfg.FaultSeed = cfg.Seed
 			}
-			hdl, err := db.ServeEnrichmentHandle("127.0.0.1:0", srvCfg)
+			hdl, err := db.ServeEnrichment("127.0.0.1:0", srvCfg)
 			if err != nil {
 				return nil, fmt.Errorf("harness: fleet server %d: %w", i, err)
 			}

@@ -20,13 +20,15 @@ func newRawConn(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, 2*time.Second)
 }
 
-// waitGauge polls a telemetry gauge until it reaches want or the deadline
-// passes.
-func waitGauge(t *testing.T, db *enrichdb.DB, name string, want int64) {
+// waitMetric polls a telemetry counter or gauge until it reads want or the
+// deadline passes. want must be a value the metric reaches only through the
+// event under test: serve.conn_open already reads 0 before the server has
+// accepted a fresh dial, so waiting for 0 then proves nothing.
+func waitMetric(t *testing.T, name string, m interface{ Value() int64 }, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := db.Telemetry().Gauge(name).Value()
+		got := m.Value()
 		if got == want {
 			return
 		}
@@ -49,10 +51,10 @@ func TestChaosHalfOpenPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	waitGauge(t, db, "serve.conn_open", 0)
-	if got := db.Telemetry().Counter("serve.handshake_rejected").Value(); got != 1 {
-		t.Errorf("serve.handshake_rejected = %d, want 1", got)
-	}
+	reg := db.Telemetry()
+	waitMetric(t, "serve.handshake_rejected", reg.Counter("serve.handshake_rejected"), 1)
+	// The rejected connection was open, so its close is now the event.
+	waitMetric(t, "serve.conn_open", reg.Gauge("serve.conn_open"), 0)
 	// No session was ever bound for the silent peer.
 	if got := db.Telemetry().Gauge("serve.sessions_active").Value(); got != 0 {
 		t.Errorf("serve.sessions_active = %d, want 0", got)
@@ -87,7 +89,9 @@ func TestChaosSlowloris(t *testing.T) {
 	if dripped == len(frame) {
 		t.Fatalf("server accepted the full %d-byte handshake at 1 byte per 20ms", len(frame))
 	}
-	waitGauge(t, db, "serve.conn_open", 0)
+	// The server hung up on an accepted connection, so reaching 0 is its
+	// close, not the state before the accept.
+	waitMetric(t, "serve.conn_open", db.Telemetry().Gauge("serve.conn_open"), 0)
 	if got := db.Telemetry().Counter("serve.handshake_rejected").Value(); got < 1 {
 		t.Errorf("serve.handshake_rejected = %d, want >= 1", got)
 	}
@@ -114,7 +118,8 @@ func TestChaosMidQueryDisconnect(t *testing.T) {
 	// Abrupt disconnect: no Cancel, no goodbye, just a closed socket.
 	c.Close()
 
-	waitGauge(t, db, "serve.sessions_active", 0)
+	// Dial returned after the handshake bound the session, so 0 is its release.
+	waitMetric(t, "serve.sessions_active", db.Telemetry().Gauge("serve.sessions_active"), 0)
 
 	// The single session slot is free again: a new connection is admitted and
 	// can run a query end to end.
@@ -205,7 +210,8 @@ func TestChaosIdleTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Stay quiet past the idle deadline with nothing in flight: reaped.
-	waitGauge(t, db, "serve.conn_open", 0)
-	waitGauge(t, db, "serve.sessions_active", 0)
+	// Stay quiet past the idle deadline with nothing in flight: reaped. Dial
+	// returned after the handshake, so both gauges were 1.
+	waitMetric(t, "serve.conn_open", db.Telemetry().Gauge("serve.conn_open"), 0)
+	waitMetric(t, "serve.sessions_active", db.Telemetry().Gauge("serve.sessions_active"), 0)
 }

@@ -193,8 +193,9 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 }
 
 // TestExplainPlanOverWire checks plan-only EXPLAIN (no ANALYZE): the server
-// returns the annotated operator tree as a "plan" text column without
-// executing the query — zero enrichments, zero UDF calls, no profile frame.
+// returns the annotated operator tree the design runs as a "plan" text column
+// without executing the query — zero enrichments, zero UDF calls, no profile
+// frame.
 func TestExplainPlanOverWire(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	_, _, addr := start(t, 40, nil, nil)
@@ -222,6 +223,11 @@ func TestExplainPlanOverWire(t *testing.T) {
 		}
 		if !strings.Contains(text, "est_rows=") || !strings.Contains(text, "est_cost=") {
 			t.Fatalf("%s: plan lines missing cost annotations:\n%s", design, text)
+		}
+		// Tight runs the rewritten plan, so that is the plan it shows; the
+		// other designs run the query as written.
+		if rewritten := strings.Contains(text, "read_udf"); rewritten != (design == wire.DesignTight) {
+			t.Fatalf("%s: plan shows read_udf = %v, want %v:\n%s", design, rewritten, design == wire.DesignTight, text)
 		}
 		if res.Enrichments != 0 || res.UDFCalls != 0 {
 			t.Fatalf("%s: plan-only EXPLAIN executed work: enrichments=%d udf=%d",

@@ -10,9 +10,9 @@
 //
 // Queries are killable: a Cancel frame aborts the sender's own in-flight
 // query, a Kill frame aborts queries on another connection of the same
-// tenant. Cancellation reaches plain and progressive executions mid-flight
-// (the engine polls the context between batches; the progressive loop checks
-// it per epoch); loose and tight executions cancel at stream boundaries.
+// tenant. Cancellation reaches every design mid-flight: the engine polls the
+// context between batches, a loose query checks it before its enrichment
+// batch, and the progressive loop checks it per epoch.
 package server
 
 import (
@@ -22,14 +22,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"enrichdb"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/telemetry"
-	"enrichdb/internal/types"
 	"enrichdb/internal/wire"
 )
 
@@ -88,13 +85,12 @@ type Server struct {
 	cfg Config
 	reg *telemetry.Registry
 
-	mu          sync.Mutex
-	ln          net.Listener
-	conns       map[uint64]*conn
-	nextConn    uint64
-	draining    bool
-	drainReason string
-	closed      bool
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[uint64]*conn
+	nextConn uint64
+	draining bool
+	closed   bool
 
 	slowMu sync.Mutex // serializes SlowQueryLog writes
 
@@ -222,7 +218,6 @@ func (s *Server) Drain(reason string) {
 		return
 	}
 	s.draining = true
-	s.drainReason = reason
 	ln := s.ln
 	conns := make([]*conn, 0, len(s.conns))
 	for _, c := range s.conns {
@@ -334,7 +329,8 @@ func (c *conn) write(f wire.Frame) error {
 	return nil
 }
 
-// shutdown force-closes the connection and cancels its queries.
+// shutdown force-closes the connection and cancels its queries, under the
+// lock retire takes, as Cancel and Kill do.
 func (c *conn) shutdown() {
 	c.mu.Lock()
 	if c.closed {
@@ -342,14 +338,10 @@ func (c *conn) shutdown() {
 		return
 	}
 	c.closed = true
-	cancels := make([]context.CancelFunc, 0, len(c.queries))
 	for _, q := range c.queries {
-		cancels = append(cancels, q.cancel)
+		q.cancel()
 	}
 	c.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
 	c.nc.Close()
 }
 
@@ -431,6 +423,7 @@ func (c *conn) handshake() bool {
 	c.tenant = tenant
 	c.mu.Unlock()
 	if err := c.write(&wire.Welcome{Proto: wire.ProtoVersion, ConnID: c.id, Tenant: tenant, Version: sess.Version()}); err != nil {
+		sess.Close() // rejected handshakes skip handle's deferred Close
 		sp.Str("error", "welcome write").End()
 		return false
 	}
@@ -553,22 +546,17 @@ func (c *conn) startQuery(id uint32, design wire.Design, sql string, tc wire.Tra
 	c.s.reg.Counter("serve.queries_started").Add(1)
 	go func() {
 		defer c.qwg.Done()
-		defer func() {
-			c.mu.Lock()
-			delete(c.queries, id)
-			c.mu.Unlock()
-			cancel()
-		}()
+		defer cancel()
 		c.runQuery(ctx, id, design, sql, traceID, sampled)
 	}()
 }
 
-// cancelQuery aborts the connection's own in-flight query.
+// cancelQuery aborts the connection's own in-flight query. It cancels under
+// the lock retire takes, so a query it finds live sees the cancellation.
 func (c *conn) cancelQuery(id uint32) {
 	c.mu.Lock()
-	q := c.queries[id]
-	c.mu.Unlock()
-	if q != nil {
+	defer c.mu.Unlock()
+	if q := c.queries[id]; q != nil {
 		q.cancel()
 	}
 }
@@ -584,23 +572,19 @@ func (c *conn) kill(f *wire.Kill) {
 		c.write(&wire.Killed{ID: f.ID, Count: 0})
 		return
 	}
+	// Cancel under the lock retire takes: every query counted here sees its
+	// cancellation and ends in CodeCanceled, never in ResultDone.
+	killed := 0
 	target.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(target.queries))
-	if f.TargetQuery != 0 {
-		if q := target.queries[f.TargetQuery]; q != nil {
-			cancels = append(cancels, q.cancel)
-		}
-	} else {
-		for _, q := range target.queries {
-			cancels = append(cancels, q.cancel)
+	for qid, q := range target.queries {
+		if f.TargetQuery == 0 || qid == f.TargetQuery {
+			q.cancel()
+			killed++
 		}
 	}
 	target.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
-	c.s.reg.Counter("serve.kills").Add(int64(len(cancels)))
-	c.write(&wire.Killed{ID: f.ID, Count: uint32(len(cancels))})
+	c.s.reg.Counter("serve.kills").Add(int64(killed))
+	c.write(&wire.Killed{ID: f.ID, Count: uint32(killed)})
 }
 
 // queryError maps an execution error to a wire error frame.
@@ -619,12 +603,12 @@ func (c *conn) queryError(ctx context.Context, id uint32, err error) {
 
 // streamRows sends header + batches for a complete result set, polling ctx
 // between batches so kills interrupt long streams.
-func (c *conn) streamRows(ctx context.Context, id uint32, cols []string, numRows int, at func(int) []enrichdb.Value) error {
-	if err := c.write(&wire.ResultHeader{Query: id, Columns: cols}); err != nil {
+func (c *conn) streamRows(ctx context.Context, id uint32, rows *enrichdb.Rows) error {
+	if err := c.write(&wire.ResultHeader{Query: id, Columns: rows.Columns()}); err != nil {
 		return err
 	}
 	stride := c.s.cfg.BatchRows
-	for lo := 0; lo < numRows; lo += stride {
+	for lo, numRows := 0, rows.Len(); lo < numRows; lo += stride {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -634,7 +618,7 @@ func (c *conn) streamRows(ctx context.Context, id uint32, cols []string, numRows
 		}
 		chunk := make([][]enrichdb.Value, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			chunk = append(chunk, at(i))
+			chunk = append(chunk, rows.At(i))
 		}
 		if err := c.write(wire.BatchFromValues(id, chunk)); err != nil {
 			return err
@@ -729,61 +713,44 @@ var libraryDesign = [...]enrichdb.Design{
 }
 
 // runQuery executes one query under its cancel context and streams the
-// result. A leading EXPLAIN ANALYZE turns the query into its own profile:
-// the inner SELECT runs with the operator profiler attached and the result
-// set is the rendered tree (one "plan" column), with the structured nodes on
-// the Profile frame. A sampled query executes under a trace-ID-stamped
-// tracer teeing into a collector, and its span summaries ride the Profile
-// frame too.
+// result. EXPLAIN and EXPLAIN ANALYZE are statements the library pipeline
+// answers itself, with a one-column "plan" result; the server streams it like
+// any other. A sampled query executes under a trace-ID-stamped tracer teeing
+// into a collector, and its span summaries ride the Profile frame, which also
+// carries an EXPLAIN ANALYZE statement's operator tree.
+//
+// The terminal frame — ResultDone or Error — goes out last, after the query
+// has left the connection's live set and its counters, latency and slow-log
+// record are written: a client that has its answer sees the query finished
+// everywhere.
 func (c *conn) runQuery(ctx context.Context, id uint32, design wire.Design, sql string, traceID uint64, sampled bool) {
 	start := time.Now()
-	defer func() { c.observeLatency(time.Since(start)) }()
-	explain := false
-	if st, perr := sqlparser.ParseStatement(sql); perr == nil {
-		if st.ExplainPlan {
-			// Plan-only EXPLAIN: render the annotated operator tree without
-			// executing — no scans, no enrichment, zero result-side effects.
-			// The tree is the plain (unrewritten) plan regardless of the
-			// requested design.
-			c.runExplainPlan(ctx, id, st.Select.String(), start)
-			return
-		}
-		if st.ExplainAnalyze {
-			explain = true
-			sql = st.Select.String()
-		}
-	}
 	var collect *telemetry.CollectSink
 	qtr := c.s.cfg.Tracer.WithTrace(traceID)
 	if sampled {
 		collect = &telemetry.CollectSink{}
 		qtr = qtr.Tee(collect) // works even with no server tracer configured
 	}
-	obs := enrichdb.QueryObs{Tracer: qtr, Profile: explain}
 
 	done := wire.ResultDone{Query: id}
-	var cols []string
-	var numRows int
-	var at func(int) []enrichdb.Value
+	var rows *enrichdb.Rows
 	var prof *enrichdb.QueryProfile
 	var err error
 
 	switch design {
 	case wire.DesignPlain, wire.DesignLoose, wire.DesignTight:
 		var res *enrichdb.Result
-		res, err = c.sess.Run(ctx, libraryDesign[design], sql, obs)
+		res, err = c.sess.Run(ctx, libraryDesign[design], sql, enrichdb.QueryObs{Tracer: qtr})
 		if err == nil {
-			cols, numRows, at = res.Rows.Columns(), res.Rows.Len(), res.Rows.At
+			rows, prof = res.Rows, res.Profile
 			done.Enrichments = res.Enrichments
 			done.Failed = int64(res.FailedEnrichments)
 			done.UDFCalls = res.UDFInvocations
-			prof = res.Profile
 		}
 	case wire.DesignProgressive:
 		opts := c.s.cfg.Progressive
 		opts.Cancel = ctx.Done()
 		opts.Tracer = qtr
-		opts.Profile = explain
 		opts.OnEpoch = func(ep enrichdb.Epoch) {
 			c.write(&wire.Epoch{
 				Query: id, N: uint32(ep.N), Planned: uint32(ep.Planned),
@@ -798,81 +765,70 @@ func (c *conn) runQuery(ctx context.Context, id uint32, design wire.Design, sql 
 		var res *enrichdb.ProgressiveResult
 		res, err = c.sess.QueryProgressive(sql, opts)
 		if err == nil {
-			cols, numRows, at = res.Rows.Columns(), res.Rows.Len(), res.Rows.At
+			rows, prof = res.Rows, res.Profile
 			done.Enrichments = res.TotalEnrichments
 			done.Epochs = uint32(len(res.Epochs))
-			prof = res.Profile
 		}
 	default:
 		err = fmt.Errorf("unknown design %d", design)
 	}
+	// A canceled query whose execution finished anyway still reports the
+	// cancellation — the client asked for no more frames on this ID.
+	if err == nil && ctx.Err() == nil {
+		spStream := qtr.Start("server.result_stream").Int("rows", int64(rows.Len()))
+		if err = c.streamRows(ctx, id, rows); err != nil {
+			spStream.Str("error", err.Error()).End()
+			if ctx.Err() == nil {
+				// The write error already tore the connection down: no
+				// terminal frame is owed or deliverable.
+				c.retire(id, time.Since(start))
+				return
+			}
+		} else {
+			spStream.End()
+			if sampled || prof != nil {
+				pf := &wire.Profile{Query: id, TraceID: traceID, Design: design}
+				if prof != nil {
+					pf.Nodes = flattenProfile(prof.Root)
+				}
+				if collect != nil {
+					pf.Spans = profileSpans(collect.Spans())
+				}
+				c.write(pf)
+			}
+		}
+	}
+	wall := time.Since(start)
+	c.retire(id, wall)
+	// Checked after retire: a Cancel or Kill that found the query live has
+	// already canceled ctx by now (both cancel under the connection lock),
+	// so the client that was told "killed" never gets a ResultDone.
+	if err == nil && ctx.Err() != nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		c.queryError(ctx, id, err)
 		return
 	}
-	// A canceled query whose execution finished anyway still reports the
-	// cancellation — the client asked for no more frames on this ID.
-	if ctx.Err() != nil {
-		c.queryError(ctx, id, ctx.Err())
-		return
-	}
-	if explain {
-		// The EXPLAIN ANALYZE result set is the rendered operator tree.
-		lines := strings.Split(strings.TrimRight(prof.String(), "\n"), "\n")
-		cols, numRows = []string{"plan"}, len(lines)
-		at = func(i int) []enrichdb.Value { return []enrichdb.Value{types.NewString(lines[i])} }
-	}
-	spStream := qtr.Start("server.result_stream").Int("rows", int64(numRows))
-	if err := c.streamRows(ctx, id, cols, numRows, at); err != nil {
-		spStream.Str("error", err.Error()).End()
-		if ctx.Err() != nil {
-			c.queryError(ctx, id, err)
-		}
-		return // write errors already tore the conn down
-	}
-	spStream.End()
-	if sampled || explain {
-		pf := &wire.Profile{Query: id, TraceID: traceID, Design: design}
-		if prof != nil {
-			pf.Nodes = flattenProfile(prof.Root)
-		}
-		if collect != nil {
-			pf.Spans = profileSpans(collect.Spans())
-		}
-		c.write(pf)
-	}
-	wall := time.Since(start)
-	done.Rows = uint64(numRows)
-	done.WallNs = wall.Nanoseconds()
-	c.write(&done)
 	c.s.reg.Counter("serve.queries_done").Add(1)
 	c.s.maybeSlowLog(slowQueryRecord{
 		Tenant: c.tenant, Conn: c.id, Query: id, Design: design.String(), SQL: sql,
-		Rows: uint64(numRows), Enrichments: done.Enrichments, UDFCalls: done.UDFCalls,
+		Rows: uint64(rows.Len()), Enrichments: done.Enrichments, UDFCalls: done.UDFCalls,
 		Epochs: done.Epochs, Trace: telemetry.FormatTraceID(traceID), Profile: prof.String(),
 	}, wall)
+	done.Rows = uint64(rows.Len())
+	done.WallNs = wall.Nanoseconds()
+	c.write(&done)
 }
 
-// runExplainPlan answers a plan-only `EXPLAIN SELECT ...`: the result set is
-// the annotated plan tree (one "plan" column), produced without executing
-// the query — ResultDone reports zero enrichments and zero UDF calls.
-func (c *conn) runExplainPlan(ctx context.Context, id uint32, sql string, start time.Time) {
-	plan, err := c.sess.ExplainPlan(sql)
-	if err != nil {
-		c.queryError(ctx, id, err)
-		return
-	}
-	lines := strings.Split(strings.TrimRight(plan, "\n"), "\n")
-	at := func(i int) []enrichdb.Value { return []enrichdb.Value{types.NewString(lines[i])} }
-	if err := c.streamRows(ctx, id, []string{"plan"}, len(lines), at); err != nil {
-		if ctx.Err() != nil {
-			c.queryError(ctx, id, err)
-		}
-		return
-	}
-	done := wire.ResultDone{Query: id, Rows: uint64(len(lines)), WallNs: time.Since(start).Nanoseconds()}
-	c.write(&done)
-	c.s.reg.Counter("serve.queries_done").Add(1)
+// retire takes a finished query out of the connection's live set and records
+// its latency — the bookkeeping every exit path does before its terminal
+// frame.
+func (c *conn) retire(id uint32, wall time.Duration) {
+	c.mu.Lock()
+	delete(c.queries, id)
+	c.mu.Unlock()
+	c.observeLatency(wall)
 }
 
 // countReader counts consumed bytes, letting the serve loop distinguish a

@@ -383,12 +383,5 @@ func TestDrainUnderLoad(t *testing.T) {
 		DrainingErr: isDrainErr,
 	})
 	// Every session was released: the active gauge settled back to zero.
-	deadline := time.Now().Add(5 * time.Second)
-	for db.Telemetry().Gauge("serve.sessions_active").Value() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("serve.sessions_active = %d after drain, want 0",
-				db.Telemetry().Gauge("serve.sessions_active").Value())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitMetric(t, "serve.sessions_active", db.Telemetry().Gauge("serve.sessions_active"), 0)
 }

@@ -94,9 +94,6 @@ func DialFleet(addrs []string, opts FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// Backends returns the pool size.
-func (f *Fleet) Backends() int { return len(f.backends) }
-
 // Close closes every backend client.
 func (f *Fleet) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {

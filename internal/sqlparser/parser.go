@@ -169,8 +169,8 @@ func Parse(input string) (*SelectStmt, error) {
 type Statement struct {
 	ExplainAnalyze bool
 	// ExplainPlan marks a plan-only `EXPLAIN SELECT ...` (no ANALYZE): the
-	// front end renders the chosen operator tree annotated with estimated
-	// costs and observed selectivities without executing the query.
+	// front end renders the operator tree the query would run, annotated
+	// with estimated costs and observed selectivities, without executing it.
 	ExplainPlan bool
 	Select      *SelectStmt
 }
@@ -188,7 +188,8 @@ func (s *Statement) String() string {
 
 // ParseStatement parses `[EXPLAIN [ANALYZE]] SELECT ...`. Parse stays
 // SELECT-only — existing callers (the planner, the fuzz round-trip) are
-// unaffected; statement-level front ends (server, REPL) use this entry.
+// unaffected; statement-level front ends (the root package's query
+// pipeline, the REPL) use this entry.
 func ParseStatement(input string) (*Statement, error) {
 	toks, err := lex(input)
 	if err != nil {

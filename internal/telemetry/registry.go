@@ -37,10 +37,6 @@ type Counter struct {
 	v    atomic.Int64
 }
 
-// NewCounter returns a standalone counter not attached to any registry —
-// useful for components that must keep counting with telemetry disabled.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
 // Name returns the counter's registered name.
 func (c *Counter) Name() string {
 	if c == nil {

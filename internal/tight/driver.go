@@ -77,15 +77,7 @@ func (d *Driver) Execute(query string) (*Result, error) {
 func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	before := d.Mgr.Counters().Enrichments
 
-	rewritten, err := RewriteAnalysis(a)
-	if err != nil {
-		return nil, err
-	}
-	bo := d.BuildOptions
-	if bo.Stats == nil {
-		bo.Stats = d.Stats
-	}
-	plan, err := engine.BuildOpt(rewritten, d.DB, bo)
+	plan, err := d.Plan(a)
 	if err != nil {
 		return nil, err
 	}
@@ -126,20 +118,17 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	return res, nil
 }
 
-// Explain returns the rewritten query's plan tree (used by tests and the
-// CLI to show the forced nested-loop joins).
-func (d *Driver) Explain(query string) (string, error) {
-	a, err := engine.AnalyzeSQL(query, d.DB.Catalog())
-	if err != nil {
-		return "", err
-	}
+// Plan rewrites an analyzed query with UDF-wrapped derived conditions and
+// builds the plan ExecuteAnalyzed runs, with the driver's build options and
+// runtime-statistics store. Nothing executes; EXPLAIN renders this tree.
+func (d *Driver) Plan(a *engine.Analysis) (engine.Plan, error) {
 	rewritten, err := RewriteAnalysis(a)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	plan, err := engine.Build(rewritten, d.DB)
-	if err != nil {
-		return "", err
+	bo := d.BuildOptions
+	if bo.Stats == nil {
+		bo.Stats = d.Stats
 	}
-	return plan.Explain(""), nil
+	return engine.BuildOpt(rewritten, d.DB, bo)
 }

@@ -229,19 +229,22 @@ func sameRows(a, b []*expr.Row) bool {
 func TestTightJoinForcedNestedLoop(t *testing.T) {
 	// Q8 effect: the rewritten derived join condition contains UDFs and
 	// disjunctions, so the optimizer cannot use a hash join.
+	q := "SELECT * FROM TweetData T1, TweetData T2 WHERE T1.sentiment = T2.sentiment AND T1.TweetTime < 500 AND T2.TweetTime < 500"
 	_, _, drv := fixture(t)
-	ex, err := drv.Explain("SELECT * FROM TweetData T1, TweetData T2 WHERE T1.sentiment = T2.sentiment AND T1.TweetTime < 500 AND T2.TweetTime < 500")
+	a, err := engine.AnalyzeSQL(q, drv.DB.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ex, "NestedLoopJoin") {
+	rewritten, err := drv.Plan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rewritten.Explain(""); !strings.Contains(ex, "NestedLoopJoin") {
 		t.Errorf("rewritten join must be nested loop:\n%s", ex)
 	}
 	// The same query unrewritten would hash join.
 	d, _, _ := fixture(t)
-	a, _ := engine.Analyze(sqlparser.MustParse(
-		"SELECT * FROM TweetData T1, TweetData T2 WHERE T1.sentiment = T2.sentiment AND T1.TweetTime < 500 AND T2.TweetTime < 500"),
-		d.DB.Catalog())
+	a, _ = engine.Analyze(sqlparser.MustParse(q), d.DB.Catalog())
 	plan, _ := engine.Build(a, d.DB)
 	if !strings.Contains(plan.Explain(""), "HashJoin") {
 		t.Error("control: unrewritten join should hash join")

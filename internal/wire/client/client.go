@@ -90,9 +90,8 @@ type Client struct {
 	sticky   error // transport-level failure, set once
 	closed   bool
 
-	drainOnce   sync.Once
-	drainCh     chan struct{}
-	drainReason string
+	drainOnce sync.Once
+	drainCh   chan struct{}
 
 	readDone chan struct{}
 }
@@ -141,7 +140,7 @@ handshake:
 			// A server starting to drain broadcasts to every connection,
 			// including one mid-handshake; the definitive answer (Welcome or
 			// a CodeDraining error) is still on its way.
-			c.markDraining(f.Reason)
+			c.markDraining()
 		default:
 			conn.Close()
 			return nil, fmt.Errorf("wire client: unexpected handshake frame %s", fr.Type())
@@ -162,26 +161,12 @@ func (c *Client) Tenant() string { return c.tenant }
 func (c *Client) Version() uint64 { return c.version }
 
 // markDraining records the server's drain announcement (first one wins).
-func (c *Client) markDraining(reason string) {
-	c.drainOnce.Do(func() {
-		c.drainReason = reason
-		close(c.drainCh)
-	})
+func (c *Client) markDraining() {
+	c.drainOnce.Do(func() { close(c.drainCh) })
 }
 
 // Draining returns a channel closed when the server announces shutdown.
 func (c *Client) Draining() <-chan struct{} { return c.drainCh }
-
-// DrainReason returns the server's drain announcement ("" before Draining
-// fires).
-func (c *Client) DrainReason() string {
-	select {
-	case <-c.drainCh:
-		return c.drainReason
-	default:
-		return ""
-	}
-}
 
 // Err returns the sticky transport error, if the connection has failed.
 func (c *Client) Err() error {
@@ -278,7 +263,7 @@ func (c *Client) readLoop() {
 		case *wire.Ping:
 			c.send(&wire.Pong{Nonce: f.Nonce})
 		case *wire.Drain:
-			c.markDraining(f.Reason)
+			c.markDraining()
 		default:
 			// Unexpected but well-formed frame: ignore (forward compatible
 			// within a protocol version).

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"enrichdb/internal/engine"
 	"enrichdb/internal/telemetry"
 )
 
@@ -29,8 +30,8 @@ var parityQueries = []string{
 
 // TestPipelineParity: for each query and design, the answer, the column
 // names and the enrichment work are identical whether the query enters
-// through DB or Session, observed or not, on 1 shard or 4; a profile comes
-// back exactly when asked for.
+// through DB or Session, traced or not, on 1 shard or 4; EXPLAIN ANALYZE of
+// the same query does the same work and profiles the same answer.
 func TestPipelineParity(t *testing.T) {
 	designs := []Design{PlainDesign, LooseDesign, TightDesign}
 	for qi, q := range parityQueries {
@@ -58,43 +59,72 @@ func TestPipelineParity(t *testing.T) {
 	}
 }
 
-// runParityCase runs q once on a fresh cold database and renders everything
-// that must not depend on the entry point: rows, columns, work counters.
-func runParityCase(t *testing.T, name string, shards int, viaSession, observed bool, design Design, q string) string {
+// runFunc is DB.Run or Session.Run.
+type runFunc func(context.Context, Design, string, QueryObs) (*Result, error)
+
+// parityDB opens a fresh cold database on the given number of shards and
+// returns it with its Run, or with the Run of a session on it.
+func parityDB(t *testing.T, shards int, viaSession bool) (*DB, runFunc) {
 	t.Helper()
 	db := openShardedReviews(t, shards)
-	defer db.Close()
-	run := db.Run
-	if viaSession {
-		sess, err := db.Session()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		run = sess.Run
+	t.Cleanup(func() { db.Close() })
+	if !viaSession {
+		return db, db.Run
 	}
+	sess, err := db.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sess.Close() })
+	return db, sess.Run
+}
+
+// runParityCase runs q once on a fresh cold database and renders everything
+// that must not depend on the entry point: rows, columns, work counters. The
+// observed case traces the run, then runs EXPLAIN ANALYZE of q on another
+// fresh database and checks it did the same work for the same answer.
+func runParityCase(t *testing.T, name string, shards int, viaSession, observed bool, design Design, q string) string {
+	t.Helper()
+	db, run := parityDB(t, shards, viaSession)
 	var obs QueryObs
 	var spans telemetry.CollectSink
 	if observed {
-		obs = QueryObs{Tracer: telemetry.NewTracer(&spans), Profile: true}
+		obs = QueryObs{Tracer: telemetry.NewTracer(&spans)}
 	}
 	res, err := run(context.Background(), design, q, obs)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if (res.Profile != nil) != observed {
-		t.Errorf("%s: profile present = %v, asked for = %v", name, res.Profile != nil, observed)
+	if res.Profile != nil {
+		t.Errorf("%s: a plain statement came back with a profile", name)
 	}
 	if observed {
-		if res.Profile.Design != design.String() {
-			t.Errorf("%s: profile design %q, want %q", name, res.Profile.Design, design)
-		}
 		var executed bool
 		for _, sp := range spans.Spans() {
 			executed = executed || sp.Name == design.String()+".execute"
 		}
 		if !executed {
 			t.Errorf("%s: no %v.execute span", name, design)
+		}
+		_, runAnalyze := parityDB(t, shards, viaSession)
+		ares, err := runAnalyze(context.Background(), design, "EXPLAIN ANALYZE "+q, QueryObs{})
+		if err != nil {
+			t.Fatalf("%s: EXPLAIN ANALYZE: %v", name, err)
+		}
+		if ares.Profile == nil || ares.Profile.Root == nil {
+			t.Fatalf("%s: EXPLAIN ANALYZE returned no profile", name)
+		}
+		if ares.Profile.Design != design.String() {
+			t.Errorf("%s: profile design %q, want %q", name, ares.Profile.Design, design)
+		}
+		if ares.Enrichments != res.Enrichments || ares.UDFInvocations != res.UDFInvocations ||
+			ares.Profile.Root.RowsOut != int64(res.Len()) {
+			t.Errorf("%s: EXPLAIN ANALYZE enrichments=%d udf=%d rows=%d, the query enrichments=%d udf=%d rows=%d",
+				name, ares.Enrichments, ares.UDFInvocations, ares.Profile.Root.RowsOut,
+				res.Enrichments, res.UDFInvocations, res.Len())
+		}
+		if got := renderPlan(ares.Rows); got != ares.Profile.String() {
+			t.Errorf("%s: EXPLAIN ANALYZE rows are not the rendered profile:\n%s", name, got)
 		}
 	}
 	if design == PlainDesign && (res.Enrichments != 0 || db.Stats().Enrichments != 0) {
@@ -104,24 +134,28 @@ func runParityCase(t *testing.T, name string, shards int, viaSession, observed b
 		renderExact(res.Rows), res.Enrichments, res.UDFInvocations, res.FailedEnrichments)
 }
 
-// TestProfiledScatterIsScatter: a profiled plain query on a sharded store
-// takes the same scatter path as an unprofiled one, and says so.
+// TestProfiledScatterIsScatter: EXPLAIN ANALYZE of a plain query on a sharded
+// store takes the same scatter path as the query itself, and says so.
 func TestProfiledScatterIsScatter(t *testing.T) {
 	db := openShardedReviews(t, 4)
 	defer db.Close()
-	res, err := db.Run(context.Background(), PlainDesign, parityQueries[0], QueryObs{Profile: true})
+	rows, err := db.Query(parityQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Telemetry().Snapshot().Counters["shard.scatter_queries"]; got != 1 {
-		t.Fatalf("shard.scatter_queries = %d, want 1", got)
+	res, err := db.Run(context.Background(), PlainDesign, "EXPLAIN ANALYZE "+parityQueries[0], QueryObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Telemetry().Snapshot().Counters["shard.scatter_queries"]; got != 2 {
+		t.Fatalf("shard.scatter_queries = %d, want 2 (the query and its EXPLAIN ANALYZE)", got)
 	}
 	root := res.Profile.Root
 	if root.Name != "ShardScatter" || root.Detail != "4 shards" {
 		t.Fatalf("profile root = %s %q, want ShardScatter \"4 shards\":\n%s", root.Name, root.Detail, res.Profile)
 	}
-	if root.RowsIn != 200 || root.RowsOut != int64(res.Len()) || root.Wall <= 0 {
-		t.Errorf("ShardScatter in=%d out=%d wall=%v, want in=200 out=%d wall>0", root.RowsIn, root.RowsOut, root.Wall, res.Len())
+	if root.RowsIn != 200 || root.RowsOut != int64(rows.Len()) || root.Wall <= 0 {
+		t.Errorf("ShardScatter in=%d out=%d wall=%v, want in=200 out=%d wall>0", root.RowsIn, root.RowsOut, root.Wall, rows.Len())
 	}
 }
 
@@ -155,39 +189,67 @@ func TestCancelReachesLooseAndTight(t *testing.T) {
 	}
 }
 
-// TestExplainPlanMatchesExecution: plan-only EXPLAIN and execution build
-// through the same helper, so the tree EXPLAIN prints is the tree EXPLAIN
-// ANALYZE reports for the same stats state — including the cost-based join
-// order (the filtered side first), which the static FROM order would not
-// pick. Fused scan paths execute without entering their children, so the
-// executed operators are a subsequence of the planned ones.
+// TestExplainPlanMatchesExecution: for every design, through DB and Session,
+// the tree `EXPLAIN q` prints is the tree `EXPLAIN ANALYZE q` runs for the
+// same stats state — the loose design's final plan, the tight design's
+// rewritten plan, and the cost-based join order (the filtered side first),
+// which the static FROM order would not pick. Fused scan paths execute
+// without entering their children, so the executed operators are a
+// subsequence of the planned ones.
 func TestExplainPlanMatchesExecution(t *testing.T) {
-	db, _, _ := buildReviewDB(t)
-	defer db.Close()
-	q := "SELECT count(*) FROM Reviews a, Reviews b WHERE a.id = b.id AND b.day < 3"
-	for round := 0; round < 2; round++ { // the second round plans from observed stats
-		plan, err := db.ExplainPlan(q)
-		if err != nil {
-			t.Fatal(err)
+	q := "SELECT count(*) FROM Reviews a, Reviews b WHERE a.id = b.id AND b.day < 3 AND a.rating = 1"
+	for _, design := range []Design{PlainDesign, LooseDesign, TightDesign} {
+		for _, viaSession := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/session=%v", design, viaSession), func(t *testing.T) {
+				_, run := parityDB(t, 1, viaSession)
+				for round := 0; round < 2; round++ { // the second round plans from observed stats
+					explained, err := run(context.Background(), design, "EXPLAIN "+q, QueryObs{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if explained.Enrichments != 0 || explained.UDFInvocations != 0 || explained.Profile != nil {
+						t.Fatalf("round %d: EXPLAIN executed: %+v", round, explained)
+					}
+					plan := renderPlan(explained.Rows)
+					if design == TightDesign && (!strings.Contains(plan, "read_udf") || !strings.Contains(plan, "CheckState")) {
+						t.Fatalf("round %d: tight EXPLAIN is not the rewritten plan:\n%s", round, plan)
+					}
+					analyzed, err := run(context.Background(), design, "EXPLAIN ANALYZE "+q, QueryObs{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					root := analyzed.Profile.Root
+					if design == LooseDesign {
+						// The loose profile wraps its phases; the plan runs in the last.
+						root = root.Children[len(root.Children)-1]
+						if root.Name != "LooseExecute" {
+							t.Fatalf("round %d: last loose phase is %s, want LooseExecute", round, root.Name)
+						}
+						root = root.Children[0]
+					}
+					checkPlanRan(t, round, operators(plan), operators(engine.FormatProfile(root)))
+				}
+			})
 		}
-		res, err := db.Run(context.Background(), PlainDesign, q, QueryObs{Profile: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		planned, executed := operators(plan), operators(res.Profile.String())
-		if len(executed) < 3 || planned[0] != executed[0] {
-			t.Fatalf("round %d: executed %q, planned %q", round, executed, planned)
-		}
-		pi := 0
-		for _, op := range executed {
-			for pi < len(planned) && planned[pi] != op {
-				pi++
-			}
-			if pi == len(planned) {
-				t.Fatalf("round %d: executed operators %q are not the planned ones in order %q", round, executed, planned)
-			}
+	}
+}
+
+// checkPlanRan asserts the executed operators are the planned ones, in order:
+// the same root, and the rest a subsequence of the plan.
+func checkPlanRan(t *testing.T, round int, planned, executed []string) {
+	t.Helper()
+	if len(executed) < 3 || planned[0] != executed[0] {
+		t.Fatalf("round %d: executed %q, planned %q", round, executed, planned)
+	}
+	pi := 0
+	for _, op := range executed {
+		for pi < len(planned) && planned[pi] != op {
 			pi++
 		}
+		if pi == len(planned) {
+			t.Fatalf("round %d: executed operators %q are not the planned ones in order %q", round, executed, planned)
+		}
+		pi++
 	}
 }
 
@@ -200,4 +262,14 @@ func operators(tree string) []string {
 		ops = append(ops, op)
 	}
 	return ops
+}
+
+// renderPlan joins an EXPLAIN result's "plan" rows back into the tree text.
+func renderPlan(r *Rows) string {
+	var sb strings.Builder
+	for i := 0; i < r.Len(); i++ {
+		sb.WriteString(r.At(i)[0].Str())
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

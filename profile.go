@@ -2,15 +2,17 @@ package enrichdb
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"enrichdb/internal/engine"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/telemetry"
 )
 
-// QueryObs selects per-query observability: a tracer override and operator
-// profiling. The zero value — no override, profiling off — is free; the
-// serving tier builds one per sampled or EXPLAIN ANALYZE'd query.
+// QueryObs selects per-query observability. The zero value — no override —
+// is free; the serving tier builds one per sampled query. Operator profiling
+// is asked for by the statement itself: EXPLAIN ANALYZE.
 type QueryObs struct {
 	// Tracer, when non-nil, replaces the database's tracer for this query
 	// only. The serving tier derives one per sampled query with
@@ -18,10 +20,6 @@ type QueryObs struct {
 	// the server's JSONL trace stamped with the query's trace ID and are
 	// simultaneously collected for the Profile frame.
 	Tracer *telemetry.Tracer
-	// Profile turns on the EXPLAIN ANALYZE operator profiler for this
-	// query. Off (the default) costs a single nil check per operator — the
-	// instrumented executors stay zero-alloc.
-	Profile bool
 }
 
 // OpProfile is one operator's runtime profile, a node of the EXPLAIN
@@ -29,9 +27,9 @@ type QueryObs struct {
 // inclusive of children).
 type OpProfile = engine.OpProfile
 
-// QueryProfile is the result of running a query with QueryObs.Profile (the
-// programmatic form of EXPLAIN ANALYZE): the operator tree annotated with
-// measured cardinalities, wall time, batch counts and fallback lanes.
+// QueryProfile is the structured result of an EXPLAIN ANALYZE statement: the
+// operator tree annotated with measured cardinalities, wall time, batch
+// counts and fallback lanes.
 type QueryProfile struct {
 	// Design names the execution design: plain, loose, tight, progressive.
 	Design string
@@ -47,6 +45,17 @@ func (p *QueryProfile) String() string {
 		return ""
 	}
 	return engine.FormatProfile(p.Root)
+}
+
+// planRows is the one-column "plan" result both EXPLAIN forms answer with:
+// one line of the rendered tree per row.
+func planRows(tree string) *Rows {
+	lines := strings.Split(strings.TrimRight(tree, "\n"), "\n")
+	rows := make([]*expr.Row, len(lines))
+	for i, line := range lines {
+		rows[i] = &expr.Row{Vals: []Value{String(line)}}
+	}
+	return &Rows{cols: []string{"plan"}, rows: rows}
 }
 
 // progressiveProfile synthesizes the EXPLAIN ANALYZE tree for a progressive

@@ -34,33 +34,33 @@ func TestExplainAnalyzePlain(t *testing.T) {
 	}
 	defer sess.Close()
 
-	// Profiling off by default: no profile comes back.
-	rows, err := sess.Run(context.Background(), PlainDesign, "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{})
+	// A plain statement is not profiled: no profile comes back.
+	q := "SELECT id, store FROM Reviews WHERE day < 10"
+	rows, err := sess.Run(context.Background(), PlainDesign, q, QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows.Profile != nil {
-		t.Fatalf("profile returned with obs off: %+v", rows.Profile)
+		t.Fatalf("profile returned for a plain statement: %+v", rows.Profile)
 	}
 
-	rows2, err := sess.Run(context.Background(), PlainDesign, "SELECT id, store FROM Reviews WHERE day < 10", QueryObs{Profile: true})
+	explained, err := sess.Run(context.Background(), PlainDesign, "EXPLAIN ANALYZE "+q, QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := rows2.Profile
+	prof := explained.Profile
 	if prof == nil || prof.Root == nil {
-		t.Fatal("no profile with obs.Profile set")
+		t.Fatal("no profile for EXPLAIN ANALYZE")
 	}
 	if prof.Design != "plain" {
 		t.Fatalf("profile design = %q, want plain", prof.Design)
 	}
-	if rows.Len() != rows2.Len() {
-		t.Fatalf("profiled query returned %d rows, unprofiled %d", rows2.Len(), rows.Len())
+	if cols := explained.Columns(); len(cols) != 1 || cols[0] != "plan" {
+		t.Fatalf("EXPLAIN ANALYZE columns = %v, want [plan]", cols)
 	}
-	// day = i%30 over 200 rows: days 0..9 hit 7 times each, except 0..19
-	// hit 7 times and 20..29 hit 6 — days 0..9 occur ceil(200/30) = 7 times.
-	if prof.Root.RowsOut != int64(rows2.Len()) {
-		t.Fatalf("root rows-out = %d, want %d", prof.Root.RowsOut, rows2.Len())
+	// The profiled run answers what the unprofiled one did.
+	if prof.Root.RowsOut != int64(rows.Len()) {
+		t.Fatalf("root rows-out = %d, want %d", prof.Root.RowsOut, rows.Len())
 	}
 	// Some node must have consumed the full 200-row relation.
 	var sawFullScan bool
@@ -92,8 +92,8 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 	}
 	defer sess.Close()
 
-	q := "SELECT id, rating FROM Reviews WHERE rating = 2"
-	lres, err := sess.Run(context.Background(), LooseDesign, q, QueryObs{Profile: true})
+	q := "EXPLAIN ANALYZE SELECT id, rating FROM Reviews WHERE rating = 2"
+	lres, err := sess.Run(context.Background(), LooseDesign, q, QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 	if root.Name != "LooseQuery" {
 		t.Fatalf("loose profile root = %q, want LooseQuery", root.Name)
 	}
-	if root.RowsOut != int64(lres.Rows.Len()) {
-		t.Fatalf("loose root rows-out = %d, result has %d", root.RowsOut, lres.Rows.Len())
+	if root.RowsOut == 0 {
+		t.Fatal("loose profile answered no rows")
 	}
 	phases := make(map[string]bool)
 	for _, c := range root.Children {
@@ -120,7 +120,7 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 
 	// Tight runs the rewritten plan under the same profiler: the root is the
 	// plan's top operator and UDF-wrapped predicates show up as Filters.
-	tres, err := sess.Run(context.Background(), TightDesign, q, QueryObs{Profile: true})
+	tres, err := sess.Run(context.Background(), TightDesign, q, QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +129,6 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 	}
 	if tres.Profile.Design != "tight" {
 		t.Fatalf("tight profile design = %q", tres.Profile.Design)
-	}
-	if tres.Profile.Root.RowsOut != int64(tres.Rows.Len()) {
-		t.Fatalf("tight root rows-out = %d, result has %d", tres.Profile.Root.RowsOut, tres.Rows.Len())
 	}
 	checkProfileTree(t, tres.Profile.Root)
 
@@ -145,8 +142,9 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	defer db.Close()
 
-	res, err := db.QueryProgressive("SELECT id, rating FROM Reviews WHERE rating = 2",
-		ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7, Profile: true})
+	q := "SELECT id, rating FROM Reviews WHERE rating = 2"
+	res, err := db.QueryProgressive("EXPLAIN ANALYZE "+q,
+		ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +155,12 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 	if root.Name != "ProgressiveQuery" {
 		t.Fatalf("progressive root = %q, want ProgressiveQuery", root.Name)
 	}
-	if root.RowsOut != int64(res.Len()) {
-		t.Fatalf("progressive root rows-out = %d, result has %d", root.RowsOut, res.Len())
+	if got := renderPlan(res.Rows); got != res.Profile.String() {
+		t.Fatalf("progressive EXPLAIN ANALYZE rows are not the rendered profile:\n%s", got)
+	}
+	// The rows are the profile; the deltas still net to the run's answer.
+	if answer, _ := res.DeltaSince(0); root.RowsOut != int64(answer.Len()) {
+		t.Fatalf("progressive root rows-out = %d, answer has %d", root.RowsOut, answer.Len())
 	}
 	names := make(map[string]bool)
 	for _, c := range root.Children {
@@ -173,13 +175,25 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 		t.Fatalf("progressive root wall = %v", root.Wall)
 	}
 
-	// Without Profile the result carries none.
-	res2, err := db.QueryProgressive("SELECT id, rating FROM Reviews WHERE rating = 2",
-		ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
+	// A plain statement carries no profile.
+	res2, err := db.QueryProgressive(q, ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Profile != nil {
-		t.Fatal("progressive profile returned without opts.Profile")
+		t.Fatal("progressive profile returned for a plain statement")
+	}
+
+	// Plan-only EXPLAIN runs no epoch and enriches nothing.
+	before := db.Stats().Enrichments
+	plan, err := db.QueryProgressive("EXPLAIN "+q, ProgressiveOptions{MaxEpochs: 50, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Epochs) != 0 || plan.TotalEnrichments != 0 || db.Stats().Enrichments != before || plan.Profile != nil {
+		t.Fatalf("progressive EXPLAIN executed: %d epochs, %d enrichments", len(plan.Epochs), plan.TotalEnrichments)
+	}
+	if text := renderPlan(plan.Rows); !strings.Contains(text, "Scan Reviews") || !strings.Contains(text, "est_rows=") {
+		t.Fatalf("progressive EXPLAIN plan:\n%s", text)
 	}
 }

@@ -91,9 +91,6 @@ type ProgressiveOptions struct {
 	// the serving tier derives one per sampled query so the run's epoch
 	// spans carry the query's trace ID.
 	Tracer *telemetry.Tracer
-	// Profile, when set, synthesizes the run's phase-level EXPLAIN ANALYZE
-	// tree (setup/plan/enrich/UDF/refresh) on ProgressiveResult.Profile.
-	Profile bool
 	// NoAdaptive disables adaptive optimization for this run regardless of
 	// the database's runtime-statistics store: static engine plans, no stats
 	// feedback, and AdaptiveOrdered degrades to static cost estimates.
@@ -137,8 +134,9 @@ type ProgressiveResult struct {
 	FailedEpochs int
 	// Overhead is Exp 4's non-enrichment cost breakdown.
 	Overhead ProgressiveOverhead
-	// Profile is the phase-level EXPLAIN ANALYZE tree when the run was
-	// started with ProgressiveOptions.Profile; nil otherwise.
+	// Profile is the phase-level tree (setup/plan/enrich/UDF/refresh) of an
+	// EXPLAIN ANALYZE statement, whose rows are this tree rendered; nil for
+	// every other statement.
 	Profile *QueryProfile
 
 	schema   *expr.RowSchema
@@ -213,9 +211,25 @@ func (r *ProgressiveResult) Score() float64 {
 // budget and the answer is refined through incremental view maintenance.
 // Results improve monotonically in enrichment coverage; stop reading when
 // satisfied.
+//
+// The statement forms are Run's: `EXPLAIN SELECT ...` answers the plain plan
+// of the query whose answer the view maintains, executing nothing;
+// `EXPLAIN ANALYZE SELECT ...` runs progressively and answers the phase-level
+// profile, also on ProgressiveResult.Profile.
 func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*ProgressiveResult, error) {
 	if opts.Design != LooseDesign && opts.Design != TightDesign {
 		return nil, fmt.Errorf("enrichdb: %v is not a progressive design", opts.Design)
+	}
+	st, err := db.parse(query)
+	if err != nil {
+		return nil, err
+	}
+	if st.mode == explainPlan {
+		rows, err := db.explain(st.a, db.store, PlainDesign)
+		if err != nil {
+			return nil, err
+		}
+		return &ProgressiveResult{Rows: rows}, nil
 	}
 	tracer := db.tracer
 	if opts.Tracer != nil {
@@ -223,7 +237,7 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 	}
 	cfg := progressive.Config{
 		Design:         progressive.Design(opts.Design),
-		Query:          query,
+		Query:          st.sql,
 		DB:             db.store,
 		Mgr:            db.mgr,
 		Enricher:       db.enricher,
@@ -274,8 +288,9 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 			opts.OnDelta(wrapRows(out.schema, ep.InsertedRows), wrapRows(out.schema, ep.DeletedRows))
 		}
 	}
-	if opts.Profile {
+	if st.mode == explainAnalyze {
 		out.Profile = progressiveProfile(out, wall)
+		out.Rows = planRows(out.Profile.String())
 	}
 	return out, nil
 }

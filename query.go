@@ -10,6 +10,7 @@ import (
 	"enrichdb/internal/expr"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/shard"
+	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
@@ -71,8 +72,8 @@ type Result struct {
 	UDFInvocations int64
 	// Timing splits the execution cost.
 	Timing QueryTiming
-	// Profile is the EXPLAIN ANALYZE operator tree when the query ran with
-	// QueryObs.Profile set; nil otherwise.
+	// Profile is the operator tree of an EXPLAIN ANALYZE statement, whose
+	// rows are this tree rendered; nil for every other statement.
 	Profile *QueryProfile
 }
 
@@ -89,6 +90,13 @@ type QueryTiming = loose.Timing
 // stops invoking UDFs. On the DB it reads the live tables (read-committed);
 // Session.Run reads the session's snapshot. Query, QueryLoose and QueryTight
 // are Run with a background context and no observability.
+//
+// `EXPLAIN SELECT ...` answers a one-column "plan" result: the operator tree
+// the design would run — the rewritten tree under tight — annotated with
+// estimated cardinalities and costs, without executing anything.
+// `EXPLAIN ANALYZE SELECT ...` runs the query under the operator profiler and
+// answers the measured tree, also on Result.Profile; its enrichment counters
+// are the run's.
 func (db *DB) Run(ctx context.Context, design Design, query string, obs QueryObs) (*Result, error) {
 	return db.run(ctx, db.store, design, query, obs)
 }
@@ -126,18 +134,27 @@ func rowsOnly(res *Result, err error) (*Rows, error) {
 // scatter), the loose driver, or the tight driver — over src. DB passes its
 // live store, Session its snapshot; that is the whole difference between
 // them. The executed plan's schema names the result columns, so nothing is
-// built that does not run.
+// built that does not run. An EXPLAIN statement stops after building the
+// plan the design would run; EXPLAIN ANALYZE runs it under the operator
+// profiler. Both answer with the rendered tree (see planRows).
 func (db *DB) run(ctx context.Context, src storage.Source, design Design, query string, obs QueryObs) (*Result, error) {
-	a, err := db.analyzeSQL(query)
+	st, err := db.parse(query)
 	if err != nil {
 		return nil, err
+	}
+	if st.mode == explainPlan {
+		rows, err := db.explain(st.a, src, design)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Rows: rows}, nil
 	}
 	tracer := obs.Tracer
 	if tracer == nil {
 		tracer = db.tracer
 	}
 	var prof *engine.Profiler
-	if obs.Profile {
+	if st.mode == explainAnalyze {
 		prof = engine.NewProfiler()
 	}
 
@@ -146,10 +163,10 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	var schema *expr.RowSchema
 	switch design {
 	case PlainDesign:
-		rows, schema, err = db.runPlain(a, src, ctx.Done(), tracer, prof)
+		rows, schema, err = db.runPlain(st.a, src, ctx.Done(), tracer, prof)
 	case LooseDesign:
 		var lr *loose.Result
-		if lr, err = db.looseDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(a); err == nil {
+		if lr, err = db.looseDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
 			rows, schema = lr.Rows, lr.Schema
 			res.Enrichments = lr.Enrichments
 			res.FailedEnrichments, res.EnrichErrors = lr.FailedEnrichments, lr.EnrichErrors
@@ -158,7 +175,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	case TightDesign:
 		enrichBefore := db.mgr.Counters().EnrichTime
 		var tr *tight.Result
-		if tr, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(a); err == nil {
+		if tr, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
 			rows, schema = tr.Rows, tr.Schema
 			res.Enrichments, res.UDFInvocations = tr.Enrichments, tr.UDFInvocations
 			// Everything runs inside the DBMS in the tight design; split the
@@ -176,10 +193,50 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 		return nil, err
 	}
 	res.Rows = wrapRows(schema, rows)
-	if root := prof.Root(); root != nil {
-		res.Profile = &QueryProfile{Design: design.String(), Root: root}
+	if prof != nil {
+		res.Profile = &QueryProfile{Design: design.String(), Root: prof.Root()}
+		res.Rows = planRows(res.Profile.String())
 	}
 	return res, nil
+}
+
+// explainMode is what a statement's EXPLAIN prefix asks of its SELECT.
+type explainMode int
+
+const (
+	execute        explainMode = iota // no prefix: run the query, answer its rows
+	explainPlan                       // EXPLAIN: build the plan, execute nothing
+	explainAnalyze                    // EXPLAIN ANALYZE: run under the profiler
+)
+
+// statement is one parsed query: its analyzed SELECT, what an EXPLAIN prefix
+// asks of it, and the SELECT's text for the progressive pipeline, which
+// analyzes text itself.
+type statement struct {
+	a    *engine.Analysis
+	mode explainMode
+	sql  string
+}
+
+// parse is the one place the root package parses a query: every statement
+// DB.run and QueryProgressive accept, EXPLAIN forms included, enters here.
+func (db *DB) parse(query string) (*statement, error) {
+	ps, err := sqlparser.ParseStatement(query)
+	if err != nil {
+		return nil, err
+	}
+	st := &statement{sql: query}
+	if ps.ExplainPlan || ps.ExplainAnalyze {
+		st.mode = explainPlan
+		if ps.ExplainAnalyze {
+			st.mode = explainAnalyze
+		}
+		st.sql = ps.Select.String() // rendered before Analyze qualifies it
+	}
+	if st.a, err = engine.Analyze(ps.Select, db.store.Catalog()); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // runPlain is the plain design's execute step. On a sharded source eligible
@@ -215,11 +272,34 @@ func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struc
 	return rows, plan.Schema(), err
 }
 
-// buildPlan is the root package's one plan builder: plain execution and both
-// EXPLAIN forms go through it, so the tree EXPLAIN prints is the tree that
-// runs for the same query and stats state.
+// buildPlan is the root package's one plain plan builder: plain execution,
+// the loose driver's final step (which builds the same way) and EXPLAIN all
+// build through it, so the tree EXPLAIN prints is the tree that runs for the
+// same query and stats state.
 func (db *DB) buildPlan(a *engine.Analysis, src storage.Source) (engine.Plan, error) {
 	return engine.BuildOpt(a, src, engine.BuildOptions{Stats: db.adaptStore()})
+}
+
+// explain answers a plan-only EXPLAIN: the plan design runs for a over src —
+// the plain plan for plain and loose (loose runs it once its probes and
+// enrichment are done), the UDF-rewritten plan for tight — built without
+// executing anything and rendered with the cost model's estimates and the
+// selectivities the runtime-statistics store has observed.
+func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*Rows, error) {
+	var plan engine.Plan
+	var err error
+	switch design {
+	case PlainDesign, LooseDesign:
+		plan, err = db.buildPlan(a, src)
+	case TightDesign:
+		plan, err = db.tightDriver(src, nil, nil, nil).Plan(a)
+	default:
+		err = fmt.Errorf("enrichdb: unknown design %d", design)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return planRows(engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.adaptStore()})), nil
 }
 
 // adaptStore resolves the NoAdaptive knob, once: adaptivity off is a nil
@@ -250,49 +330,4 @@ func splitTightTiming(wall, enrich time.Duration) QueryTiming {
 		rest = 0
 	}
 	return QueryTiming{DBMS: rest, Enrich: enrich}
-}
-
-// plainPlan analyzes query and builds its plain plan over src without
-// executing anything — the shared front half of every EXPLAIN form.
-func (db *DB) plainPlan(src storage.Source, query string) (engine.Plan, error) {
-	a, err := db.analyzeSQL(query)
-	if err != nil {
-		return nil, err
-	}
-	return db.buildPlan(a, src)
-}
-
-// Explain returns the plain (unrewritten) execution plan for a query:
-// access paths (scan vs index scan), join strategies, ordering.
-func (db *DB) Explain(query string) (string, error) {
-	plan, err := db.plainPlan(db.store, query)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(""), nil
-}
-
-// ExplainTight returns the rewritten tight-design plan for a query, showing
-// the UDF-wrapped conditions and the join strategies the optimizer chose.
-func (db *DB) ExplainTight(query string) (string, error) {
-	return db.tightDriver(db.store, nil, nil, nil).Explain(query)
-}
-
-// ExplainPlan returns the plan-only EXPLAIN (no ANALYZE) for a query: the
-// operator tree the adaptive optimizer would run, annotated with estimated
-// cardinalities/costs from the cost model and — where this database's
-// runtime-statistics store has observed a predicate before — decayed
-// observed selectivities. Nothing executes: no scans, no enrichment.
-// `EXPLAIN SELECT ...` through the REPL and wire protocol renders the same
-// tree.
-func (db *DB) ExplainPlan(query string) (string, error) {
-	return db.explainPlan(db.store, query)
-}
-
-func (db *DB) explainPlan(src storage.Source, query string) (string, error) {
-	plan, err := db.plainPlan(src, query)
-	if err != nil {
-		return "", err
-	}
-	return engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.adaptStore()}), nil
 }

@@ -411,15 +411,6 @@ func (s *Session) QueryTight(query string) (*Result, error) {
 	return s.Run(context.Background(), TightDesign, query, QueryObs{})
 }
 
-// ExplainPlan is DB.ExplainPlan against the session's snapshot; `EXPLAIN
-// SELECT ...` over the wire protocol renders this tree.
-func (s *Session) ExplainPlan(query string) (string, error) {
-	if s.closed.Load() {
-		return "", errSessionClosed
-	}
-	return s.db.explainPlan(s.snap, query)
-}
-
 // QueryProgressive executes a progressive query through the session. The
 // progressive pipeline maintains its answer incrementally against live data
 // (its IVM view consumes committed deltas), so it runs over the live

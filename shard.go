@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"enrichdb/internal/enrich"
-	"enrichdb/internal/faultinject"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/loose/remote"
 	"enrichdb/internal/shard"
@@ -161,46 +160,4 @@ func (db *DB) closeEnricher() {
 	case *shard.Fleet:
 		e.Close()
 	}
-}
-
-// EnrichmentServerHandle is a started enrichment server plus its chaos
-// hooks — the shard-fault harness kills and degrades individual fleet
-// members through it.
-type EnrichmentServerHandle struct {
-	srv  *remote.Server
-	addr string
-}
-
-// Addr returns the server's bound address.
-func (h *EnrichmentServerHandle) Addr() string { return h.addr }
-
-// Close drains and stops the server (a killed fleet member: in-flight
-// batches finish or time out, new calls fail over to other servers).
-func (h *EnrichmentServerHandle) Close() error { return h.srv.Close() }
-
-// DropConnections abruptly severs every live client connection without
-// stopping the listener (a network blip, not a dead server). Returns the
-// number of connections dropped.
-func (h *EnrichmentServerHandle) DropConnections() int { return h.srv.DropConnections() }
-
-// ServeEnrichmentHandle is ServeEnrichmentConfig returning the server's
-// handle, for callers that need to kill or degrade this specific server
-// (fleet fault testing).
-func (db *DB) ServeEnrichmentHandle(addr string, cfg EnrichmentServerConfig) (*EnrichmentServerHandle, error) {
-	var enricher loose.Enricher = &loose.LocalEnricher{Mgr: db.mgr, Workers: cfg.Workers}
-	if cfg.FaultLatency > 0 || cfg.FaultErrorRate > 0 {
-		enricher = faultinject.Wrap(enricher, faultinject.Plan{
-			Seed:      cfg.FaultSeed,
-			ErrorRate: cfg.FaultErrorRate,
-			Latency:   cfg.FaultLatency,
-		})
-	}
-	srv, bound, err := remote.ServeEnricher(addr, enricher,
-		remote.ServerOptions{MaxConns: cfg.MaxConns, DrainTimeout: cfg.DrainTimeout,
-			Telemetry: db.mgr.Telemetry()})
-	if err != nil {
-		return nil, err
-	}
-	db.servers = append(db.servers, srv)
-	return &EnrichmentServerHandle{srv: srv, addr: bound}, nil
 }
