@@ -30,10 +30,11 @@ test:
 # Short race pass over the concurrency-heavy packages: the enrichment
 # worker pool, the RPC transport, shared enrichment state, the telemetry
 # registry/tracer they all publish into, the chaos tests that hammer them,
-# the serving layer (sessions, admission control) and the concurrent
-# workload harness that verifies it.
+# the serving layer (sessions, admission control), the concurrent workload
+# harness that verifies it, and the tight and progressive executors, which
+# read tuple enrichment marks while write-backs set them.
 race:
-	$(GO) test -race . ./internal/loose/... ./internal/enrich/... ./internal/faultinject/... ./internal/telemetry/... ./internal/storage/... ./internal/harness/... ./internal/engine/... ./internal/expr/...
+	$(GO) test -race . ./internal/loose/... ./internal/enrich/... ./internal/faultinject/... ./internal/telemetry/... ./internal/storage/... ./internal/harness/... ./internal/engine/... ./internal/expr/... ./internal/tight/... ./internal/progressive/...
 
 # Full concurrency gate: vet, then the concurrency/chaos/equivalence suites
 # under the race detector, twice (-count=2 defeats the test cache and shakes

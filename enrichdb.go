@@ -172,15 +172,13 @@ func (db *DB) Insert(relation string, id int64, values ...Value) (int64, error) 
 	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	tid, err := tbl.Insert(&types.Tuple{ID: id, Vals: values})
+	// A caller-chosen id may reuse a deleted tuple's, whose state Delete left
+	// empty at an advanced generation: the new image starts at it, so a
+	// write-back still in flight for the deleted image fails its generation
+	// guard instead of landing (value and mark) on the new one.
+	tid, err := tbl.Insert(&types.Tuple{ID: id, Vals: values, Gen: db.mgr.GenOf(relation, id)})
 	if err != nil {
 		return 0, err
-	}
-	if id != 0 && db.mgr.GenOf(relation, tid) != 0 {
-		// A caller-chosen id reuses a deleted tuple's (Delete left its state
-		// at an advanced generation): start over at the new tuple's, or its
-		// enrichment would never be kept.
-		db.mgr.ResetTupleGen(relation, tid, 0)
 	}
 	db.version.Add(1)
 	return tid, nil
@@ -214,11 +212,11 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 				return 0, err
 			}
 		}
-		v, err := db.mgr.Determine(relation, tid, attr, feature)
+		v, complete, err := db.mgr.DetermineAt(relation, tid, attr, feature, tu.Gen)
 		if err != nil {
 			return 0, err
 		}
-		if _, err := tbl.Update(tid, attr, v); err != nil {
+		if _, err := tbl.WriteDerived(tid, attr, v, tu.Gen, complete); err != nil {
 			return 0, err
 		}
 	}
@@ -278,6 +276,33 @@ func (db *DB) Delete(relation string, id int64) error {
 	// them read the emptied state as "determined: NULL".
 	db.mgr.ResetTupleGen(relation, id, old.Gen+1)
 	db.version.Add(1)
+	return nil
+}
+
+// CheckEnrichmentMarks audits every live tuple image's enrichment mark
+// against the enrichment state: a marked attribute must have had its whole
+// function family run at the image's generation and must hold a non-NULL
+// value. It holds the commit lock, so no commit lands mid-audit, and returns
+// the first violation; concurrency harnesses call it between operations.
+func (db *DB) CheckEnrichmentMarks() error {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	for _, rel := range db.store.Catalog().Relations() {
+		tbl, err := db.store.Table(rel)
+		if err != nil {
+			return err
+		}
+		s := tbl.Schema()
+		for _, tu := range tbl.Tuples() {
+			for _, attr := range s.DerivedCols() {
+				if tu.Enriched&s.MarkBit(attr) != 0 && (tu.Vals[s.ColIndex(attr)].IsNull() ||
+					!db.mgr.FullyEnrichedAt(rel, tu.ID, attr, tu.Gen)) {
+					return fmt.Errorf("enrichdb: %s tuple %d (gen %d) marks %s enriched; the state disagrees",
+						rel, tu.ID, tu.Gen, attr)
+				}
+			}
+		}
+	}
 	return nil
 }
 

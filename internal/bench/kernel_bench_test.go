@@ -169,14 +169,19 @@ func BenchmarkKernelSemiJoin(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// Pre-materialized inputs, so the figure is the semi-join
+			// kernel alone (comparable with the recorded baseline).
 			cond := expr.NewCmp(expr.EQ, expr.NewCol("L", "k"), expr.NewCol("Rt", "k"))
+			sj, err := engine.NewSemiJoin(engine.NewRows(scanL.Schema(), leftRows),
+				engine.NewRows(scanR.Schema(), rightRows), []expr.Expr{cond})
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			runtime.GC()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ctx := engine.NewExecCtx()
-				out, err := loose.SemiJoin(leftRows, scanL.Schema(), rightRows, scanR.Schema(),
-					[]expr.Expr{cond}, ctx)
+				out, err := sj.Execute(engine.NewExecCtx())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -185,6 +190,53 @@ func BenchmarkKernelSemiJoin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKernelProbeWarm is the loose probe on fully enriched data: 16,384
+// marked rows in a frozen snapshot, the served workloads' query shape. The
+// AnyUnenriched kernel clears every lane, so nothing is materialized.
+func BenchmarkKernelProbeWarm(b *testing.B) {
+	const n = 16_384
+	db := storage.NewDB()
+	tbl, err := db.CreateTable(catalog.MustSchema("tweets", []catalog.Column{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "hour", Kind: types.KindInt},
+		{Name: "emb", Kind: types.KindVector},
+		{Name: "sentiment", Kind: types.KindInt, Derived: true, FeatureCol: "emb", Domain: 2},
+		{Name: "topic", Kind: types.KindInt, Derived: true, FeatureCol: "emb", Domain: 4},
+	}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(1); i <= n; i++ {
+		if _, err := tbl.Insert(&types.Tuple{ID: i, Vals: []types.Value{types.NewInt(i), types.NewInt(i % 64),
+			types.NewVector([]float64{float64(i)}), types.Null, types.Null}}); err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []string{"sentiment", "topic"} {
+			if _, err := tbl.WriteDerived(i, c, types.NewInt(i%2), 0, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	snap := db.Snapshot()
+	a, err := engine.Analyze(sqlparser.MustParse(
+		"SELECT id, hour FROM tweets WHERE hour BETWEEN 16 AND 31 AND sentiment = 1 AND topic = 0"), snap.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	runtime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probes, err := loose.GenerateProbes(a, snap, nil, engine.NewExecCtx())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(probes) != 1 || len(probes[0].TIDs) != 0 {
+			b.Fatalf("warm probe selected tuples: %+v", probes)
+		}
 	}
 }
 

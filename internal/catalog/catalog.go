@@ -34,14 +34,18 @@ type Schema struct {
 	Name   string
 	Cols   []Column
 	byName map[string]int
+	marks  map[string]uint64 // derived column -> its types.Tuple.Enriched bit
 }
 
 // NewSchema builds a schema and validates it: column names must be unique,
 // derived columns must name an existing fixed FeatureCol and a positive
 // Domain.
 func NewSchema(name string, cols []Column) (*Schema, error) {
-	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols)), marks: make(map[string]uint64)}
 	for i, c := range cols {
+		if c.Derived && len(s.marks) < 64 {
+			s.marks[c.Name] = 1 << len(s.marks)
+		}
 		if c.Name == "" {
 			return nil, fmt.Errorf("catalog: relation %s: column %d has empty name", name, i)
 		}
@@ -94,6 +98,10 @@ func (s *Schema) Col(name string) *Column {
 	}
 	return &s.Cols[i]
 }
+
+// MarkBit returns the column's bit in types.Tuple.Enriched, 1<<k for the k-th
+// derived column; 0 (never marked) for fixed columns and past the 64th.
+func (s *Schema) MarkBit(name string) uint64 { return s.marks[name] }
 
 // DerivedCols returns the names of all derived attributes, in schema order.
 func (s *Schema) DerivedCols() []string {

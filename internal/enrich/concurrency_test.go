@@ -55,7 +55,7 @@ func TestConcurrentExecute(t *testing.T) {
 		t.Errorf("skipped = %d want %d", c.Skipped, int64(workers*tuples*2)-c.Enrichments)
 	}
 	for tid := int64(1); tid <= tuples; tid++ {
-		if !m.FullyEnriched("R", tid, "d") {
+		if !m.FullyEnrichedAt("R", tid, "d", 0) {
 			t.Fatalf("tuple %d not fully enriched", tid)
 		}
 	}

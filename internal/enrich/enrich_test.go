@@ -73,14 +73,14 @@ func TestManagerExecuteAndSkip(t *testing.T) {
 	if c.Enrichments != 1 || c.Skipped != 1 {
 		t.Errorf("counters: %+v", c)
 	}
-	if m.FullyEnriched("R", 1, "d") {
+	if m.FullyEnrichedAt("R", 1, "d", 0) {
 		t.Error("not fully enriched with 1/2 functions")
 	}
 	if !m.Enriched("R", 1, "d", 0) || m.Enriched("R", 1, "d", 1) {
 		t.Error("Enriched bitmap wrong")
 	}
 	m.Execute("R", 1, "d", 1, x)
-	if !m.FullyEnriched("R", 1, "d") {
+	if !m.FullyEnrichedAt("R", 1, "d", 0) {
 		t.Error("fully enriched after both functions")
 	}
 	if _, err := m.Execute("R", 1, "d", 5, x); err == nil {
@@ -352,10 +352,10 @@ func TestStateExportImport(t *testing.T) {
 	if err := m2.StateTable("R").Import(records); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.FullyEnriched("R", 1, "d") {
+	if !m2.FullyEnrichedAt("R", 1, "d", 0) {
 		t.Error("tuple 1 must be fully enriched after import")
 	}
-	if m2.FullyEnriched("R", 2, "d") {
+	if m2.FullyEnrichedAt("R", 2, "d", 0) {
 		t.Error("tuple 2 is only half enriched")
 	}
 	if !m2.Enriched("R", 2, "d", 0) || m2.Enriched("R", 2, "d", 1) {

@@ -408,19 +408,10 @@ func (m *Manager) EnrichedAt(relation string, tid int64, attr string, fnID int, 
 	return st.GenOf(tid) == gen && st.Executed(tid, attr, fnID)
 }
 
-// FullyEnriched reports whether every family function ran for the attribute
-// — the probe-query test of Figure 3 (popcount(bitmap) = |family|).
-func (m *Manager) FullyEnriched(relation string, tid int64, attr string) bool {
-	fam := m.Family(relation, attr)
-	if fam == nil {
-		return false
-	}
-	return m.StateTable(relation).BitmapOf(tid, attr) == fam.FullBitmap()
-}
-
-// FullyEnrichedAt is FullyEnriched qualified by the tuple-image generation:
-// false when the shared state belongs to a different image, so a probe over a
-// snapshot re-enriches from its own frozen feature vectors.
+// FullyEnrichedAt reports whether every family function ran for the
+// attribute of the tuple image at gen — the test of Figure 3
+// (popcount(bitmap) = |family|) that a set enrichment mark caches on the
+// image; false when the shared state belongs to a different image.
 func (m *Manager) FullyEnrichedAt(relation string, tid int64, attr string, gen uint64) bool {
 	fam := m.Family(relation, attr)
 	if fam == nil {
@@ -436,21 +427,24 @@ func (m *Manager) FullyEnrichedAt(relation string, tid int64, attr string, gen u
 // re-executed transiently (counted in ReExecutions) — the cost Table 10
 // trades against state size.
 func (m *Manager) Determine(relation string, tid int64, attr string, feature []float64) (types.Value, error) {
-	return m.determine(relation, tid, attr, feature, nil)
+	v, _, err := m.determine(relation, tid, attr, feature, nil)
+	return v, err
 }
 
 // DetermineAt is Determine with the value store guarded by the tuple
 // generation the feature was read at: a stale determinization is computed
 // (the caller's session still wants the value for its own snapshot) but not
-// stored into shared state.
-func (m *Manager) DetermineAt(relation string, tid int64, attr string, feature []float64, gen uint64) (types.Value, error) {
+// stored into shared state. complete reports that the output snapshot it
+// determinized from held every family function's output at gen — the
+// condition under which the write-back may set the image's enrichment mark.
+func (m *Manager) DetermineAt(relation string, tid int64, attr string, feature []float64, gen uint64) (v types.Value, complete bool, err error) {
 	return m.determine(relation, tid, attr, feature, &gen)
 }
 
-func (m *Manager) determine(relation string, tid int64, attr string, feature []float64, gen *uint64) (types.Value, error) {
+func (m *Manager) determine(relation string, tid int64, attr string, feature []float64, gen *uint64) (types.Value, bool, error) {
 	fam := m.Family(relation, attr)
 	if fam == nil {
-		return types.Null, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
+		return types.Null, false, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
 	}
 	st := m.StateTable(relation)
 	var snap []*Output
@@ -473,14 +467,16 @@ func (m *Manager) determine(relation string, tid int64, attr string, feature []f
 			m.reExecNanos.Add(int64(time.Since(reStart)))
 			m.reExecutions.Add(1)
 		}
-		return fam.Det.Determine(outputs, fam.Domain), nil
+		return fam.Det.Determine(outputs, fam.Domain), false, nil
 	}
 	if snap == nil {
-		return types.Null, nil
+		return types.Null, false, nil
 	}
 	outputs := make([][]float64, len(fam.Functions))
+	complete := true
 	for id, o := range snap {
 		if o == nil {
+			complete = false
 			continue
 		}
 		if o.Pruned && o.RetainedMass() < 0.5 {
@@ -497,15 +493,17 @@ func (m *Manager) determine(relation string, tid int64, attr string, feature []f
 	start := time.Now()
 	var err error
 	if gen != nil {
-		_, err = st.SetValueAt(tid, attr, v, *gen)
+		var stale bool
+		stale, err = st.SetValueAt(tid, attr, v, *gen)
+		complete = complete && !stale // a commit reset the state meanwhile
 	} else {
 		err = st.SetValue(tid, attr, v)
 	}
 	m.stateNanos.Add(int64(time.Since(start)))
 	if err != nil {
-		return types.Null, err
+		return types.Null, false, err
 	}
-	return v, nil
+	return v, complete, nil
 }
 
 // Value returns the stored determined value of (relation, tid, attr) — the

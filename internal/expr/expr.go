@@ -472,6 +472,77 @@ func (n *IsNull) String() string {
 	return n.Kid.String() + " IS NULL"
 }
 
+// TupleGetter resolves a tuple id to the stored image a scan reads
+// (storage.Relation satisfies it).
+type TupleGetter interface{ Get(id int64) *types.Tuple }
+
+// Enriched tests the enrichment mark (types.Tuple.Enriched) of the image
+// behind table slot Alias: True when every one of Attrs is marked determined
+// by its complete function family. Negated, it is the loose probe's
+// AnyUnenriched(attrs) — §2.1's bitmap test (Figure 3). Never Unknown. The
+// vector kernel reads the mark off the batch's tuples; the row path reads
+// the same image through Images, the relation the slot scans.
+type Enriched struct {
+	Images TupleGetter
+	Alias  string
+	Attrs  []string
+	Negate bool
+
+	slot     int
+	mask     uint64
+	markable bool // every attribute has a mark bit
+	bound    bool
+}
+
+// NewEnriched returns an unresolved mark test.
+func NewEnriched(images TupleGetter, alias string, attrs []string, negate bool) *Enriched {
+	return &Enriched{Images: images, Alias: alias, Attrs: attrs, Negate: negate}
+}
+
+// holds reports whether the image marks every attribute.
+func (e *Enriched) holds(tu *types.Tuple) bool {
+	return tu != nil && e.markable && tu.Enriched&e.mask == e.mask
+}
+
+// Eval reads the slot's image mark.
+func (e *Enriched) Eval(_ *EvalCtx, row *Row) (types.Value, error) {
+	if !e.bound {
+		return types.Null, fmt.Errorf("expr: unresolved mark test %s", e)
+	}
+	return types.NewBool(e.holds(e.Images.Get(row.TIDs[e.slot])) != e.Negate), nil
+}
+
+// Resolve binds the slot and the attributes' mark bits.
+func (e *Enriched) Resolve(rs *RowSchema) error {
+	if e.slot = rs.SlotByAlias(e.Alias); e.slot < 0 {
+		return fmt.Errorf("expr: mark test references unknown alias %q", e.Alias)
+	}
+	e.mask, e.markable, e.bound = 0, true, true
+	for _, a := range e.Attrs {
+		bit := rs.Slots[e.slot].Schema.MarkBit(a)
+		e.mask, e.markable = e.mask|bit, e.markable && bit != 0
+	}
+	return nil
+}
+
+// Clone copies the test, dropping bound state.
+func (e *Enriched) Clone() Expr { return NewEnriched(e.Images, e.Alias, e.Attrs, e.Negate) }
+
+// Walk visits the node.
+func (e *Enriched) Walk(fn func(Expr)) { fn(e) }
+
+// String renders the test, e.g. AnyUnenriched(t.sentiment, t.topic).
+func (e *Enriched) String() string {
+	name, cols := "Enriched", make([]string, len(e.Attrs))
+	if e.Negate {
+		name = "AnyUnenriched"
+	}
+	for i, a := range e.Attrs {
+		cols[i] = e.Alias + "." + a
+	}
+	return name + "(" + strings.Join(cols, ", ") + ")"
+}
+
 // TruePred is the always-true predicate (an empty WHERE clause).
 type TruePred struct{}
 

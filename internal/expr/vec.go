@@ -121,6 +121,11 @@ func compileConjunct(e Expr, rs *RowSchema) vecKernel {
 		return kIsNull{ci: col.Index, negate: n.Negate}
 	case *Cmp:
 		return compileCmp(n, rs)
+	case *Enriched:
+		if !n.bound {
+			return nil
+		}
+		return kEnriched{n}
 	}
 	return nil
 }
@@ -270,6 +275,20 @@ func (k kIsNull) apply(b *Batch, t, nf Bitmap) bool {
 	}
 	for i := 0; i < b.Len(); i++ {
 		if cv.Nulls.Get(i) != !k.negate {
+			t.Clear(i)
+			nf.Clear(i)
+		}
+	}
+	return true
+}
+
+// kEnriched: the enrichment-mark test read off the lanes' tuple images — no
+// column fill, never Unknown; on warm data AnyUnenriched clears every lane.
+type kEnriched struct{ e *Enriched }
+
+func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
+	for i, tu := range b.Tuples {
+		if k.e.holds(tu) == k.e.Negate {
 			t.Clear(i)
 			nf.Clear(i)
 		}

@@ -470,7 +470,11 @@ func (h *runState) session(s int) {
 // observe scans the live table once and folds every (id, rev) -> label
 // observation into the monotonicity map: once a label is non-NULL for an
 // image it must never be observed NULL or different for that image again.
+// It also audits the enrichment marks against the state (CheckEnrichmentMarks).
 func (h *runState) observe() {
+	if err := h.db.CheckEnrichmentMarks(); err != nil {
+		h.fail("observer: %v", err)
+	}
 	rows, err := h.db.Query("SELECT id, feature, label FROM events")
 	if err != nil {
 		h.fail("observer: %v", err)

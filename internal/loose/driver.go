@@ -10,7 +10,6 @@ import (
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
-	"enrichdb/internal/types"
 )
 
 // Timing breaks a loose query execution into the components of Table 11.
@@ -247,18 +246,19 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 						Feature: feature, Gen: tu.Gen,
 					})
 				}
-				// Every function already executed, yet the image value is
-				// NULL: a peer session enriched this image but its determined
-				// value hadn't reached the base table when this source
-				// snapshotted it (state writes first). Determinize from the
-				// shared state — no function runs — and patch the image, so
-				// the query sees the same answer the peer's did.
-				if ai := schema.ColIndex(attr); needed == 0 && ai >= 0 && tu.Vals[ai].IsNull() {
-					v, err := d.Mgr.DetermineAt(p.Relation, tid, attr, feature, tu.Gen)
+				// Every function already executed, yet the image is unmarked:
+				// a peer session enriched this image after this source froze
+				// it (its value may even still be NULL, state writes first),
+				// or the image was restored without its mark. Determinize from
+				// the shared state — no function runs — and write the value
+				// with its mark, so the query sees the answer the peer's did
+				// and the next probe skips the tuple.
+				if needed == 0 && tu.Enriched&schema.MarkBit(attr) == 0 {
+					v, complete, err := d.Mgr.DetermineAt(p.Relation, tid, attr, feature, tu.Gen)
 					if err != nil {
 						return nil, err
 					}
-					if err := writeDerived(tbl, tid, attr, v, tu.Gen); err != nil {
+					if _, err := tbl.WriteDerived(tid, attr, v, tu.Gen, complete); err != nil {
 						return nil, err
 					}
 				}
@@ -293,7 +293,7 @@ func (d *Driver) WriteBack(resps []Response) error {
 		touched[ta{r.Relation, r.TID, r.Attr}] = genFeature{r.Feature(d.DB), r.Gen}
 	}
 	for k, gf := range touched {
-		v, err := d.Mgr.DetermineAt(k.rel, k.tid, k.attr, gf.feature, gf.gen)
+		v, complete, err := d.Mgr.DetermineAt(k.rel, k.tid, k.attr, gf.feature, gf.gen)
 		if err != nil {
 			return err
 		}
@@ -301,26 +301,13 @@ func (d *Driver) WriteBack(resps []Response) error {
 		if err != nil {
 			return err
 		}
-		if err := writeDerived(tbl, k.tid, k.attr, v, gf.gen); err != nil {
+		// Generation-guarded: a concurrent commit's newer data is never
+		// clobbered by this value; a snapshot view keeps it session-local.
+		if _, err := tbl.WriteDerived(k.tid, k.attr, v, gf.gen, complete); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeDerived stores a determined value through the relation. A snapshot
-// view's Update is already generation-guarded (and keeps the session-local
-// image visible); a live table gets the generation-guarded derived write so
-// a concurrent commit's newer data is never clobbered by this stale value.
-func writeDerived(rel storage.Relation, tid int64, attr string, v types.Value, gen uint64) error {
-	if bt, ok := rel.(interface {
-		UpdateDerivedAt(id int64, col string, v types.Value, gen uint64) (bool, error)
-	}); ok {
-		_, err := bt.UpdateDerivedAt(tid, attr, v, gen)
-		return err
-	}
-	_, err := rel.Update(tid, attr, v)
-	return err
 }
 
 // Feature re-reads the tuple's feature vector for the response's attribute

@@ -673,7 +673,7 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 		if err != nil {
 			return err
 		}
-		v, err := cfg.Mgr.DetermineAt(k.rel, k.tid, k.attr, feature, gen)
+		v, complete, err := cfg.Mgr.DetermineAt(k.rel, k.tid, k.attr, feature, gen)
 		if err != nil {
 			return err
 		}
@@ -683,7 +683,7 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 		}
 		// Generation-guarded derived write: a base-table commit racing this
 		// epoch invalidates the determinization instead of being clobbered.
-		_, err = tbl.UpdateDerivedAt(k.tid, k.attr, v, gen)
+		_, err = tbl.WriteDerived(k.tid, k.attr, v, gen, complete)
 		return err
 	})
 	return timing, err

@@ -152,15 +152,15 @@ func (v *mergedView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
 	return nil, false
 }
 
-// Update routes the derived write to the owning shard's view: the value
-// lands in the session-local image and, generation-guarded, in the live
-// replica. A tuple rebalanced to another shard after the freeze simply
+// WriteDerived routes the derived write and its mark to the owning shard's
+// view: they land in the session-local image and, generation-guarded, in the
+// live replica. A tuple rebalanced to another shard after the freeze simply
 // misses the live write-through (its old replica no longer holds it) —
 // conservative, never stale.
-func (v *mergedView) Update(id int64, col string, val types.Value) (types.Value, error) {
+func (v *mergedView) WriteDerived(id int64, col string, val types.Value, gen uint64, complete bool) (bool, error) {
 	sv := v.view(id)
 	if sv == nil {
-		return types.Null, fmt.Errorf("shard: %s: no view for tuple %d", v.schema.Name, id)
+		return false, fmt.Errorf("shard: %s: no view for tuple %d", v.schema.Name, id)
 	}
-	return sv.Update(id, col, val)
+	return sv.WriteDerived(id, col, val, gen, complete)
 }

@@ -298,12 +298,12 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 	return gen, nil
 }
 
-// UpdateDerivedAt routes the gen-guarded derived write-back. Not a commit:
-// the generation vector is untouched.
-func (t *Table) UpdateDerivedAt(id int64, col string, v types.Value, gen uint64) (bool, error) {
+// WriteDerived routes the gen-guarded derived write-back and its mark. Not a
+// commit: the generation vector is untouched.
+func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.route(id).UpdateDerivedAt(id, col, v, gen)
+	return t.route(id).WriteDerived(id, col, v, gen, complete)
 }
 
 // Gen returns the tuple's generation from its owning replica.

@@ -117,9 +117,13 @@ func TestShardedGenGuard(t *testing.T) {
 	id := int64(5)
 	gen := st.Gen(id)
 	// Write-back at the current generation lands.
-	ok, err := st.UpdateDerivedAt(id, "label", types.NewString("cat"), gen)
+	ok, err := st.WriteDerived(id, "label", types.NewString("cat"), gen, true)
 	if err != nil || !ok {
-		t.Fatalf("UpdateDerivedAt at gen %d: ok=%v err=%v", gen, ok, err)
+		t.Fatalf("WriteDerived at gen %d: ok=%v err=%v", gen, ok, err)
+	}
+	mark := st.Schema().MarkBit("label")
+	if st.Get(id).Enriched != mark {
+		t.Fatalf("complete write-back did not mark the image: %b", st.Get(id).Enriched)
 	}
 	// A fixed-column commit bumps the generation...
 	newGen, err := st.CommitFixed(id, "kind", types.NewString("z"))
@@ -130,12 +134,12 @@ func TestShardedGenGuard(t *testing.T) {
 		t.Fatalf("CommitFixed gen %d did not advance past %d", newGen, gen)
 	}
 	// ...and a stale write-back is a silent no-op.
-	ok, err = st.UpdateDerivedAt(id, "label", types.NewString("stale"), gen)
+	ok, err = st.WriteDerived(id, "label", types.NewString("stale"), gen, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("stale-generation write-back landed")
+	if ok || st.Get(id).Enriched != 0 {
+		t.Fatalf("stale-generation write-back landed (ok=%v) or the commit kept the mark (%b)", ok, st.Get(id).Enriched)
 	}
 	if got := st.Get(id).Vals[2]; got.Kind() != types.KindNull {
 		t.Fatalf("derived value after stale write = %v, want NULL (cleared by commit)", got)
@@ -189,7 +193,7 @@ func TestSplitRangePreservesEverything(t *testing.T) {
 	insertN(t, st, 200)
 	// Enrich a few and commit one so generations are non-trivial.
 	for _, id := range []int64{10, 60, 110} {
-		if _, err := st.UpdateDerivedAt(id, "label", types.NewString("pre"), st.Gen(id)); err != nil {
+		if _, err := st.WriteDerived(id, "label", types.NewString("pre"), st.Gen(id), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,11 +298,15 @@ func TestFreezeSnapshotIsolationAndVector(t *testing.T) {
 		t.Fatal("vector did not advance after commits")
 	}
 	// Session-local derived writes are visible through the frozen view only.
-	if _, err := frozen.Update(7, "label", types.NewString("local")); err != nil {
+	if _, err := frozen.WriteDerived(7, "label", types.NewString("local"), frozen.Get(7).Gen, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := frozen.Get(7).Vals[2]; got.Kind() != types.KindString || got.Str() != "local" {
 		t.Fatalf("frozen Get(7) derived = %v, want session-local 'local'", got)
+	}
+	mark := st.Schema().MarkBit("label")
+	if frozen.Get(7).Enriched != mark || st.Get(7).Enriched != mark {
+		t.Fatalf("write-through marks: view %b, live %b, want %b", frozen.Get(7).Enriched, st.Get(7).Enriched, mark)
 	}
 	found := false
 	for _, tu := range frozen.Tuples() {

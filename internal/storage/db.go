@@ -10,8 +10,9 @@ import (
 
 // Relation is the surface query execution reads and enriches through: the
 // live *Table, or a session's frozen *TableView. Reads return immutable
-// tuples (storage is copy-on-write); Update is the derived-value write-back
-// path — direct on a live table, generation-guarded write-through on a view.
+// tuples (storage is copy-on-write); WriteDerived is the one enrichment
+// write-back — a derived value plus its enrichment mark, generation-guarded,
+// and written through to the live table from a view.
 type Relation interface {
 	Schema() *catalog.Schema
 	Len() int
@@ -21,7 +22,7 @@ type Relation interface {
 	IDs() []int64
 	HasIndex(col string) bool
 	IndexTuples(col string, v types.Value) ([]*types.Tuple, bool)
-	Update(id int64, col string, v types.Value) (types.Value, error)
+	WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error)
 }
 
 var (
@@ -51,8 +52,8 @@ type BaseTable interface {
 	Relation
 	Insert(tu *types.Tuple) (int64, error)
 	Delete(id int64) *types.Tuple
+	Update(id int64, col string, v types.Value) (types.Value, error)
 	CommitFixed(id int64, col string, v types.Value) (uint64, error)
-	UpdateDerivedAt(id int64, col string, v types.Value, gen uint64) (bool, error)
 	Gen(id int64) uint64
 	CreateIndex(col string) error
 }

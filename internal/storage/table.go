@@ -89,11 +89,18 @@ func (t *Table) Stats() TableStats {
 }
 
 // Insert stores a tuple. A zero ID is auto-assigned; explicit ids must be
-// unique. The value slice length must match the schema.
+// unique. The value slice length must match the schema. The stored image
+// carries no enrichment mark: a marked tuple (a rebalance move) is stored as
+// an unmarked copy, so the caller's published image is never mutated.
 func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	if len(tu.Vals) != len(t.schema.Cols) {
 		return 0, fmt.Errorf("storage: %s: tuple has %d values, schema has %d columns",
 			t.schema.Name, len(tu.Vals), len(t.schema.Cols))
+	}
+	if tu.Enriched != 0 {
+		c := *tu
+		c.Enriched = 0
+		tu = &c
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -143,7 +150,9 @@ func (t *Table) Get(id int64) *types.Tuple {
 // carrying the new value, never mutated in place, so rows and snapshots that
 // alias the old tuple's value slice keep reading a consistent pre-update
 // image. Updating a fixed (non-derived) column bumps the tuple's generation,
-// marking enrichment computed from the old feature vectors as stale.
+// marking enrichment computed from the old feature vectors as stale, and
+// clears the enrichment mark; a derived write clears that column's bit (the
+// value no longer comes from the function family).
 func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error) {
 	ci := t.schema.ColIndex(col)
 	if ci < 0 {
@@ -163,8 +172,10 @@ func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error)
 	}
 	nu := tu.Clone()
 	nu.Vals[ci] = v
+	nu.Enriched &^= t.schema.MarkBit(col)
 	if !t.schema.Cols[ci].Derived {
 		nu.Gen++
+		nu.Enriched = 0
 	}
 	t.slab[i] = nu
 	t.updates++
@@ -204,41 +215,47 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 		}
 	}
 	nu.Gen++
+	nu.Enriched = 0
 	t.slab[i] = nu
 	t.updates++
 	return nu.Gen, nil
 }
 
-// UpdateDerivedAt writes a derived column iff the stored tuple is still at
-// the given generation — the gen-guarded write-back path snapshot sessions
-// use, so enrichment determinized from a superseded generation's feature
-// vectors never lands in the live table. Returns whether the write applied;
-// a missing tuple or a generation mismatch is a silent no-op, not an error
-// (the tuple was deleted or rewritten after the caller's snapshot, and the
-// newer data wins).
-func (t *Table) UpdateDerivedAt(id int64, col string, v types.Value, gen uint64) (bool, error) {
+// WriteDerived is the enrichment write-back: it stores a determined derived
+// value iff the stored tuple is still at the given generation, so enrichment
+// determinized from a superseded generation's feature vectors never lands.
+// complete (the family's every function ran at gen) sets the column's
+// enrichment mark in the same copy-on-write swap; otherwise the bit is
+// cleared. Returns whether the write applied; a missing tuple or a
+// generation mismatch is a silent no-op, not an error (the tuple was deleted
+// or rewritten after the caller's snapshot, and the newer data wins).
+func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error) {
 	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return false, fmt.Errorf("storage: %s: unknown column %s", t.schema.Name, col)
-	}
-	if !t.schema.Cols[ci].Derived {
+	if ci < 0 || !t.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: %s is not a derived column", t.schema.Name, col)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.slot[id]
-	if !ok {
+	if !ok || t.slab[i].Gen != gen {
 		return false, nil
 	}
-	tu := t.slab[i]
-	if tu.Gen != gen {
-		return false, nil
-	}
-	nu := tu.Clone()
-	nu.Vals[ci] = v
-	t.slab[i] = nu
+	t.slab[i] = markedImage(t.schema, t.slab[i], ci, v, complete)
 	t.updates++
 	return true, nil
+}
+
+// markedImage is the copy of tu carrying v in derived column ci, with the
+// column's mark bit set iff the value is complete and non-NULL.
+func markedImage(s *catalog.Schema, tu *types.Tuple, ci int, v types.Value, complete bool) *types.Tuple {
+	nu := tu.Clone()
+	nu.Vals[ci] = v
+	bit := s.MarkBit(s.Cols[ci].Name)
+	nu.Enriched &^= bit
+	if complete && !v.IsNull() {
+		nu.Enriched |= bit
+	}
+	return nu
 }
 
 // Gen returns the stored tuple's current generation (0 when absent).

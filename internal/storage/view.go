@@ -14,7 +14,7 @@ import (
 // coordination with the live table after construction — compaction and
 // concurrent writers can do whatever they like to the slab.
 //
-// A view is also the session-side write surface for enrichment: Update
+// A view is also the session-side write surface for enrichment: WriteDerived
 // applies a derived value to the view's private image (so the session's own
 // query sees the enrichment it paid for) and writes it through to the live
 // table generation-guarded — if a concurrent commit rewrote or deleted the
@@ -29,7 +29,7 @@ type TableView struct {
 	schema *catalog.Schema
 
 	mu     sync.RWMutex
-	tuples []*types.Tuple // frozen slab order; COW-replaced by Update
+	tuples []*types.Tuple // frozen slab order; COW-replaced by WriteDerived
 	slot   map[int64]int
 }
 
@@ -111,39 +111,27 @@ func (v *TableView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
 	return nil, false
 }
 
-// Update writes a derived value into the view's private image and through to
-// the live table, guarded by the snapshot tuple's generation. Only derived
-// columns are writable through a view — fixed data changes go through the
-// commit path, never through a snapshot.
-func (v *TableView) Update(id int64, col string, val types.Value) (types.Value, error) {
+// WriteDerived writes a derived value, and its enrichment mark, into the
+// view's private image (when the snapshot holds the tuple at gen) and
+// through to the live table, generation-guarded there too: if a concurrent
+// commit superseded the image, the live write is dropped on purpose. Only
+// derived columns are writable through a view — fixed data changes go
+// through the commit path, never through a snapshot.
+func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint64, complete bool) (bool, error) {
 	ci := v.schema.ColIndex(col)
-	if ci < 0 {
-		return types.Null, fmt.Errorf("storage: %s: unknown column %s", v.schema.Name, col)
-	}
-	if !v.schema.Cols[ci].Derived {
-		return types.Null, fmt.Errorf("storage: %s: cannot write fixed column %s through a snapshot view", v.schema.Name, col)
+	if ci < 0 || !v.schema.Cols[ci].Derived {
+		return false, fmt.Errorf("storage: %s: cannot write %s through a snapshot view", v.schema.Name, col)
 	}
 	v.mu.Lock()
 	i, ok := v.slot[id]
-	if !ok {
-		v.mu.Unlock()
-		return types.Null, fmt.Errorf("storage: %s: no tuple %d in snapshot", v.schema.Name, id)
+	if ok && v.tuples[i].Gen == gen {
+		v.tuples[i] = markedImage(v.schema, v.tuples[i], ci, val, complete)
 	}
-	tu := v.tuples[i]
-	old := tu.Vals[ci]
-	nu := tu.Clone()
-	nu.Vals[ci] = val
-	v.tuples[i] = nu
-	gen := tu.Gen
 	v.mu.Unlock()
-
-	// Write-through: applies only if the live tuple is still at the
-	// snapshot's generation; otherwise a concurrent commit superseded this
-	// enrichment and the drop is intentional.
-	if _, err := v.parent.UpdateDerivedAt(id, col, val, gen); err != nil {
-		return types.Null, err
+	if !ok {
+		return false, nil
 	}
-	return old, nil
+	return v.parent.WriteDerived(id, col, val, gen, complete)
 }
 
 // Snapshot is a point-in-time, cross-table read view of a database, taken

@@ -141,40 +141,46 @@ func (rt *Runtime) pending(relation string, tid int64, attr string, gen uint64) 
 // it) instead of aborting the query.
 var errTupleGone = errors.New("tight: tuple deleted during evaluation")
 
-// genOf returns the fixed-data generation of the tuple image the runtime's
-// source exposes for tid (the live table's current image, or the frozen image
-// of a session snapshot).
-func (rt *Runtime) genOf(relation string, tid int64) (uint64, error) {
+// image returns the tuple image the runtime's source exposes for tid (the
+// live table's current image, or the frozen image of a session snapshot),
+// and the attribute's value when the image's enrichment mark says the whole
+// family already determined it (marked false otherwise).
+func (rt *Runtime) image(relation string, tid int64, attr string) (tu *types.Tuple, v types.Value, marked bool, err error) {
 	tbl, err := rt.DB.Table(relation)
 	if err != nil {
-		return 0, err
+		return nil, types.Null, false, err
 	}
-	tu := tbl.Get(tid)
-	if tu == nil {
-		return 0, errTupleGone
+	if tu = tbl.Get(tid); tu == nil {
+		return nil, types.Null, false, errTupleGone
 	}
-	return tu.Gen, nil
+	s := tbl.Schema()
+	if tu.Enriched&s.MarkBit(attr) == 0 {
+		return tu, types.Null, false, nil
+	}
+	return tu, tu.Vals[s.ColIndex(attr)], true, nil
 }
 
 // CheckState reports whether everything the plan requires for (relation,
-// tid, attr) has already executed.
+// tid, attr) has already executed. A marked image answers without touching
+// the state table: its whole family ran.
 func (rt *Runtime) CheckState(relation string, tid int64, attr string) (bool, error) {
 	defer rt.track(time.Now())
 	rt.overhead()
-	gen, err := rt.genOf(relation, tid)
-	if errors.Is(err, errTupleGone) {
-		// Report "enriched" so the rewrite falls through to GetValue, which
-		// yields NULL for the vanished tuple and the predicate drops the row.
+	tu, _, marked, err := rt.image(relation, tid, attr)
+	if errors.Is(err, errTupleGone) || marked {
+		// A vanished tuple reports "enriched" too, so the rewrite falls
+		// through to GetValue, which yields NULL for it and the predicate
+		// drops the row.
 		return true, nil
 	}
 	if err != nil {
 		return false, err
 	}
-	p, err := rt.pending(relation, tid, attr, gen)
+	p, err := rt.pending(relation, tid, attr, tu.Gen)
 	if err != nil {
 		return false, err
 	}
-	if len(p) > 0 && rt.Mgr.GenOf(relation, tid) != gen {
+	if len(p) > 0 && rt.Mgr.GenOf(relation, tid) != tu.Gen {
 		// The shared state belongs to another image of this tuple (a commit
 		// reset it under a frozen snapshot). Nothing this image enriches
 		// would be kept, and the verdict must not flip between the two
@@ -187,20 +193,21 @@ func (rt *Runtime) CheckState(relation string, tid int64, attr string) (bool, er
 }
 
 // GetValue returns the attribute's current determined value (the AValue
-// column of the state table). The rewrite only reaches it after check_state
-// reported the plan's work done, so a NULL stored value means concurrency got
-// between the two calls and GetValue falls back to determinizing itself.
+// column of the state table, or the marked image's own value). The rewrite
+// only reaches it after check_state reported the plan's work done, so a NULL
+// stored value means concurrency got between the two calls and GetValue
+// falls back to determinizing itself.
 func (rt *Runtime) GetValue(relation string, tid int64, attr string) (types.Value, error) {
 	defer rt.track(time.Now())
 	rt.overhead()
-	gen, err := rt.genOf(relation, tid)
-	if errors.Is(err, errTupleGone) {
-		return types.Null, nil
+	tu, v, marked, err := rt.image(relation, tid, attr)
+	if errors.Is(err, errTupleGone) || marked {
+		return v, nil
 	}
 	if err != nil {
 		return types.Null, err
 	}
-	if v := rt.Mgr.ValueAt(relation, tid, attr, gen); !v.IsNull() {
+	if v := rt.Mgr.ValueAt(relation, tid, attr, tu.Gen); !v.IsNull() {
 		return v, nil
 	}
 	// check_state just reported the required functions executed, yet the
@@ -220,7 +227,8 @@ func (rt *Runtime) GetValue(relation string, tid int64, attr string) (types.Valu
 	if err != nil {
 		return types.Null, err
 	}
-	return rt.Mgr.DetermineAt(relation, tid, attr, feature, fgen)
+	v, _, err = rt.Mgr.DetermineAt(relation, tid, attr, feature, fgen)
+	return v, err
 }
 
 // ReadUDF executes the pending enrichment function(s) on the tuple, updates
@@ -256,7 +264,7 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 			return types.Null, err
 		}
 	}
-	v, err := rt.Mgr.DetermineAt(relation, tid, attr, feature, gen)
+	v, complete, err := rt.Mgr.DetermineAt(relation, tid, attr, feature, gen)
 	if err != nil {
 		return types.Null, err
 	}
@@ -267,15 +275,8 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 		}
 		// Gen-guarded write-back: if the tuple was deleted or its fixed
 		// data superseded since the feature was read, the value silently
-		// stays off the (now different or absent) base tuple. A snapshot
-		// view's Update carries its own generation guard.
-		if bt, ok := tbl.(interface {
-			UpdateDerivedAt(id int64, col string, v types.Value, gen uint64) (bool, error)
-		}); ok {
-			if _, err := bt.UpdateDerivedAt(tid, attr, v, gen); err != nil {
-				return types.Null, err
-			}
-		} else if _, err := tbl.Update(tid, attr, v); err != nil {
+		// stays off the (now different or absent) base tuple.
+		if _, err := tbl.WriteDerived(tid, attr, v, gen, complete); err != nil {
 			return types.Null, err
 		}
 	}

@@ -25,6 +25,11 @@ type Tuple struct {
 	// partitioner placed (or later rebalanced) the tuple.
 	Seq  uint64
 	Vals []Value
+	// Enriched is the image's enrichment mark: bit k (catalog.Schema.MarkBit)
+	// is set only when the k-th derived column holds the value its complete
+	// function family determined at this image's Gen, written in the same
+	// copy-on-write swap. An unset bit only means "ask the enrichment state".
+	Enriched uint64
 }
 
 // Clone returns a deep-enough copy of the tuple: the value slice is copied so
@@ -33,7 +38,7 @@ type Tuple struct {
 func (t *Tuple) Clone() *Tuple {
 	vals := make([]Value, len(t.Vals))
 	copy(vals, t.Vals)
-	return &Tuple{ID: t.ID, Gen: t.Gen, Seq: t.Seq, Vals: vals}
+	return &Tuple{ID: t.ID, Gen: t.Gen, Seq: t.Seq, Vals: vals, Enriched: t.Enriched}
 }
 
 // String renders the tuple for debugging.

@@ -117,6 +117,26 @@ func TestExplainAnalyzeLooseAndTight(t *testing.T) {
 		}
 	}
 	checkProfileTree(t, root)
+	// The probe is a plan: its filter, mark test included, scanned the whole
+	// 200-row relation under LooseProbe.
+	if probe := root.Children[0]; probe.Name != "LooseProbe" || len(probe.Children) != 1 ||
+		probe.Children[0].Name != "Filter" || probe.Children[0].RowsIn != 200 ||
+		!strings.Contains(probe.Children[0].Detail, "AnyUnenriched(Reviews.rating)") {
+		t.Fatalf("loose probe plan not profiled:\n%s", lres.Profile)
+	}
+	// A join's probe reduces by a semi-join over the fixed join condition
+	// (on a fresh database: the query above enriched every rating).
+	cold, _, _ := buildReviewDB(t)
+	defer cold.Close()
+	jres, err := cold.Run(context.Background(), LooseDesign, "EXPLAIN ANALYZE SELECT R1.id FROM Reviews R1, Reviews R2 "+
+		"WHERE R1.store = R2.store AND R2.day < 3 AND R1.rating = 2", QueryObs{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe := jres.Profile.Root.Children[0]; len(probe.Children) != 1 || probe.Children[0].Name != "HashSemiJoin" ||
+		len(probe.Children[0].Children) != 2 || probe.Children[0].Children[1].RowsIn != 200 {
+		t.Fatalf("join probe plan not profiled as a semi-join:\n%s", jres.Profile)
+	}
 
 	// Tight runs the rewritten plan under the same profiler: the root is the
 	// plan's top operator and UDF-wrapped predicates show up as Filters.

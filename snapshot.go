@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"enrichdb/internal/enrich"
+	"enrichdb/internal/loose"
 	"enrichdb/internal/types"
 )
 
@@ -61,11 +62,10 @@ func (db *DB) SaveSnapshot(w io.Writer) error {
 		for _, c := range schema.Cols {
 			rs.Columns = append(rs.Columns, c.Name)
 		}
-		for _, tid := range tbl.IDs() {
-			tu := tbl.Get(tid)
+		for _, tu := range tbl.Tuples() {
 			vals := make([]types.Value, len(tu.Vals))
 			copy(vals, tu.Vals)
-			rs.Tuples = append(rs.Tuples, tupleSnapshot{ID: tid, Vals: vals})
+			rs.Tuples = append(rs.Tuples, tupleSnapshot{ID: tu.ID, Vals: vals})
 		}
 		if st := db.mgr.StateTable(rel); st != nil {
 			rs.State = st.Export()
@@ -120,6 +120,18 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 			if err := st.Import(rs.State); err != nil {
 				return err
 			}
+		}
+		// Restored images carry no enrichment mark: close the gap the way a
+		// loose probe does — BuildRequests marks every attribute the imported
+		// state completed, running nothing.
+		var probes []loose.ProbeResult
+		for _, attr := range schema.DerivedCols() {
+			if db.mgr.Family(rs.Name, attr) != nil {
+				probes = append(probes, loose.ProbeResult{Relation: rs.Name, Attrs: []string{attr}, TIDs: tbl.IDs()})
+			}
+		}
+		if _, err := (&loose.Driver{DB: db.store, Mgr: db.mgr}).BuildRequests(probes); err != nil {
+			return fmt.Errorf("enrichdb: %s: mark restored tuples: %w", rs.Name, err)
 		}
 	}
 	return nil

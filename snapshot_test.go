@@ -113,6 +113,38 @@ func TestSnapshotCarriesPartialFamilyState(t *testing.T) {
 	}
 }
 
+// TestSnapshotLoadRestoresMarks: a restored image carries the enrichment mark
+// its imported state earns, so a loose query over the restored database
+// executes nothing and probes nothing the saved database had finished.
+func TestSnapshotLoadRestoresMarks(t *testing.T) {
+	src, _, _ := buildReviewDB(t)
+	const q = "SELECT * FROM Reviews WHERE rating = 1 AND day < 15"
+	if _, err := src.QueryLoose(q); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst, _, _ := reviewDBWith(t, false)
+	if err := dst.LoadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CheckEnrichmentMarks(); err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		res, err := dst.looseDriver(dst.store, nil, nil, nil).Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Enrichments != 0 || res.ProbeTuples != 0 {
+			t.Fatalf("run %d after restore: %d enrichments, %d probed tuples, want 0 and 0",
+				run, res.Enrichments, res.ProbeTuples)
+		}
+	}
+}
+
 func TestSnapshotErrors(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	var buf bytes.Buffer
