@@ -377,10 +377,14 @@ func BenchmarkProgressiveEpoch(b *testing.B) {
 	env := benchEnv(b)
 	quality := func([]float64) float64 { return 0 }
 	_ = quality
+	a, err := engine.AnalyzeSQL(benchScale().Queries()[2], env.Data.DB.Catalog())
+	if err != nil {
+		b.Fatal(err)
+	}
 	res, err := progressive.Run(progressive.Config{
-		Design: progressive.Loose,
-		Query:  benchScale().Queries()[2],
-		DB:     env.Data.DB, Mgr: env.Mgr,
+		Design:   progressive.Loose,
+		Analysis: a,
+		DB:       env.Data.DB, Mgr: env.Mgr,
 		EpochBudget: time.Millisecond, MaxEpochs: b.N, Seed: 1,
 	})
 	if err != nil {

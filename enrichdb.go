@@ -105,18 +105,6 @@ type DB struct {
 	servers  []*remote.Server
 	tracer   *telemetry.Tracer
 
-	// TightInvokeOverhead adds an artificial per-UDF-call cost to the tight
-	// design, emulating a heavier DBMS's per-row UDF invocation overhead.
-	TightInvokeOverhead time.Duration
-
-	// NoAdaptive disables adaptive cost-based optimization (DESIGN §14):
-	// runtime-statistics feedback, cheapest-rejection-first conjunct
-	// reordering, observed-cardinality join ordering and benefit-ranked
-	// progressive re-planning. With it set, every query runs exactly the
-	// static plan the pre-adaptive engine produced. Ablation knob, mirrors
-	// the NoVectorScan family.
-	NoAdaptive bool
-
 	// runtimeStats is the shared EWMA store every query on this DB feeds and
 	// consults. It carries observations across queries — the feedback loop
 	// that lets a later query start from the selectivities an earlier one
@@ -205,8 +193,10 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 		if fam == nil {
 			continue // no functions registered for this attribute
 		}
-		col := schema.Col(attr)
-		feature := tu.Vals[schema.ColIndex(col.FeatureCol)].Vector()
+		feature, err := schema.Feature(tu, attr)
+		if err != nil {
+			return 0, err
+		}
 		for _, fn := range fam.Functions {
 			if _, err := db.mgr.Execute(relation, tid, attr, fn.ID, feature); err != nil {
 				return 0, err

@@ -3,6 +3,9 @@ package enrichdb
 import (
 	"testing"
 	"time"
+
+	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 )
 
 func TestInsertEnrichedEager(t *testing.T) {
@@ -130,6 +133,31 @@ func TestDeltaSinceArbitraryEpoch(t *testing.T) {
 	insEnd, delEnd := res.DeltaSince(len(res.Epochs))
 	if insEnd.Len() != 0 || delEnd.Len() != 0 {
 		t.Errorf("DeltaSince(end): +%d -%d", insEnd.Len(), delEnd.Len())
+	}
+}
+
+// TestDeltaSinceKeepsDistinctRowsApart: rows without tuple ids (GROUP BY
+// answers) are told apart by their values alone, so two distinct rows whose
+// string values would concatenate to the same text must not net out.
+func TestDeltaSinceKeepsDistinctRowsApart(t *testing.T) {
+	schema := expr.SchemaForTable("g", catalog.MustSchema("G", []catalog.Column{
+		{Name: "a", Kind: KindString}, {Name: "b", Kind: KindString}}))
+	in := &expr.Row{Schema: schema, Vals: []Value{String("x|sy"), String("z")}}
+	out := &expr.Row{Schema: schema, Vals: []Value{String("x"), String("y|sz")}}
+	res := &ProgressiveResult{
+		schema:   schema,
+		inserted: [][]*expr.Row{{in}},
+		deleted:  [][]*expr.Row{{out}},
+	}
+	ins, del := res.DeltaSince(0)
+	if ins.Len() != 1 || del.Len() != 1 {
+		t.Fatalf("DeltaSince(0) = +%d -%d, want +1 -1", ins.Len(), del.Len())
+	}
+	if got := ins.At(0)[0].Str(); got != "x|sy" {
+		t.Errorf("inserted row a = %q, want x|sy", got)
+	}
+	if got := del.At(0)[0].Str(); got != "x" {
+		t.Errorf("deleted row a = %q, want x", got)
 	}
 }
 

@@ -118,13 +118,17 @@ func timeToQuality(s Scale, strategy progressive.Strategy, query string, target 
 	if err != nil {
 		return 0, false, err
 	}
+	a, err := engine.AnalyzeSQL(query, env.Data.DB.Catalog())
+	if err != nil {
+		return 0, false, err
+	}
 	cancel := make(chan struct{})
 	var hit time.Duration
 	reached := false
 	start := time.Now()
 	cfg := progressive.Config{
 		Design:      progressive.Tight,
-		Query:       query,
+		Analysis:    a,
 		DB:          env.Data.DB,
 		Mgr:         env.Mgr,
 		Enricher:    &loose.LocalEnricher{Mgr: env.Mgr},

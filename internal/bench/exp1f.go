@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"enrichdb/internal/dataset"
+	"enrichdb/internal/engine"
 	"enrichdb/internal/progressive"
 )
 
@@ -43,6 +44,10 @@ func Exp1fWorkers(s Scale, workerCounts []int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			a, err := engine.AnalyzeSQL(sc.Queries()[2], env.Data.DB.Catalog())
+			if err != nil {
+				return nil, err
+			}
 			// Pin planning costs so every worker count plans the identical
 			// epoch sequence: the wall-clock column then compares the same
 			// work, and the enrichments column is guaranteed constant.
@@ -54,7 +59,7 @@ func Exp1fWorkers(s Scale, workerCounts []int) (*Table, error) {
 			}
 			res, err := progressive.Run(progressive.Config{
 				Design:         design,
-				Query:          sc.Queries()[2],
+				Analysis:       a,
 				DB:             env.Data.DB,
 				Mgr:            env.Mgr,
 				Strategy:       progressive.SBFO,

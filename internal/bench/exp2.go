@@ -57,9 +57,13 @@ func runProgressive(s Scale, specs map[[2]string][]dataset.ModelSpec, design pro
 	if err != nil {
 		return nil, err
 	}
+	a, err := engine.AnalyzeSQL(query, env.Data.DB.Catalog())
+	if err != nil {
+		return nil, err
+	}
 	return progressive.Run(progressive.Config{
 		Design:      design,
-		Query:       query,
+		Analysis:    a,
 		DB:          env.Data.DB,
 		Mgr:         env.Mgr,
 		Enricher:    &loose.LocalEnricher{Mgr: env.Mgr},

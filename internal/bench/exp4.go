@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"enrichdb/internal/dataset"
+	"enrichdb/internal/engine"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
@@ -74,8 +75,12 @@ func Exp4Overhead(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	a7, err := engine.AnalyzeSQL(q7, env.Data.DB.Catalog())
+	if err != nil {
+		return nil, err
+	}
 	reRes, err := progressive.Run(progressive.Config{
-		Design: progressive.Loose, Query: q7, DB: env.Data.DB, Mgr: env.Mgr,
+		Design: progressive.Loose, Analysis: a7, DB: env.Data.DB, Mgr: env.Mgr,
 		Enricher: &loose.LocalEnricher{Mgr: env.Mgr},
 		Strategy: progressive.SBFO, EpochBudget: 200 * time.Microsecond, MaxEpochs: 400,
 		Seed: sc.Seed, Quality: quality, Recompute: true, Tracer: env.Tracer,
@@ -114,9 +119,13 @@ func Exp4WorkersOverhead(s Scale, workerCounts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		a, err := engine.AnalyzeSQL(q3, env.Data.DB.Catalog())
+		if err != nil {
+			return nil, err
+		}
 		res, err := progressive.Run(progressive.Config{
 			Design:         progressive.Tight,
-			Query:          q3,
+			Analysis:       a,
 			DB:             env.Data.DB,
 			Mgr:            env.Mgr,
 			Strategy:       progressive.SBFO,
@@ -204,8 +213,12 @@ func Exp5Storage(s Scale) (*Table, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		a, err := engine.AnalyzeSQL(q3, env.Data.DB.Catalog())
+		if err != nil {
+			return nil, nil, err
+		}
 		r, err := progressive.Run(progressive.Config{
-			Design: progressive.Loose, Query: q3, DB: env.Data.DB, Mgr: env.Mgr,
+			Design: progressive.Loose, Analysis: a, DB: env.Data.DB, Mgr: env.Mgr,
 			Enricher: &loose.LocalEnricher{Mgr: env.Mgr},
 			Strategy: progressive.SBFO, EpochBudget: progressiveBudget, MaxEpochs: progressiveEpochs,
 			Seed: sc.Seed, Quality: quality, Tracer: env.Tracer,

@@ -103,6 +103,17 @@ func (s *Schema) Col(name string) *Column {
 // derived column; 0 (never marked) for fixed columns and past the 64th.
 func (s *Schema) MarkBit(name string) uint64 { return s.marks[name] }
 
+// Feature returns the feature vector the enrichment functions of derived
+// attribute attr read from tuple image tu: the value of its FeatureCol.
+// Every design reads features through it.
+func (s *Schema) Feature(tu *types.Tuple, attr string) ([]float64, error) {
+	col := s.Col(attr)
+	if col == nil || !col.Derived {
+		return nil, fmt.Errorf("catalog: %s.%s is not a derived attribute", s.Name, attr)
+	}
+	return tu.Vals[s.byName[col.FeatureCol]].Vector(), nil
+}
+
 // DerivedCols returns the names of all derived attributes, in schema order.
 func (s *Schema) DerivedCols() []string {
 	var out []string

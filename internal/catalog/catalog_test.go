@@ -36,6 +36,16 @@ func TestSchemaLookup(t *testing.T) {
 	if got := s.DerivedCols(); len(got) != 2 || got[0] != "sentiment" || got[1] != "topic" {
 		t.Errorf("DerivedCols = %v", got)
 	}
+	tu := &types.Tuple{Vals: []types.Value{types.NewInt(1), types.NewVector([]float64{0.5, 2}),
+		types.NewString("x"), types.Null, types.Null}}
+	if f, err := s.Feature(tu, "topic"); err != nil || len(f) != 2 || f[1] != 2 {
+		t.Errorf("Feature(topic) = %v, %v", f, err)
+	}
+	for _, attr := range []string{"location", "nope"} {
+		if _, err := s.Feature(tu, attr); err == nil {
+			t.Errorf("Feature(%s) must fail: not a derived attribute", attr)
+		}
+	}
 }
 
 func TestSchemaValidation(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // cost model behind cost-based join ordering and plan-only EXPLAIN
 // annotations. Everything here is gated on ExecCtx.Adapt (a stats.Store):
 // nil — the default — keeps every hot loop on the exact pre-adaptive code
-// path, which is what the NoAdaptive ablation knobs reset to.
+// path.
 //
 // Correctness contract: only the pure (UDF-free) prefix of a filter's
 // conjunct list is ever permuted. Reordering pure conjuncts among themselves

@@ -160,17 +160,7 @@ func (f *Filter) vecScanFilterRange(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tup
 	}
 	// Residual: evaluate the uncompiled suffix row-at-a-time on every
 	// not-False lane (the row path's And continues through Unknown, so UDF
-	// side effects must fire for those lanes too). A UDF-bearing residual
-	// opens a batching window so the enrichment runtime can coalesce the
-	// sequential read_udf calls of this scan into one invocation payment.
-	var bc expr.BatchCoalescer
-	if vp.ResidualUDF {
-		bc, _ = ctx.Eval.Runtime.(expr.BatchCoalescer)
-	}
-	if bc != nil {
-		bc.BeginBatchWindow()
-		defer bc.EndBatchWindow()
-	}
+	// side effects must fire for those lanes too).
 	var out []*expr.Row
 	var evalErr error
 	eachSet(nf, func(i int) bool {

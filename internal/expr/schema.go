@@ -145,6 +145,40 @@ func (r *Row) Clone() *Row {
 	return &Row{Schema: r.Schema, Vals: vals, TIDs: tids}
 }
 
+// IdentityHash hashes the row's identity — its values, then its tuple ids —
+// through the shared types.Hasher. Rows with the same identity (SameIdentity)
+// hash equal; callers bucket by the hash and confirm with SameIdentity.
+func (r *Row) IdentityHash() uint64 {
+	h := types.NewHasher()
+	for _, v := range r.Vals {
+		h.WriteValue(v)
+	}
+	h.Fold('#')
+	for _, tid := range r.TIDs {
+		h.WriteUint64(uint64(tid))
+	}
+	return h.Sum64()
+}
+
+// SameIdentity is exact row identity: equal values (by key semantics, so
+// NULL matches NULL) and equal tuple-id provenance.
+func (r *Row) SameIdentity(o *Row) bool {
+	if len(r.Vals) != len(o.Vals) || len(r.TIDs) != len(o.TIDs) {
+		return false
+	}
+	for i := range r.Vals {
+		if !types.KeyEqual(r.Vals[i], o.Vals[i]) {
+			return false
+		}
+	}
+	for i := range r.TIDs {
+		if r.TIDs[i] != o.TIDs[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Key builds a composite hash key over the given column indexes.
 func (r *Row) Key(idxs []int) string {
 	s := ""

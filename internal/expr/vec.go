@@ -22,18 +22,6 @@ import (
 // True; a lane skips residual evaluation iff nf was cleared (the row path's
 // False short-circuit).
 
-// BatchCoalescer is optionally implemented by enrichment runtimes
-// (EvalCtx.Runtime) that can treat a sequential span of UDF evaluations as
-// one batched invocation: between BeginBatchWindow and EndBatchWindow, the
-// per-call invocation overhead for one (relation, attr, function-set) target
-// is paid once and subsequent calls ride along — the engine's vectorized
-// scan hands a whole batch's residual UDF calls over inside one window.
-// Windows may nest (End must pair with Begin).
-type BatchCoalescer interface {
-	BeginBatchWindow()
-	EndBatchWindow()
-}
-
 // VecPred is a compiled predicate: zero or more column kernels plus an
 // optional row-at-a-time residual.
 type VecPred struct {
@@ -42,9 +30,6 @@ type VecPred struct {
 	// compiled fully). It must be evaluated with EvalPred on every lane
 	// whose nf bit survives the kernels.
 	Residual Expr
-	// ResidualUDF reports whether the residual contains UDF calls (the
-	// engine then keeps its row-materialization and batching hand-off).
-	ResidualUDF bool
 }
 
 // NumKernels reports how many conjuncts compiled to kernels (introspection
@@ -96,11 +81,6 @@ func CompileVecPred(pred Expr, rs *RowSchema) *VecPred {
 		} else {
 			vp.Residual = &And{Kids: rest}
 		}
-		vp.Residual.Walk(func(n Expr) {
-			if _, ok := n.(*UDFCall); ok {
-				vp.ResidualUDF = true
-			}
-		})
 	}
 	return vp
 }

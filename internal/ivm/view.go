@@ -392,10 +392,10 @@ func (v *View) applySPJ(signed []signedRow) *Delta {
 	var order []*netEntry
 	for _, sr := range signed {
 		row := v.project(sr.row)
-		h := spjHash(row)
+		h := row.IdentityHash()
 		var e *netEntry
 		for _, cand := range net[h] {
-			if spjSameRow(cand.row, row) {
+			if cand.row.SameIdentity(row) {
 				e = cand
 				break
 			}
@@ -415,7 +415,7 @@ func (v *View) applySPJ(signed []signedRow) *Delta {
 		}
 		var ent *spjEntry
 		for _, cand := range v.spj[e.hash] {
-			if spjSameRow(cand.row, e.row) {
+			if cand.row.SameIdentity(e.row) {
 				ent = cand
 				break
 			}
@@ -447,40 +447,6 @@ func (v *View) project(r *expr.Row) *expr.Row {
 		vals[i] = r.Vals[ci]
 	}
 	return &expr.Row{Schema: v.out.Schema, Vals: vals, TIDs: r.TIDs}
-}
-
-// spjHash hashes a projected row's identity (values then tuple ids) through
-// the shared types.Hasher. Replaces the old string-building key — no
-// per-row fmt.Fprintf, no string allocation.
-func spjHash(r *expr.Row) uint64 {
-	h := types.NewHasher()
-	for _, v := range r.Vals {
-		h.WriteValue(v)
-	}
-	h.Fold('#')
-	for _, tid := range r.TIDs {
-		h.WriteUint64(uint64(tid))
-	}
-	return h.Sum64()
-}
-
-// spjSameRow is exact row identity: equal values (by key semantics, so NULL
-// matches NULL) and equal tuple-id provenance.
-func spjSameRow(a, b *expr.Row) bool {
-	if len(a.Vals) != len(b.Vals) || len(a.TIDs) != len(b.TIDs) {
-		return false
-	}
-	for i := range a.Vals {
-		if !types.KeyEqual(a.Vals[i], b.Vals[i]) {
-			return false
-		}
-	}
-	for i := range a.TIDs {
-		if a.TIDs[i] != b.TIDs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Rows returns the current view contents (one row per multiset occurrence),

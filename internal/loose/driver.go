@@ -229,12 +229,10 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 				if fam == nil {
 					return nil, fmt.Errorf("loose: no family registered for %s.%s", p.Relation, attr)
 				}
-				col := schema.Col(attr)
-				if col == nil {
-					return nil, fmt.Errorf("loose: %s has no column %s", p.Relation, attr)
+				feature, err := schema.Feature(tu, attr)
+				if err != nil {
+					return nil, err
 				}
-				fi := schema.ColIndex(col.FeatureCol)
-				feature := tu.Vals[fi].Vector()
 				needed := 0
 				for _, fn := range fam.Functions {
 					if d.Mgr.EnrichedAt(p.Relation, tid, attr, fn.ID, tu.Gen) {
@@ -321,10 +319,6 @@ func (r Response) Feature(db storage.Source) []float64 {
 	if tu == nil {
 		return nil
 	}
-	schema := tbl.Schema()
-	col := schema.Col(r.Attr)
-	if col == nil {
-		return nil
-	}
-	return tu.Vals[schema.ColIndex(col.FeatureCol)].Vector()
+	feature, _ := tbl.Schema().Feature(tu, r.Attr)
+	return feature
 }

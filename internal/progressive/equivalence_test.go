@@ -106,41 +106,36 @@ func summarize(res *Result, before, after enrich.Counters) runSummary {
 	return s
 }
 
-// equivRun executes one fresh fixture at the given worker count — with the
-// vectorized scan path on (default) or forced off — and returns its summary.
-// Each call rebuilds dataset, models and manager from the same seeds, so runs
-// are comparable but share no state.
-func equivRun(t *testing.T, design Design, strategy Strategy, query string, workers int, vecOff bool) runSummary {
-	return equivRunAdaptive(t, design, strategy, query, workers, vecOff, false)
+// equivRun executes one fresh fixture at the given worker count and returns
+// its summary. Each call rebuilds dataset, models and manager from the same
+// seeds, so runs are comparable but share no state.
+func equivRun(t *testing.T, design Design, strategy Strategy, query string, workers int) runSummary {
+	return equivRunAdaptive(t, design, strategy, query, workers, false)
 }
 
 // equivRunAdaptive is equivRun with the adaptive dimension explicit: adaptive
 // on attaches a fresh runtime-statistics store (stats feedback + adaptive
-// filter/join execution), off forces NoAdaptive (the pre-adaptive static
-// paths). The Adaptive strategy gets a store either way via Run's default.
-func equivRunAdaptive(t *testing.T, design Design, strategy Strategy, query string, workers int, vecOff, adaptive bool) runSummary {
+// filter/join execution), off leaves Stats nil (the static paths). The
+// Adaptive strategy gets a store either way via Run's default.
+func equivRunAdaptive(t *testing.T, design Design, strategy Strategy, query string, workers int, adaptive bool) runSummary {
 	t.Helper()
 	d, mgr := fixture(t)
 	pinCosts(t, mgr)
 	before := mgr.Counters()
 	cfg := Config{
-		Design:        design,
-		Query:         query,
-		DB:            d.DB,
-		Mgr:           mgr,
-		Strategy:      strategy,
-		EpochBudget:   2 * time.Millisecond,
-		MaxEpochs:     40,
-		Seed:          11,
-		Workers:       workers,
-		NoVectorScan:  vecOff,
-		CollectDeltas: true,
-		Quality:       truthQuality(t, d, query),
+		Design:      design,
+		Analysis:    analyze(t, d, query),
+		DB:          d.DB,
+		Mgr:         mgr,
+		Strategy:    strategy,
+		EpochBudget: 2 * time.Millisecond,
+		MaxEpochs:   40,
+		Seed:        11,
+		Workers:     workers,
+		Quality:     truthQuality(t, d, query),
 	}
 	if adaptive {
 		cfg.Stats = stats.NewStore()
-	} else if strategy != Adaptive {
-		cfg.NoAdaptive = true
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -193,13 +188,11 @@ func TestWorkersEquivalenceGrid(t *testing.T) {
 			design, strategy := design, strategy
 			t.Run(fmt.Sprintf("%s/%s", design, strategy), func(t *testing.T) {
 				t.Parallel()
-				base := equivRun(t, design, strategy, query, 1, false)
+				base := equivRun(t, design, strategy, query, 1)
 				if base.Counters.Enrichments == 0 {
 					t.Fatal("baseline ran no enrichments; grid case is vacuous")
 				}
-				diffSummaries(t, "workers=1/rowpath", base, equivRun(t, design, strategy, query, 1, true))
-				diffSummaries(t, "workers=4", base, equivRun(t, design, strategy, query, 4, false))
-				diffSummaries(t, "workers=4/rowpath", base, equivRun(t, design, strategy, query, 4, true))
+				diffSummaries(t, "workers=4", base, equivRun(t, design, strategy, query, 4))
 			})
 		}
 	}
@@ -220,13 +213,12 @@ func TestAdaptiveOnOffEquivalence(t *testing.T) {
 			design, strategy := design, strategy
 			t.Run(fmt.Sprintf("%s/%s", design, strategy), func(t *testing.T) {
 				t.Parallel()
-				off := equivRunAdaptive(t, design, strategy, query, 1, false, false)
+				off := equivRunAdaptive(t, design, strategy, query, 1, false)
 				if off.Counters.Enrichments == 0 {
 					t.Fatal("baseline ran no enrichments; case is vacuous")
 				}
-				diffSummaries(t, "adaptive-on", off, equivRunAdaptive(t, design, strategy, query, 1, false, true))
-				diffSummaries(t, "adaptive-on/rowpath", off, equivRunAdaptive(t, design, strategy, query, 1, true, true))
-				diffSummaries(t, "adaptive-on/workers=4", off, equivRunAdaptive(t, design, strategy, query, 4, false, true))
+				diffSummaries(t, "adaptive-on", off, equivRunAdaptive(t, design, strategy, query, 1, true))
+				diffSummaries(t, "adaptive-on/workers=4", off, equivRunAdaptive(t, design, strategy, query, 4, true))
 			})
 		}
 	}
@@ -234,12 +226,12 @@ func TestAdaptiveOnOffEquivalence(t *testing.T) {
 		design := design
 		t.Run(fmt.Sprintf("%s/Adaptive-deterministic", design), func(t *testing.T) {
 			t.Parallel()
-			a := equivRunAdaptive(t, design, Adaptive, query, 1, false, true)
+			a := equivRunAdaptive(t, design, Adaptive, query, 1, true)
 			if a.Counters.Enrichments == 0 {
 				t.Fatal("adaptive run enriched nothing")
 			}
-			diffSummaries(t, "adaptive-rerun", a, equivRunAdaptive(t, design, Adaptive, query, 1, false, true))
-			diffSummaries(t, "adaptive-rerun/workers=4", a, equivRunAdaptive(t, design, Adaptive, query, 4, false, true))
+			diffSummaries(t, "adaptive-rerun", a, equivRunAdaptive(t, design, Adaptive, query, 1, true))
+			diffSummaries(t, "adaptive-rerun/workers=4", a, equivRunAdaptive(t, design, Adaptive, query, 4, true))
 		})
 	}
 }
@@ -253,15 +245,12 @@ func TestWorkersEquivalenceJoin(t *testing.T) {
 		design := design
 		t.Run(design.String(), func(t *testing.T) {
 			t.Parallel()
-			base := equivRun(t, design, SBFO, query, 1, false)
+			base := equivRun(t, design, SBFO, query, 1)
 			if base.Counters.Enrichments == 0 {
 				t.Fatal("baseline ran no enrichments; join case is vacuous")
 			}
 			for _, workers := range []int{2, 8} {
-				for _, vecOff := range []bool{false, true} {
-					par := equivRun(t, design, SBFO, query, workers, vecOff)
-					diffSummaries(t, fmt.Sprintf("workers=%d vecOff=%v", workers, vecOff), base, par)
-				}
+				diffSummaries(t, fmt.Sprintf("workers=%d", workers), base, equivRun(t, design, SBFO, query, workers))
 			}
 		})
 	}
@@ -275,13 +264,52 @@ func TestWorkersEquivalenceAggregate(t *testing.T) {
 		design := design
 		t.Run(design.String(), func(t *testing.T) {
 			t.Parallel()
-			base := equivRun(t, design, SBFO, query, 1, false)
+			base := equivRun(t, design, SBFO, query, 1)
 			if base.Counters.Enrichments == 0 {
 				t.Fatal("baseline ran no enrichments; aggregate case is vacuous")
 			}
-			diffSummaries(t, "workers=1/rowpath", base, equivRun(t, design, SBFO, query, 1, true))
-			diffSummaries(t, "workers=4", base, equivRun(t, design, SBFO, query, 4, false))
-			diffSummaries(t, "workers=4/rowpath", base, equivRun(t, design, SBFO, query, 4, true))
+			diffSummaries(t, "workers=4", base, equivRun(t, design, SBFO, query, 4))
 		})
 	}
+}
+
+// TestTightUDFGateConservesPayments pins the concurrent read_udf gate's
+// accounting. With an invocation overhead, a Workers: 4 tight run answers and
+// enriches exactly as the Workers: 1 run does, and every read_udf call with
+// pending work either pays the overhead or rides another call's payment: the
+// parallel run's payments plus coalesced rides equal the sequential run's
+// payments.
+func TestTightUDFGateConservesPayments(t *testing.T) {
+	const query = "SELECT * FROM MultiPie WHERE gender = 1 AND expression = 2 AND CameraID < 8"
+	run := func(workers int) *Result {
+		d, mgr := fixture(t)
+		pinCosts(t, mgr)
+		res, err := Run(Config{
+			Design: Tight, Analysis: analyze(t, d, query), DB: d.DB, Mgr: mgr,
+			Strategy: SBFO, EpochBudget: 2 * time.Millisecond, MaxEpochs: 40, Seed: 11,
+			Workers: workers, InvokeOverhead: 20 * time.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	seq, par := run(1), run(4)
+	if seq.TotalEnrichments == 0 || seq.UDFPayments == 0 {
+		t.Fatalf("sequential run is vacuous: enrichments=%d payments=%d", seq.TotalEnrichments, seq.UDFPayments)
+	}
+	if seq.UDFCoalesced != 0 {
+		t.Errorf("Workers:1 coalesced %d calls; sequential calls never overlap", seq.UDFCoalesced)
+	}
+	if rowsKey(seq.Rows) != rowsKey(par.Rows) {
+		t.Errorf("Workers:4 answer differs: %d rows vs %d", len(par.Rows), len(seq.Rows))
+	}
+	if par.TotalEnrichments != seq.TotalEnrichments {
+		t.Errorf("Workers:4 enriched %d, Workers:1 %d", par.TotalEnrichments, seq.TotalEnrichments)
+	}
+	if par.UDFPayments+par.UDFCoalesced != seq.UDFPayments {
+		t.Errorf("payments not conserved: %d paid + %d coalesced at Workers:4, %d paid at Workers:1",
+			par.UDFPayments, par.UDFCoalesced, seq.UDFPayments)
+	}
+	t.Logf("Workers:1 paid %d; Workers:4 paid %d, coalesced %d", seq.UDFPayments, par.UDFPayments, par.UDFCoalesced)
 }

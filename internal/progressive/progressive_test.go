@@ -62,11 +62,22 @@ func truthQuality(t *testing.T, d *dataset.Data, q string) func([]*expr.Row) flo
 	}
 }
 
+// analyze parses and analyzes q against d's catalog, as the root pipeline
+// does before it hands a statement to Run.
+func analyze(tb testing.TB, d *dataset.Data, q string) *engine.Analysis {
+	tb.Helper()
+	a, err := engine.AnalyzeSQL(q, d.DB.Catalog())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 func runCfg(t *testing.T, d *dataset.Data, mgr *enrich.Manager, design Design, q string, strategy Strategy) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Design:      design,
-		Query:       q,
+		Analysis:    analyze(t, d, q),
 		DB:          d.DB,
 		Mgr:         mgr,
 		Strategy:    strategy,
@@ -142,7 +153,7 @@ func TestProgressiveAdaptiveStrategy(t *testing.T) {
 			st := stats.NewStore()
 			res, err := Run(Config{
 				Design:      design,
-				Query:       q,
+				Analysis:    analyze(t, d, q),
 				DB:          d.DB,
 				Mgr:         mgr,
 				Strategy:    Adaptive,
@@ -223,7 +234,7 @@ func TestProgressiveAggregation(t *testing.T) {
 	want, _ := tplan.Execute(engine.NewExecCtx())
 
 	res, err := Run(Config{
-		Design: Loose, Query: q, DB: d.DB, Mgr: mgr,
+		Design: Loose, Analysis: analyze(t, d, q), DB: d.DB, Mgr: mgr,
 		Strategy: SBFO, EpochBudget: 3 * time.Millisecond, MaxEpochs: 300, Seed: 2,
 		Quality: func(got []*expr.Row) float64 {
 			rmse, _ := metrics.GroupRMSE(got, want) // want is non-empty here
@@ -426,7 +437,7 @@ func TestRecomputeModeMatchesIVM(t *testing.T) {
 
 	dB, mgrB := fixture(t)
 	resRe, err := Run(Config{
-		Design: Loose, Query: q, DB: dB.DB, Mgr: mgrB,
+		Design: Loose, Analysis: analyze(t, dB, q), DB: dB.DB, Mgr: mgrB,
 		Strategy: SBFO, EpochBudget: 3 * time.Millisecond, MaxEpochs: 300, Seed: 5,
 		Quality:   truthQuality(t, dB, q),
 		Recompute: true,
@@ -459,13 +470,16 @@ func TestDeltaAnswersFetchable(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	d, mgr := fixture(t)
-	if _, err := Run(Config{Query: "SELECT 1"}); err == nil {
+	if _, err := Run(Config{Analysis: analyze(t, d, "SELECT * FROM TweetData")}); err == nil {
 		t.Error("missing DB/Mgr must fail")
 	}
-	if _, err := Run(Config{DB: d.DB, Mgr: mgr, Query: "not sql"}); err == nil {
+	if _, err := Run(Config{DB: d.DB, Mgr: mgr}); err == nil {
+		t.Error("missing analysis must fail")
+	}
+	if _, err := engine.AnalyzeSQL("not sql", d.DB.Catalog()); err == nil {
 		t.Error("bad query must fail")
 	}
-	if _, err := Run(Config{DB: d.DB, Mgr: mgr, Query: "SELECT * FROM Missing"}); err == nil {
+	if _, err := engine.AnalyzeSQL("SELECT * FROM Missing", d.DB.Catalog()); err == nil {
 		t.Error("unknown relation must fail")
 	}
 }

@@ -31,7 +31,7 @@ func TestProgressiveLooseOverTCP(t *testing.T) {
 	// In-process reference.
 	dLocal, mgrLocal := build()
 	local, err := Run(Config{
-		Design: Loose, Query: q, DB: dLocal.DB, Mgr: mgrLocal,
+		Design: Loose, Analysis: analyze(t, dLocal, q), DB: dLocal.DB, Mgr: mgrLocal,
 		Strategy: SBFO, EpochBudget: 2 * time.Millisecond, MaxEpochs: 100, Seed: 3,
 	})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestProgressiveLooseOverTCP(t *testing.T) {
 	defer client.Close()
 
 	res, err := Run(Config{
-		Design: Loose, Query: q, DB: dRemote.DB, Mgr: mgrRemote,
+		Design: Loose, Analysis: analyze(t, dRemote, q), DB: dRemote.DB, Mgr: mgrRemote,
 		Enricher: client,
 		Strategy: SBFO, EpochBudget: 2 * time.Millisecond, MaxEpochs: 100, Seed: 3,
 	})

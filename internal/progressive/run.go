@@ -42,9 +42,12 @@ func (d Design) String() string {
 // Config parameterizes a progressive run.
 type Config struct {
 	Design Design
-	Query  string
-	DB     storage.Store
-	Mgr    *enrich.Manager
+	// Analysis is the analyzed SELECT to answer progressively, the shape
+	// the loose and tight drivers' ExecuteAnalyzed take: the caller parses
+	// and analyzes once, against DB's catalog.
+	Analysis *engine.Analysis
+	DB       storage.Store
+	Mgr      *enrich.Manager
 
 	// Enricher is the loose design's enrichment server; defaults to an
 	// in-process one over Mgr.
@@ -57,35 +60,21 @@ type Config struct {
 	EpochBudget time.Duration
 	// MaxEpochs bounds the run (default 200).
 	MaxEpochs int
-	Seed      int64
-
-	// Rand is the run's random source, drawn on by the sampling strategies
-	// (SB(OO)/SB(RO) attribute and function choices, plan-space sampling).
-	// Nil derives a source from Seed, so two runs with equal Seeds replay
-	// the same sampling decisions — the reproducibility the equivalence
-	// tests and SB(RO) experiments rely on. The global RNG is never used.
-	Rand *rand.Rand
+	// Seed seeds the run's random source, drawn on by the sampling
+	// strategies (SB(OO)/SB(RO) attribute and function choices): two runs
+	// with equal Seeds replay the same sampling decisions. The global RNG is
+	// never used.
+	Seed int64
 
 	// Workers is the epoch execution width shared by both designs: the
 	// loose design enriches and writes back in parallel, the tight design
-	// evaluates planned rows concurrently. 0 defaults to GOMAXPROCS; 1
-	// executes sequentially. Workers > 1 produces byte-identical results to
+	// evaluates planned rows concurrently, and query-plan scans partition
+	// across the same pool. 0 defaults to GOMAXPROCS; 1 executes
+	// sequentially. Workers > 1 produces byte-identical results to
 	// Workers: 1 (guaranteed by the manager's singleflight dedup and
 	// first-write-wins state semantics, and checked by the equivalence
 	// battery).
 	Workers int
-
-	// NoParallelScan keeps query-plan scans and filters sequential even when
-	// Workers > 1. Parallel scan+filter is a pure throughput knob — partition
-	// results are concatenated in slab order, so output is byte-identical
-	// either way; disable it to isolate enrichment parallelism in ablations.
-	NoParallelScan bool
-
-	// NoVectorScan forces row-at-a-time scan/filter execution even where the
-	// vectorized batch path applies. Like NoParallelScan it is a pure
-	// throughput knob — output is byte-identical either way (enforced by the
-	// equivalence battery) — kept for ablations and as an escape hatch.
-	NoVectorScan bool
 
 	// Stats is the runtime-statistics store feeding the adaptive layer
 	// (DESIGN §14): epoch reports write per-function observed costs and
@@ -94,41 +83,25 @@ type Config struct {
 	// with Strategy == Adaptive auto-creates a run-local store; nil otherwise
 	// leaves the engine static.
 	Stats *stats.Store
-	// NoAdaptive is Stats == nil plus one thing a nil Stats cannot say: do
-	// not auto-create the run-local store for Strategy == Adaptive, which
-	// then degrades to Benefit's static cost estimates. It is the only
-	// NoAdaptive field below the root package; every engine layer reads
-	// "no store" as "static".
-	NoAdaptive bool
-
-	// PerRowUDF disables the tight runtime's micro-batching, so every
-	// read_udf call pays InvokeOverhead individually — the paper's per-row
-	// UDF execution mode (7.72 vs 7.46 ms/tweet, §5.2.1). Off by default:
-	// concurrent read_udf calls covering the same (attr, function set)
-	// share one invocation payment.
-	PerRowUDF bool
 
 	// Quality, when set, is evaluated on the view's rows after every epoch
 	// (e.g. F1 against ground truth); it feeds the progressive score.
 	Quality func(rows []*expr.Row) float64
 
-	// InvokeOverhead is the tight design's per-UDF-call cost.
+	// InvokeOverhead is the tight design's per-UDF-call cost. Concurrent
+	// read_udf calls covering the same (attr, function set) share one
+	// payment (micro-batching, §5.2.1).
 	InvokeOverhead time.Duration
 
 	// Recompute replaces IVM maintenance with from-scratch re-execution at
 	// the end of each epoch — the strawman Exp 4 compares IVM against.
 	Recompute bool
 
-	// CollectDeltas retains each epoch's inserted/deleted result rows in
-	// the EpochReport, so callers can fetch delta answers (§3.3.4) instead
-	// of re-reading the whole view.
-	CollectDeltas bool
-
 	// Tracer, when non-nil, emits structured spans for every pipeline
-	// phase: query.analyze and query.setup once, then per epoch epoch.plan,
-	// epoch.enrich, epoch.determinize and epoch.refresh, annotated with the
-	// epoch's (relation, attr, fn) targets and — on the parallel
-	// determinize path — worker IDs. Nil costs nothing.
+	// phase: query.setup once, then per epoch epoch.plan, epoch.enrich,
+	// epoch.determinize and epoch.refresh, annotated with the epoch's
+	// (relation, attr, fn) targets and — on the parallel determinize path —
+	// worker IDs. Nil costs nothing.
 	Tracer *telemetry.Tracer
 
 	// OnEpoch, when non-nil, is invoked synchronously after each completed
@@ -179,8 +152,9 @@ type EpochReport struct {
 	DeltaTime   time.Duration // IVM apply (or re-execution with Recompute)
 
 	Inserted, Deleted int
-	// InsertedRows/DeletedRows hold the epoch's delta answers when
-	// Config.CollectDeltas is set.
+	// InsertedRows/DeletedRows are the epoch's delta answers (§3.3.4), so
+	// callers can fetch refinements instead of re-reading the whole view;
+	// empty under Recompute.
 	InsertedRows, DeletedRows []*expr.Row
 	PlanTableBytes            int64
 	// EnrichErr is set when the epoch's whole enrichment batch was lost
@@ -229,8 +203,8 @@ type Result struct {
 // PlanSpaceTable), then per epoch plan → enrich → maintain the view → report
 // delta answers, until the plan space is exhausted or MaxEpochs is reached.
 func Run(cfg Config) (*Result, error) {
-	if cfg.DB == nil || cfg.Mgr == nil {
-		return nil, fmt.Errorf("progressive: Config needs DB and Mgr")
+	if cfg.DB == nil || cfg.Mgr == nil || cfg.Analysis == nil {
+		return nil, fmt.Errorf("progressive: Config needs DB, Mgr and Analysis")
 	}
 	if cfg.EpochBudget <= 0 {
 		cfg.EpochBudget = 25 * time.Millisecond
@@ -245,30 +219,17 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Enricher == nil {
 		cfg.Enricher = &loose.LocalEnricher{Mgr: cfg.Mgr, Workers: cfg.Workers}
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed + 7))
-	}
-	if cfg.NoAdaptive {
-		cfg.Stats = nil
-	} else if cfg.Stats == nil && cfg.Strategy == Adaptive {
+	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	if cfg.Stats == nil && cfg.Strategy == Adaptive {
 		cfg.Stats = stats.NewStore()
 	}
-
-	spAnalyze := cfg.Tracer.Start("query.analyze").Str("design", cfg.Design.String())
-	a, err := engine.AnalyzeSQL(cfg.Query, cfg.DB.Catalog())
-	if err != nil {
-		spAnalyze.Str("error", err.Error()).End()
-		return nil, err
-	}
-	spAnalyze.Int("tables", int64(len(a.Tables))).End()
+	a := cfg.Analysis
 
 	res := &Result{Design: cfg.Design}
 	countersBefore := cfg.Mgr.Counters()
 	ctx := engine.NewExecCtx()
-	ctx.NoVector = cfg.NoVectorScan
 	ctx.Adapt = cfg.Stats
-	if !cfg.NoParallelScan && cfg.Workers > 1 {
+	if cfg.Workers > 1 {
 		// The epoch scheduler doubles as the engine's scan pool, so plan
 		// execution and enrichment share one worker budget.
 		ctx.Pool = sched
@@ -281,6 +242,7 @@ func Run(cfg Config) (*Result, error) {
 	setupStart := time.Now()
 	spSetup := cfg.Tracer.Start("query.setup")
 	var view *ivm.View
+	var err error
 	if !cfg.Recompute {
 		view, err = ivm.New(a, cfg.DB, ctx)
 		if err != nil {
@@ -322,7 +284,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		rt = tight.NewRuntime(cfg.DB, cfg.Mgr)
 		rt.InvokeOverhead = cfg.InvokeOverhead
-		rt.BatchUDF = !cfg.PerRowUDF
 		callBefore = rt.CallTime()
 		payBefore, coalBefore = rt.BatchStats()
 	}
@@ -409,7 +370,7 @@ func Run(cfg Config) (*Result, error) {
 			rep.NetworkTime = timing.Network
 		case Tight:
 			enrichBefore := cfg.Mgr.Counters().EnrichTime
-			if err := runTightEpoch(cfg, sched, a, rwa, rt, view, plan, ctx, epoch); err != nil {
+			if err := runTightEpoch(cfg, sched, a, rwa, rt, view, plan, epoch); err != nil {
 				spEnrich.Str("error", err.Error()).End()
 				return nil, err
 			}
@@ -457,12 +418,8 @@ func Run(cfg Config) (*Result, error) {
 				spRefresh.Str("error", err.Error()).End()
 				return nil, err
 			}
-			rep.Inserted = len(d.Inserted)
-			rep.Deleted = len(d.Deleted)
-			if cfg.CollectDeltas {
-				rep.InsertedRows = d.Inserted
-				rep.DeletedRows = d.Deleted
-			}
+			rep.Inserted, rep.Deleted = len(d.Inserted), len(d.Deleted)
+			rep.InsertedRows, rep.DeletedRows = d.Inserted, d.Deleted
 			spRefresh.Int("inserted", int64(rep.Inserted)).
 				Int("deleted", int64(rep.Deleted)).
 				End()
@@ -702,7 +659,7 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 // after Resolve, and each evaluation gets its own EvalCtx. Survivors are
 // collected in tuple-id order, so join input — and hence the enrichment work
 // the join triggers — is identical at every worker count.
-func runTightEpoch(cfg Config, sched *enrich.Scheduler, a, rwa *engine.Analysis, rt *tight.Runtime, view *ivm.View, plan []PlanItem, _ *engine.ExecCtx, epoch int) error {
+func runTightEpoch(cfg Config, sched *enrich.Scheduler, a, rwa *engine.Analysis, rt *tight.Runtime, view *ivm.View, plan []PlanItem, epoch int) error {
 	type af struct {
 		attr string
 		fn   int
@@ -736,7 +693,6 @@ func runTightEpoch(cfg Config, sched *enrich.Scheduler, a, rwa *engine.Analysis,
 	defer func() { rt.Planned = nil }()
 
 	ectx := engine.NewExecCtx()
-	ectx.NoVector = cfg.NoVectorScan
 	ectx.Adapt = cfg.Stats
 	ectx.Eval.Runtime = rt
 
@@ -912,10 +868,6 @@ func featureOf(db storage.Source, relation string, tid int64, attr string) ([]fl
 	if tu == nil {
 		return nil, 0, errTupleGone
 	}
-	schema := tbl.Schema()
-	col := schema.Col(attr)
-	if col == nil {
-		return nil, 0, fmt.Errorf("progressive: %s has no column %s", relation, attr)
-	}
-	return tu.Vals[schema.ColIndex(col.FeatureCol)].Vector(), tu.Gen, nil
+	feature, err := tbl.Schema().Feature(tu, attr)
+	return feature, tu.Gen, err
 }

@@ -90,7 +90,7 @@ func TestTraceCountersMatchManager(t *testing.T) {
 	var reports []EpochReport
 	res, err := Run(Config{
 		Design:      Loose,
-		Query:       "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000",
+		Analysis:    analyze(t, d, "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000"),
 		DB:          d.DB,
 		Mgr:         mgr,
 		Strategy:    SBFO,
@@ -109,9 +109,8 @@ func TestTraceCountersMatchManager(t *testing.T) {
 	}
 
 	groups := spansByName(sink.Spans())
-	if len(groups["query.analyze"]) != 1 || len(groups["query.setup"]) != 1 {
-		t.Errorf("setup spans: analyze=%d setup=%d, want 1 each",
-			len(groups["query.analyze"]), len(groups["query.setup"]))
+	if len(groups["query.setup"]) != 1 {
+		t.Errorf("setup spans = %d, want 1", len(groups["query.setup"]))
 	}
 	// One plan/enrich/refresh span per completed epoch. The loop may emit one
 	// extra epoch.plan span for the final empty plan that terminates the run.
@@ -190,7 +189,7 @@ func TestTraceTightMarkers(t *testing.T) {
 	var sink telemetry.CollectSink
 	res, err := Run(Config{
 		Design:      Tight,
-		Query:       "SELECT * FROM MultiPie WHERE gender = 1 AND expression = 2 AND CameraID < 8",
+		Analysis:    analyze(t, d, "SELECT * FROM MultiPie WHERE gender = 1 AND expression = 2 AND CameraID < 8"),
 		DB:          d.DB,
 		Mgr:         mgr,
 		Strategy:    SBFO,
@@ -264,7 +263,7 @@ func TestTraceGoldenTwoEpochs(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Run(Config{
 		Design:      Loose,
-		Query:       "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000",
+		Analysis:    analyze(t, d, "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000"),
 		DB:          d.DB,
 		Mgr:         mgr,
 		Strategy:    SBFO,
@@ -308,7 +307,7 @@ func benchmarkRun(b *testing.B, tracer *telemetry.Tracer) {
 		b.StartTimer()
 		_, err := Run(Config{
 			Design:      Loose,
-			Query:       "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000",
+			Analysis:    analyze(b, d, "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000"),
 			DB:          d.DB,
 			Mgr:         mgr,
 			Strategy:    SBFO,

@@ -34,14 +34,6 @@ type Result struct {
 type Driver struct {
 	DB  storage.Source
 	Mgr *enrich.Manager
-	// InvokeOverhead is forwarded to the runtime (per-UDF-call cost).
-	InvokeOverhead time.Duration
-	// BatchUDF enables micro-batched UDF invocation on the runtime: the
-	// vectorized scan's residual hand-off then coalesces each batch's
-	// read_udf calls into one overhead payment per (relation, attr,
-	// function-set). Off by default — the paper's non-progressive tight
-	// design pays per row (Exp 1).
-	BatchUDF bool
 	// BuildOptions forwards optimizer toggles (ablation experiments).
 	BuildOptions engine.BuildOptions
 	// Tracer, when non-nil, emits a tight.execute span per query.
@@ -82,8 +74,6 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 		return nil, err
 	}
 	rt := NewRuntime(d.DB, d.Mgr)
-	rt.InvokeOverhead = d.InvokeOverhead
-	rt.BatchUDF = d.BatchUDF
 	ctx := engine.NewExecCtx()
 	ctx.Prof = d.Prof
 	ctx.Adapt = d.Stats

@@ -36,16 +36,12 @@ type Runtime struct {
 	// InvokeOverhead is an artificial per-UDF-call cost emulating the
 	// DBMS's per-row UDF invocation overhead (the paper measured 7.72 vs
 	// 7.46 ms/tweet for per-row UDFs vs batched execution). Zero disables.
+	// Concurrent ReadUDF calls whose pending work targets the same
+	// (relation, attr, function-set) coalesce into one batch that pays it
+	// once — the paper's batched table-UDF execution (§5.2.1). With a single
+	// worker no calls overlap and every call pays its own overhead. Batching
+	// never changes which functions execute, only how often the tax is paid.
 	InvokeOverhead time.Duration
-
-	// BatchUDF enables micro-batched invocation: concurrent ReadUDF calls
-	// whose pending work targets the same (relation, attr, function-set)
-	// coalesce into one batch that pays InvokeOverhead once — the paper's
-	// batched table-UDF execution (§5.2.1). With a single worker no calls
-	// overlap and every call pays its own overhead, so Workers:1 runs are
-	// identical to the historical per-row behaviour. Batching never changes
-	// which functions execute, only how often the invocation tax is paid.
-	BatchUDF bool
 
 	// WriteBack controls whether determined values are stored into the base
 	// table (on by default via NewRuntime).
@@ -60,14 +56,6 @@ type Runtime struct {
 
 	gateMu sync.Mutex
 	gates  map[gateKey]chan struct{}
-
-	// Batch-window state (expr.BatchCoalescer): while a window is open,
-	// sequential read_udf calls coalesce per gate key without needing
-	// concurrent overlap — the vectorized scan hands a whole batch's residual
-	// UDF calls over inside one window.
-	winMu    sync.Mutex
-	winDepth int
-	winPaid  map[gateKey]bool
 }
 
 // gateKey identifies one micro-batch: read_udf calls over the same relation,
@@ -102,7 +90,7 @@ func (rt *Runtime) CallTime() time.Duration { return rt.callNanos.Duration() }
 
 // BatchStats returns how many invocation-overhead payments were made and how
 // many read_udf calls rode along on another call's payment (zero unless
-// BatchUDF and concurrent execution overlap).
+// concurrent calls overlap).
 func (rt *Runtime) BatchStats() (payments, coalesced int64) {
 	return rt.batches.Value(), rt.coalesced.Value()
 }
@@ -250,7 +238,7 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 		rt.overhead()
 		return types.Null, err
 	}
-	if len(pending) > 0 && rt.BatchUDF {
+	if len(pending) > 0 {
 		var mask uint64
 		for _, id := range pending {
 			mask |= 1 << uint(id)
@@ -295,12 +283,8 @@ func (rt *Runtime) featureOf(relation string, tid int64, attr string) ([]float64
 	if tu == nil {
 		return nil, 0, errTupleGone
 	}
-	schema := tbl.Schema()
-	col := schema.Col(attr)
-	if col == nil || !col.Derived {
-		return nil, 0, fmt.Errorf("tight: %s.%s is not a derived attribute", relation, attr)
-	}
-	return tu.Vals[schema.ColIndex(col.FeatureCol)].Vector(), tu.Gen, nil
+	feature, err := tbl.Schema().Feature(tu, attr)
+	return feature, tu.Gen, err
 }
 
 func (rt *Runtime) track(start time.Time) { rt.callNanos.AddDuration(time.Since(start)) }
@@ -314,61 +298,15 @@ func (rt *Runtime) overhead() {
 	spinFor(rt.InvokeOverhead)
 }
 
-// BeginBatchWindow opens a sequential coalescing window (expr.BatchCoalescer):
-// until the matching EndBatchWindow, batched read_udf calls pay the
-// invocation overhead once per gate key — the batch-at-a-time analogue of the
-// concurrent gate below, for the engine's vectorized scan where the calls of
-// one batch arrive back to back on a single goroutine. Windows nest; only
-// active when BatchUDF is on (per-row mode ignores them entirely).
-func (rt *Runtime) BeginBatchWindow() {
-	rt.winMu.Lock()
-	rt.winDepth++
-	if rt.winPaid == nil {
-		rt.winPaid = make(map[gateKey]bool)
-	}
-	rt.winMu.Unlock()
-}
-
-// EndBatchWindow closes the innermost window; the outermost close resets the
-// paid set so the next window pays afresh.
-func (rt *Runtime) EndBatchWindow() {
-	rt.winMu.Lock()
-	if rt.winDepth > 0 {
-		rt.winDepth--
-		if rt.winDepth == 0 {
-			rt.winPaid = nil
-		}
-	}
-	rt.winMu.Unlock()
-}
-
-var _ expr.BatchCoalescer = (*Runtime)(nil)
-
 // batchedOverhead pays the invocation tax once per batch: the first caller
 // for a gate key becomes the leader and spins for InvokeOverhead — that spin
 // is the batch's collection window — while calls for the same key arriving
 // meanwhile wait on the leader and ride its payment, exactly like rows
-// sharing one table-UDF invocation. Inside an open batch window the
-// collection is positional rather than temporal: the window's first call per
-// key pays, every later call rides free.
+// sharing one table-UDF invocation.
 func (rt *Runtime) batchedOverhead(key gateKey) {
 	if rt.InvokeOverhead <= 0 {
 		return
 	}
-	rt.winMu.Lock()
-	if rt.winDepth > 0 {
-		if rt.winPaid[key] {
-			rt.winMu.Unlock()
-			rt.coalesced.Add(1)
-			return
-		}
-		rt.winPaid[key] = true
-		rt.winMu.Unlock()
-		rt.batches.Add(1)
-		spinFor(rt.InvokeOverhead)
-		return
-	}
-	rt.winMu.Unlock()
 	rt.gateMu.Lock()
 	if rt.gates == nil {
 		rt.gates = make(map[gateKey]chan struct{})

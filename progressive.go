@@ -91,11 +91,6 @@ type ProgressiveOptions struct {
 	// the serving tier derives one per sampled query so the run's epoch
 	// spans carry the query's trace ID.
 	Tracer *telemetry.Tracer
-	// NoAdaptive disables adaptive optimization for this run regardless of
-	// the database's runtime-statistics store: static engine plans, no stats
-	// feedback, and AdaptiveOrdered degrades to static cost estimates.
-	// Ablation knob (DESIGN §14).
-	NoAdaptive bool
 }
 
 // Epoch is one epoch's telemetry.
@@ -150,48 +145,46 @@ type ProgressiveResult struct {
 // generalizes the paper's last-epoch delta fetching (§3.3.4 lists
 // arbitrary-epoch cursors as future work).
 func (r *ProgressiveResult) DeltaSince(epoch int) (inserted, deleted *Rows) {
+	if r.schema == nil {
+		return &Rows{}, &Rows{}
+	}
+	// Rows net by the view's own identity (values by key semantics, then
+	// tuple ids): hash buckets confirmed by exact comparison, so distinct
+	// rows never merge.
 	type acc struct {
 		row   *expr.Row
 		count int
 	}
-	net := make(map[string]*acc)
-	key := func(row *expr.Row) string {
-		s := ""
-		for _, v := range row.Vals {
-			s += v.Key() + "|"
+	net := make(map[uint64][]*acc)
+	var order []*acc // first-appearance order, so the answer is deterministic
+	add := func(row *expr.Row, sign int) {
+		h := row.IdentityHash()
+		for _, a := range net[h] {
+			if a.row.SameIdentity(row) {
+				a.count += sign
+				return
+			}
 		}
-		for _, tid := range row.TIDs {
-			s += fmt.Sprintf("#%d", tid)
-		}
-		return s
+		a := &acc{row: row, count: sign}
+		net[h] = append(net[h], a)
+		order = append(order, a)
 	}
 	for e := epoch; e < len(r.inserted); e++ {
 		for _, row := range r.inserted[e] {
-			k := key(row)
-			if net[k] == nil {
-				net[k] = &acc{row: row}
-			}
-			net[k].count++
+			add(row, 1)
 		}
 		for _, row := range r.deleted[e] {
-			k := key(row)
-			if net[k] == nil {
-				net[k] = &acc{row: row}
-			}
-			net[k].count--
+			add(row, -1)
 		}
 	}
 	var ins, del []*expr.Row
-	for _, a := range net {
+	for _, a := range order {
 		for n := a.count; n > 0; n-- {
 			ins = append(ins, a.row)
 		}
 		for n := a.count; n < 0; n++ {
 			del = append(del, a.row)
 		}
-	}
-	if r.schema == nil {
-		return &Rows{}, &Rows{}
 	}
 	return wrapRows(r.schema, ins), wrapRows(r.schema, del)
 }
@@ -236,22 +229,19 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 		tracer = opts.Tracer
 	}
 	cfg := progressive.Config{
-		Design:         progressive.Design(opts.Design),
-		Query:          st.sql,
-		DB:             db.store,
-		Mgr:            db.mgr,
-		Enricher:       db.enricher,
-		Strategy:       progressive.Strategy(opts.Strategy),
-		EpochBudget:    opts.EpochBudget,
-		MaxEpochs:      opts.MaxEpochs,
-		Seed:           opts.Seed,
-		Workers:        opts.Workers,
-		InvokeOverhead: db.TightInvokeOverhead,
-		CollectDeltas:  true, // backs OnDelta and DeltaSince
-		Tracer:         tracer,
-		Cancel:         opts.Cancel,
-		Stats:          db.adaptStore(),
-		NoAdaptive:     db.NoAdaptive || opts.NoAdaptive,
+		Design:      progressive.Design(opts.Design),
+		Analysis:    st.a,
+		DB:          db.store,
+		Mgr:         db.mgr,
+		Enricher:    db.enricher,
+		Strategy:    progressive.Strategy(opts.Strategy),
+		EpochBudget: opts.EpochBudget,
+		MaxEpochs:   opts.MaxEpochs,
+		Seed:        opts.Seed,
+		Workers:     opts.Workers,
+		Tracer:      tracer,
+		Cancel:      opts.Cancel,
+		Stats:       db.runtimeStats,
 	}
 	if opts.OnEpoch != nil {
 		cfg.OnEpoch = func(ep progressive.EpochReport) { opts.OnEpoch(wrapEpoch(ep)) }

@@ -11,7 +11,6 @@ import (
 	"enrichdb/internal/loose"
 	"enrichdb/internal/shard"
 	"enrichdb/internal/sqlparser"
-	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
 	"enrichdb/internal/tight"
@@ -209,13 +208,11 @@ const (
 	explainAnalyze                    // EXPLAIN ANALYZE: run under the profiler
 )
 
-// statement is one parsed query: its analyzed SELECT, what an EXPLAIN prefix
-// asks of it, and the SELECT's text for the progressive pipeline, which
-// analyzes text itself.
+// statement is one parsed query: its analyzed SELECT and what an EXPLAIN
+// prefix asks of it.
 type statement struct {
 	a    *engine.Analysis
 	mode explainMode
-	sql  string
 }
 
 // parse is the one place the root package parses a query: every statement
@@ -225,13 +222,12 @@ func (db *DB) parse(query string) (*statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &statement{sql: query}
+	st := &statement{}
 	if ps.ExplainPlan || ps.ExplainAnalyze {
 		st.mode = explainPlan
 		if ps.ExplainAnalyze {
 			st.mode = explainAnalyze
 		}
-		st.sql = ps.Select.String() // rendered before Analyze qualifies it
 	}
 	if st.a, err = engine.Analyze(ps.Select, db.store.Catalog()); err != nil {
 		return nil, err
@@ -245,7 +241,7 @@ func (db *DB) parse(query string) (*statement, error) {
 // every other shape, which runs as one plan over src (the merged view).
 func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) (rows []*expr.Row, schema *expr.RowSchema, err error) {
 	ec := engine.NewExecCtx()
-	ec.Done, ec.Adapt, ec.Prof = done, db.adaptStore(), prof
+	ec.Done, ec.Adapt, ec.Prof = done, db.runtimeStats, prof
 	sp := tracer.Start("plain.execute")
 	defer func() {
 		if err != nil {
@@ -277,7 +273,7 @@ func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struc
 // build through it, so the tree EXPLAIN prints is the tree that runs for the
 // same query and stats state.
 func (db *DB) buildPlan(a *engine.Analysis, src storage.Source) (engine.Plan, error) {
-	return engine.BuildOpt(a, src, engine.BuildOptions{Stats: db.adaptStore()})
+	return engine.BuildOpt(a, src, engine.BuildOptions{Stats: db.runtimeStats})
 }
 
 // explain answers a plan-only EXPLAIN: the plan design runs for a over src —
@@ -299,29 +295,19 @@ func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*R
 	if err != nil {
 		return nil, err
 	}
-	return planRows(engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.adaptStore()})), nil
-}
-
-// adaptStore resolves the NoAdaptive knob, once: adaptivity off is a nil
-// runtime-statistics store, and every layer below the root package reads a
-// nil store as "run the static plan, observe nothing".
-func (db *DB) adaptStore() *stats.Store {
-	if db.NoAdaptive {
-		return nil
-	}
-	return db.runtimeStats
+	return planRows(engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.runtimeStats})), nil
 }
 
 // looseDriver builds the loose driver for one query over src.
 func (db *DB) looseDriver(src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) *loose.Driver {
 	return &loose.Driver{DB: src, Mgr: db.mgr, Enricher: db.enricher,
-		Tracer: tracer, Prof: prof, Stats: db.adaptStore(), Done: done}
+		Tracer: tracer, Prof: prof, Stats: db.runtimeStats, Done: done}
 }
 
 // tightDriver builds the tight driver for one query over src.
 func (db *DB) tightDriver(src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) *tight.Driver {
-	return &tight.Driver{DB: src, Mgr: db.mgr, InvokeOverhead: db.TightInvokeOverhead,
-		Tracer: tracer, Prof: prof, Stats: db.adaptStore(), Done: done}
+	return &tight.Driver{DB: src, Mgr: db.mgr,
+		Tracer: tracer, Prof: prof, Stats: db.runtimeStats, Done: done}
 }
 
 func splitTightTiming(wall, enrich time.Duration) QueryTiming {
