@@ -11,7 +11,9 @@ check: vet staticcheck build test race serve-race trace-e2e bench-smoke adaptive
 # The size numbers ROADMAP's "quality of design" aim is measured by, printed
 # rather than recounted by hand: exported methods on DB and Session, exported
 # fields on the five structs a query's knobs are set on, all No* switch
-# fields, and non-test Go lines outside benchmark/.
+# fields, the enrichment write path (exported enrich.Manager methods, and
+# calls of the storage write-back outside storage and shard), and non-test
+# Go lines outside benchmark/.
 CONFIG_STRUCTS := enrichdb.go:DB progressive.go:ProgressiveOptions internal/progressive/run.go:Config \
 	internal/loose/driver.go:Driver internal/tight/driver.go:Driver
 surface:
@@ -20,6 +22,8 @@ surface:
 		awk -v t="$${fs#*:}" '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {f = 0} f && /^\t[A-Z][A-Za-z0-9]* /' $${fs%%:*}; \
 	done | wc -l)"
 	@echo "No* bool fields:             $$(grep -rhE '^[[:space:]]+No[A-Z][A-Za-z]*[[:space:]]+bool' --include='*.go' --exclude-dir=benchmark . | wc -l)"
+	@echo "exported enrich.Manager methods: $$(grep -hE '^func \(m \*Manager\) [A-Z]' $$(ls internal/enrich/*.go | grep -v _test.go) | wc -l)"
+	@echo "derived write-back call sites: $$(grep -rhF '.WriteDerived(' --include='*.go' --exclude='*_test.go' --exclude-dir=storage --exclude-dir=shard --exclude-dir=benchmark . | wc -l)"
 	@echo "non-test Go lines:           $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 
 vet:

@@ -198,15 +198,11 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 			return 0, err
 		}
 		for _, fn := range fam.Functions {
-			if _, err := db.mgr.Execute(relation, tid, attr, fn.ID, feature); err != nil {
+			if _, _, err := db.mgr.Execute(relation, tid, attr, fn.ID, feature, tu.Gen); err != nil {
 				return 0, err
 			}
 		}
-		v, complete, err := db.mgr.DetermineAt(relation, tid, attr, feature, tu.Gen)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := tbl.WriteDerived(tid, attr, v, tu.Gen, complete); err != nil {
+		if _, err := db.mgr.WriteBack(tbl, tu, attr); err != nil {
 			return 0, err
 		}
 	}
@@ -234,7 +230,7 @@ func (db *DB) Update(relation string, id int64, column string, v Value) error {
 		// dropped and enrichment of the new image is never invalidated; then
 		// swap the new fixed value and the cleared derived values in as one
 		// atomic image (readers never see a torn half-updated tuple).
-		db.mgr.ResetTupleGen(relation, id, tbl.Gen(id)+1)
+		db.mgr.ResetTuple(relation, id, tbl.Gen(id)+1)
 		if _, err := tbl.CommitFixed(id, column, v); err != nil {
 			return err
 		}
@@ -264,7 +260,7 @@ func (db *DB) Delete(relation string, id int64) error {
 	// as Update does, makes their writes stale and their determinization a
 	// pure function of their own snapshot; clearing it in place would let
 	// them read the emptied state as "determined: NULL".
-	db.mgr.ResetTupleGen(relation, id, old.Gen+1)
+	db.mgr.ResetTuple(relation, id, old.Gen+1)
 	db.version.Add(1)
 	return nil
 }
@@ -286,7 +282,7 @@ func (db *DB) CheckEnrichmentMarks() error {
 		for _, tu := range tbl.Tuples() {
 			for _, attr := range s.DerivedCols() {
 				if tu.Enriched&s.MarkBit(attr) != 0 && (tu.Vals[s.ColIndex(attr)].IsNull() ||
-					!db.mgr.FullyEnrichedAt(rel, tu.ID, attr, tu.Gen)) {
+					!db.mgr.FullyEnriched(rel, tu.ID, attr, tu.Gen)) {
 					return fmt.Errorf("enrichdb: %s tuple %d (gen %d) marks %s enriched; the state disagrees",
 						rel, tu.ID, tu.Gen, attr)
 				}

@@ -390,6 +390,29 @@ func TestStatsSkipped(t *testing.T) {
 	}
 }
 
+// TestStatsSkippedCountsAvoidedRunsOnly: the loose write-back applies the
+// outputs its in-process enricher has just stored. That avoids no
+// execution, so a query over fresh data reports no skips, and a repeat
+// query, whose probe finds nothing left to enrich, neither runs nor skips
+// anything.
+func TestStatsSkippedCountsAvoidedRunsOnly(t *testing.T) {
+	db, _, _ := buildReviewDB(t)
+	q := "SELECT * FROM Reviews WHERE rating = 1"
+	if _, err := db.QueryLoose(q); err != nil {
+		t.Fatal(err)
+	}
+	first := db.Stats()
+	if first.Enrichments == 0 || first.Skipped != 0 {
+		t.Fatalf("fresh loose query: %d enrichments, %d skipped; want some, none", first.Enrichments, first.Skipped)
+	}
+	if _, err := db.QueryLoose(q); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Enrichments != first.Enrichments || st.Skipped != 0 {
+		t.Errorf("repeat loose query: %d enrichments, %d skipped; want %d, none", st.Enrichments, st.Skipped, first.Enrichments)
+	}
+}
+
 func TestCreateIndexPublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	if err := db.CreateIndex("Reviews", "store"); err != nil {

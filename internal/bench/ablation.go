@@ -199,7 +199,7 @@ func AblationBatching(s Scale, extra time.Duration) (*Table, error) {
 	best := func(run func() (time.Duration, error)) (min time.Duration, execs int64, err error) {
 		for i := 0; i < reps; i++ {
 			for _, r := range reqs {
-				env.Mgr.ResetTuple(r.Relation, r.TID)
+				env.Mgr.ResetTuple(r.Relation, r.TID, r.Gen)
 			}
 			before := env.Mgr.Counters().Enrichments
 			d, err := run()

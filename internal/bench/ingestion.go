@@ -92,14 +92,10 @@ func measureIngest(events int, cost time.Duration, eager bool) (float64, error) 
 			return 0, err
 		}
 		if eager {
-			if _, err := mgr.Execute("Events", tid, "label", 0, features[i]); err != nil {
+			if _, _, err := mgr.Execute("Events", tid, "label", 0, features[i], 0); err != nil {
 				return 0, err
 			}
-			v, err := mgr.Determine("Events", tid, "label", features[i])
-			if err != nil {
-				return 0, err
-			}
-			if _, err := tbl.Update(tid, "label", v); err != nil {
+			if _, err := mgr.WriteBack(tbl, tbl.Get(tid), "label"); err != nil {
 				return 0, err
 			}
 		}

@@ -191,11 +191,11 @@ func TestEnrichedValueMatchesTruthOften(t *testing.T) {
 	fi := schema.ColIndex("feature")
 	correct, total := 0, 0
 	for tid := int64(1); tid <= 150; tid++ {
-		x := tbl.Get(tid).Vals[fi].Vector()
-		if _, err := mgr.Execute("MultiPie", tid, "gender", 0, x); err != nil {
+		tu := tbl.Get(tid)
+		if _, _, err := mgr.Execute("MultiPie", tid, "gender", 0, tu.Vals[fi].Vector(), tu.Gen); err != nil {
 			t.Fatal(err)
 		}
-		v, err := mgr.Determine("MultiPie", tid, "gender", x)
+		v, err := mgr.WriteBack(tbl, tu, "gender")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestConcurrentExecute(t *testing.T) {
 			defer wg.Done()
 			for tid := int64(1); tid <= tuples; tid++ {
 				for fn := 0; fn < 2; fn++ {
-					ran, err := m.Execute("R", tid, "d", fn, []float64{float64(tid)})
+					_, ran, err := m.Execute("R", tid, "d", fn, []float64{float64(tid)}, 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -55,7 +55,7 @@ func TestConcurrentExecute(t *testing.T) {
 		t.Errorf("skipped = %d want %d", c.Skipped, int64(workers*tuples*2)-c.Enrichments)
 	}
 	for tid := int64(1); tid <= tuples; tid++ {
-		if !m.FullyEnrichedAt("R", tid, "d", 0) {
+		if !m.FullyEnriched("R", tid, "d", 0) {
 			t.Fatalf("tuple %d not fully enriched", tid)
 		}
 	}
@@ -69,18 +69,19 @@ func TestConcurrentDetermine(t *testing.T) {
 	if err := m.Register(fam); err != nil {
 		t.Fatal(err)
 	}
+	tbl := testRelation(t, 2, 30)
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for tid := int64(1); tid <= 30; tid++ {
-				x := []float64{float64(tid)}
-				if _, err := m.Execute("R", tid, "d", 0, x); err != nil {
+				tu := tbl.Get(tid)
+				if _, _, err := m.Execute("R", tid, "d", 0, tu.Vals[1].Vector(), 0); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := m.Determine("R", tid, "d", x); err != nil {
+				if _, err := m.WriteBack(tbl, tu, "d"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -88,9 +89,13 @@ func TestConcurrentDetermine(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	bit := tbl.Schema().MarkBit("d")
 	for tid := int64(1); tid <= 30; tid++ {
-		if v := m.Value("R", tid, "d"); v.IsNull() || v.Int() != 1 {
+		if v := m.Value("R", tid, "d", 0); v.IsNull() || v.Int() != 1 {
 			t.Fatalf("tuple %d value = %v", tid, v)
+		}
+		if tu := tbl.Get(tid); tu.Vals[2].Int() != 1 || tu.Enriched&bit == 0 {
+			t.Fatalf("tuple %d image = %v, mark %b", tid, tu.Vals[2], tu.Enriched)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"enrichdb/internal/catalog"
 	"enrichdb/internal/telemetry"
 	"enrichdb/internal/types"
 )
@@ -40,7 +41,9 @@ type Counters struct {
 }
 
 // Manager owns the function families and state tables of a database and is
-// the single write path for enrichment state in both designs. It is safe for
+// the single write path for enrichment state in every design: each write is
+// keyed by the fixed-data generation of the tuple image it was computed
+// from, and each read answers for one image. It is safe for
 // concurrent use: a per-(relation, tid, attr, function) singleflight group
 // guarantees that no enrichment function is ever executed twice for the same
 // triplet, even when epoch workers race on it — the loser of the race waits
@@ -214,43 +217,18 @@ func (m *Manager) release(key flightKey, f *flight, probs []float64, err error) 
 	close(f.done)
 }
 
-// Execute runs function fnID of (relation, attr) on the tuple's feature
-// vector unless the state bitmap shows it already ran. It returns whether an
-// execution actually happened. Concurrent calls for the same triplet are
-// deduplicated: exactly one caller runs the function; the others wait for
-// its state write and report a skip. The execution is stored at the tuple's
-// current state generation — callers holding a specific tuple image should
-// use ExecuteAt instead.
-func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, feature []float64) (bool, error) {
-	return m.ExecuteAt(relation, tid, attr, fnID, feature, m.GenOf(relation, tid))
-}
-
-// ExecuteAt is Execute for a feature vector read from a tuple image at
-// fixed-data generation gen. Concurrent identical computations at the same
-// generation collapse into one function run shared across sessions; a
-// computation whose generation a committed write has since superseded is
-// dropped instead of stored (counted in stale_drops), so newer data always
-// wins (first-write-wins applies only within one generation).
-func (m *Manager) ExecuteAt(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) (bool, error) {
-	probs, ran, err := m.compute(relation, tid, attr, fnID, feature, gen)
-	_ = probs
-	return ran, err
-}
-
-// SharedCompute computes function fnID's output distribution for the tuple,
-// deduplicated and stored exactly like ExecuteAt, and returns it. It backs
-// the loose design's local enrichment path, letting concurrent batches from
-// different sessions share one execution per (triplet, generation).
-func (m *Manager) SharedCompute(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) ([]float64, error) {
-	probs, _, err := m.compute(relation, tid, attr, fnID, feature, gen)
-	return probs, err
-}
-
-// compute is the deduplicated execution core behind Execute/ExecuteAt/
-// SharedCompute: at most one function run per (triplet, generation) across
-// all sessions, with the run's distribution handed to every waiter. ran
-// reports whether this call performed the run itself.
-func (m *Manager) compute(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) (probs []float64, ran bool, err error) {
+// Execute runs function fnID of (relation, attr) on a feature vector read
+// from the tuple image at fixed-data generation gen, unless the state shows
+// the function already ran for that image, and returns its output
+// distribution. ran reports whether this call performed the run itself.
+// Concurrent identical computations at the same generation collapse into one
+// function run shared across sessions: the loser of the race waits for the
+// winner's state write, reuses its distribution and counts as Skipped,
+// exactly as a sequential second call would. A computation whose generation
+// a committed write has since superseded is dropped instead of stored
+// (counted in stale_drops), so newer data always wins (first-write-wins
+// applies only within one generation).
+func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) (probs []float64, ran bool, err error) {
 	fam := m.Family(relation, attr)
 	if fam == nil {
 		return nil, false, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
@@ -266,9 +244,9 @@ func (m *Manager) compute(relation string, tid int64, attr string, fnID int, fea
 		// image: a session reading a superseded snapshot must not observe
 		// enrichment of the newer image (nor vice versa) — it recomputes from
 		// its own frozen feature vector and the store below drops as stale.
-		if st.GenOf(tid) == gen && st.Executed(tid, attr, fnID) {
+		if p, done := m.stored(st, tid, attr, fnID, gen); done {
 			m.skipped.Add(1)
-			return m.storedProbs(st, tid, attr, fnID), false, nil
+			return p, false, nil
 		}
 		f, leader := m.acquire(key)
 		if leader {
@@ -300,10 +278,10 @@ func (m *Manager) compute(relation string, tid int64, attr string, fnID int, fea
 	}()
 	// The flight we raced against may have completed between the state check
 	// and the acquire; the bitmap is the source of truth.
-	if st.GenOf(tid) == gen && st.Executed(tid, attr, fnID) {
+	if p, done := m.stored(st, tid, attr, fnID, gen); done {
 		releaseWith(nil, nil)
 		m.skipped.Add(1)
-		return m.storedProbs(st, tid, attr, fnID), false, nil
+		return p, false, nil
 	}
 	runStart := time.Now()
 	probs = fam.Functions[fnID].Run(feature)
@@ -313,7 +291,7 @@ func (m *Manager) compute(relation string, tid int64, attr string, fnID int, fea
 	m.enrichments.Add(1)
 	m.udfRuns.Add(1)
 	start := time.Now()
-	stored, stale, serr := st.SetOutputAt(tid, attr, fnID, probs, gen)
+	stored, stale, serr := st.setOutput(tid, attr, fnID, probs, gen)
 	m.stateNanos.Add(int64(time.Since(start)))
 	if serr != nil {
 		releaseWith(nil, serr)
@@ -328,49 +306,33 @@ func (m *Manager) compute(relation string, tid int64, attr string, fnID int, fea
 	return probs, true, nil
 }
 
-// storedProbs returns the effective stored distribution of an executed
-// function, or nil when the output is unavailable.
-func (m *Manager) storedProbs(st *StateTable, tid int64, attr string, fnID int) []float64 {
-	outs := st.OutputSnapshot(tid, attr)
-	if fnID < len(outs) && outs[fnID] != nil {
-		return outs[fnID].Effective()
+// stored reports whether function fnID already ran for the tuple image at
+// gen and, if so, returns its effective stored distribution (nil when the
+// output is unavailable). Generation, bitmap and output are read under one
+// lock, so a commit cannot slip a newer image's output in between.
+func (m *Manager) stored(st *StateTable, tid int64, attr string, fnID int, gen uint64) ([]float64, bool) {
+	outs, current := st.OutputSnapshotAt(tid, attr, gen)
+	if !current || outs == nil || outs[fnID] == nil {
+		return nil, false
 	}
-	return nil
+	return outs[fnID].Effective(), true
 }
 
-// ApplyOutput records an externally produced function output (the loose
-// design's enrichment server returns outputs computed remotely). It counts
-// as an enrichment; a duplicate (the triplet already executed, possibly by a
-// concurrent worker a moment ago) counts as a skip.
-func (m *Manager) ApplyOutput(relation string, tid int64, attr string, fnID int, probs []float64) error {
+// ApplyOutput records a function output the loose design's enrichment
+// server returned for the tuple image at gen. An output first stored here
+// was computed elsewhere (a remote server) and counts as an enrichment; an
+// output whose generation a committed write superseded is dropped rather
+// than stored. A duplicate — the triplet's output is already stored, by the
+// in-process enricher that computed it through Execute or by a concurrent
+// worker a moment ago — is an idempotent no-op: no execution was avoided,
+// so it counts neither as an enrichment nor as a skip.
+func (m *Manager) ApplyOutput(relation string, tid int64, attr string, fnID int, probs []float64, gen uint64) error {
 	st := m.StateTable(relation)
 	if st == nil {
 		return fmt.Errorf("enrich: no state table for %s", relation)
 	}
 	start := time.Now()
-	stored, err := st.SetOutput(tid, attr, fnID, probs)
-	m.stateNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	if stored {
-		m.enrichments.Add(1)
-	} else {
-		m.skipped.Add(1)
-	}
-	return nil
-}
-
-// ApplyOutputGen is ApplyOutput guarded by the tuple generation the output
-// was computed at: a stale output (generation superseded by a committed
-// write) is dropped rather than stored.
-func (m *Manager) ApplyOutputGen(relation string, tid int64, attr string, fnID int, probs []float64, gen uint64) error {
-	st := m.StateTable(relation)
-	if st == nil {
-		return fmt.Errorf("enrich: no state table for %s", relation)
-	}
-	start := time.Now()
-	stored, stale, err := st.SetOutputAt(tid, attr, fnID, probs, gen)
+	stored, stale, err := st.setOutput(tid, attr, fnID, probs, gen)
 	m.stateNanos.Add(int64(time.Since(start)))
 	if err != nil {
 		return err
@@ -381,164 +343,127 @@ func (m *Manager) ApplyOutputGen(relation string, tid int64, attr string, fnID i
 		m.firstStores.Add(1)
 	case stale:
 		m.staleDrops.Add(1)
-	default:
-		m.skipped.Add(1)
 	}
 	return nil
 }
 
 // Enriched reports whether function fnID already ran for (relation, tid,
-// attr) — the backing of the tight design's CheckState UDF.
-func (m *Manager) Enriched(relation string, tid int64, attr string, fnID int) bool {
+// attr) on the tuple image at gen — the backing of the tight design's
+// CheckState UDF. State computed from a different image does not count as
+// prior work for the caller.
+func (m *Manager) Enriched(relation string, tid int64, attr string, fnID int, gen uint64) bool {
 	st := m.StateTable(relation)
-	if st == nil {
-		return false
-	}
-	return st.Executed(tid, attr, fnID)
+	return st != nil && st.bitmapAt(tid, attr, gen)&(1<<uint(fnID)) != 0
 }
 
-// EnrichedAt is Enriched qualified by the fixed-data generation of the tuple
-// image the caller is reading: state computed from a different image does not
-// count as prior work for this caller.
-func (m *Manager) EnrichedAt(relation string, tid int64, attr string, fnID int, gen uint64) bool {
-	st := m.StateTable(relation)
-	if st == nil {
-		return false
-	}
-	return st.GenOf(tid) == gen && st.Executed(tid, attr, fnID)
-}
-
-// FullyEnrichedAt reports whether every family function ran for the
-// attribute of the tuple image at gen — the test of Figure 3
-// (popcount(bitmap) = |family|) that a set enrichment mark caches on the
-// image; false when the shared state belongs to a different image.
-func (m *Manager) FullyEnrichedAt(relation string, tid int64, attr string, gen uint64) bool {
+// FullyEnriched reports whether every family function ran for the attribute
+// of the tuple image at gen — the test of Figure 3 (popcount(bitmap) =
+// |family|) that a set enrichment mark caches on the image.
+func (m *Manager) FullyEnriched(relation string, tid int64, attr string, gen uint64) bool {
 	fam := m.Family(relation, attr)
 	if fam == nil {
 		return false
 	}
+	return m.StateTable(relation).bitmapAt(tid, attr, gen) == fam.FullBitmap()
+}
+
+// Value returns the stored determined value of (relation, tid, attr) for
+// the tuple image at gen — the backing of the tight design's GetValue UDF;
+// NULL when the stored value was computed from a different image.
+func (m *Manager) Value(relation string, tid int64, attr string, gen uint64) types.Value {
 	st := m.StateTable(relation)
-	return st.GenOf(tid) == gen && st.BitmapOf(tid, attr) == fam.FullBitmap()
+	if st == nil {
+		return types.Null
+	}
+	return st.valueAt(tid, attr, gen)
 }
 
-// Determine runs the family's determinization function over the current
-// state, stores and returns the determined value. When the state cutoff has
-// pruned most of a stored distribution's mass, the corresponding function is
-// re-executed transiently (counted in ReExecutions) — the cost Table 10
-// trades against state size.
-func (m *Manager) Determine(relation string, tid int64, attr string, feature []float64) (types.Value, error) {
-	v, _, err := m.determine(relation, tid, attr, feature, nil)
-	return v, err
+// Relation is where WriteBack lands a determined value: the relation the
+// caller read the tuple image from — a live table, a session's snapshot view
+// (which writes through to the live table), or a shard facade.
+// storage.Relation satisfies it.
+type Relation interface {
+	Schema() *catalog.Schema
+	WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error)
 }
 
-// DetermineAt is Determine with the value store guarded by the tuple
-// generation the feature was read at: a stale determinization is computed
-// (the caller's session still wants the value for its own snapshot) but not
-// stored into shared state. complete reports that the output snapshot it
-// determinized from held every family function's output at gen — the
-// condition under which the write-back may set the image's enrichment mark.
-func (m *Manager) DetermineAt(relation string, tid int64, attr string, feature []float64, gen uint64) (v types.Value, complete bool, err error) {
-	return m.determine(relation, tid, attr, feature, &gen)
-}
-
-func (m *Manager) determine(relation string, tid int64, attr string, feature []float64, gen *uint64) (types.Value, bool, error) {
-	fam := m.Family(relation, attr)
+// WriteBack is the one determinize-and-write-back step every design ends an
+// enrichment with. It runs the family's determinization function over the
+// state of the tuple image tu, stores the value in the state, writes it into
+// rel and decides the image's enrichment mark: the mark is set iff every
+// family function's output was stored at the image's generation and no
+// commit reset the state meanwhile. State and base writes are both
+// generation-guarded, so nothing lands on an image a committed write has
+// superseded. It returns the determined value.
+//
+// When the cutoff has pruned most of a stored distribution's mass, the
+// function is re-executed transiently (counted in ReExecutions) — the cost
+// Table 10 trades against state size. When the shared state belongs to a
+// different image than tu (a commit reset it under a frozen snapshot), the
+// whole family is re-run transiently on tu's own feature vector, so the
+// caller's answer stays a pure function of its snapshot; nothing is stored
+// in the state, and the unmarked value lands only on a snapshot view still
+// holding tu. When nothing ran for the image, there is nothing to
+// determinize: the value is NULL and nothing is written.
+func (m *Manager) WriteBack(rel Relation, tu *types.Tuple, attr string) (types.Value, error) {
+	s := rel.Schema()
+	fam := m.Family(s.Name, attr)
 	if fam == nil {
-		return types.Null, false, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
+		return types.Null, fmt.Errorf("enrich: no family for %s.%s", s.Name, attr)
 	}
-	st := m.StateTable(relation)
-	var snap []*Output
-	current := true
-	if gen != nil {
-		snap, current = st.OutputSnapshotAt(tid, attr, *gen)
-	} else {
-		snap = st.OutputSnapshot(tid, attr)
+	feature, err := s.Feature(tu, attr)
+	if err != nil {
+		return types.Null, err
 	}
-	if !current {
-		// The shared state belongs to a different tuple image than the
-		// caller's snapshot. Recompute the full family transiently from the
-		// caller's own feature vector so its answer stays a pure function of
-		// its snapshot; nothing is stored (the tuple's current image owns the
-		// shared state).
-		outputs := make([][]float64, len(fam.Functions))
-		for id := range fam.Functions {
-			reStart := time.Now()
-			outputs[id] = fam.Functions[id].Run(feature)
-			m.reExecNanos.Add(int64(time.Since(reStart)))
-			m.reExecutions.Add(1)
-		}
-		return fam.Det.Determine(outputs, fam.Domain), false, nil
-	}
-	if snap == nil {
-		return types.Null, false, nil
+	st := m.StateTable(s.Name)
+	snap, current := st.OutputSnapshotAt(tu.ID, attr, tu.Gen)
+	if current && snap == nil {
+		return types.Null, nil
 	}
 	outputs := make([][]float64, len(fam.Functions))
-	complete := true
-	for id, o := range snap {
-		if o == nil {
-			complete = false
-			continue
+	complete := current
+	for id := range fam.Functions {
+		var o *Output
+		if current {
+			o = snap[id]
 		}
-		if o.Pruned && o.RetainedMass() < 0.5 {
-			// Not enough stored evidence: recover the full distribution.
+		switch {
+		case current && o == nil:
+			complete = false
+		case !current || (o.Pruned && o.RetainedMass() < 0.5):
+			// Not enough stored evidence for this image: recover the full
+			// distribution.
 			reStart := time.Now()
 			outputs[id] = fam.Functions[id].Run(feature)
 			m.reExecNanos.Add(int64(time.Since(reStart)))
 			m.reExecutions.Add(1)
-		} else {
+		default:
 			outputs[id] = o.Effective()
 		}
 	}
 	v := fam.Det.Determine(outputs, fam.Domain)
-	start := time.Now()
-	var err error
-	if gen != nil {
-		var stale bool
-		stale, err = st.SetValueAt(tid, attr, v, *gen)
+	if current {
+		start := time.Now()
+		stale, err := st.setValue(tu.ID, attr, v, tu.Gen)
+		m.stateNanos.Add(int64(time.Since(start)))
+		if err != nil {
+			return types.Null, err
+		}
 		complete = complete && !stale // a commit reset the state meanwhile
-	} else {
-		err = st.SetValue(tid, attr, v)
 	}
-	m.stateNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		return types.Null, false, err
+	if _, err := rel.WriteDerived(tu.ID, attr, v, tu.Gen, complete); err != nil {
+		return types.Null, err
 	}
-	return v, complete, nil
+	return v, nil
 }
 
-// Value returns the stored determined value of (relation, tid, attr) — the
-// backing of the tight design's GetValue UDF.
-func (m *Manager) Value(relation string, tid int64, attr string) types.Value {
-	st := m.StateTable(relation)
-	if st == nil {
-		return types.Null
-	}
-	return st.ValueOf(tid, attr)
-}
-
-// ValueAt is Value qualified by the tuple-image generation: NULL when the
-// stored determined value was computed from a different image.
-func (m *Manager) ValueAt(relation string, tid int64, attr string, gen uint64) types.Value {
-	st := m.StateTable(relation)
-	if st == nil || st.GenOf(tid) != gen {
-		return types.Null
-	}
-	return st.ValueOf(tid, attr)
-}
-
-// ResetTuple clears a tuple's state after a base-table update (§3.3.5).
-func (m *Manager) ResetTuple(relation string, tid int64) {
+// ResetTuple clears a tuple's state after a fixed-attribute write (§3.3.5)
+// and records gen, the generation the commit installs, as the one its state
+// now belongs to: enrichment still in flight against an older tuple image
+// fails its generation guard instead of landing.
+func (m *Manager) ResetTuple(relation string, tid int64, gen uint64) {
 	if st := m.StateTable(relation); st != nil {
-		st.ResetTuple(tid)
-	}
-}
-
-// ResetTupleGen clears a tuple's state and advances its generation after a
-// fixed-attribute write, invalidating enrichment still in flight against the
-// previous tuple image.
-func (m *Manager) ResetTupleGen(relation string, tid int64, gen uint64) {
-	if st := m.StateTable(relation); st != nil {
-		st.ResetTupleGen(tid, gen)
+		st.reset(tid, gen)
 	}
 }
 

@@ -52,11 +52,6 @@ type AttrState struct {
 	Value   types.Value
 }
 
-// Executed reports whether function fnID has run.
-func (s *AttrState) Executed(fnID int) bool {
-	return s != nil && s.Bitmap&(1<<uint(fnID)) != 0
-}
-
 // StateTable holds the enrichment state of every tuple of one relation
 // (the paper's R_State table). It is safe for concurrent use.
 type StateTable struct {
@@ -110,23 +105,15 @@ func (st *StateTable) SetCutoff(c float64) {
 	st.mu.Unlock()
 }
 
-// Get returns the state of (tid, attr), or nil when nothing was stored. The
-// returned pointer shares the table's storage; callers must treat it as
-// read-only, and concurrent writers make even reads racy — concurrent code
-// must use Executed, BitmapOf, ValueOf or OutputSnapshot instead, which read
-// under the table lock.
+// Get returns the state of (tid, attr), or nil when nothing was stored,
+// whatever image it belongs to. The returned pointer shares the table's
+// storage; callers must treat it as read-only, and concurrent writers make
+// even reads racy — concurrent code reads through the manager, whose
+// accessors are generation-guarded and read under the table lock.
 func (st *StateTable) Get(tid int64, attr string) *AttrState {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ai, ok := st.attrIdx[attr]
-	if !ok {
-		return nil
-	}
-	row := st.rows[tid]
-	if row == nil {
-		return nil
-	}
-	return row[ai]
+	return st.locked(tid, attr)
 }
 
 // ensure returns the mutable state of (tid, attr), allocating as needed.
@@ -143,29 +130,29 @@ func (st *StateTable) ensure(tid int64, ai int) *AttrState {
 	return row[ai]
 }
 
-// SetOutput records a function's output, applying the cutoff, and marks the
-// function executed. The first write per (tid, attr, fnID) wins: a second
+// setOutput records a function's output computed from the tuple image at
+// gen, applying the cutoff, and marks the function executed. A write for a
+// generation a newer committed write has superseded is dropped (stale).
+// Within one generation the first write per (tid, attr, fnID) wins: a second
 // write finds the bitmap bit set and returns stored=false without touching
 // the state, which makes concurrent duplicate enrichments (two epoch workers
 // racing on a self-join's shared tuple) collapse to one deterministic write.
-func (st *StateTable) SetOutput(tid int64, attr string, fnID int, probs []float64) (stored bool, err error) {
+func (st *StateTable) setOutput(tid int64, attr string, fnID int, probs []float64, gen uint64) (stored, stale bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.setOutputLocked(tid, attr, fnID, probs)
-}
-
-// setOutputLocked is SetOutput's body; caller must hold st.mu.
-func (st *StateTable) setOutputLocked(tid int64, attr string, fnID int, probs []float64) (stored bool, err error) {
 	ai, ok := st.attrIdx[attr]
 	if !ok {
-		return false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
+		return false, false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
 	}
 	if fnID < 0 || fnID >= len(st.families[ai].Functions) {
-		return false, fmt.Errorf("enrich: %s.%s has no function %d", st.Relation, attr, fnID)
+		return false, false, fmt.Errorf("enrich: %s.%s has no function %d", st.Relation, attr, fnID)
+	}
+	if st.gens[tid] != gen {
+		return false, true, nil
 	}
 	s := st.ensure(tid, ai)
 	if s.Bitmap&(1<<uint(fnID)) != 0 {
-		return false, nil
+		return false, false, nil
 	}
 	out := &Output{Probs: make([]float64, len(probs))}
 	for i, p := range probs {
@@ -178,21 +165,23 @@ func (st *StateTable) setOutputLocked(tid int64, attr string, fnID int, probs []
 	}
 	s.Outputs[fnID] = out
 	s.Bitmap |= 1 << uint(fnID)
-	return true, nil
+	return true, false, nil
 }
 
-// SetOutputAt is SetOutput guarded by the tuple's fixed-data generation:
-// when gen differs from the table's recorded generation for the tuple, the
-// write is dropped (stale=true) — the output was computed from a tuple image
-// a newer committed write has since superseded.
-func (st *StateTable) SetOutputAt(tid int64, attr string, fnID int, probs []float64, gen uint64) (stored, stale bool, err error) {
+// setValue stores the value determinized from the tuple image at gen; a
+// stale determinization (a newer committed write superseded gen) is dropped.
+func (st *StateTable) setValue(tid int64, attr string, v types.Value, gen uint64) (stale bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.gens[tid] != gen {
-		return false, true, nil
+	ai, ok := st.attrIdx[attr]
+	if !ok {
+		return false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
 	}
-	stored, err = st.setOutputLocked(tid, attr, fnID, probs)
-	return stored, false, err
+	if st.gens[tid] != gen {
+		return true, nil
+	}
+	st.ensure(tid, ai).Value = v
+	return false, nil
 }
 
 // GenOf returns the fixed-data generation the tuple's state belongs to.
@@ -202,57 +191,37 @@ func (st *StateTable) GenOf(tid int64) uint64 {
 	return st.gens[tid]
 }
 
-// Executed reports whether function fnID of (tid, attr) has run, reading
-// under the table lock (safe against concurrent writers, unlike Get).
-func (st *StateTable) Executed(tid int64, attr string, fnID int) bool {
+// bitmapAt returns the executed-function bitmap of (tid, attr) for the tuple
+// image at gen: zero when nothing ran or the state belongs to another image.
+// The generation and the bitmap are read under one lock.
+func (st *StateTable) bitmapAt(tid int64, attr string, gen uint64) uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.locked(tid, attr).Executed(fnID)
-}
-
-// BitmapOf returns the executed-function bitmap of (tid, attr) under the
-// table lock; zero when no state exists.
-func (st *StateTable) BitmapOf(tid int64, attr string) uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if s := st.locked(tid, attr); s != nil {
+	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen {
 		return s.Bitmap
 	}
 	return 0
 }
 
-// ValueOf returns the determined value of (tid, attr) under the table lock;
-// Null when no state exists.
-func (st *StateTable) ValueOf(tid int64, attr string) types.Value {
+// valueAt returns the determined value of (tid, attr) for the tuple image at
+// gen: NULL when none was stored or the state belongs to another image.
+func (st *StateTable) valueAt(tid int64, attr string, gen uint64) types.Value {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if s := st.locked(tid, attr); s != nil {
+	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen {
 		return s.Value
 	}
 	return types.Null
 }
 
-// OutputSnapshot returns a copy of the per-function output slice of
-// (tid, attr), or nil when no state exists. Output structs are immutable
-// once published, so copying the pointer slice under the lock yields a
-// consistent snapshot concurrent determinization can read freely.
-func (st *StateTable) OutputSnapshot(tid int64, attr string) []*Output {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	s := st.locked(tid, attr)
-	if s == nil {
-		return nil
-	}
-	out := make([]*Output, len(s.Outputs))
-	copy(out, s.Outputs)
-	return out
-}
-
-// OutputSnapshotAt is OutputSnapshot for the tuple image at gen: current is
-// false, and nothing is returned, when the state belongs to another
+// OutputSnapshotAt returns a copy of the per-function output slice of
+// (tid, attr) for the tuple image at gen (nil when no state exists): current
+// is false, and nothing is returned, when the state belongs to another
 // generation. Generation and outputs are read under one lock, so a commit
 // resetting the tuple cannot slip between the check and the copy and make an
 // emptied state look like "nothing executed yet" for the caller's image.
+// Output structs are immutable once published, so the copy is a consistent
+// snapshot concurrent determinization can read freely.
 func (st *StateTable) OutputSnapshotAt(tid int64, attr string, gen uint64) (out []*Output, current bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -279,47 +248,10 @@ func (st *StateTable) locked(tid int64, attr string) *AttrState {
 	return row[ai]
 }
 
-// SetValue stores the determined value for (tid, attr).
-func (st *StateTable) SetValue(tid int64, attr string, v types.Value) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ai, ok := st.attrIdx[attr]
-	if !ok {
-		return fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
-	}
-	st.ensure(tid, ai).Value = v
-	return nil
-}
-
-// SetValueAt is SetValue guarded by the tuple's fixed-data generation; a
-// stale determinization (computed against a superseded tuple image) is
-// silently dropped.
-func (st *StateTable) SetValueAt(tid int64, attr string, v types.Value, gen uint64) (stale bool, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.gens[tid] != gen {
-		return true, nil
-	}
-	ai, ok := st.attrIdx[attr]
-	if !ok {
-		return false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
-	}
-	st.ensure(tid, ai).Value = v
-	return false, nil
-}
-
-// ResetTuple clears all enrichment state of a tuple — the paper's handling
-// of non-conflicting base-table updates (§3.3.5).
-func (st *StateTable) ResetTuple(tid int64) {
-	st.mu.Lock()
-	delete(st.rows, tid)
-	st.mu.Unlock()
-}
-
-// ResetTupleGen clears a tuple's state and advances its recorded fixed-data
-// generation, invalidating in-flight enrichment computed from older tuple
-// images: their generation-guarded writes will no longer match.
-func (st *StateTable) ResetTupleGen(tid int64, gen uint64) {
+// reset clears a tuple's state and records gen as the fixed-data generation
+// its state now belongs to, invalidating in-flight enrichment computed from
+// older tuple images: their generation-guarded writes no longer match.
+func (st *StateTable) reset(tid int64, gen uint64) {
 	st.mu.Lock()
 	delete(st.rows, tid)
 	if gen == 0 {

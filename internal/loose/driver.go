@@ -235,7 +235,7 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 				}
 				needed := 0
 				for _, fn := range fam.Functions {
-					if d.Mgr.EnrichedAt(p.Relation, tid, attr, fn.ID, tu.Gen) {
+					if d.Mgr.Enriched(p.Relation, tid, attr, fn.ID, tu.Gen) {
 						continue
 					}
 					needed++
@@ -252,11 +252,7 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 				// with its mark, so the query sees the answer the peer's did
 				// and the next probe skips the tuple.
 				if needed == 0 && tu.Enriched&schema.MarkBit(attr) == 0 {
-					v, complete, err := d.Mgr.DetermineAt(p.Relation, tid, attr, feature, tu.Gen)
-					if err != nil {
-						return nil, err
-					}
-					if _, err := tbl.WriteDerived(tid, attr, v, tu.Gen, complete); err != nil {
+					if _, err := d.Mgr.WriteBack(tbl, tu, attr); err != nil {
 						return nil, err
 					}
 				}
@@ -266,59 +262,65 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 	return reqs, nil
 }
 
-// WriteBack stores the server's outputs in the state tables, determinizes
-// each touched (tuple, attribute), and updates the base tables so queries
-// see the determined values. Failed responses are skipped: their state bits
-// stay unset and their attributes NULL.
+// WriteBack stores the server's outputs in the enrichment state and writes
+// the determined values back into the driver's source, one (tuple,
+// attribute) after another (see the package-level WriteBack).
 func (d *Driver) WriteBack(resps []Response) error {
-	type ta struct {
+	return WriteBack(d.Mgr, d.DB, resps, nil)
+}
+
+// WriteBack is the loose design's write-back, shared by the progressive
+// executor's loose epochs. It stores every successful response's output in
+// the enrichment state, generation-guarded, then hands the current image of
+// each (tuple, attribute) the outputs touched, in first-touch order, to
+// Manager.WriteBack, which determinizes, writes the value into the source and
+// decides the image's mark. An image a commit superseded after the batch was
+// built holds none of these outputs (they were dropped as stale), so its
+// write-back settles only what ran for that image, and nothing when nothing
+// did. Failed responses are skipped: their state bits stay unset and their
+// attributes NULL.
+//
+// each runs the n write-backs; nil runs them in order. The progressive
+// executor passes its worker pool: every slot is a distinct (tuple,
+// attribute), and the state and base tables serialize their own writes.
+func WriteBack(mgr *enrich.Manager, db storage.Source, resps []Response, each func(n int, fn func(i int) error) error) error {
+	type slot struct {
 		rel  string
 		tid  int64
 		attr string
 	}
-	type genFeature struct {
-		feature []float64
-		gen     uint64
-	}
-	touched := make(map[ta]genFeature)
+	seen := make(map[slot]bool)
+	var slots []slot
 	for _, r := range resps {
 		if r.Failed() {
 			continue
 		}
-		if err := d.Mgr.ApplyOutputGen(r.Relation, r.TID, r.Attr, r.FnID, r.Probs, r.Gen); err != nil {
+		if err := mgr.ApplyOutput(r.Relation, r.TID, r.Attr, r.FnID, r.Probs, r.Gen); err != nil {
 			return err
 		}
-		touched[ta{r.Relation, r.TID, r.Attr}] = genFeature{r.Feature(d.DB), r.Gen}
+		if k := (slot{r.Relation, r.TID, r.Attr}); !seen[k] {
+			seen[k] = true
+			slots = append(slots, k)
+		}
 	}
-	for k, gf := range touched {
-		v, complete, err := d.Mgr.DetermineAt(k.rel, k.tid, k.attr, gf.feature, gf.gen)
+	writeBack := func(i int) error {
+		k := slots[i]
+		tbl, err := db.Table(k.rel)
 		if err != nil {
 			return err
 		}
-		tbl, err := d.DB.Table(k.rel)
-		if err != nil {
-			return err
+		if tu := tbl.Get(k.tid); tu != nil {
+			_, err = mgr.WriteBack(tbl, tu, k.attr)
 		}
-		// Generation-guarded: a concurrent commit's newer data is never
-		// clobbered by this value; a snapshot view keeps it session-local.
-		if _, err := tbl.WriteDerived(k.tid, k.attr, v, gf.gen, complete); err != nil {
+		return err
+	}
+	if each != nil {
+		return each(len(slots), writeBack)
+	}
+	for i := range slots {
+		if err := writeBack(i); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Feature re-reads the tuple's feature vector for the response's attribute
-// (needed by determinization's cutoff re-execution path).
-func (r Response) Feature(db storage.Source) []float64 {
-	tbl, err := db.Table(r.Relation)
-	if err != nil {
-		return nil
-	}
-	tu := tbl.Get(r.TID)
-	if tu == nil {
-		return nil
-	}
-	feature, _ := tbl.Schema().Feature(tu, r.Attr)
-	return feature
 }

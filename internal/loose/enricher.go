@@ -209,7 +209,7 @@ func (e *LocalEnricher) run(r Request, panics *telemetry.Counter) (resp Response
 				r.Relation, r.Attr, r.FnID, r.TID, p)
 		}
 	}()
-	probs, err := e.Mgr.SharedCompute(r.Relation, r.TID, r.Attr, r.FnID, r.Feature, r.Gen)
+	probs, _, err := e.Mgr.Execute(r.Relation, r.TID, r.Attr, r.FnID, r.Feature, r.Gen)
 	if err != nil {
 		return FailResponse(r, err.Error())
 	}

@@ -8,6 +8,7 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/sqlparser"
+	"enrichdb/internal/types"
 )
 
 // fixture builds a small generated database with single-function families
@@ -279,7 +280,7 @@ func TestBuildRequestsSkipsEnriched(t *testing.T) {
 	// Enrich tuple 2 and rebuild: only 1 and 3 remain.
 	tbl := d.DB.MustTable("TweetData")
 	fi := tbl.Schema().ColIndex("feature")
-	mgr.Execute("TweetData", 2, "sentiment", 0, tbl.Get(2).Vals[fi].Vector())
+	mgr.Execute("TweetData", 2, "sentiment", 0, tbl.Get(2).Vals[fi].Vector(), 0)
 	reqs, _ = drv.BuildRequests(probes)
 	ids := []int64{}
 	for _, r := range reqs {
@@ -288,6 +289,54 @@ func TestBuildRequestsSkipsEnriched(t *testing.T) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 3 {
 		t.Errorf("requests after partial enrichment: %v", ids)
+	}
+}
+
+// TestWriteBackAfterCommitRunsNothing: a commit that rewrites a tuple's
+// fixed data between the enrichment batch and its write-back supersedes the
+// image the outputs were computed from. The write-back drops the outputs as
+// stale and settles the newer image, for which nothing ran: no function runs
+// transiently for a value that could not land, and the new image stays NULL.
+func TestWriteBackAfterCommitRunsNothing(t *testing.T) {
+	d, mgr, drv := fixture(t)
+	a := analyze(t, d, "SELECT tid FROM TweetData WHERE TweetTime < 300 AND sentiment = 1")
+	probes, err := GenerateProbes(a, d.DB, mgr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := drv.BuildRequests(probes)
+	if err != nil || len(reqs) < 2 {
+		t.Fatalf("requests %d err %v, want several", len(reqs), err)
+	}
+	resps, _, err := drv.Enricher.EnrichBatch(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := d.DB.MustTable("TweetData")
+	tid := reqs[0].TID
+	mgr.ResetTuple("TweetData", tid, tbl.Gen(tid)+1)
+	if _, err := tbl.CommitFixed(tid, "TweetTime", types.NewInt(5)); err != nil {
+		t.Fatal(err)
+	}
+	before := mgr.Counters()
+	if err := drv.WriteBack(resps); err != nil {
+		t.Fatal(err)
+	}
+	after := mgr.Counters()
+	if got := after.ReExecutions - before.ReExecutions; got != 0 {
+		t.Errorf("write-back re-ran %d functions for an image it cannot write", got)
+	}
+	if got := after.StaleDrops - before.StaleDrops; got != 1 {
+		t.Errorf("stale drops = %d, want the superseded tuple's one output", got)
+	}
+	si := tbl.Schema().ColIndex("sentiment")
+	if tu := tbl.Get(tid); !tu.Vals[si].IsNull() || tu.Enriched != 0 {
+		t.Errorf("superseded write-back landed on the new image: %v, mark %b", tu.Vals[si], tu.Enriched)
+	}
+	for _, r := range reqs[1:] {
+		if tbl.Get(r.TID).Vals[si].IsNull() {
+			t.Fatalf("tuple %d of the batch was not written back", r.TID)
+		}
 	}
 }
 

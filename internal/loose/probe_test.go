@@ -20,7 +20,7 @@ func referenceProbes(t *testing.T, a *engine.Analysis, src storage.Source, mgr *
 	done := func(rel string, r *expr.Row, attr string) bool {
 		tbl, _ := src.Table(rel)
 		tu := tbl.Get(r.TIDs[0])
-		return mgr.FullyEnrichedAt(rel, tu.ID, attr, tu.Gen) && !tu.Vals[tbl.Schema().ColIndex(attr)].IsNull()
+		return mgr.FullyEnriched(rel, tu.ID, attr, tu.Gen) && !tu.Vals[tbl.Schema().ColIndex(attr)].IsNull()
 	}
 	eval := func(e expr.Expr, rs *expr.RowSchema, r *expr.Row) expr.TV {
 		e = e.Clone()
@@ -161,7 +161,7 @@ func TestBuildRequestsClosesMarkGap(t *testing.T) {
 	d, mgr, drv := fixture(t)
 	tbl := d.DB.MustTable("TweetData")
 	fi := tbl.Schema().ColIndex("feature")
-	if _, err := mgr.Execute("TweetData", 7, "sentiment", 0, tbl.Get(7).Vals[fi].Vector()); err != nil {
+	if _, _, err := mgr.Execute("TweetData", 7, "sentiment", 0, tbl.Get(7).Vals[fi].Vector(), 0); err != nil {
 		t.Fatal(err)
 	}
 	a := analyze(t, d, "SELECT tid FROM TweetData WHERE tid = 7 AND sentiment = 1")

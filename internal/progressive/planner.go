@@ -74,6 +74,9 @@ type SpaceEntry struct {
 	Relation string
 	TID      int64
 	Attrs    []string
+	// Gen is the fixed-data generation of the tuple image the probe selected:
+	// the planner counts prior work only when it was computed from that image.
+	Gen uint64
 }
 
 // PlanItem is one PlanTable row: a (tuple, attribute, function) triplet
@@ -141,7 +144,7 @@ func (ps *PlanSpace) Compact(mgr *enrich.Manager) int {
 			}
 			for _, fn := range fam.Functions {
 				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID) {
+				if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
 					remaining = true
 					break
 				}
@@ -222,7 +225,7 @@ func (ps *PlanSpace) pickForEntry(mgr *enrich.Manager, e SpaceEntry, strategy St
 		var out []int
 		for _, fn := range fam.Functions {
 			k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-			if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID) {
+			if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
 				out = append(out, fn.ID)
 			}
 		}
@@ -355,14 +358,14 @@ func (ps *PlanSpace) adaptiveOrder(mgr *enrich.Manager, st *stats.Store) []int {
 			}
 			var ent float64 = 1
 			if stbl != nil {
-				if snap := stbl.OutputSnapshot(e.TID, attr); snap != nil {
+				if snap, _ := stbl.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
 					ent = stateEntropy(&enrich.AttrState{Outputs: snap}, fam.Domain)
 				}
 			}
 			bestFn := 0.0
 			for _, fn := range fam.Functions {
 				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if ps.consumed[k] || mgr.Enriched(e.Relation, e.TID, attr, fn.ID) {
+				if ps.consumed[k] || mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
 					continue
 				}
 				if s := fnImpact(st, e.Relation, attr, fn.ID) / fnCostNs(st, e.Relation, attr, fn); s > bestFn {
@@ -402,9 +405,9 @@ func (ps *PlanSpace) benefitOrder(mgr *enrich.Manager) []int {
 			}
 			var s float64 = 1
 			if st != nil {
-				// OutputSnapshot reads under the table lock, so ranking stays
+				// OutputSnapshotAt reads under the table lock, so ranking stays
 				// race-free while epoch workers write state.
-				if snap := st.OutputSnapshot(e.TID, attr); snap != nil {
+				if snap, _ := st.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
 					s = stateEntropy(&enrich.AttrState{Outputs: snap}, fam.Domain)
 				}
 			}

@@ -142,7 +142,7 @@ func TestPlanPropertyNeverReplansConsumedOrEnriched(t *testing.T) {
 				space.Consume(it)
 				blocked[k] = true
 			case 1:
-				if _, err := mgr.Execute(it.Relation, it.TID, it.Attr, it.FnID, feats(it.Relation, it.TID, it.Attr)); err != nil {
+				if _, _, err := mgr.Execute(it.Relation, it.TID, it.Attr, it.FnID, feats(it.Relation, it.TID, it.Attr), 0); err != nil {
 					t.Fatal(err)
 				}
 				blocked[k] = true
@@ -158,7 +158,7 @@ func TestPlanPropertyNeverReplansConsumedOrEnriched(t *testing.T) {
 				if blocked[k] {
 					t.Fatalf("iter %d round %d (%v): replanned blocked triplet %+v", iter, round, s2, it)
 				}
-				if mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID) {
+				if mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID, 0) {
 					t.Fatalf("iter %d round %d (%v): replanned enriched triplet %+v", iter, round, s2, it)
 				}
 			}
@@ -179,7 +179,7 @@ func TestCompactPropertyKeepsExactlyPending(t *testing.T) {
 			}
 			for _, fn := range fam.Functions {
 				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if !space.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID) {
+				if !space.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
 					return true
 				}
 			}
@@ -199,11 +199,11 @@ func TestCompactPropertyKeepsExactlyPending(t *testing.T) {
 					case 0:
 						space.Consume(PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: fn.ID})
 					case 1:
-						f, _, err := featureOf(d.DB, e.Relation, e.TID, attr)
+						f, gen, err := featureOf(d.DB, e.Relation, e.TID, attr)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := mgr.Execute(e.Relation, e.TID, attr, fn.ID, f); err != nil {
+						if _, _, err := mgr.Execute(e.Relation, e.TID, attr, fn.ID, f, gen); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -349,7 +349,7 @@ func TestCompactDropsFullyEnriched(t *testing.T) {
 	x := tbl.Get(1).Vals[fi].Vector()
 	fam := mgr.Family("MultiPie", "gender")
 	for _, fn := range fam.Functions {
-		mgr.Execute("MultiPie", 1, "gender", fn.ID, x)
+		mgr.Execute("MultiPie", 1, "gender", fn.ID, x, 0)
 	}
 	space := NewPlanSpace([]SpaceEntry{
 		{Alias: "MultiPie", Relation: "MultiPie", TID: 1, Attrs: []string{"gender"}},
@@ -361,17 +361,13 @@ func TestCompactDropsFullyEnriched(t *testing.T) {
 }
 
 func TestBenefitOrderPrefersUncertainTuples(t *testing.T) {
-	d, mgr := fixture(t)
-	tbl := d.DB.MustTable("TweetData")
-	fi := tbl.Schema().ColIndex("feature")
+	_, mgr := fixture(t)
 
 	// Tuple 1: partially enriched with a confident function output (low
 	// entropy). Tuple 2: untouched (entropy 1).
-	st := mgr.StateTable("TweetData")
-	if _, err := st.SetOutput(1, "sentiment", 0, []float64{0.98, 0.01, 0.01}); err != nil {
+	if err := mgr.ApplyOutput("TweetData", 1, "sentiment", 0, []float64{0.98, 0.01, 0.01}, 0); err != nil {
 		t.Fatal(err)
 	}
-	_ = fi
 
 	space := NewPlanSpace([]SpaceEntry{
 		{Alias: "TweetData", Relation: "TweetData", TID: 1, Attrs: []string{"sentiment"}},

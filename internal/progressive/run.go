@@ -258,8 +258,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var entries []SpaceEntry
 	for _, p := range probes {
+		tbl, err := cfg.DB.Table(p.Relation)
+		if err != nil {
+			spSetup.Str("error", err.Error()).End()
+			return nil, err
+		}
 		for _, tid := range p.TIDs {
-			entries = append(entries, SpaceEntry{Alias: p.Alias, Relation: p.Relation, TID: tid, Attrs: p.Attrs})
+			// A tuple a commit deleted since the probe ran needs no plan.
+			if tu := tbl.Get(tid); tu != nil {
+				entries = append(entries, SpaceEntry{Alias: p.Alias, Relation: p.Relation, TID: tid, Attrs: p.Attrs, Gen: tu.Gen})
+			}
 		}
 	}
 	space := NewPlanSpace(entries)
@@ -565,15 +573,12 @@ func deltasFromSnapshots(db storage.Source, snaps map[[2]interface{}]*types.Tupl
 
 // runLooseEpoch executes the epoch's plan at the enrichment server and
 // writes state and determined values back (§3.3.3, loose). The enrichment
-// batch itself runs on the server's own pool; the DBMS-side determinization
-// and base-table write-back run on the epoch scheduler, one worker per
-// touched (relation, tuple, attribute).
+// batch itself runs on the server's own pool; the DBMS-side write-back runs
+// on the epoch scheduler, one worker per touched (relation, tuple,
+// attribute).
 func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch int) (loose.BatchTiming, error) {
 	var reqs []loose.Request
 	for _, it := range plan {
-		if cfg.Mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID) {
-			continue
-		}
 		feature, gen, err := featureOf(cfg.DB, it.Relation, it.TID, it.Attr)
 		if errors.Is(err, errTupleGone) {
 			// A committed delete raced the epoch; the plan item is moot.
@@ -581,6 +586,9 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 		}
 		if err != nil {
 			return loose.BatchTiming{}, err
+		}
+		if cfg.Mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID, gen) {
+			continue
 		}
 		reqs = append(reqs, loose.Request{
 			Relation: it.Relation, TID: it.TID, Attr: it.Attr, FnID: it.FnID,
@@ -594,54 +602,10 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 	if err != nil {
 		return loose.BatchTiming{}, err
 	}
-	type ta struct {
-		rel  string
-		tid  int64
-		attr string
-	}
-	touched := make(map[ta]bool)
-	var keys []ta // first-touch order, so write-back is deterministic
-	for _, r := range resps {
-		if r.Failed() {
-			// Best-effort: a failed request leaves its state bits unset, so
-			// a later epoch's plan simply re-selects the same triplet.
-			continue
-		}
-		if err := cfg.Mgr.ApplyOutputGen(r.Relation, r.TID, r.Attr, r.FnID, r.Probs, r.Gen); err != nil {
-			return timing, err
-		}
-		k := ta{r.Relation, r.TID, r.Attr}
-		if !touched[k] {
-			touched[k] = true
-			keys = append(keys, k)
-		}
-	}
-	// Determinize and write back per touched attribute in parallel: each key
-	// owns a distinct (tuple, attr) slot, the state and base tables serialize
-	// their own writes, and Determine's cutoff re-executions dedup through
-	// the manager's singleflight.
-	err = sched.DoTraced(cfg.Tracer, "epoch.determinize", epoch, len(keys), func(i int) error {
-		k := keys[i]
-		feature, gen, err := featureOf(cfg.DB, k.rel, k.tid, k.attr)
-		if errors.Is(err, errTupleGone) {
-			// A committed delete raced the write-back; nothing to determinize.
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		v, complete, err := cfg.Mgr.DetermineAt(k.rel, k.tid, k.attr, feature, gen)
-		if err != nil {
-			return err
-		}
-		tbl, err := cfg.DB.BaseTable(k.rel)
-		if err != nil {
-			return err
-		}
-		// Generation-guarded derived write: a base-table commit racing this
-		// epoch invalidates the determinization instead of being clobbered.
-		_, err = tbl.WriteDerived(k.tid, k.attr, v, gen, complete)
-		return err
+	// Best-effort: a failed response leaves its state bits unset, so a later
+	// epoch's plan simply re-selects the same triplet.
+	err = loose.WriteBack(cfg.Mgr, cfg.DB, resps, func(n int, fn func(i int) error) error {
+		return sched.DoTraced(cfg.Tracer, "epoch.determinize", epoch, n, fn)
 	})
 	return timing, err
 }

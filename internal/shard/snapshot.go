@@ -157,10 +157,10 @@ func (v *mergedView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
 // live replica. A tuple rebalanced to another shard after the freeze simply
 // misses the live write-through (its old replica no longer holds it) —
 // conservative, never stale.
-func (v *mergedView) WriteDerived(id int64, col string, val types.Value, gen uint64, complete bool) (bool, error) {
+func (v *mergedView) WriteDerived(id int64, col string, val types.Value, gen uint64, mark bool) (bool, error) {
 	sv := v.view(id)
 	if sv == nil {
 		return false, fmt.Errorf("shard: %s: no view for tuple %d", v.schema.Name, id)
 	}
-	return sv.WriteDerived(id, col, val, gen, complete)
+	return sv.WriteDerived(id, col, val, gen, mark)
 }

@@ -300,10 +300,10 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 
 // WriteDerived routes the gen-guarded derived write-back and its mark. Not a
 // commit: the generation vector is untouched.
-func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error) {
+func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.route(id).WriteDerived(id, col, v, gen, complete)
+	return t.route(id).WriteDerived(id, col, v, gen, mark)
 }
 
 // Gen returns the tuple's generation from its owning replica.

@@ -12,7 +12,9 @@ import (
 // live *Table, or a session's frozen *TableView. Reads return immutable
 // tuples (storage is copy-on-write); WriteDerived is the one enrichment
 // write-back — a derived value plus its enrichment mark, generation-guarded,
-// and written through to the live table from a view.
+// and written through to the live table from a view. Its one caller above
+// storage is enrich.Manager.WriteBack, which determinizes the value and
+// decides the mark.
 type Relation interface {
 	Schema() *catalog.Schema
 	Len() int
@@ -22,7 +24,7 @@ type Relation interface {
 	IDs() []int64
 	HasIndex(col string) bool
 	IndexTuples(col string, v types.Value) ([]*types.Tuple, bool)
-	WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error)
+	WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error)
 }
 
 var (

@@ -224,12 +224,13 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 // WriteDerived is the enrichment write-back: it stores a determined derived
 // value iff the stored tuple is still at the given generation, so enrichment
 // determinized from a superseded generation's feature vectors never lands.
-// complete (the family's every function ran at gen) sets the column's
-// enrichment mark in the same copy-on-write swap; otherwise the bit is
-// cleared. Returns whether the write applied; a missing tuple or a
+// mark sets the column's enrichment mark in the same copy-on-write swap (a
+// NULL value is never marked); otherwise the bit is cleared. Its caller,
+// enrich.Manager.WriteBack, decides the mark: the family's every function
+// ran at gen. Returns whether the write applied; a missing tuple or a
 // generation mismatch is a silent no-op, not an error (the tuple was deleted
 // or rewritten after the caller's snapshot, and the newer data wins).
-func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, complete bool) (bool, error) {
+func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error) {
 	ci := t.schema.ColIndex(col)
 	if ci < 0 || !t.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: %s is not a derived column", t.schema.Name, col)
@@ -240,19 +241,19 @@ func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, co
 	if !ok || t.slab[i].Gen != gen {
 		return false, nil
 	}
-	t.slab[i] = markedImage(t.schema, t.slab[i], ci, v, complete)
+	t.slab[i] = markedImage(t.schema, t.slab[i], ci, v, mark)
 	t.updates++
 	return true, nil
 }
 
 // markedImage is the copy of tu carrying v in derived column ci, with the
-// column's mark bit set iff the value is complete and non-NULL.
-func markedImage(s *catalog.Schema, tu *types.Tuple, ci int, v types.Value, complete bool) *types.Tuple {
+// column's mark bit set iff mark is asked for and the value is non-NULL.
+func markedImage(s *catalog.Schema, tu *types.Tuple, ci int, v types.Value, mark bool) *types.Tuple {
 	nu := tu.Clone()
 	nu.Vals[ci] = v
 	bit := s.MarkBit(s.Cols[ci].Name)
 	nu.Enriched &^= bit
-	if complete && !v.IsNull() {
+	if mark && !v.IsNull() {
 		nu.Enriched |= bit
 	}
 	return nu

@@ -117,7 +117,7 @@ func (v *TableView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
 // commit superseded the image, the live write is dropped on purpose. Only
 // derived columns are writable through a view — fixed data changes go
 // through the commit path, never through a snapshot.
-func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint64, complete bool) (bool, error) {
+func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint64, mark bool) (bool, error) {
 	ci := v.schema.ColIndex(col)
 	if ci < 0 || !v.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: cannot write %s through a snapshot view", v.schema.Name, col)
@@ -125,13 +125,13 @@ func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint
 	v.mu.Lock()
 	i, ok := v.slot[id]
 	if ok && v.tuples[i].Gen == gen {
-		v.tuples[i] = markedImage(v.schema, v.tuples[i], ci, val, complete)
+		v.tuples[i] = markedImage(v.schema, v.tuples[i], ci, val, mark)
 	}
 	v.mu.Unlock()
 	if !ok {
 		return false, nil
 	}
-	return v.parent.WriteDerived(id, col, val, gen, complete)
+	return v.parent.WriteDerived(id, col, val, gen, mark)
 }
 
 // Snapshot is a point-in-time, cross-table read view of a database, taken

@@ -43,10 +43,6 @@ type Runtime struct {
 	// never changes which functions execute, only how often the tax is paid.
 	InvokeOverhead time.Duration
 
-	// WriteBack controls whether determined values are stored into the base
-	// table (on by default via NewRuntime).
-	WriteBack bool
-
 	// The runtime's accounting lives on the manager's telemetry registry
 	// (NewRuntime wires it), so one Snapshot carries both the enrichment
 	// counters and the UDF invocation counters Exp 4 reports.
@@ -66,15 +62,15 @@ type gateKey struct {
 	fnMask   uint64
 }
 
-// NewRuntime builds a runtime with write-back enabled, publishing its UDF
-// counters onto the manager's telemetry registry. The source may be a live
-// database or a session's snapshot; enrichment performed through a snapshot
-// writes back generation-guarded, so superseded tuple images never clobber
-// newer committed data.
+// NewRuntime builds a runtime publishing its UDF counters onto the manager's
+// telemetry registry. The source may be a live database or a session's
+// snapshot; enrichment performed through a snapshot writes back
+// generation-guarded, so superseded tuple images never clobber newer
+// committed data.
 func NewRuntime(db storage.Source, mgr *enrich.Manager) *Runtime {
 	reg := mgr.Telemetry()
 	return &Runtime{
-		DB: db, Mgr: mgr, WriteBack: true, gates: make(map[gateKey]chan struct{}),
+		DB: db, Mgr: mgr, gates: make(map[gateKey]chan struct{}),
 		callNanos: reg.Counter("tight.udf_call_ns"),
 		batches:   reg.Counter("tight.udf_payments"),
 		coalesced: reg.Counter("tight.udf_coalesced"),
@@ -116,7 +112,7 @@ func (rt *Runtime) pending(relation string, tid int64, attr string, gen uint64) 
 	}
 	var out []int
 	for _, id := range candidates {
-		if !rt.Mgr.EnrichedAt(relation, tid, attr, id, gen) {
+		if !rt.Mgr.Enriched(relation, tid, attr, id, gen) {
 			out = append(out, id)
 		}
 	}
@@ -129,23 +125,22 @@ func (rt *Runtime) pending(relation string, tid int64, attr string, gen uint64) 
 // it) instead of aborting the query.
 var errTupleGone = errors.New("tight: tuple deleted during evaluation")
 
-// image returns the tuple image the runtime's source exposes for tid (the
-// live table's current image, or the frozen image of a session snapshot),
-// and the attribute's value when the image's enrichment mark says the whole
-// family already determined it (marked false otherwise).
-func (rt *Runtime) image(relation string, tid int64, attr string) (tu *types.Tuple, v types.Value, marked bool, err error) {
-	tbl, err := rt.DB.Table(relation)
-	if err != nil {
-		return nil, types.Null, false, err
+// image returns the relation the runtime's source exposes and its image of
+// tid (the live table's current image, or the frozen image of a session
+// snapshot), plus the attribute's value when the image's enrichment mark says
+// the whole family already determined it (marked false otherwise).
+func (rt *Runtime) image(relation string, tid int64, attr string) (tbl storage.Relation, tu *types.Tuple, v types.Value, marked bool, err error) {
+	if tbl, err = rt.DB.Table(relation); err != nil {
+		return nil, nil, types.Null, false, err
 	}
 	if tu = tbl.Get(tid); tu == nil {
-		return nil, types.Null, false, errTupleGone
+		return nil, nil, types.Null, false, errTupleGone
 	}
 	s := tbl.Schema()
 	if tu.Enriched&s.MarkBit(attr) == 0 {
-		return tu, types.Null, false, nil
+		return tbl, tu, types.Null, false, nil
 	}
-	return tu, tu.Vals[s.ColIndex(attr)], true, nil
+	return tbl, tu, tu.Vals[s.ColIndex(attr)], true, nil
 }
 
 // CheckState reports whether everything the plan requires for (relation,
@@ -154,7 +149,7 @@ func (rt *Runtime) image(relation string, tid int64, attr string) (tu *types.Tup
 func (rt *Runtime) CheckState(relation string, tid int64, attr string) (bool, error) {
 	defer rt.track(time.Now())
 	rt.overhead()
-	tu, _, marked, err := rt.image(relation, tid, attr)
+	_, tu, _, marked, err := rt.image(relation, tid, attr)
 	if errors.Is(err, errTupleGone) || marked {
 		// A vanished tuple reports "enriched" too, so the rewrite falls
 		// through to GetValue, which yields NULL for it and the predicate
@@ -184,56 +179,53 @@ func (rt *Runtime) CheckState(relation string, tid int64, attr string) (bool, er
 // column of the state table, or the marked image's own value). The rewrite
 // only reaches it after check_state reported the plan's work done, so a NULL
 // stored value means concurrency got between the two calls and GetValue
-// falls back to determinizing itself.
+// falls back to the write-back itself.
 func (rt *Runtime) GetValue(relation string, tid int64, attr string) (types.Value, error) {
 	defer rt.track(time.Now())
 	rt.overhead()
-	tu, v, marked, err := rt.image(relation, tid, attr)
+	tbl, tu, v, marked, err := rt.image(relation, tid, attr)
 	if errors.Is(err, errTupleGone) || marked {
 		return v, nil
 	}
 	if err != nil {
 		return types.Null, err
 	}
-	if v := rt.Mgr.ValueAt(relation, tid, attr, tu.Gen); !v.IsNull() {
+	if v := rt.Mgr.Value(relation, tid, attr, tu.Gen); !v.IsNull() {
 		return v, nil
 	}
 	// check_state just reported the required functions executed, yet the
 	// value column is NULL. Either a peer session sits between its last
-	// function run and its determinization (state outputs land before the
+	// function run and its write-back (state outputs land before the
 	// value), or a concurrent commit reset the shared state under this
-	// source's frozen image. Determinize from the feature: stored
+	// source's frozen image. Write back from the image: stored
 	// same-generation outputs are reused as-is, and reset state forces a
 	// transient recomputation — both yield the deterministic function of
-	// this source's tuple image, which is what a serial execution answers.
-	// (With nothing executed and nothing stored — an empty progressive plan
-	// — determinization still yields NULL.)
-	feature, fgen, err := rt.featureOf(relation, tid, attr)
-	if errors.Is(err, errTupleGone) {
-		return types.Null, nil
-	}
-	if err != nil {
-		return types.Null, err
-	}
-	v, _, err = rt.Mgr.DetermineAt(relation, tid, attr, feature, fgen)
-	return v, err
+	// this source's tuple image, which is what a serial execution answers,
+	// and the image is marked when its whole family ran, as loose's
+	// BuildRequests does. (With nothing executed and nothing stored — an
+	// empty progressive plan — the value stays NULL and nothing is written.)
+	return rt.Mgr.WriteBack(tbl, tu, attr)
 }
 
 // ReadUDF executes the pending enrichment function(s) on the tuple, updates
-// the state, determinizes, optionally writes the value back to the base
-// table, and returns the determined value.
+// the state, and returns the determined value, written back into the
+// runtime's source.
 func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value, error) {
 	defer rt.track(time.Now())
-	feature, gen, err := rt.featureOf(relation, tid, attr)
+	tbl, tu, _, _, err := rt.image(relation, tid, attr)
 	if errors.Is(err, errTupleGone) {
 		rt.overhead()
 		return types.Null, nil
+	}
+	var feature []float64
+	if err == nil {
+		feature, err = tbl.Schema().Feature(tu, attr)
 	}
 	if err != nil {
 		rt.overhead()
 		return types.Null, err
 	}
-	pending, err := rt.pending(relation, tid, attr, gen)
+	pending, err := rt.pending(relation, tid, attr, tu.Gen)
 	if err != nil {
 		rt.overhead()
 		return types.Null, err
@@ -248,43 +240,14 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 		rt.overhead()
 	}
 	for _, id := range pending {
-		if _, err := rt.Mgr.ExecuteAt(relation, tid, attr, id, feature, gen); err != nil {
+		if _, _, err := rt.Mgr.Execute(relation, tid, attr, id, feature, tu.Gen); err != nil {
 			return types.Null, err
 		}
 	}
-	v, complete, err := rt.Mgr.DetermineAt(relation, tid, attr, feature, gen)
-	if err != nil {
-		return types.Null, err
-	}
-	if rt.WriteBack {
-		tbl, err := rt.DB.Table(relation)
-		if err != nil {
-			return types.Null, err
-		}
-		// Gen-guarded write-back: if the tuple was deleted or its fixed
-		// data superseded since the feature was read, the value silently
-		// stays off the (now different or absent) base tuple.
-		if _, err := tbl.WriteDerived(tid, attr, v, gen, complete); err != nil {
-			return types.Null, err
-		}
-	}
-	return v, nil
-}
-
-// featureOf reads the tuple's feature vector for the derived attribute,
-// together with the fixed-data generation of the tuple image it was read
-// from (what the resulting enrichment is keyed and guarded by).
-func (rt *Runtime) featureOf(relation string, tid int64, attr string) ([]float64, uint64, error) {
-	tbl, err := rt.DB.Table(relation)
-	if err != nil {
-		return nil, 0, err
-	}
-	tu := tbl.Get(tid)
-	if tu == nil {
-		return nil, 0, errTupleGone
-	}
-	feature, err := tbl.Schema().Feature(tu, attr)
-	return feature, tu.Gen, err
+	// Gen-guarded write-back: if the tuple was deleted or its fixed data
+	// superseded since the image was read, the value silently stays off the
+	// (now different or absent) base tuple.
+	return rt.Mgr.WriteBack(tbl, tu, attr)
 }
 
 func (rt *Runtime) track(start time.Time) { rt.callNanos.AddDuration(time.Since(start)) }

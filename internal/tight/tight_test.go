@@ -277,6 +277,43 @@ func TestTightSecondRunUsesGetValue(t *testing.T) {
 	}
 }
 
+// TestGetValueWritesBackAndMarks: an image whose whole family ran but whose
+// value never reached the table (a peer between its last function run and
+// its write-back) is answered by get_value through the manager's write-back,
+// which stores the value on the image and marks it, as loose's
+// BuildRequests does, without running any function again.
+func TestGetValueWritesBackAndMarks(t *testing.T) {
+	d, mgr, _ := fixture(t)
+	tbl := d.DB.MustTable("MultiPie")
+	tu := tbl.Get(3)
+	feature, err := tbl.Schema().Feature(tu, "gender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam := mgr.Family("MultiPie", "gender")
+	for _, fn := range fam.Functions {
+		if _, _, err := mgr.Execute("MultiPie", 3, "gender", fn.ID, feature, tu.Gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := NewRuntime(d.DB, mgr)
+	if done, err := rt.CheckState("MultiPie", 3, "gender"); err != nil || !done {
+		t.Fatalf("CheckState = %v, %v; want done", done, err)
+	}
+	v, err := rt.GetValue("MultiPie", 3, "gender")
+	if err != nil || v.IsNull() {
+		t.Fatalf("GetValue = %v, %v", v, err)
+	}
+	s := tbl.Schema()
+	got := tbl.Get(3)
+	if gv := got.Vals[s.ColIndex("gender")]; gv.IsNull() || gv.Int() != v.Int() || got.Enriched&s.MarkBit("gender") == 0 {
+		t.Errorf("image after GetValue: %v, mark %b; want %v, marked", gv, got.Enriched, v)
+	}
+	if got := mgr.Counters().Enrichments; got != int64(len(fam.Functions)) {
+		t.Errorf("enrichments = %d, want only the family's %d", got, len(fam.Functions))
+	}
+}
+
 func TestTightJoinLazyPairEnrichment(t *testing.T) {
 	// Q4 shape: two derived join conditions. Pairs failing the sentiment
 	// condition must not enrich topic for... both tuples are enriched for

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"enrichdb/internal/enrich"
-	"enrichdb/internal/loose"
 	"enrichdb/internal/types"
 )
 
@@ -121,17 +120,18 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 				return err
 			}
 		}
-		// Restored images carry no enrichment mark: close the gap the way a
-		// loose probe does — BuildRequests marks every attribute the imported
-		// state completed, running nothing.
-		var probes []loose.ProbeResult
-		for _, attr := range schema.DerivedCols() {
-			if db.mgr.Family(rs.Name, attr) != nil {
-				probes = append(probes, loose.ProbeResult{Relation: rs.Name, Attrs: []string{attr}, TIDs: tbl.IDs()})
+		// Restored images carry no enrichment mark: write back every
+		// attribute the imported state completed, which determinizes from
+		// the state (running nothing) and sets the mark.
+		for _, tu := range tbl.Tuples() {
+			for _, attr := range schema.DerivedCols() {
+				if !db.mgr.FullyEnriched(rs.Name, tu.ID, attr, tu.Gen) {
+					continue
+				}
+				if _, err := db.mgr.WriteBack(tbl, tu, attr); err != nil {
+					return fmt.Errorf("enrichdb: %s: mark restored tuple %d: %w", rs.Name, tu.ID, err)
+				}
 			}
-		}
-		if _, err := (&loose.Driver{DB: db.store, Mgr: db.mgr}).BuildRequests(probes); err != nil {
-			return fmt.Errorf("enrichdb: %s: mark restored tuples: %w", rs.Name, err)
 		}
 	}
 	return nil
