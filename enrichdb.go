@@ -14,10 +14,10 @@
 //     over derived attributes invoke UDFs that enrich lazily inside
 //     predicate evaluation, with short-circuiting avoiding needless work.
 //
-// Both designs come in progressive form (QueryProgressive): execution is
-// split into cost-budgeted epochs over function families with a cost/quality
-// tradeoff, and an incrementally maintained view refines the answer as
-// enrichment proceeds.
+// Both designs come in progressive form (Run with ProgressiveDesign):
+// execution is split into cost-budgeted epochs over function families with a
+// cost/quality tradeoff, and an incrementally maintained view refines the
+// answer as enrichment proceeds.
 package enrichdb
 
 import (

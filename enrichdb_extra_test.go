@@ -1,6 +1,7 @@
 package enrichdb
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -66,7 +67,7 @@ func TestOnDeltaFetchesIncrementalAnswers(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	var inserted, deleted int
 	seen := make(map[int64]bool)
-	res, err := db.QueryProgressive("SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
+	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
 		Design:      LooseDesign,
 		Strategy:    FunctionOrdered,
 		EpochBudget: 2 * time.Millisecond,
@@ -98,12 +99,41 @@ func TestOnDeltaFetchesIncrementalAnswers(t *testing.T) {
 	}
 }
 
+// TestOnDeltaArrivesWhileTheRunIsLive: each epoch's delta answer reaches
+// OnDelta right after that epoch's OnEpoch and before the next epoch runs,
+// naming the answer's columns even when it is empty — a consumer reads the
+// refinements while the query is still in progress.
+func TestOnDeltaArrivesWhileTheRunIsLive(t *testing.T) {
+	db, _, _ := buildReviewDB(t)
+	var epochs, deltas int
+	res, err := runProgressive(db.Run, "SELECT id, rating FROM Reviews WHERE rating = 1", ProgressiveOptions{
+		Strategy:    FunctionOrdered, // one function per tuple per epoch: two functions, two epochs at least
+		EpochBudget: time.Hour,
+		OnEpoch:     func(Epoch) { epochs++ },
+		OnDelta: func(ins, del *Rows) {
+			deltas++
+			if deltas != epochs {
+				t.Errorf("delta %d arrived after %d epochs", deltas, epochs)
+			}
+			if got := strings.Join(del.Columns(), ","); got != "id,rating" {
+				t.Errorf("delta %d columns %q, want id,rating", deltas, got)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Epochs) < 2 || deltas != len(res.Epochs) {
+		t.Fatalf("%d deltas over %d epochs, want one per epoch and at least two", deltas, len(res.Epochs))
+	}
+}
+
 func TestDeltaSinceArbitraryEpoch(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
-	res, err := db.QueryProgressive("SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
+	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
 		Design:      LooseDesign,
 		Strategy:    FunctionOrdered,
-		EpochBudget: 500 * time.Microsecond,
+		EpochBudget: 5 * time.Microsecond, // a few tuples per epoch: many epochs
 		MaxEpochs:   100,
 	})
 	if err != nil {
@@ -144,7 +174,7 @@ func TestDeltaSinceKeepsDistinctRowsApart(t *testing.T) {
 		{Name: "a", Kind: KindString}, {Name: "b", Kind: KindString}}))
 	in := &expr.Row{Schema: schema, Vals: []Value{String("x|sy"), String("z")}}
 	out := &expr.Row{Schema: schema, Vals: []Value{String("x"), String("y|sz")}}
-	res := &ProgressiveResult{
+	res := &Result{
 		schema:   schema,
 		inserted: [][]*expr.Row{{in}},
 		deleted:  [][]*expr.Row{{out}},
@@ -208,7 +238,7 @@ func TestOrderByLimitPublic(t *testing.T) {
 		t.Errorf("limit ignored: %d", res.Len())
 	}
 	// Progressive execution cannot maintain LIMIT views incrementally.
-	if _, err := db.QueryProgressive("SELECT id FROM Reviews WHERE rating = 1 LIMIT 3",
+	if _, err := runProgressive(db.Run, "SELECT id FROM Reviews WHERE rating = 1 LIMIT 3",
 		ProgressiveOptions{EpochBudget: time.Millisecond}); err == nil {
 		t.Error("progressive LIMIT must be rejected with a clear error")
 	}
@@ -216,7 +246,7 @@ func TestOrderByLimitPublic(t *testing.T) {
 
 func TestProgressiveWithoutOnDeltaSkipsCollection(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
-	res, err := db.QueryProgressive("SELECT * FROM Reviews WHERE rating = 0", ProgressiveOptions{
+	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 0", ProgressiveOptions{
 		EpochBudget: 2 * time.Millisecond,
 	})
 	if err != nil {

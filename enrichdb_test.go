@@ -194,7 +194,7 @@ func TestExplainTightPublic(t *testing.T) {
 	}
 }
 
-func TestQueryProgressivePublic(t *testing.T) {
+func TestProgressiveLoosePublic(t *testing.T) {
 	db, _, truth := buildReviewDB(t)
 	want := make(map[int64]bool)
 	for i, label := range truth {
@@ -215,7 +215,7 @@ func TestQueryProgressivePublic(t *testing.T) {
 		return float64(hit) / float64(len(want))
 	}
 	var epochs int
-	res, err := db.QueryProgressive("SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
+	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
 		Design:      LooseDesign,
 		Strategy:    FunctionOrdered,
 		EpochBudget: 2 * time.Millisecond,
@@ -229,10 +229,10 @@ func TestQueryProgressivePublic(t *testing.T) {
 	if epochs == 0 || len(res.Epochs) != epochs {
 		t.Errorf("epoch callbacks: %d vs %d reports", epochs, len(res.Epochs))
 	}
-	if res.TotalEnrichments == 0 {
+	if res.Enrichments == 0 {
 		t.Fatal("no enrichment")
 	}
-	if last := res.Quality[len(res.Quality)-1]; last < 0.6 {
+	if last := res.Epochs[len(res.Epochs)-1].Quality; last < 0.6 {
 		t.Errorf("final recall %.2f", last)
 	}
 	if res.Score() <= 0 {
@@ -245,14 +245,14 @@ func TestQueryProgressivePublic(t *testing.T) {
 
 func TestProgressiveTightPublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
-	res, err := db.QueryProgressive("SELECT * FROM Reviews WHERE rating = 1 AND day < 20", ProgressiveOptions{
+	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 1 AND day < 20", ProgressiveOptions{
 		Design:      TightDesign,
 		EpochBudget: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalEnrichments == 0 {
+	if res.Enrichments == 0 {
 		t.Error("tight progressive did not enrich")
 	}
 	// The final answer matches a plain re-read.

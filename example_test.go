@@ -1,6 +1,7 @@
 package enrichdb_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -71,12 +72,13 @@ func ExampleDB_QueryTight() {
 
 // Progressive execution refines the answer across epochs; the progressive
 // score summarizes how quickly quality arrived.
-func ExampleDB_QueryProgressive() {
+func ExampleDB_Run_progressive() {
 	db := buildExampleDB()
-	res, _ := db.QueryProgressive("SELECT id FROM Items WHERE class = 1", enrichdb.ProgressiveOptions{
-		Strategy:    enrichdb.FunctionOrdered,
-		EpochBudget: time.Millisecond,
-	})
-	fmt.Println(res.Len() > 0, len(res.Epochs) >= 1, res.TotalEnrichments > 0)
+	res, _ := db.Run(context.Background(), enrichdb.ProgressiveDesign, "SELECT id FROM Items WHERE class = 1",
+		enrichdb.QueryObs{Progressive: enrichdb.ProgressiveOptions{
+			Strategy:    enrichdb.FunctionOrdered,
+			EpochBudget: time.Millisecond,
+		}})
+	fmt.Println(res.Len() > 0, len(res.Epochs) >= 1, res.Enrichments > 0)
 	// Output: true true true
 }

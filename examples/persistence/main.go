@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -83,17 +84,17 @@ func buildInstance(seed int64, insertData bool) (*enrichdb.DB, func(c int) []flo
 func main() {
 	// ---- process 1: enrich progressively, watch deltas, save. ----
 	db1, _ := buildInstance(5, true)
-	res, err := db1.QueryProgressive("SELECT id FROM Docs WHERE label = 1 AND shard < 5",
-		enrichdb.ProgressiveOptions{
+	res, err := db1.Run(context.Background(), enrichdb.ProgressiveDesign, "SELECT id FROM Docs WHERE label = 1 AND shard < 5",
+		enrichdb.QueryObs{Progressive: enrichdb.ProgressiveOptions{
 			Design:      enrichdb.LooseDesign,
 			Strategy:    enrichdb.BenefitOrdered,
 			EpochBudget: 100 * time.Microsecond,
-		})
+		}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("process 1: %d rows over %d epochs, %d enrichments\n",
-		res.Len(), len(res.Epochs), res.TotalEnrichments)
+		res.Len(), len(res.Epochs), res.Enrichments)
 
 	// Delta cursor: what changed after the first half of the run?
 	half := len(res.Epochs) / 2

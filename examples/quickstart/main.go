@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -121,15 +122,15 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	res4, err := db.QueryProgressive("SELECT id FROM Messages WHERE category = 1",
-		enrichdb.ProgressiveOptions{
+	res4, err := db.Run(context.Background(), enrichdb.ProgressiveDesign, "SELECT id FROM Messages WHERE category = 1",
+		enrichdb.QueryObs{Progressive: enrichdb.ProgressiveOptions{
 			EpochBudget: 100 * time.Microsecond,
 			MaxEpochs:   8,
 			OnEpoch: func(e enrichdb.Epoch) {
 				fmt.Printf("  epoch %d: +%d/-%d rows, %d enrichments\n",
 					e.N, e.Inserted, e.Deleted, e.Enrichments)
 			},
-		})
+		}})
 	if err != nil {
 		log.Fatal(err)
 	}

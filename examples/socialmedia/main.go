@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -110,7 +111,7 @@ func main() {
 	}
 
 	fmt.Println("epoch  planned  enriched  recall   answer-delta")
-	res, err := db.QueryProgressive(query, enrichdb.ProgressiveOptions{
+	res, err := db.Run(context.Background(), enrichdb.ProgressiveDesign, query, enrichdb.QueryObs{Progressive: enrichdb.ProgressiveOptions{
 		Design:      enrichdb.TightDesign,
 		Strategy:    enrichdb.FunctionOrdered, // SB(FO): best quality/cost first
 		EpochBudget: 300 * time.Microsecond,
@@ -122,13 +123,13 @@ func main() {
 					e.N, e.Planned, e.Enrichments, e.Quality, e.Inserted, e.Deleted)
 			}
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\nfinal: %d rows after %d epochs, %d enrichments, PS=%.3f\n",
-		res.Len(), len(res.Epochs), res.TotalEnrichments, res.Score())
+		res.Len(), len(res.Epochs), res.Enrichments, res.Score())
 	fmt.Printf("overhead: setup=%v plan=%v delta=%v state=%v (enrich=%v)\n",
 		res.Overhead.Setup.Round(time.Millisecond),
 		res.Overhead.Plan.Round(time.Millisecond),

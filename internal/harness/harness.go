@@ -397,9 +397,10 @@ func (h *runState) writer(w int) {
 // designs is the deterministic per-session rotation of query paths.
 var designs = []string{"loose", "tight", "progressive", "plain"}
 
-// libraryDesign maps the non-progressive rotation names onto Session.Run's.
+// libraryDesign maps the rotation names onto Session.Run's designs.
 var libraryDesign = map[string]enrichdb.Design{
 	"plain": enrichdb.PlainDesign, "loose": enrichdb.LooseDesign, "tight": enrichdb.TightDesign,
+	"progressive": enrichdb.ProgressiveDesign,
 }
 
 // randQuery picks a query template with randomized constants.
@@ -433,35 +434,29 @@ func (h *runState) session(s int) {
 			h.fail("session %d: open: %v", s, err)
 			return
 		}
-		switch design {
-		case "plain", "loose", "tight":
-			// Only loose can report failed enrichments; plain and tight
-			// always take the last arm.
-			res, err := sess.Run(context.Background(), libraryDesign[design], sql, enrichdb.QueryObs{})
-			switch {
-			case err != nil:
-				h.fail("session %d: %s %q: %v", s, design, sql, err)
-			case res.FailedEnrichments > 0 && !h.cfg.faultsActive():
-				h.fail("session %d: %s %q: %d failed enrichments (no faults injected): %v",
-					s, design, sql, res.FailedEnrichments, res.EnrichErrors)
-			case res.FailedEnrichments > 0:
-				// Under a fault plan the NULL-on-failure answer is legitimate
-				// degradation, not snapshot state — tolerate and don't replay.
-				h.degraded.Add(1)
-			default:
-				h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(res.Rows)})
-			}
-		case "progressive":
-			_, err := sess.QueryProgressive(sql, enrichdb.ProgressiveOptions{
-				Seed:        progressiveSeed,
-				EpochBudget: 2 * time.Millisecond,
-				MaxEpochs:   25,
-			})
-			if err != nil {
-				h.fail("session %d: progressive %q: %v", s, sql, err)
-			} else {
-				h.progressive.Add(1)
-			}
+		obs := enrichdb.QueryObs{Progressive: enrichdb.ProgressiveOptions{
+			Seed:        progressiveSeed,
+			EpochBudget: 2 * time.Millisecond,
+			MaxEpochs:   25,
+		}}
+		// Only loose can report failed enrichments; plain and tight always
+		// take the last arm. A progressive answer depends on its epochs, so
+		// it is counted, not replayed.
+		res, err := sess.Run(context.Background(), libraryDesign[design], sql, obs)
+		switch {
+		case err != nil:
+			h.fail("session %d: %s %q: %v", s, design, sql, err)
+		case design == "progressive":
+			h.progressive.Add(1)
+		case res.FailedEnrichments > 0 && !h.cfg.faultsActive():
+			h.fail("session %d: %s %q: %d failed enrichments (no faults injected): %v",
+				s, design, sql, res.FailedEnrichments, res.EnrichErrors)
+		case res.FailedEnrichments > 0:
+			// Under a fault plan the NULL-on-failure answer is legitimate
+			// degradation, not snapshot state — tolerate and don't replay.
+			h.degraded.Add(1)
+		default:
+			h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(res.Rows)})
 		}
 		sess.Close()
 	}

@@ -156,7 +156,10 @@ type EpochReport struct {
 	// callers can fetch refinements instead of re-reading the whole view;
 	// empty under Recompute.
 	InsertedRows, DeletedRows []*expr.Row
-	PlanTableBytes            int64
+	// Schema is the view's row schema, naming the columns of the delta
+	// answers; nil under Recompute.
+	Schema         *expr.RowSchema
+	PlanTableBytes int64
 	// EnrichErr is set when the epoch's whole enrichment batch was lost
 	// (dead or hung server after retries); the epoch enriched nothing and
 	// its triplets were re-planned (DESIGN §6).
@@ -175,7 +178,6 @@ type Overheads struct {
 
 // Result is the outcome of a progressive run.
 type Result struct {
-	Design  Design
 	Epochs  []EpochReport
 	Quality []float64 // per epoch, starting with e₀'s value
 	Rows    []*expr.Row
@@ -192,10 +194,6 @@ type Result struct {
 	PlanSpaceBytes int64 // at setup
 	MaxPlanBytes   int64
 	ViewBytes      int64
-
-	// FailedEpochs counts epochs whose whole enrichment batch was lost to
-	// a transport failure and that therefore enriched nothing (DESIGN §6).
-	FailedEpochs int
 }
 
 // Run executes a query progressively per the paper's §3.3 loop: setup in
@@ -225,7 +223,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	a := cfg.Analysis
 
-	res := &Result{Design: cfg.Design}
+	res := &Result{}
 	countersBefore := cfg.Mgr.Counters()
 	ctx := engine.NewExecCtx()
 	ctx.Adapt = cfg.Stats
@@ -370,7 +368,6 @@ func Run(cfg Config) (*Result, error) {
 				// yields the e₀ answer after MaxEpochs.
 				spEnrich.Str("error", err.Error())
 				rep.EnrichErr = err.Error()
-				res.FailedEpochs++
 				epochFailed = true
 				break
 			}
@@ -427,7 +424,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			rep.Inserted, rep.Deleted = len(d.Inserted), len(d.Deleted)
-			rep.InsertedRows, rep.DeletedRows = d.Inserted, d.Deleted
+			rep.InsertedRows, rep.DeletedRows, rep.Schema = d.Inserted, d.Deleted, view.Schema()
 			spRefresh.Int("inserted", int64(rep.Inserted)).
 				Int("deleted", int64(rep.Deleted)).
 				End()

@@ -120,7 +120,7 @@ func TestTraceE2E(t *testing.T) {
 	}
 	want := []string{
 		"server.handshake", "server.admission",
-		"query.setup",
+		"progressive.execute", "query.setup",
 		"epoch.plan", "epoch.enrich", "epoch.determinize", "epoch.refresh",
 		"server.result_stream",
 	}

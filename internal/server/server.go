@@ -56,8 +56,8 @@ type Config struct {
 	MaxFrame int
 	// BatchRows is the result-stream stride (default wire.DefaultBatchRows).
 	BatchRows int
-	// Progressive is the option template for progressive queries (Design,
-	// OnEpoch, Quality and Cancel are overridden per query).
+	// Progressive is the option template for progressive queries (OnEpoch
+	// is overridden per query, to stream the Epoch frames).
 	Progressive enrichdb.ProgressiveOptions
 	// Tracer, when non-nil, receives the serving tier's spans: handshake and
 	// admission per connection, and — for sampled queries — the full
@@ -705,17 +705,19 @@ func (s *Server) maybeSlowLog(rec slowQueryRecord, wall time.Duration) {
 	s.cfg.SlowQueryLog.Write(append(b, '\n'))
 }
 
-// libraryDesign maps the wire's non-progressive designs onto the library's.
+// libraryDesign maps the wire's designs onto the library's.
 var libraryDesign = [...]enrichdb.Design{
-	wire.DesignPlain: enrichdb.PlainDesign,
-	wire.DesignLoose: enrichdb.LooseDesign,
-	wire.DesignTight: enrichdb.TightDesign,
+	wire.DesignPlain:       enrichdb.PlainDesign,
+	wire.DesignLoose:       enrichdb.LooseDesign,
+	wire.DesignTight:       enrichdb.TightDesign,
+	wire.DesignProgressive: enrichdb.ProgressiveDesign,
 }
 
 // runQuery executes one query under its cancel context and streams the
-// result. EXPLAIN and EXPLAIN ANALYZE are statements the library pipeline
-// answers itself, with a one-column "plan" result; the server streams it like
-// any other. A sampled query executes under a trace-ID-stamped tracer teeing
+// result; a progressive query streams an Epoch frame per epoch first.
+// EXPLAIN and EXPLAIN ANALYZE are statements the library pipeline answers
+// itself, with a one-column "plan" result; the server streams it like any
+// other. A sampled query executes under a trace-ID-stamped tracer teeing
 // into a collector, and its span summaries ride the Profile frame, which also
 // carries an EXPLAIN ANALYZE statement's operator tree.
 //
@@ -737,39 +739,31 @@ func (c *conn) runQuery(ctx context.Context, id uint32, design wire.Design, sql 
 	var prof *enrichdb.QueryProfile
 	var err error
 
-	switch design {
-	case wire.DesignPlain, wire.DesignLoose, wire.DesignTight:
+	if int(design) < len(libraryDesign) {
+		obs := enrichdb.QueryObs{Tracer: qtr}
+		if design == wire.DesignProgressive {
+			obs.Progressive = c.s.cfg.Progressive
+			obs.Progressive.OnEpoch = func(ep enrichdb.Epoch) {
+				c.write(&wire.Epoch{
+					Query: id, N: uint32(ep.N), Planned: uint32(ep.Planned),
+					Enrichments: ep.Enrichments,
+					Inserted:    uint32(ep.Inserted), Deleted: uint32(ep.Deleted),
+					Quality: ep.Quality, WallNs: ep.Wall.Nanoseconds(),
+					PlanNs:   ep.PlanTime.Nanoseconds(),
+					EnrichNs: ep.EnrichTime.Nanoseconds(),
+					DeltaNs:  ep.DeltaTime.Nanoseconds(),
+				})
+			}
+		}
 		var res *enrichdb.Result
-		res, err = c.sess.Run(ctx, libraryDesign[design], sql, enrichdb.QueryObs{Tracer: qtr})
-		if err == nil {
+		if res, err = c.sess.Run(ctx, libraryDesign[design], sql, obs); err == nil {
 			rows, prof = res.Rows, res.Profile
 			done.Enrichments = res.Enrichments
 			done.Failed = int64(res.FailedEnrichments)
 			done.UDFCalls = res.UDFInvocations
-		}
-	case wire.DesignProgressive:
-		opts := c.s.cfg.Progressive
-		opts.Cancel = ctx.Done()
-		opts.Tracer = qtr
-		opts.OnEpoch = func(ep enrichdb.Epoch) {
-			c.write(&wire.Epoch{
-				Query: id, N: uint32(ep.N), Planned: uint32(ep.Planned),
-				Enrichments: ep.Enrichments,
-				Inserted:    uint32(ep.Inserted), Deleted: uint32(ep.Deleted),
-				Quality: ep.Quality, WallNs: ep.Wall.Nanoseconds(),
-				PlanNs:   ep.PlanTime.Nanoseconds(),
-				EnrichNs: ep.EnrichTime.Nanoseconds(),
-				DeltaNs:  ep.DeltaTime.Nanoseconds(),
-			})
-		}
-		var res *enrichdb.ProgressiveResult
-		res, err = c.sess.QueryProgressive(sql, opts)
-		if err == nil {
-			rows, prof = res.Rows, res.Profile
-			done.Enrichments = res.TotalEnrichments
 			done.Epochs = uint32(len(res.Epochs))
 		}
-	default:
+	} else {
 		err = fmt.Errorf("unknown design %d", design)
 	}
 	// A canceled query whose execution finished anyway still reports the

@@ -31,9 +31,10 @@ var parityQueries = []string{
 // TestPipelineParity: for each query and design, the answer, the column
 // names and the enrichment work are identical whether the query enters
 // through DB or Session, traced or not, on 1 shard or 4; EXPLAIN ANALYZE of
-// the same query does the same work and profiles the same answer.
+// the same query does the same work and profiles the same answer. A
+// progressive run goes to completion, so its answer is the refined one.
 func TestPipelineParity(t *testing.T) {
-	designs := []Design{PlainDesign, LooseDesign, TightDesign}
+	designs := []Design{PlainDesign, LooseDesign, TightDesign, ProgressiveDesign}
 	for qi, q := range parityQueries {
 		for _, design := range designs {
 			t.Run(fmt.Sprintf("q%d/%v", qi, design), func(t *testing.T) {
@@ -61,6 +62,11 @@ func TestPipelineParity(t *testing.T) {
 
 // runFunc is DB.Run or Session.Run.
 type runFunc func(context.Context, Design, string, QueryObs) (*Result, error)
+
+// runProgressive runs q under ProgressiveDesign with opts.
+func runProgressive(run runFunc, q string, opts ProgressiveOptions) (*Result, error) {
+	return run(context.Background(), ProgressiveDesign, q, QueryObs{Progressive: opts})
+}
 
 // parityDB opens a fresh cold database on the given number of shards and
 // returns it with its Run, or with the Run of a session on it.
@@ -185,6 +191,41 @@ func TestCancelReachesLooseAndTight(t *testing.T) {
 				t.Errorf("%v session=%v: canceled query executed %d enrichments", design, viaSession, n)
 			}
 			db.Close()
+		}
+	}
+}
+
+// TestCancelStopsProgressiveAtEpochBoundary: a done context does not fail a
+// progressive query, through DB or Session. Canceled before the query
+// starts, the run stops before its first epoch and answers the setup answer
+// with nothing enriched; canceled during epoch 1, it stops after that epoch.
+func TestCancelStopsProgressiveAtEpochBoundary(t *testing.T) {
+	for _, viaSession := range []bool{false, true} {
+		db, run := parityDB(t, 1, viaSession)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err := run(ctx, ProgressiveDesign, enrichedQuery, QueryObs{})
+		if err != nil {
+			t.Fatalf("session=%v: canceled progressive run failed: %v", viaSession, err)
+		}
+		if len(res.Epochs) != 0 || res.Enrichments != 0 || db.Stats().Enrichments != 0 {
+			t.Errorf("session=%v: canceled before the start, ran %d epochs and %d enrichments",
+				viaSession, len(res.Epochs), db.Stats().Enrichments)
+		}
+		plain, err := db.Query(enrichedQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := renderExact(res.Rows), renderExact(plain); got != want {
+			t.Errorf("session=%v: canceled answer is not the setup answer:\n%s--- want\n%s", viaSession, got, want)
+		}
+
+		ctx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		res, err = run(ctx, ProgressiveDesign, enrichedQuery, QueryObs{Progressive: ProgressiveOptions{
+			Strategy: FunctionOrdered, OnEpoch: func(Epoch) { cancel() }}})
+		if err != nil || len(res.Epochs) != 1 {
+			t.Errorf("session=%v: canceled in epoch 1: %d epochs, err %v; want 1 epoch, no error", viaSession, len(res.Epochs), err)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"enrichdb/internal/telemetry"
 )
 
-// QueryObs selects per-query observability. The zero value — no override —
+// QueryObs selects per-query observability and, for ProgressiveDesign, the
+// run's options. The zero value — no override, default progressive options —
 // is free; the serving tier builds one per sampled query. Operator profiling
 // is asked for by the statement itself: EXPLAIN ANALYZE.
 type QueryObs struct {
@@ -20,6 +21,10 @@ type QueryObs struct {
 	// the server's JSONL trace stamped with the query's trace ID and are
 	// simultaneously collected for the Profile frame.
 	Tracer *telemetry.Tracer
+	// Progressive parameterizes a ProgressiveDesign run: strategy, epoch
+	// budget, and the OnEpoch/OnDelta/Quality hooks that watch the answer
+	// refine. The other designs ignore it.
+	Progressive ProgressiveOptions
 }
 
 // OpProfile is one operator's runtime profile, a node of the EXPLAIN
@@ -58,18 +63,18 @@ func planRows(tree string) *Rows {
 	return &Rows{cols: []string{"plan"}, rows: rows}
 }
 
-// progressiveProfile synthesizes the EXPLAIN ANALYZE tree for a progressive
-// run. Per-operator instrumentation would charge the IVM pipeline once per
-// epoch, so the profile reports the run's phase breakdown (Exp 4's overhead
+// progressiveRoot synthesizes the EXPLAIN ANALYZE tree of a progressive run.
+// Per-operator instrumentation would charge the IVM pipeline once per epoch,
+// so the tree reports the run's phase breakdown (Exp 4's overhead
 // decomposition) with the run-wide cardinalities.
-func progressiveProfile(r *ProgressiveResult, wall time.Duration) *QueryProfile {
+func progressiveRoot(r *Result, wall time.Duration) *OpProfile {
 	var planned, deltas int64
 	for _, ep := range r.Epochs {
 		planned += int64(ep.Planned)
 		deltas += int64(ep.Inserted) + int64(ep.Deleted)
 	}
 	o := r.Overhead
-	root := &OpProfile{
+	return &OpProfile{
 		Name:    "ProgressiveQuery",
 		Detail:  fmt.Sprintf("%d epochs", len(r.Epochs)),
 		RowsIn:  planned,
@@ -78,11 +83,10 @@ func progressiveProfile(r *ProgressiveResult, wall time.Duration) *QueryProfile 
 		Children: []*OpProfile{
 			{Name: "Setup", Detail: "state tables + initial view", Wall: o.Setup},
 			{Name: "Plan", Detail: "PlanTable sampling", RowsOut: planned, Wall: o.Plan},
-			{Name: "Enrich", RowsIn: planned, RowsOut: r.TotalEnrichments, Wall: o.Enrich},
+			{Name: "Enrich", RowsIn: planned, RowsOut: r.Enrichments, Wall: o.Enrich},
 			{Name: "UDF", Detail: "invocation overhead", Wall: o.UDF},
 			{Name: "Refresh", Detail: "IVM delta apply", RowsIn: deltas, RowsOut: deltas, Wall: o.Delta},
 			{Name: "State", Detail: "state-table maintenance", Wall: o.State},
 		},
 	}
-	return &QueryProfile{Design: "progressive", Root: root}
 }

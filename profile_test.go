@@ -163,7 +163,7 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 	defer db.Close()
 
 	q := "SELECT id, rating FROM Reviews WHERE rating = 2"
-	res, err := db.QueryProgressive("EXPLAIN ANALYZE "+q,
+	res, err := runProgressive(db.Run, "EXPLAIN ANALYZE "+q,
 		ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 	}
 
 	// A plain statement carries no profile.
-	res2, err := db.QueryProgressive(q, ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
+	res2, err := runProgressive(db.Run, q, ProgressiveOptions{MaxEpochs: 50, EpochBudget: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +206,12 @@ func TestExplainAnalyzeProgressive(t *testing.T) {
 
 	// Plan-only EXPLAIN runs no epoch and enriches nothing.
 	before := db.Stats().Enrichments
-	plan, err := db.QueryProgressive("EXPLAIN "+q, ProgressiveOptions{MaxEpochs: 50, Seed: 7})
+	plan, err := runProgressive(db.Run, "EXPLAIN "+q, ProgressiveOptions{MaxEpochs: 50, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Epochs) != 0 || plan.TotalEnrichments != 0 || db.Stats().Enrichments != before || plan.Profile != nil {
-		t.Fatalf("progressive EXPLAIN executed: %d epochs, %d enrichments", len(plan.Epochs), plan.TotalEnrichments)
+	if len(plan.Epochs) != 0 || plan.Enrichments != 0 || db.Stats().Enrichments != before || plan.Profile != nil {
+		t.Fatalf("progressive EXPLAIN executed: %d epochs, %d enrichments", len(plan.Epochs), plan.Enrichments)
 	}
 	if text := renderPlan(plan.Rows); !strings.Contains(text, "Scan Reviews") || !strings.Contains(text, "est_rows=") {
 		t.Fatalf("progressive EXPLAIN plan:\n%s", text)

@@ -1,9 +1,11 @@
 package enrichdb
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"enrichdb/internal/engine"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
@@ -14,13 +16,18 @@ import (
 // architecture drives a progressive run.
 type Design int
 
-// The paper's two architectures, and execution without enrichment.
+// The paper's two architectures, their progressive form, and execution
+// without enrichment.
 const (
 	LooseDesign Design = iota // §2.1: probe, enrich in batch, write back, run
 	TightDesign               // §2.2: rewrite with UDFs, enrich inside predicates
 	// PlainDesign runs the query as written: derived attributes read as
 	// currently determined, nothing is enriched. Not a progressive design.
 	PlainDesign
+	// ProgressiveDesign answers the query progressively (§3), epoch by
+	// epoch, through the loose or tight architecture that
+	// QueryObs.Progressive names.
+	ProgressiveDesign
 )
 
 // String names the design as profiles and traces spell it.
@@ -31,7 +38,8 @@ func (d Design) String() string {
 	return designNames[d]
 }
 
-var designNames = [...]string{LooseDesign: "loose", TightDesign: "tight", PlainDesign: "plain"}
+var designNames = [...]string{LooseDesign: "loose", TightDesign: "tight", PlainDesign: "plain",
+	ProgressiveDesign: "progressive"}
 
 // Strategy is a PlanTable selection strategy (§3.3.2).
 type Strategy int
@@ -56,9 +64,13 @@ const (
 	AdaptiveOrdered
 )
 
-// ProgressiveOptions parameterizes QueryProgressive. The zero value uses
-// the documented defaults.
+// ProgressiveOptions parameterizes a ProgressiveDesign run; it rides on
+// QueryObs.Progressive, and the run takes its cancellation from Run's
+// context and its tracer from QueryObs.Tracer. The zero value uses the
+// documented defaults.
 type ProgressiveOptions struct {
+	// Design is the architecture every epoch enriches through: LooseDesign
+	// (the zero value) or TightDesign.
 	Design   Design
 	Strategy Strategy
 	// EpochBudget caps each epoch's estimated enrichment cost (default
@@ -72,25 +84,17 @@ type ProgressiveOptions struct {
 	// sequential; the answer is byte-identical at any width).
 	Workers int
 	// Quality, when set, scores the current answer after every epoch (for
-	// example against ground truth); the series feeds ProgressiveScore.
+	// example against ground truth); the series feeds Result.Score.
 	Quality func(*Rows) float64
 	// OnEpoch, when set, is called after every epoch, while the run is
 	// still in progress, with that epoch's report — delta sizes,
 	// enrichments executed/skipped/coalesced, and the running quality.
 	OnEpoch func(Epoch)
-	// OnDelta, when set, is called after every epoch with the answer rows
-	// that appeared and disappeared — the paper's §3.3.4 delta fetching:
-	// consume refinements without re-reading the whole answer.
+	// OnDelta, when set, is called after every epoch, right after OnEpoch
+	// and before the next epoch starts, with the answer rows that appeared
+	// and disappeared — the paper's §3.3.4 delta fetching: consume
+	// refinements while the query runs, without re-reading the whole answer.
 	OnDelta func(inserted, deleted *Rows)
-	// Cancel, when non-nil, stops the run at the next epoch boundary once
-	// the channel is closed (wire it to a context's Done channel). The run
-	// returns the answer refined so far — cancellation is not an error, a
-	// canceled progressive query is just a less-refined one.
-	Cancel <-chan struct{}
-	// Tracer, when non-nil, replaces the database's tracer for this run —
-	// the serving tier derives one per sampled query so the run's epoch
-	// spans carry the query's trace ID.
-	Tracer *telemetry.Tracer
 }
 
 // Epoch is one epoch's telemetry.
@@ -114,37 +118,18 @@ type Epoch struct {
 	EnrichTime time.Duration
 	DeltaTime  time.Duration
 	// EnrichErr is set when the epoch's enrichment batch was lost in
-	// transport; the epoch enriched nothing and its plan was re-queued.
+	// transport; the epoch enriched nothing and its plan was re-queued
+	// (degraded, per DESIGN §6).
 	EnrichErr string
 }
 
-// ProgressiveResult is the outcome of a progressive run.
-type ProgressiveResult struct {
-	*Rows
-	Epochs           []Epoch
-	Quality          []float64 // per epoch, starting at e₀
-	TotalEnrichments int64
-	// FailedEpochs counts epochs that enriched nothing because their whole
-	// batch was lost in transport (degraded, per DESIGN §6).
-	FailedEpochs int
-	// Overhead is Exp 4's non-enrichment cost breakdown.
-	Overhead ProgressiveOverhead
-	// Profile is the phase-level tree (setup/plan/enrich/UDF/refresh) of an
-	// EXPLAIN ANALYZE statement, whose rows are this tree rendered; nil for
-	// every other statement.
-	Profile *QueryProfile
-
-	schema   *expr.RowSchema
-	inserted [][]*expr.Row // per epoch
-	deleted  [][]*expr.Row
-}
-
-// DeltaSince returns the net answer change between the end of epoch k and
-// the end of the run: rows that appeared and rows that disappeared. Epoch 0
-// means "since setup", so DeltaSince(0) nets to the full final answer. This
-// generalizes the paper's last-epoch delta fetching (§3.3.4 lists
-// arbitrary-epoch cursors as future work).
-func (r *ProgressiveResult) DeltaSince(epoch int) (inserted, deleted *Rows) {
+// DeltaSince returns the net answer change of a progressive run between the
+// end of epoch k and the end of the run: rows that appeared and rows that
+// disappeared. Epoch 0 means "since setup", so DeltaSince(0) nets to the
+// full final answer. This generalizes the paper's last-epoch delta fetching
+// (§3.3.4 lists arbitrary-epoch cursors as future work). Both are empty for
+// the other designs.
+func (r *Result) DeltaSince(epoch int) (inserted, deleted *Rows) {
 	if r.schema == nil {
 		return &Rows{}, &Rows{}
 	}
@@ -193,44 +178,41 @@ func (r *ProgressiveResult) DeltaSince(epoch int) (inserted, deleted *Rows) {
 // Setup, Plan, Delta, State and UDF, beside the Enrich time itself.
 type ProgressiveOverhead = progressive.Overheads
 
-// Score computes the progressive score PS (Equation 1) of the run's quality
-// series with the paper's default slope of 0.05.
-func (r *ProgressiveResult) Score() float64 {
-	return metrics.ProgressiveScore(r.Quality, 0.05)
+// Score computes the progressive score PS (Equation 1) of a progressive
+// run's quality series with the paper's default slope of 0.05; 0 for the
+// other designs.
+func (r *Result) Score() float64 {
+	return metrics.ProgressiveScore(r.quality, 0.05)
 }
 
-// QueryProgressive executes a query progressively (§3): per epoch, a sample
-// of (tuple, attribute, function) triplets is enriched within the epoch
-// budget and the answer is refined through incremental view maintenance.
-// Results improve monotonically in enrichment coverage; stop reading when
-// satisfied.
+// runProgressive is the progressive design's execute step (§3): per epoch, a
+// sample of (tuple, attribute, function) triplets is enriched within the
+// epoch budget and the answer is refined through incremental view
+// maintenance, so it improves monotonically in enrichment coverage. It fills
+// res's progressive fields and returns the final answer.
 //
-// The statement forms are Run's: `EXPLAIN SELECT ...` answers the plain plan
-// of the query whose answer the view maintains, executing nothing;
-// `EXPLAIN ANALYZE SELECT ...` runs progressively and answers the phase-level
-// profile, also on ProgressiveResult.Profile.
-func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*ProgressiveResult, error) {
+// The run always reads the live store, whatever source the query came from:
+// its view refines against the enrichment its epochs write back to the live
+// tables, sharing the scheduler pool and enrichment state with every
+// concurrent session. A done ctx stops the run at the next epoch boundary
+// and the run answers what it refined so far: a canceled progressive query
+// is a less-refined one, not an error.
+func (db *DB) runProgressive(ctx context.Context, a *engine.Analysis, opts ProgressiveOptions, tracer *telemetry.Tracer, res *Result) (rows []*expr.Row, schema *expr.RowSchema, err error) {
 	if opts.Design != LooseDesign && opts.Design != TightDesign {
-		return nil, fmt.Errorf("enrichdb: %v is not a progressive design", opts.Design)
+		return nil, nil, fmt.Errorf("enrichdb: a progressive run enriches through loose or tight, not %v", opts.Design)
 	}
-	st, err := db.parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if st.mode == explainPlan {
-		rows, err := db.explain(st.a, db.store, PlainDesign)
+	sp := tracer.Start("progressive.execute").Str("design", opts.Design.String())
+	defer func() {
 		if err != nil {
-			return nil, err
+			sp.Str("error", err.Error())
+		} else {
+			sp.Int("epochs", int64(len(res.Epochs))).Int("rows", int64(len(rows)))
 		}
-		return &ProgressiveResult{Rows: rows}, nil
-	}
-	tracer := db.tracer
-	if opts.Tracer != nil {
-		tracer = opts.Tracer
-	}
+		sp.End()
+	}()
 	cfg := progressive.Config{
 		Design:      progressive.Design(opts.Design),
-		Analysis:    st.a,
+		Analysis:    a,
 		DB:          db.store,
 		Mgr:         db.mgr,
 		Enricher:    db.enricher,
@@ -240,11 +222,19 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 		Seed:        opts.Seed,
 		Workers:     opts.Workers,
 		Tracer:      tracer,
-		Cancel:      opts.Cancel,
+		Cancel:      ctx.Done(),
 		Stats:       db.runtimeStats,
-	}
-	if opts.OnEpoch != nil {
-		cfg.OnEpoch = func(ep progressive.EpochReport) { opts.OnEpoch(wrapEpoch(ep)) }
+		OnEpoch: func(ep progressive.EpochReport) {
+			res.inserted = append(res.inserted, ep.InsertedRows)
+			res.deleted = append(res.deleted, ep.DeletedRows)
+			res.Epochs = append(res.Epochs, wrapEpoch(ep))
+			if opts.OnEpoch != nil {
+				opts.OnEpoch(res.Epochs[len(res.Epochs)-1])
+			}
+			if opts.OnDelta != nil {
+				opts.OnDelta(wrapRows(ep.Schema, ep.InsertedRows), wrapRows(ep.Schema, ep.DeletedRows))
+			}
+		},
 	}
 	if opts.Quality != nil {
 		cfg.Quality = func(rows []*expr.Row) float64 {
@@ -254,35 +244,15 @@ func (db *DB) QueryProgressive(query string, opts ProgressiveOptions) (*Progress
 			return opts.Quality(wrapRows(rows[0].Schema, rows))
 		}
 	}
-	start := time.Now()
-	res, err := progressive.Run(cfg)
+	pr, err := progressive.Run(cfg)
 	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	out := &ProgressiveResult{
-		Quality:          res.Quality,
-		TotalEnrichments: res.TotalEnrichments,
-		FailedEpochs:     res.FailedEpochs,
-		Overhead:         res.Overhead,
+		return nil, nil, err
 	}
 	// Config.Recompute is never set here, so the run maintained a view and
 	// its schema names the columns of the answer and of every delta.
-	out.schema = res.View.Schema()
-	out.Rows = wrapRows(out.schema, res.Rows)
-	for _, ep := range res.Epochs {
-		out.inserted = append(out.inserted, ep.InsertedRows)
-		out.deleted = append(out.deleted, ep.DeletedRows)
-		out.Epochs = append(out.Epochs, wrapEpoch(ep))
-		if opts.OnDelta != nil {
-			opts.OnDelta(wrapRows(out.schema, ep.InsertedRows), wrapRows(out.schema, ep.DeletedRows))
-		}
-	}
-	if st.mode == explainAnalyze {
-		out.Profile = progressiveProfile(out, wall)
-		out.Rows = planRows(out.Profile.String())
-	}
-	return out, nil
+	res.schema = pr.View.Schema()
+	res.Enrichments, res.Overhead, res.quality = pr.TotalEnrichments, pr.Overhead, pr.Quality
+	return pr.Rows, res.schema, nil
 }
 
 // wrapEpoch converts an internal epoch report to the public shape.

@@ -24,7 +24,7 @@ func TestProgressiveChaosTwoSessions(t *testing.T) {
 	db.enricher = chaos
 
 	const q = "SELECT id, label FROM Events WHERE label = 1"
-	results := make([]*ProgressiveResult, 2)
+	results := make([]*Result, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -37,7 +37,7 @@ func TestProgressiveChaosTwoSessions(t *testing.T) {
 				return
 			}
 			defer sess.Close()
-			results[i], errs[i] = sess.QueryProgressive(q, ProgressiveOptions{
+			results[i], errs[i] = runProgressive(sess.Run, q, ProgressiveOptions{
 				Seed:      int64(40 + i),
 				MaxEpochs: 50,
 			})
@@ -53,23 +53,8 @@ func TestProgressiveChaosTwoSessions(t *testing.T) {
 	if got := chaos.FailedBatches(); got != 3 {
 		t.Fatalf("chaos injected %d whole-batch failures, want 3", got)
 	}
-	failedEpochs := results[0].FailedEpochs + results[1].FailedEpochs
-	if failedEpochs != 3 {
-		t.Errorf("sessions report %d failed epochs total, want the 3 lost batches", failedEpochs)
-	}
-	reported := 0
-	for _, res := range results {
-		for _, ep := range res.Epochs {
-			if ep.EnrichErr != "" {
-				reported++
-				if ep.Enrichments != 0 {
-					t.Errorf("epoch %d failed (%s) but claims %d enrichments", ep.N, ep.EnrichErr, ep.Enrichments)
-				}
-			}
-		}
-	}
-	if reported != failedEpochs {
-		t.Errorf("%d epochs carry EnrichErr, FailedEpochs says %d", reported, failedEpochs)
+	if failed := failedEpochs(t, results[0]) + failedEpochs(t, results[1]); failed != 3 {
+		t.Errorf("sessions report %d failed epochs total, want the 3 lost batches", failed)
 	}
 
 	// The server recovered and the two sessions drained the re-planned
@@ -100,12 +85,12 @@ func TestProgressiveChaosTwoSessions(t *testing.T) {
 
 	// A fresh progressive query converges immediately — everything is
 	// already enriched, so it runs zero functions and returns the truth.
-	res2, err := db.QueryProgressive(q, ProgressiveOptions{Seed: 99, MaxEpochs: 50})
+	res2, err := runProgressive(db.Run, q, ProgressiveOptions{Seed: 99, MaxEpochs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.TotalEnrichments != 0 {
-		t.Errorf("post-recovery progressive ran %d enrichments, want 0", res2.TotalEnrichments)
+	if res2.Enrichments != 0 {
+		t.Errorf("post-recovery progressive ran %d enrichments, want 0", res2.Enrichments)
 	}
 	if got := renderRows(res2.Rows); got != want {
 		t.Errorf("post-recovery progressive answer:\ngot:\n%s\nwant:\n%s", got, want)
@@ -127,15 +112,15 @@ func TestProgressiveChaosErrorRate(t *testing.T) {
 	db.enricher = chaos
 
 	const q = "SELECT id, label FROM Events WHERE label = 0"
-	res, err := db.QueryProgressive(q, ProgressiveOptions{Seed: 5, MaxEpochs: 60})
+	res, err := runProgressive(db.Run, q, ProgressiveOptions{Seed: 5, MaxEpochs: 60})
 	if err != nil {
 		t.Fatalf("progressive under 25%% error rate died: %v", err)
 	}
 	if chaos.Injected() == 0 {
 		t.Fatal("chaos injected nothing; raise the rate or the workload")
 	}
-	if res.FailedEpochs != 0 {
-		t.Errorf("per-request errors must not fail whole epochs; got %d", res.FailedEpochs)
+	if failed := failedEpochs(t, res); failed != 0 {
+		t.Errorf("per-request errors must not fail whole epochs; got %d", failed)
 	}
 
 	// Heal the server; the loose retry repairs what chaos dropped, and the
@@ -155,4 +140,20 @@ func TestProgressiveChaosErrorRate(t *testing.T) {
 			t.Errorf("degraded answer has row %q absent from the true answer", line)
 		}
 	}
+}
+
+// failedEpochs counts the run's epochs that report a lost enrichment batch;
+// such an epoch must have enriched nothing.
+func failedEpochs(t *testing.T, res *Result) int {
+	t.Helper()
+	failed := 0
+	for _, ep := range res.Epochs {
+		if ep.EnrichErr != "" {
+			failed++
+			if ep.Enrichments != 0 {
+				t.Errorf("epoch %d failed (%s) but claims %d enrichments", ep.N, ep.EnrichErr, ep.Enrichments)
+			}
+		}
+	}
+	return failed
 }

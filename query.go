@@ -53,7 +53,8 @@ func wrapRows(schema *expr.RowSchema, rows []*expr.Row) *Rows {
 }
 
 // Result is the outcome of one query execution under any design (plain runs
-// leave the enrichment counters and Timing zero).
+// leave the enrichment counters and Timing zero; only progressive runs fill
+// Epochs and Overhead).
 type Result struct {
 	*Rows
 	// Enrichments is the number of enrichment function executions the
@@ -74,6 +75,16 @@ type Result struct {
 	// Profile is the operator tree of an EXPLAIN ANALYZE statement, whose
 	// rows are this tree rendered; nil for every other statement.
 	Profile *QueryProfile
+	// Epochs reports a progressive run epoch by epoch, as OnEpoch saw them.
+	Epochs []Epoch
+	// Overhead is a progressive run's non-enrichment cost breakdown (Exp 4).
+	Overhead ProgressiveOverhead
+
+	// A progressive run's quality series, e₀ first (Score), and the schema
+	// and per-epoch delta answers DeltaSince nets.
+	quality           []float64
+	schema            *expr.RowSchema
+	inserted, deleted [][]*expr.Row
 }
 
 // QueryTiming is the per-component cost breakdown of one query (Table 11):
@@ -90,12 +101,20 @@ type QueryTiming = loose.Timing
 // Session.Run reads the session's snapshot. Query, QueryLoose and QueryTight
 // are Run with a background context and no observability.
 //
+// ProgressiveDesign runs the query progressively (§3) under the options in
+// obs.Progressive and answers the final refined answer, with the run's
+// epochs on Result.Epochs. It is the one design a done ctx does not fail: the
+// run stops at the next epoch boundary and answers what it refined so far.
+//
 // `EXPLAIN SELECT ...` answers a one-column "plan" result: the operator tree
 // the design would run — the rewritten tree under tight — annotated with
 // estimated cardinalities and costs, without executing anything.
 // `EXPLAIN ANALYZE SELECT ...` runs the query under the operator profiler and
 // answers the measured tree, also on Result.Profile; its enrichment counters
-// are the run's.
+// are the run's. Under ProgressiveDesign, EXPLAIN answers the plain plan of
+// the query whose answer the view maintains, and EXPLAIN ANALYZE runs
+// progressively and answers the run's phase tree (setup, plan, enrich, UDF,
+// refresh, state).
 func (db *DB) Run(ctx context.Context, design Design, query string, obs QueryObs) (*Result, error) {
 	return db.run(ctx, db.store, design, query, obs)
 }
@@ -130,16 +149,21 @@ func rowsOnly(res *Result, err error) (*Rows, error) {
 
 // run is the one query pipeline (DESIGN §10): parse and analyze once, then
 // hand the analysis to the design's executor — the plain plan (or shard
-// scatter), the loose driver, or the tight driver — over src. DB passes its
-// live store, Session its snapshot; that is the whole difference between
-// them. The executed plan's schema names the result columns, so nothing is
-// built that does not run. An EXPLAIN statement stops after building the
-// plan the design would run; EXPLAIN ANALYZE runs it under the operator
-// profiler. Both answer with the rendered tree (see planRows).
+// scatter), the loose driver, the tight driver, or the progressive run —
+// over src. DB passes its live store, Session its snapshot; that is the
+// whole difference between them (a progressive run reads the live store
+// either way, see runProgressive). The executed plan's schema names the
+// result columns, so nothing is built that does not run. An EXPLAIN
+// statement stops after building the plan the design would run; EXPLAIN
+// ANALYZE runs it under the operator profiler (progressive: its phase tree).
+// Both answer with the rendered tree (see planRows).
 func (db *DB) run(ctx context.Context, src storage.Source, design Design, query string, obs QueryObs) (*Result, error) {
 	st, err := db.parse(query)
 	if err != nil {
 		return nil, err
+	}
+	if design == ProgressiveDesign {
+		src = db.store // its EXPLAIN too, see runProgressive
 	}
 	if st.mode == explainPlan {
 		rows, err := db.explain(st.a, src, design)
@@ -156,6 +180,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	if st.mode == explainAnalyze {
 		prof = engine.NewProfiler()
 	}
+	start := time.Now()
 
 	res := &Result{}
 	var rows []*expr.Row
@@ -182,6 +207,8 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 			// Total() reflects the measured wall time without double counting.
 			res.Timing = splitTightTiming(tr.DBMS, db.mgr.Counters().EnrichTime-enrichBefore)
 		}
+	case ProgressiveDesign:
+		rows, schema, err = db.runProgressive(ctx, st.a, obs.Progressive, tracer, res)
 	default:
 		err = fmt.Errorf("enrichdb: unknown design %d", design)
 	}
@@ -194,6 +221,9 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	res.Rows = wrapRows(schema, rows)
 	if prof != nil {
 		res.Profile = &QueryProfile{Design: design.String(), Root: prof.Root()}
+		if design == ProgressiveDesign {
+			res.Profile.Root = progressiveRoot(res, time.Since(start))
+		}
 		res.Rows = planRows(res.Profile.String())
 	}
 	return res, nil
@@ -216,7 +246,7 @@ type statement struct {
 }
 
 // parse is the one place the root package parses a query: every statement
-// DB.run and QueryProgressive accept, EXPLAIN forms included, enters here.
+// DB.run accepts, EXPLAIN forms included, enters here.
 func (db *DB) parse(query string) (*statement, error) {
 	ps, err := sqlparser.ParseStatement(query)
 	if err != nil {
@@ -278,14 +308,15 @@ func (db *DB) buildPlan(a *engine.Analysis, src storage.Source) (engine.Plan, er
 
 // explain answers a plan-only EXPLAIN: the plan design runs for a over src —
 // the plain plan for plain and loose (loose runs it once its probes and
-// enrichment are done), the UDF-rewritten plan for tight — built without
-// executing anything and rendered with the cost model's estimates and the
+// enrichment are done) and for progressive (the query whose answer the view
+// maintains), the UDF-rewritten plan for tight — built without executing
+// anything and rendered with the cost model's estimates and the
 // selectivities the runtime-statistics store has observed.
 func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*Rows, error) {
 	var plan engine.Plan
 	var err error
 	switch design {
-	case PlainDesign, LooseDesign:
+	case PlainDesign, LooseDesign, ProgressiveDesign:
 		plan, err = db.buildPlan(a, src)
 	case TightDesign:
 		plan, err = db.tightDriver(src, nil, nil, nil).Plan(a)

@@ -383,7 +383,10 @@ var errSessionClosed = errors.New("enrichdb: session is closed")
 // Run is DB.Run against the session's snapshot: the same pipeline, the same
 // designs, cancellation and observability, reading the data committed as of
 // Version(). Enrichment performed by a loose or tight run lands in the
-// session's view and, generation-guarded, in the live tables.
+// session's view and, generation-guarded, in the live tables. A progressive
+// run refines its answer against the live tables instead (read-committed),
+// sharing the scheduler pool and enrichment state with every concurrent
+// session.
 func (s *Session) Run(ctx context.Context, design Design, query string, obs QueryObs) (*Result, error) {
 	if s.closed.Load() {
 		return nil, errSessionClosed
@@ -409,17 +412,4 @@ func (s *Session) QueryLoose(query string) (*Result, error) {
 // evaluation, sharing state and deduplication with every other session.
 func (s *Session) QueryTight(query string) (*Result, error) {
 	return s.Run(context.Background(), TightDesign, query, QueryObs{})
-}
-
-// QueryProgressive executes a progressive query through the session. The
-// progressive pipeline maintains its answer incrementally against live data
-// (its IVM view consumes committed deltas), so it runs over the live
-// database rather than the frozen snapshot: results are read-committed and
-// refine monotonically with enrichment, sharing the scheduler pool and
-// enrichment state with every concurrent session.
-func (s *Session) QueryProgressive(query string, opts ProgressiveOptions) (*ProgressiveResult, error) {
-	if s.closed.Load() {
-		return nil, errSessionClosed
-	}
-	return s.db.QueryProgressive(query, opts)
 }

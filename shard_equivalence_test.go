@@ -172,7 +172,7 @@ func TestShardEquivalenceProgressive(t *testing.T) {
 		for _, workers := range workerWidths {
 			opts := ProgressiveOptions{Strategy: strat.s, Seed: 7, Workers: workers}
 			base, _, _ := buildReviewDB(t)
-			wantRes, err := base.QueryProgressive(enrichedQuery, opts)
+			wantRes, err := runProgressive(base.Run, enrichedQuery, opts)
 			if err != nil {
 				t.Fatalf("baseline %s/w%d: %v", strat.name, workers, err)
 			}
@@ -182,7 +182,7 @@ func TestShardEquivalenceProgressive(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					db := openShardedReviews(t, shards)
 					defer db.Close()
-					res, err := db.QueryProgressive(enrichedQuery, opts)
+					res, err := runProgressive(db.Run, enrichedQuery, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -76,7 +76,7 @@ func TestSnapshotCarriesPartialFamilyState(t *testing.T) {
 	// Progressive runs leave partial bitmaps (one of two functions run);
 	// the snapshot must preserve them exactly.
 	src, _, _ := buildReviewDB(t)
-	if _, err := src.QueryProgressive("SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
+	if _, err := runProgressive(src.Run, "SELECT * FROM Reviews WHERE rating = 1", ProgressiveOptions{
 		Strategy:  RandomOrdered,
 		MaxEpochs: 2, // stop early: partial state guaranteed
 	}); err != nil {
