@@ -155,7 +155,7 @@ func BenchmarkVectorFilter(b *testing.B) {
 						}
 						batch.Reset(rs, snap[lo:hi])
 						wlo, wn := lo/64, (hi-lo+63)/64
-						if !vp.Eval(&batch, t[wlo:wlo+wn], nf[wlo:wlo+wn]) {
+						if !vp.Eval(&batch, t[wlo:wlo+wn], nf[wlo:wlo+wn], nil) {
 							b.Fatal("kernel pass bailed")
 						}
 					}

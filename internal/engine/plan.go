@@ -915,6 +915,11 @@ func (p *Project) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.project(ctx, in), nil
+}
+
+// project narrows each row to the projected columns, keeping its TIDs.
+func (p *Project) project(ctx *ExecCtx, in []*expr.Row) []*expr.Row {
 	out := make([]*expr.Row, len(in))
 	for i, r := range in {
 		vals := ctx.Arena.ValSlice(len(p.Cols))
@@ -923,7 +928,7 @@ func (p *Project) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 		}
 		out[i] = ctx.Arena.NewRow(p.rs, vals, r.TIDs)
 	}
-	return out, nil
+	return out
 }
 
 // Explain renders the subtree.

@@ -15,6 +15,11 @@ import (
 // only for surviving lanes — or, when an uncompiled residual remains, for
 // every not-False lane so residual evaluation (including UDF side effects)
 // happens on exactly the rows the row path would evaluate, in the same order.
+// A tight filter's guarded conjuncts compile too: lanes whose image marks the
+// guarded attributes are decided by kernels over the stored values, and only
+// the pending lanes (see expr.VecPred) are row-evaluated, on the conjunct
+// suffix from the first guarded conjunct on. For a single-table tight filter
+// the row evaluator is thus only the UDF residual over unmarked images.
 //
 // The pass structure is: (1) kernels over all batches into whole-scan
 // bitmaps — no rows built, no side effects, so a column-fill bail (declared
@@ -33,9 +38,9 @@ type tupleSnapshotter interface {
 // to one goroutine (parallel partitions build their own contexts) and never
 // escape an Execute call.
 type vecBufs struct {
-	snap  []*types.Tuple
-	batch expr.Batch
-	t, nf expr.Bitmap
+	snap        []*types.Tuple
+	batch       expr.Batch
+	t, nf, pend expr.Bitmap
 }
 
 func (ctx *ExecCtx) vecbufs() *vecBufs {
@@ -63,20 +68,25 @@ func (f *Filter) vecPred(rs *expr.RowSchema) *expr.VecPred {
 }
 
 // vecSelect runs the compiled kernels over the whole tuple range, batch by
-// batch, leaving the selection in the context's t/nf bitmaps. ok is false on
-// a column-fill bail. Batch strides are BatchSize lanes, so each stride's
+// batch, leaving the selection in the context's t/nf bitmaps and the pending
+// lanes in pend (nil when the predicate has no guarded conjunct). ok is false
+// on a column-fill bail. Batch strides are BatchSize lanes, so each stride's
 // bitmap window is word-aligned and kernels write the whole-range bitmaps
 // directly through subslices.
-func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*types.Tuple) (t, nf expr.Bitmap, ok bool) {
+func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*types.Tuple) (t, nf, pend expr.Bitmap, ok bool) {
 	bufs := ctx.vecbufs()
 	n := len(tuples)
 	bufs.t = bufs.t.Reset(n)
 	bufs.t.SetAll(n)
 	bufs.nf = bufs.nf.Reset(n)
 	bufs.nf.SetAll(n)
+	if vp.Pending != nil {
+		bufs.pend = bufs.pend.Reset(n)
+		pend = bufs.pend
+	}
 	for lo := 0; lo < n; lo += expr.BatchSize {
 		if ctx.CancelErr() != nil {
-			return nil, nil, false // caller's row path surfaces ErrCanceled
+			return nil, nil, nil, false // caller's row path surfaces ErrCanceled
 		}
 		hi := lo + expr.BatchSize
 		if hi > n {
@@ -85,19 +95,26 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*typ
 		m := hi - lo
 		bufs.batch.Reset(rs, tuples[lo:hi])
 		wlo, wn := lo>>6, (m+63)>>6
-		if !vp.Eval(&bufs.batch, bufs.t[wlo:wlo+wn], bufs.nf[wlo:wlo+wn]) {
-			return nil, nil, false
+		var pw expr.Bitmap
+		if pend != nil {
+			pw = pend[wlo : wlo+wn]
+		}
+		if !vp.Eval(&bufs.batch, bufs.t[wlo:wlo+wn], bufs.nf[wlo:wlo+wn], pw) {
+			return nil, nil, nil, false
 		}
 		ctx.Stats.BatchesBuilt++
 		ctx.Stats.BatchRows += int64(m)
 	}
-	return bufs.t, bufs.nf, true
+	return bufs.t, bufs.nf, pend, true
 }
 
-// eachSet calls fn for every set lane in ascending order, skipping zero
-// words.
-func eachSet(b expr.Bitmap, fn func(i int) bool) bool {
-	for wi, w := range b {
+// eachSet calls fn for every lane set in a or in b (b may be nil), in
+// ascending order, skipping zero words.
+func eachSet(a, b expr.Bitmap, fn func(i int) bool) bool {
+	for wi, w := range a {
+		if b != nil {
+			w |= b[wi]
+		}
 		base := wi << 6
 		for w != 0 {
 			i := base + bits.TrailingZeros64(w)
@@ -140,47 +157,66 @@ func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, handled boo
 // vecScanFilterRange filters one contiguous tuple range on the calling
 // goroutine.
 func (f *Filter) vecScanFilterRange(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*types.Tuple) ([]*expr.Row, bool, error) {
-	n := len(tuples)
-	t, nf, ok := vecSelect(ctx, s.rs, vp, tuples)
+	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
 	if !ok {
 		return nil, false, nil
 	}
-	if vp.Residual == nil {
-		// Fully compiled: survivors are countable up front, so the output
-		// slice and arena chunks are sized exactly.
+	out, err := f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
+	return out, true, err
+}
+
+// vecEmit materializes the rows a kernel selection lets through, in lane
+// order.
+func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*types.Tuple, t, nf, pend expr.Bitmap) ([]*expr.Row, error) {
+	n := len(tuples)
+	if vp.Residual == nil && !pend.Any() {
+		// Decided by kernels alone: survivors are countable up front, so the
+		// output slice and arena chunks are sized exactly.
 		count := t.Count()
 		ctx.Arena.Reserve(count, 0, count)
 		out := make([]*expr.Row, 0, count)
-		eachSet(t, func(i int) bool {
+		eachSet(t, nil, func(i int) bool {
 			out = append(out, f.vecRow(ctx, s, tuples[i]))
 			return true
 		})
 		ctx.Stats.RowsScanned += int64(n)
-		return out, true, nil
+		return out, nil
 	}
-	// Residual: evaluate the uncompiled suffix row-at-a-time on every
-	// not-False lane (the row path's And continues through Unknown, so UDF
-	// side effects must fire for those lanes too).
+	// Row-evaluate the pending lanes on Pending, and the uncompiled suffix on
+	// every other not-False lane (the row path's And continues through
+	// Unknown, so UDF side effects must fire for those lanes too), all in
+	// lane order.
+	lanes := t
+	if vp.Residual != nil {
+		lanes = nf
+	}
 	var out []*expr.Row
 	var evalErr error
-	eachSet(nf, func(i int) bool {
-		ctx.Stats.BatchFallbackRows++
+	eachSet(lanes, pend, func(i int) bool {
 		r := f.vecRow(ctx, s, tuples[i])
-		tv, err := expr.EvalPred(ctx.Eval, vp.Residual, r)
-		if err != nil {
-			evalErr = err
-			return false
+		pred, pass := vp.Residual, t.Get(i)
+		if pend != nil && pend.Get(i) {
+			pred = vp.Pending // t holds the verdict of the conjuncts before it
 		}
-		if tv == expr.True && t.Get(i) {
+		if pred != nil {
+			ctx.Stats.BatchFallbackRows++
+			tv, err := expr.EvalPred(ctx.Eval, pred, r)
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			pass = pass && tv == expr.True
+		}
+		if pass {
 			out = append(out, r)
 		}
 		return true
 	})
 	if evalErr != nil {
-		return nil, true, evalErr
+		return nil, evalErr
 	}
 	ctx.Stats.RowsScanned += int64(n)
-	return out, true, nil
+	return out, nil
 }
 
 // vecScanFilterParallel partitions the snapshot contiguously across the
@@ -241,10 +277,12 @@ func (f *Filter) vecScanFilterParallel(ctx *ExecCtx, s *Scan, vp *expr.VecPred, 
 }
 
 // vecExecute attempts the fused project-filter-scan: when the child filter's
-// predicate compiled fully (no residual, hence no UDFs and no PatchRows),
-// projected rows are assembled straight from surviving tuples without ever
-// materializing the intermediate filter rows. Larger inputs with a pool
-// available are left to the filter's parallel vector path instead.
+// predicate compiled fully (no residual) and no lane is pending, the kernels
+// decided every lane from stored values, so projected rows are assembled
+// straight from surviving tuples without ever materializing the intermediate
+// filter rows. Pending lanes run ω, which may patch enriched values into
+// their rows; the filter's rows are then projected. Larger inputs with a
+// pool available are left to the filter's parallel vector path instead.
 func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	if ctx.NoVector {
 		return nil, false, nil
@@ -266,14 +304,21 @@ func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 && n >= ctx.parallelMinRows() {
 		return nil, false, nil
 	}
-	t, _, ok := vecSelect(ctx, s.rs, vp, tuples)
+	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
 	if !ok {
 		return nil, false, nil
+	}
+	if pend.Any() {
+		rows, err := f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
+		if err != nil {
+			return nil, true, err
+		}
+		return p.project(ctx, rows), true, nil
 	}
 	count := t.Count()
 	ctx.Arena.Reserve(count, count*len(p.Cols), count)
 	out := make([]*expr.Row, 0, count)
-	eachSet(t, func(i int) bool {
+	eachSet(t, nil, func(i int) bool {
 		tu := tuples[i]
 		vals := ctx.Arena.ValSlice(len(p.Cols))
 		for vi, ci := range p.Cols {

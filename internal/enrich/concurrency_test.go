@@ -28,12 +28,12 @@ func TestConcurrentExecute(t *testing.T) {
 			defer wg.Done()
 			for tid := int64(1); tid <= tuples; tid++ {
 				for fn := 0; fn < 2; fn++ {
-					_, ran, err := m.Execute("R", tid, "d", fn, []float64{float64(tid)}, 0)
+					_, run, err := m.Execute("R", tid, "d", fn, []float64{float64(tid)}, 0)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if ran {
+					if run > 0 {
 						mu.Lock()
 						executed++
 						mu.Unlock()

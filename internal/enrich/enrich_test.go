@@ -103,13 +103,13 @@ func TestManagerExecuteAndSkip(t *testing.T) {
 	}
 	x := []float64{1, 2}
 
-	_, ran, err := m.Execute("R", 1, "d", 0, x, 0)
-	if err != nil || !ran {
-		t.Fatalf("first execute: %v %v", ran, err)
+	_, run, err := m.Execute("R", 1, "d", 0, x, 0)
+	if err != nil || run <= 0 {
+		t.Fatalf("first execute: %v %v", run, err)
 	}
-	_, ran, err = m.Execute("R", 1, "d", 0, x, 0)
-	if err != nil || ran {
-		t.Fatalf("duplicate execute must be skipped: %v %v", ran, err)
+	_, run, err = m.Execute("R", 1, "d", 0, x, 0)
+	if err != nil || run != 0 {
+		t.Fatalf("duplicate execute must be skipped: %v %v", run, err)
 	}
 	c := m.Counters()
 	if c.Enrichments != 1 || c.Skipped != 1 {
@@ -310,8 +310,8 @@ func TestResetTuple(t *testing.T) {
 		t.Errorf("value after reset: %v", got)
 	}
 	// An execution still computed from the superseded image is dropped.
-	if _, ran, err := m.Execute("R", 7, "d", 0, []float64{0}, 0); err != nil || !ran {
-		t.Fatalf("stale execute: ran=%v err=%v", ran, err)
+	if _, run, err := m.Execute("R", 7, "d", 0, []float64{0}, 0); err != nil || run <= 0 {
+		t.Fatalf("stale execute: run=%v err=%v", run, err)
 	}
 	if c := m.Counters(); c.StaleDrops != 1 || m.Enriched("R", 7, "d", 0, 1) {
 		t.Errorf("stale output stored: stale_drops=%d", c.StaleDrops)
@@ -478,9 +478,9 @@ func TestStateExportImport(t *testing.T) {
 		t.Errorf("cutoff pruning lost in round trip: %+v", s.Outputs[0])
 	}
 	// Executions are still skipped after import.
-	_, ran, err := m2.Execute("R", 1, "d", 0, x, 0)
-	if err != nil || ran {
-		t.Errorf("imported state must prevent re-execution: %v %v", ran, err)
+	_, run, err := m2.Execute("R", 1, "d", 0, x, 0)
+	if err != nil || run != 0 {
+		t.Errorf("imported state must prevent re-execution: %v %v", run, err)
 	}
 }
 

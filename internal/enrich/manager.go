@@ -220,7 +220,8 @@ func (m *Manager) release(key flightKey, f *flight, probs []float64, err error) 
 // Execute runs function fnID of (relation, attr) on a feature vector read
 // from the tuple image at fixed-data generation gen, unless the state shows
 // the function already ran for that image, and returns its output
-// distribution. ran reports whether this call performed the run itself.
+// distribution. run is how long this call's own function run took; it is
+// positive iff this call performed the run itself.
 // Concurrent identical computations at the same generation collapse into one
 // function run shared across sessions: the loser of the race waits for the
 // winner's state write, reuses its distribution and counts as Skipped,
@@ -228,13 +229,13 @@ func (m *Manager) release(key flightKey, f *flight, probs []float64, err error) 
 // a committed write has since superseded is dropped instead of stored
 // (counted in stale_drops), so newer data always wins (first-write-wins
 // applies only within one generation).
-func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) (probs []float64, ran bool, err error) {
+func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, feature []float64, gen uint64) (probs []float64, run time.Duration, err error) {
 	fam := m.Family(relation, attr)
 	if fam == nil {
-		return nil, false, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
+		return nil, 0, fmt.Errorf("enrich: no family for %s.%s", relation, attr)
 	}
 	if fnID < 0 || fnID >= len(fam.Functions) {
-		return nil, false, fmt.Errorf("enrich: %s.%s has no function %d", relation, attr, fnID)
+		return nil, 0, fmt.Errorf("enrich: %s.%s has no function %d", relation, attr, fnID)
 	}
 	st := m.StateTable(relation)
 	key := flightKey{tripletID{relation, tid, attr, fnID}, gen}
@@ -246,7 +247,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 		// its own frozen feature vector and the store below drops as stale.
 		if p, done := m.stored(st, tid, attr, fnID, gen); done {
 			m.skipped.Add(1)
-			return p, false, nil
+			return p, 0, nil
 		}
 		f, leader := m.acquire(key)
 		if leader {
@@ -259,7 +260,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 		<-f.done
 		if f.err == nil && f.probs != nil {
 			m.skipped.Add(1)
-			return f.probs, false, nil
+			return f.probs, 0, nil
 		}
 	}
 	// The flight must be released on every leader exit — including a panic
@@ -281,11 +282,11 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 	if p, done := m.stored(st, tid, attr, fnID, gen); done {
 		releaseWith(nil, nil)
 		m.skipped.Add(1)
-		return p, false, nil
+		return p, 0, nil
 	}
 	runStart := time.Now()
 	probs = fam.Functions[fnID].Run(feature)
-	elapsed := time.Since(runStart)
+	elapsed := max(time.Since(runStart), time.Nanosecond) // positive even on a coarse clock: run > 0 means this call ran
 	m.enrichNanos.AddDuration(elapsed)
 	m.latency.ObserveDuration(elapsed)
 	m.enrichments.Add(1)
@@ -295,7 +296,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 	m.stateNanos.Add(int64(time.Since(start)))
 	if serr != nil {
 		releaseWith(nil, serr)
-		return nil, false, serr
+		return nil, 0, serr
 	}
 	if stored {
 		m.firstStores.Add(1)
@@ -303,7 +304,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 		m.staleDrops.Add(1)
 	}
 	releaseWith(probs, nil)
-	return probs, true, nil
+	return probs, elapsed, nil
 }
 
 // stored reports whether function fnID already ran for the tuple image at

@@ -63,6 +63,16 @@ func (b Bitmap) And(o Bitmap) {
 	}
 }
 
+// Any reports whether any lane is set (word-wise, no per-lane cost).
+func (b Bitmap) Any() bool {
+	for _, w := range b {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Count returns the number of set lanes.
 func (b Bitmap) Count() int {
 	n := 0

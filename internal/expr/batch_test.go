@@ -175,7 +175,7 @@ func TestVecPredKleeneLanes(t *testing.T) {
 	tm.SetAll(3)
 	nf = nf.Reset(3)
 	nf.SetAll(3)
-	if !vp.Eval(&b, tm, nf) {
+	if !vp.Eval(&b, tm, nf, nil) {
 		t.Fatal("fill bailed unexpectedly")
 	}
 	wantT := []bool{true, false, false}

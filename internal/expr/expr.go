@@ -193,6 +193,8 @@ func EvalPred(ctx *EvalCtx, e Expr, row *Row) (TV, error) {
 		return False, nil
 	case *Cmp:
 		return n.eval3(ctx, row)
+	case *Guarded:
+		return EvalPred(ctx, n.Omega, row)
 	case *TruePred:
 		return True, nil
 	default:
@@ -541,6 +543,68 @@ func (e *Enriched) String() string {
 		cols[i] = e.Alias + "." + a
 	}
 	return name + "(" + strings.Join(cols, ", ") + ")"
+}
+
+// Guarded is the tight rewrite of one derived conjunct C with a marked case.
+// When the tuple image of C's slot marks every one of Refs, ω(C) reduces to C
+// over the stored columns: CheckState answers true and GetValue the stored
+// value. Row evaluation is the paper's ω exactly (Omega); the vector kernel
+// decides marked lanes with Stored's kernel and leaves every other lane
+// pending for ω (CompileVecPred). Walk and String cover both branches, so UDF
+// detection, UDF pull-up, the nested-loop rule and EXPLAIN see ω's calls.
+type Guarded struct {
+	Refs   []DerivedRef
+	Stored Expr // C over the stored columns
+	Omega  Expr // ω(C)
+
+	mask     uint64 // the refs' mark bits
+	markable bool   // the refs share one slot and each has a mark bit
+}
+
+// NewGuarded returns an unresolved guarded conjunct.
+func NewGuarded(refs []DerivedRef, stored, omega Expr) *Guarded {
+	return &Guarded{Refs: refs, Stored: stored, Omega: omega}
+}
+
+// Eval evaluates ω.
+func (g *Guarded) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return g.Omega.Eval(ctx, row) }
+
+// Resolve binds both branches and the refs' mark bits.
+func (g *Guarded) Resolve(rs *RowSchema) error {
+	if err := g.Omega.Resolve(rs); err != nil {
+		return err
+	}
+	if err := g.Stored.Resolve(rs); err != nil {
+		return err
+	}
+	g.mask, g.markable = 0, len(g.Refs) > 0
+	for _, r := range g.Refs {
+		si := rs.SlotByAlias(r.Alias)
+		if si < 0 || r.Alias != g.Refs[0].Alias || rs.Slots[si].Schema == nil {
+			g.markable = false
+			break
+		}
+		bit := rs.Slots[si].Schema.MarkBit(r.Attr)
+		g.mask, g.markable = g.mask|bit, g.markable && bit != 0
+	}
+	return nil
+}
+
+// Clone deep-copies both branches, dropping bound state.
+func (g *Guarded) Clone() Expr { return NewGuarded(g.Refs, g.Stored.Clone(), g.Omega.Clone()) }
+
+// Walk visits the node, then C, then ω.
+func (g *Guarded) Walk(fn func(Expr)) { fn(g); g.Stored.Walk(fn); g.Omega.Walk(fn) }
+
+// String renders the marked case and ω, e.g.
+// CASE WHEN Enriched(t.sentiment) THEN t.sentiment = 0 ELSE (…) END.
+func (g *Guarded) String() string {
+	cols := make([]string, len(g.Refs))
+	for i, r := range g.Refs {
+		cols[i] = r.Alias + "." + r.Attr
+	}
+	return "CASE WHEN Enriched(" + strings.Join(cols, ", ") + ") THEN " + g.Stored.String() +
+		" ELSE " + g.Omega.String() + " END"
 }
 
 // TruePred is the always-true predicate (an empty WHERE clause).

@@ -15,12 +15,22 @@ import (
 // only on False, Unknown keeps evaluating, and the residual (the uncompiled
 // suffix) still runs row-at-a-time on every not-False lane.
 //
+// The one exception is the tight design's guarded conjunct (Guarded): it
+// compiles when its C over the stored columns does, but the kernel decides
+// only the lanes whose tuple image marks the guard's refs, where ω(C) is C.
+// Every other lane that is still not-False when it reaches the FIRST guarded
+// conjunct is pending: it is decided row-at-a-time by the conjunct suffix
+// from that guarded conjunct on (Pending), so its UDF calls, side-effect
+// order, errors and enrichments are exactly the row path's.
+//
 // Lane semantics per conjunct: fold its three-valued result tv into two
 // bitmaps — t (lane is True so far: cleared unless tv==True) and nf (lane is
-// not-False so far: cleared when tv==False). A lane passes the whole
-// predicate iff t stays set through the kernels and the residual evaluates
-// True; a lane skips residual evaluation iff nf was cleared (the row path's
-// False short-circuit).
+// not-False so far: cleared when tv==False). A lane that is not pending
+// passes the whole predicate iff t stays set through the kernels and the
+// residual evaluates True; it skips residual evaluation iff nf was cleared
+// (the row path's False short-circuit). A pending lane's t bit is the verdict
+// of the conjuncts before the first guarded one; it passes iff that bit is
+// set and Pending evaluates True. Its nf bit means nothing.
 
 // VecPred is a compiled predicate: zero or more column kernels plus an
 // optional row-at-a-time residual.
@@ -30,6 +40,15 @@ type VecPred struct {
 	// compiled fully). It must be evaluated with EvalPred on every lane
 	// whose nf bit survives the kernels.
 	Residual Expr
+	// Pending is the conjunct suffix from the first compiled guarded
+	// conjunct on (nil without one). It decides the pending lanes Eval
+	// reports, in place of the kernels from that conjunct on and the
+	// residual.
+	Pending Expr
+	// guardAt is the kernel index of the first guarded conjunct (-1 without
+	// one); guardMask is the union of the compiled guards' mark bits.
+	guardAt   int
+	guardMask uint64
 }
 
 // NumKernels reports how many conjuncts compiled to kernels (introspection
@@ -37,15 +56,31 @@ type VecPred struct {
 func (vp *VecPred) NumKernels() int { return len(vp.kernels) }
 
 // Eval applies every kernel to the batch, folding results into t (all
-// conjuncts so far True) and nf (no conjunct so far False). Both bitmaps must
-// arrive with the first Len lanes set. It returns false when a referenced
-// column's values deviate from the declared kind — the caller must discard
-// the bitmaps and evaluate the batch row-at-a-time.
-func (vp *VecPred) Eval(b *Batch, t, nf Bitmap) bool {
-	for _, k := range vp.kernels {
+// conjuncts so far True) and nf (no conjunct so far False), and sets pend
+// for the pending lanes. t and nf must arrive with the first Len lanes set,
+// pend cleared (it may be nil when Pending is). It returns false when a
+// referenced column's values deviate from the declared kind — the caller
+// must discard the bitmaps and evaluate the batch row-at-a-time.
+func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
+	var prefix [BatchSize / 64]uint64 // t as the first guarded conjunct finds it
+	for i, k := range vp.kernels {
+		if i == vp.guardAt {
+			// The lanes the row path carries into the first guarded
+			// conjunct whose image misses a guarded mark bit are pending.
+			copy(prefix[:], t)
+			for lane, tu := range b.Tuples {
+				if nf.Get(lane) && tu.Enriched&vp.guardMask != vp.guardMask {
+					pend.Set(lane)
+				}
+			}
+		}
 		if !k.apply(b, t, nf) {
 			return false
 		}
+	}
+	// A pending lane keeps the prefix's verdict: Pending decides the rest.
+	for w := range pend {
+		t[w] = t[w]&^pend[w] | prefix[w]&pend[w]
 	}
 	return true
 }
@@ -58,7 +93,7 @@ func CompileVecPred(pred Expr, rs *RowSchema) *VecPred {
 		return nil // Batch addresses Tuples[lane].Vals[ci] directly
 	}
 	conj := Conjuncts(pred)
-	var kernels []vecKernel
+	vp := &VecPred{guardAt: -1}
 	i := 0
 	for ; i < len(conj); i++ {
 		if _, ok := conj[i].(TruePred); ok {
@@ -68,21 +103,30 @@ func CompileVecPred(pred Expr, rs *RowSchema) *VecPred {
 		if k == nil {
 			break
 		}
-		kernels = append(kernels, k)
+		if g, ok := k.(kGuarded); ok {
+			if vp.guardAt < 0 {
+				vp.guardAt, vp.Pending = len(vp.kernels), conjunction(conj[i:])
+			}
+			vp.guardMask |= g.mask
+		}
+		vp.kernels = append(vp.kernels, k)
 	}
-	if len(kernels) == 0 && i < len(conj) {
+	if len(vp.kernels) == 0 && i < len(conj) {
 		return nil
 	}
-	vp := &VecPred{kernels: kernels}
 	if i < len(conj) {
-		rest := conj[i:]
-		if len(rest) == 1 {
-			vp.Residual = rest[0]
-		} else {
-			vp.Residual = &And{Kids: rest}
-		}
+		vp.Residual = conjunction(conj[i:])
 	}
 	return vp
+}
+
+// conjunction is the And of a non-empty conjunct list (the conjunct itself
+// when there is one).
+func conjunction(conj []Expr) Expr {
+	if len(conj) == 1 {
+		return conj[0]
+	}
+	return &And{Kids: conj}
 }
 
 // vecKernel evaluates one conjunct over a batch. apply returns false on a
@@ -106,6 +150,13 @@ func compileConjunct(e Expr, rs *RowSchema) vecKernel {
 			return nil
 		}
 		return kEnriched{n}
+	case *Guarded:
+		if !n.markable {
+			return nil
+		}
+		if k := compileConjunct(n.Stored, rs); k != nil {
+			return kGuarded{vecKernel: k, mask: n.mask}
+		}
 	}
 	return nil
 }
@@ -276,6 +327,14 @@ func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
 	return true
 }
 
+// kGuarded: a guarded conjunct's C over the stored columns. It runs on every
+// lane, but only decides the lanes whose image carries mask; VecPred.Eval
+// routes the others to Pending.
+type kGuarded struct {
+	vecKernel
+	mask uint64
+}
+
 // kCmpIntConst: INT/BOOL column vs integral constant, compared in int64
 // space (no float rounding on large ids). The hot per-operator loops skip
 // the NULL check entirely when the column has no NULL lanes.
@@ -291,7 +350,7 @@ func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) bool {
 		return false
 	}
 	xs := cv.I
-	if anySet(cv.Nulls) {
+	if cv.Nulls.Any() {
 		for i, x := range xs {
 			if cv.Nulls.Get(i) {
 				t.Clear(i) // Unknown: not True, still not-False
@@ -366,7 +425,7 @@ func (k kCmpFloatConst) apply(b *Batch, t, nf Bitmap) bool {
 	if !ok {
 		return false
 	}
-	nulls := anySet(cv.Nulls)
+	nulls := cv.Nulls.Any()
 	for i := 0; i < b.Len(); i++ {
 		if nulls && cv.Nulls.Get(i) {
 			t.Clear(i)
@@ -398,7 +457,7 @@ func (k kCmpStrConst) apply(b *Batch, t, nf Bitmap) bool {
 	if !ok {
 		return false
 	}
-	nulls := anySet(cv.Nulls)
+	nulls := cv.Nulls.Any()
 	for i, s := range cv.S {
 		if nulls && cv.Nulls.Get(i) {
 			t.Clear(i)
@@ -436,7 +495,7 @@ func (k kCmpColCol) apply(b *Batch, t, nf Bitmap) bool {
 	if !ok {
 		return false
 	}
-	lNulls, rNulls := anySet(lv.Nulls), anySet(rv.Nulls)
+	lNulls, rNulls := lv.Nulls.Any(), rv.Nulls.Any()
 	for i := 0; i < b.Len(); i++ {
 		if (lNulls && lv.Nulls.Get(i)) || (rNulls && rv.Nulls.Get(i)) {
 			t.Clear(i)
@@ -465,14 +524,4 @@ func laneFloat(cv *ColVec, i int) float64 {
 		return cv.F[i]
 	}
 	return float64(cv.I[i])
-}
-
-// anySet reports whether any lane bit is set (word-wise, no per-lane cost).
-func anySet(b Bitmap) bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }

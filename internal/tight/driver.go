@@ -18,8 +18,10 @@ type Result struct {
 	// statement's select list and tables, so it is the original query's.
 	Schema *expr.RowSchema
 	// Enrichments counts the enrichment function executions the rewritten
-	// query triggered through read_udf (Table 7).
+	// query triggered through read_udf (Table 7), and EnrichTime the time
+	// those function runs took. Both count this query's own executions only.
 	Enrichments int64
+	EnrichTime  time.Duration
 	// UDFInvocations counts every CheckState/GetValue/read_udf call — the
 	// per-row invocation overhead the loose design's batching avoids.
 	UDFInvocations int64
@@ -67,8 +69,6 @@ func (d *Driver) Execute(query string) (*Result, error) {
 
 // ExecuteAnalyzed runs an already-analyzed query.
 func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
-	before := d.Mgr.Counters().Enrichments
-
 	plan, err := d.Plan(a)
 	if err != nil {
 		return nil, err
@@ -96,11 +96,11 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	res := &Result{
 		Rows:           rows,
 		Schema:         plan.Schema(),
-		Enrichments:    d.Mgr.Counters().Enrichments - before,
 		UDFInvocations: ctx.Eval.UDFInvocations,
 		DBMS:           time.Since(t0),
 		Stats:          *ctx.Stats,
 	}
+	res.Enrichments, res.EnrichTime = rt.Enrichments()
 	sp.Int("rows", int64(len(rows))).
 		Int("enrichments", res.Enrichments).
 		Int("udf_invocations", res.UDFInvocations).

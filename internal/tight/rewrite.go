@@ -22,8 +22,11 @@ import (
 //	       C[r∈S → GetValue(r), r∉S → read_udf(r)]
 //
 // For a single derived reference this is the two-case selection rewrite; for
-// two references it is exactly the paper's four-case join rewrite. The input
-// analysis is not modified.
+// two references it is exactly the paper's four-case join rewrite. Each ω(C)
+// sits inside an expr.Guarded next to C itself: rows evaluate ω, while the
+// vector kernel answers C from the stored values on images whose enrichment
+// mark covers C's references, where ω(C) is C. The input analysis is not
+// modified.
 func RewriteAnalysis(a *engine.Analysis) (*engine.Analysis, error) {
 	out := &engine.Analysis{
 		Stmt:   a.Stmt,
@@ -96,7 +99,7 @@ func RewriteAnalysis(a *engine.Analysis) (*engine.Analysis, error) {
 	return out, nil
 }
 
-// rewriteConjunct builds the ω form of one derived conjunct.
+// rewriteConjunct builds the guarded ω form of one derived conjunct.
 func rewriteConjunct(c expr.Expr, refs []expr.DerivedRef) (expr.Expr, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("tight: conjunct %s marked derived but has no derived refs", c)
@@ -121,7 +124,7 @@ func rewriteConjunct(c expr.Expr, refs []expr.DerivedRef) (expr.Expr, error) {
 		body := substitute(c.Clone(), subst)
 		cases = append(cases, expr.NewAnd(append(guard, body)...))
 	}
-	return expr.NewOr(cases...), nil
+	return expr.NewGuarded(refs, c.Clone(), expr.NewOr(cases...)), nil
 }
 
 // substitute replaces every derived column reference with the designated UDF

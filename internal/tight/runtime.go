@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"enrichdb/internal/enrich"
@@ -50,6 +51,13 @@ type Runtime struct {
 	batches   *telemetry.Counter // tight.udf_payments: overhead payments made (batch leaders)
 	coalesced *telemetry.Counter // tight.udf_coalesced: ReadUDF calls that shared a leader's payment
 
+	// The runtime's own enrichment work: the function executions its
+	// read_udf calls ran, and the time those runs took (the manager's
+	// enrich.exec_ns meaning). A delta of the manager's counters would also
+	// count a concurrent query's executions.
+	ran      atomic.Int64
+	ranNanos atomic.Int64
+
 	gateMu sync.Mutex
 	gates  map[gateKey]chan struct{}
 }
@@ -83,6 +91,12 @@ var _ expr.EnrichRuntime = (*Runtime)(nil)
 // including enrichment execution; subtracting the manager's EnrichTime gives
 // the pure invocation overhead Exp 4 reports.
 func (rt *Runtime) CallTime() time.Duration { return rt.callNanos.Duration() }
+
+// Enrichments returns how many enrichment functions this runtime's read_udf
+// calls executed, and how long those function runs took.
+func (rt *Runtime) Enrichments() (int64, time.Duration) {
+	return rt.ran.Load(), time.Duration(rt.ranNanos.Load())
+}
 
 // BatchStats returns how many invocation-overhead payments were made and how
 // many read_udf calls rode along on another call's payment (zero unless
@@ -240,8 +254,13 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 		rt.overhead()
 	}
 	for _, id := range pending {
-		if _, _, err := rt.Mgr.Execute(relation, tid, attr, id, feature, tu.Gen); err != nil {
+		_, run, err := rt.Mgr.Execute(relation, tid, attr, id, feature, tu.Gen)
+		if err != nil {
 			return types.Null, err
+		}
+		if run > 0 {
+			rt.ran.Add(1)
+			rt.ranNanos.Add(int64(run))
 		}
 	}
 	// Gen-guarded write-back: if the tuple was deleted or its fixed data

@@ -3,6 +3,7 @@ package tight
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"enrichdb/internal/dataset"
@@ -10,6 +11,7 @@ import (
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/loose"
+	"enrichdb/internal/ml"
 	"enrichdb/internal/sqlparser"
 )
 
@@ -69,10 +71,27 @@ func TestRewriteSelectionShape(t *testing.T) {
 			t.Errorf("rewritten condition missing %s:\n%s", want, derivedCond)
 		}
 	}
-	// Two cases for a single derived ref.
-	or, ok := expr.ToCNF(rw.Sel["MultiPie"][findDerived(rw.Sel["MultiPie"])].E).(expr.Expr)
-	_ = or
-	_ = ok
+	// The guard holds the conjunct over the stored column and the paper's two
+	// cases for a single derived ref.
+	g, ok := rw.Sel["MultiPie"][findDerived(rw.Sel["MultiPie"])].E.(*expr.Guarded)
+	if !ok {
+		t.Fatalf("rewritten condition is not guarded:\n%s", derivedCond)
+	}
+	if got := g.Stored.String(); got != "MultiPie.gender = 1" {
+		t.Errorf("marked case = %s, want MultiPie.gender = 1", got)
+	}
+	or, ok := g.Omega.(*expr.Or)
+	if !ok || len(or.Kids) != 2 {
+		t.Fatalf("ω is not the two-case disjunction:\n%s", g.Omega)
+	}
+	for i, want := range []string{
+		"NOT (CheckState(MultiPie, MultiPie.gender)) AND read_udf(MultiPie, MultiPie.gender) = 1",
+		"CheckState(MultiPie, MultiPie.gender) AND GetValue(MultiPie, MultiPie.gender) = 1",
+	} {
+		if got := or.Kids[i].String(); got != want {
+			t.Errorf("case %d = %s, want %s", i, got, want)
+		}
+	}
 }
 
 func findDerived(conds []engine.SelCond) int {
@@ -100,7 +119,11 @@ func TestRewriteJoinShape(t *testing.T) {
 		t.Fatalf("joins: %d", len(rw.Joins))
 	}
 	cond := rw.Joins[0].E
-	or, ok := cond.(*expr.Or)
+	g, ok := cond.(*expr.Guarded)
+	if !ok {
+		t.Fatalf("rewritten join is not guarded: %s", cond)
+	}
+	or, ok := g.Omega.(*expr.Or)
 	if !ok {
 		t.Fatalf("rewritten join is not a disjunction: %s", cond)
 	}
@@ -251,6 +274,10 @@ func TestTightJoinForcedNestedLoop(t *testing.T) {
 	}
 }
 
+// TestTightSecondRunUsesGetValue: a rerun over images the first run marked
+// finds nothing to enrich. On the vector path the marked lanes never reach a
+// UDF: 0 calls, 0 enrichments. The row path still evaluates ω on them —
+// CheckState and GetValue only, never read_udf — and answers the same rows.
 func TestTightSecondRunUsesGetValue(t *testing.T) {
 	_, mgr, drv := fixture(t)
 	q := "SELECT * FROM MultiPie WHERE gender = 1 AND CameraID < 5"
@@ -262,17 +289,24 @@ func TestTightSecondRunUsesGetValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Enrichments != 0 {
-		t.Errorf("second run enriched %d; state must be reused", res2.Enrichments)
+	if res2.Enrichments != 0 || res2.UDFInvocations != 0 {
+		t.Errorf("marked rerun: %d enrichments, %d UDF calls; want 0, 0", res2.Enrichments, res2.UDFInvocations)
 	}
-	if res2.UDFInvocations == 0 {
-		t.Error("second run still pays UDF invocation overhead (CheckState/GetValue)")
+	if renderRows(res1.Rows) != renderRows(res2.Rows) {
+		t.Errorf("results differ across runs: %d vs %d rows", len(res1.Rows), len(res2.Rows))
 	}
-	if len(res1.Rows) != len(res2.Rows) {
-		t.Errorf("results differ across runs: %d vs %d", len(res1.Rows), len(res2.Rows))
+	rt := newTally(drv)
+	rows, calls := runPlan(t, drv, q, true, rt)
+	if n, _ := rt.Enrichments(); n != 0 || rt.reads != 0 {
+		t.Errorf("row-path rerun: %d enrichments, %d read_udf calls; want 0, 0", n, rt.reads)
 	}
-	c := mgr.Counters()
-	if c.Skipped != 0 {
+	if calls == 0 {
+		t.Error("row-path rerun made no CheckState/GetValue calls")
+	}
+	if renderRows(rows) != renderRows(res1.Rows) {
+		t.Errorf("row-path rerun answers %d rows, first run %d", len(rows), len(res1.Rows))
+	}
+	if c := mgr.Counters(); c.Skipped != 0 {
 		t.Errorf("CheckState should route enriched tuples to GetValue, not into skipped executes: %d", c.Skipped)
 	}
 }
@@ -378,5 +412,72 @@ func TestRewriteConjunctGuards(t *testing.T) {
 	}
 	if _, err := rewriteConjunct(expr.TruePred{}, refs); err == nil {
 		t.Error("too many refs must fail")
+	}
+}
+
+// gateModel blocks its first prediction until release is closed, after
+// signalling entered; every later prediction runs straight through.
+type gateModel struct {
+	ml.Classifier
+	first            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateModel) PredictProba(x []float64) []float64 {
+	if g.first.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Classifier.PredictProba(x)
+}
+
+// TestTightEnrichmentsArePerQuery: two tight queries over disjoint windows of
+// one database overlap — the first blocks inside its first enrichment until
+// the second has finished. Each reports its own executions (one per tweet in
+// its window), and together they account for everything the manager ran.
+func TestTightEnrichmentsArePerQuery(t *testing.T) {
+	d, mgr, drv := fixture(t)
+	fn := mgr.Family("TweetData", "sentiment").Functions[0]
+	gate := &gateModel{Classifier: fn.Model, entered: make(chan struct{}), release: make(chan struct{})}
+	fn.Model = gate
+	tbl := d.DB.MustTable("TweetData")
+	timeCol := tbl.Schema().ColIndex("TweetTime")
+	var wantA, wantB int64
+	for _, tu := range tbl.Tuples() {
+		if tu.Vals[timeCol].Int() < 5000 {
+			wantA++
+		} else {
+			wantB++
+		}
+	}
+	before := mgr.Counters()
+
+	var resA *Result
+	var errA error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resA, errA = drv.Execute("SELECT tid FROM TweetData WHERE TweetTime < 5000 AND sentiment = 1")
+	}()
+	<-gate.entered
+	resB, errB := drv.Execute("SELECT tid FROM TweetData WHERE TweetTime >= 5000 AND sentiment = 1")
+	close(gate.release)
+	<-done
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if resA.Enrichments != wantA || resB.Enrichments != wantB {
+		t.Errorf("enrichments A=%d B=%d, want their own work A=%d B=%d", resA.Enrichments, resB.Enrichments, wantA, wantB)
+	}
+	after := mgr.Counters()
+	if delta := after.Enrichments - before.Enrichments; resA.Enrichments+resB.Enrichments != delta {
+		t.Errorf("A+B = %d, manager ran %d", resA.Enrichments+resB.Enrichments, delta)
+	}
+	// EnrichTime is function run time only, as the manager's counter is.
+	if resA.EnrichTime <= 0 || resB.EnrichTime <= 0 {
+		t.Errorf("enrich time A=%v B=%v, want both positive", resA.EnrichTime, resB.EnrichTime)
+	}
+	if delta := after.EnrichTime - before.EnrichTime; resA.EnrichTime+resB.EnrichTime != delta {
+		t.Errorf("enrich time A+B = %v, manager ran for %v", resA.EnrichTime+resB.EnrichTime, delta)
 	}
 }

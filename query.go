@@ -197,7 +197,6 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 			res.Timing = lr.Timing
 		}
 	case TightDesign:
-		enrichBefore := db.mgr.Counters().EnrichTime
 		var tr *tight.Result
 		if tr, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
 			rows, schema = tr.Rows, tr.Schema
@@ -205,7 +204,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 			// Everything runs inside the DBMS in the tight design; split the
 			// wall-clock into enrichment-function execution vs the rest so that
 			// Total() reflects the measured wall time without double counting.
-			res.Timing = splitTightTiming(tr.DBMS, db.mgr.Counters().EnrichTime-enrichBefore)
+			res.Timing = splitTightTiming(tr.DBMS, tr.EnrichTime)
 		}
 	case ProgressiveDesign:
 		rows, schema, err = db.runProgressive(ctx, st.a, obs.Progressive, tracer, res)
