@@ -89,7 +89,8 @@ serve-soak:
 
 # Sharded equivalence battery and the shard package's partition/fleet/store
 # suites under the race detector: byte-identical sharded≡unsharded output,
-# routing, rebalance, work stealing, hedging and failover.
+# routing, the Seq-ascending merge invariant, work stealing, hedging and
+# failover.
 shard-race:
 	$(GO) test -race -count=1 -run 'TestShardEquivalence' . \
 		&& $(GO) test -race -count=1 ./internal/shard/...
@@ -97,8 +98,8 @@ shard-race:
 # Short fuzz pass over the SQL parser (no panics; print/parse round-trip),
 # the wire-protocol frame codec (decode/encode round-trip, truncation and
 # mutation safety, seeded from the checked-in corpus), and the shard router
-# (hash/range totality, ±0.0 and NaN parity with the engine hasher, route
-# stability under rebalance).
+# (hash totality and determinism, ±0.0 and NaN parity with the engine
+# hasher).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/sqlparser
 	$(GO) test -fuzz FuzzFrame -fuzztime 30s ./internal/wire

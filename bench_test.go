@@ -21,7 +21,6 @@ import (
 
 	"enrichdb/internal/ivm"
 	"enrichdb/internal/loose"
-	"enrichdb/internal/metrics"
 	"enrichdb/internal/ml"
 	"enrichdb/internal/progressive"
 	"enrichdb/internal/sqlparser"
@@ -375,8 +374,6 @@ func BenchmarkClassifierInference(b *testing.B) {
 // enrich + IVM maintenance).
 func BenchmarkProgressiveEpoch(b *testing.B) {
 	env := benchEnv(b)
-	quality := func([]float64) float64 { return 0 }
-	_ = quality
 	a, err := engine.AnalyzeSQL(benchScale().Queries()[2], env.Data.DB.Catalog())
 	if err != nil {
 		b.Fatal(err)
@@ -397,7 +394,6 @@ func BenchmarkProgressiveEpoch(b *testing.B) {
 		}
 		b.ReportMetric(float64(wall.Nanoseconds())/float64(len(res.Epochs)), "ns/epoch")
 	}
-	_ = metrics.Normalize
 }
 
 func blobsFor(b *testing.B, n, dim, k int) ([][]float64, []int) {

@@ -8,8 +8,8 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/loose"
-	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
+	"enrichdb/internal/quality"
 )
 
 // QualityFn builds a per-epoch answer-quality scorer for a query: F1 against
@@ -36,13 +36,13 @@ func (e *Env) QualityFn(query string) (func([]*expr.Row) float64, error) {
 	agg := a.Stmt.HasAggregate()
 	return func(got []*expr.Row) float64 {
 		if agg {
-			rmse, ok := metrics.GroupRMSE(got, want)
+			rmse, ok := quality.GroupRMSE(got, want)
 			if !ok {
 				return 0 // no groups on either side: no quality signal yet
 			}
 			return 1 / (1 + rmse)
 		}
-		_, _, f1 := metrics.SetF1(got, want)
+		_, _, f1 := quality.SetF1(got, want)
 		return f1
 	}, nil
 }
@@ -53,7 +53,7 @@ func runProgressive(s Scale, specs map[[2]string][]dataset.ModelSpec, design pro
 	if err != nil {
 		return nil, err
 	}
-	quality, err := env.QualityFn(query)
+	qualityFn, err := env.QualityFn(query)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func runProgressive(s Scale, specs map[[2]string][]dataset.ModelSpec, design pro
 		EpochBudget: budget,
 		MaxEpochs:   maxEpochs,
 		Seed:        s.Seed,
-		Quality:     quality,
+		Quality:     qualityFn,
 		Tracer:      env.Tracer,
 	})
 }
@@ -79,7 +79,7 @@ func runProgressive(s Scale, specs map[[2]string][]dataset.ModelSpec, design pro
 // sampleSeries reduces a quality series to n evenly spaced points
 // (normalized to its maximum, as the paper plots F1/F1_max).
 func sampleSeries(q []float64, n int) []float64 {
-	norm := metrics.Normalize(q)
+	norm := quality.Normalize(q)
 	if len(norm) <= n {
 		return norm
 	}
@@ -148,7 +148,7 @@ func Exp2Progressiveness(s Scale) (*Table, *Table, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("fig6 Q%d %s: %w", qi+1, design, err)
 			}
-			ps[di] = metrics.ProgressiveScore(metrics.Normalize(res.Quality), 0.05)
+			ps[di] = quality.ProgressiveScore(quality.Normalize(res.Quality), 0.05)
 		}
 		fig6.Rows = append(fig6.Rows, []string{
 			fmt.Sprintf("Q%d", qi+1),
@@ -209,7 +209,7 @@ func Exp3PlanStrategies(s Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("Q%d %s: %w", qi+1, strategy, err)
 			}
-			ps := metrics.ProgressiveScore(metrics.Normalize(res.Quality), 0.05)
+			ps := quality.ProgressiveScore(quality.Normalize(res.Quality), 0.05)
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("Q%d", qi+1),
 				strategy.String(),

@@ -7,8 +7,8 @@ import (
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/engine"
 	"enrichdb/internal/loose"
-	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
+	"enrichdb/internal/quality"
 )
 
 // Exp4Overhead reproduces the time-overhead experiment: the share of a
@@ -71,7 +71,7 @@ func Exp4Overhead(s Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	quality, err := env.QualityFn(q7)
+	qualityFn, err := env.QualityFn(q7)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func Exp4Overhead(s Scale) (*Table, error) {
 		Design: progressive.Loose, Analysis: a7, DB: env.Data.DB, Mgr: env.Mgr,
 		Enricher: &loose.LocalEnricher{Mgr: env.Mgr},
 		Strategy: progressive.SBFO, EpochBudget: 200 * time.Microsecond, MaxEpochs: 400,
-		Seed: sc.Seed, Quality: quality, Recompute: true, Tracer: env.Tracer,
+		Seed: sc.Seed, Quality: qualityFn, Recompute: true, Tracer: env.Tracer,
 	})
 	if err != nil {
 		return nil, err
@@ -115,7 +115,7 @@ func Exp4WorkersOverhead(s Scale, workerCounts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		quality, err := env.QualityFn(q3)
+		qualityFn, err := env.QualityFn(q3)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,7 @@ func Exp4WorkersOverhead(s Scale, workerCounts []int) (*Table, error) {
 			Seed:           sc.Seed,
 			Workers:        workers,
 			InvokeOverhead: time.Millisecond,
-			Quality:        quality,
+			Quality:        qualityFn,
 			Tracer:         env.Tracer,
 		})
 		if err != nil {
@@ -209,7 +209,7 @@ func Exp5Storage(s Scale) (*Table, *Table, error) {
 			return nil, nil, err
 		}
 		env.Mgr.SetCutoff(threshold)
-		quality, err := env.QualityFn(q3)
+		qualityFn, err := env.QualityFn(q3)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -221,13 +221,13 @@ func Exp5Storage(s Scale) (*Table, *Table, error) {
 			Design: progressive.Loose, Analysis: a, DB: env.Data.DB, Mgr: env.Mgr,
 			Enricher: &loose.LocalEnricher{Mgr: env.Mgr},
 			Strategy: progressive.SBFO, EpochBudget: progressiveBudget, MaxEpochs: progressiveEpochs,
-			Seed: sc.Seed, Quality: quality, Tracer: env.Tracer,
+			Seed: sc.Seed, Quality: qualityFn, Tracer: env.Tracer,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
 		c := env.Mgr.Counters()
-		ps := metrics.ProgressiveScore(metrics.Normalize(r.Quality), 0.05)
+		ps := quality.ProgressiveScore(quality.Normalize(r.Quality), 0.05)
 		cut.Rows = append(cut.Rows, []string{
 			fmt.Sprintf("%.1f", threshold),
 			fmt.Sprintf("%d", env.Mgr.StateSizeBytes()),

@@ -85,9 +85,6 @@ type Config struct {
 	// 1 keeps the classic unsharded database. Replay uses the same shard
 	// count, so the serial-replay oracle holds per shard configuration.
 	Shards int
-	// RangePartition range-partitions the table by tuple id (requires
-	// Shards >= 2) so the rebalance fault plan has ranges to split.
-	RangePartition bool
 	// Fleet >= 1 starts that many in-process enrichment servers sharing
 	// the database's models and drives the loose design through the fleet
 	// client (least-loaded routing, work stealing, hedged requests).
@@ -100,10 +97,6 @@ type Config struct {
 	// 1). With survivors the fleet fails over; degraded loose queries
 	// (FailedEnrichments > 0) are tolerated and counted, not failed.
 	KillServer bool
-	// Rebalances performs that many range splits concurrently with the
-	// workload (requires Shards >= 2 and RangePartition), recorded in the
-	// op history as "split" ops so the replay oracle re-applies them.
-	Rebalances int
 }
 
 // faultsActive reports whether a fault plan that can fail enrichments is
@@ -146,15 +139,13 @@ type Report struct {
 	MaxObservedLabel int64  // distinct labels seen (sanity: workload exercised enrichment)
 	Version          uint64 // final commit version
 
-	Shards         int   // shard replicas the run used (1 = unsharded)
-	Splits         int   // rebalance splits committed into the history
-	Degraded       int64 // loose queries with failed enrichments tolerated under fault plans
-	ObservedPlaced int   // distinct (shard, id, rev) placements the observer audited
+	Shards   int   // shard replicas the run used (1 = unsharded)
+	Degraded int64 // loose queries with failed enrichments tolerated under fault plans
 }
 
 // op is one committed write, replayable on a fresh database.
 type op struct {
-	Kind string // "insert", "update" (fixed feature column), "delete", "split" (range rebalance at ID)
+	Kind string // "insert", "update" (fixed feature column), "delete"
 	ID   int64
 	Grp  int64
 	Rev  int64
@@ -167,8 +158,6 @@ func (o op) String() string {
 		return fmt.Sprintf("insert id=%d grp=%d vec=%v", o.ID, o.Grp, o.Vec)
 	case "update":
 		return fmt.Sprintf("update id=%d rev=%d vec=%v", o.ID, o.Rev, o.Vec)
-	case "split":
-		return fmt.Sprintf("split at=%d", o.ID)
 	default:
 		return fmt.Sprintf("delete id=%d", o.ID)
 	}
@@ -216,20 +205,11 @@ func (stepClassifier) PredictProba(x []float64) []float64 {
 // function, and admission control per the config. Replay uses the same
 // constructor, so the live and replayed databases are identical up to the
 // op history applied to them.
-// rangeSplitSeed is the initial split point of a range-partitioned harness
-// run: initial-load ids (1..InitialRows) land below it, writer-owned ids
-// ((w+1)*1e6...) above, so both sides of the boundary carry data.
-const rangeSplitSeed = 500_000
-
 func newDB(cfg Config) (*enrichdb.DB, error) {
 	var db *enrichdb.DB
 	if cfg.Shards > 1 {
-		var ranges []int64
-		if cfg.RangePartition {
-			ranges = []int64{rangeSplitSeed}
-		}
 		var err error
-		db, err = enrichdb.OpenSharded(enrichdb.ShardConfig{Shards: cfg.Shards, Ranges: ranges})
+		db, err = enrichdb.OpenSharded(enrichdb.ShardConfig{Shards: cfg.Shards})
 		if err != nil {
 			return nil, err
 		}
@@ -271,9 +251,6 @@ func applyOp(db *enrichdb.DB, o op) error {
 		return db.Update(relation, o.ID, "feature", enrichdb.Vector(o.Vec))
 	case "delete":
 		return db.Delete(relation, o.ID)
-	case "split":
-		_, err := db.SplitShardRange(relation, o.ID)
-		return err
 	default:
 		return fmt.Errorf("harness: unknown op kind %q", o.Kind)
 	}
@@ -294,9 +271,8 @@ type runState struct {
 	qMu     sync.Mutex
 	queries []recordedQuery
 
-	obsMu    sync.Mutex
-	obs      map[obsKey]enrichdb.Value
-	shardObs map[shardObsKey]enrichdb.Value
+	obsMu sync.Mutex
+	obs   map[obsKey]enrichdb.Value
 
 	rejected    atomic.Int64
 	progressive atomic.Int64
@@ -313,16 +289,6 @@ type runState struct {
 type obsKey struct {
 	id  int64
 	rev int64
-}
-
-// shardObsKey keys the per-placement monotonicity map: enrichment must be
-// monotone per (shard, id, rev), so a shard serving a stale label for a
-// tuple it just received in a rebalance is caught even though the global
-// (id, rev) history would forgive the placement change.
-type shardObsKey struct {
-	shard int
-	id    int64
-	rev   int64
 }
 
 func (h *runState) fail(format string, args ...any) {
@@ -483,10 +449,6 @@ func (h *runState) observe() {
 		}
 		key := obsKey{id: vals[0].Int(), rev: int64(vec[0])}
 		label := vals[2]
-		// Placement at observation time: a tuple that rebalanced since the
-		// scan keys a fresh placement — monotonicity is audited per
-		// (shard, id, rev) AND globally per (id, rev).
-		skey := shardObsKey{shard: h.db.ShardOf(relation, key.id), id: key.id, rev: key.rev}
 		h.obsMu.Lock()
 		prev, seen := h.obs[key]
 		switch {
@@ -499,35 +461,7 @@ func (h *runState) observe() {
 			h.fail("first-write-wins violation: %s id=%d rev=%d label changed %s -> %s",
 				relation, key.id, key.rev, prev, label)
 		}
-		sprev, sseen := h.shardObs[skey]
-		switch {
-		case !sseen || sprev.IsNull():
-			h.shardObs[skey] = label
-		case label.IsNull():
-			h.fail("per-shard monotone violation: shard=%d id=%d rev=%d label reverted %s -> NULL",
-				skey.shard, key.id, key.rev, sprev)
-		case label.String() != sprev.String():
-			h.fail("per-shard first-write-wins violation: shard=%d id=%d rev=%d label changed %s -> %s",
-				skey.shard, key.id, key.rev, sprev, label)
-		}
 		h.obsMu.Unlock()
-	}
-}
-
-// rebalancer commits cfg.Rebalances range splits spread across the run, each
-// recorded in the op history so replay re-applies it at the same point.
-// Split points walk the writers' id space deterministically, so every split
-// has live tuples on both sides with high probability.
-func (h *runState) rebalancer() {
-	rng := rand.New(rand.NewSource(h.cfg.Seed + 999_331))
-	for i := 0; i < h.cfg.Rebalances && !h.failed(); i++ {
-		time.Sleep(time.Duration(1+rng.Intn(3)) * time.Millisecond)
-		w := rng.Intn(h.cfg.Writers)
-		at := int64(w+1)*1_000_000 + int64(rng.Intn(h.cfg.OpsPerWriter+1))
-		if err := h.commit(op{Kind: "split", ID: at}); err != nil {
-			h.fail("rebalancer: split at %d: %v", at, err)
-			return
-		}
 	}
 }
 
@@ -540,10 +474,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	defer db.Close()
-	h := &runState{cfg: cfg, db: db,
-		obs:      make(map[obsKey]enrichdb.Value),
-		shardObs: make(map[shardObsKey]enrichdb.Value),
-	}
+	h := &runState{cfg: cfg, db: db, obs: make(map[obsKey]enrichdb.Value)}
 
 	// Fleet: start cfg.Fleet enrichment servers and route the loose design
 	// through them. The fleet is wired here rather than in newDB so the
@@ -616,11 +547,6 @@ func Run(cfg Config) (*Report, error) {
 			}
 		}()
 	}
-	// Fault plan: range rebalances concurrent with the workload.
-	if cfg.Shards > 1 && cfg.RangePartition && cfg.Rebalances > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); h.rebalancer() }()
-	}
 	wg.Wait()
 	close(stopObs)
 	obsWG.Wait()
@@ -636,15 +562,9 @@ func Run(cfg Config) (*Report, error) {
 		Shards:      db.Shards(),
 		Degraded:    h.degraded.Load(),
 	}
-	for _, c := range h.ops {
-		if c.Op.Kind == "split" {
-			rep.Splits++
-		}
-	}
 	labels := make(map[string]bool)
 	h.obsMu.Lock()
 	rep.ObservedImages = len(h.obs)
-	rep.ObservedPlaced = len(h.shardObs)
 	for _, v := range h.obs {
 		if !v.IsNull() {
 			labels[v.String()] = true

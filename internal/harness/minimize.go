@@ -22,15 +22,6 @@ func minimizeOps(cfg Config, ops []committed, q recordedQuery) []committed {
 	}
 
 	cur := append([]committed(nil), ops...)
-
-	// Shard-op awareness: before chunked ddmin, try dropping every "split"
-	// op at once. Rebalances are pure placement changes — if the failure
-	// reproduces without them, the minimized trace says so immediately
-	// instead of shedding them one chunk at a time; if it only fails WITH
-	// the splits, that too is signal (a placement-dependent bug).
-	if noSplits := dropKind(cur, "split"); len(noSplits) < len(cur) && fails(noSplits) {
-		cur = noSplits
-	}
 	n := 2
 	const maxProbes = 400 // bound replay work on huge histories
 	probes := 0
@@ -65,17 +56,6 @@ func minimizeOps(cfg Config, ops []committed, q recordedQuery) []committed {
 		}
 	}
 	return cur
-}
-
-// dropKind filters out every op of the given kind, preserving order.
-func dropKind(ops []committed, kind string) []committed {
-	out := make([]committed, 0, len(ops))
-	for _, c := range ops {
-		if c.Op.Kind != kind {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func min(a, b int) int {

@@ -34,7 +34,8 @@ type Result struct {
 	// empty answer).
 	Schema *expr.RowSchema
 	// Enrichments is the number of enrichment function executions this
-	// query caused (Table 7).
+	// query caused (Table 7): the applied responses whose function ran for
+	// this query's request, so a concurrent query's executions never count.
 	Enrichments int64
 	// FailedEnrichments counts enrichment requests that produced no output
 	// this run (per-request errors, panicking models, transport failures).
@@ -112,7 +113,6 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	ctx.Prof = d.Prof
 	ctx.Adapt = d.Stats
 	ctx.Done = d.Done
-	before := d.Mgr.Counters().Enrichments
 	qn := d.Prof.Phase("LooseQuery", "")
 
 	// Phase 1: probe queries identify the minimal enrichment set.
@@ -178,6 +178,11 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 			}
 			spWB.End()
 			applied = int64(len(ok))
+			for _, r := range ok {
+				if r.Ran {
+					res.Enrichments++
+				}
+			}
 			res.Timing.DBMS += time.Since(t1)
 		}
 		d.Prof.End(en, int64(len(reqs)), applied)
@@ -201,7 +206,6 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	spExec.Int("rows", int64(len(rows))).End()
 	res.Timing.DBMS += time.Since(t2)
 	res.Rows, res.Schema = rows, plan.Schema()
-	res.Enrichments = d.Mgr.Counters().Enrichments - before
 	res.Stats = *ctx.Stats
 	ctx.PublishStats(d.Mgr.Telemetry().Add)
 	d.Prof.End(qn, int64(res.ProbeTuples), int64(len(rows)))

@@ -40,6 +40,11 @@ type Response struct {
 	// Err is the per-request failure message ("" on success). A string, not
 	// an error, so responses cross the gob/RPC transport unchanged.
 	Err string
+	// Ran reports that the function ran for this request, rather than its
+	// output being reused from stored work, a concurrent identical request or
+	// an in-batch duplicate. Transports carry it unchanged; the driver sums it
+	// into the query's own execution count.
+	Ran bool
 }
 
 // Failed reports whether this request produced no usable output.
@@ -181,6 +186,7 @@ func (e *LocalEnricher) EnrichBatch(reqs []Request) ([]Response, BatchTiming, er
 		if dup[i] != i {
 			resp := resps[dup[i]]
 			resp.TID = reqs[i].TID // same tuple by construction, keep explicit
+			resp.Ran = false       // the canonical request counts the run
 			resps[i] = resp
 			dedupHits++
 		}
@@ -209,11 +215,11 @@ func (e *LocalEnricher) run(r Request, panics *telemetry.Counter) (resp Response
 				r.Relation, r.Attr, r.FnID, r.TID, p)
 		}
 	}()
-	probs, _, err := e.Mgr.Execute(r.Relation, r.TID, r.Attr, r.FnID, r.Feature, r.Gen)
+	probs, run, err := e.Mgr.Execute(r.Relation, r.TID, r.Attr, r.FnID, r.Feature, r.Gen)
 	if err != nil {
 		return FailResponse(r, err.Error())
 	}
-	resp.Probs = probs
+	resp.Probs, resp.Ran = probs, run > 0
 	return resp
 }
 

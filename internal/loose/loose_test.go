@@ -2,11 +2,13 @@ package loose
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
+	"enrichdb/internal/ml"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/types"
 )
@@ -364,5 +366,67 @@ func TestParseErrorPropagates(t *testing.T) {
 	}
 	if _, err := drv.Execute("SELECT * FROM Missing"); err == nil {
 		t.Error("unknown relation must fail")
+	}
+}
+
+// gateModel blocks its first prediction until release is closed, after
+// signalling entered; every later prediction runs straight through.
+type gateModel struct {
+	ml.Classifier
+	first            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateModel) PredictProba(x []float64) []float64 {
+	if g.first.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Classifier.PredictProba(x)
+}
+
+// TestLooseEnrichmentsArePerQuery: two loose queries over disjoint windows of
+// one database overlap — the first blocks inside its first enrichment until
+// the second has finished. Each reports its own executions (one per tweet in
+// its window), and together they account for everything the manager ran.
+func TestLooseEnrichmentsArePerQuery(t *testing.T) {
+	d, mgr, drv := fixture(t)
+	fn := mgr.Family("TweetData", "sentiment").Functions[0]
+	gate := &gateModel{Classifier: fn.Model, entered: make(chan struct{}), release: make(chan struct{})}
+	fn.Model = gate
+	tbl := d.DB.MustTable("TweetData")
+	timeCol := tbl.Schema().ColIndex("TweetTime")
+	var wantA, wantB int64
+	for _, tu := range tbl.Tuples() {
+		if tu.Vals[timeCol].Int() < 5000 {
+			wantA++
+		} else {
+			wantB++
+		}
+	}
+	if wantA == 0 || wantB == 0 {
+		t.Fatalf("windows hold %d and %d tweets; both must be non-empty", wantA, wantB)
+	}
+	before := mgr.Counters().Enrichments
+
+	var resA *Result
+	var errA error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resA, errA = drv.Execute("SELECT tid FROM TweetData WHERE TweetTime < 5000 AND sentiment = 1")
+	}()
+	<-gate.entered
+	resB, errB := drv.Execute("SELECT tid FROM TweetData WHERE TweetTime >= 5000 AND sentiment = 1")
+	close(gate.release)
+	<-done
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if resA.Enrichments != wantA || resB.Enrichments != wantB {
+		t.Errorf("enrichments A=%d B=%d, want their own work A=%d B=%d", resA.Enrichments, resB.Enrichments, wantA, wantB)
+	}
+	if delta := mgr.Counters().Enrichments - before; resA.Enrichments+resB.Enrichments != delta {
+		t.Errorf("A+B = %d, manager ran %d", resA.Enrichments+resB.Enrichments, delta)
 	}
 }

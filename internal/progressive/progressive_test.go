@@ -9,7 +9,7 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
-	"enrichdb/internal/metrics"
+	"enrichdb/internal/quality"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 )
@@ -57,7 +57,7 @@ func truthQuality(t *testing.T, d *dataset.Data, q string) func([]*expr.Row) flo
 		t.Fatal(err)
 	}
 	return func(got []*expr.Row) float64 {
-		_, _, f1 := metrics.SetF1(got, want)
+		_, _, f1 := quality.SetF1(got, want)
 		return f1
 	}
 }
@@ -237,7 +237,7 @@ func TestProgressiveAggregation(t *testing.T) {
 		Design: Loose, Analysis: analyze(t, d, q), DB: d.DB, Mgr: mgr,
 		Strategy: SBFO, EpochBudget: 3 * time.Millisecond, MaxEpochs: 300, Seed: 2,
 		Quality: func(got []*expr.Row) float64 {
-			rmse, _ := metrics.GroupRMSE(got, want) // want is non-empty here
+			rmse, _ := quality.GroupRMSE(got, want) // want is non-empty here
 			return -rmse                            // higher is better
 		},
 	})
@@ -258,7 +258,7 @@ func TestStrategiesOrdering(t *testing.T) {
 	score := func(strategy Strategy) float64 {
 		d, mgr := fixture(t)
 		res := runCfg(t, d, mgr, Loose, q, strategy)
-		return metrics.ProgressiveScore(res.Quality, 0.05)
+		return quality.ProgressiveScore(res.Quality, 0.05)
 	}
 	fo := score(SBFO)
 	oo := score(SBOO)

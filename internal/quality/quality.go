@@ -1,7 +1,7 @@
-// Package metrics implements the quality measures of §5.2.2: set-based
+// Package quality implements the quality measures of §5.2.2: set-based
 // precision/recall/F1 of query answers against ground truth, per-group RMSE
 // for aggregation queries, and the progressive score PS of Equation 1.
-package metrics
+package quality
 
 import (
 	"math"

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"enrichdb/internal/engine"
@@ -57,8 +56,7 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 	}
 
 	type shardOut struct {
-		rows    []*expr.Row
-		seqs    []uint64
+		rows    []seqRow
 		scanned int64
 		err     error
 	}
@@ -87,17 +85,19 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 				outs[i].err = err
 				return
 			}
-			// Tag each row with its source tuple's insertion sequence for the
-			// merge. Rows flowing out of an eligible plan carry exactly one
-			// base TID; a tuple deleted between execute and tag (live scatter
-			// under concurrent writers) inherits its predecessor's slot, which
-			// keeps the merge total and deterministic for frozen sources.
+			// Tag each row with its source tuple's insertion sequence, the
+			// merge key: a shard's plan emits rows in slab (or index-Seq)
+			// order, so the tags form a Seq-ascending run. Rows flowing out of
+			// an eligible plan carry exactly one base TID; a row whose tuple a
+			// live writer deleted between execute and tag inherits its
+			// predecessor's seq, keeping its place in the run, and the merge
+			// breaks the tie by (shard, pos).
 			tbl, terr := ssrc.Table(rel)
 			if terr != nil {
 				outs[i].err = terr
 				return
 			}
-			seqs := make([]uint64, len(rows))
+			tagged := make([]seqRow, len(rows))
 			var prev uint64
 			for j, row := range rows {
 				if len(row.TIDs) > 0 {
@@ -105,45 +105,33 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 						prev = tu.Seq
 					}
 				}
-				seqs[j] = prev
+				tagged[j] = seqRow{seq: prev, row: row}
 			}
-			outs[i] = shardOut{rows: rows, seqs: seqs, scanned: ctx.Stats.RowsScanned}
+			outs[i] = shardOut{rows: tagged, scanned: ctx.Stats.RowsScanned}
 		}(i)
 	}
 	wg.Wait()
-	total, scanned := 0, int64(0)
+	runs := make([][]seqRow, n)
+	scanned := int64(0)
 	for i := range outs {
 		if outs[i].err != nil {
 			return nil, nil, false, outs[i].err
 		}
-		total += len(outs[i].rows)
+		runs[i] = outs[i].rows
 		scanned += outs[i].scanned
 	}
-	type tagged struct {
-		row   *expr.Row
-		seq   uint64
-		shard int
-		pos   int
-	}
-	merged := make([]tagged, 0, total)
-	for i := range outs {
-		for j, row := range outs[i].rows {
-			merged = append(merged, tagged{row: row, seq: outs[i].seqs[j], shard: i, pos: j})
-		}
-	}
-	sort.Slice(merged, func(x, y int) bool {
-		if merged[x].seq != merged[y].seq {
-			return merged[x].seq < merged[y].seq
-		}
-		if merged[x].shard != merged[y].shard {
-			return merged[x].shard < merged[y].shard
-		}
-		return merged[x].pos < merged[y].pos
-	})
+	merged := mergeRuns(runs, func(r seqRow) uint64 { return r.seq })
 	rows := make([]*expr.Row, len(merged))
 	for i := range merged {
 		rows[i] = merged[i].row
 	}
 	parent.Prof.End(pn, scanned, int64(len(rows)))
 	return rows, schema, true, nil
+}
+
+// seqRow is a shard's output row tagged with its source tuple's insertion
+// sequence, the merge key.
+type seqRow struct {
+	seq uint64
+	row *expr.Row
 }

@@ -62,7 +62,7 @@ type backend struct {
 type Fleet struct {
 	opts     FleetOptions
 	backends []*backend
-	part     Partitioner
+	part     *HashPartitioner
 	closed   atomic.Bool
 }
 

@@ -9,26 +9,22 @@ import (
 
 // FuzzPartition probes the routing invariants the storage and fleet layers
 // lean on: routing is total (every key, including NaN and -0.0, lands on
-// exactly one shard in range), key-equal values co-locate, hash routing
-// agrees with the engine's types.Hasher, clones route identically, and a
-// rebalance split moves only the keys at or above the split point — a
-// boundary key is owned by exactly one shard before and after.
+// exactly one shard in range), deterministic, agrees with the engine's
+// types.Hasher, and co-locates key-equal values. The fourth argument is a
+// second integer key (the checked-in corpus keeps the four-argument shape).
 func FuzzPartition(f *testing.F) {
 	f.Add(1, int64(0), uint64(0), int64(0))
 	f.Add(4, int64(-1), math.Float64bits(math.Copysign(0, -1)), int64(10))
 	f.Add(8, int64(math.MaxInt64), math.Float64bits(math.NaN()), int64(-7))
 	f.Add(3, int64(100), math.Float64bits(1.5), int64(100))
 	f.Add(2, int64(50), uint64(0x7ff8000000000001), int64(49)) // NaN payload bits
-	f.Fuzz(func(t *testing.T, n int, key int64, fbits uint64, at int64) {
+	f.Fuzz(func(t *testing.T, n int, key int64, fbits uint64, key2 int64) {
 		if n < 1 || n > 64 {
 			n = 1 + int(uint(n)%64)
 		}
-		iv := types.NewInt(key)
 		fv := types.NewFloat(math.Float64frombits(fbits))
-
-		// Hash routing: total, deterministic, engine-hash parity.
 		hp := NewHashPartitioner(n)
-		for _, v := range []types.Value{iv, fv, types.Null} {
+		for _, v := range []types.Value{types.NewInt(key), types.NewInt(key2), fv, types.Null} {
 			got := hp.Route(v)
 			if got < 0 || got >= n {
 				t.Fatalf("hash Route(%v) = %d out of [0,%d)", v, got, n)
@@ -41,52 +37,8 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		// -0.0 folds into +0.0 (key-equal values co-locate).
-		f0 := math.Float64frombits(fbits)
-		if f0 == 0 {
-			if hp.Route(types.NewFloat(0)) != hp.Route(fv) {
-				t.Fatalf("±0.0 split across shards")
-			}
-		}
-
-		// Range routing before/after a split.
-		rp := NewRangePartitioner(n, []int64{at})
-		probes := []int64{key, at, at - 1, at + 1, math.MinInt64, math.MaxInt64}
-		before := make([]int, len(probes))
-		for i, k := range probes {
-			before[i] = rp.Route(types.NewInt(k))
-			if before[i] < 0 || before[i] >= n {
-				t.Fatalf("range Route(%d) = %d out of [0,%d)", k, before[i], n)
-			}
-		}
-		// Non-int keys stay total under range partitioning too.
-		if got := rp.Route(fv); got < 0 || got >= n {
-			t.Fatalf("range Route(float) = %d out of [0,%d)", got, n)
-		}
-
-		cl := rp.Clone()
-		split := key / 2
-		to := rp.SplitAt(split)
-		if to < 0 || to >= n {
-			t.Fatalf("SplitAt(%d) returned shard %d out of [0,%d)", split, to, n)
-		}
-		for i, k := range probes {
-			after := rp.Route(types.NewInt(k))
-			if after < 0 || after >= n {
-				t.Fatalf("post-split Route(%d) = %d out of [0,%d)", k, after, n)
-			}
-			// Route stability: keys outside the split segment, and keys below
-			// the split point, never move.
-			if k < split && after != before[i] {
-				t.Fatalf("key %d below split %d moved shard %d -> %d", k, split, before[i], after)
-			}
-			// The clone taken before the split is unaffected.
-			if cl.Route(types.NewInt(k)) != before[i] {
-				t.Fatalf("pre-split clone moved key %d", k)
-			}
-		}
-		// The boundary key is owned by the announced destination.
-		if got := rp.Route(types.NewInt(split)); got != to {
-			t.Fatalf("boundary key %d on shard %d, SplitAt said %d", split, got, to)
+		if math.Float64frombits(fbits) == 0 && hp.Route(types.NewFloat(0)) != hp.Route(fv) {
+			t.Fatalf("±0.0 split across shards")
 		}
 	})
 }

@@ -1,38 +1,22 @@
 // Package shard partitions slab tables across N in-process shard replicas
 // and fans query execution and loose-design enrichment out over them: a
-// hash/range partitioner routes tuples to replicas, a scatter-gather
-// executor runs the existing plan shape per shard and merges results in
-// deterministic insertion-sequence order (byte-identical to unsharded
-// output), and a fleet client spreads enrichment batches over N servers
-// with least-loaded routing, work stealing and hedged requests.
+// hash partitioner places each tuple by id, once and for good, a
+// scatter-gather executor runs the existing plan shape per shard, one k-way
+// merge (merge.go) restores insertion-sequence order (byte-identical to
+// unsharded output), and a fleet client spreads enrichment batches over N
+// servers with least-loaded routing, work stealing and hedged requests.
 package shard
 
 import (
-	"fmt"
-	"sort"
-
 	"enrichdb/internal/types"
 )
 
-// Partitioner maps a partition-key value to a shard in [0, Shards()).
-// Implementations are immutable from the router's point of view: rebalancing
-// produces a new partitioner via Clone+mutate so in-flight routing decisions
-// stay consistent (the store swaps the partitioner under its table lock).
-type Partitioner interface {
-	Shards() int
-	// Route returns the owning shard for the key. Routing is total: every
-	// value, including NULL, NaN and -0.0, lands on exactly one shard, and
-	// values that compare key-equal (types.KeyEqual) route identically.
-	Route(key types.Value) int
-	// Clone returns an independent deep copy.
-	Clone() Partitioner
-	// Desc renders the partitioning scheme for diagnostics.
-	Desc() string
-}
-
-// HashPartitioner routes by the shared types.Hasher, so key normalization
-// (-0.0 folding, kind tagging) is identical to the engine's hash join and
-// hash index keys by construction.
+// HashPartitioner maps a partition-key value to a shard in [0, N) by the
+// shared types.Hasher, so key normalization (-0.0 folding, kind tagging) is
+// identical to the engine's hash join and hash index keys by construction.
+// Routing is total: every value, including NULL, NaN and -0.0, lands on
+// exactly one shard, and values that compare key-equal (types.KeyEqual)
+// route identically.
 type HashPartitioner struct {
 	N int
 }
@@ -45,111 +29,7 @@ func NewHashPartitioner(n int) *HashPartitioner {
 	return &HashPartitioner{N: n}
 }
 
-// Shards returns the shard count.
-func (h *HashPartitioner) Shards() int { return h.N }
-
 // Route hashes the key and reduces it modulo the shard count.
 func (h *HashPartitioner) Route(key types.Value) int {
 	return int(types.HashValue(key) % uint64(h.N))
-}
-
-// Clone returns a copy.
-func (h *HashPartitioner) Clone() Partitioner { return &HashPartitioner{N: h.N} }
-
-// Desc renders the scheme.
-func (h *HashPartitioner) Desc() string { return fmt.Sprintf("hash(%d)", h.N) }
-
-// RangePartitioner routes integer keys by sorted split points: segment i
-// covers [splits[i-1], splits[i]) with open ends, and assign[i] names the
-// shard owning segment i — so a split point's boundary key belongs to
-// exactly one segment (the upper one). Non-integer keys (the partition key
-// of this system is the tuple id, so they are rare) fall back to hashing,
-// keeping routing total.
-type RangePartitioner struct {
-	splits []int64 // sorted ascending, distinct
-	assign []int   // len(splits)+1 entries, each in [0, n)
-	n      int
-	// rot deterministically rotates the shard assignment of segments born
-	// from SplitAt, so repeated splits spread across shards without
-	// consulting load (replayable: same split sequence, same assignment).
-	rot int
-}
-
-// NewRangePartitioner builds a range partitioner over n shards with the
-// given initial split points (sorted, deduplicated). Segments are assigned
-// round-robin.
-func NewRangePartitioner(n int, splits []int64) *RangePartitioner {
-	if n < 1 {
-		n = 1
-	}
-	ss := append([]int64(nil), splits...)
-	sort.Slice(ss, func(i, j int) bool { return ss[i] < ss[j] })
-	dst := 0
-	for i, s := range ss {
-		if i == 0 || s != ss[dst-1] {
-			ss[dst] = s
-			dst++
-		}
-	}
-	ss = ss[:dst]
-	assign := make([]int, len(ss)+1)
-	for i := range assign {
-		assign[i] = i % n
-	}
-	return &RangePartitioner{splits: ss, assign: assign, n: n}
-}
-
-// Shards returns the shard count.
-func (r *RangePartitioner) Shards() int { return r.n }
-
-// segment returns the index of the segment containing k: the number of
-// split points ≤ k, so a boundary key belongs to the segment it opens.
-func (r *RangePartitioner) segment(k int64) int {
-	return sort.Search(len(r.splits), func(i int) bool { return k < r.splits[i] })
-}
-
-// Route returns the shard owning the key's segment. Integer keys route by
-// range; everything else routes by hash (NaN/-0.0 normalization identical
-// to types.Hasher by construction).
-func (r *RangePartitioner) Route(key types.Value) int {
-	if key.Kind() == types.KindInt {
-		return r.assign[r.segment(key.Int())]
-	}
-	return int(types.HashValue(key) % uint64(r.n))
-}
-
-// SplitAt splits the segment containing `at` at that boundary: keys below
-// keep their shard, keys at or above move to the next shard in a
-// deterministic rotation. Returns the shard that now owns the upper part.
-// Splitting at an existing split point is a no-op (the boundary already
-// separates segments) and returns that segment's owner.
-func (r *RangePartitioner) SplitAt(at int64) int {
-	seg := r.segment(at)
-	if seg > 0 && r.splits[seg-1] == at {
-		return r.assign[seg]
-	}
-	r.rot++
-	to := (r.assign[seg] + r.rot) % r.n
-	r.splits = append(r.splits, 0)
-	copy(r.splits[seg+1:], r.splits[seg:])
-	r.splits[seg] = at
-	r.assign = append(r.assign, 0)
-	copy(r.assign[seg+1:], r.assign[seg:])
-	r.assign[seg+1] = to
-	return to
-}
-
-// Clone returns a deep copy.
-func (r *RangePartitioner) Clone() Partitioner {
-	return &RangePartitioner{
-		splits: append([]int64(nil), r.splits...),
-		assign: append([]int(nil), r.assign...),
-		n:      r.n,
-		rot:    r.rot,
-	}
-}
-
-// Desc renders the scheme.
-func (r *RangePartitioner) Desc() string {
-	return fmt.Sprintf("range(%d, splits=%v, assign=%v)", r.n, r.splits, r.assign)
 }

@@ -28,85 +28,3 @@ func TestHashPartitionerParityWithEngineHasher(t *testing.T) {
 		t.Errorf("-0.0 and +0.0 routed to different shards")
 	}
 }
-
-func TestRangePartitionerBoundaries(t *testing.T) {
-	p := NewRangePartitioner(3, []int64{10, 20})
-	// Segments: (-inf,10)→0, [10,20)→1, [20,inf)→2 (round-robin assign).
-	cases := []struct {
-		k    int64
-		want int
-	}{
-		{-5, 0}, {9, 0}, {10, 1}, {19, 1}, {20, 2}, {1 << 40, 2},
-	}
-	for _, c := range cases {
-		if got := p.Route(types.NewInt(c.k)); got != c.want {
-			t.Errorf("Route(%d) = %d, want %d", c.k, got, c.want)
-		}
-	}
-	// Non-integer keys hash-fallback but stay in range.
-	for _, v := range []types.Value{types.NewString("x"), types.Null, types.NewFloat(1.5)} {
-		if got := p.Route(v); got < 0 || got >= 3 {
-			t.Errorf("Route(%v) = %d out of range", v, got)
-		}
-	}
-}
-
-func TestRangePartitionerDedupsAndSortsSplits(t *testing.T) {
-	p := NewRangePartitioner(2, []int64{30, 10, 30, 20, 10})
-	if len(p.splits) != 3 || p.splits[0] != 10 || p.splits[1] != 20 || p.splits[2] != 30 {
-		t.Fatalf("splits = %v, want [10 20 30]", p.splits)
-	}
-}
-
-func TestSplitAtMovesOnlyUpperKeys(t *testing.T) {
-	p := NewRangePartitioner(4, []int64{100})
-	before := make(map[int64]int)
-	for k := int64(0); k < 200; k++ {
-		before[k] = p.Route(types.NewInt(k))
-	}
-	to := p.SplitAt(50)
-	if to < 0 || to >= 4 {
-		t.Fatalf("SplitAt returned out-of-range shard %d", to)
-	}
-	for k := int64(0); k < 200; k++ {
-		got := p.Route(types.NewInt(k))
-		switch {
-		case k < 50:
-			if got != before[k] {
-				t.Fatalf("key %d below split moved: %d -> %d", k, before[k], got)
-			}
-		case k < 100:
-			if got != to {
-				t.Fatalf("key %d in split upper half on shard %d, want %d", k, got, to)
-			}
-		default:
-			if got != before[k] {
-				t.Fatalf("key %d outside split segment moved: %d -> %d", k, before[k], got)
-			}
-		}
-	}
-	// Splitting at an existing boundary is a no-op.
-	clone := p.Clone().(*RangePartitioner)
-	owner := p.SplitAt(100)
-	if owner != clone.Route(types.NewInt(100)) {
-		t.Errorf("re-split at existing boundary changed the owner")
-	}
-	if len(p.splits) != len(clone.splits) {
-		t.Errorf("re-split at existing boundary added a split point")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	p := NewRangePartitioner(2, []int64{10})
-	c := p.Clone().(*RangePartitioner)
-	p.SplitAt(5)
-	if len(c.splits) != 1 {
-		t.Fatalf("clone observed the original's split: %v", c.splits)
-	}
-	for k := int64(-20); k < 40; k++ {
-		cc := c.Clone()
-		if cc.Route(types.NewInt(k)) != c.Route(types.NewInt(k)) {
-			t.Fatalf("clone routes key %d differently", k)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"enrichdb/internal/catalog"
@@ -11,15 +10,13 @@ import (
 )
 
 // Snap is a sharded point-in-time Source: one frozen snapshot per replica,
-// merged per relation in insertion-sequence order, stamped with the
-// per-shard generation vector taken at the same cut. Sessions execute
-// against the merged views; the scatter-gather executor fans out over the
-// per-shard snapshots.
+// taken at one cut and merged per relation in insertion-sequence order.
+// Sessions execute against the merged views; the scatter-gather executor
+// fans out over the per-shard snapshots.
 type Snap struct {
-	cat      *catalog.Catalog
-	shards   []storage.Source
-	merged   map[string]*mergedView
-	versions []uint64
+	cat    *catalog.Catalog
+	shards []storage.Source
+	merged map[string]*mergedView
 }
 
 var _ storage.Source = (*Snap)(nil)
@@ -42,16 +39,6 @@ func (s *Snap) NumShards() int { return len(s.shards) }
 // ShardSource returns shard i's frozen snapshot.
 func (s *Snap) ShardSource(i int) storage.Source { return s.shards[i] }
 
-// Versions returns the generation vector the snapshot was stamped with:
-// per-shard commit counters, frozen atomically with the views. Two
-// snapshots with equal vectors saw identical committed data, so
-// cross-session enrichment sharing between them is trivially gen-safe; a
-// component that advanced pinpoints the shard whose commits the older
-// snapshot is missing.
-func (s *Snap) Versions() []uint64 {
-	return append([]uint64(nil), s.versions...)
-}
-
 // mergedView is the frozen merged Relation over one relation's per-shard
 // views. Reads merge in insertion-sequence order (computed once — the views
 // are immutable); derived-value writes route to the owning shard's view,
@@ -59,7 +46,7 @@ func (s *Snap) Versions() []uint64 {
 // write-through to the live replica.
 type mergedView struct {
 	schema *catalog.Schema
-	part   Partitioner // routing as of freeze time
+	part   *HashPartitioner
 	views  []storage.Relation
 
 	once   sync.Once
@@ -74,12 +61,13 @@ func (v *mergedView) Schema() *catalog.Schema { return v.schema }
 // all returns the merged tuple order, computed once.
 func (v *mergedView) all() []*types.Tuple {
 	v.once.Do(func() {
-		for _, sv := range v.views {
+		runs := make([][]*types.Tuple, len(v.views))
+		for i, sv := range v.views {
 			if sv != nil {
-				v.tuples = append(v.tuples, sv.Tuples()...)
+				runs[i] = sv.Tuples()
 			}
 		}
-		sort.Slice(v.tuples, func(a, b int) bool { return v.tuples[a].Seq < v.tuples[b].Seq })
+		v.tuples = mergeRuns(runs, tupleSeq)
 	})
 	return v.tuples
 }
@@ -87,10 +75,9 @@ func (v *mergedView) all() []*types.Tuple {
 // Len returns the merged tuple count.
 func (v *mergedView) Len() int { return len(v.all()) }
 
-// view returns the shard view owning the id at freeze time.
+// view returns the shard view owning the id.
 func (v *mergedView) view(id int64) storage.Relation {
-	sv := v.views[v.part.Route(types.NewInt(id))]
-	return sv
+	return v.views[v.part.Route(types.NewInt(id))]
 }
 
 // Get returns the frozen tuple image (session-local enrichment included).
@@ -101,9 +88,8 @@ func (v *mergedView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Scan walks the merged insertion order. Note: like the unsharded
-// TableView, scans read the frozen base images; Get reflects session-local
-// derived writes.
+// Scan walks the merged insertion order, folding in each tuple's
+// session-local image through Get, as Tuples does.
 func (v *mergedView) Scan(fn func(*types.Tuple) bool) {
 	for _, tu := range v.all() {
 		if sv := v.view(tu.ID); sv != nil {
@@ -154,9 +140,7 @@ func (v *mergedView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
 
 // WriteDerived routes the derived write and its mark to the owning shard's
 // view: they land in the session-local image and, generation-guarded, in the
-// live replica. A tuple rebalanced to another shard after the freeze simply
-// misses the live write-through (its old replica no longer holds it) —
-// conservative, never stale.
+// live replica.
 func (v *mergedView) WriteDerived(id int64, col string, val types.Value, gen uint64, mark bool) (bool, error) {
 	sv := v.view(id)
 	if sv == nil {

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,27 +14,22 @@ import (
 type Config struct {
 	// Shards is the number of in-process shard replicas (min 1).
 	Shards int
-	// Ranges, when non-empty, range-partitions every table by tuple id with
-	// these initial split points; empty means hash partitioning by id.
-	Ranges []int64
 }
 
-// Store is a sharded storage.Store: every table is partitioned across N
-// in-process *storage.DB replicas by a per-table partitioner. Reads merge
-// the replicas in global insertion-sequence order, so every plan shape —
-// scans, index scans, joins, aggregates, IVM deltas — sees exactly the
-// sequence an unsharded table would produce; writes route to the owning
-// replica and bump that shard's commit counter (the generation vector
-// snapshots carry).
+// Store is a sharded storage.Store: every table is hash-partitioned by tuple
+// id across N in-process *storage.DB replicas. A tuple's shard is a fixed
+// function of its id. Reads merge the replicas in global insertion-sequence
+// order, so every plan shape — scans, index scans, joins, aggregates, IVM
+// deltas — sees exactly the sequence an unsharded table would produce; writes
+// route to the owning replica.
 type Store struct {
-	cfg Config
-	dbs []*storage.DB
+	dbs  []*storage.DB
+	part *HashPartitioner
 
 	mu     sync.RWMutex
 	tables map[string]*Table
 
-	seq      atomic.Uint64 // global insertion sequence across all tables
-	versions []atomic.Uint64
+	seq atomic.Uint64 // global insertion sequence across all tables
 }
 
 var _ storage.Store = (*Store)(nil)
@@ -50,10 +44,9 @@ func New(cfg Config) *Store {
 		dbs[i] = storage.NewDB()
 	}
 	return &Store{
-		cfg:      cfg,
-		dbs:      dbs,
-		tables:   make(map[string]*Table),
-		versions: make([]atomic.Uint64, cfg.Shards),
+		dbs:    dbs,
+		part:   NewHashPartitioner(cfg.Shards),
+		tables: make(map[string]*Table),
 	}
 }
 
@@ -79,13 +72,7 @@ func (s *Store) CreateBase(sc *catalog.Schema) (storage.BaseTable, error) {
 		}
 		reps[i] = t
 	}
-	var part Partitioner
-	if len(s.cfg.Ranges) > 0 {
-		part = NewRangePartitioner(len(s.dbs), s.cfg.Ranges)
-	} else {
-		part = NewHashPartitioner(len(s.dbs))
-	}
-	tbl := &Table{store: s, schema: sc, part: part, reps: reps, nextID: 1}
+	tbl := &Table{store: s, schema: sc, reps: reps, nextID: 1}
 	s.mu.Lock()
 	s.tables[sc.Name] = tbl
 	s.mu.Unlock()
@@ -124,61 +111,9 @@ func (s *Store) Stats() storage.TableStats {
 	return out
 }
 
-// Versions returns the per-shard commit counters — the generation vector a
-// snapshot is stamped with. Index i counts commits (inserts, deletes,
-// fixed-attribute updates, rebalance splits) that landed on shard i.
-func (s *Store) Versions() []uint64 {
-	out := make([]uint64, len(s.versions))
-	for i := range s.versions {
-		out[i] = s.versions[i].Load()
-	}
-	return out
-}
-
-// ShardOf returns the shard currently owning the tuple id of the named
-// relation (-1 for unknown relations).
-func (s *Store) ShardOf(name string, id int64) int {
-	s.mu.RLock()
-	t, ok := s.tables[name]
-	s.mu.RUnlock()
-	if !ok {
-		return -1
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.part.Route(types.NewInt(id))
-}
-
-// SplitRange rebalances the named range-partitioned table: the id range
-// containing `at` splits at that boundary and tuples whose route changed
-// move to their new replica, preserving id, generation and insertion
-// sequence — so merged read order, enrichment state keys and gen guards are
-// all unaffected by placement. Returns the number of tuples moved.
-// Concurrent merged reads and routed writes are excluded for the duration
-// (the facade's lock); per-shard scatter reads of other tables proceed.
-func (s *Store) SplitRange(name string, at int64) (int, error) {
-	s.mu.RLock()
-	t, ok := s.tables[name]
-	s.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("shard: unknown relation %s", name)
-	}
-	moved, err := t.splitRange(at)
-	if err != nil {
-		return moved, err
-	}
-	// A split is a placement commit on every shard: snapshots taken before
-	// it carry a strictly older generation vector.
-	for i := range s.versions {
-		s.versions[i].Add(1)
-	}
-	return moved, nil
-}
-
-// Freeze snapshots every replica and returns a merged point-in-time Source
-// stamped with the generation vector. The caller serializes Freeze against
-// commits (enrichdb holds its commit lock), so the vector and the views are
-// one consistent cut.
+// Freeze snapshots every replica and returns a merged point-in-time Source.
+// The caller serializes Freeze against commits (enrichdb holds its commit
+// lock), so the per-replica views are one consistent cut.
 func (s *Store) Freeze() storage.Source {
 	s.mu.RLock()
 	tables := make(map[string]*Table, len(s.tables))
@@ -187,18 +122,14 @@ func (s *Store) Freeze() storage.Source {
 	}
 	s.mu.RUnlock()
 	sn := &Snap{
-		cat:      s.Catalog(),
-		shards:   make([]storage.Source, len(s.dbs)),
-		merged:   make(map[string]*mergedView, len(tables)),
-		versions: s.Versions(),
+		cat:    s.Catalog(),
+		shards: make([]storage.Source, len(s.dbs)),
+		merged: make(map[string]*mergedView, len(tables)),
 	}
 	for i, db := range s.dbs {
 		sn.shards[i] = db.Snapshot()
 	}
 	for name, t := range tables {
-		t.mu.RLock()
-		part := t.part.Clone()
-		t.mu.RUnlock()
 		views := make([]storage.Relation, len(sn.shards))
 		for i := range sn.shards {
 			v, err := sn.shards[i].Table(name)
@@ -207,23 +138,23 @@ func (s *Store) Freeze() storage.Source {
 			}
 			views[i] = v
 		}
-		sn.merged[name] = &mergedView{schema: t.schema, part: part, views: views}
+		sn.merged[name] = &mergedView{schema: t.schema, part: s.part, views: views}
 	}
 	return sn
 }
 
 // Table is the sharded facade of one relation: a storage.BaseTable that
-// routes point operations through the partitioner and merges full reads
-// across replicas in insertion-sequence order. The facade lock excludes
-// rebalancing from merged reads and routed writes; per-replica locks handle
-// everything else.
+// routes single-id operations to the owning replica and merges full reads
+// across replicas in insertion-sequence order. The facade lock orders
+// merged reads against Insert, which stamps Seq and appends under it;
+// routed operations need only the replicas' own locks, since a tuple's
+// replica never changes.
 type Table struct {
 	store  *Store
 	schema *catalog.Schema
+	reps   []*storage.Table
 
 	mu     sync.RWMutex
-	part   Partitioner
-	reps   []*storage.Table
 	nextID int64
 }
 
@@ -232,15 +163,16 @@ var _ storage.BaseTable = (*Table)(nil)
 // Schema returns the relation's schema.
 func (t *Table) Schema() *catalog.Schema { return t.schema }
 
-// route returns the replica owning the id under the current partitioner.
-// Caller holds t.mu (read or write).
+// route returns the replica owning the id.
 func (t *Table) route(id int64) *storage.Table {
-	return t.reps[t.part.Route(types.NewInt(id))]
+	return t.reps[t.store.part.Route(types.NewInt(id))]
 }
 
 // Insert routes the tuple to its owning replica, mirroring the unsharded
-// auto-id contract (zero id assigns the next id; explicit ids advance it)
-// and stamping the store-global insertion sequence.
+// auto-id contract (zero id assigns the next id; explicit ids advance it),
+// and stamps the next store-wide insertion sequence over any the tuple
+// carried: every insert, re-inserts included, is a new arrival at the tail
+// of its replica's Seq-ascending run.
 func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -250,80 +182,33 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	if tu.ID >= t.nextID {
 		t.nextID = tu.ID + 1
 	}
-	if tu.Seq == 0 {
-		tu.Seq = t.store.seq.Add(1)
-	}
-	shard := t.part.Route(types.NewInt(tu.ID))
-	id, err := t.reps[shard].Insert(tu)
-	if err != nil {
-		return 0, err
-	}
-	t.store.versions[shard].Add(1)
-	return id, nil
+	tu.Seq = t.store.seq.Add(1)
+	return t.route(tu.ID).Insert(tu)
 }
 
 // Get returns the tuple by id from its owning replica.
-func (t *Table) Get(id int64) *types.Tuple {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.route(id).Get(id)
-}
+func (t *Table) Get(id int64) *types.Tuple { return t.route(id).Get(id) }
 
-// Update routes a single-column update; fixed-column updates count as
-// commits on the owning shard.
+// Update routes a single-column update.
 func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	shard := t.part.Route(types.NewInt(id))
-	old, err := t.reps[shard].Update(id, col, v)
-	if err != nil {
-		return old, err
-	}
-	if c := t.schema.Col(col); c != nil && !c.Derived {
-		t.store.versions[shard].Add(1)
-	}
-	return old, nil
+	return t.route(id).Update(id, col, v)
 }
 
 // CommitFixed routes the atomic fixed+derived-clear swap.
 func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	shard := t.part.Route(types.NewInt(id))
-	gen, err := t.reps[shard].CommitFixed(id, col, v)
-	if err != nil {
-		return gen, err
-	}
-	t.store.versions[shard].Add(1)
-	return gen, nil
+	return t.route(id).CommitFixed(id, col, v)
 }
 
-// WriteDerived routes the gen-guarded derived write-back and its mark. Not a
-// commit: the generation vector is untouched.
+// WriteDerived routes the gen-guarded derived write-back and its mark.
 func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.route(id).WriteDerived(id, col, v, gen, mark)
 }
 
 // Gen returns the tuple's generation from its owning replica.
-func (t *Table) Gen(id int64) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.route(id).Gen(id)
-}
+func (t *Table) Gen(id int64) uint64 { return t.route(id).Gen(id) }
 
-// Delete routes the delete and counts the commit.
-func (t *Table) Delete(id int64) *types.Tuple {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	shard := t.part.Route(types.NewInt(id))
-	tu := t.reps[shard].Delete(id)
-	if tu != nil {
-		t.store.versions[shard].Add(1)
-	}
-	return tu
-}
+// Delete routes the delete.
+func (t *Table) Delete(id int64) *types.Tuple { return t.route(id).Delete(id) }
 
 // Len sums the replicas' live counts.
 func (t *Table) Len() int {
@@ -336,26 +221,20 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Tuples returns all live tuples merged across replicas in insertion order.
-// Per-replica slabs are sequence-ascending except after a rebalance (moves
-// append at the destination's tail), so the merge sorts by Seq — which is
-// exactly global insertion order, byte-identical to the unsharded slab.
+// Tuples returns all live tuples merged across replicas in insertion order,
+// byte-identical to the unsharded slab.
 func (t *Table) Tuples() []*types.Tuple {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return mergeTuples(t.reps)
+	runs := make([][]*types.Tuple, len(t.reps))
+	for i, r := range t.reps {
+		runs[i] = r.Tuples()
+	}
+	return mergeRuns(runs, tupleSeq)
 }
 
-// mergeTuples gathers every replica's live tuples and sorts by insertion
-// sequence.
-func mergeTuples(reps []*storage.Table) []*types.Tuple {
-	var out []*types.Tuple
-	for _, r := range reps {
-		out = append(out, r.Tuples()...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
+// tupleSeq is the merge key of a tuple run.
+func tupleSeq(tu *types.Tuple) uint64 { return tu.Seq }
 
 // Scan walks the merged insertion order.
 func (t *Table) Scan(fn func(*types.Tuple) bool) {
@@ -401,49 +280,13 @@ func (t *Table) HasIndex(col string) bool {
 func (t *Table) IndexTuples(col string, v types.Value) ([]*types.Tuple, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []*types.Tuple
-	for _, r := range t.reps {
+	runs := make([][]*types.Tuple, len(t.reps))
+	for i, r := range t.reps {
 		tus, ok := r.IndexTuples(col, v)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, tus...)
+		runs[i] = tus
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out, true
-}
-
-// splitRange applies a range split and moves re-routed tuples, preserving
-// id, generation and sequence.
-func (t *Table) splitRange(at int64) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rp, ok := t.part.(*RangePartitioner)
-	if !ok {
-		return 0, fmt.Errorf("shard: %s is not range-partitioned (%s)", t.schema.Name, t.part.Desc())
-	}
-	next := rp.Clone().(*RangePartitioner)
-	next.SplitAt(at)
-	moved := 0
-	for from, r := range t.reps {
-		for _, tu := range r.Tuples() {
-			to := next.Route(types.NewInt(tu.ID))
-			if to == from {
-				continue
-			}
-			// Move preserves the tuple image verbatim: same id, same Gen (the
-			// enrichment gen guard), same Seq (the merged read order). The
-			// enrichment manager's state is keyed by (relation, id) — placement
-			// is invisible to it.
-			if got := r.Delete(tu.ID); got == nil {
-				return moved, fmt.Errorf("shard: %s: tuple %d vanished during rebalance", t.schema.Name, tu.ID)
-			}
-			if _, err := t.reps[to].Insert(tu); err != nil {
-				return moved, fmt.Errorf("shard: %s: rebalance reinsert %d: %w", t.schema.Name, tu.ID, err)
-			}
-			moved++
-		}
-	}
-	t.part = next
-	return moved, nil
+	return mergeRuns(runs, tupleSeq), true
 }

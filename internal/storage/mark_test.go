@@ -61,8 +61,8 @@ func TestMarkClearedByCommitFixedAndInsert(t *testing.T) {
 	if tu := tb.Get(1); tu.Enriched != 0 || !tu.Vals[3].IsNull() {
 		t.Fatalf("stale write-back left mark %b / value %v", tu.Enriched, tu.Vals[3])
 	}
-	// Inserting a marked image (a rebalance move) stores an unmarked copy
-	// and leaves the caller's tuple as it was.
+	// Inserting a marked image (one read back from a table) stores an
+	// unmarked copy and leaves the caller's tuple as it was.
 	moved := old.Clone()
 	moved.ID = 2
 	if _, err := tb.Insert(moved); err != nil {

@@ -90,8 +90,9 @@ func (t *Table) Stats() TableStats {
 
 // Insert stores a tuple. A zero ID is auto-assigned; explicit ids must be
 // unique. The value slice length must match the schema. The stored image
-// carries no enrichment mark: a marked tuple (a rebalance move) is stored as
-// an unmarked copy, so the caller's published image is never mutated.
+// carries no enrichment mark: a marked tuple (an image read back from a
+// table) is stored as an unmarked copy, so the caller's published image is
+// never mutated.
 func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	if len(tu.Vals) != len(t.schema.Cols) {
 		return 0, fmt.Errorf("storage: %s: tuple has %d values, schema has %d columns",
@@ -113,8 +114,8 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	if _, dup := t.slot[tu.ID]; dup {
 		return 0, fmt.Errorf("storage: %s: duplicate tuple id %d", t.schema.Name, tu.ID)
 	}
-	// Stamp the insertion sequence unless the caller (a sharded facade, or a
-	// rebalance move preserving the original sequence) already did. Index
+	// Stamp the insertion sequence unless the caller (a sharded facade,
+	// stamping the store-wide sequence) already did. Index
 	// lookups order their results by it, so index-scan output order is
 	// insertion order regardless of intervening deletes.
 	if tu.Seq == 0 {

@@ -18,11 +18,12 @@ import (
 type Tuple struct {
 	ID  int64
 	Gen uint64
-	// Seq is the tuple's global insertion sequence number. Unsharded storage
-	// leaves it zero (slab order already is insertion order); sharded storage
-	// assigns it at insert so a k-way merge of per-shard slabs by Seq
-	// reproduces the exact unsharded insertion order, independent of how the
-	// partitioner placed (or later rebalanced) the tuple.
+	// Seq is the tuple's insertion sequence number, stamped at insert:
+	// per table by unsharded storage, store-wide by sharded storage. Index
+	// lookups order their results by it. Each shard's slab is a Seq-ascending
+	// run, so a k-way merge of the shards by Seq reproduces the exact
+	// unsharded insertion order, independent of where the hash partitioner
+	// placed the tuple.
 	Seq  uint64
 	Vals []Value
 	// Enriched is the image's enrichment mark: bit k (catalog.Schema.MarkBit)

@@ -7,8 +7,8 @@ import (
 
 	"enrichdb/internal/engine"
 	"enrichdb/internal/expr"
-	"enrichdb/internal/metrics"
 	"enrichdb/internal/progressive"
+	"enrichdb/internal/quality"
 	"enrichdb/internal/telemetry"
 )
 
@@ -182,7 +182,7 @@ type ProgressiveOverhead = progressive.Overheads
 // run's quality series with the paper's default slope of 0.05; 0 for the
 // other designs.
 func (r *Result) Score() float64 {
-	return metrics.ProgressiveScore(r.quality, 0.05)
+	return quality.ProgressiveScore(r.quality, 0.05)
 }
 
 // runProgressive is the progressive design's execute step (§3): per epoch, a

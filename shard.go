@@ -23,12 +23,8 @@ type HedgeConfig struct {
 // ShardConfig parameterizes OpenSharded.
 type ShardConfig struct {
 	// Shards is the number of in-process shard replicas every table is
-	// partitioned across (minimum 1).
+	// hash-partitioned across by tuple id (minimum 1).
 	Shards int
-	// Ranges, when non-empty, range-partitions tables by tuple id with these
-	// initial split points (rebalance later with SplitShardRange); empty
-	// means hash partitioning.
-	Ranges []int64
 	// FleetAddrs, when non-empty, points the loose design at a fleet of
 	// enrichment servers with least-loaded routing, work stealing and
 	// hedged requests (equivalent to calling ConnectEnrichmentFleet).
@@ -48,7 +44,7 @@ func OpenSharded(cfg ShardConfig) (*DB, error) {
 	}
 	mgr := enrich.NewManager()
 	db := &DB{
-		store:        shard.New(shard.Config{Shards: cfg.Shards, Ranges: cfg.Ranges}),
+		store:        shard.New(shard.Config{Shards: cfg.Shards}),
 		mgr:          mgr,
 		enricher:     &loose.LocalEnricher{Mgr: mgr},
 		runtimeStats: stats.NewStore(),
@@ -67,65 +63,6 @@ func (db *DB) Shards() int {
 		return s.NumShards()
 	}
 	return 1
-}
-
-// ShardOf returns the shard currently owning the relation's tuple id (0 for
-// an unsharded DB, -1 for unknown relations).
-func (db *DB) ShardOf(relation string, id int64) int {
-	if s, ok := db.store.(*shard.Store); ok {
-		return s.ShardOf(relation, id)
-	}
-	if _, err := db.store.Table(relation); err != nil {
-		return -1
-	}
-	return 0
-}
-
-// ShardVersions returns the per-shard commit generation vector: element i
-// counts the commits that landed on shard i. An unsharded DB reports a
-// one-element vector equal to Version().
-func (db *DB) ShardVersions() []uint64 {
-	if s, ok := db.store.(*shard.Store); ok {
-		return s.Versions()
-	}
-	return []uint64{db.version.Load()}
-}
-
-// ShardVersions returns the generation vector the session's snapshot was
-// stamped with, frozen atomically with the views: per-shard commit counters
-// as of the snapshot. Two sessions with equal vectors see identical
-// committed data, which is what keeps cross-session enrichment sharing
-// gen-safe under sharding — a vector component that advanced names exactly
-// the shard whose commits one session is missing.
-func (s *Session) ShardVersions() []uint64 {
-	if sn, ok := s.snap.(interface{ Versions() []uint64 }); ok {
-		return sn.Versions()
-	}
-	return []uint64{s.version}
-}
-
-// SplitShardRange rebalances a range-partitioned relation: the id range
-// containing `at` splits at that boundary and re-routed tuples move to
-// their new replica, preserving ids, generations and insertion sequence —
-// query answers, enrichment state and gen guards are all unaffected by the
-// move. The split is a commit (it serializes with the write path and bumps
-// the version), so concurrent sessions keep their pre-split snapshots.
-// Returns the number of tuples moved.
-func (db *DB) SplitShardRange(relation string, at int64) (int, error) {
-	s, ok := db.store.(*shard.Store)
-	if !ok {
-		return 0, fmt.Errorf("enrichdb: SplitShardRange requires a sharded database (OpenSharded)")
-	}
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-	moved, err := s.SplitRange(relation, at)
-	if err != nil {
-		return moved, err
-	}
-	db.version.Add(1)
-	db.Telemetry().Counter("shard.rebalances").Add(1)
-	db.Telemetry().Counter("shard.rebalance_moves").Add(int64(moved))
-	return moved, nil
 }
 
 // ConnectEnrichmentFleet points the loose design at a fleet of enrichment
