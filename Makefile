@@ -39,10 +39,11 @@ test:
 # worker pool, the RPC transport, shared enrichment state, the telemetry
 # registry/tracer they all publish into, the chaos tests that hammer them,
 # the serving layer (sessions, admission control), the concurrent workload
-# harness that verifies it, and the tight and progressive executors, which
-# read tuple enrichment marks while write-backs set them.
+# harness that verifies it, the tight and progressive executors, which read
+# tuple enrichment marks while write-backs set them, and the IVM view, whose
+# set-up runs engine plans on the shared scan pool.
 race:
-	$(GO) test -race . ./internal/loose/... ./internal/enrich/... ./internal/faultinject/... ./internal/telemetry/... ./internal/storage/... ./internal/harness/... ./internal/engine/... ./internal/expr/... ./internal/tight/... ./internal/progressive/...
+	$(GO) test -race . ./internal/loose/... ./internal/enrich/... ./internal/faultinject/... ./internal/telemetry/... ./internal/storage/... ./internal/harness/... ./internal/engine/... ./internal/expr/... ./internal/tight/... ./internal/ivm/... ./internal/progressive/...
 
 # Full concurrency gate: vet, then the concurrency/chaos/equivalence suites
 # under the race detector, twice (-count=2 defeats the test cache and shakes

@@ -12,6 +12,7 @@
 // scratch re-execution of the query. Enrichment updates arrive as value
 // changes (old tuple → new tuple), which the view processes as a deletion
 // plus an insertion.
+// Set-up (New) is one engine query, not a replay of the tables through Apply.
 package ivm
 
 import (
@@ -119,9 +120,12 @@ type spjEntry struct {
 	count int
 }
 
-// New creates an empty view for the analyzed query and materializes it from
-// the current database contents (the paper's query-setup step in epoch e₀).
-// The provided ExecCtx collects evaluation counters; pass nil for a fresh one.
+// New creates a view for the analyzed query and materializes it from the
+// current database contents (the paper's query-setup step in epoch e₀): one
+// filtered scan per alias on ctx (the vector kernel, and ctx's scan pool when
+// it has one), then one execution of the join tree over the survivors. The
+// view equals, row for row and in order, an empty view that Apply fed one
+// insert per base tuple in scan order. Pass a nil ctx for a fresh one.
 func New(a *engine.Analysis, db storage.Source, ctx *engine.ExecCtx) (*View, error) {
 	if ctx == nil {
 		ctx = engine.NewExecCtx()
@@ -180,28 +184,52 @@ func New(a *engine.Analysis, db storage.Source, ctx *engine.ExecCtx) (*View, err
 		}
 	}
 
-	// Initial materialization runs through the same delta path as later
-	// epochs: insert every base tuple.
-	var inits []TupleDelta
-	seen := make(map[string]bool)
-	for _, tm := range a.Tables {
-		if seen[tm.Relation] {
-			continue // self-join: one insert per base tuple, not per alias
-		}
-		seen[tm.Relation] = true
-		tbl, err := db.Table(tm.Relation)
+	if !v.constOK {
+		return v, nil // a constant-false view stays empty; Apply keeps it so
+	}
+
+	var rows []*expr.Row // after the loop: the last alias's, in scan order
+	for _, in := range v.inputs {
+		tbl, err := db.Table(in.meta.Relation)
 		if err != nil {
 			return nil, err
 		}
-		tbl.Scan(func(t *types.Tuple) bool {
-			inits = append(inits, TupleDelta{Relation: tm.Relation, New: t})
-			return true
-		})
+		if rows, err = engine.NewFilter(engine.NewScan(tbl, in.meta.Alias), in.pred).Execute(ctx); err != nil {
+			return nil, err
+		}
+		in.seed(rows)
 	}
-	if _, err := v.Apply(ctx, inits); err != nil {
+	// From empty inputs, Apply's sequential delta rule joins every earlier
+	// alias against still-empty inputs, so only the last alias's pass emits
+	// rows: the earlier inputs in tid order, the last in scan order.
+	last := len(v.inputs) - 1
+	for _, in := range v.inputs[:last] {
+		in.node.Data = in.snapshot()
+	}
+	v.inputs[last].node.Data = rows
+	joined, err := v.plan.Execute(ctx)
+	if err != nil {
+		return nil, err
+	}
+	signed := make([]signedRow, len(joined))
+	for i, r := range joined {
+		signed[i] = signedRow{row: r, sign: 1}
+	}
+	if _, err := v.fold(signed); err != nil {
 		return nil, err
 	}
 	return v, nil
+}
+
+// seed replaces the filter's rows, in place, with view-owned copies, so the
+// view never pins the scan's arena chunks (values alias the immutable stored
+// image), and makes them the input's rows.
+func (in *aliasInput) seed(rows []*expr.Row) {
+	in.rows = make(map[int64]*expr.Row, len(rows))
+	for i, r := range rows {
+		rows[i] = &expr.Row{Schema: in.rs, Vals: r.Vals, TIDs: []int64{r.TIDs[0]}}
+		in.rows[r.TIDs[0]] = rows[i]
+	}
 }
 
 // Apply maintains the view under a batch of base-table deltas and returns
@@ -255,9 +283,9 @@ func (v *View) apply(ctx *engine.ExecCtx, deltas []TupleDelta) (*Delta, error) {
 			var newRow *expr.Row
 			newIn := false
 			if d.New != nil {
-				// Clone: the view must keep its own snapshot because the
-				// progressive executors update base tuples in place.
-				newRow = expr.RowFromTuple(in.rs, d.New.Clone())
+				// Stored images are copy-on-write, never mutated in place,
+				// so the view's row may alias the tuple's values.
+				newRow = expr.RowFromTuple(in.rs, d.New)
 				tv, err := expr.EvalPred(ctx.Eval, in.pred, newRow)
 				if err != nil {
 					return nil, err
@@ -316,7 +344,11 @@ func (v *View) apply(ctx *engine.ExecCtx, deltas []TupleDelta) (*Delta, error) {
 		}
 		in.snapCache = nil
 	}
+	return v.fold(signed)
+}
 
+// fold folds signed combined rows into the result.
+func (v *View) fold(signed []signedRow) (*Delta, error) {
 	if v.out.Agg != nil {
 		return v.applyAgg(signed)
 	}

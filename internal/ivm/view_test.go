@@ -8,6 +8,7 @@ import (
 
 	"enrichdb/internal/catalog"
 	"enrichdb/internal/engine"
+	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/storage"
@@ -17,6 +18,14 @@ import (
 // testDB mirrors the engine tests' fixture: tweets with derived sentiment and
 // topic, a city/state lookup table.
 func testDB(t *testing.T) *storage.DB {
+	t.Helper()
+	return testDBInOrder(t, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, []int{0, 1, 2})
+}
+
+// testDBInOrder is testDB with the tweets inserted in the order of tweetIDs
+// (a permutation of 1..12) and the cities in the order of cityOrder (of
+// 0..2), so scan order and tuple-id order can differ.
+func testDBInOrder(t *testing.T, tweetIDs []int64, cityOrder []int) *storage.DB {
 	t.Helper()
 	db := storage.NewDB()
 	tweets := catalog.MustSchema("TweetData", []catalog.Column{
@@ -32,7 +41,7 @@ func testDB(t *testing.T) *storage.DB {
 		t.Fatal(err)
 	}
 	locs := []string{"Irvine", "LA", "Austin"}
-	for i := int64(1); i <= 12; i++ {
+	for _, i := range tweetIDs {
 		// Derived attributes start NULL: nothing enriched yet.
 		tt.Insert(&types.Tuple{ID: i, Vals: []types.Value{
 			types.NewInt(i),
@@ -52,7 +61,8 @@ func testDB(t *testing.T) *storage.DB {
 	cities := []struct{ c, s string }{
 		{"Irvine", "California"}, {"LA", "California"}, {"Austin", "Texas"},
 	}
-	for i, cs := range cities {
+	for _, i := range cityOrder {
+		cs := cities[i]
 		st.Insert(&types.Tuple{ID: int64(i + 1), Vals: []types.Value{
 			types.NewInt(int64(i + 1)), types.NewString(cs.c), types.NewString(cs.s),
 		}})
@@ -74,7 +84,7 @@ func analyze(t *testing.T, db *storage.DB, q string) *engine.Analysis {
 func enrichTweet(t *testing.T, db *storage.DB, tid int64, sentiment, topic types.Value) TupleDelta {
 	t.Helper()
 	tbl := db.MustTable("TweetData")
-	old := tbl.Get(tid).Clone()
+	old := tbl.Get(tid) // updates swap in a new image; this one stays as is
 	if !sentiment.IsNull() {
 		if _, err := tbl.Update(tid, "sentiment", sentiment); err != nil {
 			t.Fatal(err)
@@ -294,22 +304,25 @@ func TestInsertAndDeleteMaintenance(t *testing.T) {
 	}
 }
 
+// propertyQueries are the query shapes the property tests run: selections,
+// projections, a self-join, a join, aggregates and the Q8 three-way shape.
+var propertyQueries = []string{
+	"SELECT * FROM TweetData WHERE sentiment = 1",
+	"SELECT * FROM TweetData WHERE topic <= 2 AND sentiment = 1 AND TweetTime BETWEEN 2 AND 11",
+	"SELECT tid, location FROM TweetData WHERE sentiment = 2",
+	"SELECT * FROM TweetData T1, TweetData T2 WHERE T1.sentiment = T2.sentiment AND T1.TweetTime BETWEEN 1 AND 8",
+	"SELECT * FROM TweetData T1, State S WHERE T1.location = S.city AND S.state = 'California' AND T1.sentiment = 1",
+	"SELECT topic, count(*) FROM TweetData GROUP BY topic",
+	"SELECT sentiment, count(*), avg(TweetTime) FROM TweetData WHERE TweetTime >= 3 GROUP BY sentiment",
+	// Three-way join mixing fixed and derived join conditions (Q8 shape).
+	"SELECT * FROM TweetData T1, TweetData T2, State S WHERE T1.tid = T2.tid AND T1.topic = T2.topic AND T1.location = S.city AND S.state = 'California'",
+}
+
 // TestIVMInvariantProperty is the paper's correctness criterion
 // q(D + ΔD) = q(D) + Δq(D, ΔD) checked on randomized update sequences over
 // several query shapes.
 func TestIVMInvariantProperty(t *testing.T) {
-	queries := []string{
-		"SELECT * FROM TweetData WHERE sentiment = 1",
-		"SELECT * FROM TweetData WHERE topic <= 2 AND sentiment = 1 AND TweetTime BETWEEN 2 AND 11",
-		"SELECT tid, location FROM TweetData WHERE sentiment = 2",
-		"SELECT * FROM TweetData T1, TweetData T2 WHERE T1.sentiment = T2.sentiment AND T1.TweetTime BETWEEN 1 AND 8",
-		"SELECT * FROM TweetData T1, State S WHERE T1.location = S.city AND S.state = 'California' AND T1.sentiment = 1",
-		"SELECT topic, count(*) FROM TweetData GROUP BY topic",
-		"SELECT sentiment, count(*), avg(TweetTime) FROM TweetData WHERE TweetTime >= 3 GROUP BY sentiment",
-		// Three-way join mixing fixed and derived join conditions (Q8 shape).
-		"SELECT * FROM TweetData T1, TweetData T2, State S WHERE T1.tid = T2.tid AND T1.topic = T2.topic AND T1.location = S.city AND S.state = 'California'",
-	}
-	for qi, q := range queries {
+	for qi, q := range propertyQueries {
 		db := testDB(t)
 		v, err := New(analyze(t, db, q), db, nil)
 		if err != nil {
@@ -336,6 +349,104 @@ func TestIVMInvariantProperty(t *testing.T) {
 			}
 			if !sameRowSet(v.Rows(), reexecute(t, db, q)) {
 				t.Fatalf("q%d diverged at step %d\nquery: %s", qi, step, q)
+			}
+		}
+	}
+}
+
+// replayView is the view built the way set-up once worked: New over an empty
+// store with the same schemas, then one Apply inserting every live base
+// tuple of the query's relations, relation by relation in FROM order, each
+// in scan order.
+func replayView(t *testing.T, db *storage.DB, a *engine.Analysis) *View {
+	t.Helper()
+	empty := storage.NewDB()
+	var inserts []TupleDelta
+	seen := make(map[string]bool)
+	for _, tm := range a.Tables {
+		if seen[tm.Relation] {
+			continue
+		}
+		seen[tm.Relation] = true
+		if _, err := empty.CreateTable(tm.Schema); err != nil {
+			t.Fatal(err)
+		}
+		db.MustTable(tm.Relation).Scan(func(tu *types.Tuple) bool {
+			inserts = append(inserts, TupleDelta{Relation: tm.Relation, New: tu})
+			return true
+		})
+	}
+	v, err := New(a, empty, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Apply(nil, inserts); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// sameRowsInOrder reports whether a and b hold the same rows (values and
+// tuple ids) in the same order.
+func sameRowsInOrder(a, b []*expr.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].SameIdentity(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSetupEqualsReplayAndReexecution: a view New materializes equals a
+// from-scratch re-execution as a row set, and equals, row for row and in
+// order, the view an empty store's New plus one Apply inserting every base
+// tuple in scan order produces. The tables' ids are inserted out of order
+// (scan order is not tid order) and k random enrichment steps run before
+// set-up; set-up runs sequentially and on a two-worker scan pool.
+func TestSetupEqualsReplayAndReexecution(t *testing.T) {
+	ctxs := map[string]func() *engine.ExecCtx{
+		"sequential": func() *engine.ExecCtx { return nil },
+		"pool": func() *engine.ExecCtx {
+			ctx := engine.NewExecCtx()
+			ctx.Pool, ctx.ParallelMinRows = enrich.NewScheduler(2), 1
+			return ctx
+		},
+	}
+	for qi, q := range propertyQueries {
+		for _, k := range []int{0, 5, 25} {
+			r := rand.New(rand.NewSource(int64(300 + 7*qi + k)))
+			tweetIDs := make([]int64, 12)
+			for i, p := range r.Perm(12) {
+				tweetIDs[i] = int64(p + 1)
+			}
+			db := testDBInOrder(t, tweetIDs, r.Perm(3))
+			for step := 0; step < k; step++ {
+				var s, tp types.Value = types.Null, types.Null
+				if r.Intn(2) == 0 {
+					s = types.NewInt(int64(r.Intn(3)))
+				}
+				if r.Intn(2) == 0 {
+					tp = types.NewInt(int64(r.Intn(4)))
+				}
+				enrichTweet(t, db, int64(r.Intn(12)+1), s, tp)
+			}
+			a := analyze(t, db, q)
+			want := replayView(t, db, a).Rows()
+			for name, mk := range ctxs {
+				v, err := New(a, db, mk())
+				if err != nil {
+					t.Fatalf("q%d k=%d %s: %v", qi, k, name, err)
+				}
+				got := v.Rows()
+				if !sameRowSet(got, reexecute(t, db, q)) {
+					t.Errorf("q%d k=%d %s: set-up diverged from re-execution\nquery: %s", qi, k, name, q)
+				}
+				if !sameRowsInOrder(got, want) {
+					t.Errorf("q%d k=%d %s: set-up diverged from the insert replay (%d vs %d rows)\nquery: %s", qi, k, name, len(got), len(want), q)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package progressive
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
+	"enrichdb/internal/ml"
 	"enrichdb/internal/quality"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
@@ -486,5 +488,79 @@ func TestStrategyString(t *testing.T) {
 	}
 	if Loose.String() != "loose" || Tight.String() != "tight" {
 		t.Error("design names")
+	}
+}
+
+// gateModel blocks its first prediction until release is closed, after
+// signalling entered; every later prediction runs straight through.
+type gateModel struct {
+	ml.Classifier
+	first            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g *gateModel) PredictProba(x []float64) []float64 {
+	if g.first.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Classifier.PredictProba(x)
+}
+
+// TestProgressiveEnrichmentsArePerQuery: two progressive runs over disjoint
+// windows of one database overlap — the first blocks inside an enrichment
+// until the second has finished. Each reports its own executions, per epoch
+// and in total, and together they account for everything the manager ran.
+func TestProgressiveEnrichmentsArePerQuery(t *testing.T) {
+	for _, design := range []Design{Loose, Tight} {
+		t.Run(design.String(), func(t *testing.T) {
+			d, mgr := fixture(t)
+			fn := mgr.Family("TweetData", "sentiment").Functions[0]
+			gate := &gateModel{Classifier: fn.Model, entered: make(chan struct{}), release: make(chan struct{})}
+			fn.Model = gate
+			run := func(q string) (*Result, error) {
+				// One worker: while the gate holds the first run, none of
+				// its other enrichments can run beside the second.
+				return Run(Config{Design: design, Analysis: analyze(t, d, q), DB: d.DB, Mgr: mgr, Workers: 1, Seed: 5})
+			}
+			before := mgr.Counters().Enrichments
+
+			var resA *Result
+			var errA error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				resA, errA = run("SELECT tid FROM TweetData WHERE TweetTime < 5000 AND sentiment = 1")
+			}()
+			<-gate.entered
+			mid := mgr.Counters().Enrichments
+			resB, errB := run("SELECT tid FROM TweetData WHERE TweetTime >= 5000 AND sentiment = 1")
+			afterB := mgr.Counters().Enrichments
+			close(gate.release)
+			<-done
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			after := mgr.Counters().Enrichments
+			wantA, wantB := (mid-before)+(after-afterB), afterB-mid
+			if wantA == 0 || wantB == 0 {
+				t.Fatalf("runs enriched %d and %d; both must do work", wantA, wantB)
+			}
+			for name, c := range map[string]struct {
+				res  *Result
+				want int64
+			}{"A": {resA, wantA}, "B": {resB, wantB}} {
+				if c.res.TotalEnrichments != c.want {
+					t.Errorf("%s: TotalEnrichments = %d, want its own work %d", name, c.res.TotalEnrichments, c.want)
+				}
+				var sum int64
+				for _, ep := range c.res.Epochs {
+					sum += ep.Executed
+				}
+				if sum != c.res.TotalEnrichments {
+					t.Errorf("%s: epochs executed %d in sum, total says %d", name, sum, c.res.TotalEnrichments)
+				}
+			}
+		})
 	}
 }

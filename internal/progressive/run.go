@@ -332,9 +332,13 @@ func Run(cfg Config) (*Result, error) {
 		rep.PlanTime = time.Since(planStart)
 		rep.Planned = len(plan)
 		rep.PlanTableBytes = PlanSizeBytes(plan)
+		var targets string // span annotation only: not built when tracing is off
+		if cfg.Tracer != nil {
+			targets = targetsSummary(plan)
+		}
 		spPlan.Int("planned", int64(len(plan))).
 			Int("plan_bytes", rep.PlanTableBytes).
-			Str("targets", targetsSummary(plan)).
+			Str("targets", targets).
 			End()
 		if rep.PlanTableBytes > res.MaxPlanBytes {
 			res.MaxPlanBytes = rep.PlanTableBytes
@@ -344,21 +348,18 @@ func Run(cfg Config) (*Result, error) {
 			break
 		}
 
-		// Snapshot the planned tuples before enrichment mutates them.
+		// Record the planned tuples' images before enrichment replaces them.
 		snapshots := snapshotPlanned(cfg.DB, plan)
 
-		execBefore := cfg.Mgr.Counters()
-		var coalBeforeEpoch int64
-		if rt != nil {
-			_, coalBeforeEpoch = rt.BatchStats()
-		}
+		skippedBefore := cfg.Mgr.Counters().Skipped
 		spEnrich := cfg.Tracer.Start("epoch.enrich").Epoch(epoch).
 			Str("design", cfg.Design.String()).
-			Str("targets", targetsSummary(plan))
+			Str("targets", targets)
 		epochFailed := false
 		switch cfg.Design {
 		case Loose:
-			timing, err := runLooseEpoch(cfg, sched, plan, epoch)
+			ran, timing, err := runLooseEpoch(cfg, sched, plan, epoch)
+			rep.Executed = ran
 			if err != nil {
 				// Whole-batch transport loss (DESIGN §6): the epoch enriched
 				// nothing, but the query degrades rather than dies. The
@@ -374,25 +375,24 @@ func Run(cfg Config) (*Result, error) {
 			rep.EnrichTime = timing.Compute
 			rep.NetworkTime = timing.Network
 		case Tight:
-			enrichBefore := cfg.Mgr.Counters().EnrichTime
+			ranBefore, enrichBefore := rt.Enrichments()
+			_, coalEpoch := rt.BatchStats()
 			if err := runTightEpoch(cfg, sched, a, rwa, rt, view, plan, epoch); err != nil {
 				spEnrich.Str("error", err.Error()).End()
 				return nil, err
 			}
-			rep.EnrichTime = cfg.Mgr.Counters().EnrichTime - enrichBefore
+			ran, enrichTime := rt.Enrichments()
+			rep.Executed, rep.EnrichTime = ran-ranBefore, enrichTime-enrichBefore
+			_, coalNow := rt.BatchStats()
+			rep.Coalesced = coalNow - coalEpoch
 		}
 		if !epochFailed {
 			for _, it := range plan {
 				space.Consume(it)
 			}
 		}
-		execAfter := cfg.Mgr.Counters()
-		rep.Executed = execAfter.Enrichments - execBefore.Enrichments
-		rep.Skipped = execAfter.Skipped - execBefore.Skipped
-		if rt != nil {
-			_, coalNow := rt.BatchStats()
-			rep.Coalesced = coalNow - coalBeforeEpoch
-		}
+		rep.Skipped = cfg.Mgr.Counters().Skipped - skippedBefore
+		res.TotalEnrichments += rep.Executed
 		spEnrich.Int("executed", rep.Executed).
 			Int("skipped", rep.Skipped).
 			Int("coalesced", rep.Coalesced).
@@ -456,7 +456,6 @@ func Run(cfg Config) (*Result, error) {
 		res.ViewBytes = view.SizeBytes()
 	}
 	counters := cfg.Mgr.Counters()
-	res.TotalEnrichments = counters.Enrichments - countersBefore.Enrichments
 	res.Overhead.State = counters.StateUpdateTime - countersBefore.StateUpdateTime
 	if rt != nil {
 		udf := (rt.CallTime() - callBefore) - (counters.EnrichTime - countersBefore.EnrichTime)
@@ -526,11 +525,19 @@ func executePlain(a *engine.Analysis, db storage.Source, ctx *engine.ExecCtx) ([
 	return plan.Execute(ctx)
 }
 
-// snapshotPlanned clones each planned tuple once, keyed by (relation, tid).
-func snapshotPlanned(db storage.Source, plan []PlanItem) map[[2]interface{}]*types.Tuple {
-	snaps := make(map[[2]interface{}]*types.Tuple)
+// tupleKey names one stored tuple.
+type tupleKey struct {
+	rel string
+	tid int64
+}
+
+// snapshotPlanned records each planned tuple's current image once. Every
+// stored write swaps in a new image (copy-on-write), so the recorded one
+// keeps its pre-enrichment values without a copy.
+func snapshotPlanned(db storage.Source, plan []PlanItem) map[tupleKey]*types.Tuple {
+	snaps := make(map[tupleKey]*types.Tuple)
 	for _, it := range plan {
-		k := [2]interface{}{it.Relation, it.TID}
+		k := tupleKey{it.Relation, it.TID}
 		if _, ok := snaps[k]; ok {
 			continue
 		}
@@ -539,21 +546,20 @@ func snapshotPlanned(db storage.Source, plan []PlanItem) map[[2]interface{}]*typ
 			continue
 		}
 		if tu := tbl.Get(it.TID); tu != nil {
-			snaps[k] = tu.Clone()
+			snaps[k] = tu
 		}
 	}
 	return snaps
 }
 
-func deltasFromSnapshots(db storage.Source, snaps map[[2]interface{}]*types.Tuple) []ivm.TupleDelta {
+func deltasFromSnapshots(db storage.Source, snaps map[tupleKey]*types.Tuple) []ivm.TupleDelta {
 	var out []ivm.TupleDelta
 	for k, old := range snaps {
-		rel := k[0].(string)
-		tbl, err := db.Table(rel)
+		tbl, err := db.Table(k.rel)
 		if err != nil {
 			continue
 		}
-		out = append(out, ivm.TupleDelta{Relation: rel, Old: old, New: tbl.Get(old.ID)})
+		out = append(out, ivm.TupleDelta{Relation: k.rel, Old: old, New: tbl.Get(old.ID)})
 	}
 	// The snapshot map iterates in random order; delta application order
 	// decides the view's row order (and the per-epoch delta answers), so sort
@@ -572,8 +578,9 @@ func deltasFromSnapshots(db storage.Source, snaps map[[2]interface{}]*types.Tupl
 // writes state and determined values back (§3.3.3, loose). The enrichment
 // batch itself runs on the server's own pool; the DBMS-side write-back runs
 // on the epoch scheduler, one worker per touched (relation, tuple,
-// attribute).
-func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch int) (loose.BatchTiming, error) {
+// attribute). ran counts the function executions of the responses written
+// back: this query's own work, whatever runs beside it on the manager.
+func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch int) (ran int64, _ loose.BatchTiming, _ error) {
 	var reqs []loose.Request
 	for _, it := range plan {
 		feature, gen, err := featureOf(cfg.DB, it.Relation, it.TID, it.Attr)
@@ -582,7 +589,7 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 			continue
 		}
 		if err != nil {
-			return loose.BatchTiming{}, err
+			return 0, loose.BatchTiming{}, err
 		}
 		if cfg.Mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID, gen) {
 			continue
@@ -593,18 +600,23 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 		})
 	}
 	if len(reqs) == 0 {
-		return loose.BatchTiming{}, nil
+		return 0, loose.BatchTiming{}, nil
 	}
 	resps, timing, err := cfg.Enricher.EnrichBatch(reqs)
 	if err != nil {
-		return loose.BatchTiming{}, err
+		return 0, loose.BatchTiming{}, err
 	}
 	// Best-effort: a failed response leaves its state bits unset, so a later
 	// epoch's plan simply re-selects the same triplet.
 	err = loose.WriteBack(cfg.Mgr, cfg.DB, resps, func(n int, fn func(i int) error) error {
 		return sched.DoTraced(cfg.Tracer, "epoch.determinize", epoch, n, fn)
 	})
-	return timing, err
+	for _, r := range resps {
+		if !r.Failed() && r.Ran {
+			ran++
+		}
+	}
+	return ran, timing, err
 }
 
 // runTightEpoch evaluates the rewritten query over the epoch's planned
