@@ -190,13 +190,12 @@ bench-serve:
 		-note "Wire-protocol serving-tier load test (loadgen): query latency percentiles and mean inter-completion gap; regenerate with \`make bench-serve\` (headline label: SERVE_CONNS=1000 SERVE_SECONDS=5s)."
 
 # Re-measure the adaptive-optimization benchmarks into BENCH_adaptive.json:
-# the /static and /adaptive (and TTQ strategy) sub-benchmarks are the same
-# workload with adaptivity off and on, so the recorded ns/op pairs are the
-# headline comparison. Fixed iteration counts for stable numbers; TTQ's ns/op
-# is the measured time-to-F1-target, excluding env construction.
+# the TTQ sub-benchmarks run the same skewed-cost progressive workload under
+# the static SB(RO)/SB(FO) orders and the Adaptive strategy, so the recorded
+# ns/op values are the headline comparison. Fixed iteration counts for stable
+# numbers; ns/op is the measured time-to-F1-target, excluding env
+# construction.
 ADAPTIVE_BENCHES := \
-	'^BenchmarkAdaptiveFilter$$/static=5x' \
-	'^BenchmarkAdaptiveFilter$$/adaptive=5x' \
 	'^BenchmarkAdaptiveTTQ$$/SBRO=5x' \
 	'^BenchmarkAdaptiveTTQ$$/SBFO=5x' \
 	'^BenchmarkAdaptiveTTQ$$/adaptive=5x'
@@ -207,7 +206,7 @@ bench-adaptive:
 		./.bench-adaptive.test -test.run '^$$' -test.bench "$${p%=*}" \
 			-test.benchtime "$${p##*=}" -test.benchmem || exit 1; \
 	done; } | $(GO) run ./cmd/benchjson -label current -out BENCH_adaptive.json \
-		-note "Adaptive optimization (DESIGN §14): pessimally-ordered skew filter with/without cheapest-rejection-first reordering, and progressive time-to-F1 target under SB(RO)/SB(FO)/Adaptive strategies; regenerate with \`make bench-adaptive\`."
+		-note "Adaptive optimization (DESIGN §14): progressive time-to-F1 target under SB(RO)/SB(FO)/Adaptive strategies; regenerate with \`make bench-adaptive\`."
 	@rm -f .bench-adaptive.test
 
 # Re-measure the sharding benchmarks into BENCH_shard.json: scatter-gather
@@ -234,8 +233,8 @@ bench-shard:
 	@rm -f .bench-shard.test
 
 # Adaptive equivalence battery under the race detector: the byte-identical
-# contract (adaptive on/off, drift reordering, build-side swaps) and the
-# progressive adaptive-strategy determinism grid.
+# contract (adaptive on/off, build-side swaps, one filter observation per
+# execution) and the progressive adaptive-strategy determinism grid.
 adaptive-race:
 	$(GO) test -race -count=1 -run 'TestAdaptive|TestProgressiveAdaptiveStrategy' ./internal/engine ./internal/progressive
 

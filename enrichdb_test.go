@@ -1,6 +1,7 @@
 package enrichdb
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -191,6 +192,34 @@ func TestExplainTightPublic(t *testing.T) {
 	}
 	if res.Enrichments != 0 || res.UDFInvocations != 0 || db.Stats().Enrichments != 0 {
 		t.Errorf("EXPLAIN executed work: %d enrichments, %d UDF calls", res.Enrichments, res.UDFInvocations)
+	}
+}
+
+// TestExplainObservesServedFilter: after one run of a single-table query on
+// the served path (the vector kernel), a plan-only EXPLAIN of the same query
+// annotates its filter with the pass rate that run observed, not a
+// heuristic.
+func TestExplainObservesServedFilter(t *testing.T) {
+	for _, design := range []Design{PlainDesign, TightDesign} {
+		db, _, _ := buildReviewDB(t)
+		q := "SELECT * FROM Reviews WHERE rating = 1 AND day < 20"
+		if _, err := db.Run(context.Background(), design, q, QueryObs{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Run(context.Background(), design, "EXPLAIN "+q, QueryObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := renderPlan(res.Rows)
+		var filter string
+		for _, line := range strings.Split(ex, "\n") {
+			if strings.Contains(line, "Filter") {
+				filter = line
+			}
+		}
+		if !strings.Contains(filter, " observed)") {
+			t.Errorf("design %v: filter not annotated with an observed selectivity:\n%s", design, ex)
+		}
 	}
 }
 

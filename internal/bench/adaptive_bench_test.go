@@ -1,52 +1,16 @@
 package bench
 
 // Adaptive-optimization benchmarks backing BENCH_adaptive.json (`make
-// bench-adaptive`): the /static and /adaptive sub-benchmarks run the SAME
-// workload with adaptivity off and on, so the recorded ns/op pair is the
-// headline comparison. BenchmarkAdaptiveFilter measures one full filter pass
-// over the pessimally-ordered skewed table; BenchmarkAdaptiveTTQ measures
-// time-to-quality of the skewed-cost progressive run (ns/op = wall time
-// until the answer first reaches the F1 target).
+// bench-adaptive`): BenchmarkAdaptiveTTQ runs the SAME skewed-cost
+// progressive workload under the static SB(RO)/SB(FO) orders and the
+// Adaptive strategy, and measures time-to-quality (ns/op = wall time until
+// the answer first reaches the F1 target).
 
 import (
 	"testing"
 
-	"enrichdb/internal/engine"
 	"enrichdb/internal/progressive"
-	"enrichdb/internal/stats"
 )
-
-const adaptiveFilterRows = 400_000
-
-func benchmarkSkewFilter(b *testing.B, adaptive bool) {
-	tbl := skewFilterTable(b, adaptiveFilterRows)
-	pred := skewFilterPred(b, engine.NewScan(tbl, "W").Schema(), adaptiveFilterRows)
-	var st *stats.Store
-	if adaptive {
-		st = stats.NewStore()
-	}
-	// One untimed warm-up pass: warms the table for both variants and gives
-	// the adaptive run a scan of observations (its steady state).
-	if _, err := runSkewFilter(tbl, pred, st); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := runSkewFilter(tbl, pred, st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != adaptiveFilterRows/100 {
-			b.Fatalf("filter kept %d rows, want %d", n, adaptiveFilterRows/100)
-		}
-	}
-}
-
-func BenchmarkAdaptiveFilter(b *testing.B) {
-	b.Run("static", func(b *testing.B) { benchmarkSkewFilter(b, false) })
-	b.Run("adaptive", func(b *testing.B) { benchmarkSkewFilter(b, true) })
-}
 
 func benchmarkTTQ(b *testing.B, strategy progressive.Strategy) {
 	s := Small()
@@ -72,9 +36,8 @@ func BenchmarkAdaptiveTTQ(b *testing.B) {
 }
 
 // TestExpAdaptiveShape smoke-runs the benchrunner experiment at a reduced
-// scale and checks the headline shape: the adaptive filter beats the
-// pessimal static order, and the Adaptive strategy's time-to-quality row is
-// present. Guard test so `make check` exercises the adaptive bench path.
+// scale and checks its shape: one time-to-quality row per strategy. Guard
+// test so `make check` exercises the adaptive bench path.
 func TestExpAdaptiveShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adaptive experiment is seconds-long; skipped under -short")
@@ -85,7 +48,7 @@ func TestExpAdaptiveShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 5 {
-		t.Fatalf("expected 5 rows (2 filter + 3 strategies), got %d:\n%s", len(tbl.Rows), tbl)
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("expected 3 rows (one per strategy), got %d:\n%s", len(tbl.Rows), tbl)
 	}
 }

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"enrichdb/internal/expr"
 	"enrichdb/internal/sqlparser"
@@ -13,216 +11,27 @@ import (
 )
 
 // This file implements the engine half of the adaptive cost-based
-// optimization layer (DESIGN §14): cheapest-rejection-first reordering of a
-// filter's pure conjunct prefix with batch-boundary re-ranking, runtime
-// build-side selection for hash joins, and the small observed-cardinality
-// cost model behind cost-based join ordering and plan-only EXPLAIN
-// annotations. Everything here is gated on ExecCtx.Adapt (a stats.Store):
-// nil — the default — keeps every hot loop on the exact pre-adaptive code
-// path.
+// optimization layer (DESIGN §14): runtime build-side selection for hash
+// joins, and the small observed-cardinality cost model behind cost-based join
+// ordering and plan-only EXPLAIN annotations. Filters keep their static
+// conjunct order: every Filter execution, on whichever path ran, reports its
+// pass rate to ExecCtx.Adapt (a stats.Store) under predKey, and the cost model
+// reads it back. A nil store — the default — keeps every hot loop on the exact
+// pre-adaptive code path.
 //
-// Correctness contract: only the pure (UDF-free) prefix of a filter's
-// conjunct list is ever permuted. Reordering pure conjuncts among themselves
-// changes neither the output rows (AND is commutative over side-effect-free
-// three-valued terms) nor the set of rows that reach the UDF-bearing suffix
-// (a row reaches it iff no pure conjunct rejected it, regardless of prefix
-// order), so the enrichment side effects — which rows get enriched, in which
-// row order — are byte-identical to the static plan. The suffix keeps its
-// static order and the engine's short-circuit contract.
+// Correctness contract: adaptivity never changes an answer's rows or their
+// order. The swapped-build join emits in the default path's order, and
+// cost-based join ordering applies only to outputs that canonicalize under any
+// join order (orderInsensitiveOutput).
 
-const (
-	// adaptiveStride is how many rows a filter processes between re-ranking
-	// its pure conjuncts — one cancelCheckStride, so the rank check rides on
-	// the existing cancellation poll.
-	adaptiveStride = cancelCheckStride
-	// adaptiveSampleEvery is the per-conjunct timing sample rate: 1-in-N
-	// evaluations pay two clock reads; the rest are counted only.
-	adaptiveSampleEvery = 16
-	// adaptiveBuildSwapFactor: a hash join builds on the left input when it
-	// is at least this factor smaller than the right (the default build
-	// side). The hysteresis keeps near-equal inputs on the familiar path.
-	adaptiveBuildSwapFactor = 2
-)
+// adaptiveBuildSwapFactor: a hash join builds on the left input when it is at
+// least this factor smaller than the right (the default build side). The
+// hysteresis keeps near-equal inputs on the familiar path.
+const adaptiveBuildSwapFactor = 2
 
 // predKey is the stats-store key of a predicate: its rendered form, which
 // is stable across plan rebuilds of the same query shape.
 func predKey(e expr.Expr) string { return fmt.Sprint(e) }
-
-// conjMeter accumulates one conjunct's observed behaviour during a single
-// filter execution.
-type conjMeter struct {
-	evals   int64
-	rejects int64
-	sampled int64
-	ns      int64
-}
-
-// costNs is the measured per-evaluation cost, floored at 1ns so a
-// clock-resolution zero never collapses every rank to zero.
-func (m *conjMeter) costNs() float64 {
-	if m.sampled == 0 {
-		return 1
-	}
-	c := float64(m.ns) / float64(m.sampled)
-	if c < 1 {
-		return 1
-	}
-	return c
-}
-
-// rank is the cheapest-rejection-first score: cost per evaluation divided
-// by rejection rate, ascending — a cheap conjunct that rejects most rows
-// sorts first. Conjuncts that never rejected sort last (rejection rate
-// floored), unevaluated conjuncts keep their position via +Inf and the
-// stable sort.
-func (m *conjMeter) rank() float64 {
-	if m.evals == 0 {
-		return math.Inf(1)
-	}
-	rej := float64(m.rejects) / float64(m.evals)
-	if rej < 1e-9 {
-		rej = 1e-9
-	}
-	return m.costNs() / rej
-}
-
-// seedConjOrder initializes the evaluation order of the pure conjuncts from
-// the store's decayed estimates; conjuncts the store has not seen keep their
-// static position (stable sort over +Inf ranks).
-func seedConjOrder(st *stats.Store, conjs []expr.Expr, order []int) {
-	ranks := make([]float64, len(conjs))
-	any := false
-	for i, c := range conjs {
-		ranks[i] = math.Inf(1)
-		sel, okSel := st.PredicateSelectivity(predKey(c))
-		if !okSel {
-			continue
-		}
-		cost, okCost := st.PredicateCostNs(predKey(c))
-		if !okCost || cost < 1 {
-			cost = 1
-		}
-		rej := 1 - sel
-		if rej < 1e-9 {
-			rej = 1e-9
-		}
-		ranks[i] = cost / rej
-		any = true
-	}
-	if !any {
-		return
-	}
-	sort.SliceStable(order, func(a, b int) bool { return ranks[order[a]] < ranks[order[b]] })
-}
-
-// rerankConjs recomputes the order from the run's own meters; reports
-// whether the order changed.
-func rerankConjs(order []int, meters []conjMeter) bool {
-	ranks := make([]float64, len(meters))
-	for i := range meters {
-		ranks[i] = meters[i].rank()
-	}
-	changed := false
-	prev := make([]int, len(order))
-	copy(prev, order)
-	sort.SliceStable(order, func(a, b int) bool { return ranks[order[a]] < ranks[order[b]] })
-	for i := range order {
-		if order[i] != prev[i] {
-			changed = true
-			break
-		}
-	}
-	return changed
-}
-
-// filterAdaptive is filterInto with the pure conjunct prefix evaluated in
-// adaptive cheapest-rejection-first order, re-ranked every adaptiveStride
-// rows. Output rows, output order and the rows reaching the UDF-bearing
-// suffix are byte-identical to the static path (see the contract above).
-func (f *Filter) filterAdaptive(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, error) {
-	pure := f.conjs[:f.pureN]
-	suffix := f.conjs[f.pureN:]
-	order := make([]int, len(pure))
-	for i := range order {
-		order[i] = i
-	}
-	seedConjOrder(ctx.Adapt, pure, order)
-	meters := make([]conjMeter, len(pure))
-
-	for i, r := range in {
-		if i%adaptiveStride == 0 {
-			if err := ctx.CancelErr(); err != nil {
-				return nil, err
-			}
-			if i > 0 && rerankConjs(order, meters) {
-				ctx.Stats.AdaptiveReorders++
-			}
-		}
-		res := expr.True
-		for _, ci := range order {
-			m := &meters[ci]
-			m.evals++
-			timed := m.evals%adaptiveSampleEvery == 1
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
-			tv, err := expr.EvalPred(ctx.Eval, pure[ci], r)
-			if timed {
-				m.ns += int64(time.Since(t0))
-				m.sampled++
-			}
-			if err != nil {
-				return nil, err
-			}
-			if tv == expr.False {
-				m.rejects++
-				res = expr.False
-				break
-			}
-			if tv == expr.Unknown {
-				res = expr.Unknown
-			}
-		}
-		if res != expr.False {
-			// UDF-bearing suffix: static order, same three-valued
-			// short-circuit as expr.And — side effects fire for exactly the
-			// rows the static plan fires them for.
-			for _, c := range suffix {
-				tv, err := expr.EvalPred(ctx.Eval, c, r)
-				if err != nil {
-					return nil, err
-				}
-				if tv == expr.False {
-					res = expr.False
-					break
-				}
-				if tv == expr.Unknown {
-					res = expr.Unknown
-				}
-			}
-		}
-		if res == expr.True {
-			out = append(out, r)
-		}
-	}
-
-	// Feed the run's observations back into the store: per-conjunct
-	// selectivity and cost, plus the whole filter's cardinalities.
-	for ci := range pure {
-		m := &meters[ci]
-		if m.evals == 0 {
-			continue
-		}
-		cost := float64(-1)
-		if m.sampled > 0 {
-			cost = m.costNs()
-		}
-		ctx.Adapt.ObservePredicate(predKey(pure[ci]), m.evals, m.evals-m.rejects, cost)
-	}
-	ctx.Adapt.ObserveOp("filter:"+predKey(f.Pred), int64(len(in)), int64(len(out)))
-	return out, nil
-}
 
 // hashJoinBuildLeft is the swapped-build hash join: the (smaller) left
 // input becomes the build side, the right input probes, and per-left-index
@@ -344,12 +153,10 @@ func heuristicSel(e expr.Expr) float64 {
 }
 
 // leafCard estimates a table's post-selection cardinality: live row count
-// times the selectivity of every pushed-down conjunct.
-func (cm *CostModel) leafCard(tbl storage.Relation, conds []SelCond) float64 {
-	card := float64(tbl.Len())
-	for _, c := range conds {
-		card *= cm.Selectivity(c.E)
-	}
+// times the selectivity of the alias's pushed-down predicate, looked up under
+// the key its leaf Filter observes.
+func (cm *CostModel) leafCard(tbl storage.Relation, push expr.Expr) float64 {
+	card := float64(tbl.Len()) * cm.Selectivity(push)
 	if card < 1 {
 		card = 1
 	}
@@ -378,14 +185,14 @@ func orderInsensitiveOutput(a *Analysis) bool {
 	return true
 }
 
-// orderTablesCost is orderTables with the cost model breaking ties: the
-// greedy left-deep order still prefers the best connectivity tier (cheap
-// join conditions before UDF-bearing ones — the semantic ordering the
+// orderTablesCost is orderTables with the cost model over opts.Stats breaking
+// ties: the greedy left-deep order still prefers the best connectivity tier
+// (cheap join conditions before UDF-bearing ones — the semantic ordering the
 // designs rely on), but within a tier it joins the table with the smallest
-// estimated post-selection cardinality next, and it starts from the
-// smallest estimated leaf instead of FROM order. Callers gate it on
+// estimated post-selection cardinality next, and it starts from the smallest
+// estimated leaf instead of FROM order. Callers gate it on
 // orderInsensitiveOutput.
-func orderTablesCost(a *Analysis, db storage.Source, cm *CostModel) []int {
+func orderTablesCost(a *Analysis, db storage.Source, opts BuildOptions) []int {
 	n := len(a.Tables)
 	out := make([]int, n)
 	for i := range out {
@@ -394,13 +201,15 @@ func orderTablesCost(a *Analysis, db storage.Source, cm *CostModel) []int {
 	if n <= 1 {
 		return out
 	}
+	cm := &CostModel{Store: opts.Stats}
 	cards := make([]float64, n)
 	for i, tm := range a.Tables {
 		tbl, err := db.Table(tm.Relation)
 		if err != nil {
 			return out // unknown table: bail to FROM order, Build will error
 		}
-		cards[i] = cm.leafCard(tbl, a.Sel[tm.Alias])
+		push, _ := splitSelPred(a, tm.Alias, !opts.NoUDFPullUp, opts.NoFixedFirstOrdering)
+		cards[i] = cm.leafCard(tbl, push)
 	}
 	start := 0
 	for i := 1; i < n; i++ {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,54 +13,80 @@ import (
 	"enrichdb/internal/types"
 )
 
-// driftTable builds D(a, b) with n rows, a = b = i: selectivities of
-// comparisons against a and b flip as the scan advances, which is what the
-// adaptive filter's re-ranking has to catch.
-func driftTable(t *testing.T, n int) *storage.Table {
-	t.Helper()
-	schema := catalog.MustSchema("D", []catalog.Column{
-		{Name: "a", Kind: types.KindInt},
-		{Name: "b", Kind: types.KindInt},
-	})
-	tbl := storage.NewTable(schema)
-	for i := 0; i < n; i++ {
-		if _, err := tbl.Insert(&types.Tuple{Vals: []types.Value{
-			types.NewInt(int64(i)), types.NewInt(int64(i)),
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tbl
-}
-
-func driftPred(t *testing.T, rs *expr.RowSchema, aLT, bGE int64) expr.Expr {
-	t.Helper()
+// TestAdaptiveFilterObservesOncePerExecution: a filter reports its pass rate
+// to the stats store exactly once per execution, on the caller's context,
+// whichever path ran — row or vector, sequential or partitioned across four
+// workers, or fused under a projection. The predicate passes only in the
+// first partition, so a per-partition or per-batch observation would leave a
+// different decayed selectivity.
+func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
+	const n = 2500
+	tbl := vectorTestTable(t, n)
 	pred := expr.NewAnd(
-		expr.NewCmp(expr.LT, expr.NewCol("D", "a"), expr.NewConst(types.NewInt(aLT))),
-		expr.NewCmp(expr.GE, expr.NewCol("D", "b"), expr.NewConst(types.NewInt(bGE))),
-	)
-	if err := pred.Resolve(rs); err != nil {
+		expr.NewCmp(expr.LE, expr.NewCol("V", "id"), expr.NewConst(types.NewInt(700))),
+		expr.NewCmp(expr.GE, expr.NewCol("V", "b"), expr.NewConst(types.NewInt(2))))
+	if err := pred.Resolve(NewScan(tbl, "V").Schema()); err != nil {
 		t.Fatal(err)
 	}
-	return pred
-}
-
-// TestAdaptiveFilterEquivalence: the adaptive filter must produce
-// byte-identical rows, in identical order, to the static path — across the
-// row path, the vector path and the parallel pool path.
-func TestAdaptiveFilterEquivalence(t *testing.T) {
-	tbl := driftTable(t, 4096)
-	run := func(adapt *stats.Store, noVec bool, workers int) []*expr.Row {
-		scan := NewScan(tbl, "D")
-		pred := driftPred(t, scan.Schema(), 3000, 1000)
+	run := func(noVector, project bool, workers int) (string, int) {
 		ctx := NewExecCtx()
-		ctx.Adapt = adapt
-		ctx.NoVector = noVec
+		ctx.NoVector = noVector
+		ctx.Adapt = stats.NewStore()
 		if workers > 1 {
 			ctx.Pool = &testPool{workers: workers}
 			ctx.ParallelMinRows = 16
 		}
-		out, err := NewFilter(scan, pred).Execute(ctx)
+		var plan Plan = NewFilter(NewScan(tbl, "V"), pred)
+		if project {
+			plan = NewProject(plan, []int{0, 1})
+		}
+		out, err := plan.Execute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctx.Adapt.String(), len(out)
+	}
+	want, rows := run(true, false, 1)
+	if rows == 0 || rows == n {
+		t.Fatalf("filter kept %d of %d rows; test data broken", rows, n)
+	}
+	if exact := fmt.Sprintf("pred %q sel=%.3f evals=%d\n", fmt.Sprint(pred), float64(rows)/n, n); want != exact {
+		t.Fatalf("row path left store\n%s\nwant\n%s", want, exact)
+	}
+	for _, noVector := range []bool{false, true} {
+		for _, project := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				if got, _ := run(noVector, project, workers); got != want {
+					t.Errorf("noVector=%v project=%v workers=%d left store\n%s\nwant\n%s",
+						noVector, project, workers, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAdaptiveFilterEquivalence: attaching a stats store never changes a
+// filter's output — rows are byte-identical, in identical order, to the
+// store-less row path across the row path, the vector path and the parallel
+// pool path, and stay so when the store already holds a previous run's
+// observations.
+func TestAdaptiveFilterEquivalence(t *testing.T) {
+	tbl := vectorTestTable(t, 2500)
+	pred := expr.NewAnd(
+		expr.NewCmp(expr.LE, expr.NewCol("V", "id"), expr.NewConst(types.NewInt(1800))),
+		expr.NewCmp(expr.GE, expr.NewCol("V", "b"), expr.NewConst(types.NewInt(2))))
+	if err := pred.Resolve(NewScan(tbl, "V").Schema()); err != nil {
+		t.Fatal(err)
+	}
+	run := func(adapt *stats.Store, noVector bool, workers int) []*expr.Row {
+		ctx := NewExecCtx()
+		ctx.Adapt = adapt
+		ctx.NoVector = noVector
+		if workers > 1 {
+			ctx.Pool = &testPool{workers: workers}
+			ctx.ParallelMinRows = 16
+		}
+		out, err := NewFilter(NewScan(tbl, "V"), pred).Execute(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,70 +94,19 @@ func TestAdaptiveFilterEquivalence(t *testing.T) {
 	}
 	want := rowsFingerprint(run(nil, true, 1))
 	if want == "" {
-		t.Fatal("static filter produced no rows; test data broken")
+		t.Fatal("store-less filter produced no rows; test data broken")
 	}
-	for _, noVec := range []bool{false, true} {
-		for _, w := range []int{1, 4} {
-			if got := rowsFingerprint(run(stats.NewStore(), noVec, w)); got != want {
-				t.Errorf("adaptive filter diverged from static (noVec=%v workers=%d)", noVec, w)
+	for _, noVector := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			if got := rowsFingerprint(run(stats.NewStore(), noVector, workers)); got != want {
+				t.Errorf("filter with a stats store diverged (noVector=%v workers=%d)", noVector, workers)
 			}
 		}
 	}
-	// A store pre-seeded by a previous run (so the initial order differs
-	// from static) must still produce identical output.
 	seeded := stats.NewStore()
 	run(seeded, true, 1)
-	if got := rowsFingerprint(run(seeded, true, 1)); got != want {
-		t.Errorf("adaptive filter with seeded store diverged from static")
-	}
-}
-
-// TestAdaptiveFilterDriftReorders: when the data's selectivity flips
-// mid-scan, the adaptive filter must reorder its conjuncts — at least twice
-// on this workload (once when the initially-ordered-first conjunct stops
-// rejecting, once when it starts rejecting again) — and the reorders must
-// surface on the engine.adaptive_reorders telemetry counter. Output stays
-// byte-identical to the static order throughout.
-func TestAdaptiveFilterDriftReorders(t *testing.T) {
-	const n = 65536
-	tbl := driftTable(t, n)
-
-	static := NewExecCtx()
-	static.NoVector = true
-	scanS := NewScan(tbl, "D")
-	outS, err := NewFilter(scanS, driftPred(t, scanS.Schema(), 40000, 8000)).Execute(static)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := NewExecCtx()
-	ctx.NoVector = true // force the row path; the vector path never reorders
-	ctx.Adapt = stats.NewStore()
-	scanA := NewScan(tbl, "D")
-	outA, err := NewFilter(scanA, driftPred(t, scanA.Schema(), 40000, 8000)).Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rowsFingerprint(outA) != rowsFingerprint(outS) {
-		t.Fatal("adaptive drift run diverged from static output")
-	}
-	// Rows 0..8k: `a < 40000` passes everything while `b >= 8000` rejects
-	// everything → the first stride boundary must flip to b-first. Rows 40k+:
-	// `a < 40000` becomes the strong rejector → a later boundary must flip
-	// back. Both flips are rate-driven (the costs are near-identical int
-	// comparisons), so they are deterministic on this data.
-	if ctx.Stats.AdaptiveReorders < 2 {
-		t.Errorf("AdaptiveReorders = %d, want >= 2 on drifting selectivity", ctx.Stats.AdaptiveReorders)
-	}
-	counters := make(map[string]int64)
-	ctx.PublishStats(func(name string, delta int64) { counters[name] += delta })
-	if counters["engine.adaptive_reorders"] == 0 {
-		t.Errorf("engine.adaptive_reorders counter not published: %v", counters)
-	}
-	// The run's observations must have landed in the store.
-	if _, ok := ctx.Adapt.PredicateSelectivity(`D.b >= 8000`); !ok {
-		t.Errorf("conjunct selectivity not recorded; store:\n%s", ctx.Adapt.String())
+	if got := rowsFingerprint(run(seeded, false, 4)); got != want {
+		t.Errorf("filter with a seeded stats store diverged")
 	}
 }
 
@@ -204,7 +180,7 @@ func TestAdaptiveJoinOrderCountInvariant(t *testing.T) {
 	st := stats.NewStore()
 	// Seed the store with a selectivity making T1 look tiny, so the
 	// cost-based order has a reason to differ from the static one.
-	st.ObservePredicate("T1.TweetTime < 7", 1000, 3, 50)
+	st.ObservePredicate("T1.TweetTime < 7", 1000, 3)
 	adaptive, err := BuildOpt(a, db, BuildOptions{Stats: st})
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +198,37 @@ func TestAdaptiveJoinOrderCountInvariant(t *testing.T) {
 	if rowsFingerprint(r1) != rowsFingerprint(r2) {
 		t.Fatalf("cost-based join order changed a COUNT result:\n%s\nvs\n%s",
 			static.Explain(""), adaptive.Explain(""))
+	}
+}
+
+// TestAdaptiveJoinOrderLearnsFromLeafFilter: cost-based join ordering reads
+// the pass rate the alias's leaf filter observed on the vector path. The
+// heuristic guesses T1's two range conjuncts keep a ninth of its 9 rows, so
+// T1 (est. 1 row) starts ahead of State (3 rows); once a run has observed
+// that every T1 row passes, State starts.
+func TestAdaptiveJoinOrderLearnsFromLeafFilter(t *testing.T) {
+	db := testDB(t)
+	q := "SELECT COUNT(*) FROM TweetData T1, State S WHERE T1.location = S.city AND T1.TweetTime > 0 AND T1.tid > 0"
+	a, err := Analyze(sqlparser.MustParse(q), db.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stats.NewStore()
+	opts := BuildOptions{Stats: st}
+	if got := fmt.Sprint(orderTablesCost(a, db, opts)); got != "[0 1]" {
+		t.Fatalf("heuristic order = %s, want [0 1]", got)
+	}
+	plan, err := BuildOpt(a, db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewExecCtx()
+	ctx.Adapt = st
+	if _, err := plan.Execute(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(orderTablesCost(a, db, opts)); got != "[1 0]" {
+		t.Errorf("order after one run = %s, want [1 0]; store:\n%s", got, st)
 	}
 }
 
@@ -269,7 +276,7 @@ func TestAnnotatedExplain(t *testing.T) {
 		t.Fatalf("unseen predicate should be tagged heuristic:\n%s", heur)
 	}
 	st := stats.NewStore()
-	st.ObservePredicate("T1.TweetTime < 7", 1000, 250, 40)
+	st.ObservePredicate("T1.TweetTime < 7", 1000, 250)
 	obs := AnnotatedExplain(plan, &CostModel{Store: st})
 	if !strings.Contains(obs, "sel=0.250 observed") {
 		t.Fatalf("observed selectivity not annotated:\n%s", obs)

@@ -71,7 +71,7 @@ func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
 			// cardinality instead of FROM order. Gated on queries whose
 			// output canonicalizes (order-insensitive aggregates), so the
 			// result is byte-identical to the static order.
-			ordered = a.withTableOrder(orderTablesCost(a, db, &CostModel{Store: opts.Stats}))
+			ordered = a.withTableOrder(orderTablesCost(a, db, opts))
 		} else {
 			ordered = a.withTableOrder(orderTables(a))
 		}

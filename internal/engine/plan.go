@@ -32,10 +32,8 @@ type Stats struct {
 	BatchesBuilt      int64
 	BatchRows         int64
 	BatchFallbackRows int64
-	// Adaptive-path counters: mid-scan conjunct reorders triggered by a
-	// rank flip at a batch boundary, and hash joins that built on the
-	// (smaller) left input instead of the default right side.
-	AdaptiveReorders   int64
+	// AdaptiveBuildSwaps counts hash joins that built on the (smaller) left
+	// input instead of the default right side.
 	AdaptiveBuildSwaps int64
 }
 
@@ -56,7 +54,6 @@ func (s *Stats) Publish(add func(name string, delta int64)) {
 	add("engine.batch_built", s.BatchesBuilt)
 	add("engine.batch_rows", s.BatchRows)
 	add("engine.batch_fallback_rows", s.BatchFallbackRows)
-	add("engine.adaptive_reorders", s.AdaptiveReorders)
 	add("engine.adaptive_build_swaps", s.AdaptiveBuildSwaps)
 }
 
@@ -103,11 +100,10 @@ type ExecCtx struct {
 	// ANALYZE). Nil — the default — keeps every Execute wrapper on a single
 	// nil-check branch with zero allocations.
 	Prof *Profiler
-	// Adapt, when non-nil, enables adaptive execution (DESIGN §14): filters
-	// reorder their pure conjunct prefix cheapest-rejection-first, hash
-	// joins pick the smaller build side at runtime, and observed
-	// selectivities/cardinalities feed back into the store. Nil — the
-	// default — is the exact pre-adaptive code path.
+	// Adapt, when non-nil, enables adaptive execution (DESIGN §14): every
+	// filter reports its pass rate once per execution, hash joins pick the
+	// smaller build side at runtime and report their cardinalities. Nil —
+	// the default — is the exact pre-adaptive code path.
 	Adapt *stats.Store
 	// vec holds the context's reusable vectorized-scan buffers (snapshot,
 	// batch, bitmaps); lazily built, never shared across goroutines.
@@ -161,15 +157,6 @@ func (ctx *ExecCtx) Fork() *ExecCtx {
 		// Prof is not inherited: the profiler tree is not goroutine-safe; the
 		// parent records the fan-out as one node with inclusive figures.
 	}
-}
-
-// forkPartition forks ctx for one partition of a parallel scan. Adapt is
-// dropped: a partition sees only its slice, and its cardinalities would enter
-// the store as the whole operator's, in scheduling order.
-func (ctx *ExecCtx) forkPartition() *ExecCtx {
-	p := ctx.Fork()
-	p.Adapt = nil
-	return p
 }
 
 // CancelErr polls the context's Done channel; ErrCanceled once it fired.
@@ -266,14 +253,9 @@ type Filter struct {
 	Pred  expr.Expr
 	// hasUDF records whether the predicate contains a UDF call; UDF-bearing
 	// predicates mutate shared enrichment state and never take the parallel
-	// scan path.
+	// scan path. Conjuncts are always evaluated in the predicate's static
+	// order (fixed before derived, see splitSelPred).
 	hasUDF bool
-	// conjs is the predicate's top-level conjunct list in static order;
-	// conjs[:pureN] is the leading UDF-free prefix the adaptive path may
-	// permute (DESIGN §14) — everything from the first UDF-bearing conjunct
-	// on keeps its order so enrichment side effects stay byte-identical.
-	conjs []expr.Expr
-	pureN int
 	// vec is the predicate compiled to vector kernels, built once on first
 	// vectorized execution (nil after vecOnce fires means not vectorizable).
 	vec     *expr.VecPred
@@ -283,20 +265,7 @@ type Filter struct {
 // NewFilter builds a filter node; the predicate must already be resolved
 // against the child schema.
 func NewFilter(child Plan, pred expr.Expr) *Filter {
-	f := &Filter{Child: child, Pred: pred}
-	pred.Walk(func(e expr.Expr) {
-		if _, ok := e.(*expr.UDFCall); ok {
-			f.hasUDF = true
-		}
-	})
-	f.conjs = expr.Conjuncts(pred)
-	for _, c := range f.conjs {
-		if containsUDF(c) {
-			break
-		}
-		f.pureN++
-	}
-	return f
+	return &Filter{Child: child, Pred: pred, hasUDF: containsUDF(pred)}
 }
 
 // Schema returns the child schema.
@@ -328,10 +297,23 @@ func (f *Filter) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	return out, err
 }
 
+// execute runs whichever path applies and reports the execution's pass rate
+// to the stats store once, on the caller's context: partitions never write,
+// so the store sees the same observation at any worker count and on the row
+// and vector paths alike.
 func (f *Filter) execute(ctx *ExecCtx) ([]*expr.Row, error) {
+	out, rowsIn, err := f.run(ctx)
+	if err == nil {
+		f.observe(ctx, rowsIn, len(out))
+	}
+	return out, err
+}
+
+// run returns the filter's output and the number of rows it evaluated.
+func (f *Filter) run(ctx *ExecCtx) ([]*expr.Row, int, error) {
 	if s, ok := f.Child.(*Scan); ok {
-		if out, handled, err := f.vecExecute(ctx, s); handled {
-			return out, err
+		if out, n, handled, err := f.vecExecute(ctx, s); handled {
+			return out, n, err
 		}
 		if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 {
 			return f.scanFilter(ctx, s)
@@ -339,22 +321,26 @@ func (f *Filter) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	}
 	in, err := f.Child.Execute(ctx)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var out []*expr.Row
 	if ownsResult(f.Child) {
 		out = in[:0]
 	}
-	return f.filterInto(ctx, in, out)
+	out, err = f.filterInto(ctx, in, out)
+	return out, len(in), err
+}
+
+// observe reports rowsOut of rowsIn passing the predicate to the stats store.
+func (f *Filter) observe(ctx *ExecCtx, rowsIn, rowsOut int) {
+	if ctx.Adapt != nil {
+		ctx.Adapt.ObservePredicate(predKey(f.Pred), int64(rowsIn), int64(rowsOut))
+	}
 }
 
 // filterInto appends the rows of in that satisfy the predicate to out; out
 // may alias in's prefix (the write index never passes the read index).
 func (f *Filter) filterInto(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, error) {
-	if ctx.Adapt != nil && f.pureN >= 2 {
-		return f.filterAdaptive(ctx, in, out)
-	}
-	n0 := len(out)
 	for i, r := range in {
 		if i%cancelCheckStride == 0 {
 			if err := ctx.CancelErr(); err != nil {
@@ -369,25 +355,21 @@ func (f *Filter) filterInto(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, err
 			out = append(out, r)
 		}
 	}
-	if ctx.Adapt != nil && len(in) > 0 {
-		// Not enough pure conjuncts to reorder, but the observed pass rate
-		// still feeds the cost model (EXPLAIN annotations, join ordering).
-		ctx.Adapt.ObservePredicate(predKey(f.Pred), int64(len(in)), int64(len(out)-n0), -1)
-	}
 	return out, nil
 }
 
 // scanFilter fuses scan and filter over one slab snapshot, partitioning it
-// contiguously across the pool's workers. Partition results are concatenated
-// in partition order, so output order — and therefore every downstream
-// result — is byte-identical to the sequential plan regardless of worker
-// count or scheduling.
-func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, error) {
+// contiguously across the pool's workers, and returns the output with the
+// snapshot's size. Partition results are concatenated in partition order, so
+// output order — and therefore every downstream result — is byte-identical
+// to the sequential plan regardless of worker count or scheduling.
+func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, int, error) {
 	tuples := s.Table.Tuples()
 	n := len(tuples)
 	if n < ctx.parallelMinRows() {
 		in := s.materialize(ctx, tuples)
-		return f.filterInto(ctx, in, in[:0])
+		out, err := f.filterInto(ctx, in, in[:0])
+		return out, n, err
 	}
 	parts := ctx.Pool.Workers()
 	if parts > n {
@@ -405,14 +387,14 @@ func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, error) {
 		}
 		// The predicate is UDF-free (gated above), so no runtime state or
 		// invocation counters are touched.
-		pctx := ctx.forkPartition()
+		pctx := ctx.Fork()
 		in := s.materialize(pctx, tuples[lo:hi])
 		out, err := f.filterInto(pctx, in, in[:0])
 		results[pi] = out
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, n, err
 	}
 	ctx.Stats.RowsScanned += int64(n)
 	total := 0
@@ -423,7 +405,7 @@ func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, error) {
 	for _, p := range results {
 		out = append(out, p...)
 	}
-	return out, nil
+	return out, n, nil
 }
 
 // Explain renders the subtree.

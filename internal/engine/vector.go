@@ -135,23 +135,26 @@ func (f *Filter) vecRow(ctx *ExecCtx, s *Scan, tu *types.Tuple) *expr.Row {
 	return ctx.Arena.RowFromTuple(s.rs, tu)
 }
 
-// vecExecute attempts the vectorized filter-over-scan. handled is false when
-// the path does not apply (ablation knob, uncompilable predicate, column-fill
-// bail) — the caller then runs the row path.
-func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, handled bool, err error) {
+// vecExecute attempts the vectorized filter-over-scan; n is the snapshot's
+// size. handled is false when the path does not apply (ablation knob,
+// uncompilable predicate, column-fill bail) — the caller then runs the row
+// path.
+func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, n int, handled bool, err error) {
 	if ctx.NoVector {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	vp := f.vecPred(s.rs)
 	if vp == nil {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
 	tuples := ctx.snapshotTuples(s.Table)
-	n := len(tuples)
+	n = len(tuples)
 	if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 && n >= ctx.parallelMinRows() {
-		return f.vecScanFilterParallel(ctx, s, vp, tuples)
+		out, handled, err = f.vecScanFilterParallel(ctx, s, vp, tuples)
+	} else {
+		out, handled, err = f.vecScanFilterRange(ctx, s, vp, tuples)
 	}
-	return f.vecScanFilterRange(ctx, s, vp, tuples)
+	return out, n, handled, err
 }
 
 // vecScanFilterRange filters one contiguous tuple range on the calling
@@ -241,7 +244,7 @@ func (f *Filter) vecScanFilterParallel(ctx *ExecCtx, s *Scan, vp *expr.VecPred, 
 		if lo >= hi {
 			return nil
 		}
-		pctx := ctx.forkPartition()
+		pctx := ctx.Fork()
 		pctx.Stats = &pstats[pi]
 		out, ok, err := f.vecScanFilterRange(pctx, s, vp, tuples[lo:hi])
 		if !ok {
@@ -313,9 +316,11 @@ func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 		if err != nil {
 			return nil, true, err
 		}
+		f.observe(ctx, n, len(rows))
 		return p.project(ctx, rows), true, nil
 	}
 	count := t.Count()
+	f.observe(ctx, n, count)
 	ctx.Arena.Reserve(count, count*len(p.Cols), count)
 	out := make([]*expr.Row, 0, count)
 	eachSet(t, nil, func(i int) bool {

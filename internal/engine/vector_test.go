@@ -102,30 +102,27 @@ func TestVectorFilterMatchesRowPath(t *testing.T) {
 			if err := pred.Resolve(scan.Schema()); err != nil {
 				t.Fatal(err)
 			}
-			rowCtx := NewExecCtx()
-			rowCtx.NoVector = true
-			want, err := NewFilter(NewScan(tbl, "V"), pred).Execute(rowCtx)
-			if err != nil {
-				t.Fatal(err)
+			run := func(noVector bool, workers int) []*expr.Row {
+				ctx := NewExecCtx()
+				ctx.NoVector = noVector
+				if workers > 1 {
+					ctx.Pool = &testPool{workers: workers}
+					ctx.ParallelMinRows = 16
+				}
+				out, err := NewFilter(NewScan(tbl, "V"), pred).Execute(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
 			}
-			vecCtx := NewExecCtx()
-			got, err := NewFilter(NewScan(tbl, "V"), pred).Execute(vecCtx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rowsFingerprint(got) != rowsFingerprint(want) {
-				t.Errorf("n=%d pred=%s: vector path diverged from row path (%d vs %d rows)",
-					n, name, len(got), len(want))
-			}
-			parCtx := NewExecCtx()
-			parCtx.Pool = &testPool{workers: 4}
-			parCtx.ParallelMinRows = 16
-			gotPar, err := NewFilter(NewScan(tbl, "V"), pred).Execute(parCtx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rowsFingerprint(gotPar) != rowsFingerprint(want) {
-				t.Errorf("n=%d pred=%s: parallel vector path diverged from row path", n, name)
+			want := rowsFingerprint(run(true, 1))
+			for _, noVector := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					if got := rowsFingerprint(run(noVector, workers)); got != want {
+						t.Errorf("n=%d pred=%s noVector=%v workers=%d: diverged from the sequential row path",
+							n, name, noVector, workers)
+					}
+				}
 			}
 		}
 	}

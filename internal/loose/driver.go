@@ -83,7 +83,7 @@ type Driver struct {
 	Prof *engine.Profiler
 	// Stats, when non-nil, is the shared runtime-statistics store (DESIGN
 	// §14): probe and final plans feed observed selectivities/cardinalities
-	// into it and reorder multi-conjunct filters cheapest-rejection-first.
+	// into it.
 	Stats *stats.Store
 	// Done, when non-nil, cancels the query once closed: the probe scans and
 	// the final plan poll it and abort with engine.ErrCanceled, and no

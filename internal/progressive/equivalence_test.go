@@ -199,13 +199,12 @@ func TestWorkersEquivalenceGrid(t *testing.T) {
 }
 
 // TestAdaptiveOnOffEquivalence pins the tentpole's byte-identical contract
-// end to end: attaching a runtime-statistics store (adaptive filter conjunct
-// reordering, build-side swaps, stats feedback) must not change one byte of
-// any run's output — final rows, per-epoch deltas, quality series, or
-// enrichment counters — for any design × strategy × worker count. Only the
-// Adaptive strategy is excluded: its plan ORDER legitimately consumes the
-// store, so for it the test instead pins determinism (two identical adaptive
-// runs agree byte for byte).
+// end to end: attaching a runtime-statistics store (build-side swaps, stats
+// feedback) must not change one byte of any run's output — final rows,
+// per-epoch deltas, quality series, or enrichment counters — for any design
+// × strategy × worker count. Only the Adaptive strategy is excluded: its
+// plan ORDER legitimately consumes the store, so for it the test instead pins
+// determinism (two identical adaptive runs agree byte for byte).
 func TestAdaptiveOnOffEquivalence(t *testing.T) {
 	const query = "SELECT * FROM TweetData WHERE sentiment = 1 AND TweetTime < 6000"
 	for _, design := range []Design{Loose, Tight} {

@@ -79,9 +79,9 @@ type Config struct {
 	// Stats is the runtime-statistics store feeding the adaptive layer
 	// (DESIGN §14): epoch reports write per-function observed costs and
 	// answer-impacts into it, the Adaptive strategy plans from it, and the
-	// engine contexts this run builds reorder filter conjuncts with it. Nil
-	// with Strategy == Adaptive auto-creates a run-local store; nil otherwise
-	// leaves the engine static.
+	// engine contexts this run builds feed filter pass rates and join
+	// cardinalities into it. Nil with Strategy == Adaptive auto-creates a
+	// run-local store; nil otherwise leaves the engine static.
 	Stats *stats.Store
 
 	// Quality, when set, is evaluated on the view's rows after every epoch

@@ -1,11 +1,12 @@
 // Package stats is the adaptive optimizer's runtime statistics store: an
-// EWMA-decayed accumulator of per-predicate selectivities and evaluation
-// costs, per-enrichment-function costs and answer impacts, and per-operator
-// cardinalities. The engine and the progressive executor feed it online from
-// observed execution; the planner, the adaptive filter reorderer and the
-// plan-only EXPLAIN annotator read estimates back out. Exponential decay
-// (alpha-weighted) keeps the estimates tracking drifting data instead of
-// averaging over the whole history.
+// EWMA-decayed accumulator of per-predicate selectivities, per-enrichment-
+// function costs and answer impacts, and per-operator cardinalities. The
+// engine (one pass rate per filter execution, join cardinalities) and the
+// progressive executor feed it online from observed execution; cost-based
+// join ordering, the progressive Adaptive strategy and the plan-only EXPLAIN
+// annotator read estimates back out. Exponential decay (alpha-weighted)
+// keeps the estimates tracking drifting data instead of averaging over the
+// whole history.
 //
 // The store is safe for concurrent use; every observation is guarded
 // against NaN/Inf and nonsensical counts, so a pathological measurement
@@ -50,9 +51,8 @@ type FnKey struct {
 }
 
 type predStat struct {
-	sel    ewma // passes / evals
-	costNs ewma // per-evaluation cost
-	evals  int64
+	sel   ewma // passes / evals
+	evals int64
 }
 
 type fnStat struct {
@@ -71,38 +71,25 @@ type opStat struct {
 // NewStore.
 type Store struct {
 	mu    sync.Mutex
-	alpha float64
 	preds map[string]*predStat
 	fns   map[FnKey]*fnStat
 	ops   map[string]*opStat
 }
 
-// NewStore returns an empty store with the default decay.
+// NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
-		alpha: DefaultAlpha,
 		preds: make(map[string]*predStat),
 		fns:   make(map[FnKey]*fnStat),
 		ops:   make(map[string]*opStat),
 	}
 }
 
-// SetAlpha overrides the EWMA weight; values outside (0, 1] are ignored.
-func (s *Store) SetAlpha(a float64) {
-	if s == nil || math.IsNaN(a) || a <= 0 || a > 1 {
-		return
-	}
-	s.mu.Lock()
-	s.alpha = a
-	s.mu.Unlock()
-}
-
-// ObservePredicate folds one batch of predicate evaluations in: evals rows
-// evaluated, passes of them satisfied the predicate, at avgCostNs per
-// evaluation. Batches with no evaluations are ignored (a zero-rows-in
-// operator observes nothing rather than a 0/0 selectivity), passes is
-// clamped into [0, evals], and non-finite costs are dropped.
-func (s *Store) ObservePredicate(key string, evals, passes int64, avgCostNs float64) {
+// ObservePredicate folds one execution of a predicate in: evals rows
+// evaluated, passes of them satisfied it. Executions with no evaluations are
+// ignored (a zero-rows-in operator observes nothing rather than a 0/0
+// selectivity), and passes is clamped into [0, evals].
+func (s *Store) ObservePredicate(key string, evals, passes int64) {
 	if s == nil || evals <= 0 {
 		return
 	}
@@ -120,10 +107,7 @@ func (s *Store) ObservePredicate(key string, evals, passes int64, avgCostNs floa
 		s.preds[key] = st
 	}
 	st.evals += evals
-	st.sel.observe(s.alpha, float64(passes)/float64(evals))
-	if avgCostNs >= 0 {
-		st.costNs.observe(s.alpha, avgCostNs)
-	}
+	st.sel.observe(DefaultAlpha, float64(passes)/float64(evals))
 }
 
 // PredicateSelectivity returns the decayed pass rate of a predicate.
@@ -139,19 +123,6 @@ func (s *Store) PredicateSelectivity(key string) (float64, bool) {
 	return 0, false
 }
 
-// PredicateCostNs returns the decayed per-evaluation cost of a predicate.
-func (s *Store) PredicateCostNs(key string) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.preds[key]; st != nil && st.costNs.set {
-		return st.costNs.v, true
-	}
-	return 0, false
-}
-
 // ObserveFnCost folds in runs executions of a function at avgNs each.
 func (s *Store) ObserveFnCost(rel, attr string, fn int, avgNs float64, runs int64) {
 	if s == nil || runs <= 0 || avgNs < 0 {
@@ -161,7 +132,7 @@ func (s *Store) ObserveFnCost(rel, attr string, fn int, avgNs float64, runs int6
 	defer s.mu.Unlock()
 	st := s.fnStat(rel, attr, fn)
 	st.runs += runs
-	st.costNs.observe(s.alpha, avgNs)
+	st.costNs.observe(DefaultAlpha, avgNs)
 }
 
 // ObserveFnImpact folds in one epoch's answer impact of a function: answer
@@ -176,7 +147,7 @@ func (s *Store) ObserveFnImpact(rel, attr string, fn int, impact float64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.fnStat(rel, attr, fn).impact.observe(s.alpha, impact)
+	s.fnStat(rel, attr, fn).impact.observe(DefaultAlpha, impact)
 }
 
 func (s *Store) fnStat(rel, attr string, fn int) *fnStat {
@@ -230,8 +201,8 @@ func (s *Store) ObserveOp(key string, rowsIn, rowsOut int64) {
 		s.ops[key] = st
 	}
 	st.obs++
-	st.rowsIn.observe(s.alpha, float64(rowsIn))
-	st.rowsOut.observe(s.alpha, float64(rowsOut))
+	st.rowsIn.observe(DefaultAlpha, float64(rowsIn))
+	st.rowsOut.observe(DefaultAlpha, float64(rowsOut))
 }
 
 // OpCardinality returns the decayed observed in/out cardinalities of an
@@ -264,7 +235,7 @@ func (s *Store) String() string {
 	sort.Strings(pkeys)
 	for _, k := range pkeys {
 		st := s.preds[k]
-		fmt.Fprintf(&sb, "pred %q sel=%.3f cost=%.0fns evals=%d\n", k, st.sel.v, st.costNs.v, st.evals)
+		fmt.Fprintf(&sb, "pred %q sel=%.3f evals=%d\n", k, st.sel.v, st.evals)
 	}
 	fkeys := make([]FnKey, 0, len(s.fns))
 	for k := range s.fns {

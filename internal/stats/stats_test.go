@@ -11,45 +11,41 @@ func TestPredicateEWMA(t *testing.T) {
 	if _, ok := s.PredicateSelectivity("p"); ok {
 		t.Fatal("empty store reported a selectivity")
 	}
-	s.ObservePredicate("p", 100, 50, 200)
+	s.ObservePredicate("p", 100, 50)
 	sel, ok := s.PredicateSelectivity("p")
 	if !ok || sel != 0.5 {
 		t.Fatalf("first observation should set the estimate exactly: got %v ok=%v", sel, ok)
 	}
 	// A drifted batch moves the estimate toward the new rate by alpha.
-	s.ObservePredicate("p", 100, 100, 200)
+	s.ObservePredicate("p", 100, 100)
 	sel, _ = s.PredicateSelectivity("p")
 	want := 0.5 + DefaultAlpha*(1.0-0.5)
 	if math.Abs(sel-want) > 1e-12 {
 		t.Fatalf("EWMA update: got %v want %v", sel, want)
 	}
-	if cost, ok := s.PredicateCostNs("p"); !ok || cost != 200 {
-		t.Fatalf("cost estimate: got %v ok=%v", cost, ok)
+	if got := s.String(); got != "pred \"p\" sel=0.650 evals=200\n" {
+		t.Fatalf("String: got %q", got)
 	}
 }
 
 func TestGuards(t *testing.T) {
 	s := NewStore()
 	// Zero-rows-in batches must not create a 0/0 estimate.
-	s.ObservePredicate("p", 0, 0, 0)
+	s.ObservePredicate("p", 0, 0)
 	if _, ok := s.PredicateSelectivity("p"); ok {
 		t.Fatal("zero-eval batch created an estimate")
 	}
-	// NaN/Inf costs and impacts are dropped, not folded in.
-	s.ObservePredicate("p", 10, 5, math.NaN())
-	if _, ok := s.PredicateCostNs("p"); ok {
-		t.Fatal("NaN cost leaked into the store")
-	}
+	// NaN/Inf impacts are dropped, not folded in.
 	s.ObserveFnImpact("r", "a", 0, math.Inf(1))
 	if _, ok := s.FnImpact("r", "a", 0); ok {
 		t.Fatal("Inf impact leaked into the store")
 	}
 	// Out-of-range passes are clamped, never a selectivity > 1 or < 0.
-	s.ObservePredicate("q", 10, 20, 1)
+	s.ObservePredicate("q", 10, 20)
 	if sel, _ := s.PredicateSelectivity("q"); sel != 1 {
 		t.Fatalf("passes clamp: got %v", sel)
 	}
-	s.ObservePredicate("q2", 10, -5, 1)
+	s.ObservePredicate("q2", 10, -5)
 	if sel, _ := s.PredicateSelectivity("q2"); sel != 0 {
 		t.Fatalf("negative passes clamp: got %v", sel)
 	}
@@ -60,8 +56,7 @@ func TestGuards(t *testing.T) {
 	}
 	// Nil store: every method is a no-op.
 	var nilStore *Store
-	nilStore.ObservePredicate("p", 1, 1, 1)
-	nilStore.SetAlpha(0.5)
+	nilStore.ObservePredicate("p", 1, 1)
 	if _, ok := nilStore.PredicateSelectivity("p"); ok {
 		t.Fatal("nil store returned an estimate")
 	}
@@ -95,7 +90,7 @@ func TestConcurrentObservers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.ObservePredicate("p", 10, int64(i%11), float64(i))
+				s.ObservePredicate("p", 10, int64(i%11))
 				s.ObserveFnCost("r", "a", w, float64(i), 1)
 				s.ObserveOp("scan", int64(i), int64(i/2))
 			}

@@ -44,9 +44,8 @@ type Driver struct {
 	// rewritten plan (UDF-wrapped predicates show up as Filter nodes).
 	Prof *engine.Profiler
 	// Stats, when non-nil, is the shared runtime-statistics store (DESIGN
-	// §14): execution feeds observed selectivities and cardinalities into it,
-	// and the executor reorders pure conjunct prefixes cheapest-rejection-
-	// first. UDF-bearing conjuncts keep their static order.
+	// §14): execution feeds observed selectivities and cardinalities into
+	// it. Conjuncts keep their static order.
 	Stats *stats.Store
 	// Done, when non-nil, cancels the query once closed: the rewritten plan
 	// polls it and aborts with engine.ErrCanceled.
