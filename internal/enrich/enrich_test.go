@@ -495,13 +495,3 @@ func TestStateImportErrors(t *testing.T) {
 		t.Error("out-of-range function id must fail")
 	}
 }
-
-func TestResetCounters(t *testing.T) {
-	m := NewManager()
-	m.Register(testFamily(t, nil, []float64{0.5, 0.5}))
-	m.Execute("R", 1, "d", 0, []float64{0}, 0)
-	m.ResetCounters()
-	if c := m.Counters(); c.Enrichments != 0 || c.Skipped != 0 {
-		t.Errorf("counters after reset: %+v", c)
-	}
-}

@@ -492,20 +492,6 @@ func (m *Manager) Counters() Counters {
 	}
 }
 
-// ResetCounters zeroes the activity counters (benchmark harness hygiene).
-func (m *Manager) ResetCounters() {
-	m.enrichments.Store(0)
-	m.skipped.Store(0)
-	m.reExecutions.Store(0)
-	m.reExecNanos.Store(0)
-	m.stateNanos.Store(0)
-	m.enrichNanos.Store(0)
-	m.udfRuns.Store(0)
-	m.firstStores.Store(0)
-	m.staleDrops.Store(0)
-	m.latency.Reset()
-}
-
 // StateSizeBytes sums the size of every relation's state table.
 func (m *Manager) StateSizeBytes() int64 {
 	m.mu.RLock()

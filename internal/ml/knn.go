@@ -1,13 +1,10 @@
 package ml
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// KNN is a k-nearest-neighbors classifier. Prediction scans the stored
-// training set, making it the most expensive per-object enrichment function —
-// exactly the cost profile the paper's plan strategies must work around.
+// KNN is a k-nearest-neighbors classifier. Prediction measures the distance to
+// every training point, the costliest per-object enrichment function. It keeps
+// no per-call state, so concurrent PredictProba calls on one model are safe.
 type KNN struct {
 	K       int
 	classes int
@@ -38,24 +35,31 @@ func (k *KNN) Fit(X [][]float64, y []int, classes int) error {
 	return nil
 }
 
-// PredictProba returns neighbor vote fractions over the classes.
+// PredictProba returns the vote fractions of the K training points nearest to
+// x in (distance, training index) order: one pass keeps the nearest so far in
+// an ascending buffer, with no sort. K beyond the training size votes over
+// every point; K ≤ 0 votes over none and answers the uniform distribution.
 func (k *KNN) PredictProba(x []float64) []float64 {
-	type nd struct {
-		d float64
-		c int
-	}
-	ds := make([]nd, len(k.X))
-	for i, t := range k.X {
-		ds[i] = nd{sqDist(x, t), k.y[i]}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
-	n := k.K
-	if n > len(ds) {
-		n = len(ds)
-	}
 	votes := make([]float64, k.classes)
-	for i := 0; i < n; i++ {
-		votes[ds[i].c]++
+	n := min(k.K, len(k.X))
+	if n <= 0 {
+		return Normalize(votes)
+	}
+	d, c, m := make([]float64, n), make([]int, n), 0 // d[:m] ascending, c its classes
+	for i, t := range k.X {
+		di := sqDist(x, t)
+		if m == n && di >= d[n-1] {
+			continue
+		}
+		j := min(m, n-1)
+		m = min(m+1, n)
+		for ; j > 0 && d[j-1] > di; j-- {
+			d[j], c[j] = d[j-1], c[j-1]
+		}
+		d[j], c[j] = di, k.y[i]
+	}
+	for _, ci := range c {
+		votes[ci]++
 	}
 	return Normalize(votes)
 }

@@ -153,18 +153,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // Registry is a race-safe collection of named instruments. Instruments are
 // created on first use and live for the registry's lifetime; the hot path
 // (Add/Observe on an instrument held by the caller) is a single atomic op.
