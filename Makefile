@@ -40,9 +40,8 @@ test:
 # registry/tracer they all publish into, the chaos tests that hammer them,
 # the serving layer (sessions, admission control), the concurrent workload
 # harness that verifies it, the tight and progressive executors, which read
-# tuple enrichment marks while write-backs set them, the IVM view, whose
-# set-up runs engine plans on the shared scan pool, and the ml models, which
-# enrichment workers call concurrently.
+# tuple enrichment marks while write-backs set them, the IVM view, and the ml
+# models, which enrichment workers call concurrently.
 race:
 	$(GO) test -race . ./internal/loose/... ./internal/enrich/... ./internal/faultinject/... ./internal/telemetry/... ./internal/storage/... ./internal/harness/... ./internal/engine/... ./internal/expr/... ./internal/tight/... ./internal/ivm/... ./internal/progressive/... ./internal/ml/...
 

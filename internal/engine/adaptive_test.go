@@ -14,11 +14,10 @@ import (
 )
 
 // TestAdaptiveFilterObservesOncePerExecution: a filter reports its pass rate
-// to the stats store exactly once per execution, on the caller's context,
-// whichever path ran — row or vector, sequential or partitioned across four
-// workers, or fused under a projection. The predicate passes only in the
-// first partition, so a per-partition or per-batch observation would leave a
-// different decayed selectivity.
+// to the stats store exactly once per execution, whichever path ran — row or
+// vector, or fused under a projection. The predicate passes only in the
+// first batches, so a per-batch observation would leave a different decayed
+// selectivity.
 func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 	const n = 2500
 	tbl := vectorTestTable(t, n)
@@ -28,14 +27,10 @@ func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 	if err := pred.Resolve(NewScan(tbl, "V").Schema()); err != nil {
 		t.Fatal(err)
 	}
-	run := func(noVector, project bool, workers int) (string, int) {
+	run := func(noVector, project bool) (string, int) {
 		ctx := NewExecCtx()
 		ctx.NoVector = noVector
 		ctx.Adapt = stats.NewStore()
-		if workers > 1 {
-			ctx.Pool = &testPool{workers: workers}
-			ctx.ParallelMinRows = 16
-		}
 		var plan Plan = NewFilter(NewScan(tbl, "V"), pred)
 		if project {
 			plan = NewProject(plan, []int{0, 1})
@@ -46,7 +41,7 @@ func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 		}
 		return ctx.Adapt.String(), len(out)
 	}
-	want, rows := run(true, false, 1)
+	want, rows := run(true, false)
 	if rows == 0 || rows == n {
 		t.Fatalf("filter kept %d of %d rows; test data broken", rows, n)
 	}
@@ -55,11 +50,9 @@ func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 	}
 	for _, noVector := range []bool{false, true} {
 		for _, project := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				if got, _ := run(noVector, project, workers); got != want {
-					t.Errorf("noVector=%v project=%v workers=%d left store\n%s\nwant\n%s",
-						noVector, project, workers, got, want)
-				}
+			if got, _ := run(noVector, project); got != want {
+				t.Errorf("noVector=%v project=%v left store\n%s\nwant\n%s",
+					noVector, project, got, want)
 			}
 		}
 	}
@@ -67,9 +60,8 @@ func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 
 // TestAdaptiveFilterEquivalence: attaching a stats store never changes a
 // filter's output — rows are byte-identical, in identical order, to the
-// store-less row path across the row path, the vector path and the parallel
-// pool path, and stay so when the store already holds a previous run's
-// observations.
+// store-less row path on the row path and the vector path, and stay so when
+// the store already holds a previous run's observations.
 func TestAdaptiveFilterEquivalence(t *testing.T) {
 	tbl := vectorTestTable(t, 2500)
 	pred := expr.NewAnd(
@@ -78,34 +70,28 @@ func TestAdaptiveFilterEquivalence(t *testing.T) {
 	if err := pred.Resolve(NewScan(tbl, "V").Schema()); err != nil {
 		t.Fatal(err)
 	}
-	run := func(adapt *stats.Store, noVector bool, workers int) []*expr.Row {
+	run := func(adapt *stats.Store, noVector bool) []*expr.Row {
 		ctx := NewExecCtx()
 		ctx.Adapt = adapt
 		ctx.NoVector = noVector
-		if workers > 1 {
-			ctx.Pool = &testPool{workers: workers}
-			ctx.ParallelMinRows = 16
-		}
 		out, err := NewFilter(NewScan(tbl, "V"), pred).Execute(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	want := rowsFingerprint(run(nil, true, 1))
+	want := rowsFingerprint(run(nil, true))
 	if want == "" {
 		t.Fatal("store-less filter produced no rows; test data broken")
 	}
 	for _, noVector := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
-			if got := rowsFingerprint(run(stats.NewStore(), noVector, workers)); got != want {
-				t.Errorf("filter with a stats store diverged (noVector=%v workers=%d)", noVector, workers)
-			}
+		if got := rowsFingerprint(run(stats.NewStore(), noVector)); got != want {
+			t.Errorf("filter with a stats store diverged (noVector=%v)", noVector)
 		}
 	}
 	seeded := stats.NewStore()
-	run(seeded, true, 1)
-	if got := rowsFingerprint(run(seeded, false, 4)); got != want {
+	run(seeded, true)
+	if got := rowsFingerprint(run(seeded, false)); got != want {
 		t.Errorf("filter with a seeded stats store diverged")
 	}
 }

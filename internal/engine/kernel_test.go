@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"enrichdb/internal/catalog"
@@ -11,30 +10,6 @@ import (
 	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
-
-// testPool is a minimal engine.Pool over bare goroutines.
-type testPool struct{ workers int }
-
-func (p *testPool) Workers() int { return p.workers }
-
-func (p *testPool) Do(n int, fn func(i int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // kernelTestTable builds R(id, k, a) with n rows, a = id % 100.
 func kernelTestTable(t *testing.T, n int) *storage.Table {
@@ -66,69 +41,6 @@ func rowsFingerprint(rows []*expr.Row) string {
 		sb.WriteByte(';')
 	}
 	return sb.String()
-}
-
-// TestParallelScanFilterMatchesSequential checks the partitioned parallel
-// scan+filter produces byte-identical rows, in identical order, for every
-// worker count.
-func TestParallelScanFilterMatchesSequential(t *testing.T) {
-	tbl := kernelTestTable(t, 500)
-	scan := NewScan(tbl, "R")
-	pred := expr.NewCmp(expr.LT, expr.NewCol("R", "a"), expr.NewConst(types.NewInt(50)))
-	if err := pred.Resolve(scan.Schema()); err != nil {
-		t.Fatal(err)
-	}
-
-	seq, err := NewFilter(scan, pred).Execute(NewExecCtx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != 250 {
-		t.Fatalf("sequential filter kept %d rows, want 250", len(seq))
-	}
-	want := rowsFingerprint(seq)
-
-	for _, noVec := range []bool{false, true} {
-		for _, w := range []int{2, 3, 4, 8} {
-			ctx := NewExecCtx()
-			ctx.Pool = &testPool{workers: w}
-			ctx.ParallelMinRows = 16 // force the parallel path on this small table
-			ctx.NoVector = noVec
-			got, err := NewFilter(NewScan(tbl, "R"), pred).Execute(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fp := rowsFingerprint(got); fp != want {
-				t.Fatalf("workers=%d noVec=%v: parallel scan+filter diverged from sequential", w, noVec)
-			}
-			if ctx.Stats.RowsScanned != 500 {
-				t.Errorf("workers=%d noVec=%v: RowsScanned = %d, want 500", w, noVec, ctx.Stats.RowsScanned)
-			}
-			if !noVec && ctx.Stats.BatchRows != 500 {
-				t.Errorf("workers=%d: BatchRows = %d, want 500", w, ctx.Stats.BatchRows)
-			}
-		}
-	}
-}
-
-// TestParallelScanFilterSmallTableSequential: below the threshold the fused
-// path must still produce correct output (it reuses the snapshot it took).
-func TestParallelScanFilterSmallTableSequential(t *testing.T) {
-	tbl := kernelTestTable(t, 64) // < DefaultParallelScanMinRows
-	scan := NewScan(tbl, "R")
-	pred := expr.NewCmp(expr.LT, expr.NewCol("R", "a"), expr.NewConst(types.NewInt(32)))
-	if err := pred.Resolve(scan.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewExecCtx()
-	ctx.Pool = &testPool{workers: 4}
-	out, err := NewFilter(scan, pred).Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 32 {
-		t.Fatalf("got %d rows, want 32", len(out))
-	}
 }
 
 // TestFilterLeavesSharedInputIntact: a Filter over a Rows leaf must not

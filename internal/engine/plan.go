@@ -57,26 +57,14 @@ func (s *Stats) Publish(add func(name string, delta int64)) {
 	add("engine.adaptive_build_swaps", s.AdaptiveBuildSwaps)
 }
 
-// Pool bounds data-parallel plan execution. It is satisfied by
-// enrich.Scheduler (the progressive executor passes its scheduler through so
-// scans and enrichment share one worker budget) without the engine importing
-// the enrich package. Do runs fn(0..n-1) across the pool's workers and
-// returns the first error.
-type Pool interface {
-	Workers() int
-	Do(n int, fn func(i int) error) error
-}
-
-// ExecCtx carries runtime services through plan execution.
+// ExecCtx carries runtime services through plan execution. A plan runs on
+// its caller's goroutine; only shard.Scatter fans one out (see Fork).
 type ExecCtx struct {
 	Eval  *expr.EvalCtx
 	Stats *Stats
 	// Arena amortizes row materialization; nil falls back to per-row
 	// allocation (all arena methods are nil-safe).
 	Arena *expr.RowArena
-	// Pool, when non-nil with more than one worker, enables the partitioned
-	// parallel scan+filter path. Leaving it nil keeps execution sequential.
-	Pool Pool
 	// CopyRows makes scans materialize rows with owned value slices instead
 	// of aliasing the immutable stored tuples. The tight driver enables it
 	// (together with Eval.PatchRows) so UDF evaluation can patch freshly
@@ -85,12 +73,6 @@ type ExecCtx struct {
 	// NoVector forces the row-at-a-time path even where a vectorized
 	// filter-over-scan is available (ablations, equivalence testing).
 	NoVector bool
-	// ParallelMinRows is the table size below which a filter-over-scan stays
-	// sequential even when a worker pool is available — fan-out costs more
-	// than it saves on small inputs. Zero means DefaultParallelScanMinRows.
-	// Living on the context (not a package variable) keeps concurrent
-	// sessions from racing on each other's ablation settings.
-	ParallelMinRows int
 	// Done, when non-nil, cancels execution: plan nodes poll it between
 	// batches of work and abort with ErrCanceled once it is closed. Wire it
 	// to a context's Done channel to make long scans, filters and joins
@@ -110,17 +92,6 @@ type ExecCtx struct {
 	vec *vecBufs
 }
 
-// DefaultParallelScanMinRows is the default ExecCtx.ParallelMinRows.
-const DefaultParallelScanMinRows = 4096
-
-// parallelMinRows resolves the context's threshold.
-func (ctx *ExecCtx) parallelMinRows() int {
-	if ctx.ParallelMinRows > 0 {
-		return ctx.ParallelMinRows
-	}
-	return DefaultParallelScanMinRows
-}
-
 // NewExecCtx returns a context with fresh counters, a fresh row arena, and
 // no UDF runtime.
 func NewExecCtx() *ExecCtx {
@@ -132,11 +103,10 @@ func NewExecCtx() *ExecCtx {
 // that the poll never shows up in a profile.
 const cancelCheckStride = 1024
 
-// Fork returns the context a sub-execution of ctx runs on: one shard of a
-// scatter, one partition of a parallel scan — anything that executes part of
-// ctx's query on its own goroutine. This is the one list of what such a
-// sub-execution inherits; a knob added to ExecCtx is threaded here or not at
-// all.
+// Fork returns the context one shard of a shard.Scatter runs on: the only
+// place a query's plan executes off its caller's goroutine. This is the one
+// list of what such a sub-execution inherits; a knob added to ExecCtx is
+// threaded here or not at all.
 func (ctx *ExecCtx) Fork() *ExecCtx {
 	return &ExecCtx{
 		// Counters, arena and eval scratch are not goroutine-safe: fresh per
@@ -146,14 +116,11 @@ func (ctx *ExecCtx) Fork() *ExecCtx {
 		Stats: &Stats{},
 		Arena: &expr.RowArena{},
 
-		CopyRows:        ctx.CopyRows,
-		NoVector:        ctx.NoVector,
-		ParallelMinRows: ctx.ParallelMinRows,
-		Done:            ctx.Done,
-		Adapt:           ctx.Adapt,
+		CopyRows: ctx.CopyRows,
+		NoVector: ctx.NoVector,
+		Done:     ctx.Done,
+		Adapt:    ctx.Adapt,
 
-		// Pool is not inherited: a fork already is one unit of the parent's
-		// fan-out, and nesting another would oversubscribe the workers.
 		// Prof is not inherited: the profiler tree is not goroutine-safe; the
 		// parent records the fan-out as one node with inclusive figures.
 	}
@@ -213,19 +180,20 @@ func (s *Scan) Schema() *expr.RowSchema { return s.rs }
 // lock, then lock-free arena-backed row wrapping.
 func (s *Scan) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	if ctx.Prof == nil {
-		return s.materialize(ctx, s.Table.Tuples()), nil
+		return s.materialize(ctx), nil
 	}
 	n := ctx.profEnter("Scan", s.Table.Schema().Name+" AS "+s.Alias)
-	out := s.materialize(ctx, s.Table.Tuples())
+	out := s.materialize(ctx)
 	n.RowsIn = int64(len(out))
 	ctx.profExit(n, len(out), nil)
 	return out, nil
 }
 
-// materialize wraps a tuple snapshot (or a partition of one) as executor
-// rows, in order. The cardinality is known, so the arena's chunks are
-// reserved up front: one allocation each for the row and TID arrays.
-func (s *Scan) materialize(ctx *ExecCtx, tuples []*types.Tuple) []*expr.Row {
+// materialize wraps a snapshot of the table as executor rows, in order. The
+// cardinality is known, so the arena's chunks are reserved up front: one
+// allocation each for the row and TID arrays.
+func (s *Scan) materialize(ctx *ExecCtx) []*expr.Row {
+	tuples := s.Table.Tuples()
 	ctx.Arena.Reserve(len(tuples), 0, len(tuples))
 	out := make([]*expr.Row, len(tuples))
 	if ctx.CopyRows {
@@ -250,12 +218,9 @@ func (s *Scan) Explain(indent string) string {
 // row, per SQL).
 type Filter struct {
 	Child Plan
-	Pred  expr.Expr
-	// hasUDF records whether the predicate contains a UDF call; UDF-bearing
-	// predicates mutate shared enrichment state and never take the parallel
-	// scan path. Conjuncts are always evaluated in the predicate's static
-	// order (fixed before derived, see splitSelPred).
-	hasUDF bool
+	// Pred's conjuncts are always evaluated in their static order (fixed
+	// before derived, see splitSelPred).
+	Pred expr.Expr
 	// vec is the predicate compiled to vector kernels, built once on first
 	// vectorized execution (nil after vecOnce fires means not vectorizable).
 	vec     *expr.VecPred
@@ -265,7 +230,7 @@ type Filter struct {
 // NewFilter builds a filter node; the predicate must already be resolved
 // against the child schema.
 func NewFilter(child Plan, pred expr.Expr) *Filter {
-	return &Filter{Child: child, Pred: pred, hasUDF: containsUDF(pred)}
+	return &Filter{Child: child, Pred: pred}
 }
 
 // Schema returns the child schema.
@@ -284,9 +249,9 @@ func ownsResult(p Plan) bool {
 	}
 }
 
-// Execute filters the child's rows: in place on the child's slice when the
-// child owns its result, via a partitioned parallel scan when the child is a
-// bare table scan and a worker pool is attached.
+// Execute filters the child's rows: through the vector kernels when the
+// child is a bare table scan the predicate compiles over, else in place on
+// the child's slice when the child owns its result.
 func (f *Filter) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	if ctx.Prof == nil {
 		return f.execute(ctx)
@@ -298,8 +263,7 @@ func (f *Filter) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 }
 
 // execute runs whichever path applies and reports the execution's pass rate
-// to the stats store once, on the caller's context: partitions never write,
-// so the store sees the same observation at any worker count and on the row
+// to the stats store once, so the store sees the same observation on the row
 // and vector paths alike.
 func (f *Filter) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	out, rowsIn, err := f.run(ctx)
@@ -314,9 +278,6 @@ func (f *Filter) run(ctx *ExecCtx) ([]*expr.Row, int, error) {
 	if s, ok := f.Child.(*Scan); ok {
 		if out, n, handled, err := f.vecExecute(ctx, s); handled {
 			return out, n, err
-		}
-		if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 {
-			return f.scanFilter(ctx, s)
 		}
 	}
 	in, err := f.Child.Execute(ctx)
@@ -356,56 +317,6 @@ func (f *Filter) filterInto(ctx *ExecCtx, in, out []*expr.Row) ([]*expr.Row, err
 		}
 	}
 	return out, nil
-}
-
-// scanFilter fuses scan and filter over one slab snapshot, partitioning it
-// contiguously across the pool's workers, and returns the output with the
-// snapshot's size. Partition results are concatenated in partition order, so
-// output order — and therefore every downstream result — is byte-identical
-// to the sequential plan regardless of worker count or scheduling.
-func (f *Filter) scanFilter(ctx *ExecCtx, s *Scan) ([]*expr.Row, int, error) {
-	tuples := s.Table.Tuples()
-	n := len(tuples)
-	if n < ctx.parallelMinRows() {
-		in := s.materialize(ctx, tuples)
-		out, err := f.filterInto(ctx, in, in[:0])
-		return out, n, err
-	}
-	parts := ctx.Pool.Workers()
-	if parts > n {
-		parts = n
-	}
-	per := (n + parts - 1) / parts
-	results := make([][]*expr.Row, parts)
-	err := ctx.Pool.Do(parts, func(pi int) error {
-		lo, hi := pi*per, (pi+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			return nil
-		}
-		// The predicate is UDF-free (gated above), so no runtime state or
-		// invocation counters are touched.
-		pctx := ctx.Fork()
-		in := s.materialize(pctx, tuples[lo:hi])
-		out, err := f.filterInto(pctx, in, in[:0])
-		results[pi] = out
-		return err
-	})
-	if err != nil {
-		return nil, n, err
-	}
-	ctx.Stats.RowsScanned += int64(n)
-	total := 0
-	for _, p := range results {
-		total += len(p)
-	}
-	out := make([]*expr.Row, 0, total)
-	for _, p := range results {
-		out = append(out, p...)
-	}
-	return out, n, nil
 }
 
 // Explain renders the subtree.

@@ -148,24 +148,12 @@ func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, n int, hand
 		return nil, 0, false, nil
 	}
 	tuples := ctx.snapshotTuples(s.Table)
-	n = len(tuples)
-	if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 && n >= ctx.parallelMinRows() {
-		out, handled, err = f.vecScanFilterParallel(ctx, s, vp, tuples)
-	} else {
-		out, handled, err = f.vecScanFilterRange(ctx, s, vp, tuples)
-	}
-	return out, n, handled, err
-}
-
-// vecScanFilterRange filters one contiguous tuple range on the calling
-// goroutine.
-func (f *Filter) vecScanFilterRange(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*types.Tuple) ([]*expr.Row, bool, error) {
 	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
 	if !ok {
-		return nil, false, nil
+		return nil, 0, false, nil
 	}
-	out, err := f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
-	return out, true, err
+	out, err = f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
+	return out, len(tuples), true, err
 }
 
 // vecEmit materializes the rows a kernel selection lets through, in lane
@@ -222,70 +210,12 @@ func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*type
 	return out, nil
 }
 
-// vecScanFilterParallel partitions the snapshot contiguously across the
-// pool, mirroring Filter.scanFilter: per-partition contexts, partition-order
-// concatenation, byte-identical output at any worker count. Only UDF-free
-// predicates reach here (vecExecute gates on hasUDF).
-func (f *Filter) vecScanFilterParallel(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*types.Tuple) ([]*expr.Row, bool, error) {
-	n := len(tuples)
-	parts := ctx.Pool.Workers()
-	if parts > n {
-		parts = n
-	}
-	per := (n + parts - 1) / parts
-	results := make([][]*expr.Row, parts)
-	bails := make([]bool, parts)
-	pstats := make([]Stats, parts)
-	err := ctx.Pool.Do(parts, func(pi int) error {
-		lo, hi := pi*per, (pi+1)*per
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			return nil
-		}
-		pctx := ctx.Fork()
-		pctx.Stats = &pstats[pi]
-		out, ok, err := f.vecScanFilterRange(pctx, s, vp, tuples[lo:hi])
-		if !ok {
-			bails[pi] = true
-			return nil
-		}
-		results[pi] = out
-		return err
-	})
-	if err != nil {
-		return nil, true, err
-	}
-	for _, b := range bails {
-		if b {
-			return nil, false, nil
-		}
-	}
-	for i := range pstats {
-		ctx.Stats.RowsScanned += pstats[i].RowsScanned
-		ctx.Stats.BatchesBuilt += pstats[i].BatchesBuilt
-		ctx.Stats.BatchRows += pstats[i].BatchRows
-		ctx.Stats.BatchFallbackRows += pstats[i].BatchFallbackRows
-	}
-	total := 0
-	for _, p := range results {
-		total += len(p)
-	}
-	out := make([]*expr.Row, 0, total)
-	for _, p := range results {
-		out = append(out, p...)
-	}
-	return out, true, nil
-}
-
 // vecExecute attempts the fused project-filter-scan: when the child filter's
 // predicate compiled fully (no residual) and no lane is pending, the kernels
 // decided every lane from stored values, so projected rows are assembled
 // straight from surviving tuples without ever materializing the intermediate
 // filter rows. Pending lanes run ω, which may patch enriched values into
-// their rows; the filter's rows are then projected. Larger inputs with a
-// pool available are left to the filter's parallel vector path instead.
+// their rows; the filter's rows are then projected.
 func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	if ctx.NoVector {
 		return nil, false, nil
@@ -304,9 +234,6 @@ func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	}
 	tuples := ctx.snapshotTuples(s.Table)
 	n := len(tuples)
-	if !f.hasUDF && ctx.Pool != nil && ctx.Pool.Workers() > 1 && n >= ctx.parallelMinRows() {
-		return nil, false, nil
-	}
 	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
 	if !ok {
 		return nil, false, nil

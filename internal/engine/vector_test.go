@@ -91,7 +91,7 @@ func vectorTestPreds() map[string]func() expr.Expr {
 // selection-bitmap edge cases: empty table, single row, batch-boundary sizes
 // (BatchSize−1 / BatchSize / BatchSize+1), a multi-batch size, NULL-heavy
 // columns, and every predicate shape above — output must be byte-identical
-// with the vector path on and off, sequentially and partitioned.
+// with the vector path on and off.
 func TestVectorFilterMatchesRowPath(t *testing.T) {
 	sizes := []int{0, 1, expr.BatchSize - 1, expr.BatchSize, expr.BatchSize + 1, 2500}
 	for _, n := range sizes {
@@ -102,35 +102,25 @@ func TestVectorFilterMatchesRowPath(t *testing.T) {
 			if err := pred.Resolve(scan.Schema()); err != nil {
 				t.Fatal(err)
 			}
-			run := func(noVector bool, workers int) []*expr.Row {
+			run := func(noVector bool) []*expr.Row {
 				ctx := NewExecCtx()
 				ctx.NoVector = noVector
-				if workers > 1 {
-					ctx.Pool = &testPool{workers: workers}
-					ctx.ParallelMinRows = 16
-				}
 				out, err := NewFilter(NewScan(tbl, "V"), pred).Execute(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}
-			want := rowsFingerprint(run(true, 1))
-			for _, noVector := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					if got := rowsFingerprint(run(noVector, workers)); got != want {
-						t.Errorf("n=%d pred=%s noVector=%v workers=%d: diverged from the sequential row path",
-							n, name, noVector, workers)
-					}
-				}
+			if got, want := rowsFingerprint(run(false)), rowsFingerprint(run(true)); got != want {
+				t.Errorf("n=%d pred=%s: vector path diverged from the row path", n, name)
 			}
 		}
 	}
 }
 
-// TestParallelPartitionsCancelable: partition contexts come from Fork, so a
-// closed Done stops the parallel scan on the vector path as on the row path.
-func TestParallelPartitionsCancelable(t *testing.T) {
+// TestFilterCancelable: a closed Done stops a filter-over-scan with
+// ErrCanceled on the vector path as on the row path.
+func TestFilterCancelable(t *testing.T) {
 	tbl := vectorTestTable(t, 2500)
 	done := make(chan struct{})
 	close(done)
@@ -141,8 +131,6 @@ func TestParallelPartitionsCancelable(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := NewExecCtx()
-		ctx.Pool = &testPool{workers: 4}
-		ctx.ParallelMinRows = 16
 		ctx.NoVector = noVector
 		ctx.Done = done
 		if _, err := NewFilter(scan, pred).Execute(ctx); err != ErrCanceled {

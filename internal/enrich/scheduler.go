@@ -7,13 +7,13 @@ import (
 	"enrichdb/internal/telemetry"
 )
 
-// Scheduler is the shared worker pool both designs use to execute epoch work
-// in parallel: the progressive executor runs PlanTable triplets and per-tuple
-// determinization through it, and the tight design evaluates rewritten
-// predicates over planned rows on it. Parallel correctness comes from the
-// Manager's singleflight dedup (no triplet ever executes twice) and the
-// state tables' first-write-wins semantics; the scheduler only bounds the
-// concurrency.
+// Scheduler is the one worker pool enrichment runs on: the loose
+// LocalEnricher executes a batch's requests through it, the progressive
+// executor runs per-tuple determinization through it, and the tight design
+// evaluates rewritten predicates over planned rows on it. Parallel
+// correctness comes from the Manager's singleflight dedup (no triplet ever
+// executes twice) and the state tables' first-write-wins semantics; the
+// scheduler only bounds the concurrency.
 //
 // A Scheduler is stateless between calls and safe for concurrent use; the
 // zero value runs everything sequentially.
@@ -30,8 +30,8 @@ func NewScheduler(workers int) *Scheduler {
 	return &Scheduler{workers: workers}
 }
 
-// Workers returns the pool width (at least 1).
-func (s *Scheduler) Workers() int {
+// width returns the pool width (at least 1).
+func (s *Scheduler) width() int {
 	if s == nil || s.workers <= 0 {
 		return 1
 	}
@@ -42,22 +42,29 @@ func (s *Scheduler) Workers() int {
 // error encountered (the remaining items still run — enrichment work is
 // idempotent and best-effort, so one poisoned item must not starve the
 // epoch). With one worker the items run in index order on the calling
-// goroutine, which is what the Workers:1 equivalence baseline relies on.
+// goroutine, which is what the Workers:1 equivalence baseline relies on. Do
+// is DoTraced with a nil tracer.
 func (s *Scheduler) Do(n int, fn func(i int) error) error {
+	return s.DoTraced(nil, "", 0, n, fn)
+}
+
+// DoTraced is Do with per-worker tracing: each worker emits one `name` span
+// tagged with its worker ID, the epoch, and the number of items it handled.
+// With a nil tracer the span calls vanish on the nil fast path.
+func (s *Scheduler) DoTraced(tr *telemetry.Tracer, name string, epoch, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := s.Workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(s.width(), n)
 	if workers == 1 {
+		sp := tr.Start(name).Epoch(epoch).Worker(0).Int("items", int64(n))
 		var firstErr error
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
+		sp.End()
 		return firstErr
 	}
 	var (
@@ -66,56 +73,8 @@ func (s *Scheduler) Do(n int, fn func(i int) error) error {
 		firstErr error
 		next     = make(chan int)
 	)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
-}
-
-// DoTraced is Do with per-worker tracing: each worker emits one `name` span
-// tagged with its worker ID, the epoch, and the number of items it handled.
-// With tracing disabled (nil tracer) it is exactly Do — the span calls
-// vanish on the nil fast path.
-func (s *Scheduler) DoTraced(tr *telemetry.Tracer, name string, epoch, n int, fn func(i int) error) error {
-	if !tr.Enabled() || n <= 0 {
-		return s.Do(n, fn)
-	}
-	workers := s.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		// Same in-order, same-goroutine execution as Do's sequential path.
-		sp := tr.Start(name).Epoch(epoch).Worker(0).Int("items", int64(n))
-		err := s.Do(n, fn)
-		sp.End()
-		return err
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		next     = make(chan int)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			sp := tr.Start(name).Epoch(epoch).Worker(worker)

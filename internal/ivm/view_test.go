@@ -8,7 +8,6 @@ import (
 
 	"enrichdb/internal/catalog"
 	"enrichdb/internal/engine"
-	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/storage"
@@ -405,16 +404,8 @@ func sameRowsInOrder(a, b []*expr.Row) bool {
 // order, the view an empty store's New plus one Apply inserting every base
 // tuple in scan order produces. The tables' ids are inserted out of order
 // (scan order is not tid order) and k random enrichment steps run before
-// set-up; set-up runs sequentially and on a two-worker scan pool.
+// set-up.
 func TestSetupEqualsReplayAndReexecution(t *testing.T) {
-	ctxs := map[string]func() *engine.ExecCtx{
-		"sequential": func() *engine.ExecCtx { return nil },
-		"pool": func() *engine.ExecCtx {
-			ctx := engine.NewExecCtx()
-			ctx.Pool, ctx.ParallelMinRows = enrich.NewScheduler(2), 1
-			return ctx
-		},
-	}
 	for qi, q := range propertyQueries {
 		for _, k := range []int{0, 5, 25} {
 			r := rand.New(rand.NewSource(int64(300 + 7*qi + k)))
@@ -435,18 +426,16 @@ func TestSetupEqualsReplayAndReexecution(t *testing.T) {
 			}
 			a := analyze(t, db, q)
 			want := replayView(t, db, a).Rows()
-			for name, mk := range ctxs {
-				v, err := New(a, db, mk())
-				if err != nil {
-					t.Fatalf("q%d k=%d %s: %v", qi, k, name, err)
-				}
-				got := v.Rows()
-				if !sameRowSet(got, reexecute(t, db, q)) {
-					t.Errorf("q%d k=%d %s: set-up diverged from re-execution\nquery: %s", qi, k, name, q)
-				}
-				if !sameRowsInOrder(got, want) {
-					t.Errorf("q%d k=%d %s: set-up diverged from the insert replay (%d vs %d rows)\nquery: %s", qi, k, name, len(got), len(want), q)
-				}
+			v, err := New(a, db, nil)
+			if err != nil {
+				t.Fatalf("q%d k=%d: %v", qi, k, err)
+			}
+			got := v.Rows()
+			if !sameRowSet(got, reexecute(t, db, q)) {
+				t.Errorf("q%d k=%d: set-up diverged from re-execution\nquery: %s", qi, k, q)
+			}
+			if !sameRowsInOrder(got, want) {
+				t.Errorf("q%d k=%d: set-up diverged from the insert replay (%d vs %d rows)\nquery: %s", qi, k, len(got), len(want), q)
 			}
 		}
 	}

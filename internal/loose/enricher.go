@@ -2,8 +2,6 @@ package loose
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"enrichdb/internal/enrich"
@@ -79,9 +77,10 @@ type Enricher interface {
 
 // LocalEnricher runs enrichment functions in process. It looks families up
 // in an enrich.Manager that acts as the server-side model registry.
-// Workers > 1 executes the batch in parallel — the scope for parallelism
-// that §1 of the paper lists as a loose-design advantage (the server owns
-// whole batches, unlike per-row UDF invocation inside the DBMS).
+// Workers > 1 executes the batch in parallel on an enrich.Scheduler — the
+// scope for parallelism that §1 of the paper lists as a loose-design
+// advantage (the server owns whole batches, unlike per-row UDF invocation
+// inside the DBMS).
 type LocalEnricher struct {
 	Mgr *enrich.Manager
 	// Workers is the parallel execution width; 0 or 1 runs sequentially,
@@ -152,34 +151,14 @@ func (e *LocalEnricher) EnrichBatch(reqs []Request) ([]Response, BatchTiming, er
 	}
 
 	workers := e.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers == 0 {
+		workers = 1 // NewScheduler reads 0 as GOMAXPROCS; here it means sequential
 	}
-	if workers <= 1 || len(order) < 2 {
-		for _, i := range order {
-			resps[i] = e.run(reqs[i], panics)
-		}
-	} else {
-		if workers > len(order) {
-			workers = len(order)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					resps[i] = e.run(reqs[i], panics)
-				}
-			}()
-		}
-		for _, i := range order {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	enrich.NewScheduler(workers).Do(len(order), func(k int) error {
+		i := order[k]
+		resps[i] = e.run(reqs[i], panics)
+		return nil
+	})
 	// Fill duplicate slots from their canonical execution.
 	var dedupHits, failures int64
 	for i := range reqs {

@@ -68,9 +68,8 @@ type Config struct {
 
 	// Workers is the epoch execution width shared by both designs: the
 	// loose design enriches and writes back in parallel, the tight design
-	// evaluates planned rows concurrently, and query-plan scans partition
-	// across the same pool. 0 defaults to GOMAXPROCS; 1 executes
-	// sequentially. Workers > 1 produces byte-identical results to
+	// evaluates planned rows concurrently. 0 or negative defaults to
+	// GOMAXPROCS; 1 executes sequentially. Workers > 1 produces byte-identical results to
 	// Workers: 1 (guaranteed by the manager's singleflight dedup and
 	// first-write-wins state semantics, and checked by the equivalence
 	// battery).
@@ -227,11 +226,6 @@ func Run(cfg Config) (*Result, error) {
 	countersBefore := cfg.Mgr.Counters()
 	ctx := engine.NewExecCtx()
 	ctx.Adapt = cfg.Stats
-	if cfg.Workers > 1 {
-		// The epoch scheduler doubles as the engine's scan pool, so plan
-		// execution and enrichment share one worker budget.
-		ctx.Pool = sched
-	}
 	reg := cfg.Mgr.Telemetry()
 	epochWall := reg.Histogram("epoch.wall_ms", telemetry.LatencyBucketsMs)
 	registerStorageGauges(reg, cfg.DB)

@@ -80,8 +80,9 @@ type ProgressiveOptions struct {
 	// MaxEpochs bounds the run (default 200).
 	MaxEpochs int
 	Seed      int64
-	// Workers sets the run's parallel enrichment/scan width (0 or 1
-	// sequential; the answer is byte-identical at any width).
+	// Workers sets the run's parallel enrichment width: 0 or negative uses
+	// GOMAXPROCS, 1 runs sequentially. The answer is byte-identical at any
+	// width.
 	Workers int
 	// Quality, when set, scores the current answer after every epoch (for
 	// example against ground truth); the series feeds Result.Score.
