@@ -30,7 +30,7 @@ var benchNoVector = os.Getenv("BENCH_NOVECTOR") != ""
 // one column (the classic columnar consumer: an aggregate over a scan),
 // "wide" reads every column (SELECT * width). The row path answers by
 // materializing rows and reading cells; the vector path snapshots the slab
-// and columnizes batch by batch (Col for one column, FillAll for the width).
+// and columnizes batch by batch, one Col fill per column read.
 func BenchmarkVectorScan(b *testing.B) {
 	variants := []struct {
 		name string
@@ -74,10 +74,7 @@ func BenchmarkVectorScan(b *testing.B) {
 							if hi > len(snap) {
 								hi = len(snap)
 							}
-							batch.Reset(rs, snap[lo:hi])
-							if len(v.cols) > 1 && !batch.FillAll() {
-								b.Fatal("column fill bailed")
-							}
+							batch.Reset(rs, &expr.Chunk{Tuples: snap[lo:hi]})
 							for _, ci := range v.cols {
 								cv, ok := batch.Col(ci)
 								if !ok {
@@ -153,7 +150,7 @@ func BenchmarkVectorFilter(b *testing.B) {
 						if hi > len(snap) {
 							hi = len(snap)
 						}
-						batch.Reset(rs, snap[lo:hi])
+						batch.Reset(rs, &expr.Chunk{Tuples: snap[lo:hi]})
 						wlo, wn := lo/64, (hi-lo+63)/64
 						if !vp.Eval(&batch, t[wlo:wlo+wn], nf[wlo:wlo+wn], nil) {
 							b.Fatal("kernel pass bailed")

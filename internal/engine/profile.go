@@ -66,8 +66,8 @@ func (n *OpProfile) Selectivity() float64 {
 }
 
 // Profiler collects an OpProfile tree during one plan execution. It is not
-// goroutine-safe: parallel scan partitions run on child contexts without a
-// profiler and account into the parent node's inclusive figures.
+// goroutine-safe: the shards of a shard.Scatter run on forked contexts
+// without a profiler and account into the parent node's inclusive figures.
 type Profiler struct {
 	stack []*OpProfile
 	roots []*OpProfile

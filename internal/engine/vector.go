@@ -8,18 +8,19 @@ import (
 	"enrichdb/internal/types"
 )
 
-// This file implements the vectorized filter-over-scan path: the slab
-// snapshot is walked in BatchSize strides of typed column vectors, compiled
-// predicate kernels fold each conjunct into two selection bitmaps (t: all
-// conjuncts so far True, nf: none False), and []*expr.Row is materialized
-// only for surviving lanes — or, when an uncompiled residual remains, for
-// every not-False lane so residual evaluation (including UDF side effects)
-// happens on exactly the rows the row path would evaluate, in the same order.
-// A tight filter's guarded conjuncts compile too: lanes whose image marks the
-// guarded attributes are decided by kernels over the stored values, and only
-// the pending lanes (see expr.VecPred) are row-evaluated, on the conjunct
-// suffix from the first guarded conjunct on. For a single-table tight filter
-// the row evaluator is thus only the UDF residual over unmarked images.
+// This file implements the vectorized filter-over-scan path: the scan's
+// chunks (expr.Chunk, BatchSize lanes each) are walked as batches of typed
+// column vectors, compiled predicate kernels fold each conjunct into two
+// selection bitmaps (t: all conjuncts so far True, nf: none False), and
+// []*expr.Row is materialized only for surviving lanes — or, when an
+// uncompiled residual remains, for every not-False lane so residual
+// evaluation (including UDF side effects) happens on exactly the rows the row
+// path would evaluate, in the same order. A tight filter's guarded conjuncts
+// compile too: lanes whose image marks the guarded attributes are decided by
+// kernels over the stored values, and only the pending lanes (see
+// expr.VecPred) are row-evaluated, on the conjunct suffix from the first
+// guarded conjunct on. For a single-table tight filter the row evaluator is
+// thus only the UDF residual over unmarked images.
 //
 // The pass structure is: (1) kernels over all batches into whole-scan
 // bitmaps — no rows built, no side effects, so a column-fill bail (declared
@@ -28,17 +29,26 @@ import (
 // byte-identical to the row path by construction and enforced by the
 // equivalence battery with ExecCtx.NoVector on and off.
 
-// tupleSnapshotter is satisfied by storage.Table and storage.TableView: a
-// slab snapshot appended into a caller-reused buffer.
+// chunkSource is satisfied by storage.TableView: its snapshot as sealed
+// chunks, whose column vectors outlive the scan.
+type chunkSource interface {
+	ChunksInto(buf []*expr.Chunk) []*expr.Chunk
+}
+
+// tupleSnapshotter is satisfied by storage.Table: a slab snapshot appended
+// into a caller-reused buffer.
 type tupleSnapshotter interface {
 	TuplesInto(buf []*types.Tuple) []*types.Tuple
 }
 
 // vecBufs are an ExecCtx's reusable vectorized-scan buffers. They are scoped
-// to one goroutine (parallel partitions build their own contexts) and never
-// escape an Execute call.
+// to the context's goroutine and never escape an Execute call.
 type vecBufs struct {
+	chunks []*expr.Chunk
+	// snap and strides hold a flat source's snapshot and the vector-less
+	// chunks over it.
 	snap        []*types.Tuple
+	strides     []expr.Chunk
 	batch       expr.Batch
 	t, nf, pend expr.Bitmap
 }
@@ -50,15 +60,38 @@ func (ctx *ExecCtx) vecbufs() *vecBufs {
 	return ctx.vec
 }
 
-// snapshotTuples snapshots the relation into the context's reused buffer.
-func (ctx *ExecCtx) snapshotTuples(rel storage.Relation) []*types.Tuple {
+// scanChunks snapshots the relation as chunks into the context's reused
+// buffers: a view's own, or vector-less strides over a flat snapshot of any
+// other relation. Every chunk but the last holds BatchSize lanes, so each
+// chunk's bitmap window is word-aligned; n is the lane total.
+func (ctx *ExecCtx) scanChunks(rel storage.Relation) (chunks []*expr.Chunk, n int) {
 	bufs := ctx.vecbufs()
-	if ts, ok := rel.(tupleSnapshotter); ok {
-		bufs.snap = ts.TuplesInto(bufs.snap)
+	if cs, ok := rel.(chunkSource); ok {
+		bufs.chunks = cs.ChunksInto(bufs.chunks)
 	} else {
-		bufs.snap = rel.Tuples()
+		if ts, ok := rel.(tupleSnapshotter); ok {
+			bufs.snap = ts.TuplesInto(bufs.snap)
+		} else {
+			bufs.snap = rel.Tuples()
+		}
+		bufs.strides = bufs.strides[:0]
+		for lo := 0; lo < len(bufs.snap); lo += expr.BatchSize {
+			bufs.strides = append(bufs.strides, expr.Chunk{Tuples: bufs.snap[lo:min(lo+expr.BatchSize, len(bufs.snap))]})
+		}
+		bufs.chunks = bufs.chunks[:0]
+		for i := range bufs.strides {
+			bufs.chunks = append(bufs.chunks, &bufs.strides[i])
+		}
 	}
-	return bufs.snap
+	for _, c := range bufs.chunks {
+		n += len(c.Tuples)
+	}
+	return bufs.chunks, n
+}
+
+// laneTuple is lane i's tuple across chunks.
+func laneTuple(chunks []*expr.Chunk, i int) *types.Tuple {
+	return chunks[i/expr.BatchSize].Tuples[i%expr.BatchSize]
 }
 
 // vecPred compiles the filter predicate against the scan schema once.
@@ -67,15 +100,14 @@ func (f *Filter) vecPred(rs *expr.RowSchema) *expr.VecPred {
 	return f.vec
 }
 
-// vecSelect runs the compiled kernels over the whole tuple range, batch by
-// batch, leaving the selection in the context's t/nf bitmaps and the pending
-// lanes in pend (nil when the predicate has no guarded conjunct). ok is false
-// on a column-fill bail. Batch strides are BatchSize lanes, so each stride's
-// bitmap window is word-aligned and kernels write the whole-range bitmaps
-// directly through subslices.
-func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*types.Tuple) (t, nf, pend expr.Bitmap, ok bool) {
+// vecSelect runs the compiled kernels over the n lanes of the chunks, batch
+// by batch, leaving the selection in the context's t/nf bitmaps and the
+// pending lanes in pend (nil when the predicate has no guarded conjunct). ok
+// is false on a column-fill bail. Each chunk's bitmap window is word-aligned
+// (see scanChunks), so kernels write the whole-scan bitmaps directly through
+// subslices.
+func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*expr.Chunk, n int) (t, nf, pend expr.Bitmap, ok bool) {
 	bufs := ctx.vecbufs()
-	n := len(tuples)
 	bufs.t = bufs.t.Reset(n)
 	bufs.t.SetAll(n)
 	bufs.nf = bufs.nf.Reset(n)
@@ -84,16 +116,13 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*typ
 		bufs.pend = bufs.pend.Reset(n)
 		pend = bufs.pend
 	}
-	for lo := 0; lo < n; lo += expr.BatchSize {
+	lo := 0
+	for _, c := range chunks {
 		if ctx.CancelErr() != nil {
 			return nil, nil, nil, false // caller's row path surfaces ErrCanceled
 		}
-		hi := lo + expr.BatchSize
-		if hi > n {
-			hi = n
-		}
-		m := hi - lo
-		bufs.batch.Reset(rs, tuples[lo:hi])
+		m := len(c.Tuples)
+		bufs.batch.Reset(rs, c)
 		wlo, wn := lo>>6, (m+63)>>6
 		var pw expr.Bitmap
 		if pend != nil {
@@ -104,6 +133,7 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, tuples []*typ
 		}
 		ctx.Stats.BatchesBuilt++
 		ctx.Stats.BatchRows += int64(m)
+		lo += m
 	}
 	return bufs.t, bufs.nf, pend, true
 }
@@ -147,19 +177,18 @@ func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, n int, hand
 	if vp == nil {
 		return nil, 0, false, nil
 	}
-	tuples := ctx.snapshotTuples(s.Table)
-	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
+	chunks, n := ctx.scanChunks(s.Table)
+	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, chunks, n)
 	if !ok {
 		return nil, 0, false, nil
 	}
-	out, err = f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
-	return out, len(tuples), true, err
+	out, err = f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
+	return out, n, true, err
 }
 
 // vecEmit materializes the rows a kernel selection lets through, in lane
 // order.
-func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*types.Tuple, t, nf, pend expr.Bitmap) ([]*expr.Row, error) {
-	n := len(tuples)
+func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, chunks []*expr.Chunk, n int, t, nf, pend expr.Bitmap) ([]*expr.Row, error) {
 	if vp.Residual == nil && !pend.Any() {
 		// Decided by kernels alone: survivors are countable up front, so the
 		// output slice and arena chunks are sized exactly.
@@ -167,7 +196,7 @@ func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*type
 		ctx.Arena.Reserve(count, 0, count)
 		out := make([]*expr.Row, 0, count)
 		eachSet(t, nil, func(i int) bool {
-			out = append(out, f.vecRow(ctx, s, tuples[i]))
+			out = append(out, f.vecRow(ctx, s, laneTuple(chunks, i)))
 			return true
 		})
 		ctx.Stats.RowsScanned += int64(n)
@@ -184,7 +213,7 @@ func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, tuples []*type
 	var out []*expr.Row
 	var evalErr error
 	eachSet(lanes, pend, func(i int) bool {
-		r := f.vecRow(ctx, s, tuples[i])
+		r := f.vecRow(ctx, s, laneTuple(chunks, i))
 		pred, pass := vp.Residual, t.Get(i)
 		if pend != nil && pend.Get(i) {
 			pred = vp.Pending // t holds the verdict of the conjuncts before it
@@ -232,14 +261,13 @@ func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	if vp == nil || vp.Residual != nil {
 		return nil, false, nil
 	}
-	tuples := ctx.snapshotTuples(s.Table)
-	n := len(tuples)
-	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, tuples)
+	chunks, n := ctx.scanChunks(s.Table)
+	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, chunks, n)
 	if !ok {
 		return nil, false, nil
 	}
 	if pend.Any() {
-		rows, err := f.vecEmit(ctx, s, vp, tuples, t, nf, pend)
+		rows, err := f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
 		if err != nil {
 			return nil, true, err
 		}
@@ -251,7 +279,7 @@ func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
 	ctx.Arena.Reserve(count, count*len(p.Cols), count)
 	out := make([]*expr.Row, 0, count)
 	eachSet(t, nil, func(i int) bool {
-		tu := tuples[i]
+		tu := laneTuple(chunks, i)
 		vals := ctx.Arena.ValSlice(len(p.Cols))
 		for vi, ci := range p.Cols {
 			vals[vi] = tu.Vals[ci]

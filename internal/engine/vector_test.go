@@ -91,28 +91,35 @@ func vectorTestPreds() map[string]func() expr.Expr {
 // selection-bitmap edge cases: empty table, single row, batch-boundary sizes
 // (BatchSize−1 / BatchSize / BatchSize+1), a multi-batch size, NULL-heavy
 // columns, and every predicate shape above — output must be byte-identical
-// with the vector path on and off.
+// with the vector path on and off, scanning the live table (scratch fills)
+// and a view (chunk vectors, built by the first scan and read by the
+// second).
 func TestVectorFilterMatchesRowPath(t *testing.T) {
 	sizes := []int{0, 1, expr.BatchSize - 1, expr.BatchSize, expr.BatchSize + 1, 2500}
 	for _, n := range sizes {
 		tbl := vectorTestTable(t, n)
-		for name, mk := range vectorTestPreds() {
-			scan := NewScan(tbl, "V")
-			pred := mk()
-			if err := pred.Resolve(scan.Schema()); err != nil {
-				t.Fatal(err)
-			}
-			run := func(noVector bool) []*expr.Row {
-				ctx := NewExecCtx()
-				ctx.NoVector = noVector
-				out, err := NewFilter(NewScan(tbl, "V"), pred).Execute(ctx)
-				if err != nil {
+		for _, src := range []storage.Relation{tbl, tbl.View()} {
+			for name, mk := range vectorTestPreds() {
+				scan := NewScan(src, "V")
+				pred := mk()
+				if err := pred.Resolve(scan.Schema()); err != nil {
 					t.Fatal(err)
 				}
-				return out
-			}
-			if got, want := rowsFingerprint(run(false)), rowsFingerprint(run(true)); got != want {
-				t.Errorf("n=%d pred=%s: vector path diverged from the row path", n, name)
+				run := func(noVector bool) string {
+					ctx := NewExecCtx()
+					ctx.NoVector = noVector
+					out, err := NewFilter(NewScan(src, "V"), pred).Execute(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rowsFingerprint(out)
+				}
+				want := run(true)
+				for pass := 0; pass < 2; pass++ {
+					if run(false) != want {
+						t.Errorf("n=%d src=%T pred=%s pass=%d: vector path diverged from the row path", n, src, name, pass)
+					}
+				}
 			}
 		}
 	}

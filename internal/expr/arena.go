@@ -14,7 +14,7 @@ const arenaChunk = 1024
 // Rows handed out by the arena are never recycled — they escape into query
 // results, IVM view snapshots, and enrichment batches, so the arena only
 // amortizes allocation, it does not reuse memory. A RowArena must not be
-// shared across goroutines; parallel scan partitions each use their own.
+// shared across goroutines; a forked execution context gets its own.
 // All methods are nil-receiver safe and fall back to plain allocation, so
 // callers that build an ExecCtx by hand keep working.
 type RowArena struct {

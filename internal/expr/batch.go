@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"enrichdb/internal/types"
 )
@@ -94,158 +95,15 @@ type ColVec struct {
 	Nulls Bitmap
 }
 
-// Batch is a column-oriented window over base-table tuples: up to BatchSize
-// tuple lanes plus lazily built typed columns. Only columns a compiled
-// predicate actually references are filled. The batch assumes single-slot
-// (base scan) schemas: column index ci addresses Tuples[lane].Vals[ci]
-// directly.
-//
-// Ownership: a Batch never owns tuple storage — Tuples aliases the scan
-// snapshot and column payloads are copies of tuple cells. Batches are reused
-// across scan strides via Reset; consumers must not retain column slices
-// across callbacks.
-type Batch struct {
-	Schema *RowSchema
-	Tuples []*types.Tuple
-
-	cols   []ColVec
-	filled []bool
-	plan   []uint16 // FillAll scratch: pending column indices
-}
-
-// Reset points the batch at a new stride of tuples, invalidating all filled
-// columns while keeping their backing storage for reuse.
-func (b *Batch) Reset(rs *RowSchema, tuples []*types.Tuple) {
-	b.Schema = rs
-	b.Tuples = tuples
-	nc := len(rs.Cols)
-	if cap(b.cols) < nc {
-		b.cols = make([]ColVec, nc)
-		b.filled = make([]bool, nc)
-	}
-	b.cols = b.cols[:nc]
-	b.filled = b.filled[:nc]
-	for i := range b.filled {
-		b.filled[i] = false
-	}
-}
-
-// Len returns the lane count.
-func (b *Batch) Len() int { return len(b.Tuples) }
-
-// FillAll builds every schema column in one pass over the tuple lanes,
-// loading each tuple exactly once — the layout that matters when a consumer
-// wants the full width (columnar scan), where per-column lazy fills would
-// re-chase every tuple pointer once per column. Kind-deviation and
-// unsupported-kind rules match Col: false means fall back to the row path
-// (the deviating column stays poisoned, untouched columns stay lazy).
-func (b *Batch) FillAll() bool {
-	n := len(b.Tuples)
-	nc := len(b.cols)
-	for ci := range b.cols {
-		if b.filled[ci] {
-			if b.cols[ci].Kind == types.KindNull {
-				return false
-			}
-			continue
-		}
-		cv := &b.cols[ci]
-		kind := b.Schema.Cols[ci].Kind
-		cv.Kind = kind // scratch until filled[ci] is set
-		cv.Nulls = cv.Nulls.Reset(n)
-		switch kind {
-		case types.KindInt, types.KindBool:
-			if cap(cv.I) < n {
-				cv.I = make([]int64, n)
-			}
-			cv.I = cv.I[:n]
-		case types.KindFloat:
-			if cap(cv.F) < n {
-				cv.F = make([]float64, n)
-			}
-			cv.F = cv.F[:n]
-		case types.KindString:
-			if cap(cv.S) < n {
-				cv.S = make([]string, n)
-			}
-			cv.S = cv.S[:n]
-		default:
-			return false
-		}
-	}
-	pending := b.plan[:0]
-	for ci := 0; ci < nc; ci++ {
-		if !b.filled[ci] {
-			pending = append(pending, uint16(ci))
-		}
-	}
-	b.plan = pending
-	for i, tu := range b.Tuples {
-		vals := tu.Vals
-		for _, ci := range pending {
-			cv := &b.cols[ci]
-			v := &vals[ci]
-			switch cv.Kind {
-			case types.KindFloat:
-				switch v.Kind() {
-				case types.KindFloat:
-					cv.F[i] = v.Float()
-				case types.KindNull:
-					cv.Nulls.Set(i)
-					cv.F[i] = 0
-				default:
-					cv.Kind = types.KindNull
-					b.filled[ci] = true
-					return false
-				}
-			case types.KindString:
-				switch v.Kind() {
-				case types.KindString:
-					cv.S[i] = v.Str()
-				case types.KindNull:
-					cv.Nulls.Set(i)
-					cv.S[i] = ""
-				default:
-					cv.Kind = types.KindNull
-					b.filled[ci] = true
-					return false
-				}
-			default: // INT / BOOL
-				switch v.Kind() {
-				case cv.Kind:
-					cv.I[i] = v.Int()
-				case types.KindNull:
-					cv.Nulls.Set(i)
-					cv.I[i] = 0
-				default:
-					cv.Kind = types.KindNull
-					b.filled[ci] = true
-					return false
-				}
-			}
-		}
-	}
-	for ci := range b.filled {
-		b.filled[ci] = true
-	}
-	return true
-}
-
-// Col returns the typed vector for column ci, building it from the tuple
-// lanes on first access. ok is false when a non-NULL cell's dynamic kind
-// deviates from the schema's declared kind — the caller must fall back to
-// row-at-a-time evaluation for the whole batch (the row path re-derives
-// semantics from dynamic kinds, so nothing is lost but speed).
-func (b *Batch) Col(ci int) (*ColVec, bool) {
-	if b.filled[ci] {
-		cv := &b.cols[ci]
-		return cv, cv.Kind != types.KindNull
-	}
-	b.filled[ci] = true
-	cv := &b.cols[ci]
+// fill builds the vector of column ci, declared kind, over the tuple lanes
+// into cv, reusing its backing storage. A non-NULL cell whose dynamic kind
+// deviates from kind, or a kind with no kernel representation (VECTOR),
+// leaves cv poisoned (Kind NULL): the caller falls back to row-at-a-time
+// evaluation (the row path re-derives semantics from dynamic kinds, so
+// nothing is lost but speed).
+func (cv *ColVec) fill(kind types.Kind, tuples []*types.Tuple, ci int) {
 	cv.Kind = types.KindNull // poison until the fill succeeds
-	n := len(b.Tuples)
-	kind := b.Schema.Cols[ci].Kind
+	n := len(tuples)
 	cv.Nulls = cv.Nulls.Reset(n)
 	switch kind {
 	case types.KindInt, types.KindBool:
@@ -253,7 +111,7 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			cv.I = make([]int64, n)
 		}
 		cv.I = cv.I[:n]
-		for i, tu := range b.Tuples {
+		for i, tu := range tuples {
 			v := tu.Vals[ci]
 			switch v.Kind() {
 			case types.KindNull:
@@ -262,7 +120,7 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			case kind:
 				cv.I[i] = v.Int()
 			default:
-				return cv, false
+				return
 			}
 		}
 	case types.KindFloat:
@@ -270,7 +128,7 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			cv.F = make([]float64, n)
 		}
 		cv.F = cv.F[:n]
-		for i, tu := range b.Tuples {
+		for i, tu := range tuples {
 			v := tu.Vals[ci]
 			switch v.Kind() {
 			case types.KindNull:
@@ -279,7 +137,7 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			case types.KindFloat:
 				cv.F[i] = v.Float()
 			default:
-				return cv, false
+				return
 			}
 		}
 	case types.KindString:
@@ -287,7 +145,7 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			cv.S = make([]string, n)
 		}
 		cv.S = cv.S[:n]
-		for i, tu := range b.Tuples {
+		for i, tu := range tuples {
 			v := tu.Vals[ci]
 			switch v.Kind() {
 			case types.KindNull:
@@ -296,13 +154,171 @@ func (b *Batch) Col(ci int) (*ColVec, bool) {
 			case types.KindString:
 				cv.S[i] = v.Str()
 			default:
-				return cv, false
+				return
 			}
 		}
 	default:
-		// VECTOR (and anything new) has no kernel representation.
-		return cv, false
+		return
 	}
 	cv.Kind = kind
-	return cv, true
+}
+
+// patch writes v into lane i by the fill rules: a NULL sets the lane's NULL
+// bit, a value of the vector's kind replaces the payload, and a value of any
+// other kind poisons the vector. A poisoned vector stays poisoned.
+func (cv *ColVec) patch(i int, v types.Value) {
+	switch k := v.Kind(); {
+	case cv.Kind == types.KindNull:
+	case k == types.KindNull:
+		cv.Nulls.Set(i)
+		switch cv.Kind {
+		case types.KindFloat:
+			cv.F[i] = 0
+		case types.KindString:
+			cv.S[i] = ""
+		default:
+			cv.I[i] = 0
+		}
+	case k != cv.Kind:
+		cv.Kind = types.KindNull
+	default:
+		cv.Nulls.Clear(i)
+		switch k {
+		case types.KindFloat:
+			cv.F[i] = v.Float()
+		case types.KindString:
+			cv.S[i] = v.Str()
+		default:
+			cv.I[i] = v.Int()
+		}
+	}
+}
+
+// clone returns a deep copy of the vector.
+func (cv *ColVec) clone() *ColVec {
+	if cv.Kind == types.KindNull {
+		return &ColVec{} // poisoned: no payload worth copying
+	}
+	return &ColVec{
+		Kind:  cv.Kind,
+		I:     append([]int64(nil), cv.I...),
+		F:     append([]float64(nil), cv.F...),
+		S:     append([]string(nil), cv.S...),
+		Nulls: append(Bitmap(nil), cv.Nulls...),
+	}
+}
+
+// Chunk is a run of at most BatchSize tuple lanes of a scan source. A chunk
+// made by NewChunk keeps, per column, the typed vector the first kernel to
+// read the column built, so later scans of the same chunk read it instead
+// of the tuples. That is sound because a chunk's vectors depend only on its
+// tuple pointers, and tuples are immutable: whoever hands a chunk to
+// readers must never change its lanes again (Set is for a private copy no
+// reader holds). A zero Chunk with only Tuples set keeps no vectors: a
+// batch over it fills scratch columns per scan.
+type Chunk struct {
+	Tuples []*types.Tuple
+	cols   []atomic.Pointer[ColVec] // nil: no vector cache
+}
+
+// NewChunk returns a chunk over tuples that caches vectors for ncols
+// columns.
+func NewChunk(tuples []*types.Tuple, ncols int) *Chunk {
+	return &Chunk{Tuples: tuples, cols: make([]atomic.Pointer[ColVec], ncols)}
+}
+
+// col returns column ci's vector, building and publishing it on first use.
+// Concurrent readers may build it twice; the first to publish wins, and
+// both builds are equal.
+func (c *Chunk) col(ci int, kind types.Kind) *ColVec {
+	if cv := c.cols[ci].Load(); cv != nil {
+		return cv
+	}
+	cv := &ColVec{}
+	cv.fill(kind, c.Tuples, ci)
+	if c.cols[ci].CompareAndSwap(nil, cv) {
+		return cv
+	}
+	return c.cols[ci].Load()
+}
+
+// Clone returns a private copy of the chunk: the same tuple pointers and a
+// copy of every vector built so far, which Set may then change in place.
+func (c *Chunk) Clone() *Chunk {
+	nc := NewChunk(append([]*types.Tuple(nil), c.Tuples...), len(c.cols))
+	for ci := range c.cols {
+		if cv := c.cols[ci].Load(); cv != nil {
+			nc.cols[ci].Store(cv.clone())
+		}
+	}
+	return nc
+}
+
+// Set replaces lane i's tuple with tu, an image that differs from the old
+// one in column ci's value (and in its enrichment marks) only, and patches
+// ci's vector if one is built. Only the owner of a private copy (Clone) may
+// call it, before any reader has the chunk.
+func (c *Chunk) Set(i int, tu *types.Tuple, ci int) {
+	c.Tuples[i] = tu
+	if cv := c.cols[ci].Load(); cv != nil {
+		cv.patch(i, tu.Vals[ci])
+	}
+}
+
+// Batch is a column-oriented window over one chunk of base-table tuples:
+// its tuple lanes plus the typed columns a compiled predicate reads, taken
+// from the chunk's vectors or, for a chunk without them, filled into the
+// batch's scratch. The batch assumes single-slot (base scan) schemas:
+// column index ci addresses Tuples[lane].Vals[ci] directly.
+//
+// Ownership: a Batch never owns tuple storage — Tuples aliases the chunk,
+// and column payloads are copies of tuple cells, either the chunk's (shared
+// with every scan of it) or the batch's own scratch. Batches are reused
+// across chunks via Reset; consumers must not modify column slices, nor
+// retain scratch ones across callbacks.
+type Batch struct {
+	Schema *RowSchema
+	Tuples []*types.Tuple
+
+	chunk *Chunk
+	vecs  []*ColVec // column ci's vector once Col resolved it
+	cols  []ColVec  // scratch fills for a chunk without vectors
+}
+
+// Reset points the batch at a new chunk, forgetting every resolved column
+// while keeping the scratch storage for reuse.
+func (b *Batch) Reset(rs *RowSchema, c *Chunk) {
+	b.Schema = rs
+	b.Tuples = c.Tuples
+	b.chunk = c
+	nc := len(rs.Cols)
+	if cap(b.vecs) < nc {
+		b.vecs = make([]*ColVec, nc)
+		b.cols = make([]ColVec, nc)
+	}
+	b.vecs = b.vecs[:nc]
+	b.cols = b.cols[:nc]
+	clear(b.vecs)
+}
+
+// Len returns the lane count.
+func (b *Batch) Len() int { return len(b.Tuples) }
+
+// Col returns the typed vector for column ci: the chunk's, built on the
+// chunk's first read of the column, or a scratch fill. ok is false when a
+// non-NULL cell's dynamic kind deviates from the schema's declared kind —
+// the caller must fall back to row-at-a-time evaluation for the whole batch.
+func (b *Batch) Col(ci int) (*ColVec, bool) {
+	cv := b.vecs[ci]
+	if cv == nil {
+		kind := b.Schema.Cols[ci].Kind
+		if b.chunk.cols != nil {
+			cv = b.chunk.col(ci, kind)
+		} else {
+			cv = &b.cols[ci]
+			cv.fill(kind, b.Tuples, ci)
+		}
+		b.vecs[ci] = cv
+	}
+	return cv, cv.Kind != types.KindNull
 }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"testing"
 
 	"enrichdb/internal/catalog"
@@ -61,7 +62,7 @@ func TestBatchColFillAndReuse(t *testing.T) {
 		}}
 	}
 	var b Batch
-	b.Reset(rs, []*types.Tuple{mk(1, 1.5, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 3.5, "c")})
+	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(1, 1.5, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 3.5, "c")}})
 	iv, ok := b.Col(0)
 	if !ok || iv.Kind != types.KindInt {
 		t.Fatal("INT column fill failed")
@@ -80,7 +81,7 @@ func TestBatchColFillAndReuse(t *testing.T) {
 
 	// Reuse with a kind deviation: the refill must bail, and keep bailing on
 	// repeated access within the same stride.
-	b.Reset(rs, []*types.Tuple{{ID: 4, Vals: []types.Value{types.NewString("oops"), types.Null, types.Null}}})
+	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{{ID: 4, Vals: []types.Value{types.NewString("oops"), types.Null, types.Null}}}})
 	if _, ok := b.Col(0); ok {
 		t.Fatal("kind deviation not detected")
 	}
@@ -88,9 +89,61 @@ func TestBatchColFillAndReuse(t *testing.T) {
 		t.Fatal("cached deviation lost on second access")
 	}
 	// And a fresh Reset clears the poisoned state.
-	b.Reset(rs, []*types.Tuple{mk(9, 9.5, "z")})
+	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(9, 9.5, "z")}})
 	if iv, ok := b.Col(0); !ok || iv.I[0] != 9 {
 		t.Fatal("batch did not recover after Reset")
+	}
+}
+
+// TestChunkVectorsBuiltOnceAndPatchedInCopy: a chunk keeps the vector the
+// first batch built and hands it to the next batch; Set on a clone patches
+// the clone's copy by the fill rules (value, NULL over value, value over
+// NULL, another kind poisons) and leaves the original's vector alone.
+func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
+	rs := batchTestSchema()
+	row := func(id int64, i, f, s types.Value) *types.Tuple {
+		return &types.Tuple{ID: id, Vals: []types.Value{i, f, s}}
+	}
+	c := NewChunk([]*types.Tuple{
+		row(1, types.NewInt(1), types.NewFloat(1), types.NewString("a")),
+		row(2, types.Null, types.Null, types.Null),
+		row(3, types.NewInt(3), types.NewFloat(3), types.NewString("c")),
+	}, 3)
+	var b Batch
+	b.Reset(rs, c)
+	iv, _ := b.Col(0)
+	fv, _ := b.Col(1)
+	sv, _ := b.Col(2)
+	b.Reset(rs, c)
+	if again, _ := b.Col(0); again != iv {
+		t.Fatal("second batch over the chunk rebuilt its vector")
+	}
+
+	cp := c.Clone()
+	cp.Set(0, row(1, types.NewInt(7), types.NewFloat(1), types.NewString("a")), 0) // value over value
+	cp.Set(2, row(3, types.NewInt(3), types.Null, types.NewString("c")), 1)        // NULL over value
+	cp.Set(1, row(2, types.Null, types.Null, types.NewString("b")), 2)             // value over NULL
+	cp.Set(1, row(2, types.NewString("x"), types.Null, types.NewString("b")), 0)   // another kind
+	b.Reset(rs, cp)
+	if _, ok := b.Col(0); ok {
+		t.Fatal("a value of another kind did not poison the copy's INT vector")
+	}
+	cf, _ := b.Col(1)
+	cs, _ := b.Col(2)
+	if !cf.Nulls.Get(2) || cf.F[2] != 0 || cs.Nulls.Get(1) || cs.S[1] != "b" {
+		t.Fatalf("patched copy: floats %v nulls %v, strings %q nulls %v", cf.F, cf.Nulls, cs.S, cs.Nulls)
+	}
+	if iv.I[0] != 1 || fv.Nulls.Get(2) || !sv.Nulls.Get(1) || c.Tuples[0].Vals[0].Int() != 1 {
+		t.Fatal("Set on the copy changed the original chunk")
+	}
+	// A patched vector equals a fresh build over the copy's lanes.
+	var fresh Batch
+	fresh.Reset(rs, &Chunk{Tuples: cp.Tuples})
+	for ci, got := range []*ColVec{cf, cs} {
+		want, _ := fresh.Col(ci + 1)
+		if fmt.Sprint(got.F, got.S, got.Nulls) != fmt.Sprint(want.F, want.S, want.Nulls) {
+			t.Errorf("column %d: patched %v, rebuilt %v", ci+1, got, want)
+		}
 	}
 }
 
@@ -169,7 +222,7 @@ func TestVecPredKleeneLanes(t *testing.T) {
 		t.Fatal("predicate did not compile")
 	}
 	var b Batch
-	b.Reset(rs, tuples)
+	b.Reset(rs, &Chunk{Tuples: tuples})
 	var tm, nf Bitmap
 	tm = tm.Reset(3)
 	tm.SetAll(3)

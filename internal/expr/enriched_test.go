@@ -43,7 +43,7 @@ func TestEnrichedKernelMatchesRowPath(t *testing.T) {
 				t.Fatalf("%s did not compile to one kernel", e)
 			}
 			var b Batch
-			b.Reset(rs, tuples)
+			b.Reset(rs, &Chunk{Tuples: tuples})
 			tb, nf := Bitmap(nil).Reset(len(tuples)), Bitmap(nil).Reset(len(tuples))
 			tb.SetAll(len(tuples))
 			nf.SetAll(len(tuples))
@@ -138,7 +138,7 @@ func TestGuardedKernelMatchesRowPath(t *testing.T) {
 		t.Fatalf("%s did not compile to three kernels with a pending suffix", pred)
 	}
 	var b Batch
-	b.Reset(rs, tuples)
+	b.Reset(rs, &Chunk{Tuples: tuples})
 	n := len(tuples)
 	tb, nf, pend := Bitmap(nil).Reset(n), Bitmap(nil).Reset(n), Bitmap(nil).Reset(n)
 	tb.SetAll(n)

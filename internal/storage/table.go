@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/types"
 )
 
@@ -34,6 +35,11 @@ type Table struct {
 	nextSeq uint64 // local insertion-sequence counter for Seq-less inserts
 
 	indexes map[string]*hashIndex // fixed-column name -> index
+
+	// viewMu serialises View, the one reader and writer of chunks: the last
+	// view's chunks as View built them, never written since.
+	viewMu sync.Mutex
+	chunks []*expr.Chunk
 
 	// Lifetime counters (guarded by mu); surfaced via Stats for the
 	// storage.* telemetry gauges.
@@ -332,10 +338,8 @@ func (t *Table) Scan(fn func(*types.Tuple) bool) {
 }
 
 // Tuples returns a snapshot slice of all stored tuples in insertion order.
-// The slice is freshly allocated (safe to partition across goroutines after
-// the call returns); the tuples are the stored ones and must not be mutated.
-// This is the entry point of the partitioned parallel scan: one short lock
-// hold, then lock-free row materialization.
+// The slice is freshly allocated; the tuples are the stored ones and must
+// not be mutated.
 func (t *Table) Tuples() []*types.Tuple {
 	return t.TuplesInto(nil)
 }

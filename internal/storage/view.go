@@ -2,9 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/types"
 )
 
@@ -13,6 +15,12 @@ import (
 // Tuples are immutable (storage is copy-on-write), so the view needs no
 // coordination with the live table after construction — compaction and
 // concurrent writers can do whatever they like to the slab.
+//
+// The view holds its tuples in chunks of expr.BatchSize lanes (the last may
+// be shorter), and scans read those chunks, typed column vectors included
+// (expr.Chunk). A chunk a scan has read is sealed: it never changes again,
+// so its vectors stay valid for every later scan. Table.View hands the next
+// view the same chunk wherever its lanes hold the same tuple pointers.
 //
 // A view is also the session-side write surface for enrichment: WriteDerived
 // applies a derived value to the view's private image (so the session's own
@@ -29,18 +37,61 @@ type TableView struct {
 	schema *catalog.Schema
 
 	mu     sync.RWMutex
-	tuples []*types.Tuple // frozen slab order; COW-replaced by WriteDerived
-	slot   map[int64]int
+	chunks []*expr.Chunk
+	// private[k]: chunks[k] is this view's own copy and no scan has read it
+	// since, so a write goes in place; otherwise a write copies it first.
+	private []bool
+	slot    map[int64]int // tuple id -> lane across chunks
 }
 
-// View freezes the table's current live tuples as a snapshot view.
+// View freezes the table's current live tuples as a snapshot view. Where a
+// chunk's run of live tuples is pointer for pointer the previous view's, the
+// new view shares that chunk, and with it the vectors scans have built.
 func (t *Table) View() *TableView {
-	tuples := t.Tuples()
-	slot := make(map[int64]int, len(tuples))
-	for i, tu := range tuples {
-		slot[tu.ID] = i
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	t.mu.RLock()
+	n := t.live
+	chunks := make([]*expr.Chunk, 0, (n+expr.BatchSize-1)/expr.BatchSize)
+	run := make([]*types.Tuple, 0, expr.BatchSize)
+	for _, tu := range t.slab {
+		if tu == nil {
+			continue
+		}
+		run = append(run, tu)
+		if len(run) == expr.BatchSize {
+			chunks = append(chunks, t.reuseChunk(len(chunks), run))
+			run = run[:0]
+		}
 	}
-	return &TableView{parent: t, schema: t.schema, tuples: tuples, slot: slot}
+	if len(run) > 0 {
+		chunks = append(chunks, t.reuseChunk(len(chunks), run))
+	}
+	t.mu.RUnlock()
+	t.chunks = chunks
+
+	slot := make(map[int64]int, n)
+	for k, c := range chunks {
+		for i, tu := range c.Tuples {
+			slot[tu.ID] = k*expr.BatchSize + i
+		}
+	}
+	return &TableView{
+		parent:  t,
+		schema:  t.schema,
+		chunks:  append([]*expr.Chunk(nil), chunks...),
+		private: make([]bool, len(chunks)),
+		slot:    slot,
+	}
+}
+
+// reuseChunk returns the previous view's k-th chunk when its lanes are
+// exactly run, else a new chunk over a copy of run. Caller holds viewMu.
+func (t *Table) reuseChunk(k int, run []*types.Tuple) *expr.Chunk {
+	if k < len(t.chunks) && slices.Equal(t.chunks[k].Tuples, run) {
+		return t.chunks[k]
+	}
+	return expr.NewChunk(append([]*types.Tuple(nil), run...), len(t.schema.Cols))
 }
 
 // Schema returns the underlying table's schema.
@@ -50,7 +101,7 @@ func (v *TableView) Schema() *catalog.Schema { return v.schema }
 func (v *TableView) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.tuples)
+	return len(v.slot)
 }
 
 // Get returns the snapshot's tuple with the given id, or nil.
@@ -58,7 +109,7 @@ func (v *TableView) Get(id int64) *types.Tuple {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	if i, ok := v.slot[id]; ok {
-		return v.tuples[i]
+		return v.chunks[i/expr.BatchSize].Tuples[i%expr.BatchSize]
 	}
 	return nil
 }
@@ -76,29 +127,34 @@ func (v *TableView) Scan(fn func(*types.Tuple) bool) {
 // Tuples returns a freshly allocated slice of the snapshot's tuples in slab
 // order.
 func (v *TableView) Tuples() []*types.Tuple {
-	return v.TuplesInto(nil)
-}
-
-// TuplesInto mirrors Table.TuplesInto: the frozen snapshot is copied into
-// buf[:0], reusing its capacity when possible.
-func (v *TableView) TuplesInto(buf []*types.Tuple) []*types.Tuple {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := buf[:0]
-	if cap(out) < len(v.tuples) {
-		out = make([]*types.Tuple, 0, len(v.tuples))
+	out := make([]*types.Tuple, 0, len(v.slot))
+	for _, c := range v.chunks {
+		out = append(out, c.Tuples...)
 	}
-	out = append(out, v.tuples...)
 	return out
+}
+
+// ChunksInto seals the view's chunks and appends them, in slab order, into
+// buf[:0]: a write after this call copies the chunk it lands in, so the
+// returned chunks, and the vectors scans build on them, never change.
+func (v *TableView) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	clear(v.private)
+	return append(buf[:0], v.chunks...)
 }
 
 // IDs returns the snapshot's tuple ids in slab order.
 func (v *TableView) IDs() []int64 {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make([]int64, len(v.tuples))
-	for i, tu := range v.tuples {
-		out[i] = tu.ID
+	out := make([]int64, 0, len(v.slot))
+	for _, c := range v.chunks {
+		for _, tu := range c.Tuples {
+			out = append(out, tu.ID)
+		}
 	}
 	return out
 }
@@ -124,8 +180,15 @@ func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint
 	}
 	v.mu.Lock()
 	i, ok := v.slot[id]
-	if ok && v.tuples[i].Gen == gen {
-		v.tuples[i] = markedImage(v.schema, v.tuples[i], ci, val, mark)
+	if ok {
+		k, lane := i/expr.BatchSize, i%expr.BatchSize
+		if c := v.chunks[k]; c.Tuples[lane].Gen == gen {
+			if !v.private[k] {
+				c = c.Clone()
+				v.chunks[k], v.private[k] = c, true
+			}
+			c.Set(lane, markedImage(v.schema, c.Tuples[lane], ci, val, mark), ci)
+		}
 	}
 	v.mu.Unlock()
 	if !ok {
