@@ -88,10 +88,9 @@ serve-soak:
 	$(GO) test -race -count=$$(( $(SOAK_SECONDS) / 5 + 1 )) -timeout $$(( $(SOAK_SECONDS) + 300 ))s \
 		-run 'TestChaos|TestDrainUnderLoad' ./internal/server
 
-# Sharded equivalence battery and the shard package's partition/fleet/store
+# Sharded equivalence battery and the shard package's partition/store/merge
 # suites under the race detector: byte-identical sharded≡unsharded output,
-# routing, the Seq-ascending merge invariant, work stealing, hedging and
-# failover.
+# routing and the Seq-ascending merge invariant.
 shard-race:
 	$(GO) test -race -count=1 -run 'TestShardEquivalence' . \
 		&& $(GO) test -race -count=1 ./internal/shard/...
@@ -209,19 +208,14 @@ bench-adaptive:
 		-note "Adaptive optimization (DESIGN §14): progressive time-to-F1 target under SB(RO)/SB(FO)/Adaptive strategies; regenerate with \`make bench-adaptive\`."
 	@rm -f .bench-adaptive.test
 
-# Re-measure the sharding benchmarks into BENCH_shard.json: scatter-gather
+# Re-measure the sharding benchmark into BENCH_shard.json: scatter-gather
 # scan over 1/2/4/8 shard replicas (same rows, same filter, byte-identical
-# merged output) and the enrichment fleet's hedged-request tail — identical
-# batches against a fleet with one 10×-slow server, hedging on vs off; the
-# p99-ns metric pair is the headline (hedging clips the straggler's tail).
-# Same process-isolation discipline as bench-kernel.
+# merged output). Same process-isolation discipline as bench-kernel.
 SHARD_BENCHES := \
 	'^BenchmarkShardScan$$/^shards=1$$=30x' \
 	'^BenchmarkShardScan$$/^shards=2$$=30x' \
 	'^BenchmarkShardScan$$/^shards=4$$=30x' \
-	'^BenchmarkShardScan$$/^shards=8$$=30x' \
-	'^BenchmarkShardHedgeTail$$/hedged=50x' \
-	'^BenchmarkShardHedgeTail$$/nohedge=50x'
+	'^BenchmarkShardScan$$/^shards=8$$=30x'
 
 bench-shard:
 	@$(GO) test -c -o .bench-shard.test ./internal/bench
@@ -229,7 +223,7 @@ bench-shard:
 		./.bench-shard.test -test.run '^$$' -test.bench "$${p%=*}" \
 			-test.benchtime "$${p##*=}" -test.benchmem || exit 1; \
 	done; } | $(GO) run ./cmd/benchjson -label current -out BENCH_shard.json \
-		-note "Sharding (DESIGN §15): scatter-gather scan scaling across shard counts and the enrichment fleet's hedged-tail p99 vs no-hedge with one 10x-slow server; regenerate with \`make bench-shard\`."
+		-note "Sharding (DESIGN §15): scatter-gather scan scaling across shard counts; regenerate with \`make bench-shard\`."
 	@rm -f .bench-shard.test
 
 # Adaptive equivalence battery under the race detector: the byte-identical

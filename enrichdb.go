@@ -365,18 +365,12 @@ type EnrichmentServerConfig struct {
 	// sequential, negative = GOMAXPROCS).
 	Workers int
 	// FaultLatency, if positive, delays every batch this server executes —
-	// a degraded (slow) fleet member for fault testing.
+	// a degraded (slow) enrichment server for fault testing.
 	FaultLatency time.Duration
-	// FaultErrorRate, if positive, fails roughly that fraction of requests
-	// (0..1) with injected errors, deterministically from FaultSeed.
-	FaultErrorRate float64
-	// FaultSeed seeds the injected-error stream (used when FaultErrorRate>0).
-	FaultSeed int64
 }
 
 // EnrichmentServerHandle is a started enrichment server: its bound address,
-// plus the hooks the shard-fault harness uses to kill or degrade one fleet
-// member.
+// and Close, which the fault harness's kill plan calls mid-run.
 type EnrichmentServerHandle struct {
 	srv  *remote.Server
 	addr string
@@ -385,14 +379,10 @@ type EnrichmentServerHandle struct {
 // Addr returns the server's bound address.
 func (h *EnrichmentServerHandle) Addr() string { return h.addr }
 
-// Close drains and stops the server (a killed fleet member: in-flight
-// batches finish or time out, new calls fail over to other servers).
+// Close drains and stops the server (a killed enrichment server: in-flight
+// batches finish or time out; later calls fail, and a loose query answers
+// NULL for what it could not enrich).
 func (h *EnrichmentServerHandle) Close() error { return h.srv.Close() }
-
-// DropConnections abruptly severs every live client connection without
-// stopping the listener (a network blip, not a dead server). Returns the
-// number of connections dropped.
-func (h *EnrichmentServerHandle) DropConnections() int { return h.srv.DropConnections() }
 
 // ServeEnrichment starts an enrichment server for the loose design on addr
 // (use "127.0.0.1:0" for an ephemeral port). The server executes this
@@ -400,12 +390,8 @@ func (h *EnrichmentServerHandle) DropConnections() int { return h.srv.DropConnec
 // too.
 func (db *DB) ServeEnrichment(addr string, cfg EnrichmentServerConfig) (*EnrichmentServerHandle, error) {
 	var enricher loose.Enricher = &loose.LocalEnricher{Mgr: db.mgr, Workers: cfg.Workers}
-	if cfg.FaultLatency > 0 || cfg.FaultErrorRate > 0 {
-		enricher = faultinject.Wrap(enricher, faultinject.Plan{
-			Seed:      cfg.FaultSeed,
-			ErrorRate: cfg.FaultErrorRate,
-			Latency:   cfg.FaultLatency,
-		})
+	if cfg.FaultLatency > 0 {
+		enricher = faultinject.Wrap(enricher, faultinject.Plan{Latency: cfg.FaultLatency})
 	}
 	srv, bound, err := remote.ServeEnricher(addr, enricher,
 		remote.ServerOptions{MaxConns: cfg.MaxConns, DrainTimeout: cfg.DrainTimeout,
@@ -456,6 +442,13 @@ func (db *DB) ConnectEnrichmentServer(addr string, cfg EnrichmentClientConfig) e
 func (db *DB) UseLocalEnrichment() {
 	db.closeEnricher()
 	db.enricher = &loose.LocalEnricher{Mgr: db.mgr}
+}
+
+// closeEnricher releases the current enricher's transport, if it has one.
+func (db *DB) closeEnricher() {
+	if c, ok := db.enricher.(*remote.Client); ok {
+		c.Close()
+	}
 }
 
 // Close releases transports started by this DB.

@@ -1,29 +1,18 @@
 package bench
 
-// Sharding benchmarks backing BENCH_shard.json (`make bench-shard`):
-//
-//   - BenchmarkShardScan measures scatter-gather scan scaling: the same
-//     filter scan over the same rows on 1/2/4/8 shard replicas through the
-//     public query path, merged back to byte-identical unsharded order.
-//     On a multi-core host the per-shard scans run in parallel; on a
-//     single-core host the series instead measures the scatter overhead
-//     (per-shard planning + merge), which is the honest number there.
-//   - BenchmarkShardHedgeTail measures the hedged-request tail: a 3-server
-//     enrichment fleet where one server is 10× slower answers identical
-//     batches with hedging on and off; the recorded p99-ns metric is the
-//     headline pair (hedging should clip the straggler's tail, the ns/op
-//     means stay comparable).
+// BenchmarkShardScan backs BENCH_shard.json (`make bench-shard`). It
+// measures scatter-gather scan scaling: the same filter scan over the same
+// rows on 1/2/4/8 shard replicas through the public query path, merged back
+// to byte-identical unsharded order. On a multi-core host the per-shard
+// scans run in parallel; on a single-core host the series instead measures
+// the scatter overhead (per-shard planning + merge), which is the honest
+// number there.
 
 import (
 	"fmt"
-	"sort"
 	"testing"
-	"time"
 
 	"enrichdb"
-	"enrichdb/internal/loose"
-	"enrichdb/internal/loose/remote"
-	"enrichdb/internal/shard"
 )
 
 const (
@@ -75,75 +64,4 @@ func BenchmarkShardScan(b *testing.B) {
 			}
 		})
 	}
-}
-
-// hedgeEnricher answers instantly except for a fixed per-batch delay — the
-// straggler server in the tail benchmark.
-type hedgeEnricher struct{ delay time.Duration }
-
-func (e *hedgeEnricher) EnrichBatch(reqs []loose.Request) ([]loose.Response, loose.BatchTiming, error) {
-	if e.delay > 0 {
-		time.Sleep(e.delay)
-	}
-	out := make([]loose.Response, len(reqs))
-	for i, r := range reqs {
-		out[i] = loose.Response{Relation: r.Relation, TID: r.TID, Attr: r.Attr,
-			FnID: r.FnID, Gen: r.Gen, Probs: []float64{1, 0}}
-	}
-	return out, loose.BatchTiming{}, nil
-}
-
-func (e *hedgeEnricher) Close() error { return nil }
-
-func benchmarkHedgeTail(b *testing.B, hedgeDelay time.Duration) {
-	const fleetSize = 3
-	const slow = 5 * time.Millisecond // the straggler: ~10× a fast batch
-	addrs := make([]string, fleetSize)
-	for i := 0; i < fleetSize; i++ {
-		var delay time.Duration
-		if i == 0 {
-			delay = slow
-		}
-		srv, bound, err := remote.ServeEnricher("127.0.0.1:0", &hedgeEnricher{delay: delay}, remote.ServerOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		addrs[i] = bound
-	}
-	fleet, err := shard.DialFleet(addrs, shard.FleetOptions{HedgeDelay: hedgeDelay, SubBatch: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer fleet.Close()
-	reqs := make([]loose.Request, 96)
-	for i := range reqs {
-		reqs[i] = loose.Request{Relation: "R", TID: int64(i + 1), Attr: "label", FnID: 1}
-	}
-	// Untimed warm-up: dials, worker pools and the first slow-server round
-	// trip all land here, not in the tail measurement.
-	for i := 0; i < 3; i++ {
-		if _, _, err := fleet.EnrichBatch(reqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	durs := make([]time.Duration, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, _, err := fleet.EnrichBatch(reqs); err != nil {
-			b.Fatal(err)
-		}
-		durs = append(durs, time.Since(start))
-	}
-	b.StopTimer()
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	// Override the default ns/op (the mean) with the p99 batch latency —
-	// the tail is the headline this benchmark exists to compare.
-	b.ReportMetric(float64(durs[len(durs)*99/100].Nanoseconds()), "ns/op")
-}
-
-func BenchmarkShardHedgeTail(b *testing.B) {
-	b.Run("hedged", func(b *testing.B) { benchmarkHedgeTail(b, time.Millisecond) })
-	b.Run("nohedge", func(b *testing.B) { benchmarkHedgeTail(b, -1) })
 }

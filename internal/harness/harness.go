@@ -85,19 +85,29 @@ type Config struct {
 	// 1 keeps the classic unsharded database. Replay uses the same shard
 	// count, so the serial-replay oracle holds per shard configuration.
 	Shards int
-	// Fleet >= 1 starts that many in-process enrichment servers sharing
-	// the database's models and drives the loose design through the fleet
-	// client (least-loaded routing, work stealing, hedged requests).
-	Fleet int
-	// SlowServer, when positive, degrades fleet server 0 with that much
-	// extra per-batch latency — the "one shard's server is 10× slower"
-	// fault plan. Pure latency: hedging should absorb it without failures.
+	// Remote starts one in-process enrichment server (ServeEnrichment)
+	// sharing the database's models and drives the loose design through it
+	// (ConnectEnrichmentServer), as the paper's loose design does.
+	Remote bool
+	// SlowServer, when positive, adds that much latency to every batch the
+	// server executes (requires Remote). Pure latency: the client's call
+	// deadline is far longer, so nothing may degrade.
 	SlowServer time.Duration
-	// KillServer closes the last fleet server mid-run (requires Fleet >=
-	// 1). With survivors the fleet fails over; degraded loose queries
-	// (FailedEnrichments > 0) are tolerated and counted, not failed.
+	// KillServer closes the server mid-run, once killAfterLoose loose
+	// queries have completed (requires Remote). Later loose enrichments
+	// fail; degraded loose queries (FailedEnrichments > 0) are tolerated and
+	// counted, not failed.
 	KillServer bool
 }
+
+// The kill plan fires on workload progress, not on a timer: killAfterLoose
+// loose queries complete against the live server first, so the remote path
+// has run, and the kill's fresh rows (ids from killRowBase, one per group)
+// give the loose query after it work for the dead server.
+const (
+	killAfterLoose = 2
+	killRowBase    = 900_000
+)
 
 // faultsActive reports whether a fault plan that can fail enrichments is
 // running — only then are degraded loose queries tolerated.
@@ -139,8 +149,9 @@ type Report struct {
 	MaxObservedLabel int64  // distinct labels seen (sanity: workload exercised enrichment)
 	Version          uint64 // final commit version
 
-	Shards   int   // shard replicas the run used (1 = unsharded)
-	Degraded int64 // loose queries with failed enrichments tolerated under fault plans
+	Shards        int   // shard replicas the run used (1 = unsharded)
+	Degraded      int64 // loose queries with failed enrichments tolerated under fault plans
+	ServerBatches int64 // batches the enrichment server executed (remote.server.batches)
 }
 
 // op is one committed write, replayable on a fresh database.
@@ -277,10 +288,12 @@ type runState struct {
 	rejected    atomic.Int64
 	progressive atomic.Int64
 	degraded    atomic.Int64
+	looseDone   atomic.Int64 // completed loose queries, the kill plan's trigger
+	killed      atomic.Bool
 
-	// handles are the fleet servers the run started (nil without a fleet);
-	// the kill fault plan closes one mid-run.
-	handles []*enrichdb.EnrichmentServerHandle
+	// server is the enrichment server a Remote run started (nil otherwise);
+	// the kill plan closes it.
+	server *enrichdb.EnrichmentServerHandle
 
 	failMu     sync.Mutex
 	violations []string
@@ -391,6 +404,9 @@ func (h *runState) session(s int) {
 		design := designs[(s+i)%len(designs)]
 		sql := randQuery(rng)
 		progressiveSeed := rng.Int63() // drawn unconditionally: keeps the rng stream design-independent
+		if design == "loose" {
+			h.maybeKill()
+		}
 		sess, err := h.db.Session()
 		if errors.Is(err, enrichdb.ErrSessionTimeout) {
 			h.rejected.Add(1)
@@ -409,6 +425,9 @@ func (h *runState) session(s int) {
 		// take the last arm. A progressive answer depends on its epochs, so
 		// it is counted, not replayed.
 		res, err := sess.Run(context.Background(), libraryDesign[design], sql, obs)
+		if design == "loose" {
+			h.looseDone.Add(1)
+		}
 		switch {
 		case err != nil:
 			h.fail("session %d: %s %q: %v", s, design, sql, err)
@@ -425,6 +444,29 @@ func (h *runState) session(s int) {
 			h.record(recordedQuery{Version: sess.Version(), Design: design, SQL: sql, Result: canon(res.Rows)})
 		}
 		sess.Close()
+	}
+}
+
+// maybeKill is the kill fault plan, run before each loose query opens its
+// session. The first loose query to start after killAfterLoose have
+// completed closes the server (Close drains in-flight batches; it is
+// idempotent, so the deferred db.Close composes with it), then commits one
+// fresh row per group: whichever template that query drew, its probe finds
+// an unenriched row to send to the dead server.
+func (h *runState) maybeKill() {
+	if !h.cfg.KillServer || h.looseDone.Load() < killAfterLoose || !h.killed.CompareAndSwap(false, true) {
+		return
+	}
+	if err := h.server.Close(); err != nil {
+		h.fail("kill plan: %v", err)
+		return
+	}
+	for g := int64(0); g < groups; g++ {
+		o := op{Kind: "insert", ID: killRowBase + g, Grp: g, Vec: []float64{0, float64(g), 0}}
+		if err := h.commit(o); err != nil {
+			h.fail("kill plan: %s: %v", o, err)
+			return
+		}
 	}
 }
 
@@ -469,6 +511,9 @@ func (h *runState) observe() {
 // error carries the seed and, for replay failures, a minimized op trace.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
+	if (cfg.SlowServer > 0 || cfg.KillServer) && !cfg.Remote {
+		return nil, errors.New("harness: SlowServer and KillServer need Remote")
+	}
 	db, err := newDB(cfg)
 	if err != nil {
 		return nil, err
@@ -476,28 +521,18 @@ func Run(cfg Config) (*Report, error) {
 	defer db.Close()
 	h := &runState{cfg: cfg, db: db, obs: make(map[obsKey]enrichdb.Value)}
 
-	// Fleet: start cfg.Fleet enrichment servers and route the loose design
-	// through them. The fleet is wired here rather than in newDB so the
+	// Remote: start one enrichment server and route the loose design
+	// through it. The server is wired here rather than in newDB so the
 	// replay database enriches locally — the classifier is deterministic, so
-	// local and fleet answers agree and the replay oracle still holds.
-	// Server 0 carries the SlowServer latency plan; hedging absorbs it.
-	if cfg.Fleet > 0 {
-		addrs := make([]string, cfg.Fleet)
-		for i := 0; i < cfg.Fleet; i++ {
-			var srvCfg enrichdb.EnrichmentServerConfig
-			if i == 0 && cfg.SlowServer > 0 {
-				srvCfg.FaultLatency = cfg.SlowServer
-				srvCfg.FaultSeed = cfg.Seed
-			}
-			hdl, err := db.ServeEnrichment("127.0.0.1:0", srvCfg)
-			if err != nil {
-				return nil, fmt.Errorf("harness: fleet server %d: %w", i, err)
-			}
-			h.handles = append(h.handles, hdl)
-			addrs[i] = hdl.Addr()
+	// local and remote answers agree and the replay oracle still holds.
+	if cfg.Remote {
+		h.server, err = db.ServeEnrichment("127.0.0.1:0",
+			enrichdb.EnrichmentServerConfig{FaultLatency: cfg.SlowServer})
+		if err != nil {
+			return nil, fmt.Errorf("harness: enrichment server: %w", err)
 		}
-		if err := db.ConnectEnrichmentFleet(addrs, enrichdb.HedgeConfig{Delay: 5 * time.Millisecond}); err != nil {
-			return nil, fmt.Errorf("harness: fleet dial: %w", err)
+		if err := db.ConnectEnrichmentServer(h.server.Addr(), enrichdb.EnrichmentClientConfig{}); err != nil {
+			return nil, fmt.Errorf("harness: enrichment server dial: %w", err)
 		}
 	}
 
@@ -534,18 +569,6 @@ func Run(cfg Config) (*Report, error) {
 	for s := 0; s < cfg.Sessions; s++ {
 		wg.Add(1)
 		go func(s int) { defer wg.Done(); h.session(s) }(s)
-	}
-	// Fault plan: kill the last fleet server mid-run. Server.Close is
-	// idempotent, so the deferred db.Close composing with this is fine.
-	if cfg.KillServer && len(h.handles) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			time.Sleep(3 * time.Millisecond)
-			if err := h.handles[len(h.handles)-1].Close(); err != nil {
-				h.fail("kill plan: %v", err)
-			}
-		}()
 	}
 	wg.Wait()
 	close(stopObs)
@@ -584,11 +607,12 @@ func Run(cfg Config) (*Report, error) {
 	drops := reg.Counter("enrich.stale_drops").Value()
 	rep.Enrichments = runs
 	rep.StaleDrops = drops
-	// With a fleet, hedged sub-batches and failover retries legitimately
-	// re-execute the function on a second server (the duplicate answer is
-	// discarded client-side), so the dedup-optimal bound only holds for
-	// local enrichment.
-	if cfg.Fleet == 0 && runs > stores+drops {
+	rep.ServerBatches = reg.Counter("remote.server.batches").Value()
+	// The bound holds on every plan, killed servers included: the server
+	// executes through this database's manager, so a batch the client
+	// retries finds the first attempt's stored output, and a batch the dead
+	// server rejected executed nothing.
+	if runs > stores+drops {
 		h.fail("dedup violation: %d function runs > %d first-stores + %d stale-drops",
 			runs, stores, drops)
 	}

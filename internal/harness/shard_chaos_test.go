@@ -34,69 +34,72 @@ func TestRunShardedSeeds(t *testing.T) {
 	}
 }
 
-// TestRunFleet drives loose enrichment through a 3-server fleet with no
-// faults: nothing may degrade, and the oracles hold.
-func TestRunFleet(t *testing.T) {
-	rep, err := Run(Config{Seed: 41, Shards: 2, Fleet: 3})
+// remoteRun runs cfg with the loose design on one enrichment server and
+// checks that the remote path ran: the server executed at least one batch.
+func remoteRun(t *testing.T, cfg Config) *Report {
+	t.Helper()
+	cfg.Remote = true
+	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.ServerBatches == 0 {
+		t.Fatal("remote.server.batches = 0: no loose enrichment reached the server")
+	}
+	return rep
+}
+
+// TestRunRemote drives loose enrichment through one enrichment server with
+// no faults: nothing may degrade, and the oracles hold.
+func TestRunRemote(t *testing.T) {
+	rep := remoteRun(t, Config{Seed: 41, Shards: 2})
 	if rep.Degraded != 0 {
-		t.Fatalf("%d loose queries degraded with a healthy fleet", rep.Degraded)
+		t.Fatalf("%d loose queries degraded with a healthy server", rep.Degraded)
 	}
 }
 
-// TestRunFleetSlowServer is the "one shard's enrichment server is 10×
-// slower" fault plan: pure latency on server 0, which hedging must absorb —
-// a slow server is not an excuse for a failed enrichment or a broken oracle.
-func TestRunFleetSlowServer(t *testing.T) {
-	rep, err := Run(Config{Seed: 51, Shards: 2, Fleet: 2, SlowServer: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRunRemoteSlowServer adds 20ms to every server batch: pure latency,
+// well inside the client's call deadline — a slow server is not an excuse
+// for a failed enrichment or a broken oracle.
+func TestRunRemoteSlowServer(t *testing.T) {
+	rep := remoteRun(t, Config{Seed: 51, Shards: 2, SlowServer: 20 * time.Millisecond})
 	if rep.Degraded != 0 {
-		t.Fatalf("%d loose queries degraded under pure latency (hedging should absorb it)", rep.Degraded)
+		t.Fatalf("%d loose queries degraded under pure latency", rep.Degraded)
 	}
 }
 
-// TestRunFleetKill kills one of two fleet servers mid-run: the fleet fails
-// over to the survivor, so queries keep answering; degraded answers are
-// tolerated (and counted) but the oracles must still hold on everything
-// recorded.
-func TestRunFleetKill(t *testing.T) {
-	rep, err := Run(Config{Seed: 61, Shards: 2, Fleet: 2, KillServer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRunRemoteKill kills the server mid-run on a sharded store: queries
+// keep answering, degraded answers are counted, never recorded, and the
+// oracles must still hold on everything recorded.
+func TestRunRemoteKill(t *testing.T) {
+	rep := remoteRun(t, Config{Seed: 61, Shards: 2, KillServer: true})
 	if rep.Replayed == 0 {
 		t.Fatal("replay oracle verified nothing")
 	}
-	t.Logf("kill plan: %d degraded loose queries (failover tolerated them)", rep.Degraded)
+	if rep.Degraded == 0 {
+		t.Fatal("no loose query degraded: none ran against the killed server")
+	}
+	t.Logf("kill plan: %d degraded loose queries, %d server batches", rep.Degraded, rep.ServerBatches)
 }
 
-// TestRunFleetKillOnly kills the only fleet server: every subsequent loose
-// enrichment degrades to NULL-on-failure. The run must survive — degraded
-// answers are counted, never recorded, and never fail an oracle.
-func TestRunFleetKillOnly(t *testing.T) {
-	rep, err := Run(Config{Seed: 71, Fleet: 1, KillServer: true,
-		QueriesPerSession: 12})
-	if err != nil {
-		t.Fatal(err)
+// TestRunRemoteKillOnly makes the kill the only fault on an unsharded
+// store: every loose enrichment after it degrades to NULL-on-failure, and
+// at least one loose query must meet the dead server.
+func TestRunRemoteKillOnly(t *testing.T) {
+	rep := remoteRun(t, Config{Seed: 71, KillServer: true, QueriesPerSession: 12})
+	if rep.Degraded == 0 {
+		t.Fatal("no loose query degraded: none ran against the killed server")
 	}
-	t.Logf("total-failure plan: %d degraded loose queries", rep.Degraded)
+	t.Logf("kill plan: %d degraded loose queries, %d server batches", rep.Degraded, rep.ServerBatches)
 }
 
 // TestRunFullChaos combines every fault plan on a sharded store under load:
-// a fleet with one slow server and one killed mid-run.
+// a slow server, killed mid-run.
 func TestRunFullChaos(t *testing.T) {
-	_, err := Run(Config{
+	remoteRun(t, Config{
 		Seed:       81,
 		Shards:     4,
-		Fleet:      3,
 		SlowServer: 10 * time.Millisecond,
 		KillServer: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

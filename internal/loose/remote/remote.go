@@ -250,7 +250,7 @@ type Options struct {
 	MaxRetries int
 	// BaseBackoff is the delay before the first retry, doubled per further
 	// retry up to MaxBackoff, each scaled by a random jitter in [0.5, 1.0)
-	// so a fleet of recovering clients does not stampede the server.
+	// so many recovering clients do not stampede the server at once.
 	// 0 uses DefaultBaseBackoff; negative disables backoff.
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential backoff. 0 uses DefaultMaxBackoff.

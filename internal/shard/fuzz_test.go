@@ -7,7 +7,7 @@ import (
 	"enrichdb/internal/types"
 )
 
-// FuzzPartition probes the routing invariants the storage and fleet layers
+// FuzzPartition probes the routing invariants the shard store and executor
 // lean on: routing is total (every key, including NaN and -0.0, lands on
 // exactly one shard in range), deterministic, agrees with the engine's
 // types.Hasher, and co-locates key-equal values. The fourth argument is a

@@ -1,10 +1,8 @@
 // Package shard partitions slab tables across N in-process shard replicas
-// and fans query execution and loose-design enrichment out over them: a
-// hash partitioner places each tuple by id, once and for good, a
-// scatter-gather executor runs the existing plan shape per shard, one k-way
-// merge (merge.go) restores insertion-sequence order (byte-identical to
-// unsharded output), and a fleet client spreads enrichment batches over N
-// servers with least-loaded routing, work stealing and hedged requests.
+// and fans query execution out over them: a hash partitioner places each
+// tuple by id, once and for good, a scatter-gather executor runs the
+// existing plan shape per shard, and one k-way merge (merge.go) restores
+// insertion-sequence order (byte-identical to unsharded output).
 package shard
 
 import (
