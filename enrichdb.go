@@ -188,6 +188,7 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 	}
 	schema := tbl.Schema()
 	tu := tbl.Get(tid)
+	var slots []enrich.WriteBackSlot
 	for _, attr := range schema.DerivedCols() {
 		fam := db.mgr.Family(relation, attr)
 		if fam == nil {
@@ -202,9 +203,10 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 				return 0, err
 			}
 		}
-		if _, err := db.mgr.WriteBack(tbl, tu, attr); err != nil {
-			return 0, err
-		}
+		slots = append(slots, enrich.WriteBackSlot{Tuple: tu, Attr: attr})
+	}
+	if err := db.mgr.WriteBack(tbl, slots); err != nil {
+		return 0, err
 	}
 	return tid, nil
 }

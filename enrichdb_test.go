@@ -454,3 +454,31 @@ func TestCreateIndexPublic(t *testing.T) {
 		t.Error("unknown relation must fail")
 	}
 }
+
+// A progressive run's Timing splits its wall: Enrich and Network sum the
+// epochs', and DBMS is the rest, so Total() is the run's wall. OnEpoch
+// sleeps, so the run lasts long enough that scheduler jitter around the
+// call stays far below 1% of it.
+func TestProgressiveTimingTotalsWall(t *testing.T) {
+	for _, design := range []Design{LooseDesign, TightDesign} {
+		db, _, _ := buildReviewDB(t)
+		start := time.Now()
+		res, err := db.Run(context.Background(), ProgressiveDesign, "SELECT * FROM Reviews WHERE rating = 1",
+			QueryObs{Progressive: ProgressiveOptions{Design: design, EpochBudget: 500 * time.Microsecond, Workers: 1,
+				OnEpoch: func(Epoch) { time.Sleep(2 * time.Millisecond) }}})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enrich time.Duration
+		for _, ep := range res.Epochs {
+			enrich += ep.EnrichTime
+		}
+		if enrich <= 0 || res.Timing.Enrich != enrich {
+			t.Errorf("%v: Timing.Enrich = %v, want the epochs' sum %v (> 0)", design, res.Timing.Enrich, enrich)
+		}
+		if total := res.Timing.Total(); total > wall || wall-total > wall/100 {
+			t.Errorf("%v: Timing.Total() = %v (%+v), measured wall %v: want within 1%%", design, total, res.Timing, wall)
+		}
+	}
+}

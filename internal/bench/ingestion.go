@@ -95,7 +95,7 @@ func measureIngest(events int, cost time.Duration, eager bool) (float64, error) 
 			if _, _, err := mgr.Execute("Events", tid, "label", 0, features[i], 0); err != nil {
 				return 0, err
 			}
-			if _, err := mgr.WriteBack(tbl, tbl.Get(tid), "label"); err != nil {
+			if err := mgr.WriteBack(tbl, []enrich.WriteBackSlot{{Tuple: tbl.Get(tid), Attr: "label"}}); err != nil {
 				return 0, err
 			}
 		}

@@ -195,10 +195,11 @@ func TestEnrichedValueMatchesTruthOften(t *testing.T) {
 		if _, _, err := mgr.Execute("MultiPie", tid, "gender", 0, tu.Vals[fi].Vector(), tu.Gen); err != nil {
 			t.Fatal(err)
 		}
-		v, err := mgr.WriteBack(tbl, tu, "gender")
-		if err != nil {
+		slot := []enrich.WriteBackSlot{{Tuple: tu, Attr: "gender"}}
+		if err := mgr.WriteBack(tbl, slot); err != nil {
 			t.Fatal(err)
 		}
+		v := slot[0].Value
 		truth, _ := d.Truth.Label("MultiPie", "gender", tid)
 		total++
 		if !v.IsNull() && v.Int() == int64(truth) {

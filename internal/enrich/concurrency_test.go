@@ -81,7 +81,7 @@ func TestConcurrentDetermine(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := m.WriteBack(tbl, tu, "d"); err != nil {
+				if err := m.WriteBack(tbl, []WriteBackSlot{{Tuple: tu, Attr: "d"}}); err != nil {
 					t.Error(err)
 					return
 				}

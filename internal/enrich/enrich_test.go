@@ -69,11 +69,11 @@ func fill(t *testing.T, tbl *storage.Table, n int) *storage.Table {
 // writeBack runs Manager.WriteBack on tuple tid's current image of tbl.
 func writeBack(t *testing.T, m *Manager, tbl *storage.Table, tid int64) types.Value {
 	t.Helper()
-	v, err := m.WriteBack(tbl, tbl.Get(tid), "d")
-	if err != nil {
+	slot := []WriteBackSlot{{Tuple: tbl.Get(tid), Attr: "d"}}
+	if err := m.WriteBack(tbl, slot); err != nil {
 		t.Fatal(err)
 	}
-	return v
+	return slot[0].Value
 }
 
 func TestFamilyValidation(t *testing.T) {
@@ -197,8 +197,9 @@ func TestWriteBackOtherImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Counters()
-	v, err := m.WriteBack(view, view.Get(1), "d")
-	if err != nil || v.Int() != 1 {
+	slot := []WriteBackSlot{{Tuple: view.Get(1), Attr: "d"}}
+	err = m.WriteBack(view, slot)
+	if v := slot[0].Value; err != nil || v.Int() != 1 {
 		t.Fatalf("WriteBack = %v, %v; want 1", v, err)
 	}
 	if got := m.Counters().ReExecutions - before.ReExecutions; got != 2 {
@@ -322,7 +323,7 @@ func TestApplyOutput(t *testing.T) {
 	m := NewManager()
 	fam := testFamily(t, AvgProb{}, []float64{0.2, 0.8})
 	m.Register(fam)
-	if err := m.ApplyOutput("R", 3, "d", 0, []float64{0.1, 0.9}, 0); err != nil {
+	if err := m.ApplyOutput("R", []FnOutput{{TID: 3, Attr: "d", FnID: 0, Probs: []float64{0.1, 0.9}}}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Counters().Enrichments != 1 {
@@ -330,14 +331,14 @@ func TestApplyOutput(t *testing.T) {
 	}
 	// Re-applying is an idempotent no-op: the first output stays, and no
 	// execution was avoided, so nothing counts.
-	m.ApplyOutput("R", 3, "d", 0, []float64{0.5, 0.5}, 0)
+	m.ApplyOutput("R", []FnOutput{{TID: 3, Attr: "d", FnID: 0, Probs: []float64{0.5, 0.5}}})
 	if c := m.Counters(); c.Enrichments != 1 || c.Skipped != 0 {
 		t.Errorf("duplicate apply counted: %+v", c)
 	}
 	if v := writeBack(t, m, testRelation(t, 2, 3), 3); v.Int() != 1 {
 		t.Errorf("determined: %v", v)
 	}
-	if err := m.ApplyOutput("NoRel", 3, "d", 0, []float64{1, 0}, 0); err == nil {
+	if err := m.ApplyOutput("NoRel", []FnOutput{{TID: 3, Attr: "d", FnID: 0, Probs: []float64{1, 0}}}); err == nil {
 		t.Error("unknown relation must fail")
 	}
 }
@@ -403,25 +404,26 @@ func TestStateTableGuards(t *testing.T) {
 	if err := st.addFamily(fam); err == nil {
 		t.Error("duplicate addFamily must fail")
 	}
-	if _, _, err := st.setOutput(1, "nope", 0, []float64{1, 0}, 0); err == nil {
+	if _, _, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "nope", Probs: []float64{1, 0}}}); err == nil {
 		t.Error("unknown attr must fail")
 	}
-	if _, _, err := st.setOutput(1, "d", 9, []float64{1, 0}, 0); err == nil {
+	if _, _, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "d", FnID: 9, Probs: []float64{1, 0}}}); err == nil {
 		t.Error("bad function id must fail")
 	}
-	if _, err := st.setValue(1, "nope", types.NewInt(0), 0); err == nil {
+	if err := st.setValues([]WriteBackSlot{{Tuple: &types.Tuple{ID: 1}, Attr: "nope", Value: types.NewInt(0)}},
+		[]slotState{{current: true, write: true}}); err == nil {
 		t.Error("unknown attr must fail")
 	}
 	if st.Get(1, "d") != nil {
 		t.Error("untouched state must be nil")
 	}
-	if stored, _, err := st.setOutput(1, "d", 0, []float64{1, 0}, 0); err != nil || !stored {
+	if stored, _, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "d", Probs: []float64{1, 0}}}); err != nil || stored != 1 {
 		t.Fatalf("first setOutput: stored=%v err=%v", stored, err)
 	}
-	if stored, _, err := st.setOutput(1, "d", 0, []float64{0, 1}, 0); err != nil || stored {
+	if stored, _, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "d", Probs: []float64{0, 1}}}); err != nil || stored != 0 {
 		t.Fatalf("duplicate setOutput must report stored=false: stored=%v err=%v", stored, err)
 	}
-	if stored, stale, err := st.setOutput(1, "d", 0, []float64{0, 1}, 1); err != nil || stored || !stale {
+	if stored, stale, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "d", Probs: []float64{0, 1}, Gen: 1}}); err != nil || stored != 0 || stale != 1 {
 		t.Fatalf("setOutput for another generation must report stale: stored=%v stale=%v err=%v", stored, stale, err)
 	}
 	if err := st.addFamily(&Family{Relation: "R", Attr: "e", Domain: 2,

@@ -2,7 +2,9 @@ package enrich
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"enrichdb/internal/catalog"
@@ -50,9 +52,8 @@ type Counters struct {
 // for the winner's state write and counts as Skipped, exactly as a sequential
 // second call would.
 type Manager struct {
-	mu       sync.RWMutex
-	families map[string]map[string]*Family // relation -> attr -> family
-	states   map[string]*StateTable
+	mu     sync.Mutex // serializes Register
+	lookup atomic.Pointer[registry]
 
 	flightMu sync.Mutex
 	inflight map[flightKey]*flight
@@ -82,29 +83,32 @@ type Manager struct {
 	staleDrops  *telemetry.Counter
 }
 
-// tripletID identifies one enrichment execution unit.
-type tripletID struct {
-	relation string
-	tid      int64
-	attr     string
-	fnID     int
+// registry is what Register publishes: the families and state tables by
+// relation. A published registry is never modified; Register swaps in a
+// copy, so lookups read it without a lock.
+type registry struct {
+	families map[[2]string]*Family // (relation, attr) -> family
+	states   map[string]*StateTable
 }
 
-// flightKey identifies one deduplicated computation: the triplet plus the
+// flightKey identifies one deduplicated computation: the (tuple, attribute,
+// function) triplet — the attribute by its registered family — plus the
 // tuple generation the feature vector was read at. Keying flights by
 // generation means two sessions computing the same triplet against the same
 // tuple image share one execution, while a session holding a superseded
 // image computes separately (and has its store generation-dropped).
 type flightKey struct {
-	tripletID
-	gen uint64
+	fam  *Family
+	tid  int64
+	fnID int
+	gen  uint64
 }
 
 // flight carries a leader's result to the followers that waited on it, so a
 // follower can reuse the computed distribution without re-running the
 // function or re-reading state.
 type flight struct {
-	done  chan struct{}
+	done  sync.WaitGroup // released once the result is published
 	probs []float64
 	err   error
 }
@@ -122,8 +126,6 @@ func NewManagerWith(reg *telemetry.Registry) *Manager {
 		reg = telemetry.NewRegistry()
 	}
 	m := &Manager{
-		families:     make(map[string]map[string]*Family),
-		states:       make(map[string]*StateTable),
 		inflight:     make(map[flightKey]*flight),
 		reg:          reg,
 		enrichments:  reg.Counter("enrich.executions"),
@@ -137,6 +139,7 @@ func NewManagerWith(reg *telemetry.Registry) *Manager {
 		firstStores:  reg.Counter("enrich.first_stores"),
 		staleDrops:   reg.Counter("enrich.stale_drops"),
 	}
+	m.lookup.Store(&registry{families: map[[2]string]*Family{}, states: map[string]*StateTable{}})
 	reg.GaugeFunc("enrich.state_bytes", m.StateSizeBytes)
 	return m
 }
@@ -151,59 +154,51 @@ func (m *Manager) Telemetry() *telemetry.Registry { return m.reg }
 func (m *Manager) Register(fam *Family) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rf := m.families[fam.Relation]
-	if rf == nil {
-		rf = make(map[string]*Family)
-		m.families[fam.Relation] = rf
-	}
-	if _, dup := rf[fam.Attr]; dup {
+	cur, key := m.lookup.Load(), [2]string{fam.Relation, fam.Attr}
+	if cur.families[key] != nil {
 		return fmt.Errorf("enrich: family for %s.%s already registered", fam.Relation, fam.Attr)
 	}
-	st := m.states[fam.Relation]
+	st := cur.states[fam.Relation]
 	if st == nil {
 		st = newStateTable(fam.Relation)
-		m.states[fam.Relation] = st
 	}
 	if err := st.addFamily(fam); err != nil {
 		return err
 	}
-	rf[fam.Attr] = fam
+	next := &registry{families: maps.Clone(cur.families), states: maps.Clone(cur.states)}
+	next.families[key], next.states[fam.Relation] = fam, st
+	m.lookup.Store(next)
 	return nil
 }
 
 // Family returns the family of (relation, attr), or nil.
 func (m *Manager) Family(relation, attr string) *Family {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.families[relation][attr]
+	return m.lookup.Load().families[[2]string{relation, attr}]
 }
 
 // StateTable returns the relation's state table, or nil.
 func (m *Manager) StateTable(relation string) *StateTable {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.states[relation]
+	return m.lookup.Load().states[relation]
 }
 
 // SetCutoff applies a state-cutoff threshold to every registered relation.
 func (m *Manager) SetCutoff(c float64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, st := range m.states {
+	for _, st := range m.lookup.Load().states {
 		st.SetCutoff(c)
 	}
 }
 
 // acquire joins the singleflight group of a (triplet, generation). The first
 // caller becomes the leader; followers receive the leader's flight to wait
-// on (its done channel closes when the leader's result is published).
+// on (its done group is released when the leader's result is published).
 func (m *Manager) acquire(key flightKey) (f *flight, leader bool) {
 	m.flightMu.Lock()
 	defer m.flightMu.Unlock()
 	if f, busy := m.inflight[key]; busy {
 		return f, false
 	}
-	f = &flight{done: make(chan struct{})}
+	f = &flight{}
+	f.done.Add(1)
 	m.inflight[key] = f
 	return f, true
 }
@@ -214,7 +209,7 @@ func (m *Manager) release(key flightKey, f *flight, probs []float64, err error) 
 	m.flightMu.Lock()
 	delete(m.inflight, key)
 	m.flightMu.Unlock()
-	close(f.done)
+	f.done.Done()
 }
 
 // Execute runs function fnID of (relation, attr) on a feature vector read
@@ -238,7 +233,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 		return nil, 0, fmt.Errorf("enrich: %s.%s has no function %d", relation, attr, fnID)
 	}
 	st := m.StateTable(relation)
-	key := flightKey{tripletID{relation, tid, attr, fnID}, gen}
+	key := flightKey{fam, tid, fnID, gen}
 	var fl *flight
 	for {
 		// Reuse stored work only when it was computed from the same tuple
@@ -257,7 +252,7 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 		// A concurrent execution is in flight; wait for its result. If the
 		// leader succeeded, reuse its distribution; if it failed (state bit
 		// still unset) the loop retries the execution itself.
-		<-f.done
+		f.done.Wait()
 		if f.err == nil && f.probs != nil {
 			m.skipped.Add(1)
 			return f.probs, 0, nil
@@ -286,66 +281,66 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 	}
 	runStart := time.Now()
 	probs = fam.Functions[fnID].Run(feature)
-	elapsed := max(time.Since(runStart), time.Nanosecond) // positive even on a coarse clock: run > 0 means this call ran
+	start := time.Now()
+	elapsed := max(start.Sub(runStart), time.Nanosecond) // positive even on a coarse clock: run > 0 means this call ran
 	m.enrichNanos.AddDuration(elapsed)
 	m.latency.ObserveDuration(elapsed)
 	m.enrichments.Add(1)
 	m.udfRuns.Add(1)
-	start := time.Now()
-	stored, stale, serr := st.setOutput(tid, attr, fnID, probs, gen)
+	stored, stale, serr := st.setOutputs([]FnOutput{{TID: tid, Attr: attr, FnID: fnID, Probs: probs, Gen: gen}})
 	m.stateNanos.Add(int64(time.Since(start)))
 	if serr != nil {
 		releaseWith(nil, serr)
 		return nil, 0, serr
 	}
-	if stored {
-		m.firstStores.Add(1)
-	} else if stale {
-		m.staleDrops.Add(1)
-	}
+	m.firstStores.Add(stored)
+	m.staleDrops.Add(stale)
 	releaseWith(probs, nil)
 	return probs, elapsed, nil
 }
 
 // stored reports whether function fnID already ran for the tuple image at
-// gen and, if so, returns its effective stored distribution (nil when the
-// output is unavailable). Generation, bitmap and output are read under one
-// lock, so a commit cannot slip a newer image's output in between.
+// gen and, if so, returns its effective stored distribution. Generation,
+// bitmap and output are read under one lock, so a commit cannot slip a newer
+// image's output in between.
 func (m *Manager) stored(st *StateTable, tid int64, attr string, fnID int, gen uint64) ([]float64, bool) {
-	outs, current := st.OutputSnapshotAt(tid, attr, gen)
-	if !current || outs == nil || outs[fnID] == nil {
-		return nil, false
+	if o := st.outputAt(tid, attr, fnID, gen); o != nil {
+		return o.Effective(), true
 	}
-	return outs[fnID].Effective(), true
+	return nil, false
 }
 
-// ApplyOutput records a function output the loose design's enrichment
-// server returned for the tuple image at gen. An output first stored here
-// was computed elsewhere (a remote server) and counts as an enrichment; an
-// output whose generation a committed write superseded is dropped rather
-// than stored. A duplicate — the triplet's output is already stored, by the
-// in-process enricher that computed it through Execute or by a concurrent
-// worker a moment ago — is an idempotent no-op: no execution was avoided,
-// so it counts neither as an enrichment nor as a skip.
-func (m *Manager) ApplyOutput(relation string, tid int64, attr string, fnID int, probs []float64, gen uint64) error {
+// FnOutput is one function output computed outside Execute — by the loose
+// design's enrichment server — from the tuple image at Gen.
+type FnOutput struct {
+	TID   int64
+	Attr  string
+	FnID  int
+	Probs []float64
+	Gen   uint64
+}
+
+// ApplyOutput records a batch of the relation's function outputs in one pass
+// under the state table's lock. An output first stored here was computed
+// elsewhere (a remote server) and counts as an enrichment; an output whose
+// generation a committed write superseded is dropped rather than stored. A
+// duplicate — the triplet's output is already stored, by the in-process
+// enricher that computed it through Execute or by a concurrent worker a
+// moment ago — is an idempotent no-op: no execution was avoided, so it
+// counts neither as an enrichment nor as a skip. The first invalid output
+// stops the batch with an error; the outputs before it are stored.
+func (m *Manager) ApplyOutput(relation string, outs []FnOutput) error {
 	st := m.StateTable(relation)
 	if st == nil {
 		return fmt.Errorf("enrich: no state table for %s", relation)
 	}
 	start := time.Now()
-	stored, stale, err := st.setOutput(tid, attr, fnID, probs, gen)
+	stored, stale, err := st.setOutputs(outs)
 	m.stateNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	switch {
-	case stored:
-		m.enrichments.Add(1)
-		m.firstStores.Add(1)
-	case stale:
-		m.staleDrops.Add(1)
-	}
-	return nil
+	m.enrichments.Add(stored)
+	m.firstStores.Add(stored)
+	m.staleDrops.Add(stale)
+	return err
 }
 
 // Enriched reports whether function fnID already ran for (relation, tid,
@@ -354,7 +349,7 @@ func (m *Manager) ApplyOutput(relation string, tid int64, attr string, fnID int,
 // prior work for the caller.
 func (m *Manager) Enriched(relation string, tid int64, attr string, fnID int, gen uint64) bool {
 	st := m.StateTable(relation)
-	return st != nil && st.bitmapAt(tid, attr, gen)&(1<<uint(fnID)) != 0
+	return st != nil && st.BitmapAt(tid, attr, gen)&(1<<uint(fnID)) != 0
 }
 
 // FullyEnriched reports whether every family function ran for the attribute
@@ -365,7 +360,7 @@ func (m *Manager) FullyEnriched(relation string, tid int64, attr string, gen uin
 	if fam == nil {
 		return false
 	}
-	return m.StateTable(relation).bitmapAt(tid, attr, gen) == fam.FullBitmap()
+	return m.StateTable(relation).BitmapAt(tid, attr, gen) == fam.FullBitmap()
 }
 
 // Value returns the stored determined value of (relation, tid, attr) for
@@ -388,74 +383,101 @@ type Relation interface {
 	WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error)
 }
 
+// WriteBackSlot is one (tuple image, attribute) of a write-back batch;
+// WriteBack sets Value to the value it determined.
+type WriteBackSlot struct {
+	Tuple *types.Tuple
+	Attr  string
+	Value types.Value
+}
+
 // WriteBack is the one determinize-and-write-back step every design ends an
-// enrichment with. It runs the family's determinization function over the
-// state of the tuple image tu, stores the value in the state, writes it into
-// rel and decides the image's enrichment mark: the mark is set iff every
-// family function's output was stored at the image's generation and no
-// commit reset the state meanwhile. State and base writes are both
-// generation-guarded, so nothing lands on an image a committed write has
-// superseded. It returns the determined value.
+// enrichment with, for a batch of slots of one relation. For each slot it
+// runs the family's determinization function over the state of the tuple
+// image, stores the value in the state, writes it into rel and decides the
+// image's enrichment mark: the mark is set iff every family function's
+// output was stored at the image's generation and no commit reset the state
+// meanwhile. The batch reads every slot's outputs under one state-table read
+// lock and stores every value under one write lock; state and base writes
+// stay generation-guarded per value, so nothing lands on an image a
+// committed write has superseded. A single write-back is a batch of one.
 //
 // When the cutoff has pruned most of a stored distribution's mass, the
 // function is re-executed transiently (counted in ReExecutions) — the cost
 // Table 10 trades against state size. When the shared state belongs to a
-// different image than tu (a commit reset it under a frozen snapshot), the
-// whole family is re-run transiently on tu's own feature vector, so the
-// caller's answer stays a pure function of its snapshot; nothing is stored
-// in the state, and the unmarked value lands only on a snapshot view still
-// holding tu. When nothing ran for the image, there is nothing to
-// determinize: the value is NULL and nothing is written.
-func (m *Manager) WriteBack(rel Relation, tu *types.Tuple, attr string) (types.Value, error) {
-	s := rel.Schema()
-	fam := m.Family(s.Name, attr)
-	if fam == nil {
-		return types.Null, fmt.Errorf("enrich: no family for %s.%s", s.Name, attr)
+// different image than the slot's (a commit reset it under a frozen
+// snapshot), the whole family is re-run transiently on the image's own
+// feature vector, so the caller's answer stays a pure function of its
+// snapshot; nothing is stored in the state, and the unmarked value lands
+// only on a snapshot view still holding that image. When nothing ran for the
+// image, there is nothing to determinize: the value is NULL and nothing is
+// written.
+func (m *Manager) WriteBack(rel Relation, slots []WriteBackSlot) error {
+	if len(slots) == 0 {
+		return nil
 	}
-	feature, err := s.Feature(tu, attr)
-	if err != nil {
-		return types.Null, err
+	s := rel.Schema()
+	fams := make([]*Family, len(slots))
+	width := 0
+	for i := range slots {
+		if fams[i] = m.Family(s.Name, slots[i].Attr); fams[i] == nil {
+			return fmt.Errorf("enrich: no family for %s.%s", s.Name, slots[i].Attr)
+		}
+		width = max(width, len(fams[i].Functions))
 	}
 	st := m.StateTable(s.Name)
-	snap, current := st.OutputSnapshotAt(tu.ID, attr, tu.Gen)
-	if current && snap == nil {
-		return types.Null, nil
-	}
-	outputs := make([][]float64, len(fam.Functions))
-	complete := current
-	for id := range fam.Functions {
-		var o *Output
-		if current {
-			o = snap[id]
+	states := st.snapshotSlots(slots)
+	outputs := make([][]float64, width)
+	for i := range slots {
+		sl, ss, fam := &slots[i], &states[i], fams[i]
+		sl.Value = types.Null
+		if ss.current && ss.outs == nil {
+			continue // nothing ran for this image
 		}
-		switch {
-		case current && o == nil:
-			complete = false
-		case !current || (o.Pruned && o.RetainedMass() < 0.5):
-			// Not enough stored evidence for this image: recover the full
-			// distribution.
-			reStart := time.Now()
-			outputs[id] = fam.Functions[id].Run(feature)
-			m.reExecNanos.Add(int64(time.Since(reStart)))
-			m.reExecutions.Add(1)
-		default:
-			outputs[id] = o.Effective()
-		}
-	}
-	v := fam.Det.Determine(outputs, fam.Domain)
-	if current {
-		start := time.Now()
-		stale, err := st.setValue(tu.ID, attr, v, tu.Gen)
-		m.stateNanos.Add(int64(time.Since(start)))
+		feature, err := s.Feature(sl.Tuple, sl.Attr)
 		if err != nil {
-			return types.Null, err
+			return err
 		}
-		complete = complete && !stale // a commit reset the state meanwhile
+		outs := outputs[:len(fam.Functions)]
+		ss.complete = ss.current
+		for id := range fam.Functions {
+			var o *Output
+			if ss.current {
+				o = ss.outs[id]
+			}
+			switch {
+			case ss.current && o == nil:
+				outs[id] = nil
+				ss.complete = false
+			case !ss.current || (o.Pruned && o.RetainedMass() < 0.5):
+				// Not enough stored evidence for this image: recover the full
+				// distribution.
+				reStart := time.Now()
+				outs[id] = fam.Functions[id].Run(feature)
+				m.reExecNanos.Add(int64(time.Since(reStart)))
+				m.reExecutions.Add(1)
+			default:
+				outs[id] = o.Effective()
+			}
+		}
+		sl.Value = fam.Det.Determine(outs, fam.Domain)
+		ss.write = true
 	}
-	if _, err := rel.WriteDerived(tu.ID, attr, v, tu.Gen, complete); err != nil {
-		return types.Null, err
+	start := time.Now()
+	err := st.setValues(slots, states)
+	m.stateNanos.Add(int64(time.Since(start)))
+	if err != nil {
+		return err
 	}
-	return v, nil
+	for i := range slots {
+		if ss := &states[i]; ss.write {
+			// A commit that reset the state meanwhile leaves the image unmarked.
+			if _, err := rel.WriteDerived(slots[i].Tuple.ID, slots[i].Attr, slots[i].Value, slots[i].Tuple.Gen, ss.complete && !ss.stale); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ResetTuple clears a tuple's state after a fixed-attribute write (§3.3.5)
@@ -494,10 +516,8 @@ func (m *Manager) Counters() Counters {
 
 // StateSizeBytes sums the size of every relation's state table.
 func (m *Manager) StateSizeBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	var total int64
-	for _, st := range m.states {
+	for _, st := range m.lookup.Load().states {
 		total += st.SizeBytes()
 	}
 	return total

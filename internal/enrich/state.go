@@ -130,58 +130,111 @@ func (st *StateTable) ensure(tid int64, ai int) *AttrState {
 	return row[ai]
 }
 
-// setOutput records a function's output computed from the tuple image at
-// gen, applying the cutoff, and marks the function executed. A write for a
-// generation a newer committed write has superseded is dropped (stale).
-// Within one generation the first write per (tid, attr, fnID) wins: a second
-// write finds the bitmap bit set and returns stored=false without touching
-// the state, which makes concurrent duplicate enrichments (two epoch workers
-// racing on a self-join's shared tuple) collapse to one deterministic write.
-func (st *StateTable) setOutput(tid int64, attr string, fnID int, probs []float64, gen uint64) (stored, stale bool, err error) {
+// setOutputs records function outputs, each computed from the tuple image
+// at its Gen, under one lock: applying the cutoff, it marks each function
+// executed and counts the outputs stored and those dropped as stale (a newer
+// committed write superseded their generation). Within one generation the
+// first write per (tid, attr, fnID) wins: a second write finds the bitmap
+// bit set and counts as neither, without touching the state, which makes
+// concurrent duplicate enrichments (two epoch workers racing on a
+// self-join's shared tuple) collapse to one deterministic write. The first
+// invalid output stops the batch.
+func (st *StateTable) setOutputs(outs []FnOutput) (stored, stale int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ai, ok := st.attrIdx[attr]
-	if !ok {
-		return false, false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
-	}
-	if fnID < 0 || fnID >= len(st.families[ai].Functions) {
-		return false, false, fmt.Errorf("enrich: %s.%s has no function %d", st.Relation, attr, fnID)
-	}
-	if st.gens[tid] != gen {
-		return false, true, nil
-	}
-	s := st.ensure(tid, ai)
-	if s.Bitmap&(1<<uint(fnID)) != 0 {
-		return false, false, nil
-	}
-	out := &Output{Probs: make([]float64, len(probs))}
-	for i, p := range probs {
-		if st.cutoff > 0 && p < st.cutoff {
-			out.Probs[i] = prunedMark
-			out.Pruned = true
-		} else {
-			out.Probs[i] = p
+	for _, o := range outs {
+		ai, ok := st.attrIdx[o.Attr]
+		if !ok {
+			return stored, stale, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, o.Attr)
 		}
+		if o.FnID < 0 || o.FnID >= len(st.families[ai].Functions) {
+			return stored, stale, fmt.Errorf("enrich: %s.%s has no function %d", st.Relation, o.Attr, o.FnID)
+		}
+		if st.gens[o.TID] != o.Gen {
+			stale++
+			continue
+		}
+		s := st.ensure(o.TID, ai)
+		if s.Bitmap&(1<<uint(o.FnID)) != 0 {
+			continue
+		}
+		out := &Output{Probs: make([]float64, len(o.Probs))}
+		for i, p := range o.Probs {
+			if st.cutoff > 0 && p < st.cutoff {
+				out.Probs[i] = prunedMark
+				out.Pruned = true
+			} else {
+				out.Probs[i] = p
+			}
+		}
+		s.Outputs[o.FnID] = out
+		s.Bitmap |= 1 << uint(o.FnID)
+		stored++
 	}
-	s.Outputs[fnID] = out
-	s.Bitmap |= 1 << uint(fnID)
-	return true, false, nil
+	return stored, stale, nil
 }
 
-// setValue stores the value determinized from the tuple image at gen; a
-// stale determinization (a newer committed write superseded gen) is dropped.
-func (st *StateTable) setValue(tid int64, attr string, v types.Value, gen uint64) (stale bool, err error) {
+// slotState is one write-back slot's state as the batch sees it: outs is a
+// copy of the per-function outputs when the state belongs to the slot's
+// image (current) and holds any; write, complete and stale are the batch's
+// decisions for the slot.
+type slotState struct {
+	outs                   []*Output
+	current                bool
+	write, complete, stale bool
+}
+
+// snapshotSlots reads every slot's state under one read lock. Generation
+// and outputs are read together, so a commit resetting a tuple cannot slip
+// between the check and the copy and make an emptied state look like
+// "nothing executed yet" for the slot's image. Output structs are immutable
+// once published, so the copies are consistent snapshots.
+func (st *StateTable) snapshotSlots(slots []WriteBackSlot) []slotState {
+	states := make([]slotState, len(slots))
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n := 0
+	for _, sl := range slots {
+		if s := st.locked(sl.Tuple.ID, sl.Attr); s != nil {
+			n += len(s.Outputs)
+		}
+	}
+	buf := make([]*Output, n)
+	for i, sl := range slots {
+		if st.gens[sl.Tuple.ID] != sl.Tuple.Gen {
+			continue
+		}
+		states[i].current = true
+		if s := st.locked(sl.Tuple.ID, sl.Attr); s != nil {
+			states[i].outs = buf[:len(s.Outputs):len(s.Outputs)]
+			buf = buf[copy(buf, s.Outputs):]
+		}
+	}
+	return states
+}
+
+// setValues stores, under one lock, the value of every slot determinized
+// from its current state; a slot whose generation a newer committed write
+// superseded meanwhile is marked stale and not stored.
+func (st *StateTable) setValues(slots []WriteBackSlot, states []slotState) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ai, ok := st.attrIdx[attr]
-	if !ok {
-		return false, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, attr)
+	for i, sl := range slots {
+		ss := &states[i]
+		if !ss.write || !ss.current {
+			continue
+		}
+		ai, ok := st.attrIdx[sl.Attr]
+		if !ok {
+			return fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, sl.Attr)
+		}
+		if st.gens[sl.Tuple.ID] != sl.Tuple.Gen {
+			ss.stale = true
+			continue
+		}
+		st.ensure(sl.Tuple.ID, ai).Value = sl.Value
 	}
-	if st.gens[tid] != gen {
-		return true, nil
-	}
-	st.ensure(tid, ai).Value = v
-	return false, nil
+	return nil
 }
 
 // GenOf returns the fixed-data generation the tuple's state belongs to.
@@ -191,16 +244,27 @@ func (st *StateTable) GenOf(tid int64) uint64 {
 	return st.gens[tid]
 }
 
-// bitmapAt returns the executed-function bitmap of (tid, attr) for the tuple
-// image at gen: zero when nothing ran or the state belongs to another image.
-// The generation and the bitmap are read under one lock.
-func (st *StateTable) bitmapAt(tid int64, attr string, gen uint64) uint64 {
+// BitmapAt returns the executed-function bitmap of (tid, attr) for the
+// tuple image at gen: zero when nothing ran or the state belongs to another
+// image. The generation and the bitmap are read under one lock.
+func (st *StateTable) BitmapAt(tid int64, attr string, gen uint64) uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen {
 		return s.Bitmap
 	}
 	return 0
+}
+
+// outputAt returns the stored output of function fnID for (tid, attr) at
+// the tuple image at gen, or nil when it did not run for that image.
+func (st *StateTable) outputAt(tid int64, attr string, fnID int, gen uint64) *Output {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen && fnID >= 0 && fnID < len(s.Outputs) {
+		return s.Outputs[fnID]
+	}
+	return nil
 }
 
 // valueAt returns the determined value of (tid, attr) for the tuple image at

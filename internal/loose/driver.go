@@ -223,6 +223,8 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 			return nil, err
 		}
 		schema := tbl.Schema()
+		st := d.Mgr.StateTable(p.Relation)
+		var marks []enrich.WriteBackSlot
 		for _, tid := range p.TIDs {
 			tu := tbl.Get(tid)
 			if tu == nil {
@@ -237,16 +239,14 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 				if err != nil {
 					return nil, err
 				}
-				needed := 0
+				pending := fam.FullBitmap() &^ st.BitmapAt(tid, attr, tu.Gen)
 				for _, fn := range fam.Functions {
-					if d.Mgr.Enriched(p.Relation, tid, attr, fn.ID, tu.Gen) {
-						continue
+					if pending&(1<<uint(fn.ID)) != 0 {
+						reqs = append(reqs, Request{
+							Relation: p.Relation, TID: tid, Attr: attr, FnID: fn.ID,
+							Feature: feature, Gen: tu.Gen,
+						})
 					}
-					needed++
-					reqs = append(reqs, Request{
-						Relation: p.Relation, TID: tid, Attr: attr, FnID: fn.ID,
-						Feature: feature, Gen: tu.Gen,
-					})
 				}
 				// Every function already executed, yet the image is unmarked:
 				// a peer session enriched this image after this source froze
@@ -255,11 +255,14 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 				// the shared state — no function runs — and write the value
 				// with its mark, so the query sees the answer the peer's did
 				// and the next probe skips the tuple.
-				if needed == 0 && tu.Enriched&schema.MarkBit(attr) == 0 {
-					if _, err := d.Mgr.WriteBack(tbl, tu, attr); err != nil {
-						return nil, err
-					}
+				if pending == 0 && tu.Enriched&schema.MarkBit(attr) == 0 {
+					marks = append(marks, enrich.WriteBackSlot{Tuple: tu, Attr: attr})
 				}
+			}
+		}
+		if len(marks) > 0 {
+			if err := d.Mgr.WriteBack(tbl, marks); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -267,64 +270,87 @@ func (d *Driver) BuildRequests(probes []ProbeResult) ([]Request, error) {
 }
 
 // WriteBack stores the server's outputs in the enrichment state and writes
-// the determined values back into the driver's source, one (tuple,
-// attribute) after another (see the package-level WriteBack).
+// the determined values back into the driver's source (see the
+// package-level WriteBack).
 func (d *Driver) WriteBack(resps []Response) error {
-	return WriteBack(d.Mgr, d.DB, resps, nil)
+	_, err := WriteBack(d.Mgr, d.DB, resps)
+	return err
 }
 
 // WriteBack is the loose design's write-back, shared by the progressive
-// executor's loose epochs. It stores every successful response's output in
-// the enrichment state, generation-guarded, then hands the current image of
-// each (tuple, attribute) the outputs touched, in first-touch order, to
-// Manager.WriteBack, which determinizes, writes the value into the source and
-// decides the image's mark. An image a commit superseded after the batch was
-// built holds none of these outputs (they were dropped as stale), so its
-// write-back settles only what ran for that image, and nothing when nothing
-// did. Failed responses are skipped: their state bits stay unset and their
-// attributes NULL.
-//
-// each runs the n write-backs; nil runs them in order. The progressive
-// executor passes its worker pool: every slot is a distinct (tuple,
-// attribute), and the state and base tables serialize their own writes.
-func WriteBack(mgr *enrich.Manager, db storage.Source, resps []Response, each func(n int, fn func(i int) error) error) error {
-	type slot struct {
+// executor's loose epochs. Per relation the successful responses touch, it
+// stores their outputs in the enrichment state in one generation-guarded
+// pass, then hands the current image of each (tuple, attribute) they
+// touched, in first-touch order, to one Manager.WriteBack batch, which
+// determinizes, writes the values into the source and decides the images'
+// marks. An image a commit superseded after the batch was built holds none
+// of these outputs (they were dropped as stale), so its write-back settles
+// only what ran for that image, and nothing when nothing did. Failed
+// responses are skipped: their state bits stay unset and their attributes
+// NULL. It returns the number of (tuple, attribute) slots written back.
+func WriteBack(mgr *enrich.Manager, db storage.Source, resps []Response) (int, error) {
+	type batch struct {
 		rel  string
-		tid  int64
-		attr string
+		outs []enrich.FnOutput
 	}
-	seen := make(map[slot]bool)
-	var slots []slot
+	var batches []batch
 	for _, r := range resps {
 		if r.Failed() {
 			continue
 		}
-		if err := mgr.ApplyOutput(r.Relation, r.TID, r.Attr, r.FnID, r.Probs, r.Gen); err != nil {
-			return err
+		i := len(batches) - 1
+		for i >= 0 && batches[i].rel != r.Relation {
+			i--
 		}
-		if k := (slot{r.Relation, r.TID, r.Attr}); !seen[k] {
-			seen[k] = true
-			slots = append(slots, k)
+		if i < 0 {
+			i = len(batches)
+			batches = append(batches, batch{rel: r.Relation})
 		}
+		batches[i].outs = append(batches[i].outs, enrich.FnOutput{TID: r.TID, Attr: r.Attr, FnID: r.FnID, Probs: r.Probs, Gen: r.Gen})
 	}
-	writeBack := func(i int) error {
-		k := slots[i]
-		tbl, err := db.Table(k.rel)
+	written := 0
+	for _, b := range batches {
+		if err := mgr.ApplyOutput(b.rel, b.outs); err != nil {
+			return written, err
+		}
+		tbl, err := db.Table(b.rel)
 		if err != nil {
-			return err
+			return written, err
 		}
-		if tu := tbl.Get(k.tid); tu != nil {
-			_, err = mgr.WriteBack(tbl, tu, k.attr)
+		slots := touchedSlots(tbl, b.outs)
+		if err := mgr.WriteBack(tbl, slots); err != nil {
+			return written, err
 		}
-		return err
+		written += len(slots)
 	}
-	if each != nil {
-		return each(len(slots), writeBack)
+	return written, nil
+}
+
+// touchedSlots lists, in first-touch order, the current image of each
+// (tuple, attribute) the outputs touched; a tuple a commit deleted is left
+// out.
+func touchedSlots(tbl storage.Relation, outs []enrich.FnOutput) []enrich.WriteBackSlot {
+	type key struct {
+		tid  int64
+		attr int // index into attrs
 	}
-	for i := range slots {
-		if err := writeBack(i); err != nil {
-			return err
+	var attrs []string
+	seen := make(map[key]bool, len(outs))
+	slots := make([]enrich.WriteBackSlot, 0, len(outs))
+	for _, o := range outs {
+		ai := 0
+		for ai < len(attrs) && attrs[ai] != o.Attr {
+			ai++
+		}
+		if ai == len(attrs) {
+			attrs = append(attrs, o.Attr)
+		}
+		if k := (key{o.TID, ai}); !seen[k] {
+			seen[k] = true
+			if tu := tbl.Get(o.TID); tu != nil {
+				slots = append(slots, enrich.WriteBackSlot{Tuple: tu, Attr: o.Attr})
+			}
 		}
 	}
-	return nil
+	return slots
 }

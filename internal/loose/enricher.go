@@ -121,17 +121,24 @@ func (e *LocalEnricher) EnrichBatch(reqs []Request) ([]Response, BatchTiming, er
 	// its response afterwards. An invalid request fails only itself (and
 	// its duplicates): the rest of the batch still runs.
 	type reqKey struct {
-		rel  string
-		tid  int64
-		attr string
-		fn   int
-		gen  uint64
+		fam int // index into fams: the request's (relation, attribute)
+		tid int64
+		fn  int
+		gen uint64
 	}
+	var fams [][2]string
 	unique := make(map[reqKey]int, len(reqs))
 	var order []int
 	dup := make([]int, len(reqs)) // index of the canonical request, or own index
 	for i, r := range reqs {
-		k := reqKey{r.Relation, r.TID, r.Attr, r.FnID, r.Gen}
+		fi := 0
+		for fi < len(fams) && (fams[fi][0] != r.Relation || fams[fi][1] != r.Attr) {
+			fi++
+		}
+		if fi == len(fams) {
+			fams = append(fams, [2]string{r.Relation, r.Attr})
+		}
+		k := reqKey{fi, r.TID, r.FnID, r.Gen}
 		if first, seen := unique[k]; seen {
 			dup[i] = first
 			continue

@@ -9,6 +9,7 @@ package progressive
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -89,24 +90,110 @@ type PlanItem struct {
 	FnID     int
 }
 
-// PlanSpace is the mutable PlanSpaceTable plus the consumed-triplet ledger
+// PlanSpace is the mutable PlanSpaceTable plus the consumed-function ledger
 // that prevents replanning of work that is done (or was skipped by the tight
-// design's short-circuiting, which eliminates the tuple for this query).
+// design's short-circuiting, which eliminates the tuple for this query). The
+// ledger is one function mask per (alias, tuple, attribute), shared by
+// duplicate entries: a triplet is plannable while its bit is clear in the
+// mask and in the attribute's executed-function bitmap at the entry's
+// generation.
 type PlanSpace struct {
-	entries  []SpaceEntry
-	consumed map[tripletKey]bool
+	entries []SpaceEntry
+	masks   [][]*attrMask // parallel to entries: one per entry attribute
+	byKey   map[maskKey]*attrMask
+	res     []resolved // the distinct families named, resolved per call
+
+	// Scratch reused across calls: the entry's picks, the masks holding
+	// planned bits, and a shuffled attribute order.
+	picks   []PlanItem
+	touched []*attrMask
+	perm    []int
 }
 
-type tripletKey struct {
+// attrMask is the ledger of one (alias, tuple, attribute).
+type attrMask struct {
+	fam      int    // index into PlanSpace.res
+	consumed uint64 // functions consumed by earlier epochs
+	planned  uint64 // functions on the PlanTable being built
+}
+
+type maskKey struct {
 	alias string
 	tid   int64
 	attr  string
-	fnID  int
+}
+
+// resolved is one (relation, attribute) family as a call sees it: looked up
+// once, with its functions' cost estimates and SB(FO) order read once per
+// PlanStats call.
+type resolved struct {
+	rel, attr string
+	fam       *enrich.Family
+	st        *enrich.StateTable
+	full      uint64
+	cost      []time.Duration
+	order     []int
 }
 
 // NewPlanSpace wraps probe-query output.
 func NewPlanSpace(entries []SpaceEntry) *PlanSpace {
-	return &PlanSpace{entries: entries, consumed: make(map[tripletKey]bool)}
+	ps := &PlanSpace{entries: entries, masks: make([][]*attrMask, len(entries)), byKey: make(map[maskKey]*attrMask)}
+	for i, e := range entries {
+		ps.masks[i] = make([]*attrMask, len(e.Attrs))
+		for j, attr := range e.Attrs {
+			k := maskKey{e.Alias, e.TID, attr}
+			m := ps.byKey[k]
+			if m == nil {
+				m = &attrMask{fam: ps.famIndex(e.Relation, attr)}
+				ps.byKey[k] = m
+			}
+			ps.masks[i][j] = m
+		}
+	}
+	return ps
+}
+
+func (ps *PlanSpace) famIndex(rel, attr string) int {
+	for i, r := range ps.res {
+		if r.rel == rel && r.attr == attr {
+			return i
+		}
+	}
+	ps.res = append(ps.res, resolved{rel: rel, attr: attr})
+	return len(ps.res) - 1
+}
+
+// resolve looks every family up once; forPlan also reads the functions'
+// cost estimates and SB(FO) order.
+func (ps *PlanSpace) resolve(mgr *enrich.Manager, forPlan bool) {
+	for i := range ps.res {
+		r := &ps.res[i]
+		r.fam, r.st, r.full = mgr.Family(r.rel, r.attr), mgr.StateTable(r.rel), 0
+		if r.fam == nil {
+			continue
+		}
+		r.full = r.fam.FullBitmap()
+		if forPlan {
+			r.cost = r.cost[:0]
+			for _, fn := range r.fam.Functions {
+				r.cost = append(r.cost, fn.AvgCost())
+			}
+			r.order = r.fam.ByQualityPerCost()
+		}
+	}
+}
+
+// pending returns the plannable functions of entry i's attribute j: those
+// neither consumed nor executed for the entry's tuple image.
+func (ps *PlanSpace) pending(i, j int) uint64 {
+	m := ps.masks[i][j]
+	r := &ps.res[m.fam]
+	rest := r.full &^ m.consumed
+	if rest == 0 {
+		return 0 // no family, or every function consumed: no state to read
+	}
+	e := &ps.entries[i]
+	return rest &^ r.st.BitmapAt(e.TID, e.Attrs[j], e.Gen)
 }
 
 // Len returns the number of live PlanSpaceTable rows.
@@ -128,37 +215,27 @@ func (ps *PlanSpace) SizeBytes() int64 {
 // Consume marks a planned triplet as handled. The executor calls it for
 // every planned triplet whether it executed or was short-circuited away.
 func (ps *PlanSpace) Consume(it PlanItem) {
-	ps.consumed[tripletKey{it.Alias, it.TID, it.Attr, it.FnID}] = true
+	if m := ps.byKey[maskKey{it.Alias, it.TID, it.Attr}]; m != nil {
+		m.consumed |= 1 << uint(it.FnID)
+	}
 }
 
 // Compact drops entries with no remaining plannable triplets, given the
 // family sizes from the manager. It returns the number of live entries.
 func (ps *PlanSpace) Compact(mgr *enrich.Manager) int {
-	live := ps.entries[:0]
-	for _, e := range ps.entries {
-		remaining := false
-		for _, attr := range e.Attrs {
-			fam := mgr.Family(e.Relation, attr)
-			if fam == nil {
-				continue
-			}
-			for _, fn := range fam.Functions {
-				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
-					remaining = true
-					break
-				}
-			}
-			if remaining {
+	ps.resolve(mgr, false)
+	n := 0
+	for i := range ps.entries {
+		for j := range ps.entries[i].Attrs {
+			if ps.pending(i, j) != 0 {
+				ps.entries[n], ps.masks[n] = ps.entries[i], ps.masks[i]
+				n++
 				break
 			}
 		}
-		if remaining {
-			live = append(live, e)
-		}
 	}
-	ps.entries = live
-	return len(live)
+	ps.entries, ps.masks = ps.entries[:n], ps.masks[:n]
+	return n
 }
 
 // Plan builds the epoch's PlanTable: tuples are drawn by simple random
@@ -177,12 +254,13 @@ func (ps *PlanSpace) PlanStats(mgr *enrich.Manager, strategy Strategy, budget ti
 	if len(ps.entries) == 0 || budget <= 0 {
 		return nil
 	}
+	ps.resolve(mgr, true)
 	var order []int
 	switch strategy {
 	case Benefit:
 		order = ps.benefitOrder(mgr)
 	case Adaptive:
-		order = ps.adaptiveOrder(mgr, st)
+		order = ps.adaptiveOrder(st)
 	default:
 		order = rng.Perm(len(ps.entries))
 	}
@@ -190,23 +268,31 @@ func (ps *PlanSpace) PlanStats(mgr *enrich.Manager, strategy Strategy, budget ti
 	var cost time.Duration
 	// Guard against duplicate plan-space entries (probe queries can list the
 	// same (alias, tuple) twice): a PlanTable never carries the same triplet
-	// twice, which the parallel executor's dedup accounting relies on.
-	seen := make(map[tripletKey]bool)
+	// twice, which the parallel executor's dedup accounting relies on. The
+	// shared mask's planned bits remember what this PlanTable holds.
+	defer func() {
+		for _, m := range ps.touched {
+			m.planned = 0
+		}
+		ps.touched = ps.touched[:0]
+	}()
 	for _, ei := range order {
 		if cost >= budget {
 			break
 		}
-		e := ps.entries[ei]
-		items := ps.pickForEntry(mgr, e, strategy, rng, st)
-		for _, it := range items {
-			k := tripletKey{it.Alias, it.TID, it.Attr, it.FnID}
-			if seen[k] {
+		e := &ps.entries[ei]
+		for _, it := range ps.pickForEntry(ei, strategy, rng, st) {
+			m := ps.masks[ei][attrIndex(e.Attrs, it.Attr)]
+			bit := uint64(1) << uint(it.FnID)
+			if m.planned&bit != 0 {
 				continue
 			}
-			seen[k] = true
-			fam := mgr.Family(it.Relation, it.Attr)
+			if m.planned == 0 {
+				ps.touched = append(ps.touched, m)
+			}
+			m.planned |= bit
 			plan = append(plan, it)
-			cost += fam.Functions[it.FnID].AvgCost()
+			cost += ps.res[m.fam].cost[it.FnID]
 			if cost >= budget {
 				break
 			}
@@ -215,94 +301,93 @@ func (ps *PlanSpace) PlanStats(mgr *enrich.Manager, strategy Strategy, budget ti
 	return plan
 }
 
-// pickForEntry selects this epoch's triplets for one plan-space tuple.
-func (ps *PlanSpace) pickForEntry(mgr *enrich.Manager, e SpaceEntry, strategy Strategy, rng *rand.Rand, st *stats.Store) []PlanItem {
-	avail := func(attr string) []int {
-		fam := mgr.Family(e.Relation, attr)
-		if fam == nil {
-			return nil
+func attrIndex(attrs []string, attr string) int {
+	for j, a := range attrs {
+		if a == attr {
+			return j
 		}
-		var out []int
-		for _, fn := range fam.Functions {
-			k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-			if !ps.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
-				out = append(out, fn.ID)
-			}
-		}
-		return out
+	}
+	return -1
+}
+
+// pickForEntry selects this epoch's triplets for plan-space entry ei, into
+// scratch the next call overwrites. The families must be resolved for
+// planning.
+func (ps *PlanSpace) pickForEntry(ei int, strategy Strategy, rng *rand.Rand, st *stats.Store) []PlanItem {
+	e := &ps.entries[ei]
+	picks := ps.picks[:0]
+	defer func() { ps.picks = picks }()
+	item := func(j, id int) PlanItem {
+		return PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: e.Attrs[j], FnID: id}
 	}
 
 	switch strategy {
 	case SBOO:
 		// One random attribute, all of its remaining functions.
-		attrs := shuffledAttrs(e.Attrs, rng)
-		for _, attr := range attrs {
-			fns := avail(attr)
-			if len(fns) == 0 {
-				continue
+		for _, j := range ps.shuffledAttrs(len(e.Attrs), rng) {
+			fns := ps.pending(ei, j)
+			for id := 0; fns != 0; id++ {
+				if fns&(1<<uint(id)) != 0 {
+					picks = append(picks, item(j, id))
+					fns &^= 1 << uint(id)
+				}
 			}
-			items := make([]PlanItem, len(fns))
-			for i, id := range fns {
-				items[i] = PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: id}
+			if len(picks) > 0 {
+				return picks
 			}
-			return items
 		}
 	case SBRO:
 		// One random attribute, one random function.
-		attrs := shuffledAttrs(e.Attrs, rng)
-		for _, attr := range attrs {
-			fns := avail(attr)
-			if len(fns) == 0 {
+		for _, j := range ps.shuffledAttrs(len(e.Attrs), rng) {
+			fns := ps.pending(ei, j)
+			if fns == 0 {
 				continue
 			}
-			id := fns[rng.Intn(len(fns))]
-			return []PlanItem{{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: id}}
+			k := rng.Intn(bits.OnesCount64(fns))
+			for ; k > 0; k-- {
+				fns &= fns - 1
+			}
+			return append(picks, item(j, bits.TrailingZeros64(fns)))
 		}
 	case SBFO, Benefit:
 		// Every attribute advances by its next-best function in
 		// quality-per-cost order.
-		var items []PlanItem
-		for _, attr := range e.Attrs {
-			remaining := avail(attr)
-			if len(remaining) == 0 {
+		for j := range e.Attrs {
+			remaining := ps.pending(ei, j)
+			if remaining == 0 {
 				continue
 			}
-			rset := make(map[int]bool, len(remaining))
-			for _, id := range remaining {
-				rset[id] = true
-			}
-			fam := mgr.Family(e.Relation, attr)
-			for _, id := range fam.ByQualityPerCost() {
-				if rset[id] {
-					items = append(items, PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: id})
+			for _, id := range ps.res[ps.masks[ei][j].fam].order {
+				if remaining&(1<<uint(id)) != 0 {
+					picks = append(picks, item(j, id))
 					break
 				}
 			}
 		}
-		return items
 	case Adaptive:
 		// Every attribute advances by the remaining function with the best
 		// observed impact-per-cost (ties break to the lowest function ID, so
 		// plans are deterministic — Adaptive never draws on the rng).
-		var items []PlanItem
-		for _, attr := range e.Attrs {
-			remaining := avail(attr)
-			if len(remaining) == 0 {
+		for j, attr := range e.Attrs {
+			remaining := ps.pending(ei, j)
+			if remaining == 0 {
 				continue
 			}
-			fam := mgr.Family(e.Relation, attr)
+			fam := ps.res[ps.masks[ei][j].fam].fam
 			bestID, bestScore := -1, math.Inf(-1)
-			for _, id := range remaining {
+			for id := range fam.Functions {
+				if remaining&(1<<uint(id)) == 0 {
+					continue
+				}
 				s := fnImpact(st, e.Relation, attr, id) / fnCostNs(st, e.Relation, attr, fam.Functions[id])
 				if s > bestScore {
 					bestScore, bestID = s, id
 				}
 			}
-			items = append(items, PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: bestID})
+			picks = append(picks, item(j, bestID))
 		}
-		return items
 	}
-	return nil
+	return picks
 }
 
 // fnCostNs is the Adaptive strategy's cost lookup, in priority order: a
@@ -342,30 +427,27 @@ func fnImpact(st *stats.Store, rel, attr string, fnID int) float64 {
 // best remaining function's impact-per-cost across its attributes. The sort
 // is stable over the deterministic probe order, so equal scores keep a
 // reproducible order with no rng involved.
-func (ps *PlanSpace) adaptiveOrder(mgr *enrich.Manager, st *stats.Store) []int {
+func (ps *PlanSpace) adaptiveOrder(st *stats.Store) []int {
 	type scored struct {
 		idx   int
 		score float64
 	}
 	out := make([]scored, len(ps.entries))
 	for i, e := range ps.entries {
-		stbl := mgr.StateTable(e.Relation)
 		best := 0.0
-		for _, attr := range e.Attrs {
-			fam := mgr.Family(e.Relation, attr)
-			if fam == nil {
+		for j, attr := range e.Attrs {
+			r := &ps.res[ps.masks[i][j].fam]
+			if r.fam == nil {
 				continue
 			}
 			var ent float64 = 1
-			if stbl != nil {
-				if snap, _ := stbl.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
-					ent = stateEntropy(&enrich.AttrState{Outputs: snap}, fam.Domain)
-				}
+			if snap, _ := r.st.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
+				ent = stateEntropy(&enrich.AttrState{Outputs: snap}, r.fam.Domain)
 			}
 			bestFn := 0.0
-			for _, fn := range fam.Functions {
-				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if ps.consumed[k] || mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
+			remaining := ps.pending(i, j)
+			for _, fn := range r.fam.Functions {
+				if remaining&(1<<uint(fn.ID)) == 0 {
 					continue
 				}
 				if s := fnImpact(st, e.Relation, attr, fn.ID) / fnCostNs(st, e.Relation, attr, fn); s > bestFn {
@@ -461,11 +543,16 @@ func stateEntropy(s *enrich.AttrState, domain int) float64 {
 	return h / math.Log(float64(domain))
 }
 
-func shuffledAttrs(attrs []string, rng *rand.Rand) []string {
-	out := make([]string, len(attrs))
-	copy(out, attrs)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+// shuffledAttrs returns a random order of n attribute indices, into scratch.
+// It draws on rng exactly as shuffling the attribute names would.
+func (ps *PlanSpace) shuffledAttrs(n int, rng *rand.Rand) []int {
+	perm := ps.perm[:0]
+	for j := 0; j < n; j++ {
+		perm = append(perm, j)
+	}
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	ps.perm = perm
+	return perm
 }
 
 // PlanSizeBytes estimates the PlanTable's storage for Exp 5.

@@ -8,6 +8,7 @@ import (
 
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/enrich"
+	"enrichdb/internal/storage"
 )
 
 // Property-based checks over the PlanSpaceTable operations. Every case draws
@@ -21,6 +22,35 @@ import (
 //   - Plan never emits the same (alias, tuple, attr, function) twice.
 //   - Plan never re-emits consumed or already-enriched triplets.
 //   - Compact keeps exactly the entries that still have plannable triplets.
+
+// tripletKey names one (alias, tuple, attribute, function) triplet.
+type tripletKey struct {
+	alias string
+	tid   int64
+	attr  string
+	fnID  int
+}
+
+// consumed reports whether the plan space's ledger holds the triplet.
+func consumed(space *PlanSpace, k tripletKey) bool {
+	m := space.byKey[maskKey{k.alias, k.tid, k.attr}]
+	return m != nil && m.consumed&(1<<uint(k.fnID)) != 0
+}
+
+// featureOf reads the current image of a tuple: the feature vector of a
+// derived attribute and the image's fixed-data generation.
+func featureOf(db storage.Source, relation string, tid int64, attr string) ([]float64, uint64, error) {
+	tbl, err := db.Table(relation)
+	if err != nil {
+		return nil, 0, err
+	}
+	tu := tbl.Get(tid)
+	if tu == nil {
+		return nil, 0, fmt.Errorf("%s: no tuple %d", relation, tid)
+	}
+	feature, err := tbl.Schema().Feature(tu, attr)
+	return feature, tu.Gen, err
+}
 
 // propFixture builds the shared dataset/manager pair with pinned, per-function
 // distinct costs so budget arithmetic is exact and reproducible.
@@ -179,7 +209,7 @@ func TestCompactPropertyKeepsExactlyPending(t *testing.T) {
 			}
 			for _, fn := range fam.Functions {
 				k := tripletKey{e.Alias, e.TID, attr, fn.ID}
-				if !space.consumed[k] && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
+				if !consumed(space, k) && !mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen) {
 					return true
 				}
 			}
@@ -245,6 +275,110 @@ func TestCompactPropertyKeepsExactlyPending(t *testing.T) {
 			if p && !kept[key] {
 				t.Fatalf("iter %d: Compact dropped still-pending entry %s", iter, key)
 			}
+		}
+	}
+}
+
+// TestPlanPropertyResetReopensUnconsumed: after Manager.ResetTuple moves a
+// tuple to a new generation, the functions that ran for its old image stop
+// blocking the plan — its unconsumed triplets are plannable again — while
+// its consumed triplets stay blocked. Draining the space (plan, consume,
+// compact until empty) must plan exactly the triplets that are neither
+// consumed nor executed for the image the entry names (earlier iterations
+// leave state behind on the shared manager).
+func TestPlanPropertyResetReopensUnconsumed(t *testing.T) {
+	d, mgr := propFixture(t)
+	rng := rand.New(rand.NewSource(4004))
+	strategies := []Strategy{SBOO, SBRO, SBFO, Benefit}
+	nextGen := uint64(1000)
+	for iter := 0; iter < 60; iter++ {
+		space := randSpace(rng)
+		type tuple struct {
+			rel string
+			tid int64
+		}
+		// Entries name the image the state currently belongs to, so work
+		// executed below counts as prior work until a reset.
+		for i := range space.entries {
+			e := &space.entries[i]
+			e.Gen = mgr.GenOf(e.Relation, e.TID)
+		}
+		consumedSet := make(map[tripletKey]bool)
+		executed := make(map[tripletKey]bool)
+		for _, e := range space.entries {
+			for _, attr := range e.Attrs {
+				for _, fn := range mgr.Family(e.Relation, attr).Functions {
+					k := tripletKey{e.Alias, e.TID, attr, fn.ID}
+					switch rng.Intn(3) {
+					case 0:
+						space.Consume(PlanItem{Alias: e.Alias, Relation: e.Relation, TID: e.TID, Attr: attr, FnID: fn.ID})
+						consumedSet[k] = true
+					case 1:
+						f, _, err := featureOf(d.DB, e.Relation, e.TID, attr)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, _, err := mgr.Execute(e.Relation, e.TID, attr, fn.ID, f, e.Gen); err != nil {
+							t.Fatal(err)
+						}
+						executed[k] = true
+					}
+				}
+			}
+		}
+		reset := make(map[tuple]bool)
+		for _, e := range space.entries {
+			k := tuple{e.Relation, e.TID}
+			if _, seen := reset[k]; !seen {
+				reset[k] = rng.Intn(2) == 0
+				if reset[k] {
+					mgr.ResetTuple(e.Relation, e.TID, nextGen)
+					nextGen++
+				}
+			}
+		}
+		want := make(map[tripletKey]bool)
+		for _, e := range space.entries {
+			for _, attr := range e.Attrs {
+				for _, fn := range mgr.Family(e.Relation, attr).Functions {
+					k := tripletKey{e.Alias, e.TID, attr, fn.ID}
+					ran := mgr.Enriched(e.Relation, e.TID, attr, fn.ID, e.Gen)
+					if ran && reset[tuple{e.Relation, e.TID}] {
+						t.Fatalf("iter %d: %+v still executed for the image a reset superseded", iter, k)
+					}
+					if !consumedSet[k] && !ran {
+						want[k] = true
+					}
+				}
+			}
+		}
+
+		got := make(map[tripletKey]bool)
+		for round := 0; space.Compact(mgr) > 0; round++ {
+			if round == 1000 {
+				t.Fatalf("iter %d: the plan space did not drain", iter)
+			}
+			plan := space.Plan(mgr, strategies[rng.Intn(len(strategies))], time.Hour, rng)
+			for _, it := range plan {
+				k := tripletKey{it.Alias, it.TID, it.Attr, it.FnID}
+				if consumedSet[k] {
+					t.Fatalf("iter %d: planned consumed triplet %+v", iter, it)
+				}
+				if !reset[tuple{it.Relation, it.TID}] && executed[k] {
+					t.Fatalf("iter %d: planned triplet executed for its image %+v", iter, it)
+				}
+				got[k] = true
+				space.Consume(it)
+			}
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("iter %d: plannable triplet %+v never planned (reset %v, executed %v)",
+					iter, k, reset[tuple{k.alias, k.tid}], executed[k])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: planned %d triplets, want %d", iter, len(got), len(want))
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // fixture builds a dataset with multi-function families (the progressive
 // experiments' setup) and ground truth for quality scoring.
-func fixture(t *testing.T) (*dataset.Data, *enrich.Manager) {
+func fixture(t testing.TB) (*dataset.Data, *enrich.Manager) {
 	t.Helper()
 	d, err := dataset.Generate(dataset.Config{
 		Seed: 19, Tweets: 250, Images: 120, TopicDomain: 4, TrainPerClass: 15,
@@ -306,17 +306,18 @@ func TestStrategyTripletShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 
 	// SB(OO): all three sentiment functions at once.
-	oo := space.pickForEntry(mgr, entry, SBOO, rng, nil)
+	space.resolve(mgr, true)
+	oo := space.pickForEntry(0, SBOO, rng, nil)
 	if len(oo) != 3 {
 		t.Errorf("SB(OO) planned %d functions, want all 3", len(oo))
 	}
 	// SB(RO): exactly one.
-	ro := space.pickForEntry(mgr, entry, SBRO, rng, nil)
+	ro := space.pickForEntry(0, SBRO, rng, nil)
 	if len(ro) != 1 {
 		t.Errorf("SB(RO) planned %d functions, want 1", len(ro))
 	}
 	// SB(FO): one per attribute, the best quality/cost first.
-	fo := space.pickForEntry(mgr, entry, SBFO, rng, nil)
+	fo := space.pickForEntry(0, SBFO, rng, nil)
 	if len(fo) != 1 {
 		t.Fatalf("SB(FO) planned %d functions, want 1", len(fo))
 	}
@@ -367,7 +368,7 @@ func TestBenefitOrderPrefersUncertainTuples(t *testing.T) {
 
 	// Tuple 1: partially enriched with a confident function output (low
 	// entropy). Tuple 2: untouched (entropy 1).
-	if err := mgr.ApplyOutput("TweetData", 1, "sentiment", 0, []float64{0.98, 0.01, 0.01}, 0); err != nil {
+	if err := mgr.ApplyOutput("TweetData", []enrich.FnOutput{{TID: 1, Attr: "sentiment", FnID: 0, Probs: []float64{0.98, 0.01, 0.01}}}); err != nil {
 		t.Fatal(err)
 	}
 

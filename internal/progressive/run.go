@@ -1,7 +1,6 @@
 package progressive
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -145,8 +144,11 @@ type EpochReport struct {
 	Quality   float64
 	Wall      time.Duration
 
-	PlanTime    time.Duration
-	EnrichTime  time.Duration // function execution (server or in-DBMS)
+	PlanTime time.Duration
+	// EnrichTime is, for loose, the wall time of the epoch's enrichment
+	// batch, the manager's bookkeeping around each function included; for
+	// tight, the time its read_udf calls spent running functions.
+	EnrichTime  time.Duration
 	NetworkTime time.Duration // loose only
 	DeltaTime   time.Duration // IVM apply (or re-execution with Recompute)
 
@@ -343,7 +345,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Record the planned tuples' images before enrichment replaces them.
-		snapshots := snapshotPlanned(cfg.DB, plan)
+		tuples, at := readPlanned(cfg.DB, plan)
 
 		skippedBefore := cfg.Mgr.Counters().Skipped
 		spEnrich := cfg.Tracer.Start("epoch.enrich").Epoch(epoch).
@@ -352,7 +354,7 @@ func Run(cfg Config) (*Result, error) {
 		epochFailed := false
 		switch cfg.Design {
 		case Loose:
-			ran, timing, err := runLooseEpoch(cfg, sched, plan, epoch)
+			ran, timing, err := runLooseEpoch(cfg, plan, tuples, at, epoch)
 			rep.Executed = ran
 			if err != nil {
 				// Whole-batch transport loss (DESIGN §6): the epoch enriched
@@ -411,7 +413,7 @@ func Run(cfg Config) (*Result, error) {
 			res.Rows = rows
 			spRefresh.Int("recompute", 1).Int("rows", int64(len(rows))).End()
 		} else {
-			deltas := deltasFromSnapshots(cfg.DB, snapshots)
+			deltas := deltasOf(tuples)
 			d, err := view.Apply(ctx, deltas)
 			if err != nil {
 				spRefresh.Str("error", err.Error()).End()
@@ -519,46 +521,65 @@ func executePlain(a *engine.Analysis, db storage.Source, ctx *engine.ExecCtx) ([
 	return plan.Execute(ctx)
 }
 
-// tupleKey names one stored tuple.
-type tupleKey struct {
+// plannedTuple is one tuple an epoch's plan touches, read once per epoch.
+// Every stored write swaps in a new image (copy-on-write), so old keeps the
+// pre-enrichment values without a copy.
+type plannedTuple struct {
 	rel string
-	tid int64
+	tbl storage.Relation
+	old *types.Tuple
 }
 
-// snapshotPlanned records each planned tuple's current image once. Every
-// stored write swaps in a new image (copy-on-write), so the recorded one
-// keeps its pre-enrichment values without a copy.
-func snapshotPlanned(db storage.Source, plan []PlanItem) map[tupleKey]*types.Tuple {
-	snaps := make(map[tupleKey]*types.Tuple)
-	for _, it := range plan {
-		k := tupleKey{it.Relation, it.TID}
-		if _, ok := snaps[k]; ok {
-			continue
-		}
-		tbl, err := db.Table(it.Relation)
-		if err != nil {
-			continue
-		}
-		if tu := tbl.Get(it.TID); tu != nil {
-			snaps[k] = tu
-		}
+// readPlanned reads each tuple the plan touches once, in first-touch order:
+// plan item i touches tuples[at[i]], or nothing (at[i] < 0) when a commit
+// deleted the tuple since the probe ran.
+func readPlanned(db storage.Source, plan []PlanItem) (tuples []plannedTuple, at []int) {
+	type rel struct {
+		name string
+		tbl  storage.Relation
 	}
-	return snaps
+	type key struct {
+		rel int // index into rels
+		tid int64
+	}
+	var rels []rel
+	index := make(map[key]int, len(plan))
+	at = make([]int, len(plan))
+	for i, it := range plan {
+		ri := 0
+		for ri < len(rels) && rels[ri].name != it.Relation {
+			ri++
+		}
+		if ri == len(rels) {
+			tbl, _ := db.Table(it.Relation)
+			rels = append(rels, rel{it.Relation, tbl})
+		}
+		k := key{ri, it.TID}
+		ti, ok := index[k]
+		if !ok {
+			ti = -1
+			if tbl := rels[ri].tbl; tbl != nil {
+				if tu := tbl.Get(it.TID); tu != nil {
+					ti = len(tuples)
+					tuples = append(tuples, plannedTuple{rel: it.Relation, tbl: tbl, old: tu})
+				}
+			}
+			index[k] = ti
+		}
+		at[i] = ti
+	}
+	return tuples, at
 }
 
-func deltasFromSnapshots(db storage.Source, snaps map[tupleKey]*types.Tuple) []ivm.TupleDelta {
-	var out []ivm.TupleDelta
-	for k, old := range snaps {
-		tbl, err := db.Table(k.rel)
-		if err != nil {
-			continue
-		}
-		out = append(out, ivm.TupleDelta{Relation: k.rel, Old: old, New: tbl.Get(old.ID)})
+// deltasOf pairs each planned tuple's recorded image with its current one.
+func deltasOf(tuples []plannedTuple) []ivm.TupleDelta {
+	out := make([]ivm.TupleDelta, len(tuples))
+	for i, t := range tuples {
+		out[i] = ivm.TupleDelta{Relation: t.rel, Old: t.old, New: t.tbl.Get(t.old.ID)}
 	}
-	// The snapshot map iterates in random order; delta application order
-	// decides the view's row order (and the per-epoch delta answers), so sort
-	// by (relation, tuple) to keep every run — any worker count, any map seed
-	// — byte-identical.
+	// Delta application order decides the view's row order (and the
+	// per-epoch delta answers), so sort by (relation, tuple) to keep every
+	// run — any worker count, any plan order — byte-identical.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Relation != out[j].Relation {
 			return out[i].Relation < out[j].Relation
@@ -570,27 +591,40 @@ func deltasFromSnapshots(db storage.Source, snaps map[tupleKey]*types.Tuple) []i
 
 // runLooseEpoch executes the epoch's plan at the enrichment server and
 // writes state and determined values back (§3.3.3, loose). The enrichment
-// batch itself runs on the server's own pool; the DBMS-side write-back runs
-// on the epoch scheduler, one worker per touched (relation, tuple,
-// attribute). ran counts the function executions of the responses written
-// back: this query's own work, whatever runs beside it on the manager.
-func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch int) (ran int64, _ loose.BatchTiming, _ error) {
-	var reqs []loose.Request
-	for _, it := range plan {
-		feature, gen, err := featureOf(cfg.DB, it.Relation, it.TID, it.Attr)
-		if errors.Is(err, errTupleGone) {
+// batch itself runs on the server's own pool; the DBMS-side write-back is
+// one batch per relation. Requests read each planned tuple's recorded image
+// and each (tuple, attribute)'s feature and executed functions once. ran
+// counts the function executions of the responses written back: this
+// query's own work, whatever runs beside it on the manager.
+func runLooseEpoch(cfg Config, plan []PlanItem, tuples []plannedTuple, at []int, epoch int) (ran int64, _ loose.BatchTiming, _ error) {
+	reqs := make([]loose.Request, 0, len(plan))
+	var feature []float64
+	var done uint64
+	last, lastAttr := -1, ""
+	for i, it := range plan {
+		ti := at[i]
+		if ti < 0 {
 			// A committed delete raced the epoch; the plan item is moot.
 			continue
 		}
-		if err != nil {
-			return 0, loose.BatchTiming{}, err
+		t := &tuples[ti]
+		if ti != last || it.Attr != lastAttr {
+			var err error
+			if feature, err = t.tbl.Schema().Feature(t.old, it.Attr); err != nil {
+				return 0, loose.BatchTiming{}, err
+			}
+			done = 0
+			if st := cfg.Mgr.StateTable(it.Relation); st != nil {
+				done = st.BitmapAt(it.TID, it.Attr, t.old.Gen)
+			}
+			last, lastAttr = ti, it.Attr
 		}
-		if cfg.Mgr.Enriched(it.Relation, it.TID, it.Attr, it.FnID, gen) {
+		if done&(1<<uint(it.FnID)) != 0 {
 			continue
 		}
 		reqs = append(reqs, loose.Request{
 			Relation: it.Relation, TID: it.TID, Attr: it.Attr, FnID: it.FnID,
-			Feature: feature, Gen: gen,
+			Feature: feature, Gen: t.old.Gen,
 		})
 	}
 	if len(reqs) == 0 {
@@ -600,16 +634,23 @@ func runLooseEpoch(cfg Config, sched *enrich.Scheduler, plan []PlanItem, epoch i
 	if err != nil {
 		return 0, loose.BatchTiming{}, err
 	}
-	// Best-effort: a failed response leaves its state bits unset, so a later
-	// epoch's plan simply re-selects the same triplet.
-	err = loose.WriteBack(cfg.Mgr, cfg.DB, resps, func(n int, fn func(i int) error) error {
-		return sched.DoTraced(cfg.Tracer, "epoch.determinize", epoch, n, fn)
-	})
+	ok := 0
 	for _, r := range resps {
-		if !r.Failed() && r.Ran {
-			ran++
+		if !r.Failed() {
+			ok++
+			if r.Ran {
+				ran++
+			}
 		}
 	}
+	if ok == 0 {
+		return ran, timing, nil
+	}
+	// Best-effort: a failed response leaves its state bits unset, so a later
+	// epoch's plan simply re-selects the same triplet.
+	sp := cfg.Tracer.Start("epoch.determinize").Epoch(epoch).Worker(0)
+	n, err := loose.WriteBack(cfg.Mgr, cfg.DB, resps)
+	sp.Int("items", int64(n)).End()
 	return ran, timing, err
 }
 
@@ -817,24 +858,4 @@ func registerStorageGauges(reg *telemetry.Registry, db storage.Store) {
 	reg.GaugeFunc("storage.compactions", func() int64 { return db.Stats().Compactions })
 	reg.GaugeFunc("storage.live_tuples", func() int64 { return db.Stats().Live })
 	reg.GaugeFunc("storage.tombstones", func() int64 { return db.Stats().Tombstones })
-}
-
-// errTupleGone marks a plan item whose tuple a concurrent committed delete
-// removed between planning and execution; epochs skip it (read-committed)
-// instead of aborting the query.
-var errTupleGone = errors.New("progressive: tuple deleted during epoch")
-
-// featureOf reads the tuple's feature vector for a derived attribute plus
-// the fixed-data generation of the tuple image it was read from.
-func featureOf(db storage.Source, relation string, tid int64, attr string) ([]float64, uint64, error) {
-	tbl, err := db.Table(relation)
-	if err != nil {
-		return nil, 0, err
-	}
-	tu := tbl.Get(tid)
-	if tu == nil {
-		return nil, 0, errTupleGone
-	}
-	feature, err := tbl.Schema().Feature(tu, attr)
-	return feature, tu.Gen, err
 }

@@ -218,7 +218,7 @@ func (rt *Runtime) GetValue(relation string, tid int64, attr string) (types.Valu
 	// and the image is marked when its whole family ran, as loose's
 	// BuildRequests does. (With nothing executed and nothing stored — an
 	// empty progressive plan — the value stays NULL and nothing is written.)
-	return rt.Mgr.WriteBack(tbl, tu, attr)
+	return rt.writeBack(tbl, tu, attr)
 }
 
 // ReadUDF executes the pending enrichment function(s) on the tuple, updates
@@ -266,7 +266,15 @@ func (rt *Runtime) ReadUDF(relation string, tid int64, attr string) (types.Value
 	// Gen-guarded write-back: if the tuple was deleted or its fixed data
 	// superseded since the image was read, the value silently stays off the
 	// (now different or absent) base tuple.
-	return rt.Mgr.WriteBack(tbl, tu, attr)
+	return rt.writeBack(tbl, tu, attr)
+}
+
+// writeBack determinizes one (tuple image, attribute) and writes it back: a
+// Manager.WriteBack batch of one.
+func (rt *Runtime) writeBack(tbl storage.Relation, tu *types.Tuple, attr string) (types.Value, error) {
+	slot := []enrich.WriteBackSlot{{Tuple: tu, Attr: attr}}
+	err := rt.Mgr.WriteBack(tbl, slot)
+	return slot[0].Value, err
 }
 
 func (rt *Runtime) track(start time.Time) { rt.callNanos.AddDuration(time.Since(start)) }

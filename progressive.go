@@ -113,8 +113,9 @@ type Epoch struct {
 	Deleted   int
 	Wall      time.Duration
 	// PlanTime, EnrichTime and DeltaTime break the epoch's wall into its
-	// dominant phases: PlanTable sampling, function execution, and IVM delta
-	// apply. The serving tier streams them as per-epoch profile deltas.
+	// dominant phases: PlanTable sampling, enrichment (for loose, the
+	// enrichment batch's wall, bookkeeping included), and IVM delta apply.
+	// The serving tier streams them as per-epoch profile deltas.
 	PlanTime   time.Duration
 	EnrichTime time.Duration
 	DeltaTime  time.Duration
@@ -253,6 +254,10 @@ func (db *DB) runProgressive(ctx context.Context, a *engine.Analysis, opts Progr
 	// its schema names the columns of the answer and of every delta.
 	res.schema = pr.View.Schema()
 	res.Enrichments, res.Overhead, res.quality = pr.TotalEnrichments, pr.Overhead, pr.Quality
+	for _, ep := range pr.Epochs {
+		res.Timing.Enrich += ep.EnrichTime
+		res.Timing.Network += ep.NetworkTime
+	}
 	return pr.Rows, res.schema, nil
 }
 

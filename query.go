@@ -54,7 +54,8 @@ func wrapRows(schema *expr.RowSchema, rows []*expr.Row) *Rows {
 
 // Result is the outcome of one query execution under any design (plain runs
 // leave the enrichment counters and Timing zero; only progressive runs fill
-// Epochs and Overhead).
+// Epochs and Overhead). A progressive run's Timing sums its epochs'
+// enrichment and network time, and DBMS is the rest of the run's wall.
 type Result struct {
 	*Rows
 	// Enrichments is the number of enrichment function executions the
@@ -158,6 +159,7 @@ func rowsOnly(res *Result, err error) (*Rows, error) {
 // ANALYZE runs it under the operator profiler (progressive: its phase tree).
 // Both answer with the rendered tree (see planRows).
 func (db *DB) run(ctx context.Context, src storage.Source, design Design, query string, obs QueryObs) (*Result, error) {
+	start := time.Now()
 	st, err := db.parse(query)
 	if err != nil {
 		return nil, err
@@ -180,7 +182,6 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	if st.mode == explainAnalyze {
 		prof = engine.NewProfiler()
 	}
-	start := time.Now()
 
 	res := &Result{}
 	var rows []*expr.Row
@@ -218,6 +219,11 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 		return nil, err
 	}
 	res.Rows = wrapRows(schema, rows)
+	if design == ProgressiveDesign {
+		// The epochs split out Enrich and Network; DBMS is the rest of the
+		// run's wall, so Total() is the wall.
+		res.Timing.DBMS = max(time.Since(start)-res.Timing.Enrich-res.Timing.Network, 0)
+	}
 	if prof != nil {
 		res.Profile = &QueryProfile{Design: design.String(), Root: prof.Root()}
 		if design == ProgressiveDesign {

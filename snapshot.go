@@ -123,15 +123,16 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 		// Restored images carry no enrichment mark: write back every
 		// attribute the imported state completed, which determinizes from
 		// the state (running nothing) and sets the mark.
+		var slots []enrich.WriteBackSlot
 		for _, tu := range tbl.Tuples() {
 			for _, attr := range schema.DerivedCols() {
-				if !db.mgr.FullyEnriched(rs.Name, tu.ID, attr, tu.Gen) {
-					continue
-				}
-				if _, err := db.mgr.WriteBack(tbl, tu, attr); err != nil {
-					return fmt.Errorf("enrichdb: %s: mark restored tuple %d: %w", rs.Name, tu.ID, err)
+				if db.mgr.FullyEnriched(rs.Name, tu.ID, attr, tu.Gen) {
+					slots = append(slots, enrich.WriteBackSlot{Tuple: tu, Attr: attr})
 				}
 			}
+		}
+		if err := db.mgr.WriteBack(tbl, slots); err != nil {
+			return fmt.Errorf("enrichdb: %s: mark restored tuples: %w", rs.Name, err)
 		}
 	}
 	return nil
