@@ -141,15 +141,6 @@ func (db *DB) CreateRelation(name string, cols []Column) error {
 	return err
 }
 
-// CreateIndex builds a hash index on a fixed column.
-func (db *DB) CreateIndex(relation, column string) error {
-	tbl, err := db.store.BaseTable(relation)
-	if err != nil {
-		return err
-	}
-	return tbl.CreateIndex(column)
-}
-
 // Insert stores a tuple; values are positional per the relation's columns.
 // Derived attributes should be inserted as Null (they are enriched at query
 // time). A zero id auto-assigns.
@@ -311,19 +302,9 @@ type Function struct {
 
 // RegisterEnrichment attaches a function family to a derived attribute. All
 // families of a relation must be registered before the first enrichment.
-// The determinizer defaults to averaging the executed functions'
-// distributions (see WithDeterminizer options on Register* variants below).
+// The family determinizes by averaging the executed functions'
+// distributions.
 func (db *DB) RegisterEnrichment(relation, attr string, fns ...Function) error {
-	return db.registerEnrichment(relation, attr, enrich.AvgProb{}, fns...)
-}
-
-// RegisterEnrichmentMajority is RegisterEnrichment with a majority-vote
-// determinization function.
-func (db *DB) RegisterEnrichmentMajority(relation, attr string, fns ...Function) error {
-	return db.registerEnrichment(relation, attr, enrich.MajorityVote{}, fns...)
-}
-
-func (db *DB) registerEnrichment(relation, attr string, det enrich.Determinizer, fns ...Function) error {
 	schema := db.store.Catalog().Schema(relation)
 	if schema == nil {
 		return fmt.Errorf("enrichdb: unknown relation %s", relation)
@@ -342,7 +323,7 @@ func (db *DB) registerEnrichment(relation, attr string, det enrich.Determinizer,
 			Name: name, Model: f.Model, Quality: f.Quality, ExtraCost: f.ExtraCost,
 		}
 	}
-	fam, err := enrich.NewFamily(relation, attr, col.Domain, det, efs...)
+	fam, err := enrich.NewFamily(relation, attr, col.Domain, enrich.AvgProb{}, efs...)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package enrichdb
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
+
+	"enrichdb/internal/stats"
 )
 
 // buildReviewDB creates a small database through the public API: a Reviews
@@ -442,19 +445,6 @@ func TestStatsSkippedCountsAvoidedRunsOnly(t *testing.T) {
 	}
 }
 
-func TestCreateIndexPublic(t *testing.T) {
-	db, _, _ := buildReviewDB(t)
-	if err := db.CreateIndex("Reviews", "store"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.CreateIndex("Reviews", "rating"); err == nil {
-		t.Error("indexing a derived column must fail")
-	}
-	if err := db.CreateIndex("Missing", "x"); err == nil {
-		t.Error("unknown relation must fail")
-	}
-}
-
 // A progressive run's Timing splits its wall: Enrich and Network sum the
 // epochs', and DBMS is the rest, so Total() is the run's wall. OnEpoch
 // sleeps, so the run lasts long enough that scheduler jitter around the
@@ -480,5 +470,33 @@ func TestProgressiveTimingTotalsWall(t *testing.T) {
 		if total := res.Timing.Total(); total > wall || wall-total > wall/100 {
 			t.Errorf("%v: Timing.Total() = %v (%+v), measured wall %v: want within 1%%", design, total, res.Timing, wall)
 		}
+	}
+}
+
+// RuntimeStats stays bounded under queries whose predicates differ only in
+// their constants: the store keys predicates by rendered text, and each of
+// its predicate and operator maps holds at most stats.MaxKeys keys.
+func TestRuntimeStatsBoundedByDistinctConstants(t *testing.T) {
+	db, _, _ := buildReviewDB(t)
+	n := stats.MaxKeys + 200
+	for i := 0; i < n; i++ {
+		if _, err := db.Query(fmt.Sprintf("SELECT id FROM Reviews WHERE day < %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dump := db.RuntimeStats()
+	lines := strings.Split(strings.TrimRight(dump, "\n"), "\n")
+	preds := 0
+	for _, l := range lines {
+		if strings.HasPrefix(l, "pred ") {
+			preds++
+		}
+	}
+	if preds == 0 || preds > stats.MaxKeys || len(lines) > 2*stats.MaxKeys {
+		t.Fatalf("after %d distinct-constant queries: %d lines, %d predicates; want 1..%d predicates, at most %d lines",
+			n, len(lines), preds, stats.MaxKeys, 2*stats.MaxKeys)
+	}
+	if last := fmt.Sprintf("day < %d", n-1); !strings.Contains(dump, last) {
+		t.Errorf("the newest predicate (%s) is missing from the store", last)
 	}
 }

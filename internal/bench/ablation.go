@@ -182,10 +182,10 @@ func AblationBatching(s Scale, extra time.Duration) (*Table, error) {
 	tbl := env.Data.DB.MustTable("MultiPie")
 	fi := tbl.Schema().ColIndex("feature")
 	var reqs []loose.Request
-	for _, tid := range tbl.IDs() {
+	for _, tu := range tbl.Tuples() {
 		reqs = append(reqs, loose.Request{
-			Relation: "MultiPie", TID: tid, Attr: "gender", FnID: 0,
-			Feature: tbl.Get(tid).Vals[fi].Vector(),
+			Relation: "MultiPie", TID: tu.ID, Attr: "gender", FnID: 0,
+			Feature: tu.Vals[fi].Vector(),
 		})
 	}
 	n := time.Duration(len(reqs))

@@ -27,27 +27,26 @@ func DeterminizerComparison(s Scale) (*Table, error) {
 	fi := schema.ColIndex("feature")
 
 	// Execute the whole family on every tuple once.
-	tids := tbl.IDs()
-	outputs := make(map[int64][][]float64, len(tids))
-	for _, tid := range tids {
-		x := tbl.Get(tid).Vals[fi].Vector()
+	outputs := make(map[int64][][]float64, tbl.Len())
+	for _, tu := range tbl.Tuples() {
+		x := tu.Vals[fi].Vector()
 		outs := make([][]float64, len(fam.Functions))
 		for _, fn := range fam.Functions {
 			outs[fn.ID] = fn.Model.PredictProba(x)
 		}
-		outputs[tid] = outs
+		outputs[tu.ID] = outs
 	}
 
 	accuracyOf := func(det enrich.Determinizer) float64 {
 		correct := 0
-		for _, tid := range tids {
+		for tid, outs := range outputs {
 			truth, _ := env.Data.Truth.Label(rel, attr, tid)
-			v := det.Determine(outputs[tid], fam.Domain)
+			v := det.Determine(outs, fam.Domain)
 			if !v.IsNull() && v.Int() == int64(truth) {
 				correct++
 			}
 		}
-		return float64(correct) / float64(len(tids))
+		return float64(correct) / float64(len(outputs))
 	}
 
 	weights := make([]float64, len(fam.Functions))

@@ -229,7 +229,7 @@ func (d *Data) genTweets(r *rand.Rand) error {
 			return err
 		}
 	}
-	return tbl.CreateIndex("location")
+	return nil
 }
 
 func (d *Data) genImages(r *rand.Rand) error {
@@ -329,8 +329,7 @@ func (d *Data) TruthDB() (*storage.DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		var insErr error
-		src.Scan(func(t *types.Tuple) bool {
+		for _, t := range src.Tuples() {
 			nt := t.Clone()
 			for ci, col := range schema.Cols {
 				if !col.Derived {
@@ -340,11 +339,9 @@ func (d *Data) TruthDB() (*storage.DB, error) {
 					nt.Vals[ci] = types.NewInt(int64(label))
 				}
 			}
-			_, insErr = dst.Insert(nt)
-			return insErr == nil
-		})
-		if insErr != nil {
-			return nil, insErr
+			if _, err := dst.Insert(nt); err != nil {
+				return nil, err
+			}
 		}
 	}
 	d.truthDB = tdb

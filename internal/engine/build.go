@@ -86,14 +86,12 @@ func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
 		push, pull := splitSelPred(ordered, tm.Alias, multi, opts.NoFixedFirstOrdering)
 		pulled = append(pulled, pull...)
 
-		// Prefer an index scan when a pushed conjunct is an equality over
-		// an indexed column.
-		leaf, residual := chooseAccessPath(tbl, tm.Alias, push)
-		if residual != nil {
-			if err := residual.Resolve(leaf.Schema()); err != nil {
+		var leaf Plan = NewScan(tbl, tm.Alias)
+		if push != nil {
+			if err := push.Resolve(leaf.Schema()); err != nil {
 				return nil, err
 			}
-			leaf = NewFilter(leaf, residual)
+			leaf = NewFilter(leaf, push)
 		}
 		leaves[ti] = leaf
 	}
@@ -389,59 +387,6 @@ func configureJoin(j *Join, conds []JoinCond, leftSchema *expr.RowSchema, rightA
 		j.Cond = pred
 	}
 	return nil
-}
-
-// chooseAccessPath selects an IndexScan when the pushed predicate contains
-// an equality between an indexed column and a constant, returning the leaf
-// plan and the residual predicate (nil when fully absorbed).
-func chooseAccessPath(tbl storage.Relation, alias string, push expr.Expr) (Plan, expr.Expr) {
-	if push == nil {
-		return NewScan(tbl, alias), nil
-	}
-	conjuncts := expr.Conjuncts(push)
-	for i, c := range conjuncts {
-		col, val, ok := indexableEquality(c, tbl)
-		if !ok {
-			continue
-		}
-		rest := make([]expr.Expr, 0, len(conjuncts)-1)
-		rest = append(rest, conjuncts[:i]...)
-		rest = append(rest, conjuncts[i+1:]...)
-		var residual expr.Expr
-		if len(rest) > 0 {
-			residual = expr.NewAnd(rest...)
-		}
-		return NewIndexScan(tbl, alias, col, val), residual
-	}
-	return NewScan(tbl, alias), push
-}
-
-// indexableEquality matches conjuncts of the form col = const (either
-// orientation) where col has a hash index.
-func indexableEquality(e expr.Expr, tbl storage.Relation) (col string, val types.Value, ok bool) {
-	cmp, isCmp := e.(*expr.Cmp)
-	if !isCmp || cmp.Op != expr.EQ {
-		return "", types.Null, false
-	}
-	c, cok := cmp.L.(*expr.Col)
-	k, kok := cmp.R.(*expr.Const)
-	if !cok || !kok {
-		c, cok = cmp.R.(*expr.Col)
-		k, kok = cmp.L.(*expr.Const)
-	}
-	if !cok || !kok || k.Val.IsNull() {
-		return "", types.Null, false
-	}
-	if !tbl.HasIndex(c.Name) {
-		return "", types.Null, false
-	}
-	// The hash index keys by exact kind, while Compare widens numerics
-	// (INT 1 = FLOAT 1.0); only same-kind constants can use the index.
-	sc := tbl.Schema().Col(c.Name)
-	if sc == nil || sc.Kind != k.Val.Kind() {
-		return "", types.Null, false
-	}
-	return c.Name, k.Val, true
 }
 
 // containsUDF reports whether the expression invokes any UDF.

@@ -35,13 +35,6 @@ func annotate(sb *strings.Builder, p Plan, cm *CostModel, indent string) (rows, 
 		rows = float64(n.Table.Len())
 		cost = rows
 		fmt.Fprintf(sb, "%s%s  (est_rows=%.0f est_cost=%.0f)\n", indent, line, rows, cost)
-	case *IndexScan:
-		rows = float64(n.Table.Len()) * 0.1 // equality probe heuristic
-		if rows < 1 {
-			rows = 1
-		}
-		cost = rows
-		fmt.Fprintf(sb, "%s%s  (est_rows=%.0f est_cost=%.0f)\n", indent, line, rows, cost)
 	case *Rows:
 		rows = float64(len(n.Data))
 		cost = rows

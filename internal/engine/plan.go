@@ -25,7 +25,6 @@ type Stats struct {
 	JoinPairs   int64 // pairs evaluated by nested-loop joins
 	HashJoins   int64
 	NLJoins     int64
-	IndexScans  int64
 	// Vectorized-path counters: column batches built, tuple lanes pushed
 	// through vector kernels, and lanes that fell back to row-at-a-time
 	// residual evaluation (uncompiled conjunct suffix).
@@ -50,7 +49,6 @@ func (s *Stats) Publish(add func(name string, delta int64)) {
 	add("engine.join_pairs", s.JoinPairs)
 	add("engine.hash_joins", s.HashJoins)
 	add("engine.nl_joins", s.NLJoins)
-	add("engine.index_scans", s.IndexScans)
 	add("engine.batch_built", s.BatchesBuilt)
 	add("engine.batch_rows", s.BatchRows)
 	add("engine.batch_fallback_rows", s.BatchFallbackRows)
@@ -242,7 +240,7 @@ func (f *Filter) Schema() *expr.RowSchema { return f.Child.Schema() }
 // plan implementations default to the safe copy path.
 func ownsResult(p Plan) bool {
 	switch p.(type) {
-	case *Scan, *IndexScan, *Filter, *Join, *Project, *Aggregate:
+	case *Scan, *Filter, *Join, *Project, *Aggregate:
 		return true
 	default:
 		return false

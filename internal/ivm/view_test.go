@@ -370,10 +370,9 @@ func replayView(t *testing.T, db *storage.DB, a *engine.Analysis) *View {
 		if _, err := empty.CreateTable(tm.Schema); err != nil {
 			t.Fatal(err)
 		}
-		db.MustTable(tm.Relation).Scan(func(tu *types.Tuple) bool {
+		for _, tu := range db.MustTable(tm.Relation).Tuples() {
 			inserts = append(inserts, TupleDelta{Relation: tm.Relation, New: tu})
-			return true
-		})
+		}
 	}
 	v, err := New(a, empty, nil)
 	if err != nil {

@@ -239,9 +239,9 @@ func TestLooseEnrichesOnlyNeededAttrs(t *testing.T) {
 	}
 	st := mgr.StateTable("TweetData")
 	tbl := d.DB.MustTable("TweetData")
-	for _, tid := range tbl.IDs() {
-		if s := st.Get(tid, "topic"); s != nil && s.Bitmap != 0 {
-			t.Fatalf("topic of tuple %d was enriched by a sentiment-only query", tid)
+	for _, tu := range tbl.Tuples() {
+		if s := st.Get(tu.ID, "topic"); s != nil && s.Bitmap != 0 {
+			t.Fatalf("topic of tuple %d was enriched by a sentiment-only query", tu.ID)
 		}
 	}
 }

@@ -86,10 +86,10 @@ func Scatter(a *engine.Analysis, src Scatterable, parent *engine.ExecCtx) ([]*ex
 				return
 			}
 			// Tag each row with its source tuple's insertion sequence, the
-			// merge key: a shard's plan emits rows in slab (or index-Seq)
-			// order, so the tags form a Seq-ascending run. Rows flowing out of
-			// an eligible plan carry exactly one base TID; a row whose tuple a
-			// live writer deleted between execute and tag inherits its
+			// merge key: a shard's plan emits rows in slab order, so the
+			// tags form a Seq-ascending run. Rows flowing out of an eligible
+			// plan carry exactly one base TID; a row whose tuple a live
+			// writer deleted between execute and tag inherits its
 			// predecessor's seq, keeping its place in the run, and the merge
 			// breaks the tie by (shard, pos).
 			tbl, terr := ssrc.Table(rel)

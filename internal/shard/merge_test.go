@@ -40,8 +40,8 @@ func TestMergeRunsOrdersBySeqThenRunThenPos(t *testing.T) {
 // re-inserts of deleted ids and fixed-column commits, with enough deletes to
 // compact every replica, runs on a 4-shard store beside an unsharded table.
 // After every step each replica's slab is strictly Seq-ascending, and the
-// facade's Tuples and IndexTuples and a frozen snapshot's merged view list
-// exactly the unsharded order.
+// facade's Tuples and a frozen snapshot's merged view list exactly the
+// unsharded order.
 func TestReplicaRunsStaySeqAscending(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -54,11 +54,6 @@ func TestReplicaRunsStaySeqAscending(t *testing.T) {
 			st, err := sh.CreateBase(eventsSchema(t))
 			if err != nil {
 				t.Fatal(err)
-			}
-			for _, tbl := range []storage.BaseTable{ut, st} {
-				if err := tbl.CreateIndex("kind"); err != nil {
-					t.Fatal(err)
-				}
 			}
 			reps := st.(*Table).reps
 			rng := rand.New(rand.NewSource(seed))
@@ -158,25 +153,6 @@ func checkMergeInvariant(t *testing.T, step int, reps []*storage.Table, ut, st s
 	if got := tupleOrder(frozen); !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d: frozen merged view diverged:\n got %v\nwant %v", step, got, want)
 	}
-	for k := 0; k < 5; k++ {
-		key := types.NewString(fmt.Sprintf("k%d", k))
-		us, _ := ut.IndexTuples("kind", key)
-		ss, ok := st.IndexTuples("kind", key)
-		if !ok {
-			t.Fatalf("step %d: facade lost its index", step)
-		}
-		if got, want := ids(ss), ids(us); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: IndexTuples(%v) diverged:\n got %v\nwant %v", step, key, got, want)
-		}
-	}
-}
-
-func ids(tus []*types.Tuple) []int64 {
-	out := make([]int64, len(tus))
-	for i, tu := range tus {
-		out[i] = tu.ID
-	}
-	return out
 }
 
 // TestConcurrentWritesKeepMergedReadsOrdered runs inserts, routed writes and
@@ -185,9 +161,6 @@ func ids(tus []*types.Tuple) []int64 {
 // comes out strictly Seq-ascending.
 func TestConcurrentWritesKeepMergedReadsOrdered(t *testing.T) {
 	_, _, _, st := newStores(t, Config{Shards: 4})
-	if err := st.CreateIndex("kind"); err != nil {
-		t.Fatal(err)
-	}
 	insertN(t, st, 64)
 	ascending := func(tus []*types.Tuple) bool {
 		for i := 1; i < len(tus); i++ {
@@ -225,8 +198,7 @@ func TestConcurrentWritesKeepMergedReadsOrdered(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tus, _ := st.IndexTuples("kind", types.NewString("k1"))
-				if !ascending(st.Tuples()) || !ascending(tus) {
+				if !ascending(st.Tuples()) {
 					t.Error("merged read not Seq-ascending under concurrent writers")
 					return
 				}

@@ -11,7 +11,7 @@ import (
 
 // HashPartitioner maps a partition-key value to a shard in [0, N) by the
 // shared types.Hasher, so key normalization (-0.0 folding, kind tagging) is
-// identical to the engine's hash join and hash index keys by construction.
+// identical to the engine's hash join keys by construction.
 // Routing is total: every value, including NULL, NaN and -0.0, lands on
 // exactly one shard, and values that compare key-equal (types.KeyEqual)
 // route identically.

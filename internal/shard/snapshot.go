@@ -88,21 +88,6 @@ func (v *mergedView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Scan walks the merged insertion order, folding in each tuple's
-// session-local image through Get, as Tuples does.
-func (v *mergedView) Scan(fn func(*types.Tuple) bool) {
-	for _, tu := range v.all() {
-		if sv := v.view(tu.ID); sv != nil {
-			if cur := sv.Get(tu.ID); cur != nil {
-				tu = cur
-			}
-		}
-		if !fn(tu) {
-			return
-		}
-	}
-}
-
 // Tuples returns the merged insertion-order snapshot, with session-local
 // derived writes folded in (matching TableView.Tuples semantics).
 func (v *mergedView) Tuples() []*types.Tuple {
@@ -117,25 +102,6 @@ func (v *mergedView) Tuples() []*types.Tuple {
 		}
 	}
 	return out
-}
-
-// IDs returns the merged insertion-order ids.
-func (v *mergedView) IDs() []int64 {
-	base := v.all()
-	out := make([]int64, len(base))
-	for i, tu := range base {
-		out[i] = tu.ID
-	}
-	return out
-}
-
-// HasIndex mirrors the unsharded TableView: frozen views answer no index
-// lookups, so sharded and unsharded sessions build identical plans.
-func (v *mergedView) HasIndex(string) bool { return false }
-
-// IndexTuples reports no index, like TableView.
-func (v *mergedView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
-	return nil, false
 }
 
 // WriteDerived routes the derived write and its mark to the owning shard's

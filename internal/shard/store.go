@@ -19,9 +19,9 @@ type Config struct {
 // Store is a sharded storage.Store: every table is hash-partitioned by tuple
 // id across N in-process *storage.DB replicas. A tuple's shard is a fixed
 // function of its id. Reads merge the replicas in global insertion-sequence
-// order, so every plan shape — scans, index scans, joins, aggregates, IVM
-// deltas — sees exactly the sequence an unsharded table would produce; writes
-// route to the owning replica.
+// order, so every plan shape — scans, joins, aggregates, IVM deltas — sees
+// exactly the sequence an unsharded table would produce; writes route to the
+// owning replica.
 type Store struct {
 	dbs  []*storage.DB
 	part *HashPartitioner
@@ -106,7 +106,6 @@ func (s *Store) Stats() storage.TableStats {
 		out.Compactions += ts.Compactions
 		out.Live += ts.Live
 		out.Tombstones += ts.Tombstones
-		out.Indexes += ts.Indexes
 	}
 	return out
 }
@@ -235,58 +234,3 @@ func (t *Table) Tuples() []*types.Tuple {
 
 // tupleSeq is the merge key of a tuple run.
 func tupleSeq(tu *types.Tuple) uint64 { return tu.Seq }
-
-// Scan walks the merged insertion order.
-func (t *Table) Scan(fn func(*types.Tuple) bool) {
-	for _, tu := range t.Tuples() {
-		if !fn(tu) {
-			return
-		}
-	}
-}
-
-// IDs returns all ids in merged insertion order.
-func (t *Table) IDs() []int64 {
-	tus := t.Tuples()
-	out := make([]int64, len(tus))
-	for i, tu := range tus {
-		out[i] = tu.ID
-	}
-	return out
-}
-
-// CreateIndex builds the index on every replica.
-func (t *Table) CreateIndex(col string) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.reps {
-		if err := r.CreateIndex(col); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasIndex reports whether the column is indexed (identically on every
-// replica by construction).
-func (t *Table) HasIndex(col string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.reps[0].HasIndex(col)
-}
-
-// IndexTuples merges the replicas' index lookups in insertion order —
-// the same order an unsharded index scan returns.
-func (t *Table) IndexTuples(col string, v types.Value) ([]*types.Tuple, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	runs := make([][]*types.Tuple, len(t.reps))
-	for i, r := range t.reps {
-		tus, ok := r.IndexTuples(col, v)
-		if !ok {
-			return nil, false
-		}
-		runs[i] = tus
-	}
-	return mergeRuns(runs, tupleSeq), true
-}

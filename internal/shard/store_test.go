@@ -146,44 +146,6 @@ func TestShardedGenGuard(t *testing.T) {
 	}
 }
 
-func TestShardedIndexTuplesMatchUnsharded(t *testing.T) {
-	_, ut, _, st := newStores(t, Config{Shards: 4})
-	if err := ut.CreateIndex("kind"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CreateIndex("kind"); err != nil {
-		t.Fatal(err)
-	}
-	insertN(t, ut, 60)
-	insertN(t, st, 60)
-	for _, id := range []int64{8, 22, 36} {
-		ut.Delete(id)
-		st.Delete(id)
-	}
-	if !st.HasIndex("kind") || st.HasIndex("label") {
-		t.Fatal("HasIndex wrong on facade")
-	}
-	for k := 0; k < 7; k++ {
-		key := types.NewString(fmt.Sprintf("k%d", k))
-		us, uok := ut.IndexTuples("kind", key)
-		ss, sok := st.IndexTuples("kind", key)
-		if uok != sok {
-			t.Fatalf("IndexTuples ok diverged for %v", key)
-		}
-		uIDs := make([]int64, len(us))
-		for i, tu := range us {
-			uIDs[i] = tu.ID
-		}
-		sIDs := make([]int64, len(ss))
-		for i, tu := range ss {
-			sIDs[i] = tu.ID
-		}
-		if !reflect.DeepEqual(uIDs, sIDs) {
-			t.Fatalf("index scan for %v diverged:\n got %v\nwant %v", key, sIDs, uIDs)
-		}
-	}
-}
-
 func TestFreezeSnapshotIsolation(t *testing.T) {
 	sh := New(Config{Shards: 3})
 	st, err := sh.CreateBase(eventsSchema(t))

@@ -67,6 +67,12 @@ type opStat struct {
 	obs     int64
 }
 
+// MaxKeys caps the predicate map and the operator map, each. Their keys are
+// rendered expressions, constants included, so a stream of queries with
+// distinct constants would grow them without bound; a map that is full when
+// a new key arrives starts over, so the estimates it keeps are recent ones.
+const MaxKeys = 1024
+
 // Store accumulates runtime statistics. The zero value is not usable; call
 // NewStore.
 type Store struct {
@@ -103,6 +109,9 @@ func (s *Store) ObservePredicate(key string, evals, passes int64) {
 	defer s.mu.Unlock()
 	st := s.preds[key]
 	if st == nil {
+		if len(s.preds) >= MaxKeys {
+			clear(s.preds)
+		}
 		st = &predStat{}
 		s.preds[key] = st
 	}
@@ -197,6 +206,9 @@ func (s *Store) ObserveOp(key string, rowsIn, rowsOut int64) {
 	defer s.mu.Unlock()
 	st := s.ops[key]
 	if st == nil {
+		if len(s.ops) >= MaxKeys {
+			clear(s.ops)
+		}
 		st = &opStat{}
 		s.ops[key] = st
 	}

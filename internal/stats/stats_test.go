@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -99,5 +100,31 @@ func TestConcurrentObservers(t *testing.T) {
 	wg.Wait()
 	if sel, ok := s.PredicateSelectivity("p"); !ok || sel < 0 || sel > 1 {
 		t.Fatalf("selectivity out of range after concurrent writes: %v ok=%v", sel, ok)
+	}
+}
+
+// A full predicate or operator map starts over when a new key arrives: it
+// never holds more than MaxKeys keys, and the newest key is always kept.
+func TestKeyMapsStayBounded(t *testing.T) {
+	s := NewStore()
+	for i := 0; i < MaxKeys+10; i++ {
+		k := fmt.Sprintf("a = %d", i)
+		s.ObservePredicate(k, 10, 5)
+		s.ObserveOp("join:"+k, 10, 5)
+		if len(s.preds) > MaxKeys || len(s.ops) > MaxKeys {
+			t.Fatalf("after %d keys: %d predicates, %d operators, cap %d", i+1, len(s.preds), len(s.ops), MaxKeys)
+		}
+		if _, ok := s.PredicateSelectivity(k); !ok {
+			t.Fatalf("newest predicate %q dropped", k)
+		}
+		if _, _, ok := s.OpCardinality("join:" + k); !ok {
+			t.Fatalf("newest operator %q dropped", k)
+		}
+	}
+	// Observing a known key never clears the map.
+	n := len(s.preds)
+	s.ObservePredicate(fmt.Sprintf("a = %d", MaxKeys+9), 10, 5)
+	if len(s.preds) != n {
+		t.Fatalf("re-observing a known key changed the map size %d -> %d", n, len(s.preds))
 	}
 }

@@ -19,11 +19,7 @@ type Relation interface {
 	Schema() *catalog.Schema
 	Len() int
 	Get(id int64) *types.Tuple
-	Scan(fn func(*types.Tuple) bool)
 	Tuples() []*types.Tuple
-	IDs() []int64
-	HasIndex(col string) bool
-	IndexTuples(col string, v types.Value) ([]*types.Tuple, bool)
 	WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error)
 }
 
@@ -57,7 +53,6 @@ type BaseTable interface {
 	Update(id int64, col string, v types.Value) (types.Value, error)
 	CommitFixed(id int64, col string, v types.Value) (uint64, error)
 	Gen(id int64) uint64
-	CreateIndex(col string) error
 }
 
 var _ BaseTable = (*Table)(nil)
@@ -114,8 +109,7 @@ func (d *DB) CreateTable(s *catalog.Schema) (*Table, error) {
 }
 
 // Table returns the named table as a Relation, or an error for unknown
-// relations. Callers needing the concrete table (insert/delete/index
-// maintenance) use Base.
+// relations. Callers needing the concrete table (insert/delete) use Base.
 func (d *DB) Table(name string) (Relation, error) {
 	return d.Base(name)
 }
@@ -162,7 +156,6 @@ func (d *DB) Stats() TableStats {
 		s.Compactions += ts.Compactions
 		s.Live += ts.Live
 		s.Tombstones += ts.Tombstones
-		s.Indexes += ts.Indexes
 	}
 	return s
 }

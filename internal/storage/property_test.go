@@ -20,9 +20,6 @@ func TestTableModelProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
 		tbl := NewTable(schema)
-		if err := tbl.CreateIndex("a"); err != nil {
-			t.Fatal(err)
-		}
 
 		type mrow struct {
 			id, a int64
@@ -31,7 +28,7 @@ func TestTableModelProperty(t *testing.T) {
 		var order []int64
 
 		for step := 0; step < 300; step++ {
-			switch r.Intn(6) {
+			switch r.Intn(5) {
 			case 0: // insert
 				id := int64(r.Intn(100) + 1)
 				a := int64(r.Intn(10))
@@ -77,65 +74,26 @@ func TestTableModelProperty(t *testing.T) {
 				} else if got != nil {
 					t.Fatalf("trial %d step %d: delete of missing tuple returned a tuple", trial, step)
 				}
-			case 3: // index lookup
-				a := int64(r.Intn(10))
-				ids, ok := tbl.LookupIndex("a", types.NewInt(a))
-				if !ok {
-					t.Fatalf("trial %d: index vanished", trial)
+			case 3: // point read: Get agrees with the model
+				id := int64(r.Intn(100) + 1)
+				tu := tbl.Get(id)
+				a, exists := model[id]
+				if exists != (tu != nil) {
+					t.Fatalf("trial %d step %d: Get(%d) = %v, model exists=%v", trial, step, id, tu, exists)
 				}
-				want := 0
-				for _, ma := range model {
-					if ma == a {
-						want++
-					}
+				if tu != nil && tu.Vals[1].Int() != a {
+					t.Fatalf("trial %d step %d: Get(%d) a=%d, model %d", trial, step, id, tu.Vals[1].Int(), a)
 				}
-				if len(ids) != want {
-					t.Fatalf("trial %d step %d: index a=%d has %d ids, model %d",
-						trial, step, a, len(ids), want)
-				}
-				for _, id := range ids {
-					if model[id] != a {
-						t.Fatalf("trial %d step %d: index returned id %d with a=%d",
-							trial, step, id, model[id])
-					}
-				}
-			case 4: // IndexScan-shaped lookup: tuples by indexed value
-				a := int64(r.Intn(10))
-				tus, ok := tbl.IndexTuples("a", types.NewInt(a))
-				if !ok {
-					t.Fatalf("trial %d: index vanished", trial)
-				}
-				want := 0
-				for _, ma := range model {
-					if ma == a {
-						want++
-					}
-				}
-				if len(tus) != want {
-					t.Fatalf("trial %d step %d: IndexTuples(a=%d) has %d tuples, model %d",
-						trial, step, a, len(tus), want)
-				}
-				for _, tu := range tus {
-					if got, exists := model[tu.ID]; !exists || got != a {
-						t.Fatalf("trial %d step %d: IndexTuples(a=%d) returned id %d (model a=%d, exists=%v)",
-							trial, step, a, tu.ID, got, exists)
-					}
-					if tu.Vals[1].Int() != a {
-						t.Fatalf("trial %d step %d: IndexTuples(a=%d) returned tuple with a=%d",
-							trial, step, a, tu.Vals[1].Int())
-					}
-				}
-			case 5: // snapshot order: Tuples and IDs must mirror insertion order
+			case 4: // snapshot order: Tuples must mirror insertion order
 				snap := tbl.Tuples()
-				ids := tbl.IDs()
-				if len(snap) != len(order) || len(ids) != len(order) {
-					t.Fatalf("trial %d step %d: snapshot lens %d/%d, model %d",
-						trial, step, len(snap), len(ids), len(order))
+				if len(snap) != len(order) {
+					t.Fatalf("trial %d step %d: snapshot len %d, model %d",
+						trial, step, len(snap), len(order))
 				}
 				for i, id := range order {
-					if snap[i].ID != id || ids[i] != id {
-						t.Fatalf("trial %d step %d: snapshot order[%d] = %d/%d, want %d",
-							trial, step, i, snap[i].ID, ids[i], id)
+					if snap[i].ID != id {
+						t.Fatalf("trial %d step %d: snapshot order[%d] = %d, want %d",
+							trial, step, i, snap[i].ID, id)
 					}
 				}
 			}
@@ -147,10 +105,9 @@ func TestTableModelProperty(t *testing.T) {
 
 		// Final full comparison including scan order.
 		var scanned []mrow
-		tbl.Scan(func(tu *types.Tuple) bool {
+		for _, tu := range tbl.Tuples() {
 			scanned = append(scanned, mrow{tu.ID, tu.Vals[1].Int()})
-			return true
-		})
+		}
 		if len(scanned) != len(order) {
 			t.Fatalf("trial %d: scanned %d, model %d", trial, len(scanned), len(order))
 		}

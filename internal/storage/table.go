@@ -1,13 +1,11 @@
 // Package storage implements the in-memory table store backing the engine.
-// Tables hold tuples in an ordered slab keyed by id, maintain optional hash
-// indexes on fixed attributes, and support in-place updates of derived
-// attributes — the write path enrichment uses when a function's output is
-// determinized into a value.
+// Tables hold tuples in an ordered slab keyed by id and support
+// copy-on-write updates of derived attributes — the write path enrichment
+// uses when a function's output is determinized into a value.
 package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"enrichdb/internal/catalog"
@@ -34,8 +32,6 @@ type Table struct {
 	nextID  int64
 	nextSeq uint64 // local insertion-sequence counter for Seq-less inserts
 
-	indexes map[string]*hashIndex // fixed-column name -> index
-
 	// viewMu serialises View, the one reader and writer of chunks: the last
 	// view's chunks as View built them, never written since.
 	viewMu sync.Mutex
@@ -52,7 +48,6 @@ type TableStats struct {
 	Inserts, Deletes, Updates int64
 	Compactions               int64
 	Live, Tombstones          int64
-	Indexes                   int64
 }
 
 // compactMinSlab is the slab length below which deletions never trigger a
@@ -62,10 +57,9 @@ const compactMinSlab = 64
 // NewTable creates an empty table for the schema.
 func NewTable(s *catalog.Schema) *Table {
 	return &Table{
-		schema:  s,
-		slot:    make(map[int64]int),
-		indexes: make(map[string]*hashIndex),
-		nextID:  1,
+		schema: s,
+		slot:   make(map[int64]int),
+		nextID: 1,
 	}
 }
 
@@ -90,7 +84,6 @@ func (t *Table) Stats() TableStats {
 		Compactions: t.compactions,
 		Live:        int64(t.live),
 		Tombstones:  int64(len(t.slab) - t.live),
-		Indexes:     int64(len(t.indexes)),
 	}
 }
 
@@ -121,9 +114,8 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 		return 0, fmt.Errorf("storage: %s: duplicate tuple id %d", t.schema.Name, tu.ID)
 	}
 	// Stamp the insertion sequence unless the caller (a sharded facade,
-	// stamping the store-wide sequence) already did. Index
-	// lookups order their results by it, so index-scan output order is
-	// insertion order regardless of intervening deletes.
+	// stamping the store-wide sequence) already did. The sharded merge
+	// orders replica reads by it.
 	if tu.Seq == 0 {
 		t.nextSeq++
 		tu.Seq = t.nextSeq
@@ -132,10 +124,6 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	t.slab = append(t.slab, tu)
 	t.live++
 	t.inserts++
-	for col, idx := range t.indexes {
-		ci := t.schema.ColIndex(col)
-		idx.add(tu.Vals[ci], tu.ID)
-	}
 	return tu.ID, nil
 }
 
@@ -151,7 +139,7 @@ func (t *Table) Get(id int64) *types.Tuple {
 }
 
 // Update replaces the value of one column of one tuple, returning the old
-// value. Updating an indexed column keeps the index consistent.
+// value.
 //
 // The write is copy-on-write: the stored tuple is replaced by a clone
 // carrying the new value, never mutated in place, so rows and snapshots that
@@ -173,10 +161,6 @@ func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error)
 	}
 	tu := t.slab[i]
 	old := tu.Vals[ci]
-	if idx, ok := t.indexes[col]; ok {
-		idx.remove(old, id)
-		idx.add(v, id)
-	}
 	nu := tu.Clone()
 	nu.Vals[ci] = v
 	nu.Enriched &^= t.schema.MarkBit(col)
@@ -210,10 +194,6 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 		return 0, fmt.Errorf("storage: %s: no tuple %d", t.schema.Name, id)
 	}
 	tu := t.slab[i]
-	if idx, ok := t.indexes[col]; ok {
-		idx.remove(tu.Vals[ci], id)
-		idx.add(v, id)
-	}
 	nu := tu.Clone()
 	nu.Vals[ci] = v
 	for di, c := range t.schema.Cols {
@@ -291,10 +271,6 @@ func (t *Table) Delete(id int64) *types.Tuple {
 	delete(t.slot, id)
 	t.live--
 	t.deletes++
-	for col, idx := range t.indexes {
-		ci := t.schema.ColIndex(col)
-		idx.remove(tu.Vals[ci], id)
-	}
 	if len(t.slab) >= compactMinSlab && t.live*2 <= len(t.slab) {
 		t.compact()
 	}
@@ -319,22 +295,6 @@ func (t *Table) compact() {
 	}
 	t.slab = t.slab[:dst]
 	t.compactions++
-}
-
-// Scan calls fn for every tuple in insertion order, stopping early if fn
-// returns false. The table lock is held across the scan; fn must not call
-// back into mutating methods.
-func (t *Table) Scan(fn func(*types.Tuple) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, tu := range t.slab {
-		if tu == nil {
-			continue
-		}
-		if !fn(tu) {
-			return
-		}
-	}
 }
 
 // Tuples returns a snapshot slice of all stored tuples in insertion order.
@@ -363,155 +323,4 @@ func (t *Table) TuplesInto(buf []*types.Tuple) []*types.Tuple {
 		}
 	}
 	return out
-}
-
-// IDs returns all tuple ids in insertion order.
-func (t *Table) IDs() []int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]int64, 0, t.live)
-	for _, tu := range t.slab {
-		if tu != nil {
-			out = append(out, tu.ID)
-		}
-	}
-	return out
-}
-
-// CreateIndex builds a hash index on a column. Indexing derived columns is
-// rejected: their values change during query processing, and the engine
-// always routes derived predicates through full evaluation.
-func (t *Table) CreateIndex(col string) error {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return fmt.Errorf("storage: %s: unknown column %s", t.schema.Name, col)
-	}
-	if t.schema.Cols[ci].Derived {
-		return fmt.Errorf("storage: %s: cannot index derived column %s", t.schema.Name, col)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, dup := t.indexes[col]; dup {
-		return nil
-	}
-	idx := newHashIndex()
-	for _, tu := range t.slab {
-		if tu != nil {
-			idx.add(tu.Vals[ci], tu.ID)
-		}
-	}
-	t.indexes[col] = idx
-	return nil
-}
-
-// HasIndex reports whether the column has a hash index.
-func (t *Table) HasIndex(col string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.indexes[col]
-	return ok
-}
-
-// LookupIndex returns the tuple ids whose indexed column equals the value,
-// and whether an index on the column exists. The returned slice aliases
-// index state; callers must not mutate it and should copy if they hold it
-// across table mutations.
-func (t *Table) LookupIndex(col string, v types.Value) ([]int64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	return idx.lookup(v), true
-}
-
-// IndexTuples returns the stored tuples whose indexed column equals the
-// value, in one lock hold (id lookup + slab dereference), and whether an
-// index on the column exists.
-func (t *Table) IndexTuples(col string, v types.Value) ([]*types.Tuple, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx, ok := t.indexes[col]
-	if !ok {
-		return nil, false
-	}
-	ids := idx.lookup(v)
-	out := make([]*types.Tuple, 0, len(ids))
-	for _, id := range ids {
-		if i, ok := t.slot[id]; ok {
-			out = append(out, t.slab[i])
-		}
-	}
-	// Posting lists are swap-remove unordered; return insertion order so an
-	// index scan's output order is placement- and delete-history-independent
-	// (the sharded≡unsharded equivalence contract depends on this).
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out, true
-}
-
-// hashIndex is an equality index from value to tuple ids, keyed by the
-// shared types.Hasher. Buckets hold the indexed value so lookups verify
-// candidate equality (hash collisions never produce false matches).
-type hashIndex struct {
-	m map[uint64][]indexEntry
-}
-
-type indexEntry struct {
-	val types.Value
-	ids []int64
-}
-
-func newHashIndex() *hashIndex { return &hashIndex{m: make(map[uint64][]indexEntry)} }
-
-func (h *hashIndex) add(v types.Value, id int64) {
-	k := types.HashValue(v)
-	bucket := h.m[k]
-	for i := range bucket {
-		if types.KeyEqual(bucket[i].val, v) {
-			bucket[i].ids = append(bucket[i].ids, id)
-			return
-		}
-	}
-	h.m[k] = append(bucket, indexEntry{val: v, ids: []int64{id}})
-}
-
-// remove deletes one id from the value's posting list by swap-remove: O(1)
-// per delete instead of shifting the tail. Posting-list order is therefore
-// not insertion order after a delete — deterministic, but unordered.
-func (h *hashIndex) remove(v types.Value, id int64) {
-	k := types.HashValue(v)
-	bucket := h.m[k]
-	for bi := range bucket {
-		if !types.KeyEqual(bucket[bi].val, v) {
-			continue
-		}
-		ids := bucket[bi].ids
-		for i, x := range ids {
-			if x == id {
-				ids[i] = ids[len(ids)-1]
-				bucket[bi].ids = ids[:len(ids)-1]
-				break
-			}
-		}
-		if len(bucket[bi].ids) == 0 {
-			bucket[bi] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			if len(bucket) == 0 {
-				delete(h.m, k)
-			} else {
-				h.m[k] = bucket
-			}
-		}
-		return
-	}
-}
-
-func (h *hashIndex) lookup(v types.Value) []int64 {
-	for _, e := range h.m[types.HashValue(v)] {
-		if types.KeyEqual(e.val, v) {
-			return e.ids
-		}
-	}
-	return nil
 }

@@ -40,22 +40,11 @@ func TestInsertGetScan(t *testing.T) {
 	if tb.Get(99) != nil {
 		t.Error("Get(99) should be nil")
 	}
-	var ids []int64
-	tb.Scan(func(tu *types.Tuple) bool {
-		ids = append(ids, tu.ID)
-		return true
-	})
-	for i, id := range ids {
-		if id != int64(i+1) {
-			t.Errorf("scan order: %v", ids)
+	for i, tu := range tb.Tuples() {
+		if tu.ID != int64(i+1) {
+			t.Errorf("scan order: id %d at %d", tu.ID, i)
 			break
 		}
-	}
-	// Early stop.
-	n := 0
-	tb.Scan(func(*types.Tuple) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("early stop scanned %d", n)
 	}
 }
 
@@ -116,64 +105,8 @@ func TestDelete(t *testing.T) {
 	if tb.Delete(1) != nil {
 		t.Error("second delete should return nil")
 	}
-	var ids []int64
-	tb.Scan(func(tu *types.Tuple) bool { ids = append(ids, tu.ID); return true })
-	if len(ids) != 1 || ids[0] != 2 {
-		t.Errorf("after delete: %v", ids)
-	}
-}
-
-func TestHashIndex(t *testing.T) {
-	tb := testTable(t)
-	for i := int64(1); i <= 10; i++ {
-		tb.Insert(mkTuple(i, i%3))
-	}
-	if err := tb.CreateIndex("a"); err != nil {
-		t.Fatalf("CreateIndex: %v", err)
-	}
-	ids, ok := tb.LookupIndex("a", types.NewInt(1))
-	if !ok || len(ids) != 4 { // 1,4,7,10
-		t.Errorf("lookup a=1: %v %v", ids, ok)
-	}
-	if _, ok := tb.LookupIndex("f", types.NewVector(nil)); ok {
-		t.Error("lookup on unindexed column must report no index")
-	}
-	// Index stays consistent across updates and deletes.
-	tb.Update(1, "a", types.NewInt(2))
-	ids, _ = tb.LookupIndex("a", types.NewInt(1))
-	if len(ids) != 3 {
-		t.Errorf("after update: %v", ids)
-	}
-	ids, _ = tb.LookupIndex("a", types.NewInt(2))
-	if len(ids) != 4 { // 2,5,8 + moved 1
-		t.Errorf("a=2 after update: %v", ids)
-	}
-	tb.Delete(2)
-	ids, _ = tb.LookupIndex("a", types.NewInt(2))
-	if len(ids) != 3 {
-		t.Errorf("after delete: %v", ids)
-	}
-	// Inserts after index creation are indexed too.
-	tb.Insert(mkTuple(100, 1))
-	ids, _ = tb.LookupIndex("a", types.NewInt(1))
-	if len(ids) != 4 {
-		t.Errorf("after insert: %v", ids)
-	}
-}
-
-func TestIndexErrors(t *testing.T) {
-	tb := testTable(t)
-	if err := tb.CreateIndex("zz"); err == nil {
-		t.Error("unknown column must fail")
-	}
-	if err := tb.CreateIndex("d"); err == nil {
-		t.Error("derived column must be rejected")
-	}
-	if err := tb.CreateIndex("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.CreateIndex("a"); err != nil {
-		t.Error("re-creating an index must be a no-op, not an error")
+	if tus := tb.Tuples(); len(tus) != 1 || tus[0].ID != 2 {
+		t.Errorf("after delete: %v", tus)
 	}
 }
 
@@ -205,87 +138,10 @@ func TestDB(t *testing.T) {
 	db.MustTable("nope")
 }
 
-func TestIDs(t *testing.T) {
-	tb := testTable(t)
-	tb.Insert(mkTuple(5, 1))
-	tb.Insert(mkTuple(2, 1))
-	ids := tb.IDs()
-	if len(ids) != 2 || ids[0] != 5 || ids[1] != 2 {
-		t.Errorf("IDs = %v (insertion order expected)", ids)
-	}
-}
-
-// TestIndexSwapRemove is the regression test for the O(1) swap-remove delete
-// path: deleting from the middle of a posting list must keep every remaining
-// id findable, and re-adding the deleted id must work.
-func TestIndexSwapRemove(t *testing.T) {
-	tb := testTable(t)
-	if err := tb.CreateIndex("a"); err != nil {
-		t.Fatal(err)
-	}
-	// Five tuples sharing a=7, one with a=9.
-	for i := int64(1); i <= 5; i++ {
-		if _, err := tb.Insert(mkTuple(i, 7)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := tb.Insert(mkTuple(6, 9)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Delete from the middle, then the head, of the a=7 posting list.
-	for _, id := range []int64{3, 1} {
-		if tb.Delete(id) == nil {
-			t.Fatalf("Delete(%d) returned nil", id)
-		}
-		ids, ok := tb.LookupIndex("a", types.NewInt(7))
-		if !ok {
-			t.Fatal("index vanished")
-		}
-		for _, got := range ids {
-			if got == id {
-				t.Fatalf("deleted id %d still in posting list %v", id, ids)
-			}
-		}
-	}
-	ids, _ := tb.LookupIndex("a", types.NewInt(7))
-	want := map[int64]bool{2: true, 4: true, 5: true}
-	if len(ids) != len(want) {
-		t.Fatalf("posting list %v, want ids of %v", ids, want)
-	}
-	for _, id := range ids {
-		if !want[id] {
-			t.Fatalf("unexpected id %d in posting list %v", id, ids)
-		}
-	}
-
-	// Update moving a tuple between posting lists exercises remove+add.
-	if _, err := tb.Update(6, "a", types.NewInt(7)); err != nil {
-		t.Fatal(err)
-	}
-	if ids, _ = tb.LookupIndex("a", types.NewInt(7)); len(ids) != 4 {
-		t.Fatalf("after update, posting list %v, want 4 ids", ids)
-	}
-	if ids, _ = tb.LookupIndex("a", types.NewInt(9)); len(ids) != 0 {
-		t.Fatalf("a=9 posting list %v, want empty", ids)
-	}
-
-	// Draining a list entirely must leave lookups clean (bucket removed).
-	for _, id := range []int64{2, 4, 5, 6} {
-		tb.Delete(id)
-	}
-	if ids, _ = tb.LookupIndex("a", types.NewInt(7)); len(ids) != 0 {
-		t.Fatalf("drained posting list still has %v", ids)
-	}
-}
-
-// TestSlabCompaction checks tombstone compaction preserves scan order, point
-// access and index lookups.
+// TestSlabCompaction checks tombstone compaction preserves scan order and
+// point access.
 func TestSlabCompaction(t *testing.T) {
 	tb := testTable(t)
-	if err := tb.CreateIndex("a"); err != nil {
-		t.Fatal(err)
-	}
 	const n = 200
 	for i := int64(1); i <= n; i++ {
 		if _, err := tb.Insert(mkTuple(i, i%10)); err != nil {
@@ -306,34 +162,24 @@ func TestSlabCompaction(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), n/2)
 	}
 	want := int64(2)
-	tb.Scan(func(tu *types.Tuple) bool {
+	for _, tu := range tb.Tuples() {
 		if tu.ID != want {
 			t.Fatalf("scan order: got id %d, want %d", tu.ID, want)
 		}
 		want += 2
-		return true
-	})
+	}
 	for i := int64(2); i <= n; i += 2 {
 		if tb.Get(i) == nil {
 			t.Fatalf("Get(%d) = nil after compaction", i)
 		}
 	}
-	// a = id%10, so a=4 ids are all even and survive; a=5 ids are all odd
-	// and were all deleted.
-	ids, ok := tb.LookupIndex("a", types.NewInt(4))
-	if !ok || len(ids) != n/10 {
-		t.Fatalf("a=4 posting list %v, want %d ids", ids, n/10)
-	}
-	if ids, _ := tb.LookupIndex("a", types.NewInt(5)); len(ids) != 0 {
-		t.Fatalf("a=5 posting list %v, want empty", ids)
-	}
 	// Insert after compaction keeps appending in order.
 	if _, err := tb.Insert(mkTuple(n+1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	idsList := tb.IDs()
-	if idsList[len(idsList)-1] != n+1 {
-		t.Fatalf("IDs tail = %d, want %d", idsList[len(idsList)-1], n+1)
+	tus := tb.Tuples()
+	if last := tus[len(tus)-1].ID; last != n+1 {
+		t.Fatalf("Tuples tail = %d, want %d", last, n+1)
 	}
 }
 

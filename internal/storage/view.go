@@ -28,10 +28,7 @@ import (
 // table generation-guarded — if a concurrent commit rewrote or deleted the
 // tuple after the snapshot, the live write is dropped and the newer data
 // wins, while the view keeps its own consistent image.
-//
-// Views answer no index lookups (HasIndex is false): the live index covers
-// tuples committed after the snapshot, so the planner routes every view scan
-// through the full-scan path, which reads only frozen tuples.
+
 type TableView struct {
 	parent *Table
 	schema *catalog.Schema
@@ -114,16 +111,6 @@ func (v *TableView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Scan calls fn for every snapshot tuple in slab order, stopping early if fn
-// returns false.
-func (v *TableView) Scan(fn func(*types.Tuple) bool) {
-	for _, tu := range v.Tuples() {
-		if !fn(tu) {
-			return
-		}
-	}
-}
-
 // Tuples returns a freshly allocated slice of the snapshot's tuples in slab
 // order.
 func (v *TableView) Tuples() []*types.Tuple {
@@ -144,27 +131,6 @@ func (v *TableView) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
 	defer v.mu.Unlock()
 	clear(v.private)
 	return append(buf[:0], v.chunks...)
-}
-
-// IDs returns the snapshot's tuple ids in slab order.
-func (v *TableView) IDs() []int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]int64, 0, len(v.slot))
-	for _, c := range v.chunks {
-		for _, tu := range c.Tuples {
-			out = append(out, tu.ID)
-		}
-	}
-	return out
-}
-
-// HasIndex always reports false: the live index is not snapshot-consistent.
-func (v *TableView) HasIndex(string) bool { return false }
-
-// IndexTuples reports no index (see HasIndex).
-func (v *TableView) IndexTuples(string, types.Value) ([]*types.Tuple, bool) {
-	return nil, false
 }
 
 // WriteDerived writes a derived value, and its enrichment mark, into the

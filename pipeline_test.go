@@ -165,6 +165,35 @@ func TestProfiledScatterIsScatter(t *testing.T) {
 	}
 }
 
+// TestExplainShowsShardScatter: on a sharded store, plain EXPLAIN names the
+// ShardScatter fan-out exactly when EXPLAIN ANALYZE (the run) takes it — an
+// eligible single-table filter through DB and Session alike — and an
+// aggregate, which runs over the merged views, names it in neither form.
+func TestExplainShowsShardScatter(t *testing.T) {
+	for _, viaSession := range []bool{false, true} {
+		_, run := parityDB(t, 4, viaSession)
+		for _, c := range []struct {
+			q       string
+			scatter bool
+		}{{parityQueries[0], true}, {parityQueries[2], false}} {
+			for _, prefix := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+				res, err := run(context.Background(), PlainDesign, prefix+c.q, QueryObs{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan := renderPlan(res.Rows)
+				if got := strings.HasPrefix(plan, "ShardScatter 4 shards"); got != c.scatter {
+					t.Errorf("session=%v %s%s: ShardScatter at the root = %v, want %v:\n%s",
+						viaSession, prefix, c.q, got, c.scatter, plan)
+				}
+				if !c.scatter && strings.Contains(plan, "ShardScatter") {
+					t.Errorf("session=%v %s%s names ShardScatter:\n%s", viaSession, prefix, c.q, plan)
+				}
+			}
+		}
+	}
+}
+
 // TestCancelReachesLooseAndTight: a context canceled before the query starts
 // stops a loose query before its enrichment batch and a tight query before
 // its first UDF call — nothing is enriched on the cold table.

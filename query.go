@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"enrichdb/internal/engine"
@@ -316,12 +317,18 @@ func (db *DB) buildPlan(a *engine.Analysis, src storage.Source) (engine.Plan, er
 // enrichment are done) and for progressive (the query whose answer the view
 // maintains), the UDF-rewritten plan for tight — built without executing
 // anything and rendered with the cost model's estimates and the
-// selectivities the runtime-statistics store has observed.
+// selectivities the runtime-statistics store has observed. A plain query
+// that runPlain fans out over a sharded source renders as a ShardScatter
+// node above the plan each shard runs (estimated on shard 0).
 func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*Rows, error) {
 	var plan engine.Plan
 	var err error
+	scatter := 0
 	switch design {
 	case PlainDesign, LooseDesign, ProgressiveDesign:
+		if sc, ok := src.(shard.Scatterable); ok && design == PlainDesign && shard.Eligible(a) {
+			scatter, src = sc.NumShards(), sc.ShardSource(0)
+		}
 		plan, err = db.buildPlan(a, src)
 	case TightDesign:
 		plan, err = db.tightDriver(src, nil, nil, nil).Plan(a)
@@ -331,7 +338,12 @@ func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*R
 	if err != nil {
 		return nil, err
 	}
-	return planRows(engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.runtimeStats})), nil
+	tree := engine.AnnotatedExplain(plan, &engine.CostModel{Store: db.runtimeStats})
+	if scatter > 0 {
+		tree = fmt.Sprintf("ShardScatter %d shards\n", scatter) +
+			"  " + strings.ReplaceAll(strings.TrimRight(tree, "\n"), "\n", "\n  ")
+	}
+	return planRows(tree), nil
 }
 
 // looseDriver builds the loose driver for one query over src.
