@@ -265,6 +265,17 @@ func (c *Chunk) Set(i int, tu *types.Tuple, ci int) {
 	}
 }
 
+// Append adds lane tu to a private copy (see Set) and drops the vectors
+// built so far, which no longer span the chunk.
+func (c *Chunk) Append(tu *types.Tuple) {
+	c.Tuples = append(c.Tuples, tu)
+	for ci := range c.cols {
+		if c.cols[ci].Load() != nil {
+			c.cols[ci].Store(nil)
+		}
+	}
+}
+
 // Batch is a column-oriented window over one chunk of base-table tuples:
 // its tuple lanes plus the typed columns a compiled predicate reads, taken
 // from the chunk's vectors or, for a chunk without them, filled into the

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"enrichdb/internal/catalog"
 	"enrichdb/internal/storage"
@@ -40,17 +39,13 @@ func (s *Snap) NumShards() int { return len(s.shards) }
 func (s *Snap) ShardSource(i int) storage.Source { return s.shards[i] }
 
 // mergedView is the frozen merged Relation over one relation's per-shard
-// views. Reads merge in insertion-sequence order (computed once — the views
-// are immutable); derived-value writes route to the owning shard's view,
-// which keeps the session-local image and performs the gen-guarded
-// write-through to the live replica.
+// views. Reads merge the views in insertion-sequence order; derived-value
+// writes route to the owning shard's view, which keeps the session-local
+// image and performs the gen-guarded write-through to the live replica.
 type mergedView struct {
 	schema *catalog.Schema
 	part   *HashPartitioner
 	views  []storage.Relation
-
-	once   sync.Once
-	tuples []*types.Tuple
 }
 
 var _ storage.Relation = (*mergedView)(nil)
@@ -58,22 +53,16 @@ var _ storage.Relation = (*mergedView)(nil)
 // Schema returns the relation's schema.
 func (v *mergedView) Schema() *catalog.Schema { return v.schema }
 
-// all returns the merged tuple order, computed once.
-func (v *mergedView) all() []*types.Tuple {
-	v.once.Do(func() {
-		runs := make([][]*types.Tuple, len(v.views))
-		for i, sv := range v.views {
-			if sv != nil {
-				runs[i] = sv.Tuples()
-			}
-		}
-		v.tuples = mergeRuns(runs, tupleSeq)
-	})
-	return v.tuples
-}
-
 // Len returns the merged tuple count.
-func (v *mergedView) Len() int { return len(v.all()) }
+func (v *mergedView) Len() int {
+	n := 0
+	for _, sv := range v.views {
+		if sv != nil {
+			n += sv.Len()
+		}
+	}
+	return n
+}
 
 // view returns the shard view owning the id.
 func (v *mergedView) view(id int64) storage.Relation {
@@ -88,20 +77,17 @@ func (v *mergedView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Tuples returns the merged insertion-order snapshot, with session-local
-// derived writes folded in (matching TableView.Tuples semantics).
+// Tuples returns the merged insertion-order snapshot with session-local
+// derived writes folded in: each shard view's Tuples already carries its
+// writes, and a derived write never changes a tuple's Seq.
 func (v *mergedView) Tuples() []*types.Tuple {
-	base := v.all()
-	out := make([]*types.Tuple, len(base))
-	for i, tu := range base {
-		out[i] = tu
-		if sv := v.view(tu.ID); sv != nil {
-			if cur := sv.Get(tu.ID); cur != nil {
-				out[i] = cur
-			}
+	runs := make([][]*types.Tuple, len(v.views))
+	for i, sv := range v.views {
+		if sv != nil {
+			runs[i] = sv.Tuples()
 		}
 	}
-	return out
+	return mergeRuns(runs, tupleSeq)
 }
 
 // WriteDerived routes the derived write and its mark to the owning shard's

@@ -190,3 +190,53 @@ func TestFreezeSnapshotIsolation(t *testing.T) {
 		t.Fatalf("live write-through missing: %v", got)
 	}
 }
+
+// TestMergedTuplesMatchUnshardedAfterWriteBack: after session write-backs
+// through a frozen snapshot, one of them to a tuple the live store deleted
+// since, the merged view's Tuples equals the unsharded view's: the same
+// order, with every write visible.
+func TestMergedTuplesMatchUnshardedAfterWriteBack(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			un, ut, sh, st := newStores(t, Config{Shards: shards})
+			insertN(t, ut, 100)
+			insertN(t, st, 100)
+			for _, id := range []int64{3, 50, 97} {
+				ut.Delete(id)
+				st.Delete(id)
+			}
+			uv, err := un.Snapshot().Table("Events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv, err := sh.Freeze().Table("Events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ut.Delete(60)
+			st.Delete(60)
+			for _, id := range []int64{5, 60, 99} {
+				for _, rel := range []storage.Relation{uv, sv} {
+					if _, err := rel.WriteDerived(id, "label", types.NewString("w"), rel.Get(id).Gen, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			got, want := sv.Tuples(), uv.Tuples()
+			if len(got) != len(want) || sv.Len() != uv.Len() {
+				t.Fatalf("merged holds %d (Len %d), unsharded %d (Len %d)", len(got), sv.Len(), len(want), uv.Len())
+			}
+			for i := range want {
+				g, w := got[i].Vals[2], want[i].Vals[2]
+				if got[i].ID != want[i].ID || g.IsNull() != w.IsNull() || !g.IsNull() && !g.Equal(w) || got[i].Enriched != want[i].Enriched {
+					t.Fatalf("lane %d: merged id %d %v, unsharded id %d %v", i, got[i].ID, g, want[i].ID, w)
+				}
+			}
+			for _, id := range []int64{5, 60, 99} {
+				if tu := sv.Get(id); tu.Vals[2].Kind() != types.KindString || tu.Vals[2].Str() != "w" {
+					t.Fatalf("merged Get(%d) = %v, want the write-back", id, tu.Vals[2])
+				}
+			}
+		})
+	}
+}

@@ -1,5 +1,5 @@
 // Package storage implements the in-memory table store backing the engine.
-// Tables hold tuples in an ordered slab keyed by id and support
+// Tables hold tuples in insertion-ordered chunks keyed by id and support
 // copy-on-write updates of derived attributes — the write path enrichment
 // uses when a function's output is determinized into a value.
 package storage
@@ -14,28 +14,30 @@ import (
 )
 
 // Table is one stored relation. It is safe for concurrent readers with
-// exclusive writers; the coarse RWMutex is sufficient at the engine's epoch
-// granularity (all enrichment writes of an epoch are applied in one batch).
+// exclusive writers under one coarse RWMutex; every write (an Insert, one
+// derived value's write-back, a Delete) takes it once.
 //
-// Storage layout: tuples live in a dense slab ordered by insertion, with
-// deletions leaving nil tombstones and an id→slot map giving O(1) point
-// access. A scan is a straight walk over the slab — no per-scan sort, no
-// per-row map lookup — and the slab compacts in place once tombstones
-// outnumber live tuples, so a long delete-heavy run cannot degrade scans.
+// Storage layout: tuples live in insertion order in a list of chunks of
+// expr.BatchSize lanes, every chunk but the last full, with an id→lane map
+// giving O(1) point access. The chunks are the ones snapshot views hand to
+// scans: View copies the chunk pointers and seals them, and a write to a
+// sealed chunk copies that chunk first, so a view costs the number of
+// chunks, and the next view shares every chunk no write touched, column
+// vectors included. Deletions leave nil tombstones; the chunks compact from
+// the first tombstone on once tombstones outnumber live tuples, and before
+// a view (scans read dense chunks).
 type Table struct {
 	schema *catalog.Schema
 
 	mu      sync.RWMutex
-	slab    []*types.Tuple // insertion order; nil entries are tombstones
-	slot    map[int64]int  // tuple id -> slab position
-	live    int            // non-tombstone count
+	chunks  []*expr.Chunk // insertion order; nil lanes are tombstones
+	private []bool        // chunks[k] is the table's own: no view holds it
+	slot    map[int64]int // tuple id -> lane across chunks
+	live    int           // non-tombstone count
+	hole    int           // lowest tombstone lane, when live < lanes()
+	moves   uint64        // deletes and compactions: lanes views can no longer trust
 	nextID  int64
 	nextSeq uint64 // local insertion-sequence counter for Seq-less inserts
-
-	// viewMu serialises View, the one reader and writer of chunks: the last
-	// view's chunks as View built them, never written since.
-	viewMu sync.Mutex
-	chunks []*expr.Chunk
 
 	// Lifetime counters (guarded by mu); surfaced via Stats for the
 	// storage.* telemetry gauges.
@@ -50,8 +52,9 @@ type TableStats struct {
 	Live, Tombstones          int64
 }
 
-// compactMinSlab is the slab length below which deletions never trigger a
-// compaction (churn on tiny tables is cheaper than copying).
+// compactMinSlab is the lane count (tombstones included) below which
+// deletions never trigger a compaction (churn on tiny tables is cheaper than
+// copying).
 const compactMinSlab = 64
 
 // NewTable creates an empty table for the schema.
@@ -73,6 +76,15 @@ func (t *Table) Len() int {
 	return t.live
 }
 
+// lanes returns the lane count, tombstones included. Caller holds t.mu.
+func (t *Table) lanes() int {
+	k := len(t.chunks) - 1
+	if k < 0 {
+		return 0
+	}
+	return k*expr.BatchSize + len(t.chunks[k].Tuples)
+}
+
 // Stats returns the table's storage counters.
 func (t *Table) Stats() TableStats {
 	t.mu.RLock()
@@ -83,8 +95,32 @@ func (t *Table) Stats() TableStats {
 		Updates:     t.updates,
 		Compactions: t.compactions,
 		Live:        int64(t.live),
-		Tombstones:  int64(len(t.slab) - t.live),
+		Tombstones:  int64(t.lanes() - t.live),
 	}
+}
+
+// newChunk returns a table-private chunk over a copy of tuples with room
+// for a full chunk, caching vectors for every column.
+func (t *Table) newChunk(tuples []*types.Tuple) *expr.Chunk {
+	return expr.NewChunk(append(make([]*types.Tuple, 0, expr.BatchSize), tuples...), len(t.schema.Cols))
+}
+
+// own makes chunk k the table's own, copying it if a view holds it, and
+// returns it. vecs keeps the vectors built so far, for a write Chunk.Set can
+// patch; otherwise the chunk comes back without vectors. Caller holds t.mu
+// for writing.
+func (t *Table) own(k int, vecs bool) *expr.Chunk {
+	c := t.chunks[k]
+	switch {
+	case !t.private[k] && vecs:
+		c = c.Clone()
+	case !t.private[k]:
+		c = t.newChunk(c.Tuples)
+	case !vecs:
+		c = expr.NewChunk(c.Tuples, len(t.schema.Cols))
+	}
+	t.chunks[k], t.private[k] = c, true
+	return c
 }
 
 // Insert stores a tuple. A zero ID is auto-assigned; explicit ids must be
@@ -120,8 +156,16 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 		t.nextSeq++
 		tu.Seq = t.nextSeq
 	}
-	t.slot[tu.ID] = len(t.slab)
-	t.slab = append(t.slab, tu)
+	k := len(t.chunks) - 1
+	if k < 0 || len(t.chunks[k].Tuples) == expr.BatchSize {
+		t.chunks = append(t.chunks, t.newChunk(nil))
+		t.private = append(t.private, true)
+		k++
+	} else if !t.private[k] {
+		t.own(k, false)
+	}
+	t.slot[tu.ID] = t.lanes()
+	t.chunks[k].Append(tu)
 	t.live++
 	t.inserts++
 	return tu.ID, nil
@@ -133,7 +177,7 @@ func (t *Table) Get(id int64) *types.Tuple {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if i, ok := t.slot[id]; ok {
-		return t.slab[i]
+		return t.chunks[i/expr.BatchSize].Tuples[i%expr.BatchSize]
 	}
 	return nil
 }
@@ -159,7 +203,9 @@ func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error)
 	if !ok {
 		return types.Null, fmt.Errorf("storage: %s: no tuple %d", t.schema.Name, id)
 	}
-	tu := t.slab[i]
+	k, lane := i/expr.BatchSize, i%expr.BatchSize
+	c := t.own(k, true)
+	tu := c.Tuples[lane]
 	old := tu.Vals[ci]
 	nu := tu.Clone()
 	nu.Vals[ci] = v
@@ -168,7 +214,7 @@ func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error)
 		nu.Gen++
 		nu.Enriched = 0
 	}
-	t.slab[i] = nu
+	c.Set(lane, nu, ci)
 	t.updates++
 	return old, nil
 }
@@ -193,17 +239,19 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 	if !ok {
 		return 0, fmt.Errorf("storage: %s: no tuple %d", t.schema.Name, id)
 	}
-	tu := t.slab[i]
-	nu := tu.Clone()
+	// Several columns change, which Chunk.Set cannot patch: the chunk loses
+	// its vectors.
+	c := t.own(i/expr.BatchSize, false)
+	nu := c.Tuples[i%expr.BatchSize].Clone()
 	nu.Vals[ci] = v
-	for di, c := range t.schema.Cols {
-		if c.Derived {
+	for di, col := range t.schema.Cols {
+		if col.Derived {
 			nu.Vals[di] = types.Null
 		}
 	}
 	nu.Gen++
 	nu.Enriched = 0
-	t.slab[i] = nu
+	c.Tuples[i%expr.BatchSize] = nu
 	t.updates++
 	return nu.Gen, nil
 }
@@ -224,13 +272,24 @@ func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, ma
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.writeDerived(id, ci, v, gen, mark), nil
+}
+
+// writeDerived is WriteDerived of derived column ci. Caller holds t.mu for
+// writing.
+func (t *Table) writeDerived(id int64, ci int, v types.Value, gen uint64, mark bool) bool {
 	i, ok := t.slot[id]
-	if !ok || t.slab[i].Gen != gen {
-		return false, nil
+	if !ok {
+		return false
 	}
-	t.slab[i] = markedImage(t.schema, t.slab[i], ci, v, mark)
+	k, lane := i/expr.BatchSize, i%expr.BatchSize
+	if t.chunks[k].Tuples[lane].Gen != gen {
+		return false
+	}
+	c := t.own(k, true)
+	c.Set(lane, markedImage(t.schema, c.Tuples[lane], ci, v, mark), ci)
 	t.updates++
-	return true, nil
+	return true
 }
 
 // markedImage is the copy of tu carrying v in derived column ci, with the
@@ -248,17 +307,15 @@ func markedImage(s *catalog.Schema, tu *types.Tuple, ci int, v types.Value, mark
 
 // Gen returns the stored tuple's current generation (0 when absent).
 func (t *Table) Gen(id int64) uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i, ok := t.slot[id]; ok {
-		return t.slab[i].Gen
+	if tu := t.Get(id); tu != nil {
+		return tu.Gen
 	}
 	return 0
 }
 
-// Delete removes a tuple, returning it (or nil if absent). The slab slot
-// becomes a tombstone; once tombstones outnumber live tuples the slab
-// compacts in place, preserving insertion order.
+// Delete removes a tuple, returning it (or nil if absent). Its lane becomes
+// a tombstone; once tombstones outnumber live tuples the chunks compact,
+// preserving insertion order.
 func (t *Table) Delete(id int64) *types.Tuple {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -266,35 +323,50 @@ func (t *Table) Delete(id int64) *types.Tuple {
 	if !ok {
 		return nil
 	}
-	tu := t.slab[i]
-	t.slab[i] = nil
+	c := t.own(i/expr.BatchSize, false)
+	tu := c.Tuples[i%expr.BatchSize]
+	c.Tuples[i%expr.BatchSize] = nil
 	delete(t.slot, id)
+	n := t.lanes()
+	if t.live == n || i < t.hole {
+		t.hole = i
+	}
 	t.live--
 	t.deletes++
-	if len(t.slab) >= compactMinSlab && t.live*2 <= len(t.slab) {
+	t.moves++
+	if n >= compactMinSlab && t.live*2 <= n {
 		t.compact()
 	}
 	return tu
 }
 
-// compact rewrites the slab without tombstones and rebuilds the slot map.
-// Caller holds t.mu. Insertion order is preserved, so scans before and after
-// a compaction observe the same sequence.
+// compact rewrites the chunks from the one holding the first tombstone on,
+// without tombstones and without vectors, and moves their lanes in the slot
+// map; earlier chunks are kept as they are. Caller holds t.mu for writing.
+// Insertion order is preserved, so scans before and after a compaction
+// observe the same sequence.
 func (t *Table) compact() {
-	dst := 0
-	for _, tu := range t.slab {
-		if tu == nil {
-			continue
+	k0 := t.hole / expr.BatchSize
+	var rest []*types.Tuple
+	for _, c := range t.chunks[k0:] {
+		for _, tu := range c.Tuples {
+			if tu != nil {
+				rest = append(rest, tu)
+			}
 		}
-		t.slab[dst] = tu
-		t.slot[tu.ID] = dst
-		dst++
 	}
-	for i := dst; i < len(t.slab); i++ {
-		t.slab[i] = nil // release tails for GC
+	clear(t.chunks[k0:]) // release dropped chunks for GC
+	t.chunks, t.private = t.chunks[:k0], t.private[:k0]
+	for lo := 0; lo < len(rest); lo += expr.BatchSize {
+		c := t.newChunk(rest[lo:min(lo+expr.BatchSize, len(rest))])
+		for j, tu := range c.Tuples {
+			t.slot[tu.ID] = k0*expr.BatchSize + lo + j
+		}
+		t.chunks = append(t.chunks, c)
+		t.private = append(t.private, true)
 	}
-	t.slab = t.slab[:dst]
 	t.compactions++
+	t.moves++
 }
 
 // Tuples returns a snapshot slice of all stored tuples in insertion order.
@@ -305,11 +377,12 @@ func (t *Table) Tuples() []*types.Tuple {
 }
 
 // TuplesInto is Tuples with caller-provided backing storage: the snapshot is
-// appended into buf[:0] (growing it only when capacity runs out), so steady
-// repeated scans — the vectorized executor snapshots the slab every query —
-// reuse one buffer instead of allocating a fresh slice per call. The returned
-// slice holds live tuple pointers in slab (insertion) order; the tuples
-// themselves stay immutable copy-on-write as everywhere else.
+// appended into buf[:0] (growing it only when capacity runs out), so repeated
+// scans of a live table — the vectorized executor snapshots any source that
+// is not a view this way — reuse one buffer instead of allocating a fresh
+// slice per call. The returned slice holds live tuple pointers in insertion
+// order; the tuples themselves stay immutable copy-on-write as everywhere
+// else.
 func (t *Table) TuplesInto(buf []*types.Tuple) []*types.Tuple {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -317,9 +390,11 @@ func (t *Table) TuplesInto(buf []*types.Tuple) []*types.Tuple {
 	if cap(out) < t.live {
 		out = make([]*types.Tuple, 0, t.live)
 	}
-	for _, tu := range t.slab {
-		if tu != nil {
-			out = append(out, tu)
+	for _, c := range t.chunks {
+		for _, tu := range c.Tuples {
+			if tu != nil {
+				out = append(out, tu)
+			}
 		}
 	}
 	return out

@@ -7,7 +7,7 @@ import (
 	"enrichdb/internal/types"
 )
 
-func testTable(t *testing.T) *Table {
+func testTable(t testing.TB) *Table {
 	t.Helper()
 	s := catalog.MustSchema("R", []catalog.Column{
 		{Name: "id", Kind: types.KindInt},

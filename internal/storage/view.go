@@ -10,17 +10,22 @@ import (
 	"enrichdb/internal/types"
 )
 
-// TableView is a frozen, snapshot-isolated read view of one table: the set
-// of tuple pointers that were live when the view was taken, in slab order.
-// Tuples are immutable (storage is copy-on-write), so the view needs no
-// coordination with the live table after construction — compaction and
-// concurrent writers can do whatever they like to the slab.
+// TableView is a frozen, snapshot-isolated read view of one table: the
+// tuples that were live when the view was taken, in insertion order.
 //
-// The view holds its tuples in chunks of expr.BatchSize lanes (the last may
-// be shorter), and scans read those chunks, typed column vectors included
-// (expr.Chunk). A chunk a scan has read is sealed: it never changes again,
-// so its vectors stay valid for every later scan. Table.View hands the next
-// view the same chunk wherever its lanes hold the same tuple pointers.
+// The view holds the table's chunks as View found them (expr.BatchSize
+// lanes each, the last may be shorter), and scans read those chunks, typed
+// column vectors included (expr.Chunk). View seals every chunk it hands
+// out: neither the table nor any view changes a sealed chunk again, so
+// whatever the table does after View (writes, deletes, compaction) the
+// view's image stays put, and its vectors stay valid for every later scan
+// and every later view that still holds the chunk.
+//
+// A view finds an id through the table's id index: until a delete or a
+// compaction moves the table's lanes (the table's move count), the table
+// holds every tuple of the view at the view's lane, so a lane below the
+// view's length is the answer. After that the view builds its own id map,
+// once.
 //
 // A view is also the session-side write surface for enrichment: WriteDerived
 // applies a derived value to the view's private image (so the session's own
@@ -28,107 +33,99 @@ import (
 // table generation-guarded — if a concurrent commit rewrote or deleted the
 // tuple after the snapshot, the live write is dropped and the newer data
 // wins, while the view keeps its own consistent image.
-
+//
+// The table's lock guards the view's chunks too: every lookup reads the
+// table's index and every write-back writes the table, so one lock
+// acquisition serves each.
 type TableView struct {
 	parent *Table
 	schema *catalog.Schema
+	n      int    // lane count
+	moves  uint64 // the parent's move count when the view was taken
 
-	mu     sync.RWMutex
 	chunks []*expr.Chunk
 	// private[k]: chunks[k] is this view's own copy and no scan has read it
 	// since, so a write goes in place; otherwise a write copies it first.
 	private []bool
-	slot    map[int64]int // tuple id -> lane across chunks
+
+	slotOnce sync.Once
+	slot     map[int64]int // tuple id -> lane, once the parent's lanes moved
 }
 
-// View freezes the table's current live tuples as a snapshot view. Where a
-// chunk's run of live tuples is pointer for pointer the previous view's, the
-// new view shares that chunk, and with it the vectors scans have built.
+// View freezes the table's current live tuples as a snapshot view: it
+// compacts away any tombstone, then copies and seals the chunk pointers.
 func (t *Table) View() *TableView {
-	t.viewMu.Lock()
-	defer t.viewMu.Unlock()
-	t.mu.RLock()
-	n := t.live
-	chunks := make([]*expr.Chunk, 0, (n+expr.BatchSize-1)/expr.BatchSize)
-	run := make([]*types.Tuple, 0, expr.BatchSize)
-	for _, tu := range t.slab {
-		if tu == nil {
-			continue
-		}
-		run = append(run, tu)
-		if len(run) == expr.BatchSize {
-			chunks = append(chunks, t.reuseChunk(len(chunks), run))
-			run = run[:0]
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.live < t.lanes() {
+		t.compact()
 	}
-	if len(run) > 0 {
-		chunks = append(chunks, t.reuseChunk(len(chunks), run))
-	}
-	t.mu.RUnlock()
-	t.chunks = chunks
-
-	slot := make(map[int64]int, n)
-	for k, c := range chunks {
-		for i, tu := range c.Tuples {
-			slot[tu.ID] = k*expr.BatchSize + i
-		}
-	}
+	clear(t.private)
 	return &TableView{
 		parent:  t,
 		schema:  t.schema,
-		chunks:  append([]*expr.Chunk(nil), chunks...),
-		private: make([]bool, len(chunks)),
-		slot:    slot,
+		n:       t.live,
+		moves:   t.moves,
+		chunks:  slices.Clone(t.chunks),
+		private: make([]bool, len(t.chunks)),
 	}
-}
-
-// reuseChunk returns the previous view's k-th chunk when its lanes are
-// exactly run, else a new chunk over a copy of run. Caller holds viewMu.
-func (t *Table) reuseChunk(k int, run []*types.Tuple) *expr.Chunk {
-	if k < len(t.chunks) && slices.Equal(t.chunks[k].Tuples, run) {
-		return t.chunks[k]
-	}
-	return expr.NewChunk(append([]*types.Tuple(nil), run...), len(t.schema.Cols))
 }
 
 // Schema returns the underlying table's schema.
 func (v *TableView) Schema() *catalog.Schema { return v.schema }
 
 // Len returns the number of tuples in the snapshot.
-func (v *TableView) Len() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.slot)
+func (v *TableView) Len() int { return v.n }
+
+// lane returns the id's lane in the view: the table's lane for it while no
+// lane has moved since the view was taken (a view holds at lane i the tuple
+// the table held there), else the view's own map, built on first use.
+// Caller holds the table's lock.
+func (v *TableView) lane(id int64) (int, bool) {
+	if v.parent.moves == v.moves {
+		i, ok := v.parent.slot[id]
+		return i, ok && i < v.n
+	}
+	v.slotOnce.Do(func() {
+		v.slot = make(map[int64]int, v.n)
+		for k, c := range v.chunks {
+			for i, tu := range c.Tuples {
+				v.slot[tu.ID] = k*expr.BatchSize + i
+			}
+		}
+	})
+	i, ok := v.slot[id]
+	return i, ok
 }
 
 // Get returns the snapshot's tuple with the given id, or nil.
 func (v *TableView) Get(id int64) *types.Tuple {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if i, ok := v.slot[id]; ok {
+	v.parent.mu.RLock()
+	defer v.parent.mu.RUnlock()
+	if i, ok := v.lane(id); ok {
 		return v.chunks[i/expr.BatchSize].Tuples[i%expr.BatchSize]
 	}
 	return nil
 }
 
-// Tuples returns a freshly allocated slice of the snapshot's tuples in slab
-// order.
+// Tuples returns a freshly allocated slice of the snapshot's tuples in
+// insertion order.
 func (v *TableView) Tuples() []*types.Tuple {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]*types.Tuple, 0, len(v.slot))
+	v.parent.mu.RLock()
+	defer v.parent.mu.RUnlock()
+	out := make([]*types.Tuple, 0, v.n)
 	for _, c := range v.chunks {
 		out = append(out, c.Tuples...)
 	}
 	return out
 }
 
-// ChunksInto seals the view's chunks and appends them, in slab order, into
-// buf[:0]: a write after this call copies the chunk it lands in, so the
+// ChunksInto seals the view's chunks and appends them, in insertion order,
+// into buf[:0]: a write after this call copies the chunk it lands in, so the
 // returned chunks, and the vectors scans build on them, never change.
 func (v *TableView) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	v.parent.mu.Lock()
+	defer v.parent.mu.Unlock()
 	clear(v.private)
 	return append(buf[:0], v.chunks...)
 }
@@ -144,23 +141,21 @@ func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint
 	if ci < 0 || !v.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: cannot write %s through a snapshot view", v.schema.Name, col)
 	}
-	v.mu.Lock()
-	i, ok := v.slot[id]
-	if ok {
-		k, lane := i/expr.BatchSize, i%expr.BatchSize
-		if c := v.chunks[k]; c.Tuples[lane].Gen == gen {
-			if !v.private[k] {
-				c = c.Clone()
-				v.chunks[k], v.private[k] = c, true
-			}
-			c.Set(lane, markedImage(v.schema, c.Tuples[lane], ci, val, mark), ci)
-		}
-	}
-	v.mu.Unlock()
+	v.parent.mu.Lock()
+	defer v.parent.mu.Unlock()
+	i, ok := v.lane(id)
 	if !ok {
 		return false, nil
 	}
-	return v.parent.WriteDerived(id, col, val, gen, mark)
+	k, lane := i/expr.BatchSize, i%expr.BatchSize
+	if c := v.chunks[k]; c.Tuples[lane].Gen == gen {
+		if !v.private[k] {
+			c = c.Clone()
+			v.chunks[k], v.private[k] = c, true
+		}
+		c.Set(lane, markedImage(v.schema, c.Tuples[lane], ci, val, mark), ci)
+	}
+	return v.parent.writeDerived(id, ci, val, gen, mark), nil
 }
 
 // Snapshot is a point-in-time, cross-table read view of a database, taken
@@ -173,7 +168,7 @@ type Snapshot struct {
 
 // Snapshot freezes every table. Callers wanting cross-table atomicity must
 // hold their commit lock across this call; the per-table freeze itself only
-// takes each table's read lock briefly.
+// takes each table's lock briefly.
 func (d *DB) Snapshot() *Snapshot {
 	d.mu.RLock()
 	names := make([]string, 0, len(d.tables))

@@ -8,7 +8,7 @@ import (
 )
 
 // chunkTable is testTable holding ids 1..n.
-func chunkTable(t *testing.T, n int) *Table {
+func chunkTable(t testing.TB, n int) *Table {
 	t.Helper()
 	tb := testTable(t)
 	for i := int64(1); i <= int64(n); i++ {
