@@ -66,6 +66,16 @@ func fill(t *testing.T, tbl *storage.Table, n int) *storage.Table {
 	return tbl
 }
 
+// record returns the exported state of (tid, attr), or nil when it has none.
+func record(st *StateTable, tid int64, attr string) *StateRecord {
+	for _, rec := range st.Export() {
+		if rec.TID == tid && rec.Attr == attr {
+			return &rec
+		}
+	}
+	return nil
+}
+
 // writeBack runs Manager.WriteBack on tuple tid's current image of tbl.
 func writeBack(t *testing.T, m *Manager, tbl *storage.Table, tid int64) types.Value {
 	t.Helper()
@@ -205,7 +215,7 @@ func TestWriteBackOtherImage(t *testing.T) {
 	if got := m.Counters().ReExecutions - before.ReExecutions; got != 2 {
 		t.Errorf("re-executions = %d, want the whole family (2)", got)
 	}
-	if m.StateTable("R").Get(1, "d") != nil {
+	if record(m.StateTable("R"), 1, "d") != nil {
 		t.Error("a transient determinization must store nothing")
 	}
 	if tu := view.Get(1); tu.Vals[2].Int() != 1 || tu.Enriched != 0 {
@@ -263,12 +273,14 @@ func TestStateCutoffPruningAndReExecution(t *testing.T) {
 	m.Execute("R", 1, "d", 1, x, 0) // stored: all pruned
 
 	st := m.StateTable("R")
-	s0 := st.Get(1, "d")
+	s0 := record(st, 1, "d")
 	if !s0.Outputs[0].Pruned || s0.Outputs[0].Probs[0] != 0.9 {
 		t.Errorf("output 0 state: %+v", s0.Outputs[0])
 	}
-	if s0.Outputs[1].RetainedMass() != 0 {
-		t.Errorf("output 1 should be fully pruned: %+v", s0.Outputs[1])
+	for _, p := range s0.Outputs[1].Probs {
+		if p >= 0 {
+			t.Errorf("output 1 should be fully pruned: %+v", s0.Outputs[1])
+		}
 	}
 
 	if v := writeBack(t, m, testRelation(t, 3, 1), 1); v.Int() != 0 {
@@ -414,7 +426,7 @@ func TestStateTableGuards(t *testing.T) {
 		[]slotState{{current: true, write: true}}); err == nil {
 		t.Error("unknown attr must fail")
 	}
-	if st.Get(1, "d") != nil {
+	if record(st, 1, "d") != nil {
 		t.Error("untouched state must be nil")
 	}
 	if stored, _, err := st.setOutputs([]FnOutput{{TID: 1, Attr: "d", Probs: []float64{1, 0}}}); err != nil || stored != 1 {
@@ -433,8 +445,8 @@ func TestStateTableGuards(t *testing.T) {
 	if st.TupleCount() != 1 {
 		t.Errorf("TupleCount = %d", st.TupleCount())
 	}
-	if got := st.Attrs(); len(got) != 1 || got[0] != "d" {
-		t.Errorf("Attrs = %v", got)
+	if len(st.attrs) != 1 || st.attrs[0] != "d" {
+		t.Errorf("attrs = %v", st.attrs)
 	}
 }
 
@@ -475,8 +487,8 @@ func TestStateExportImport(t *testing.T) {
 		t.Error("determined value lost")
 	}
 	// Pruned outputs survive as pruned.
-	s := m2.StateTable("R").Get(1, "d")
-	if s.Outputs[0] == nil || !s.Outputs[0].Pruned {
+	s := record(m2.StateTable("R"), 1, "d")
+	if s.Outputs[0].FnID != 0 || !s.Outputs[0].Pruned {
 		t.Errorf("cutoff pruning lost in round trip: %+v", s.Outputs[0])
 	}
 	// Executions are still skipped after import.

@@ -304,10 +304,18 @@ func (m *Manager) Execute(relation string, tid int64, attr string, fnID int, fea
 // bitmap and output are read under one lock, so a commit cannot slip a newer
 // image's output in between.
 func (m *Manager) stored(st *StateTable, tid int64, attr string, fnID int, gen uint64) ([]float64, bool) {
-	if o := st.outputAt(tid, attr, fnID, gen); o != nil {
-		return o.Effective(), true
+	p := st.outputAt(tid, attr, fnID, gen)
+	return p, p != nil
+}
+
+// retainedMass sums an effective output, which holds a pruned probability
+// as zero: the mass the state cutoff kept.
+func retainedMass(probs []float64) float64 {
+	s := 0.0
+	for _, p := range probs {
+		s += p
 	}
-	return nil, false
+	return s
 }
 
 // FnOutput is one function output computed outside Execute — by the loose
@@ -431,25 +439,26 @@ func (m *Manager) WriteBack(rel Relation, slots []WriteBackSlot) error {
 	for i := range slots {
 		sl, ss, fam := &slots[i], &states[i], fams[i]
 		sl.Value = types.Null
-		if ss.current && ss.outs == nil {
+		if ss.current && !ss.present {
 			continue // nothing ran for this image
 		}
 		feature, err := s.Feature(sl.Tuple, sl.Attr)
 		if err != nil {
 			return err
 		}
-		outs := outputs[:len(fam.Functions)]
+		outs, d := outputs[:len(fam.Functions)], fam.Domain
 		ss.complete = ss.current
 		for id := range fam.Functions {
-			var o *Output
-			if ss.current {
-				o = ss.outs[id]
+			bit := uint64(1) << uint(id)
+			var o []float64
+			if ss.bitmap&bit != 0 {
+				o = ss.probs[id*d : (id+1)*d : (id+1)*d]
 			}
 			switch {
 			case ss.current && o == nil:
 				outs[id] = nil
 				ss.complete = false
-			case !ss.current || (o.Pruned && o.RetainedMass() < 0.5):
+			case !ss.current || (ss.pruned&bit != 0 && retainedMass(o) < 0.5):
 				// Not enough stored evidence for this image: recover the full
 				// distribution.
 				reStart := time.Now()
@@ -457,7 +466,7 @@ func (m *Manager) WriteBack(rel Relation, slots []WriteBackSlot) error {
 				m.reExecNanos.Add(int64(time.Since(reStart)))
 				m.reExecutions.Add(1)
 			default:
-				outs[id] = o.Effective()
+				outs[id] = o
 			}
 		}
 		sl.Value = fam.Det.Determine(outs, fam.Domain)

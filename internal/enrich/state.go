@@ -2,83 +2,124 @@ package enrich
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"enrichdb/internal/types"
 )
 
-// Output is the stored result of one enrichment function execution. With a
-// state cutoff (§3.2), probabilities below the threshold are pruned from
-// storage; Pruned records that the stored distribution is partial.
-type Output struct {
-	// Probs has the domain's length; pruned entries are negative.
-	Probs  []float64
-	Pruned bool
-}
-
+// prunedMark stands in a stored probability the state cutoff (§3.2) pruned.
 const prunedMark = -1
 
-// RetainedMass sums the stored (non-pruned) probabilities.
-func (o *Output) RetainedMass() float64 {
-	s := 0.0
-	for _, p := range o.Probs {
-		if p >= 0 {
-			s += p
-		}
-	}
-	return s
+// pageSlots is how many state slots one column page holds. Columns grow a
+// page at a time, so a new slot never copies the table.
+const pageSlots = 256
+
+// noSlot is a slotRef's slot when the tuple holds no state.
+const noSlot = -1
+
+// slotRef is a tuple's entry in the slot lookup: the slot its state lives in
+// (noSlot when it has none) and the fixed-data generation that state belongs
+// to. A tuple absent from the lookup has no state at generation 0, matching
+// freshly inserted tuples. Generation-guarded writes compare against gen, so
+// a session that computed enrichment from a superseded tuple image cannot
+// clobber state a newer committed write reset (§3.3.5 under concurrency).
+type slotRef struct {
+	slot int32
+	gen  uint64
 }
 
-// Effective returns the distribution with pruned entries as zero.
-func (o *Output) Effective() []float64 {
-	if !o.Pruned {
-		return o.Probs
-	}
-	out := make([]float64, len(o.Probs))
-	for i, p := range o.Probs {
-		if p >= 0 {
-			out[i] = p
-		}
-	}
-	return out
+// colPage holds one attribute's state for pageSlots slots: whether the
+// (tuple, attribute) has state, the bitmap of executed functions, the
+// bitmap of those whose stored output the cutoff pruned, the determined
+// value (the paper's AValue), and the stored outputs, stride float64s per
+// slot and domain per function, pruned entries holding prunedMark.
+type colPage struct {
+	present [pageSlots]bool
+	bitmap  [pageSlots]uint64
+	pruned  [pageSlots]uint64
+	value   [pageSlots]types.Value
+	probs   []float64
 }
 
-// AttrState is the state of one derived attribute of one tuple (§3.1): the
-// bitmap of executed functions, their outputs, and the current determined
-// value (the paper's AValue column).
-type AttrState struct {
-	Bitmap  uint64
-	Outputs []*Output // indexed by function ID; nil = not executed
-	Value   types.Value
+// attrCol is one derived attribute's column of state pages.
+type attrCol struct {
+	fam    *Family
+	domain int
+	stride int // len(fam.Functions) * domain
+	pages  []*colPage
+}
+
+// cell returns the page and offset of slot.
+func (c *attrCol) cell(slot int32) (*colPage, int) {
+	return c.pages[slot/pageSlots], int(slot % pageSlots)
+}
+
+// output returns function fnID's stored output in p at off.
+func (c *attrCol) output(p *colPage, off, fnID int) []float64 {
+	lo := off*c.stride + fnID*c.domain
+	return p.probs[lo : lo+c.domain : lo+c.domain]
+}
+
+// effective copies function fnID's stored output at (p, off) into dst and
+// returns dst, pruned entries as zero.
+func (c *attrCol) effective(dst []float64, p *colPage, off, fnID int) []float64 {
+	copy(dst, c.output(p, off, fnID))
+	if p.pruned[off]&(1<<uint(fnID)) != 0 {
+		for i, v := range dst {
+			dst[i] = max(v, 0)
+		}
+	}
+	return dst
+}
+
+// sizeAt is what (p, off) adds to SizeBytes: bitmap and value when present,
+// plus per stored output a pruned flag and 8 bytes per retained probability.
+func (c *attrCol) sizeAt(p *colPage, off int) int64 {
+	if !p.present[off] {
+		return 0
+	}
+	size := int64(16)
+	for b := p.bitmap[off]; b != 0; b &= b - 1 {
+		size += outputSize(c.output(p, off, bits.TrailingZeros64(b)))
+	}
+	return size
+}
+
+// outputSize is one stored output's share of SizeBytes.
+func outputSize(probs []float64) int64 {
+	size := int64(1)
+	for _, v := range probs {
+		if v >= 0 {
+			size += 8
+		}
+	}
+	return size
 }
 
 // StateTable holds the enrichment state of every tuple of one relation
-// (the paper's R_State table). It is safe for concurrent use.
+// (the paper's R_State table) as per-attribute columns indexed by a dense
+// state slot, so its size adds no heap objects per tuple. Readers copy what
+// they read under the read lock into memory they own. It is safe for
+// concurrent use.
 type StateTable struct {
 	Relation string
 
-	mu       sync.RWMutex
-	attrs    []string
-	attrIdx  map[string]int
-	families []*Family
-	cutoff   float64
-	rows     map[int64][]*AttrState
-	// gens tracks, per tuple, the fixed-data generation the stored state
-	// belongs to (absent = generation 0, matching freshly inserted tuples).
-	// Generation-guarded writes compare against it so a session that computed
-	// enrichment from a superseded tuple image cannot clobber state that was
-	// reset by a newer committed write (§3.3.5 under concurrency).
-	gens map[int64]uint64
+	mu      sync.RWMutex
+	attrs   []string
+	attrIdx map[string]int
+	cols    []attrCol
+	cutoff  float64
+	slots   map[int64]slotRef
+	free    []int32 // reset slots, zeroed
+	next    int32   // slots ever allocated
+	live    int     // tuples holding a slot
+	bytes   int64   // SizeBytes
 }
 
 // newStateTable creates an empty state table.
 func newStateTable(relation string) *StateTable {
-	return &StateTable{
-		Relation: relation,
-		attrIdx:  make(map[string]int),
-		rows:     make(map[int64][]*AttrState),
-		gens:     make(map[int64]uint64),
-	}
+	return &StateTable{Relation: relation, attrIdx: make(map[string]int), slots: make(map[int64]slotRef)}
 }
 
 // addFamily registers a derived attribute's family with the table.
@@ -88,12 +129,16 @@ func (st *StateTable) addFamily(fam *Family) error {
 	if _, dup := st.attrIdx[fam.Attr]; dup {
 		return fmt.Errorf("enrich: family for %s.%s already registered", fam.Relation, fam.Attr)
 	}
-	if len(st.rows) > 0 {
+	if st.live > 0 {
 		return fmt.Errorf("enrich: cannot add family %s.%s after state exists", fam.Relation, fam.Attr)
 	}
 	st.attrIdx[fam.Attr] = len(st.attrs)
 	st.attrs = append(st.attrs, fam.Attr)
-	st.families = append(st.families, fam)
+	c := attrCol{fam: fam, domain: fam.Domain, stride: len(fam.Functions) * fam.Domain}
+	for len(c.pages)*pageSlots < int(st.next) {
+		c.pages = append(c.pages, &colPage{probs: make([]float64, pageSlots*c.stride)})
+	}
+	st.cols = append(st.cols, c)
 	return nil
 }
 
@@ -105,29 +150,54 @@ func (st *StateTable) SetCutoff(c float64) {
 	st.mu.Unlock()
 }
 
-// Get returns the state of (tid, attr), or nil when nothing was stored,
-// whatever image it belongs to. The returned pointer shares the table's
-// storage; callers must treat it as read-only, and concurrent writers make
-// even reads racy — concurrent code reads through the manager, whose
-// accessors are generation-guarded and read under the table lock.
-func (st *StateTable) Get(tid int64, attr string) *AttrState {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.locked(tid, attr)
+// lookup returns tid's entry. Caller must hold st.mu.
+func (st *StateTable) lookup(tid int64) slotRef {
+	if ref, ok := st.slots[tid]; ok {
+		return ref
+	}
+	return slotRef{slot: noSlot}
 }
 
-// ensure returns the mutable state of (tid, attr), allocating as needed.
-// Caller must hold st.mu.
-func (st *StateTable) ensure(tid int64, ai int) *AttrState {
-	row := st.rows[tid]
-	if row == nil {
-		row = make([]*AttrState, len(st.attrs))
-		st.rows[tid] = row
+// at returns the page and offset of (tid, attr)'s state for the tuple image
+// at gen; ok is false when the image holds none. Caller must hold st.mu.
+func (st *StateTable) at(tid int64, attr string, gen uint64) (c *attrCol, p *colPage, off int, ok bool) {
+	ai, known := st.attrIdx[attr]
+	ref := st.lookup(tid)
+	if !known || ref.slot == noSlot || ref.gen != gen {
+		return nil, nil, 0, false
 	}
-	if row[ai] == nil {
-		row[ai] = &AttrState{Outputs: make([]*Output, len(st.families[ai].Functions))}
+	c = &st.cols[ai]
+	p, off = c.cell(ref.slot)
+	return c, p, off, p.present[off]
+}
+
+// ensure returns the cell of (tid, attr), giving the tuple a slot and the
+// attribute a present state as needed. Caller must hold st.mu.
+func (st *StateTable) ensure(tid int64, ai int) (*attrCol, *colPage, int) {
+	ref := st.lookup(tid)
+	if ref.slot == noSlot {
+		if n := len(st.free); n > 0 {
+			ref.slot, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			if st.next%pageSlots == 0 {
+				for i := range st.cols {
+					c := &st.cols[i]
+					c.pages = append(c.pages, &colPage{probs: make([]float64, pageSlots*c.stride)})
+				}
+			}
+			ref.slot = st.next
+			st.next++
+		}
+		st.slots[tid] = ref
+		st.live++
 	}
-	return row[ai]
+	c := &st.cols[ai]
+	p, off := c.cell(ref.slot)
+	if !p.present[off] {
+		p.present[off] = true
+		st.bytes += 16
+	}
+	return c, p, off
 }
 
 // setOutputs records function outputs, each computed from the tuple image
@@ -138,7 +208,8 @@ func (st *StateTable) ensure(tid int64, ai int) *AttrState {
 // bit set and counts as neither, without touching the state, which makes
 // concurrent duplicate enrichments (two epoch workers racing on a
 // self-join's shared tuple) collapse to one deterministic write. The first
-// invalid output stops the batch.
+// invalid output stops the batch; an output is invalid when its attribute
+// or function is not the table's or its length is not the family's domain.
 func (st *StateTable) setOutputs(outs []FnOutput) (stored, stale int64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -147,67 +218,80 @@ func (st *StateTable) setOutputs(outs []FnOutput) (stored, stale int64, err erro
 		if !ok {
 			return stored, stale, fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, o.Attr)
 		}
-		if o.FnID < 0 || o.FnID >= len(st.families[ai].Functions) {
+		if o.FnID < 0 || o.FnID >= len(st.cols[ai].fam.Functions) {
 			return stored, stale, fmt.Errorf("enrich: %s.%s has no function %d", st.Relation, o.Attr, o.FnID)
 		}
-		if st.gens[o.TID] != o.Gen {
+		if d := st.cols[ai].domain; len(o.Probs) != d {
+			return stored, stale, fmt.Errorf("enrich: %s.%s function %d returned %d probabilities for a domain of %d",
+				st.Relation, o.Attr, o.FnID, len(o.Probs), d)
+		}
+		if st.lookup(o.TID).gen != o.Gen {
 			stale++
 			continue
 		}
-		s := st.ensure(o.TID, ai)
-		if s.Bitmap&(1<<uint(o.FnID)) != 0 {
+		c, p, off := st.ensure(o.TID, ai)
+		bit := uint64(1) << uint(o.FnID)
+		if p.bitmap[off]&bit != 0 {
 			continue
 		}
-		out := &Output{Probs: make([]float64, len(o.Probs))}
-		for i, p := range o.Probs {
-			if st.cutoff > 0 && p < st.cutoff {
-				out.Probs[i] = prunedMark
-				out.Pruned = true
+		dst := c.output(p, off, o.FnID)
+		for i, v := range o.Probs {
+			if st.cutoff > 0 && v < st.cutoff {
+				dst[i] = prunedMark
+				p.pruned[off] |= bit
 			} else {
-				out.Probs[i] = p
+				dst[i] = v
 			}
 		}
-		s.Outputs[o.FnID] = out
-		s.Bitmap |= 1 << uint(o.FnID)
+		p.bitmap[off] |= bit
+		st.bytes += outputSize(dst)
 		stored++
 	}
 	return stored, stale, nil
 }
 
-// slotState is one write-back slot's state as the batch sees it: outs is a
-// copy of the per-function outputs when the state belongs to the slot's
-// image (current) and holds any; write, complete and stale are the batch's
-// decisions for the slot.
+// slotState is one write-back slot's state as the batch sees it: current is
+// whether the state belongs to the slot's image, and when that image holds
+// any state, present is set, bitmap and pruned are its bitmaps, and probs
+// its effective outputs (stride long, function id major). write, complete
+// and stale are the batch's decisions for the slot.
 type slotState struct {
-	outs                   []*Output
-	current                bool
+	probs                  []float64
+	bitmap, pruned         uint64
+	current, present       bool
 	write, complete, stale bool
 }
 
-// snapshotSlots reads every slot's state under one read lock. Generation
-// and outputs are read together, so a commit resetting a tuple cannot slip
-// between the check and the copy and make an emptied state look like
-// "nothing executed yet" for the slot's image. Output structs are immutable
-// once published, so the copies are consistent snapshots.
+// snapshotSlots reads every slot's state under one read lock, copying the
+// outputs into one buffer for the batch. Generation and outputs are read
+// together, so a commit resetting a tuple cannot slip between the check and
+// the copy and make an emptied state look like "nothing executed yet" for
+// the slot's image. Every slot's attribute must be the table's.
 func (st *StateTable) snapshotSlots(slots []WriteBackSlot) []slotState {
 	states := make([]slotState, len(slots))
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	n := 0
-	for _, sl := range slots {
-		if s := st.locked(sl.Tuple.ID, sl.Attr); s != nil {
-			n += len(s.Outputs)
-		}
+	for i := range slots {
+		n += st.cols[st.attrIdx[slots[i].Attr]].stride
 	}
-	buf := make([]*Output, n)
-	for i, sl := range slots {
-		if st.gens[sl.Tuple.ID] != sl.Tuple.Gen {
+	buf := make([]float64, n)
+	for i := range slots {
+		ss, sl := &states[i], &slots[i]
+		ref := st.lookup(sl.Tuple.ID)
+		if ss.current = ref.gen == sl.Tuple.Gen; !ss.current || ref.slot == noSlot {
 			continue
 		}
-		states[i].current = true
-		if s := st.locked(sl.Tuple.ID, sl.Attr); s != nil {
-			states[i].outs = buf[:len(s.Outputs):len(s.Outputs)]
-			buf = buf[copy(buf, s.Outputs):]
+		c := &st.cols[st.attrIdx[sl.Attr]]
+		p, off := c.cell(ref.slot)
+		if !p.present[off] {
+			continue
+		}
+		ss.present, ss.bitmap, ss.pruned = true, p.bitmap[off], p.pruned[off]
+		ss.probs, buf = buf[:c.stride:c.stride], buf[c.stride:]
+		for b := ss.bitmap; b != 0; b &= b - 1 {
+			id := bits.TrailingZeros64(b)
+			c.effective(ss.probs[id*c.domain:(id+1)*c.domain], p, off, id)
 		}
 	}
 	return states
@@ -228,11 +312,12 @@ func (st *StateTable) setValues(slots []WriteBackSlot, states []slotState) error
 		if !ok {
 			return fmt.Errorf("enrich: %s has no derived attribute %s", st.Relation, sl.Attr)
 		}
-		if st.gens[sl.Tuple.ID] != sl.Tuple.Gen {
+		if st.lookup(sl.Tuple.ID).gen != sl.Tuple.Gen {
 			ss.stale = true
 			continue
 		}
-		st.ensure(sl.Tuple.ID, ai).Value = sl.Value
+		_, p, off := st.ensure(sl.Tuple.ID, ai)
+		p.value[off] = sl.Value
 	}
 	return nil
 }
@@ -241,7 +326,7 @@ func (st *StateTable) setValues(slots []WriteBackSlot, states []slotState) error
 func (st *StateTable) GenOf(tid int64) uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.gens[tid]
+	return st.lookup(tid).gen
 }
 
 // BitmapAt returns the executed-function bitmap of (tid, attr) for the
@@ -250,21 +335,24 @@ func (st *StateTable) GenOf(tid int64) uint64 {
 func (st *StateTable) BitmapAt(tid int64, attr string, gen uint64) uint64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen {
-		return s.Bitmap
+	if _, p, off, ok := st.at(tid, attr, gen); ok {
+		return p.bitmap[off]
 	}
 	return 0
 }
 
-// outputAt returns the stored output of function fnID for (tid, attr) at
-// the tuple image at gen, or nil when it did not run for that image.
-func (st *StateTable) outputAt(tid int64, attr string, fnID int, gen uint64) *Output {
+// outputAt returns a copy of the effective stored output of function fnID
+// for (tid, attr) at the tuple image at gen, or nil when it did not run for
+// that image.
+func (st *StateTable) outputAt(tid int64, attr string, fnID int, gen uint64) []float64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen && fnID >= 0 && fnID < len(s.Outputs) {
-		return s.Outputs[fnID]
+	// A function id outside the family has no bit: its shift yields zero.
+	c, p, off, ok := st.at(tid, attr, gen)
+	if !ok || p.bitmap[off]&(1<<uint(fnID)) == 0 {
+		return nil
 	}
-	return nil
+	return c.effective(make([]float64, c.domain), p, off, fnID)
 }
 
 // valueAt returns the determined value of (tid, attr) for the tuple image at
@@ -272,103 +360,90 @@ func (st *StateTable) outputAt(tid int64, attr string, fnID int, gen uint64) *Ou
 func (st *StateTable) valueAt(tid int64, attr string, gen uint64) types.Value {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if s := st.locked(tid, attr); s != nil && st.gens[tid] == gen {
-		return s.Value
+	if _, p, off, ok := st.at(tid, attr, gen); ok {
+		return p.value[off]
 	}
 	return types.Null
 }
 
-// OutputSnapshotAt returns a copy of the per-function output slice of
-// (tid, attr) for the tuple image at gen (nil when no state exists): current
-// is false, and nothing is returned, when the state belongs to another
-// generation. Generation and outputs are read under one lock, so a commit
-// resetting the tuple cannot slip between the check and the copy and make an
-// emptied state look like "nothing executed yet" for the caller's image.
-// Output structs are immutable once published, so the copy is a consistent
-// snapshot concurrent determinization can read freely.
-func (st *StateTable) OutputSnapshotAt(tid int64, attr string, gen uint64) (out []*Output, current bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.gens[tid] != gen {
-		return nil, false
-	}
-	if s := st.locked(tid, attr); s != nil {
-		out = make([]*Output, len(s.Outputs))
-		copy(out, s.Outputs)
-	}
-	return out, true
+// OutputBuf is caller-owned memory OutputsAt copies outputs into; one
+// buffer serves any number of calls, each overwriting the last.
+type OutputBuf struct {
+	probs []float64
+	outs  [][]float64
 }
 
-// locked is Get without locking; caller must hold st.mu.
-func (st *StateTable) locked(tid int64, attr string) *AttrState {
-	ai, ok := st.attrIdx[attr]
+// OutputsAt copies the effective outputs of (tid, attr) for the tuple image
+// at gen into buf and returns them by function id, nil where the function
+// did not run. It returns nil when the image holds no state, including when
+// the state belongs to another generation: generation and outputs are read
+// under one lock, so a commit resetting the tuple cannot make an emptied
+// state look like "nothing executed yet" for the caller's image. The views
+// stay valid until buf's next use.
+func (st *StateTable) OutputsAt(tid int64, attr string, gen uint64, buf *OutputBuf) [][]float64 {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	c, p, off, ok := st.at(tid, attr, gen)
 	if !ok {
 		return nil
 	}
-	row := st.rows[tid]
-	if row == nil {
-		return nil
+	if len(buf.probs) < c.stride {
+		buf.probs = make([]float64, c.stride)
 	}
-	return row[ai]
+	nFns := len(c.fam.Functions)
+	if cap(buf.outs) < nFns {
+		buf.outs = make([][]float64, nFns)
+	}
+	outs := buf.outs[:nFns]
+	for id := range outs {
+		outs[id] = nil
+		if p.bitmap[off]&(1<<uint(id)) != 0 {
+			outs[id] = c.effective(buf.probs[id*c.domain:(id+1)*c.domain], p, off, id)
+		}
+	}
+	return outs
 }
 
-// reset clears a tuple's state and records gen as the fixed-data generation
-// its state now belongs to, invalidating in-flight enrichment computed from
-// older tuple images: their generation-guarded writes no longer match.
+// reset clears a tuple's state, returning its slot zeroed to the free list,
+// and records gen as the fixed-data generation its state now belongs to,
+// invalidating in-flight enrichment computed from older tuple images: their
+// generation-guarded writes no longer match.
 func (st *StateTable) reset(tid int64, gen uint64) {
 	st.mu.Lock()
-	delete(st.rows, tid)
-	if gen == 0 {
-		delete(st.gens, tid)
-	} else {
-		st.gens[tid] = gen
+	defer st.mu.Unlock()
+	if ref := st.lookup(tid); ref.slot != noSlot {
+		for i := range st.cols {
+			c := &st.cols[i]
+			p, off := c.cell(ref.slot)
+			st.bytes -= c.sizeAt(p, off)
+			p.present[off], p.bitmap[off], p.pruned[off], p.value[off] = false, 0, 0, types.Null
+			clear(p.probs[off*c.stride : (off+1)*c.stride])
+		}
+		st.free = append(st.free, ref.slot)
+		st.live--
 	}
-	st.mu.Unlock()
-}
-
-// Attrs returns the registered derived attributes.
-func (st *StateTable) Attrs() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, len(st.attrs))
-	copy(out, st.attrs)
-	return out
+	if gen == 0 {
+		delete(st.slots, tid)
+	} else {
+		st.slots[tid] = slotRef{slot: noSlot, gen: gen}
+	}
 }
 
 // SizeBytes estimates the storage footprint of the state table: bitmap and
-// value per attribute state plus 8 bytes per retained probability. This is
-// what Exp 5 reports.
+// value per attribute state plus, per stored output, a pruned flag and 8
+// bytes per retained probability. This is what Exp 5 reports. It is a
+// counter the writes keep, not a walk of the table.
 func (st *StateTable) SizeBytes() int64 {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var size int64
-	for _, row := range st.rows {
-		for _, s := range row {
-			if s == nil {
-				continue
-			}
-			size += 16 // bitmap + determined value
-			for _, o := range s.Outputs {
-				if o == nil {
-					continue
-				}
-				for _, p := range o.Probs {
-					if p >= 0 {
-						size += 8
-					}
-				}
-				size++ // pruned flag
-			}
-		}
-	}
-	return size
+	return st.bytes
 }
 
 // TupleCount returns how many tuples have any state.
 func (st *StateTable) TupleCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return len(st.rows)
+	return st.live
 }
 
 // StateRecord is the exported form of one (tuple, attribute) state, used by
@@ -393,19 +468,21 @@ func (st *StateTable) Export() []StateRecord {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var out []StateRecord
-	for tid, row := range st.rows {
-		for ai, s := range row {
-			if s == nil {
+	for tid, ref := range st.slots {
+		if ref.slot == noSlot {
+			continue
+		}
+		for ai := range st.cols {
+			c := &st.cols[ai]
+			p, off := c.cell(ref.slot)
+			if !p.present[off] {
 				continue
 			}
-			rec := StateRecord{TID: tid, Attr: st.attrs[ai], Bitmap: s.Bitmap, Value: s.Value}
-			for fnID, o := range s.Outputs {
-				if o == nil {
-					continue
-				}
-				probs := make([]float64, len(o.Probs))
-				copy(probs, o.Probs)
-				rec.Outputs = append(rec.Outputs, OutputRecord{FnID: fnID, Probs: probs, Pruned: o.Pruned})
+			rec := StateRecord{TID: tid, Attr: st.attrs[ai], Bitmap: p.bitmap[off], Value: p.value[off]}
+			for b := p.bitmap[off]; b != 0; b &= b - 1 {
+				id := bits.TrailingZeros64(b)
+				probs := append([]float64(nil), c.output(p, off, id)...)
+				rec.Outputs = append(rec.Outputs, OutputRecord{FnID: id, Probs: probs, Pruned: p.pruned[off]&(1<<uint(id)) != 0})
 			}
 			out = append(out, rec)
 		}
@@ -413,8 +490,10 @@ func (st *StateTable) Export() []StateRecord {
 	return out
 }
 
-// Import restores exported records. The table's families must already be
-// registered and must cover every record's attribute and function ids.
+// Import restores exported records, each replacing the state of its
+// (tuple, attribute). The table's families must already be registered and
+// must cover every record's attribute and function ids; a record's outputs
+// must match its bitmap one to one and each hold the family's domain.
 func (st *StateTable) Import(records []StateRecord) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -423,17 +502,30 @@ func (st *StateTable) Import(records []StateRecord) error {
 		if !ok {
 			return fmt.Errorf("enrich: import: %s has no derived attribute %s", st.Relation, rec.Attr)
 		}
-		nFns := len(st.families[ai].Functions)
-		s := st.ensure(rec.TID, ai)
-		s.Bitmap = rec.Bitmap
-		s.Value = rec.Value
+		c := &st.cols[ai]
+		var seen uint64
 		for _, o := range rec.Outputs {
-			if o.FnID < 0 || o.FnID >= nFns {
+			if o.FnID < 0 || o.FnID >= len(c.fam.Functions) {
 				return fmt.Errorf("enrich: import: %s.%s has no function %d", st.Relation, rec.Attr, o.FnID)
 			}
-			probs := make([]float64, len(o.Probs))
-			copy(probs, o.Probs)
-			s.Outputs[o.FnID] = &Output{Probs: probs, Pruned: o.Pruned}
+			if bit := uint64(1) << uint(o.FnID); seen&bit != 0 || len(o.Probs) != c.domain {
+				return fmt.Errorf("enrich: import: %s.%s tuple %d: output %d is repeated or not %d long", st.Relation, rec.Attr, rec.TID, o.FnID, c.domain)
+			}
+			seen |= 1 << uint(o.FnID)
+		}
+		if seen != rec.Bitmap {
+			return fmt.Errorf("enrich: import: %s.%s tuple %d: bitmap %b does not match its outputs %b", st.Relation, rec.Attr, rec.TID, rec.Bitmap, seen)
+		}
+		_, p, off := st.ensure(rec.TID, ai)
+		st.bytes -= c.sizeAt(p, off) - 16
+		p.bitmap[off], p.pruned[off], p.value[off] = rec.Bitmap, 0, rec.Value
+		clear(p.probs[off*c.stride : (off+1)*c.stride])
+		for _, o := range rec.Outputs {
+			copy(c.output(p, off, o.FnID), o.Probs)
+			if o.Pruned {
+				p.pruned[off] |= 1 << uint(o.FnID)
+			}
+			st.bytes += outputSize(o.Probs)
 		}
 	}
 	return nil

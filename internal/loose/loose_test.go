@@ -240,7 +240,7 @@ func TestLooseEnrichesOnlyNeededAttrs(t *testing.T) {
 	st := mgr.StateTable("TweetData")
 	tbl := d.DB.MustTable("TweetData")
 	for _, tu := range tbl.Tuples() {
-		if s := st.Get(tu.ID, "topic"); s != nil && s.Bitmap != 0 {
+		if st.BitmapAt(tu.ID, "topic", tu.Gen) != 0 {
 			t.Fatalf("topic of tuple %d was enriched by a sentiment-only query", tu.ID)
 		}
 	}

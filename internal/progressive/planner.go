@@ -433,6 +433,7 @@ func (ps *PlanSpace) adaptiveOrder(st *stats.Store) []int {
 		score float64
 	}
 	out := make([]scored, len(ps.entries))
+	var buf enrich.OutputBuf
 	for i, e := range ps.entries {
 		best := 0.0
 		for j, attr := range e.Attrs {
@@ -441,8 +442,8 @@ func (ps *PlanSpace) adaptiveOrder(st *stats.Store) []int {
 				continue
 			}
 			var ent float64 = 1
-			if snap, _ := r.st.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
-				ent = stateEntropy(&enrich.AttrState{Outputs: snap}, r.fam.Domain)
+			if outs := r.st.OutputsAt(e.TID, attr, e.Gen, &buf); outs != nil {
+				ent = stateEntropy(outs, r.fam.Domain)
 			}
 			bestFn := 0.0
 			remaining := ps.pending(i, j)
@@ -477,6 +478,7 @@ func (ps *PlanSpace) benefitOrder(mgr *enrich.Manager) []int {
 		score float64
 	}
 	out := make([]scored, len(ps.entries))
+	var buf enrich.OutputBuf
 	for i, e := range ps.entries {
 		st := mgr.StateTable(e.Relation)
 		best := 0.0
@@ -487,10 +489,10 @@ func (ps *PlanSpace) benefitOrder(mgr *enrich.Manager) []int {
 			}
 			var s float64 = 1
 			if st != nil {
-				// OutputSnapshotAt reads under the table lock, so ranking stays
+				// OutputsAt copies under the table lock, so ranking stays
 				// race-free while epoch workers write state.
-				if snap, _ := st.OutputSnapshotAt(e.TID, attr, e.Gen); snap != nil {
-					s = stateEntropy(&enrich.AttrState{Outputs: snap}, fam.Domain)
+				if outs := st.OutputsAt(e.TID, attr, e.Gen, &buf); outs != nil {
+					s = stateEntropy(outs, fam.Domain)
 				}
 			}
 			if s > best {
@@ -508,19 +510,18 @@ func (ps *PlanSpace) benefitOrder(mgr *enrich.Manager) []int {
 }
 
 // stateEntropy computes the normalized Shannon entropy of the averaged
-// executed-function outputs; 1 when nothing has executed.
-func stateEntropy(s *enrich.AttrState, domain int) float64 {
+// executed-function outputs (indexed by function id, nil where the function
+// did not run); 1 when nothing has executed.
+func stateEntropy(outs [][]float64, domain int) float64 {
 	sum := make([]float64, domain)
 	n := 0
-	for _, o := range s.Outputs {
+	for _, o := range outs {
 		if o == nil {
 			continue
 		}
 		n++
-		for c, p := range o.Effective() {
-			if c < domain {
-				sum[c] += p
-			}
+		for c, p := range o[:domain] {
+			sum[c] += p
 		}
 	}
 	if n == 0 {

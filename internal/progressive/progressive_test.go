@@ -394,17 +394,17 @@ func TestBenefitOrderPrefersUncertainTuples(t *testing.T) {
 
 func TestStateEntropy(t *testing.T) {
 	// No outputs: maximal uncertainty.
-	s := &enrich.AttrState{Outputs: make([]*enrich.Output, 2)}
+	s := make([][]float64, 2)
 	if got := stateEntropy(s, 3); got != 1 {
 		t.Errorf("empty state entropy = %v", got)
 	}
 	// Confident output: near zero.
-	s.Outputs[0] = &enrich.Output{Probs: []float64{0.999, 0.0005, 0.0005}}
+	s[0] = []float64{0.999, 0.0005, 0.0005}
 	if got := stateEntropy(s, 3); got > 0.05 {
 		t.Errorf("confident state entropy = %v", got)
 	}
 	// Uniform output: maximal.
-	s.Outputs[0] = &enrich.Output{Probs: []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}}
+	s[0] = []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	if got := stateEntropy(s, 3); got < 0.99 {
 		t.Errorf("uniform state entropy = %v", got)
 	}

@@ -607,17 +607,16 @@ func (c *conn) streamRows(ctx context.Context, id uint32, rows *enrichdb.Rows) e
 	if err := c.write(&wire.ResultHeader{Query: id, Columns: rows.Columns()}); err != nil {
 		return err
 	}
-	stride := c.s.cfg.BatchRows
-	for lo, numRows := 0, rows.Len(); lo < numRows; lo += stride {
+	stride, numRows := c.s.cfg.BatchRows, rows.Len()
+	// BatchFromValues copies the values out, so one stride buffer serves
+	// every batch of the stream.
+	chunk := make([][]enrichdb.Value, 0, min(stride, numRows))
+	for lo := 0; lo < numRows; lo += stride {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		hi := lo + stride
-		if hi > numRows {
-			hi = numRows
-		}
-		chunk := make([][]enrichdb.Value, 0, hi-lo)
-		for i := lo; i < hi; i++ {
+		chunk = chunk[:0]
+		for i := lo; i < min(lo+stride, numRows); i++ {
 			chunk = append(chunk, rows.At(i))
 		}
 		if err := c.write(wire.BatchFromValues(id, chunk)); err != nil {

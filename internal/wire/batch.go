@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"enrichdb/internal/types"
 )
@@ -222,12 +223,14 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 	for ci := 0; ci < width; ci++ {
 		kind := types.KindNull
 		typed := true
+		dense := 0 // non-NULL lanes: the typed payload's length
 		for _, row := range rows {
 			v := row[ci]
 			k := v.Kind()
 			if k == types.KindNull {
 				continue
 			}
+			dense++
 			if k == types.KindVector {
 				typed = false
 				break
@@ -257,6 +260,16 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 		if nb := nullBitmapLen(n); nb > 0 {
 			c.Nulls = make([]byte, nb)
 		}
+		if dense > 0 {
+			switch kind {
+			case types.KindInt, types.KindBool:
+				c.Ints = make([]int64, 0, dense)
+			case types.KindFloat:
+				c.Floats = make([]float64, 0, dense)
+			case types.KindString:
+				c.Strs = make([]string, 0, dense)
+			}
+		}
 		for i, row := range rows {
 			v := row[ci]
 			if v.IsNull() {
@@ -280,12 +293,18 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 // inconsistencies (payload shorter than the bitmap promises) rather than
 // panicking, so a decoded frame can always be expanded safely.
 func (f *ResultBatch) Values() ([][]types.Value, error) {
-	n := int(f.NRows)
-	rows := make([][]types.Value, n)
+	return f.AppendValues(nil)
+}
+
+// AppendValues expands the batch as Values does, appending the rows to dst.
+// On an error it returns dst with its length unchanged.
+func (f *ResultBatch) AppendValues(dst [][]types.Value) ([][]types.Value, error) {
+	n, base, width := int(f.NRows), len(dst), len(f.Cols)
 	if n == 0 {
-		return rows, nil
+		return dst, nil
 	}
-	width := len(f.Cols)
+	dst = slices.Grow(dst, n)[:base+n]
+	rows := dst[base:]
 	cells := make([]types.Value, n*width)
 	for i := range rows {
 		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
@@ -294,7 +313,7 @@ func (f *ResultBatch) Values() ([][]types.Value, error) {
 		c := &f.Cols[ci]
 		if c.Kind == types.KindNull {
 			if len(c.Vals) != n {
-				return nil, fmt.Errorf("wire: generic column %d has %d of %d lanes", ci, len(c.Vals), n)
+				return dst[:base], fmt.Errorf("wire: generic column %d has %d of %d lanes", ci, len(c.Vals), n)
 			}
 			for i := 0; i < n; i++ {
 				rows[i][ci] = c.Vals[i]
@@ -310,29 +329,29 @@ func (f *ResultBatch) Values() ([][]types.Value, error) {
 			switch c.Kind {
 			case types.KindInt:
 				if di >= len(c.Ints) {
-					return nil, fmt.Errorf("wire: column %d INT payload underflow", ci)
+					return dst[:base], fmt.Errorf("wire: column %d INT payload underflow", ci)
 				}
 				rows[i][ci] = types.NewInt(c.Ints[di])
 			case types.KindBool:
 				if di >= len(c.Ints) {
-					return nil, fmt.Errorf("wire: column %d BOOL payload underflow", ci)
+					return dst[:base], fmt.Errorf("wire: column %d BOOL payload underflow", ci)
 				}
 				rows[i][ci] = types.NewBool(c.Ints[di] != 0)
 			case types.KindFloat:
 				if di >= len(c.Floats) {
-					return nil, fmt.Errorf("wire: column %d FLOAT payload underflow", ci)
+					return dst[:base], fmt.Errorf("wire: column %d FLOAT payload underflow", ci)
 				}
 				rows[i][ci] = types.NewFloat(c.Floats[di])
 			case types.KindString:
 				if di >= len(c.Strs) {
-					return nil, fmt.Errorf("wire: column %d STRING payload underflow", ci)
+					return dst[:base], fmt.Errorf("wire: column %d STRING payload underflow", ci)
 				}
 				rows[i][ci] = types.NewString(c.Strs[di])
 			default:
-				return nil, fmt.Errorf("wire: column %d has unknown kind %d", ci, c.Kind)
+				return dst[:base], fmt.Errorf("wire: column %d has unknown kind %d", ci, c.Kind)
 			}
 			di++
 		}
 	}
-	return rows, nil
+	return dst, nil
 }

@@ -209,10 +209,8 @@ func (c *Client) readLoop() {
 				if cl.onBatch != nil {
 					cl.onBatch(f)
 				}
-				rows, err := f.Values()
-				if err == nil {
-					cl.res.Rows = append(cl.res.Rows, rows...)
-				}
+				// A batch that does not expand adds no rows.
+				cl.res.Rows, _ = f.AppendValues(cl.res.Rows)
 			}
 		case *wire.Epoch:
 			if cl := c.lookup(f.Query); cl != nil {
