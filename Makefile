@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check surface vet build test race test-race soak serve-soak bench bench-kernel bench-vector bench-serve bench-smoke bench-adaptive bench-shard adaptive-race serve-race shard-race fuzz tidy staticcheck trace-demo trace-e2e
+.PHONY: check surface reach vet build test race test-race soak serve-soak bench bench-kernel bench-vector bench-serve bench-smoke bench-adaptive bench-shard adaptive-race serve-race shard-race fuzz tidy staticcheck trace-demo trace-e2e
 
 # Tier-1 gate: everything a PR must keep green. staticcheck rides along but
 # skips itself when the binary is absent. Nothing here rewrites a tracked
@@ -27,6 +27,15 @@ surface:
 	@echo "derived write-back call sites: $$(grep -rhF '.WriteDerived(' --include='*.go' --exclude='*_test.go' --exclude-dir=storage --exclude-dir=shard --exclude-dir=benchmark . | wc -l)"
 	@echo "storage.Relation methods:    $$(awk '/^type Relation interface/ {f = 1; next} f && /^}/ {f = 0} f && /^\t[A-Z]/' internal/storage/db.go | wc -l)"
 	@echo "non-test Go lines:           $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+
+# Reachability report: the non-test statements no owner runs, per package,
+# every wholly unreached function and one total. The owners are the eight
+# benchmark workloads (traced, 2 s each), `benchrunner -exp all`,
+# the examples, the harness test binary and the REPL session in
+# cmd/enrichdb/testdata/reach.txt; a path no owner reaches is a candidate
+# to delete. Everything it builds and writes stays in a temp dir.
+reach:
+	@GO="$(GO)" sh scripts/reach.sh
 
 vet:
 	$(GO) vet ./...

@@ -1,19 +1,21 @@
 // Command enrichdb is an interactive query runner over a generated demo
 // database (the paper's TweetData/MultiPie/State schemas with trained
-// enrichment functions). Queries execute under the chosen design and print
-// rows plus enrichment statistics.
+// enrichment functions), loaded through the public API: the REPL is an
+// enrichdb.DB, and every line it answers is one DB.Run under the chosen
+// design, the same pipeline the library and the wire server run.
 //
 // Usage:
 //
-//	enrichdb [-design loose|tight|plain] [-tweets N] [-images N] [-q "SELECT ..."]
-//	         [-trace file] [-metrics]
+//	enrichdb [-design loose|tight|plain|progressive] [-tweets N] [-images N]
+//	         [-q "SELECT ..."] [-trace file] [-metrics]
 //
 // -trace writes one JSON span per pipeline phase to the given file (use
 // cmd/tracefmt to pretty-print it); -metrics prints the telemetry snapshot
 // on exit. Without -q it reads queries from stdin, one per line; prefix a
 // query with EXPLAIN for the plan the current design runs, or EXPLAIN ANALYZE
 // for the operator profile of a real run. Special inputs: ".help", ".stats",
-// ".metrics", ".design <name>", ".paper", ".quit".
+// ".metrics", ".design <name>", ".paper", ".quit". testdata/reach.txt is the
+// session `make reach` runs.
 //
 // Serving mode:
 //
@@ -47,30 +49,31 @@
 // plus -slow-threshold appends a JSON record (with the operator profile)
 // for every query slower than the threshold; -http serves /metrics (with
 // p50/p95/p99 quantile lines) and /statusz (live sessions, in-flight
-// queries, per-tenant admission state). `EXPLAIN ANALYZE <query>` works
-// both in the REPL and over the wire.
+// queries, per-tenant admission state). `EXPLAIN ANALYZE <query>` answers
+// the same tree in the REPL and over the wire: both run it through
+// DB.Run's one pipeline (the wire through Session.Run).
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
 	"time"
 
+	"enrichdb"
 	"enrichdb/internal/bench"
 	"enrichdb/internal/dataset"
-	"enrichdb/internal/engine"
-	"enrichdb/internal/expr"
 	"enrichdb/internal/harness"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/telemetry"
 )
 
 func main() {
-	design := flag.String("design", "tight", "execution design: loose, tight or plain")
+	design := flag.String("design", "tight", "execution design: "+designList)
 	tweets := flag.Int("tweets", 2000, "TweetData size")
 	images := flag.Int("images", 800, "MultiPie size")
 	query := flag.String("q", "", "single query to run (otherwise read stdin)")
@@ -112,47 +115,42 @@ func main() {
 		return
 	}
 
+	d, ok := designByName(*design)
+	if !ok {
+		log.Fatalf("unknown design %q (%s)", *design, designList)
+	}
 	scale := bench.Small()
 	scale.Tweets = *tweets
 	scale.Images = *images
 	fmt.Fprintf(os.Stderr, "generating %d tweets, %d images and training enrichment functions...\n",
 		*tweets, *images)
-	env, err := bench.NewEnv(scale, dataset.SingleFunctionSpecs())
+	db, err := openDemo(scale)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer db.Close()
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		env.Tracer = telemetry.NewTracer(telemetry.NewJSONLSink(f))
+		db.SetTracer(telemetry.NewTracer(telemetry.NewJSONLSink(f)))
 		fmt.Fprintf(os.Stderr, "tracing spans to %s\n", *traceFile)
 	}
 	if *metrics {
-		defer func() { fmt.Print(env.Telemetry().Snapshot().String()) }()
+		defer func() { fmt.Print(db.Telemetry().Snapshot().String()) }()
 	}
 	fmt.Fprintf(os.Stderr, "ready. relations: TweetData(topic, sentiment derived), MultiPie(gender, expression derived), State\n")
 
-	r := &runner{env: env, design: *design}
+	r := &runner{db: db, scale: scale, design: d, out: os.Stdout}
 	if *query != "" {
 		if err := r.exec(*query); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			if done := r.command(line); done {
-				return
-			}
-		}
-		fmt.Print("> ")
-	}
+	r.loop(os.Stdin)
 }
 
 // runServe iterates the deterministic serving workload for roughly the given
@@ -188,9 +186,92 @@ func runServe(writers, sessions, maxSessions int, timeout time.Duration, seed in
 	return nil
 }
 
+// openDemo generates the paper's TweetData/MultiPie/State database at the
+// given scale and loads it into a fresh enrichdb.DB through the public API:
+// CreateRelation and Insert for every generated tuple, then RegisterEnrichment
+// for each derived attribute with the trained single-function family of
+// Exp 1 (dataset.SingleFunctionSpecs).
+func openDemo(s bench.Scale) (*enrichdb.DB, error) {
+	d, err := dataset.Generate(dataset.Config{
+		Seed: s.Seed, Tweets: s.Tweets, Images: s.Images,
+		TopicDomain: s.TopicDomain, TimeRange: s.TimeRange,
+	})
+	if err != nil {
+		return nil, err
+	}
+	db := enrichdb.Open()
+	if err := loadDemo(db, d); err != nil {
+		db.Close()
+		return nil, err
+	}
+	return db, nil
+}
+
+func loadDemo(db *enrichdb.DB, d *dataset.Data) error {
+	cat := d.DB.Catalog()
+	for _, rel := range cat.Relations() {
+		schema := cat.Schema(rel)
+		cols := make([]enrichdb.Column, len(schema.Cols))
+		for i, c := range schema.Cols {
+			cols[i] = enrichdb.Column{Name: c.Name, Kind: c.Kind, Derived: c.Derived,
+				FeatureCol: c.FeatureCol, Domain: c.Domain}
+		}
+		if err := db.CreateRelation(rel, cols); err != nil {
+			return err
+		}
+		for _, tu := range d.DB.MustTable(rel).Tuples() {
+			if _, err := db.Insert(rel, tu.ID, tu.Vals...); err != nil {
+				return err
+			}
+		}
+	}
+	for key, specs := range dataset.SingleFunctionSpecs() {
+		fam, err := d.TrainFamily(key[0], key[1], nil, specs...)
+		if err != nil {
+			return err
+		}
+		fns := make([]enrichdb.Function, len(fam.Functions))
+		for i, f := range fam.Functions {
+			fns[i] = enrichdb.Function{Name: f.Name, Model: f.Model, Quality: f.Quality, ExtraCost: f.ExtraCost}
+		}
+		if err := db.RegisterEnrichment(key[0], key[1], fns...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+const designList = "loose, tight, plain, progressive"
+
+func designByName(name string) (enrichdb.Design, bool) {
+	for d := enrichdb.LooseDesign; d <= enrichdb.ProgressiveDesign; d++ {
+		if d.String() == name {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
+// runner is the REPL: every query line, EXPLAIN forms included, is one
+// DB.Run under the current design.
 type runner struct {
-	env    *bench.Env
-	design string
+	db     *enrichdb.DB
+	scale  bench.Scale
+	design enrichdb.Design
+	out    io.Writer
+}
+
+// loop reads one command per line until EOF or .quit.
+func (r *runner) loop(in io.Reader) {
+	sc := bufio.NewScanner(in)
+	fmt.Fprint(r.out, "> ")
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line != "" && r.command(line) {
+			return
+		}
+		fmt.Fprint(r.out, "> ")
+	}
 }
 
 func (r *runner) command(line string) (quit bool) {
@@ -198,138 +279,75 @@ func (r *runner) command(line string) (quit bool) {
 	case line == ".quit" || line == ".exit":
 		return true
 	case line == ".help":
-		fmt.Println("enter a SELECT query (prefix with EXPLAIN for the annotated plan without")
-		fmt.Println("executing, or EXPLAIN ANALYZE for an operator profile of a real run),")
-		fmt.Println("or: .design loose|tight|plain, .paper, .stats, .metrics, .quit")
+		fmt.Fprintln(r.out, "enter a SELECT query (prefix with EXPLAIN for the annotated plan without")
+		fmt.Fprintln(r.out, "executing, or EXPLAIN ANALYZE for an operator profile of a real run),")
+		fmt.Fprintln(r.out, "or: .design "+strings.ReplaceAll(designList, ", ", "|")+", .paper, .stats, .metrics, .quit")
 	case line == ".paper":
 		// Run the paper's nine query templates under the current design.
-		scale := bench.Small()
-		scale.Tweets = r.env.Data.Config.Tweets
-		scale.Images = r.env.Data.Config.Images
-		scale.TopicDomain = r.env.Data.Config.TopicDomain
-		for qi, q := range scale.Queries() {
-			fmt.Printf("-- Q%d: %s\n", qi+1, q)
+		for qi, q := range r.scale.Queries() {
+			fmt.Fprintf(r.out, "-- Q%d: %s\n", qi+1, q)
 			if err := r.exec(q); err != nil {
-				fmt.Println("error:", err)
+				fmt.Fprintln(r.out, "error:", err)
 			}
 		}
 	case line == ".stats":
-		c := r.env.Mgr.Counters()
-		fmt.Printf("enrichments=%d skipped=%d re-executions=%d state=%dB enrich-time=%v\n",
-			c.Enrichments, c.Skipped, c.ReExecutions, r.env.Mgr.StateSizeBytes(), c.EnrichTime.Round(time.Millisecond))
+		st := r.db.Stats()
+		enrichTime := time.Duration(r.db.Telemetry().Snapshot().Counters["enrich.exec_ns"])
+		fmt.Fprintf(r.out, "enrichments=%d skipped=%d re-executions=%d state=%dB enrich-time=%v\n",
+			st.Enrichments, st.Skipped, st.ReExecutions, st.StateSizeBytes, enrichTime.Round(time.Millisecond))
 	case line == ".metrics":
-		fmt.Print(r.env.Telemetry().Snapshot().String())
+		fmt.Fprint(r.out, r.db.Telemetry().Snapshot().String())
 	case strings.HasPrefix(line, ".design "):
-		d := strings.TrimSpace(strings.TrimPrefix(line, ".design "))
-		if d != "loose" && d != "tight" && d != "plain" {
-			fmt.Println("designs: loose, tight, plain")
-		} else {
+		if d, ok := designByName(strings.TrimSpace(strings.TrimPrefix(line, ".design "))); ok {
 			r.design = d
-			fmt.Printf("design = %s\n", d)
+			fmt.Fprintf(r.out, "design = %s\n", d)
+		} else {
+			fmt.Fprintln(r.out, "designs:", designList)
 		}
 	default:
 		if err := r.exec(line); err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(r.out, "error:", err)
 		}
 	}
 	return false
 }
 
+// exec answers one statement with DB.Run. Both EXPLAIN forms answer the
+// rendered tree, one line per row, which prints as is.
 func (r *runner) exec(q string) error {
-	// EXPLAIN ANALYZE runs the inner SELECT with an operator profiler and
-	// prints the profile tree instead of the rows. Bare EXPLAIN renders the
-	// annotated plan — estimated cardinalities plus any observed
-	// selectivities from the env's stats store — without executing anything.
-	var prof *engine.Profiler
-	if st, err := sqlparser.ParseStatement(q); err == nil {
-		if st.ExplainPlan {
-			return r.explainPlan(st.Select.String())
-		}
-		if st.ExplainAnalyze {
-			prof = engine.NewProfiler()
-			q = st.Select.String()
-		}
-	}
-
 	start := time.Now()
-	var rows []*expr.Row
-	var enrichments int64
-	switch r.design {
-	case "loose":
-		d := r.env.LooseDriver()
-		d.Prof = prof
-		res, err := d.Execute(q)
-		if err != nil {
-			return err
-		}
-		rows, enrichments = res.Rows, res.Enrichments
-	case "tight":
-		d := r.env.TightDriver()
-		d.Prof = prof
-		res, err := d.Execute(q)
-		if err != nil {
-			return err
-		}
-		rows, enrichments = res.Rows, res.Enrichments
-	case "plain":
-		var err error
-		rows, err = r.env.ExecutePlain(q, prof)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown design %q", r.design)
+	res, err := r.db.Run(context.Background(), r.design, q, enrichdb.QueryObs{})
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
-
-	if prof != nil {
-		for _, root := range prof.Roots() {
-			fmt.Print(engine.FormatProfile(root))
+	if strings.HasPrefix(strings.ToUpper(q), "EXPLAIN") {
+		for i := 0; i < res.Len(); i++ {
+			fmt.Fprintln(r.out, res.At(i)[0].Str())
 		}
-		fmt.Printf("-- %d rows, %d enrichments, %v (%s design)\n",
-			len(rows), enrichments, elapsed.Round(time.Millisecond), r.design)
+		if res.Profile != nil {
+			fmt.Fprintf(r.out, "-- %d enrichments, %v (%s design)\n",
+				res.Enrichments, elapsed.Round(time.Millisecond), r.design)
+		}
 		return nil
 	}
-
-	limit := 20
-	for i, row := range rows {
+	const limit = 20
+	for i := 0; i < res.Len(); i++ {
 		if i == limit {
-			fmt.Printf("... (%d more rows)\n", len(rows)-limit)
+			fmt.Fprintf(r.out, "... (%d more rows)\n", res.Len()-limit)
 			break
 		}
-		cells := make([]string, len(row.Vals))
-		for ci, v := range row.Vals {
+		row := res.At(i)
+		cells := make([]string, len(row))
+		for ci, v := range row {
 			cells[ci] = v.String()
 			if len(cells[ci]) > 24 {
 				cells[ci] = cells[ci][:21] + "..."
 			}
 		}
-		fmt.Println(strings.Join(cells, " | "))
+		fmt.Fprintln(r.out, strings.Join(cells, " | "))
 	}
-	fmt.Printf("-- %d rows, %d enrichments, %v (%s design)\n",
-		len(rows), enrichments, elapsed.Round(time.Millisecond), r.design)
-	return nil
-}
-
-// explainPlan renders the plan-only EXPLAIN for the current design: the
-// operator tree the optimizer would run (the tight driver's own rewritten
-// plan when that design is active), annotated with estimated rows/costs and
-// observed selectivities from the env's runtime-statistics store. Nothing
-// executes — no scans, no enrichment.
-func (r *runner) explainPlan(q string) error {
-	a, err := engine.AnalyzeSQL(q, r.env.Data.DB.Catalog())
-	if err != nil {
-		return err
-	}
-	var plan engine.Plan
-	if r.design == "tight" {
-		plan, err = r.env.TightDriver().Plan(a)
-	} else {
-		plan, err = engine.BuildOpt(a, r.env.Data.DB, engine.BuildOptions{Stats: r.env.Stats})
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(engine.AnnotatedExplain(plan, &engine.CostModel{Store: r.env.Stats}))
+	fmt.Fprintf(r.out, "-- %d rows, %d enrichments, %v (%s design)\n",
+		res.Len(), res.Enrichments, elapsed.Round(time.Millisecond), r.design)
 	return nil
 }

@@ -215,35 +215,6 @@ func TestConcurrentQueriesShareEnrichment(t *testing.T) {
 	}
 }
 
-func TestOrderByLimitPublic(t *testing.T) {
-	db, _, _ := buildReviewDB(t)
-	rows, err := db.Query("SELECT id, day FROM Reviews ORDER BY day DESC, id ASC LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows.Len() != 5 {
-		t.Fatalf("rows: %d", rows.Len())
-	}
-	for i := 1; i < rows.Len(); i++ {
-		if rows.At(i - 1)[1].Int() < rows.At(i)[1].Int() {
-			t.Fatal("not descending by day")
-		}
-	}
-	// The designs support ORDER BY/LIMIT too.
-	res, err := db.QueryTight("SELECT id FROM Reviews WHERE rating = 1 ORDER BY id LIMIT 3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() > 3 {
-		t.Errorf("limit ignored: %d", res.Len())
-	}
-	// Progressive execution cannot maintain LIMIT views incrementally.
-	if _, err := runProgressive(db.Run, "SELECT id FROM Reviews WHERE rating = 1 LIMIT 3",
-		ProgressiveOptions{EpochBudget: time.Millisecond}); err == nil {
-		t.Error("progressive LIMIT must be rejected with a clear error")
-	}
-}
-
 func TestProgressiveWithoutOnDeltaSkipsCollection(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	res, err := runProgressive(db.Run, "SELECT * FROM Reviews WHERE rating = 0", ProgressiveOptions{

@@ -19,7 +19,6 @@ import (
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/engine"
 	"enrichdb/internal/enrich"
-	"enrichdb/internal/expr"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/telemetry"
@@ -199,22 +198,6 @@ func (e *Env) BaselineEnrichments(query string) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// ExecutePlain runs a query on the env without enrichment; a non-nil prof
-// collects its EXPLAIN ANALYZE tree.
-func (e *Env) ExecutePlain(query string, prof *engine.Profiler) ([]*expr.Row, error) {
-	a, err := engine.AnalyzeSQL(query, e.Data.DB.Catalog())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := engine.Build(a, e.Data.DB)
-	if err != nil {
-		return nil, err
-	}
-	ctx := engine.NewExecCtx()
-	ctx.Prof = prof
-	return plan.Execute(ctx)
 }
 
 // Table is a rendered experiment result.

@@ -248,10 +248,5 @@ func (a *Analysis) qualify(stmt *sqlparser.SelectStmt) error {
 			err = fix(g)
 		}
 	}
-	for _, o := range stmt.OrderBy {
-		if err == nil {
-			err = fix(o.Col)
-		}
-	}
 	return err
 }

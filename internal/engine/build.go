@@ -117,38 +117,7 @@ func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
 		cur = NewFilter(cur, pred)
 	}
 
-	out, err := addOutput(ordered, cur)
-	if err != nil {
-		return nil, err
-	}
-	return addOrderLimit(ordered, out)
-}
-
-// addOrderLimit appends Sort and Limit per the statement's ORDER BY/LIMIT
-// clauses, resolving order keys against the output schema.
-func addOrderLimit(a *Analysis, cur Plan) (Plan, error) {
-	stmt := a.Stmt
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]SortKey, len(stmt.OrderBy))
-		rs := cur.Schema()
-		for i, o := range stmt.OrderBy {
-			ci, err := rs.Lookup(o.Col.Alias, o.Col.Name)
-			if err != nil {
-				// Aggregation outputs lose their alias qualification; retry
-				// unqualified.
-				ci, err = rs.Lookup("", o.Col.Name)
-				if err != nil {
-					return nil, fmt.Errorf("engine: ORDER BY column %s not in output", o.Col)
-				}
-			}
-			keys[i] = SortKey{Index: ci, Desc: o.Desc}
-		}
-		cur = &Sort{Child: cur, Keys: keys}
-	}
-	if stmt.Limit >= 0 {
-		cur = &Limit{Child: cur, N: stmt.Limit}
-	}
-	return cur, nil
+	return addOutput(ordered, cur)
 }
 
 // orderTables returns a left-deep join order as indexes into a.Tables. It

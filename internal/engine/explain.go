@@ -96,20 +96,6 @@ func annotate(sb *strings.Builder, p Plan, cm *CostModel, indent string) (rows, 
 		fmt.Fprintf(sb, "%s%s  (est_rows=%.0f est_cost=%.0f)\n", indent, line, rows, cost)
 		sb.WriteString(child.String())
 		return rows, cost
-	case *Sort:
-		var child strings.Builder
-		rows, cost = annotate(&child, n.Child, cm, indent+"  ")
-		cost += rows
-		fmt.Fprintf(sb, "%s%s  (est_rows=%.0f est_cost=%.0f)\n", indent, line, rows, cost)
-		sb.WriteString(child.String())
-		return rows, cost
-	case *Limit:
-		var child strings.Builder
-		rows, cost = annotate(&child, n.Child, cm, indent+"  ")
-		rows = math.Min(rows, float64(n.N))
-		fmt.Fprintf(sb, "%s%s  (est_rows=%.0f est_cost=%.0f)\n", indent, line, rows, cost)
-		sb.WriteString(child.String())
-		return rows, cost
 	default:
 		// Unknown node: render its own subtree unannotated.
 		sb.WriteString(indentBlock(p.Explain(indent)))

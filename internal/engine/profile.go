@@ -77,21 +77,13 @@ type Profiler struct {
 func NewProfiler() *Profiler { return &Profiler{} }
 
 // Root returns the first top-level operator profile (nil before any node
-// finished). Multi-root profiles — drivers that execute several plans under
-// one profiler without a Phase wrapper — expose the rest via Roots.
+// finished). Drivers that execute several plans wrap them in one Phase, so
+// the first root is the whole tree.
 func (p *Profiler) Root() *OpProfile {
 	if p == nil || len(p.roots) == 0 {
 		return nil
 	}
 	return p.roots[0]
-}
-
-// Roots returns all top-level nodes in completion order.
-func (p *Profiler) Roots() []*OpProfile {
-	if p == nil {
-		return nil
-	}
-	return p.roots
 }
 
 // attach links a new node under the current stack top (or as a root).

@@ -148,7 +148,7 @@ func TestProfilerPhases(t *testing.T) {
 		t.Fatal("nil profiler Phase returned a node")
 	}
 	np.End(nil, 1, 2)
-	if np.Root() != nil || np.Roots() != nil {
+	if np.Root() != nil {
 		t.Fatal("nil profiler reported roots")
 	}
 }

@@ -130,12 +130,6 @@ func New(a *engine.Analysis, db storage.Source, ctx *engine.ExecCtx) (*View, err
 	if ctx == nil {
 		ctx = engine.NewExecCtx()
 	}
-	if len(a.Stmt.OrderBy) > 0 || a.Stmt.Limit >= 0 {
-		// A LIMIT view's delta semantics are not well defined (a retraction
-		// may pull previously cut rows in), and maintained views are sets;
-		// order and truncate at fetch time instead.
-		return nil, fmt.Errorf("ivm: ORDER BY/LIMIT cannot be maintained incrementally")
-	}
 	v := &View{a: a, spj: make(map[uint64][]*spjEntry), groups: make(map[string]*groupState)}
 
 	leaves := make([]engine.Plan, len(a.Tables))

@@ -18,17 +18,17 @@ type Scatterable interface {
 }
 
 // Eligible reports whether the analyzed query can run scatter-gather: a
-// single-table scan/filter/projection with no aggregate, grouping, ordering
-// or limit. Those shapes partition cleanly — each shard computes its slice
-// of the answer independently and the merge is a pure order restoration.
-// Everything else (joins, aggregates, LIMIT) runs over the merged views,
-// which is correct for every shape.
+// single-table scan/filter/projection with no aggregate or grouping. Those
+// shapes partition cleanly — each shard computes its slice of the answer
+// independently and the merge is a pure order restoration. Everything else
+// (joins, aggregates) runs over the merged views, which is correct for
+// every shape.
 func Eligible(a *engine.Analysis) bool {
 	if len(a.Tables) != 1 || len(a.Joins) != 0 {
 		return false
 	}
 	st := a.Stmt
-	return !st.HasAggregate() && len(st.GroupBy) == 0 && len(st.OrderBy) == 0 && st.Limit < 0
+	return !st.HasAggregate() && len(st.GroupBy) == 0
 }
 
 // Scatter runs the analyzed query independently on every shard and merges

@@ -13,7 +13,8 @@ import (
 //     form is canonical, so one round settles it).
 //
 // The corpus seeds the supported grammar's corners: joins, aggregation,
-// ORDER BY/LIMIT, IS [NOT] NULL, string/float literals, NOT/OR nesting, plus
+// IS [NOT] NULL, string/float literals, NOT/OR nesting, the rejected ORDER
+// BY/LIMIT clauses, plus
 // the generator from property_test.go for structured depth. Run with
 // `go test -fuzz=FuzzParse ./internal/sqlparser` to explore further.
 func FuzzParse(f *testing.F) {

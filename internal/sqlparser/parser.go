@@ -64,12 +64,6 @@ type TableRef struct {
 	Alias string // defaults to Table
 }
 
-// OrderItem is one ORDER BY entry.
-type OrderItem struct {
-	Col  *expr.Col
-	Desc bool
-}
-
 // SelectStmt is the parsed form of a single-block SPJAG query.
 type SelectStmt struct {
 	Star    bool
@@ -77,9 +71,6 @@ type SelectStmt struct {
 	From    []TableRef
 	Where   expr.Expr // nil when absent
 	GroupBy []*expr.Col
-	OrderBy []OrderItem
-	// Limit caps the result size; negative means no limit.
-	Limit int64
 }
 
 // HasAggregate reports whether any select item aggregates.
@@ -128,21 +119,6 @@ func (s *SelectStmt) String() string {
 			sb.WriteString(c.String())
 		}
 	}
-	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(o.Col.String())
-			if o.Desc {
-				sb.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", s.Limit)
-	}
 	return sb.String()
 }
 
@@ -188,8 +164,8 @@ func (s *Statement) String() string {
 
 // ParseStatement parses `[EXPLAIN [ANALYZE]] SELECT ...`. Parse stays
 // SELECT-only — existing callers (the planner, the fuzz round-trip) are
-// unaffected; statement-level front ends (the root package's query
-// pipeline, the REPL) use this entry.
+// unaffected; the root package's query pipeline, which every front end runs
+// through, uses this entry.
 func ParseStatement(input string) (*Statement, error) {
 	toks, err := lex(input)
 	if err != nil {
@@ -264,7 +240,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{Limit: -1}
+	stmt := &SelectStmt{}
 	if p.accept(tokPunct, "*") {
 		stmt.Star = true
 	} else {
@@ -314,37 +290,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			}
 		}
 	}
-	if p.accept(tokKeyword, "ORDER") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
+	// No paper query sorts or truncates its answer, so neither clause has
+	// an executor; the words stay reserved so the error names the clause.
+	if p.at(tokKeyword, "ORDER") || p.at(tokKeyword, "LIMIT") {
+		clause := p.peek().text
+		if clause == "ORDER" {
+			clause = "ORDER BY"
 		}
-		for {
-			c, err := p.parseColRef()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Col: c}
-			if p.accept(tokKeyword, "DESC") {
-				item.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
-			}
-			stmt.OrderBy = append(stmt.OrderBy, item)
-			if !p.accept(tokPunct, ",") {
-				break
-			}
-		}
-	}
-	if p.accept(tokKeyword, "LIMIT") {
-		tok, err := p.expect(tokNumber, "")
-		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(tok.text, 10, 64)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT %q", tok.text)
-		}
-		stmt.Limit = n
+		return nil, p.errf("%s is not supported", clause)
 	}
 	return stmt, nil
 }

@@ -13,10 +13,7 @@ import (
 // randStmt builds a random single-block statement within the supported
 // grammar.
 func randStmt(r *rand.Rand) *SelectStmt {
-	stmt := &SelectStmt{Limit: -1}
-	if r.Intn(4) == 0 {
-		stmt.Limit = int64(r.Intn(50))
-	}
+	stmt := &SelectStmt{}
 	nTables := r.Intn(3) + 1
 	for i := 0; i < nTables; i++ {
 		ref := TableRef{Table: fmt.Sprintf("T%d", i)}
@@ -51,12 +48,6 @@ func randStmt(r *rand.Rand) *SelectStmt {
 
 	if r.Intn(5) > 0 {
 		stmt.Where = randWhere(r, col, 2)
-	}
-	if len(stmt.GroupBy) == 0 && r.Intn(4) == 0 {
-		n := r.Intn(2) + 1
-		for i := 0; i < n; i++ {
-			stmt.OrderBy = append(stmt.OrderBy, OrderItem{Col: col(), Desc: r.Intn(2) == 0})
-		}
 	}
 	return stmt
 }

@@ -55,7 +55,7 @@ func TestParseRegressions(t *testing.T) {
 		},
 		{
 			name: "no whitespace between tokens",
-			sql:  "SELECT*FROM A WHERE(a<5)ORDER BY A00",
+			sql:  "SELECT*FROM A WHERE(a<5)GROUP BY A00",
 		},
 		{
 			name: "utf8 in literal",
@@ -93,18 +93,26 @@ func TestParseRegressions(t *testing.T) {
 	}
 }
 
-// TestParseRejections pins inputs that must fail cleanly (error, no panic).
+// TestParseRejections pins inputs that must fail cleanly (error, no panic);
+// where want is set, the error must contain it.
 func TestParseRejections(t *testing.T) {
-	for _, sql := range []string{
-		"SELECT * FROM t WHERE a = 'unterminated",
-		"SELECT * FROM t WHERE a = 1 AND",
-		"SELECT",
-		"",
-		"\x00\xff\xfe",
-		"SELECT * FROM t WHERE f = 1.5e", // bare exponent marker
+	for _, tc := range []struct{ sql, want string }{
+		{sql: "SELECT * FROM t WHERE a = 'unterminated"},
+		{sql: "SELECT * FROM t WHERE a = 1 AND"},
+		{sql: "SELECT"},
+		{sql: ""},
+		{sql: "\x00\xff\xfe"},
+		{sql: "SELECT * FROM t WHERE f = 1.5e"}, // bare exponent marker
+		{sql: "SELECT x FROM t WHERE a = 1 ORDER BY x DESC", want: "ORDER BY is not supported"},
+		{sql: "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a", want: "ORDER BY is not supported"},
+		{sql: "SELECT * FROM t LIMIT 10", want: "LIMIT is not supported"},
+		{sql: "SELECT * FROM t a, u b WHERE a.x = b.x LIMIT 1", want: "LIMIT is not supported"},
 	} {
-		if _, err := Parse(sql); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", sql)
+		_, err := Parse(tc.sql)
+		if err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", tc.sql)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", tc.sql, err, tc.want)
 		}
 	}
 }

