@@ -99,11 +99,12 @@ serve-soak:
 	$(GO) test -race -count=$$(( $(SOAK_SECONDS) / 5 + 1 )) -timeout $$(( $(SOAK_SECONDS) + 300 ))s \
 		-run 'TestChaos|TestDrainUnderLoad' ./internal/server
 
-# Sharded equivalence battery and the shard package's partition/store/merge
-# suites under the race detector: byte-identical sharded≡unsharded output,
-# routing and the Seq-ascending merge invariant.
+# Sharded equivalence battery, the columnar-result battery and the shard
+# package's partition/store/merge suites under the race detector:
+# byte-identical sharded≡unsharded output, columns≡rows, routing and the
+# Seq-ascending merge invariant.
 shard-race:
-	$(GO) test -race -count=1 -run 'TestShardEquivalence' . \
+	$(GO) test -race -count=1 -run 'TestShardEquivalence|TestColumnar' . \
 		&& $(GO) test -race -count=1 ./internal/shard/...
 
 # Short fuzz pass over the SQL parser (no panics; print/parse round-trip),

@@ -1,0 +1,277 @@
+package enrichdb
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"enrichdb/internal/engine"
+)
+
+// The columnar result path (Project.vecExecute's gather, the shard merge of
+// columns, Rows' row view) against the row path it replaced: every answer
+// must carry the same values and TIDs in the same order as the same query
+// executed row at a time (engine.ExecCtx.NoVector) over the merged store.
+
+const colRows = 2600 // three chunks unsharded
+
+// colRelation creates and fills T: NULLs in a, b, s and f, a VECTOR column
+// v (no kernel vector, so projecting it must fall back to rows), one FLOAT
+// cell in the INT column m (a poisoned chunk), and every 23rd row deleted.
+func colRelation(t *testing.T, db *DB) {
+	t.Helper()
+	err := db.CreateRelation("T", []Column{
+		{Name: "id", Kind: KindInt},
+		{Name: "a", Kind: KindInt},
+		{Name: "b", Kind: KindFloat},
+		{Name: "s", Kind: KindString},
+		{Name: "f", Kind: KindBool},
+		{Name: "v", Kind: KindVector},
+		{Name: "m", Kind: KindInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nullIf := func(null bool, v Value) Value {
+		if null {
+			return Null
+		}
+		return v
+	}
+	for i := int64(1); i <= colRows; i++ {
+		m := Int(i % 29)
+		if i == 1500 {
+			m = Float(2.5)
+		}
+		_, err := db.Insert("T", i,
+			Int(i),
+			nullIf(i%11 == 0, Int(i%37)),
+			nullIf(i%13 == 0, Float(float64(i%53)/4)),
+			nullIf(i%17 == 0, String(fmt.Sprintf("s%d", i%5))),
+			nullIf(i%19 == 0, Bool(i%3 == 0)),
+			Vector([]float64{float64(i)}),
+			m)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := int64(23); i <= colRows; i += 23 {
+		if err := db.Delete("T", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// randomColQuery draws a projection of one to three columns and a
+// conjunction of one to three conjuncts: kernel comparisons, NULL tests, a
+// filter on the mixed-kind column and an OR the kernels cannot compile.
+func randomColQuery(rng *rand.Rand) string {
+	cols := []string{"id", "a", "b", "s", "f", "v", "m"}
+	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+	conj := []func() string{
+		func() string { return fmt.Sprintf("a < %d", rng.Intn(40)) },
+		func() string { return fmt.Sprintf("a >= %d", rng.Intn(40)) },
+		func() string { k := rng.Intn(30); return fmt.Sprintf("a BETWEEN %d AND %d", k, k+rng.Intn(15)) },
+		func() string { return fmt.Sprintf("b > %g", float64(rng.Intn(60))/4) },
+		func() string { return fmt.Sprintf("b <= %g", float64(rng.Intn(60))/4) },
+		func() string { return fmt.Sprintf("s = 's%d'", rng.Intn(5)) },
+		func() string { return fmt.Sprintf("s <> 's%d'", rng.Intn(5)) },
+		func() string { return "a IS NULL" },
+		func() string { return "s IS NOT NULL" },
+		func() string { return "f IS NULL" },
+		func() string { return fmt.Sprintf("id > %d", rng.Intn(colRows)) },
+		func() string { return fmt.Sprintf("m < %d", rng.Intn(29)) },
+		func() string { return fmt.Sprintf("(a < %d OR s = 's%d')", rng.Intn(40), rng.Intn(5)) },
+	}
+	preds := make([]string, 1+rng.Intn(3))
+	for i := range preds {
+		preds[i] = conj[rng.Intn(len(conj))]()
+	}
+	return fmt.Sprintf("SELECT %s FROM T WHERE %s",
+		strings.Join(cols[:1+rng.Intn(3)], ", "), strings.Join(preds, " AND "))
+}
+
+// renderWithTIDs is renderExact plus each row's TIDs.
+func renderWithTIDs(r *Rows) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(r.Columns(), ","))
+	b.WriteByte('\n')
+	for i := 0; i < r.Len(); i++ {
+		for _, v := range r.At(i) {
+			b.WriteString(v.String())
+			b.WriteByte(',')
+		}
+		fmt.Fprintln(&b, r.TIDs(i))
+	}
+	return b.String()
+}
+
+// rowPathAnswer runs q row at a time over the database's merged store.
+func rowPathAnswer(t *testing.T, db *DB, q string) string {
+	t.Helper()
+	st, err := db.parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.Build(st.a, db.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := engine.NewExecCtx()
+	ctx.NoVector = true
+	rows, err := plan.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return renderWithTIDs(wrapRows(plan.Schema(), rows))
+}
+
+func openColDB(t *testing.T, shards int) *DB {
+	t.Helper()
+	db := Open()
+	if shards > 0 {
+		var err error
+		if db, err = OpenSharded(ShardConfig{Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { db.Close() })
+	colRelation(t, db)
+	return db
+}
+
+// TestColumnarEquivalence compares seeded random projections and predicates
+// on the unsharded store and on 1 and 4 shards, through DB and Session,
+// with the row path; it also requires that both the columnar answer and
+// the row fallback were taken, and that a VECTOR projection never answers
+// in columns.
+func TestColumnarEquivalence(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := openColDB(t, shards)
+			sess, err := db.Session()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			rng := rand.New(rand.NewSource(int64(7 + shards)))
+			columnar, fallback := 0, 0
+			for i := 0; i < 120; i++ {
+				q := randomColQuery(rng)
+				want := rowPathAnswer(t, db, q)
+				for via, query := range map[string]func(string) (*Rows, error){"DB": db.Query, "Session": sess.Query} {
+					r, err := query(q)
+					if err != nil {
+						t.Fatalf("%s %s: %v", via, q, err)
+					}
+					if got := renderWithTIDs(r); got != want {
+						t.Fatalf("%s %s:\ngot  %.400s\nwant %.400s", via, q, got, want)
+					}
+					_, ok := r.Vec(0)
+					if ok && strings.Contains(strings.SplitN(q, " FROM", 2)[0], " v") {
+						t.Fatalf("%s %s: a VECTOR projection answered in columns", via, q)
+					}
+					if ok {
+						columnar++
+					} else {
+						fallback++
+					}
+				}
+			}
+			if columnar == 0 || fallback == 0 {
+				t.Fatalf("columnar answers %d, row fallbacks %d: both paths must run", columnar, fallback)
+			}
+		})
+	}
+}
+
+// TestColumnarExplainAnalyze: EXPLAIN ANALYZE runs the columnar branch (the
+// fused Project allocates no arena rows) and the scatter keeps its node
+// counts: the shards' scanned rows in, the merged answer out.
+func TestColumnarExplainAnalyze(t *testing.T) {
+	const q = "SELECT id, a FROM T WHERE a < 20 AND b > 2"
+	for _, shards := range []int{0, 4} {
+		db := openColDB(t, shards)
+		plain, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := plain.Vec(0); !ok {
+			t.Fatalf("shards=%d: %s did not answer in columns", shards, q)
+		}
+		res, err := db.Run(context.Background(), PlainDesign, "EXPLAIN ANALYZE "+q, QueryObs{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := res.Profile.Root
+		live := int64(colRows - colRows/23)
+		switch {
+		case shards == 0 && (root.Name != "Project" || root.AllocRows != 0):
+			t.Fatalf("unsharded root %s allocated %d arena rows, want a columnar Project", root.Name, root.AllocRows)
+		case shards > 0 && root.Name != "ShardScatter":
+			t.Fatalf("sharded root is %s, want ShardScatter", root.Name)
+		case root.RowsIn != live || root.RowsOut != int64(plain.Len()):
+			t.Fatalf("shards=%d: %s rows %d→%d, want %d→%d", shards, root.Name, root.RowsIn, root.RowsOut, live, plain.Len())
+		}
+	}
+}
+
+// TestColumnarLiveScatter runs 4-shard scatters on the live store while a
+// writer inserts and deletes: every answer must be in insertion (= id)
+// order, satisfy its predicate and answer in columns.
+func TestColumnarLiveScatter(t *testing.T) {
+	db, err := OpenSharded(ShardConfig{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateRelation("L", []Column{{Name: "id", Kind: KindInt}, {Name: "a", Kind: KindInt}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 4000; i++ {
+		if _, err := db.Insert("L", i, Int(i), Int(i%10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := 10000 + i
+			if _, err := db.Insert("L", id, Int(id), Int(id%10)); err != nil {
+				t.Error(err)
+				return
+			}
+			db.Delete("L", 1+(i*7)%4000) // a second delete of one id fails harmlessly
+		}
+	}()
+	for k := 0; k < 40; k++ {
+		r, err := db.Query("SELECT id, a FROM L WHERE a < 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.Vec(0); !ok {
+			t.Fatal("live scatter did not answer in columns")
+		}
+		prev := int64(0)
+		for i := 0; i < r.Len(); i++ {
+			id, a := r.At(i)[0].Int(), r.At(i)[1].Int()
+			if id <= prev || a >= 5 || a != id%10 || r.TIDs(i)[0] != id {
+				t.Fatalf("query %d row %d: id %d (prev %d) a %d tid %v", k, i, id, prev, a, r.TIDs(i))
+			}
+			prev = id
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

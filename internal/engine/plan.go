@@ -159,6 +159,41 @@ type Plan interface {
 	Explain(indent string) string
 }
 
+// Answer is a plan's result: Cols when a projection's fused scan branch
+// answered in columns (see Project.vecExecute), Rows otherwise.
+type Answer struct {
+	Cols *expr.Columns
+	Rows []*expr.Row
+}
+
+// ExecuteAnswer runs p and answers its result as the plan built it:
+// columns from a projection's fused scan branch, rows from everything else.
+// Plan.Execute is its row view.
+func ExecuteAnswer(p Plan, ctx *ExecCtx) (Answer, error) {
+	if pr, ok := p.(*Project); ok {
+		return pr.run(ctx)
+	}
+	rows, err := p.Execute(ctx)
+	return Answer{Rows: rows}, err
+}
+
+// Len returns the row count.
+func (a Answer) Len() int {
+	if a.Cols != nil {
+		return a.Cols.Len()
+	}
+	return len(a.Rows)
+}
+
+// View returns the answer as rows over schema rs: Rows, or the row view of
+// Cols.
+func (a Answer) View(rs *expr.RowSchema) []*expr.Row {
+	if a.Cols != nil {
+		return a.Cols.Rows(rs)
+	}
+	return a.Rows
+}
+
 // Scan reads every tuple of a base table.
 type Scan struct {
 	Table storage.Relation
@@ -789,24 +824,30 @@ func (p *Project) Schema() *expr.RowSchema { return p.rs }
 // Execute projects the child's rows. TIDs are preserved so downstream
 // consumers can still identify base tuples.
 func (p *Project) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
+	ans, err := p.run(ctx)
+	return ans.View(p.rs), err
+}
+
+// run is the projection's answer before any row view: see ExecuteAnswer.
+func (p *Project) run(ctx *ExecCtx) (Answer, error) {
 	if ctx.Prof == nil {
 		return p.execute(ctx)
 	}
 	n := ctx.profEnter("Project", fmt.Sprint(p.Cols))
-	out, err := p.execute(ctx)
-	ctx.profExit(n, len(out), err)
-	return out, err
+	ans, err := p.execute(ctx)
+	ctx.profExit(n, ans.Len(), err)
+	return ans, err
 }
 
-func (p *Project) execute(ctx *ExecCtx) ([]*expr.Row, error) {
-	if out, handled, err := p.vecExecute(ctx); handled {
-		return out, err
+func (p *Project) execute(ctx *ExecCtx) (Answer, error) {
+	if ans, handled, err := p.vecExecute(ctx); handled {
+		return ans, err
 	}
 	in, err := p.Child.Execute(ctx)
 	if err != nil {
-		return nil, err
+		return Answer{}, err
 	}
-	return p.project(ctx, in), nil
+	return Answer{Rows: p.project(ctx, in)}, nil
 }
 
 // project narrows each row to the projected columns, keeping its TIDs.

@@ -25,9 +25,11 @@ import (
 // The pass structure is: (1) kernels over all batches into whole-scan
 // bitmaps — no rows built, no side effects, so a column-fill bail (declared
 // kind deviating from stored values) falls back to the row path with nothing
-// observable having happened; (2) emit rows from set lanes. Output is
+// observable having happened; (2) emit rows from set lanes, or, under a
+// projection the kernels decided alone, gather the projected columns from
+// the chunks' vectors with no row built (Project.gather). Output is
 // byte-identical to the row path by construction and enforced by the
-// equivalence battery with ExecCtx.NoVector on and off.
+// equivalence batteries with ExecCtx.NoVector on and off.
 
 // chunkSource is satisfied by storage.TableView: its snapshot as sealed
 // chunks, whose column vectors outlive the scan.
@@ -239,56 +241,95 @@ func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, chunks []*expr
 	return out, nil
 }
 
-// vecExecute attempts the fused project-filter-scan: when the child filter's
-// predicate compiled fully (no residual) and no lane is pending, the kernels
-// decided every lane from stored values, so projected rows are assembled
-// straight from surviving tuples without ever materializing the intermediate
-// filter rows. Pending lanes run ω, which may patch enriched values into
-// their rows; the filter's rows are then projected.
-func (p *Project) vecExecute(ctx *ExecCtx) ([]*expr.Row, bool, error) {
+// vecExecute attempts the fused project-filter-scan. When the child
+// filter's predicate compiled fully (no residual) and no lane is pending,
+// the kernels decided every lane from stored values, so the projection is
+// gathered straight from the chunks' column vectors into columns (see
+// gather), with no row built. Pending lanes run ω, which may patch enriched
+// values into their rows, and a projected column with no kernel vector
+// cannot be gathered; the filter's rows are then projected.
+func (p *Project) vecExecute(ctx *ExecCtx) (ans Answer, handled bool, err error) {
 	if ctx.NoVector {
-		return nil, false, nil
+		return Answer{}, false, nil
 	}
 	f, ok := p.Child.(*Filter)
 	if !ok {
-		return nil, false, nil
+		return Answer{}, false, nil
 	}
 	s, ok := f.Child.(*Scan)
 	if !ok {
-		return nil, false, nil
+		return Answer{}, false, nil
 	}
 	vp := f.vecPred(s.rs)
 	if vp == nil || vp.Residual != nil {
-		return nil, false, nil
+		return Answer{}, false, nil
 	}
 	chunks, n := ctx.scanChunks(s.Table)
 	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, chunks, n)
 	if !ok {
-		return nil, false, nil
+		return Answer{}, false, nil
 	}
-	if pend.Any() {
-		rows, err := f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
-		if err != nil {
-			return nil, true, err
+	if !pend.Any() {
+		if cols := p.gather(ctx, s, chunks, t); cols != nil {
+			f.observe(ctx, n, cols.Len())
+			ctx.Stats.RowsScanned += int64(n)
+			return Answer{Cols: cols}, true, nil
 		}
-		f.observe(ctx, n, len(rows))
-		return p.project(ctx, rows), true, nil
 	}
-	count := t.Count()
-	f.observe(ctx, n, count)
-	ctx.Arena.Reserve(count, count*len(p.Cols), count)
-	out := make([]*expr.Row, 0, count)
-	eachSet(t, nil, func(i int) bool {
-		tu := laneTuple(chunks, i)
-		vals := ctx.Arena.ValSlice(len(p.Cols))
+	rows, err := f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
+	if err != nil {
+		return Answer{}, true, err
+	}
+	f.observe(ctx, n, len(rows))
+	return Answer{Rows: p.project(ctx, rows)}, true, nil
+}
+
+// gather builds the projection of the lanes t selects as columns, chunk by
+// chunk: the selected lanes' indexes, then one typed copy per projected
+// column out of the chunk's vector, and each lane's tuple id and insertion
+// sequence. It returns nil when a projected column has no kernel vector in
+// some chunk (a VECTOR column, or stored kinds deviating from the declared
+// one); nothing observable has happened then.
+func (p *Project) gather(ctx *ExecCtx, s *Scan, chunks []*expr.Chunk, t expr.Bitmap) *expr.Columns {
+	kinds := make([]types.Kind, len(p.Cols))
+	for vi, ci := range p.Cols {
+		switch kinds[vi] = s.rs.Cols[ci].Kind; kinds[vi] {
+		case types.KindInt, types.KindBool, types.KindFloat, types.KindString:
+		default:
+			return nil
+		}
+	}
+	cols := expr.NewColumns(kinds, t.Count(), true)
+	batch := &ctx.vecbufs().batch
+	var sel [expr.BatchSize]int32
+	lo, k := 0, 0
+	for _, c := range chunks {
+		m := len(c.Tuples)
+		ns := 0
+		for wi, w := range t[lo>>6 : (lo+m+63)>>6] {
+			for w != 0 {
+				sel[ns] = int32(wi<<6 + bits.TrailingZeros64(w))
+				ns++
+				w &= w - 1
+			}
+		}
+		lo += m
+		if ns == 0 {
+			continue
+		}
+		batch.Reset(s.rs, c)
 		for vi, ci := range p.Cols {
-			vals[vi] = tu.Vals[ci]
+			cv, ok := batch.Col(ci)
+			if !ok {
+				return nil
+			}
+			cols.Cols[vi].Gather(k, cv, sel[:ns])
 		}
-		tids := ctx.Arena.TidSlice(1)
-		tids[0] = tu.ID
-		out = append(out, ctx.Arena.NewRow(p.rs, vals, tids))
-		return true
-	})
-	ctx.Stats.RowsScanned += int64(n)
-	return out, true, nil
+		for j, i := range sel[:ns] {
+			tu := c.Tuples[i]
+			cols.TIDs[k+j], cols.Seqs[k+j] = tu.ID, tu.Seq
+		}
+		k += ns
+	}
+	return cols
 }

@@ -174,12 +174,3 @@ func (a *RowArena) ValSlice(n int) []types.Value {
 	}
 	return a.valSlice(n)
 }
-
-// TidSlice exposes bump allocation of TID slices (the fused project path
-// assembles rows straight from base tuples).
-func (a *RowArena) TidSlice(n int) []int64 {
-	if a == nil {
-		return make([]int64, n)
-	}
-	return a.tidSlice(n)
-}

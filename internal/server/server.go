@@ -602,24 +602,45 @@ func (c *conn) queryError(ctx context.Context, id uint32, err error) {
 }
 
 // streamRows sends header + batches for a complete result set, polling ctx
-// between batches so kills interrupt long streams.
+// between batches so kills interrupt long streams. A result that answered
+// in columns is sliced into the batches as it is; a row result is
+// transposed batch by batch.
 func (c *conn) streamRows(ctx context.Context, id uint32, rows *enrichdb.Rows) error {
 	if err := c.write(&wire.ResultHeader{Query: id, Columns: rows.Columns()}); err != nil {
 		return err
 	}
 	stride, numRows := c.s.cfg.BatchRows, rows.Len()
+	vecs := make([]*enrichdb.ColVec, len(rows.Columns()))
+	for ci := range vecs {
+		if cv, ok := rows.Vec(ci); ok {
+			vecs[ci] = cv
+		} else {
+			vecs = nil
+			break
+		}
+	}
 	// BatchFromValues copies the values out, so one stride buffer serves
 	// every batch of the stream.
-	chunk := make([][]enrichdb.Value, 0, min(stride, numRows))
+	var chunk [][]enrichdb.Value
 	for lo := 0; lo < numRows; lo += stride {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		chunk = chunk[:0]
-		for i := lo; i < min(lo+stride, numRows); i++ {
-			chunk = append(chunk, rows.At(i))
+		hi := min(lo+stride, numRows)
+		var b *wire.ResultBatch
+		if vecs != nil {
+			b = &wire.ResultBatch{Query: id, NRows: uint32(hi - lo), Cols: make([]wire.Col, len(vecs))}
+			for ci, cv := range vecs {
+				b.Cols[ci] = wire.ColOf(cv, lo, hi)
+			}
+		} else {
+			chunk = chunk[:0]
+			for i := lo; i < hi; i++ {
+				chunk = append(chunk, rows.At(i))
+			}
+			b = wire.BatchFromValues(id, chunk)
 		}
-		if err := c.write(wire.BatchFromValues(id, chunk)); err != nil {
+		if err := c.write(b); err != nil {
 			return err
 		}
 	}

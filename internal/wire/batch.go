@@ -3,8 +3,8 @@ package wire
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
+	"enrichdb/internal/expr"
 	"enrichdb/internal/types"
 )
 
@@ -289,31 +289,89 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 	return b
 }
 
+// ColOf slices lanes [lo, hi) of an executor column into a typed result
+// column. A range without NULLs shares the column's payload; otherwise its
+// non-NULL lanes are copied out densely.
+func ColOf(cv *expr.ColVec, lo, hi int) Col {
+	c := Col{Kind: cv.Kind, Nulls: make([]byte, nullBitmapLen(hi-lo))}
+	nulls := 0
+	for i := lo; i < hi; i++ {
+		if cv.Nulls.Get(i) {
+			setNull(c.Nulls, i-lo)
+			nulls++
+		}
+	}
+	if nulls == 0 {
+		switch cv.Kind {
+		case types.KindFloat:
+			c.Floats = cv.F[lo:hi]
+		case types.KindString:
+			c.Strs = cv.S[lo:hi]
+		default:
+			c.Ints = cv.I[lo:hi]
+		}
+		return c
+	}
+	for i := lo; i < hi; i++ {
+		if cv.Nulls.Get(i) {
+			continue
+		}
+		switch cv.Kind {
+		case types.KindFloat:
+			c.Floats = append(c.Floats, cv.F[i])
+		case types.KindString:
+			c.Strs = append(c.Strs, cv.S[i])
+		default:
+			c.Ints = append(c.Ints, cv.I[i])
+		}
+	}
+	return c
+}
+
 // Values expands the batch back to row-major values. It fails on internal
 // inconsistencies (payload shorter than the bitmap promises) rather than
 // panicking, so a decoded frame can always be expanded safely.
 func (f *ResultBatch) Values() ([][]types.Value, error) {
-	return f.AppendValues(nil)
+	return ExpandBatches([]*ResultBatch{f}, len(f.Cols))
 }
 
-// AppendValues expands the batch as Values does, appending the rows to dst.
-// On an error it returns dst with its length unchanged.
-func (f *ResultBatch) AppendValues(dst [][]types.Value) ([][]types.Value, error) {
-	n, base, width := int(f.NRows), len(dst), len(f.Cols)
-	if n == 0 {
-		return dst, nil
+// ExpandBatches expands a result stream's batches, in order, into rows of
+// width values, every cell in one exactly sized array. A batch of another
+// width, or one whose payload does not match its bitmap, is an error.
+func ExpandBatches(batches []*ResultBatch, width int) ([][]types.Value, error) {
+	n := 0
+	for _, f := range batches {
+		n += int(f.NRows)
 	}
-	dst = slices.Grow(dst, n)[:base+n]
-	rows := dst[base:]
+	if n == 0 {
+		return nil, nil
+	}
+	rows := make([][]types.Value, n)
 	cells := make([]types.Value, n*width)
 	for i := range rows {
 		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
 	}
+	at := 0
+	for bi, f := range batches {
+		if f.NRows > 0 && len(f.Cols) != width {
+			return nil, fmt.Errorf("wire: batch %d has %d columns, want %d", bi, len(f.Cols), width)
+		}
+		if err := f.expand(rows[at : at+int(f.NRows)]); err != nil {
+			return nil, err
+		}
+		at += int(f.NRows)
+	}
+	return rows, nil
+}
+
+// expand fills rows, one per lane, with the batch's values.
+func (f *ResultBatch) expand(rows [][]types.Value) error {
+	n := len(rows)
 	for ci := range f.Cols {
 		c := &f.Cols[ci]
 		if c.Kind == types.KindNull {
 			if len(c.Vals) != n {
-				return dst[:base], fmt.Errorf("wire: generic column %d has %d of %d lanes", ci, len(c.Vals), n)
+				return fmt.Errorf("wire: generic column %d has %d of %d lanes", ci, len(c.Vals), n)
 			}
 			for i := 0; i < n; i++ {
 				rows[i][ci] = c.Vals[i]
@@ -329,29 +387,29 @@ func (f *ResultBatch) AppendValues(dst [][]types.Value) ([][]types.Value, error)
 			switch c.Kind {
 			case types.KindInt:
 				if di >= len(c.Ints) {
-					return dst[:base], fmt.Errorf("wire: column %d INT payload underflow", ci)
+					return fmt.Errorf("wire: column %d INT payload underflow", ci)
 				}
 				rows[i][ci] = types.NewInt(c.Ints[di])
 			case types.KindBool:
 				if di >= len(c.Ints) {
-					return dst[:base], fmt.Errorf("wire: column %d BOOL payload underflow", ci)
+					return fmt.Errorf("wire: column %d BOOL payload underflow", ci)
 				}
 				rows[i][ci] = types.NewBool(c.Ints[di] != 0)
 			case types.KindFloat:
 				if di >= len(c.Floats) {
-					return dst[:base], fmt.Errorf("wire: column %d FLOAT payload underflow", ci)
+					return fmt.Errorf("wire: column %d FLOAT payload underflow", ci)
 				}
 				rows[i][ci] = types.NewFloat(c.Floats[di])
 			case types.KindString:
 				if di >= len(c.Strs) {
-					return dst[:base], fmt.Errorf("wire: column %d STRING payload underflow", ci)
+					return fmt.Errorf("wire: column %d STRING payload underflow", ci)
 				}
 				rows[i][ci] = types.NewString(c.Strs[di])
 			default:
-				return dst[:base], fmt.Errorf("wire: column %d has unknown kind %d", ci, c.Kind)
+				return fmt.Errorf("wire: column %d has unknown kind %d", ci, c.Kind)
 			}
 			di++
 		}
 	}
-	return dst, nil
+	return nil
 }

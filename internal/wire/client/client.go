@@ -63,6 +63,9 @@ type call struct {
 	onEpoch func(wire.Epoch)
 	onBatch func(*wire.ResultBatch)
 	done    chan struct{}
+	// batches holds the result stream until its ResultDone, which expands
+	// it once.
+	batches []*wire.ResultBatch
 }
 
 func (cl *call) finish(err error) {
@@ -209,8 +212,7 @@ func (c *Client) readLoop() {
 				if cl.onBatch != nil {
 					cl.onBatch(f)
 				}
-				// A batch that does not expand adds no rows.
-				cl.res.Rows, _ = f.AppendValues(cl.res.Rows)
+				cl.batches = append(cl.batches, f)
 			}
 		case *wire.Epoch:
 			if cl := c.lookup(f.Query); cl != nil {
@@ -231,7 +233,7 @@ func (c *Client) readLoop() {
 				cl.res.UDFCalls = f.UDFCalls
 				cl.res.NumEpochs = f.Epochs
 				cl.res.Wall = time.Duration(f.WallNs)
-				cl.finish(nil)
+				cl.finish(cl.expand())
 			}
 		case *wire.PrepareOK:
 			if cl := c.take(f.ID); cl != nil {
@@ -267,6 +269,22 @@ func (c *Client) readLoop() {
 			// within a protocol version).
 		}
 	}
+}
+
+// expand turns the call's result stream into Result.Rows. A batch that does
+// not expand, or a row count other than the one ResultDone reports, fails
+// the call: the answer is not the server's.
+func (cl *call) expand() error {
+	rows, err := wire.ExpandBatches(cl.batches, len(cl.res.Columns))
+	cl.batches = nil
+	if err != nil {
+		return fmt.Errorf("wire client: query %d: %w", cl.id, err)
+	}
+	if uint64(len(rows)) != cl.res.RowCount {
+		return fmt.Errorf("wire client: query %d: received %d rows, server reported %d", cl.id, len(rows), cl.res.RowCount)
+	}
+	cl.res.Rows = rows
+	return nil
 }
 
 // fail poisons the client: every pending call and ping completes with err.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"enrichdb/internal/engine"
@@ -17,26 +18,66 @@ import (
 	"enrichdb/internal/tight"
 )
 
-// Rows is a materialized query result.
+// Rows is a materialized query result. A plain single-table projection
+// whose filter the vector kernels decided answers in columns, and its rows
+// are a view built on the first At; every other query answers rows.
 type Rows struct {
 	cols []string
-	rows []*expr.Row
+	rows []*expr.Row // the row answer, or vecs' row view once built
+	vecs *expr.Columns
+	rs   *expr.RowSchema // vecs' row schema
+	view sync.Once
 }
+
+// ColVec is one typed result column: Kind selects the payload (I for INT
+// and BOOL, F for FLOAT, S for STRING), one slot per row, and a NULL row's
+// bit is set in Nulls.
+type ColVec = expr.ColVec
 
 // Columns returns the result's column names.
 func (r *Rows) Columns() []string { return r.cols }
 
 // Len returns the number of result rows.
-func (r *Rows) Len() int { return len(r.rows) }
+func (r *Rows) Len() int {
+	if r.vecs != nil {
+		return r.vecs.Len()
+	}
+	return len(r.rows)
+}
 
 // At returns row i's values.
-func (r *Rows) At(i int) []Value { return r.rows[i].Vals }
+func (r *Rows) At(i int) []Value {
+	if r.vecs != nil {
+		r.view.Do(func() { r.rows = r.vecs.Rows(r.rs) })
+	}
+	return r.rows[i].Vals
+}
 
 // TIDs returns the base-tuple ids row i was derived from (empty for
 // aggregation results).
-func (r *Rows) TIDs(i int) []int64 { return r.rows[i].TIDs }
+func (r *Rows) TIDs(i int) []int64 {
+	if r.vecs != nil {
+		return r.vecs.TIDs[i : i+1 : i+1]
+	}
+	return r.rows[i].TIDs
+}
+
+// Vec returns result column ci as a typed vector over every row when the
+// result answered in columns; ok is false otherwise, and the column reads
+// through At. Callers must not modify the vector.
+func (r *Rows) Vec(ci int) (cv *ColVec, ok bool) {
+	if r.vecs == nil {
+		return nil, false
+	}
+	return &r.vecs.Cols[ci], true
+}
 
 func wrapRows(schema *expr.RowSchema, rows []*expr.Row) *Rows {
+	return wrapAnswer(schema, engine.Answer{Rows: rows})
+}
+
+// wrapAnswer names the answer's columns from its schema.
+func wrapAnswer(schema *expr.RowSchema, ans engine.Answer) *Rows {
 	counts := make(map[string]int, len(schema.Cols))
 	for _, c := range schema.Cols {
 		counts[c.Name]++
@@ -50,7 +91,7 @@ func wrapRows(schema *expr.RowSchema, rows []*expr.Row) *Rows {
 			cols[i] = c.Name
 		}
 	}
-	return &Rows{cols: cols, rows: rows}
+	return &Rows{cols: cols, rows: ans.Rows, vecs: ans.Cols, rs: schema}
 }
 
 // Result is the outcome of one query execution under any design (plain runs
@@ -185,15 +226,15 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	}
 
 	res := &Result{}
-	var rows []*expr.Row
+	var ans engine.Answer
 	var schema *expr.RowSchema
 	switch design {
 	case PlainDesign:
-		rows, schema, err = db.runPlain(st.a, src, ctx.Done(), tracer, prof)
+		ans, schema, err = db.runPlain(st.a, src, ctx.Done(), tracer, prof)
 	case LooseDesign:
 		var lr *loose.Result
 		if lr, err = db.looseDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
-			rows, schema = lr.Rows, lr.Schema
+			ans.Rows, schema = lr.Rows, lr.Schema
 			res.Enrichments = lr.Enrichments
 			res.FailedEnrichments, res.EnrichErrors = lr.FailedEnrichments, lr.EnrichErrors
 			res.Timing = lr.Timing
@@ -201,7 +242,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	case TightDesign:
 		var tr *tight.Result
 		if tr, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
-			rows, schema = tr.Rows, tr.Schema
+			ans.Rows, schema = tr.Rows, tr.Schema
 			res.Enrichments, res.UDFInvocations = tr.Enrichments, tr.UDFInvocations
 			// Everything runs inside the DBMS in the tight design; split the
 			// wall-clock into enrichment-function execution vs the rest so that
@@ -209,7 +250,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 			res.Timing = splitTightTiming(tr.DBMS, tr.EnrichTime)
 		}
 	case ProgressiveDesign:
-		rows, schema, err = db.runProgressive(ctx, st.a, obs.Progressive, tracer, res)
+		ans.Rows, schema, err = db.runProgressive(ctx, st.a, obs.Progressive, tracer, res)
 	default:
 		err = fmt.Errorf("enrichdb: unknown design %d", design)
 	}
@@ -219,7 +260,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 		}
 		return nil, err
 	}
-	res.Rows = wrapRows(schema, rows)
+	res.Rows = wrapAnswer(schema, ans)
 	if design == ProgressiveDesign {
 		// The epochs split out Enrich and Network; DBMS is the rest of the
 		// run's wall, so Total() is the wall.
@@ -273,9 +314,10 @@ func (db *DB) parse(query string) (*statement, error) {
 
 // runPlain is the plain design's execute step. On a sharded source eligible
 // single-table shapes fan out across the shards and merge by insertion
-// sequence — byte-identical answer, parallel scan; shard.Scatter declines
-// every other shape, which runs as one plan over src (the merged view).
-func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) (rows []*expr.Row, schema *expr.RowSchema, err error) {
+// sequence — byte-identical answer, parallel scan; shard.ScatterAnswer
+// declines every other shape, which runs as one plan over src (the merged
+// view).
+func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) (ans engine.Answer, schema *expr.RowSchema, err error) {
 	ec := engine.NewExecCtx()
 	ec.Done, ec.Adapt, ec.Prof = done, db.runtimeStats, prof
 	sp := tracer.Start("plain.execute")
@@ -283,25 +325,25 @@ func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struc
 		if err != nil {
 			sp.Str("error", err.Error())
 		} else {
-			sp.Int("rows", int64(len(rows)))
+			sp.Int("rows", int64(ans.Len()))
 		}
 		sp.End()
 	}()
 	if sc, ok := src.(shard.Scatterable); ok {
 		var hit bool
-		if rows, schema, hit, err = shard.Scatter(a, sc, ec); err != nil || hit {
+		if ans, schema, hit, err = shard.ScatterAnswer(a, sc, ec); err != nil || hit {
 			if hit {
 				db.Telemetry().Counter("shard.scatter_queries").Add(1)
 			}
-			return rows, schema, err
+			return ans, schema, err
 		}
 	}
 	plan, err := db.buildPlan(a, src)
 	if err != nil {
-		return nil, nil, err
+		return engine.Answer{}, nil, err
 	}
-	rows, err = plan.Execute(ec)
-	return rows, plan.Schema(), err
+	ans, err = engine.ExecuteAnswer(plan, ec)
+	return ans, plan.Schema(), err
 }
 
 // buildPlan is the root package's one plain plan builder: plain execution,

@@ -3,8 +3,9 @@
 # owners run: the eight benchmark workloads (traced, 2 s each),
 # `benchrunner -exp all`, the examples, the harness test binary and the REPL
 # session in cmd/enrichdb/testdata/reach.txt. Each owner is built with
-# coverage over every package outside cmd/, examples/ and benchmark/ (plus
-# its own main package, without which a binary writes no counters), run at
+# coverage over every package outside cmd/, examples/, benchmark/ and the
+# test fixtures under internal/testutil (plus its own main package, without
+# which a binary writes no counters), run at
 # smoke scale with every output under a temp dir, and the merged counters
 # are printed as unreached statements per package, every wholly unreached
 # function, and one total. The owners run at GOMAXPROCS=2, so a box with
@@ -19,7 +20,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/bin" "$tmp/cov" "$tmp/run"
 
-pkgs=$($GO list ./... | awk '!/\/(cmd|examples)\/|\/benchmark$/ {printf "%s%s", sep, $0; sep = ","}')
+pkgs=$($GO list ./... | awk '!/\/(cmd|examples)\/|\/benchmark$|\/internal\/testutil(\/|$)/ {printf "%s%s", sep, $0; sep = ","}')
 
 build() { # build <binary> <main package>
 	$GO build -cover -coverpkg="$pkgs,$2" -o "$tmp/bin/$1" "$2" 2>"$tmp/build.log" ||
