@@ -13,8 +13,9 @@ check: vet staticcheck build test race serve-race trace-e2e bench-smoke adaptive
 # fields on the five structs a query's knobs are set on, all No* switch
 # fields, the enrichment write path (exported enrich.Manager methods, and
 # calls of the storage write-back outside storage and shard), the methods
-# of storage.Relation (the read surface queries execute against), and
-# non-test Go lines outside benchmark/.
+# of storage.Relation (the read surface queries execute against), the
+# frame types the wire protocol defines, and non-test Go lines outside
+# benchmark/.
 CONFIG_STRUCTS := enrichdb.go:DB progressive.go:ProgressiveOptions internal/progressive/run.go:Config \
 	internal/loose/driver.go:Driver internal/tight/driver.go:Driver
 surface:
@@ -26,6 +27,7 @@ surface:
 	@echo "exported enrich.Manager methods: $$(grep -hE '^func \(m \*Manager\) [A-Z]' $$(ls internal/enrich/*.go | grep -v _test.go) | wc -l)"
 	@echo "derived write-back call sites: $$(grep -rhF '.WriteDerived(' --include='*.go' --exclude='*_test.go' --exclude-dir=storage --exclude-dir=shard --exclude-dir=benchmark . | wc -l)"
 	@echo "storage.Relation methods:    $$(awk '/^type Relation interface/ {f = 1; next} f && /^}/ {f = 0} f && /^\t[A-Z]/' internal/storage/db.go | wc -l)"
+	@echo "wire frame types:            $$(awk '/^\tType[A-Za-z]+ +Type = [0-9]/' internal/wire/frames.go | wc -l)"
 	@echo "non-test Go lines:           $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 
 # Reachability report: the non-test statements no owner runs, per package,
@@ -86,7 +88,7 @@ soak:
 
 # Race pass over the serving tier: the wire codec, the TCP server and its
 # chaos matrix (half-open peers, slowloris handshakes, abrupt disconnects,
-# kill-during-stream, drain under load), the wire client, and the tenant
+# cancel-during-stream, drain under load), the wire client, and the tenant
 # admission tests in the root package.
 serve-race:
 	$(GO) test -race -count=1 ./internal/wire/... ./internal/server/... ./internal/testutil/... \

@@ -31,8 +31,9 @@ type listenOpts struct {
 
 // runListen serves the deterministic workload database over the wire
 // protocol until SIGINT/SIGTERM, then drains gracefully: the listener
-// closes, in-flight queries finish (bounded by the drain timeout), and
-// connected clients get a Drain notice.
+// closes, new queries and handshakes are refused with CodeDraining, and
+// in-flight queries finish (bounded by the drain timeout) before the
+// connections close.
 func runListen(addr string, o listenOpts) error {
 	db, err := servedb.New(o.rows, o.seed, nil)
 	if err != nil {
@@ -112,7 +113,7 @@ func runListen(addr string, o listenOpts) error {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "%v: draining...\n", got)
-	s.Drain(fmt.Sprintf("server shutting down (%v)", got))
+	s.Drain()
 	fmt.Fprintln(os.Stderr, "drained.")
 	fmt.Print(db.Telemetry().Snapshot().String())
 	return nil

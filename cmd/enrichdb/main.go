@@ -40,8 +40,8 @@
 // -listen serves the deterministic workload database over the binary wire
 // protocol (internal/wire): clients handshake with a tenant token, run
 // queries under any design, and stream columnar result batches. SIGTERM or
-// SIGINT drains gracefully — in-flight queries finish, connected clients
-// get a Drain notice — then the telemetry snapshot prints.
+// SIGINT drains gracefully — new queries are refused, in-flight queries
+// finish — then the telemetry snapshot prints.
 //
 // Observability in network mode: -trace writes every sampled query's span
 // chain (handshake through result stream) as JSONL; -sample N samples every

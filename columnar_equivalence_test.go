@@ -162,7 +162,8 @@ func TestColumnarEquivalence(t *testing.T) {
 			for i := 0; i < 120; i++ {
 				q := randomColQuery(rng)
 				want := rowPathAnswer(t, db, q)
-				for via, query := range map[string]func(string) (*Rows, error){"DB": db.Query, "Session": sess.Query} {
+				sessQuery := func(q string) (*Rows, error) { return sessionRows(sess, q) }
+				for via, query := range map[string]func(string) (*Rows, error){"DB": db.Query, "Session": sessQuery} {
 					r, err := query(q)
 					if err != nil {
 						t.Fatalf("%s %s: %v", via, q, err)

@@ -55,7 +55,7 @@ func TestResultColumnsBytesPerRow(t *testing.T) {
 	}
 	defer sess.Close()
 	run := func() int {
-		r, err := sess.Query(shardScanQuery)
+		r, err := sess.Run(context.Background(), enrichdb.PlainDesign, shardScanQuery, enrichdb.QueryObs{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkResultColumns(b *testing.B) {
 			rows := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := sess.Query(shardScanQuery)
+				r, err := sess.Run(context.Background(), enrichdb.PlainDesign, shardScanQuery, enrichdb.QueryObs{})
 				if err != nil {
 					b.Fatal(err)
 				}

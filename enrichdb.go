@@ -101,9 +101,13 @@ type DB struct {
 
 	serving atomic.Pointer[admission]
 
-	enricher loose.Enricher
-	servers  []*remote.Server
-	tracer   *telemetry.Tracer
+	// enricher (the loose design's enrichment path) and tracer are swapped
+	// whole while queries run; a query loads each once. servers, the
+	// enrichment servers Close stops, grows under serversMu.
+	enricher  atomic.Pointer[loose.Enricher]
+	tracer    atomic.Pointer[telemetry.Tracer]
+	serversMu sync.Mutex
+	servers   []*remote.Server
 
 	// runtimeStats is the shared EWMA store every query on this DB feeds and
 	// consults. It carries observations across queries — the feedback loop
@@ -113,15 +117,14 @@ type DB struct {
 }
 
 // Open creates an empty database.
-func Open() *DB {
-	store := storage.NewDB()
+func Open() *DB { return newDB(storage.NewDB()) }
+
+// newDB builds a database over an empty store, enriching in process.
+func newDB(store storage.Store) *DB {
 	mgr := enrich.NewManager()
-	return &DB{
-		store:        store,
-		mgr:          mgr,
-		enricher:     &loose.LocalEnricher{Mgr: mgr},
-		runtimeStats: stats.NewStore(),
-	}
+	db := &DB{store: store, mgr: mgr, runtimeStats: stats.NewStore()}
+	db.swapEnricher(&loose.LocalEnricher{Mgr: mgr})
+	return db
 }
 
 // CreateRelation defines a relation.
@@ -382,7 +385,9 @@ func (db *DB) ServeEnrichment(addr string, cfg EnrichmentServerConfig) (*Enrichm
 	if err != nil {
 		return nil, err
 	}
+	db.serversMu.Lock()
 	db.servers = append(db.servers, srv)
+	db.serversMu.Unlock()
 	return &EnrichmentServerHandle{srv: srv, addr: bound}, nil
 }
 
@@ -405,7 +410,9 @@ type EnrichmentClientConfig struct {
 // server instead of the default in-process one. If the server fails
 // mid-query, the loose design degrades: failed enrichments leave their
 // derived attributes NULL and are counted in Result.FailedEnrichments;
-// re-running the query retries them.
+// re-running the query retries them. Calling it again while queries run is
+// safe: the replaced client is closed, so loose batches still in flight on
+// it fail the same way.
 func (db *DB) ConnectEnrichmentServer(addr string, cfg EnrichmentClientConfig) error {
 	client, err := remote.DialOptions(addr, remote.Options{
 		CallTimeout: cfg.CallTimeout,
@@ -416,28 +423,35 @@ func (db *DB) ConnectEnrichmentServer(addr string, cfg EnrichmentClientConfig) e
 		return err
 	}
 	client.ExtraLatency = cfg.ExtraLatency
-	db.closeEnricher()
-	db.enricher = client
+	db.swapEnricher(client)
 	return nil
 }
 
-// UseLocalEnrichment reverts the loose design to in-process enrichment.
-func (db *DB) UseLocalEnrichment() {
-	db.closeEnricher()
-	db.enricher = &loose.LocalEnricher{Mgr: db.mgr}
+// swapEnricher installs e as the loose design's enrichment path and closes
+// the transport of the one it replaces, if it has one.
+func (db *DB) swapEnricher(e loose.Enricher) {
+	if old := db.enricher.Swap(&e); old != nil {
+		closeEnricher(*old)
+	}
 }
 
-// closeEnricher releases the current enricher's transport, if it has one.
-func (db *DB) closeEnricher() {
-	if c, ok := db.enricher.(*remote.Client); ok {
+// currentEnricher is the enrichment path a query starting now uses.
+func (db *DB) currentEnricher() loose.Enricher { return *db.enricher.Load() }
+
+// closeEnricher releases e's transport, if it has one.
+func closeEnricher(e loose.Enricher) {
+	if c, ok := e.(*remote.Client); ok {
 		c.Close()
 	}
 }
 
 // Close releases transports started by this DB.
 func (db *DB) Close() error {
-	db.closeEnricher()
-	for _, s := range db.servers {
+	closeEnricher(db.currentEnricher())
+	db.serversMu.Lock()
+	servers := db.servers
+	db.serversMu.Unlock()
+	for _, s := range servers {
 		s.Close()
 	}
 	return nil
@@ -453,7 +467,7 @@ func (db *DB) Telemetry() *telemetry.Registry { return db.mgr.Telemetry() }
 // SetTracer installs a structured-span tracer on the database: both designs
 // and the progressive pipeline emit spans through it. Nil (the default)
 // disables tracing at zero cost.
-func (db *DB) SetTracer(t *telemetry.Tracer) { db.tracer = t }
+func (db *DB) SetTracer(t *telemetry.Tracer) { db.tracer.Store(t) }
 
 // Stats returns cumulative enrichment counters.
 func (db *DB) Stats() EnrichmentStats {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -314,13 +315,74 @@ func TestRemoteEnrichmentServerPublic(t *testing.T) {
 	if res.Timing.Network <= 0 {
 		t.Error("remote execution must report network time")
 	}
-	db.UseLocalEnrichment()
-	res2, err := db.QueryLoose("SELECT * FROM Reviews WHERE rating = 0 AND day >= 15")
+	local, _, _ := buildReviewDB(t)
+	res2, err := local.QueryLoose("SELECT * FROM Reviews WHERE rating = 0 AND day >= 15")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Timing.Network != 0 {
 		t.Error("local enrichment must not report network time")
+	}
+}
+
+// TestConnectEnrichmentServerDuringQueries swaps the loose design's
+// enrichment client and the database's tracer while loose queries run on
+// other goroutines; under -race it checks that the swaps are synchronized
+// with the queries reading them. Every query answers without an error (a
+// batch in flight on a replaced client fails into FailedEnrichments), and a
+// re-run once the swaps stop enriches what they dropped.
+func TestConnectEnrichmentServerDuringQueries(t *testing.T) {
+	db, _, _ := buildReviewDB(t)
+	defer db.Close()
+	srv, err := db.ServeEnrichment("127.0.0.1:0", EnrichmentServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ConnectEnrichmentServer(srv.Addr(), EnrichmentClientConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	const workers, days = 2, 30
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for day := w; day < days; day += workers {
+				q := fmt.Sprintf("SELECT id FROM Reviews WHERE rating = 0 AND day = %d", day)
+				if _, err := db.QueryLoose(q); err != nil {
+					errs <- fmt.Errorf("%s: %w", q, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for swaps := 0; ; swaps++ {
+		select {
+		case <-done:
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+			if swaps == 0 {
+				t.Fatal("the queries finished before the first swap")
+			}
+			res, err := db.QueryLoose("SELECT id FROM Reviews WHERE rating = 0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.FailedEnrichments != 0 {
+				t.Errorf("re-run after the swaps failed %d enrichments", res.FailedEnrichments)
+			}
+			return
+		default:
+		}
+		if err := db.ConnectEnrichmentServer(srv.Addr(), EnrichmentClientConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		db.SetTracer(nil)
 	}
 }
 

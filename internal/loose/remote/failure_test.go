@@ -318,3 +318,32 @@ func TestMaxConnsCap(t *testing.T) {
 		t.Error("cap must count rejected connections")
 	}
 }
+
+// TestClosedClientDoesNotRedial: a closed client fails every later batch at
+// once and opens no connection for it, so a client the database replaced
+// leaves nothing open behind it.
+func TestClosedClientDoesNotRedial(t *testing.T) {
+	d, mgr := setup(t)
+	srv, addr, err := Serve("127.0.0.1:0", mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := DialOptions(addr, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := d.DB.MustTable("TweetData")
+	fi := tbl.Schema().ColIndex("feature")
+	reqs := []loose.Request{{
+		Relation: "TweetData", TID: 1, Attr: "sentiment", FnID: 0,
+		Feature: tbl.Get(1).Vals[fi].Vector(),
+	}}
+	client.Close()
+	if _, _, err := client.EnrichBatch(reqs); err == nil || !strings.Contains(err.Error(), "client closed") {
+		t.Errorf("batch on a closed client: got %v, want a client closed error", err)
+	}
+	if st := client.Stats(); st.Dials != 1 || st.Retries != 0 {
+		t.Errorf("closed client stats = %+v, want the one initial dial and no retries", st)
+	}
+}

@@ -14,6 +14,7 @@
 package remote
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -315,9 +316,10 @@ type Client struct {
 	// of the loopback transport.
 	ExtraLatency time.Duration
 
-	mu  sync.Mutex
-	rpc *rpc.Client // nil while disconnected; re-dialed on demand
-	rng *rand.Rand
+	mu     sync.Mutex
+	rpc    *rpc.Client // nil while disconnected; re-dialed on demand
+	closed bool        // set by Close: no more dials
+	rng    *rand.Rand
 
 	dials    *telemetry.Counter // remote.client.dials
 	retries  *telemetry.Counter // remote.client.retries
@@ -363,6 +365,9 @@ func (c *Client) conn() (*rpc.Client, error) {
 	defer c.mu.Unlock()
 	if c.rpc != nil {
 		return c.rpc, nil
+	}
+	if c.closed {
+		return nil, errClientClosed
 	}
 	var (
 		nc  net.Conn
@@ -443,6 +448,9 @@ func (c *Client) EnrichBatch(reqs []loose.Request) ([]loose.Response, loose.Batc
 		cl, err := c.conn()
 		if err != nil {
 			lastErr = err
+			if err == errClientClosed {
+				break
+			}
 			continue
 		}
 		var reply BatchReply
@@ -470,11 +478,16 @@ func (c *Client) EnrichBatch(reqs []loose.Request) ([]loose.Response, loose.Batc
 			len(reqs), c.opts.MaxRetries+1, lastErr)
 }
 
-// Close releases the RPC connection.
+// errClientClosed fails every batch a closed client is asked to send.
+var errClientClosed = errors.New("remote: client closed")
+
+// Close releases the RPC connection. A batch still in flight fails, and the
+// client dials no new connection for it or for any later one.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	cl := c.rpc
 	c.rpc = nil
+	c.closed = true
 	c.mu.Unlock()
 	if cl == nil {
 		return nil

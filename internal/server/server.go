@@ -8,11 +8,11 @@
 // queries run in per-query goroutines with their own cancel contexts) →
 // drain (session closed, quota released — also on abrupt disconnect).
 //
-// Queries are killable: a Cancel frame aborts the sender's own in-flight
-// query, a Kill frame aborts queries on another connection of the same
-// tenant. Cancellation reaches every design mid-flight: the engine polls the
-// context between batches, a loose query checks it before its enrichment
-// batch, and the progressive loop checks it per epoch.
+// A Cancel frame aborts the sender's own in-flight query: it is the server
+// half of a client call's context. Cancellation reaches every design
+// mid-flight: the engine polls the context between batches, a loose query
+// checks it before its enrichment batch, and the progressive loop checks it
+// per epoch. A connection can reach only its own queries.
 package server
 
 import (
@@ -207,11 +207,11 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Drain gracefully shuts the server down: stop accepting, announce Drain on
-// every connection, refuse new queries (CodeDraining), wait up to
-// DrainTimeout for in-flight queries, then close all connections. Safe to
-// call once; it blocks until every connection handler returned.
-func (s *Server) Drain(reason string) {
+// Drain gracefully shuts the server down: stop accepting, refuse new
+// queries and handshakes (CodeDraining), wait up to DrainTimeout for
+// in-flight queries, then close all connections. Safe to call once; it
+// blocks until every connection handler returned.
+func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -227,9 +227,6 @@ func (s *Server) Drain(reason string) {
 	s.reg.Counter("serve.drains").Add(1)
 	if ln != nil {
 		ln.Close()
-	}
-	for _, c := range conns {
-		c.write(&wire.Drain{Reason: reason})
 	}
 	// Wait for in-flight queries, bounded.
 	done := make(chan struct{})
@@ -330,7 +327,7 @@ func (c *conn) write(f wire.Frame) error {
 }
 
 // shutdown force-closes the connection and cancels its queries, under the
-// lock retire takes, as Cancel and Kill do.
+// lock retire takes, as Cancel does.
 func (c *conn) shutdown() {
 	c.mu.Lock()
 	if c.closed {
@@ -354,7 +351,7 @@ func (c *conn) handle() {
 		return
 	}
 	// The session is the connection's admission slot: release it however the
-	// connection ends — clean close, abrupt disconnect, drain, kill.
+	// connection ends — clean close, abrupt disconnect, drain.
 	defer c.sess.Close()
 	defer func() {
 		// Disconnect aborts the connection's in-flight queries and waits for
@@ -470,12 +467,6 @@ func (c *conn) serveLoop() {
 			c.startQuery(f.ID, st.design, st.sql, f.Trace)
 		case *wire.Cancel:
 			c.cancelQuery(f.Query)
-		case *wire.Kill:
-			c.kill(f)
-		case *wire.Ping:
-			c.write(&wire.Pong{Nonce: f.Nonce})
-		case *wire.Pong:
-			// Liveness reply; nothing to correlate server-side yet.
 		default:
 			// Server-bound protocol violation (e.g. a second Hello or a
 			// result frame): connection-level error, then hang up.
@@ -561,32 +552,6 @@ func (c *conn) cancelQuery(id uint32) {
 	}
 }
 
-// kill aborts queries on another connection of the same tenant.
-func (c *conn) kill(f *wire.Kill) {
-	c.s.mu.Lock()
-	target := c.s.conns[f.TargetConn]
-	c.s.mu.Unlock()
-	if target == nil || target.sess == nil || target.tenant != c.tenant {
-		// Unknown connections and other tenants' connections are
-		// indistinguishable on purpose.
-		c.write(&wire.Killed{ID: f.ID, Count: 0})
-		return
-	}
-	// Cancel under the lock retire takes: every query counted here sees its
-	// cancellation and ends in CodeCanceled, never in ResultDone.
-	killed := 0
-	target.mu.Lock()
-	for qid, q := range target.queries {
-		if f.TargetQuery == 0 || qid == f.TargetQuery {
-			q.cancel()
-			killed++
-		}
-	}
-	target.mu.Unlock()
-	c.s.reg.Counter("serve.kills").Add(int64(killed))
-	c.write(&wire.Killed{ID: f.ID, Count: uint32(killed)})
-}
-
 // queryError maps an execution error to a wire error frame.
 func (c *conn) queryError(ctx context.Context, id uint32, err error) {
 	code := wire.CodeQuery
@@ -602,7 +567,7 @@ func (c *conn) queryError(ctx context.Context, id uint32, err error) {
 }
 
 // streamRows sends header + batches for a complete result set, polling ctx
-// between batches so kills interrupt long streams. A result that answered
+// between batches so a Cancel interrupts a long stream. A result that answered
 // in columns is sliced into the batches as it is; a row result is
 // transposed batch by batch.
 func (c *conn) streamRows(ctx context.Context, id uint32, rows *enrichdb.Rows) error {
@@ -814,9 +779,9 @@ func (c *conn) runQuery(ctx context.Context, id uint32, design wire.Design, sql 
 	}
 	wall := time.Since(start)
 	c.retire(id, wall)
-	// Checked after retire: a Cancel or Kill that found the query live has
-	// already canceled ctx by now (both cancel under the connection lock),
-	// so the client that was told "killed" never gets a ResultDone.
+	// Checked after retire: a Cancel that found the query live has already
+	// canceled ctx by now (it cancels under the connection lock), so a
+	// canceled query never answers ResultDone.
 	if err == nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}

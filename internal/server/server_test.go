@@ -121,7 +121,7 @@ func TestQueryDesigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	direct, err := sess.QueryLoose(sql)
+	direct, err := sess.Run(ctx, enrichdb.LooseDesign, sql, enrichdb.QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +201,9 @@ func TestAuthTokens(t *testing.T) {
 	if c.Tenant() != "alpha" {
 		t.Errorf("tenant: got %q want alpha", c.Tenant())
 	}
+	if c.Version() != 8 {
+		t.Errorf("handshake version = %d, want 8 (one commit per seeded row)", c.Version())
+	}
 	if got := db.Telemetry().Gauge("serve.tenant.alpha.active").Value(); got != 1 {
 		t.Errorf("serve.tenant.alpha.active = %d, want 1", got)
 	}
@@ -212,29 +215,38 @@ func TestAuthTokens(t *testing.T) {
 	}
 }
 
-// TestBadFrameOnHandshake: a non-Hello first frame is refused.
+// TestBadFrameOnHandshake: a non-Hello first frame is refused, and so is a
+// Hello of another protocol version (a protocol-1 peer is turned away at
+// the handshake, before it can send a frame type protocol 2 removed).
 func TestBadFrameOnHandshake(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	_, _, addr := start(t, 4, nil, nil)
-	nc, err := newRawConn(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteFrame(nc, &wire.Ping{Nonce: 1}); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := wire.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatalf("expected an Error frame, got %v", err)
-	}
-	we, ok := fr.(*wire.Error)
-	if !ok || we.Code != wire.CodeBadFrame {
-		t.Fatalf("got %#v, want CodeBadFrame", fr)
-	}
-	// The server hangs up after the refusal.
-	if _, err := wire.ReadFrame(nc, 0); err != io.EOF && err != io.ErrUnexpectedEOF {
-		t.Errorf("after refusal: got %v, want EOF", err)
+	for _, tc := range []struct {
+		first wire.Frame
+		code  uint16
+	}{
+		{&wire.Cancel{Query: 1}, wire.CodeBadFrame},
+		{&wire.Hello{Proto: 1}, wire.CodeUnsupported},
+	} {
+		nc, err := newRawConn(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(nc, tc.first); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := wire.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatalf("%s: expected an Error frame, got %v", tc.first.Type(), err)
+		}
+		if we, ok := fr.(*wire.Error); !ok || we.Code != tc.code {
+			t.Fatalf("%s: got %#v, want code %d", tc.first.Type(), fr, tc.code)
+		}
+		// The server hangs up after the refusal.
+		if _, err := wire.ReadFrame(nc, 0); err != io.EOF && err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: after refusal: got %v, want EOF", tc.first.Type(), err)
+		}
+		nc.Close()
 	}
 }
 
@@ -271,75 +283,52 @@ func TestCancelQuery(t *testing.T) {
 	}
 }
 
-// TestKillAcrossConnections: one connection kills another's in-flight query;
-// foreign tenants cannot.
-func TestKillAcrossConnections(t *testing.T) {
+// TestRemovedFrameTypeHangsUp: a frame of a type number protocol 2
+// removed (here 8, the old Kill) is corruption: the server hangs up that
+// connection only, and a query running on another connection completes.
+func TestRemovedFrameTypeHangsUp(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
-	_, _, addr := start(t, 80, &faultinject.SlowModel{Inner: testutil.StepModel(), Delay: 2 * time.Millisecond}, func(cfg *Config) {
-		cfg.Tokens = map[string]string{"a1": "alpha", "a2": "alpha", "b": "beta"}
-	})
-	victim, err := client.Dial(addr, client.Options{Token: "a1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer victim.Close()
-	killer, err := client.Dial(addr, client.Options{Token: "a2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer killer.Close()
-	foreign, err := client.Dial(addr, client.Options{Token: "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer foreign.Close()
-
-	errc := make(chan error, 1)
-	go func() {
-		_, err := victim.Query(context.Background(), wire.DesignLoose, "SELECT id FROM events WHERE label = 1")
-		errc <- err
-	}()
-	time.Sleep(15 * time.Millisecond)
-
-	// A foreign tenant sees nothing to kill.
-	if n, err := foreign.Kill(context.Background(), victim.ConnID(), 0); err != nil || n != 0 {
-		t.Errorf("foreign kill: count=%d err=%v, want 0, nil", n, err)
-	}
-	// The same tenant kills the in-flight query.
-	n, err := killer.Kill(context.Background(), victim.ConnID(), 0)
-	if err != nil {
-		t.Fatalf("kill: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("kill count = %d, want 1", n)
-	}
-	select {
-	case err := <-errc:
-		var we *wire.Error
-		if !errors.As(err, &we) || we.Code != wire.CodeCanceled {
-			t.Fatalf("killed query: got %v, want CodeCanceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("killed query did not return")
-	}
-}
-
-// TestPing round-trips liveness probes concurrently with queries.
-func TestPing(t *testing.T) {
-	defer testutil.CheckGoroutines(t)()
-	_, _, addr := start(t, 8, nil, nil)
+	_, _, addr := start(t, 60, &faultinject.SlowModel{Inner: testutil.StepModel(), Delay: time.Millisecond}, nil)
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
-		if err := c.Ping(context.Background()); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
-		}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Query(context.Background(), wire.DesignLoose, "SELECT id FROM events WHERE label = 1")
+		errc <- err
+	}()
+
+	nc, err := newRawConn(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Version() != 8 {
-		t.Errorf("handshake version = %d, want 8 (one commit per seeded row)", c.Version())
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, &wire.Hello{Proto: wire.ProtoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := wire.ReadFrame(nc, 0); err != nil {
+		t.Fatal(err)
+	} else if _, ok := fr.(*wire.Welcome); !ok {
+		t.Fatalf("handshake answered %s, want WELCOME", fr.Type())
+	}
+	// Kill{ID: 1, TargetConn: 1, TargetQuery: 0} as protocol 1 encoded it.
+	if _, err := nc.Write([]byte{0, 0, 0, 4, 8, 1, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if fr, err := wire.ReadFrame(nc, 0); err != io.EOF && err != io.ErrUnexpectedEOF {
+		t.Fatalf("after a removed frame type: got %v, %v; want the server to hang up", fr, err)
+	}
+
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("query on the other connection: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("query on the other connection did not return")
 	}
 }
 
@@ -379,7 +368,7 @@ func TestDrainUnderLoad(t *testing.T) {
 			}
 			return nil
 		},
-		Drain:       func() { s.Drain("test shutdown") },
+		Drain:       s.Drain,
 		DrainingErr: isDrainErr,
 	})
 	// Every session was released: the active gauge settled back to zero.

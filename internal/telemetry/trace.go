@@ -258,9 +258,32 @@ func (s *CollectSink) Spans() []*Span {
 }
 
 // FormatSpans reads JSONL spans from r and pretty-prints them to w: spans
-// grouped under epoch headers, with durations, worker tags and sorted
-// attributes — the renderer behind cmd/tracefmt and `make trace-demo`.
+// grouped under epoch headers, with durations, worker and trace tags and
+// sorted attributes — the renderer behind cmd/tracefmt and `make
+// trace-demo`.
 func FormatSpans(r io.Reader, w io.Writer) error {
+	return renderSpans(r, w, false, 0)
+}
+
+// FormatQueryTrace reads JSONL spans from r and prints only the spans whose
+// trace ID matches, as an indented tree: connection/setup-phase spans at the
+// top level, per-epoch spans nested under "epoch N" headers. Unknown span
+// keys in the input are ignored, not errors — newer servers may emit fields
+// this renderer does not know. Backs the tracefmt -query flag.
+func FormatQueryTrace(r io.Reader, w io.Writer, traceID string) error {
+	want, err := ParseTraceID(traceID)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace %s\n", FormatTraceID(want))
+	return renderSpans(r, w, true, want)
+}
+
+// renderSpans is the one JSONL span renderer. Without a filter every span
+// prints under "— setup —"/"— epoch N —" section headers, tagged with its
+// trace; with one (tree) only trace want's spans print, epoch spans
+// indented under an "epoch N" line. Both end with a totals line.
+func renderSpans(r io.Reader, w io.Writer, tree bool, want uint64) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	lastEpoch := -1
@@ -275,84 +298,25 @@ func FormatSpans(r io.Reader, w io.Writer) error {
 		if err := json.Unmarshal([]byte(line), &j); err != nil {
 			return fmt.Errorf("telemetry: bad span line %q: %w", line, err)
 		}
-		if j.Epoch != lastEpoch {
-			if j.Epoch == 0 {
-				fmt.Fprintln(w, "— setup —")
-			} else {
-				fmt.Fprintf(w, "— epoch %d —\n", j.Epoch)
+		if tree {
+			if got, err := ParseTraceID(j.Trace); j.Trace == "" || err != nil || got != want {
+				continue
 			}
-			lastEpoch = j.Epoch
 		}
-		dur := time.Duration(j.DurUS) * time.Microsecond
-		total += dur
-		tag := ""
-		if j.Worker != nil {
-			tag = fmt.Sprintf(" [worker %d]", *j.Worker)
-		}
-		if j.Trace != "" {
-			tag += fmt.Sprintf(" [trace %s]", j.Trace)
-		}
-		fmt.Fprintf(w, "  %-20s %10v%s", j.Name, dur, tag)
-		if len(j.Attrs) > 0 {
-			keys := make([]string, 0, len(j.Attrs))
-			for k := range j.Attrs {
-				keys = append(keys, k)
+		indent, width := "  ", 20
+		switch {
+		case tree:
+			width = 22
+			if j.Epoch != 0 {
+				if j.Epoch != lastEpoch {
+					fmt.Fprintf(w, "  epoch %d\n", j.Epoch)
+				}
+				indent = "    "
 			}
-			sort.Strings(keys)
-			parts := make([]string, len(keys))
-			for i, k := range keys {
-				parts[i] = fmt.Sprintf("%s=%v", k, j.Attrs[k])
-			}
-			fmt.Fprintf(w, "  %s", strings.Join(parts, " "))
-		}
-		fmt.Fprintln(w)
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%d spans, %v total span time\n", n, total.Round(time.Microsecond))
-	return nil
-}
-
-// FormatQueryTrace reads JSONL spans from r and prints only the spans whose
-// trace ID matches, as an indented tree: connection/setup-phase spans at the
-// top level, per-epoch spans nested under "epoch N" headers. Unknown span
-// keys in the input are ignored, not errors — newer servers may emit fields
-// this renderer does not know. Backs the tracefmt -query flag.
-func FormatQueryTrace(r io.Reader, w io.Writer, traceID string) error {
-	want, err := ParseTraceID(traceID)
-	if err != nil {
-		return err
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	lastEpoch := 0
-	n := 0
-	var total time.Duration
-	fmt.Fprintf(w, "trace %s\n", FormatTraceID(want))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var j spanJSON
-		if err := json.Unmarshal([]byte(line), &j); err != nil {
-			return fmt.Errorf("telemetry: bad span line %q: %w", line, err)
-		}
-		if j.Trace == "" {
-			continue
-		}
-		got, err := ParseTraceID(j.Trace)
-		if err != nil || got != want {
-			continue
-		}
-		indent := "  "
-		if j.Epoch != 0 {
-			if j.Epoch != lastEpoch {
-				fmt.Fprintf(w, "  epoch %d\n", j.Epoch)
-			}
-			indent = "    "
+		case j.Epoch != lastEpoch && j.Epoch == 0:
+			fmt.Fprintln(w, "— setup —")
+		case j.Epoch != lastEpoch:
+			fmt.Fprintf(w, "— epoch %d —\n", j.Epoch)
 		}
 		lastEpoch = j.Epoch
 		dur := time.Duration(j.DurUS) * time.Microsecond
@@ -361,7 +325,10 @@ func FormatQueryTrace(r io.Reader, w io.Writer, traceID string) error {
 		if j.Worker != nil {
 			tag = fmt.Sprintf(" [worker %d]", *j.Worker)
 		}
-		fmt.Fprintf(w, "%s%-22s %10v%s", indent, j.Name, dur, tag)
+		if !tree && j.Trace != "" {
+			tag += fmt.Sprintf(" [trace %s]", j.Trace)
+		}
+		fmt.Fprintf(w, "%s%-*s %10v%s", indent, width, j.Name, dur, tag)
 		if len(j.Attrs) > 0 {
 			keys := make([]string, 0, len(j.Attrs))
 			for k := range j.Attrs {

@@ -3,6 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +122,39 @@ func TestFormatSpans(t *testing.T) {
 	for _, want := range []string{"— setup —", "— epoch 1 —", "query.setup", "probe_tuples=10", "[worker 0]", "3 spans"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("FormatSpans missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestFormatSpansGolden: both tracefmt modes render the committed trace
+// (setup and epoch spans, workers, two traces, attributes of every JSON
+// kind, a blank line and an unknown key) byte for byte as the golden files
+// hold.
+func TestFormatSpansGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		format func(io.Reader, io.Writer) error
+	}{
+		{"spans.golden", FormatSpans},
+		{"spans.query.golden", func(r io.Reader, w io.Writer) error { return FormatQueryTrace(r, w, "a1") }},
+		{"spans.query-b2.golden", func(r io.Reader, w io.Writer) error { return FormatQueryTrace(r, w, "00000000000000b2") }},
+	} {
+		in, err := os.Open(filepath.Join("testdata", "spans.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = tc.format(in, &out)
+		in.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.golden, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s differs:\n got:\n%s\nwant:\n%s", tc.golden, out.Bytes(), want)
 		}
 	}
 }

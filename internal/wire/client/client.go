@@ -59,7 +59,6 @@ type call struct {
 	id      uint32
 	res     *Result
 	err     error
-	count   uint32 // Killed.Count
 	onEpoch func(wire.Epoch)
 	onBatch func(*wire.ResultBatch)
 	done    chan struct{}
@@ -78,23 +77,17 @@ type Client struct {
 	conn     net.Conn
 	maxFrame int
 
-	connID  uint64
 	tenant  string
 	version uint64
 
 	wmu  sync.Mutex
 	wbuf []byte
 
-	mu       sync.Mutex
-	pending  map[uint32]*call
-	pings    map[uint64]chan struct{}
-	nextID   uint32
-	nextPing uint64
-	sticky   error // transport-level failure, set once
-	closed   bool
-
-	drainOnce sync.Once
-	drainCh   chan struct{}
+	mu      sync.Mutex
+	pending map[uint32]*call
+	nextID  uint32
+	sticky  error // transport-level failure, set once
+	closed  bool
 
 	readDone chan struct{}
 }
@@ -115,8 +108,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 		conn:     conn,
 		maxFrame: opts.MaxFrame,
 		pending:  make(map[uint32]*call),
-		pings:    make(map[uint64]chan struct{}),
-		drainCh:  make(chan struct{}),
 		readDone: make(chan struct{}),
 	}
 	deadline := time.Now().Add(opts.DialTimeout)
@@ -125,51 +116,31 @@ func Dial(addr string, opts Options) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("wire client: handshake write: %w", err)
 	}
-handshake:
-	for {
-		fr, err := wire.ReadFrame(conn, c.maxFrame)
-		if err != nil {
-			conn.Close()
-			return nil, fmt.Errorf("wire client: handshake read: %w", err)
-		}
-		switch f := fr.(type) {
-		case *wire.Welcome:
-			c.connID, c.tenant, c.version = f.ConnID, f.Tenant, f.Version
-			break handshake
-		case *wire.Error:
-			conn.Close()
-			return nil, f
-		case *wire.Drain:
-			// A server starting to drain broadcasts to every connection,
-			// including one mid-handshake; the definitive answer (Welcome or
-			// a CodeDraining error) is still on its way.
-			c.markDraining()
-		default:
-			conn.Close()
-			return nil, fmt.Errorf("wire client: unexpected handshake frame %s", fr.Type())
-		}
+	fr, err := wire.ReadFrame(conn, c.maxFrame)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("wire client: handshake read: %w", err)
+	}
+	switch f := fr.(type) {
+	case *wire.Welcome:
+		c.tenant, c.version = f.Tenant, f.Version
+	case *wire.Error:
+		conn.Close()
+		return nil, f
+	default:
+		conn.Close()
+		return nil, fmt.Errorf("wire client: unexpected handshake frame %s", fr.Type())
 	}
 	conn.SetDeadline(time.Time{})
 	go c.readLoop()
 	return c, nil
 }
 
-// ConnID returns the server-assigned connection ID.
-func (c *Client) ConnID() uint64 { return c.connID }
-
 // Tenant returns the tenant name the server bound this connection to.
 func (c *Client) Tenant() string { return c.tenant }
 
 // Version returns the server's commit version at handshake time.
 func (c *Client) Version() uint64 { return c.version }
-
-// markDraining records the server's drain announcement (first one wins).
-func (c *Client) markDraining() {
-	c.drainOnce.Do(func() { close(c.drainCh) })
-}
-
-// Draining returns a channel closed when the server announces shutdown.
-func (c *Client) Draining() <-chan struct{} { return c.drainCh }
 
 // Err returns the sticky transport error, if the connection has failed.
 func (c *Client) Err() error {
@@ -239,11 +210,6 @@ func (c *Client) readLoop() {
 			if cl := c.take(f.ID); cl != nil {
 				cl.finish(nil)
 			}
-		case *wire.Killed:
-			if cl := c.take(f.ID); cl != nil {
-				cl.count = f.Count
-				cl.finish(nil)
-			}
 		case *wire.Error:
 			if f.Query == 0 {
 				// Connection-level error: the server is about to hang up.
@@ -253,17 +219,6 @@ func (c *Client) readLoop() {
 			if cl := c.take(f.Query); cl != nil {
 				cl.finish(f)
 			}
-		case *wire.Pong:
-			c.mu.Lock()
-			if ch := c.pings[f.Nonce]; ch != nil {
-				delete(c.pings, f.Nonce)
-				close(ch)
-			}
-			c.mu.Unlock()
-		case *wire.Ping:
-			c.send(&wire.Pong{Nonce: f.Nonce})
-		case *wire.Drain:
-			c.markDraining()
 		default:
 			// Unexpected but well-formed frame: ignore (forward compatible
 			// within a protocol version).
@@ -287,7 +242,7 @@ func (cl *call) expand() error {
 	return nil
 }
 
-// fail poisons the client: every pending call and ping completes with err.
+// fail poisons the client: every pending call completes with err.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -298,14 +253,9 @@ func (c *Client) fail(err error) {
 	}
 	pend := c.pending
 	c.pending = make(map[uint32]*call)
-	pings := c.pings
-	c.pings = make(map[uint64]chan struct{})
 	c.mu.Unlock()
 	for _, cl := range pend {
 		cl.finish(err)
-	}
-	for _, ch := range pings {
-		close(ch)
 	}
 }
 
@@ -426,22 +376,16 @@ func (c *Client) roundTrip(ctx context.Context, build func(id uint32) wire.Frame
 // Canceling ctx sends a Cancel frame; the call returns once the server
 // acknowledges (ctx.Err()) and the connection remains usable.
 func (c *Client) Query(ctx context.Context, design wire.Design, sql string) (*Result, error) {
-	return c.QueryFunc(ctx, design, sql, nil, nil)
+	return c.QueryTrace(ctx, design, sql, wire.TraceContext{}, nil, nil)
 }
 
-// QueryFunc is Query with streaming callbacks: onEpoch fires per progressive
-// epoch report, onBatch per raw result batch, both from the read loop — keep
-// them fast, they gate every other response on the connection.
-func (c *Client) QueryFunc(ctx context.Context, design wire.Design, sql string,
-	onEpoch func(wire.Epoch), onBatch func(*wire.ResultBatch)) (*Result, error) {
-	return c.QueryTrace(ctx, design, sql, wire.TraceContext{}, onEpoch, onBatch)
-}
-
-// QueryTrace is QueryFunc with a trace context on the Query frame: the
-// server stamps the query's spans with tc.TraceID (its own otherwise), and
-// tc.Sampled forces span collection — the Result then carries a Profile
-// with the span summaries. The zero context encodes to nothing, so frames
-// stay byte-compatible with pre-trace servers.
+// QueryTrace is Query with a trace context on the Query frame and streaming
+// callbacks. The server stamps the query's spans with tc.TraceID (its own
+// otherwise), and tc.Sampled forces span collection — the Result then
+// carries a Profile with the span summaries. The zero context encodes to
+// nothing. onEpoch fires per progressive epoch report, onBatch per raw
+// result batch, both from the read loop — keep them fast, they gate every
+// other response on the connection.
 func (c *Client) QueryTrace(ctx context.Context, design wire.Design, sql string,
 	tc wire.TraceContext, onEpoch func(wire.Epoch), onBatch func(*wire.ResultBatch)) (*Result, error) {
 	cl, err := c.roundTrip(ctx, func(id uint32) wire.Frame {
@@ -475,46 +419,4 @@ func (c *Client) ExecuteTrace(ctx context.Context, name string, tc wire.TraceCon
 		return nil, err
 	}
 	return cl.res, nil
-}
-
-// Kill cancels in-flight queries on another connection of the same tenant
-// (targetQuery 0 kills all of them); it returns how many were killed.
-func (c *Client) Kill(ctx context.Context, targetConn uint64, targetQuery uint32) (uint32, error) {
-	cl, err := c.roundTrip(ctx, func(id uint32) wire.Frame {
-		return &wire.Kill{ID: id, TargetConn: targetConn, TargetQuery: targetQuery}
-	}, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	return cl.count, nil
-}
-
-// Ping round-trips a liveness probe.
-func (c *Client) Ping(ctx context.Context) error {
-	c.mu.Lock()
-	if c.sticky != nil {
-		err := c.sticky
-		c.mu.Unlock()
-		return err
-	}
-	c.nextPing++
-	nonce := c.nextPing
-	ch := make(chan struct{})
-	c.pings[nonce] = ch
-	c.mu.Unlock()
-	if err := c.send(&wire.Ping{Nonce: nonce}); err != nil {
-		c.mu.Lock()
-		delete(c.pings, nonce)
-		c.mu.Unlock()
-		return err
-	}
-	select {
-	case <-ch:
-		return c.Err() // nil on a real pong, sticky error if the conn died
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pings, nonce)
-		c.mu.Unlock()
-		return ctx.Err()
-	}
 }

@@ -1,6 +1,6 @@
 // Package wire defines enrichdb's client/server network protocol: a
 // length-prefixed binary framing with a handshake (tenant auth token),
-// query/prepare/execute/cancel/kill control frames, columnar result batches
+// query/prepare/execute/cancel control frames, columnar result batches
 // reusing the expr.Batch layout (typed payloads + NULL bitmap), progressive
 // epoch frames, and error frames.
 //
@@ -24,8 +24,10 @@ import (
 )
 
 // ProtoVersion is the protocol revision. A server refuses a Hello whose
-// version it does not speak.
-const ProtoVersion = 1
+// version it does not speak (CodeUnsupported), so a peer of another revision
+// is turned away at the handshake, not cut off mid-stream at a frame type it
+// does not know (see the reserved numbers in frames.go).
+const ProtoVersion = 2
 
 // MaxFrameLen is the default cap on one frame's encoded size (type byte +
 // payload). Result batches are bounded by the batch lane count, so 4 MiB

@@ -8,6 +8,10 @@ import (
 type Type uint8
 
 // Frame types. The numbering is part of the protocol; append, never renumber.
+// Numbers 8 and 9 (Kill, Killed: cancel a query on another connection) and
+// 15, 16 and 17 (Ping, Pong, Drain) belonged to frames protocol 1 had and
+// protocol 2 removed; they stay reserved, and DecodeFrame rejects them as
+// unknown.
 const (
 	TypeHello        Type = 1  // client→server: handshake open
 	TypeWelcome      Type = 2  // server→client: handshake accept
@@ -16,16 +20,11 @@ const (
 	TypePrepareOK    Type = 5  // server→client: statement accepted
 	TypeExecute      Type = 6  // client→server: run a prepared statement
 	TypeCancel       Type = 7  // client→server: cancel own in-flight query
-	TypeKill         Type = 8  // client→server: kill a query on any connection
-	TypeKilled       Type = 9  // server→client: kill outcome
 	TypeResultHeader Type = 10 // server→client: result columns
 	TypeResultBatch  Type = 11 // server→client: one columnar row batch
 	TypeResultDone   Type = 12 // server→client: end of result + stats
 	TypeEpoch        Type = 13 // server→client: progressive epoch report
 	TypeError        Type = 14 // server→client: query or connection error
-	TypePing         Type = 15 // either direction: liveness probe
-	TypePong         Type = 16 // either direction: liveness reply
-	TypeDrain        Type = 17 // server→client: server is shutting down
 	TypeProfile      Type = 18 // server→client: sampled spans + operator profile
 )
 
@@ -46,10 +45,6 @@ func (t Type) String() string {
 		return "EXECUTE"
 	case TypeCancel:
 		return "CANCEL"
-	case TypeKill:
-		return "KILL"
-	case TypeKilled:
-		return "KILLED"
 	case TypeResultHeader:
 		return "RESULT_HEADER"
 	case TypeResultBatch:
@@ -60,12 +55,6 @@ func (t Type) String() string {
 		return "EPOCH"
 	case TypeError:
 		return "ERROR"
-	case TypePing:
-		return "PING"
-	case TypePong:
-		return "PONG"
-	case TypeDrain:
-		return "DRAIN"
 	case TypeProfile:
 		return "PROFILE"
 	default:
@@ -106,7 +95,7 @@ const (
 	CodeBadFrame     uint16 = 2  // malformed or out-of-order frame
 	CodeAuth         uint16 = 3  // unknown token / refused handshake
 	CodeQuery        uint16 = 4  // SQL parse/analyze/execute error
-	CodeCanceled     uint16 = 5  // query canceled or killed
+	CodeCanceled     uint16 = 5  // query canceled
 	CodeDraining     uint16 = 6  // server shutting down
 	CodeAdmission    uint16 = 7  // session admission timed out
 	CodeUnknownStmt  uint16 = 8  // Execute of an unprepared name
@@ -131,9 +120,9 @@ type Hello struct {
 }
 
 // Welcome accepts a handshake: the server's protocol version, the
-// server-assigned connection id (the KILL target address), the tenant the
-// token resolved to, and the database commit version the connection's
-// session snapshot was taken at.
+// server-assigned connection id (the id its log lines and slow-query records
+// carry), the tenant the token resolved to, and the database commit version
+// the connection's session snapshot was taken at.
 type Welcome struct {
 	Proto   uint32
 	ConnID  uint64
@@ -181,20 +170,6 @@ type Cancel struct {
 	Query uint32
 }
 
-// Kill aborts a query on any connection of the server (TargetQuery 0 kills
-// every in-flight query on the target connection).
-type Kill struct {
-	ID          uint32 // response correlation
-	TargetConn  uint64
-	TargetQuery uint32
-}
-
-// Killed reports how many in-flight queries a Kill actually canceled.
-type Killed struct {
-	ID    uint32
-	Count uint32
-}
-
 // ResultHeader starts a result stream: the column names of every following
 // batch.
 type ResultHeader struct {
@@ -239,16 +214,6 @@ type Error struct {
 	Msg   string
 }
 
-// Ping probes liveness; Nonce is echoed in the Pong.
-type Ping struct{ Nonce uint64 }
-
-// Pong answers a Ping.
-type Pong struct{ Nonce uint64 }
-
-// Drain announces a server shutdown: in-flight queries finish (within the
-// drain budget), new queries are refused with CodeDraining.
-type Drain struct{ Reason string }
-
 // Error implements the error interface so servers/clients can return Error
 // frames directly.
 func (e *Error) Error() string {
@@ -264,16 +229,11 @@ func (*Prepare) Type() Type      { return TypePrepare }
 func (*PrepareOK) Type() Type    { return TypePrepareOK }
 func (*Execute) Type() Type      { return TypeExecute }
 func (*Cancel) Type() Type       { return TypeCancel }
-func (*Kill) Type() Type         { return TypeKill }
-func (*Killed) Type() Type       { return TypeKilled }
 func (*ResultHeader) Type() Type { return TypeResultHeader }
 func (*ResultBatch) Type() Type  { return TypeResultBatch }
 func (*ResultDone) Type() Type   { return TypeResultDone }
 func (*Epoch) Type() Type        { return TypeEpoch }
 func (*Error) Type() Type        { return TypeError }
-func (*Ping) Type() Type         { return TypePing }
-func (*Pong) Type() Type         { return TypePong }
-func (*Drain) Type() Type        { return TypeDrain }
 
 // Payload codecs. Encode and decode are kept adjacent per frame so the two
 // sides of the format cannot drift apart silently; FuzzFrame enforces the
@@ -434,44 +394,6 @@ func decodeCancel(r *buf) (Frame, error) {
 	return &f, nil
 }
 
-func (f *Kill) appendPayload(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(f.ID))
-	dst = appendUvarint(dst, f.TargetConn)
-	return appendUvarint(dst, uint64(f.TargetQuery))
-}
-
-func decodeKill(r *buf) (Frame, error) {
-	var f Kill
-	var err error
-	if f.ID, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if f.TargetConn, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if f.TargetQuery, err = r.u32(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-func (f *Killed) appendPayload(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(f.ID))
-	return appendUvarint(dst, uint64(f.Count))
-}
-
-func decodeKilled(r *buf) (Frame, error) {
-	var f Killed
-	var err error
-	if f.ID, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if f.Count, err = r.u32(); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 func (f *ResultHeader) appendPayload(dst []byte) []byte {
 	dst = appendUvarint(dst, uint64(f.Query))
 	return appendStrs(dst, f.Columns)
@@ -615,36 +537,6 @@ func decodeError(r *buf) (Frame, error) {
 
 const math16 = 1<<16 - 1
 
-func (f *Ping) appendPayload(dst []byte) []byte { return appendUvarint(dst, f.Nonce) }
-
-func decodePing(r *buf) (Frame, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return &Ping{Nonce: n}, nil
-}
-
-func (f *Pong) appendPayload(dst []byte) []byte { return appendUvarint(dst, f.Nonce) }
-
-func decodePong(r *buf) (Frame, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return &Pong{Nonce: n}, nil
-}
-
-func (f *Drain) appendPayload(dst []byte) []byte { return appendStr(dst, f.Reason) }
-
-func decodeDrain(r *buf) (Frame, error) {
-	s, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	return &Drain{Reason: s}, nil
-}
-
 // DecodeFrame decodes one frame payload. Trailing bytes after a complete
 // payload are an error: a frame is exactly its content, so length confusion
 // is caught at the first corrupted frame instead of desynchronizing later.
@@ -667,10 +559,6 @@ func DecodeFrame(t Type, payload []byte) (Frame, error) {
 		f, err = decodeExecute(r)
 	case TypeCancel:
 		f, err = decodeCancel(r)
-	case TypeKill:
-		f, err = decodeKill(r)
-	case TypeKilled:
-		f, err = decodeKilled(r)
 	case TypeResultHeader:
 		f, err = decodeResultHeader(r)
 	case TypeResultBatch:
@@ -681,12 +569,6 @@ func DecodeFrame(t Type, payload []byte) (Frame, error) {
 		f, err = decodeEpoch(r)
 	case TypeError:
 		f, err = decodeError(r)
-	case TypePing:
-		f, err = decodePing(r)
-	case TypePong:
-		f, err = decodePong(r)
-	case TypeDrain:
-		f, err = decodeDrain(r)
 	case TypeProfile:
 		f, err = decodeProfile(r)
 	default:

@@ -50,7 +50,8 @@ func hasNaN(fr Frame) bool {
 //     (round-trip stability; byte images may differ only when the input
 //     used non-minimal varints, which re-encoding canonicalizes).
 //
-// The seed corpus covers every frame type via sampleFrames; go test -fuzz
+// The seed corpus covers every frame type via sampleFrames and the
+// reserved numbers of the removed types via removedFrames; go test -fuzz
 // grows it under testdata/fuzz/FuzzFrame.
 func FuzzFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
@@ -59,6 +60,9 @@ func FuzzFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(img)
+	}
+	for _, rf := range removedFrames {
+		f.Add(rawFrame(rf.typ, rf.payload))
 	}
 	// A few malformed seeds steer the engine toward the error paths.
 	f.Add([]byte{0, 0, 0, 0})

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
@@ -27,8 +28,6 @@ func sampleFrames() []Frame {
 		&Execute{ID: 9, Name: "q1"},
 		&Execute{ID: 13, Name: "q2", Trace: TraceContext{SpanID: 5, Sampled: true}},
 		&Cancel{Query: 7},
-		&Kill{ID: 10, TargetConn: 42, TargetQuery: 7},
-		&Killed{ID: 10, Count: 1},
 		&ResultHeader{Query: 7, Columns: []string{"id", "grp", "label"}},
 		BatchFromValues(7, [][]types.Value{
 			{types.NewInt(1), types.NewString("a"), types.Null},
@@ -55,9 +54,6 @@ func sampleFrames() []Frame {
 			}},
 		&Profile{Query: 12, Design: DesignPlain},
 		&Error{Query: 7, Code: CodeQuery, Msg: "unknown relation Q"},
-		&Ping{Nonce: 99},
-		&Pong{Nonce: 99},
-		&Drain{Reason: "SIGTERM"},
 	}
 }
 
@@ -150,7 +146,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Errorf("unknown type: %v", err)
 	}
 	// Oversized frame header.
-	big := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(TypePing)}
+	big := []byte{0xFF, 0xFF, 0xFF, 0xFF, byte(TypeCancel)}
 	if _, err := ReadFrame(bytes.NewReader(big), 0); err == nil {
 		t.Error("oversized frame must be rejected")
 	}
@@ -173,8 +169,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Error("forged column count must be rejected")
 	}
 	// Trailing garbage after a valid frame payload.
-	ping, _ := AppendFrame(nil, &Ping{Nonce: 1})
-	if _, err := DecodeFrame(TypePing, append(ping[5:], 0xAA)); err == nil {
+	cancel, _ := AppendFrame(nil, &Cancel{Query: 1})
+	if _, err := DecodeFrame(TypeCancel, append(cancel[5:], 0xAA)); err == nil {
 		t.Error("trailing bytes must be rejected")
 	}
 }
@@ -182,7 +178,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 // TestReadFrameShortStream: a frame cut off mid-body surfaces
 // io.ErrUnexpectedEOF, distinguishing a torn connection from a clean close.
 func TestReadFrameShortStream(t *testing.T) {
-	full, err := AppendFrame(nil, &Drain{Reason: "test"})
+	full, err := AppendFrame(nil, &Error{Code: CodeDraining, Msg: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +189,41 @@ func TestReadFrameShortStream(t *testing.T) {
 		}
 		if cut >= 4 && err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut %d: got %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// removedFrames are protocol-1 payloads of the frame types protocol 2
+// removed (Kill, Killed, Ping, Pong, Drain). Their numbers stay reserved,
+// not reused, and decode as unknown whatever their payload; FuzzFrame seeds
+// the rejection path with them.
+var removedFrames = []struct {
+	typ     Type
+	payload []byte
+}{
+	{8, []byte{10, 42, 7}}, // Kill{ID: 10, TargetConn: 42, TargetQuery: 7}
+	{9, []byte{10, 1}},     // Killed{ID: 10, Count: 1}
+	{15, []byte{99}},       // Ping{Nonce: 99}
+	{16, []byte{99}},       // Pong{Nonce: 99}
+	{17, []byte{1, 'x'}},   // Drain{Reason: "x"}
+}
+
+// rawFrame frames a payload under a type byte, whether or not the type
+// exists.
+func rawFrame(typ Type, payload []byte) []byte {
+	img := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+	return append(append(img, byte(typ)), payload...)
+}
+
+// TestDecodeRejectsRemovedTypes: DecodeFrame and ReadFrame reject every
+// removed frame type as unknown.
+func TestDecodeRejectsRemovedTypes(t *testing.T) {
+	for _, tc := range removedFrames {
+		if _, err := DecodeFrame(tc.typ, tc.payload); err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+			t.Errorf("type %d: got %v, want an unknown frame type error", tc.typ, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(rawFrame(tc.typ, tc.payload)), 0); err == nil {
+			t.Errorf("type %d: ReadFrame accepted a removed frame type", tc.typ)
 		}
 	}
 }

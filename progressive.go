@@ -217,7 +217,7 @@ func (db *DB) runProgressive(ctx context.Context, a *engine.Analysis, opts Progr
 		Analysis:    a,
 		DB:          db.store,
 		Mgr:         db.mgr,
-		Enricher:    db.enricher,
+		Enricher:    db.currentEnricher(),
 		Strategy:    progressive.Strategy(opts.Strategy),
 		EpochBudget: opts.EpochBudget,
 		MaxEpochs:   opts.MaxEpochs,

@@ -19,9 +19,9 @@ func TestProgressiveChaosTwoSessions(t *testing.T) {
 	db := servingDB(t, 60)
 	defer db.Close()
 
-	chaos := faultinject.Wrap(db.enricher.(*loose.LocalEnricher),
+	chaos := faultinject.Wrap(db.currentEnricher().(*loose.LocalEnricher),
 		faultinject.Plan{Seed: 11, FailBatches: 3})
-	db.enricher = chaos
+	db.swapEnricher(chaos)
 
 	const q = "SELECT id, label FROM Events WHERE label = 1"
 	results := make([]*Result, 2)
@@ -106,10 +106,10 @@ func TestProgressiveChaosErrorRate(t *testing.T) {
 	db := servingDB(t, 40)
 	defer db.Close()
 
-	clean := db.enricher
+	clean := db.currentEnricher()
 	chaos := faultinject.Wrap(clean.(*loose.LocalEnricher),
 		faultinject.Plan{Seed: 23, ErrorRate: 0.25})
-	db.enricher = chaos
+	db.swapEnricher(chaos)
 
 	const q = "SELECT id, label FROM Events WHERE label = 0"
 	res, err := runProgressive(db.Run, q, ProgressiveOptions{Seed: 5, MaxEpochs: 60})
@@ -125,7 +125,7 @@ func TestProgressiveChaosErrorRate(t *testing.T) {
 
 	// Heal the server; the loose retry repairs what chaos dropped, and the
 	// degraded progressive answer must be contained in the true one.
-	db.enricher = clean
+	db.swapEnricher(clean)
 	ref, err := db.QueryLoose(q)
 	if err != nil {
 		t.Fatal(err)

@@ -218,7 +218,7 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 	}
 	tracer := obs.Tracer
 	if tracer == nil {
-		tracer = db.tracer
+		tracer = db.tracer.Load()
 	}
 	var prof *engine.Profiler
 	if st.mode == explainAnalyze {
@@ -390,7 +390,7 @@ func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*R
 
 // looseDriver builds the loose driver for one query over src.
 func (db *DB) looseDriver(src storage.Source, done <-chan struct{}, tracer *telemetry.Tracer, prof *engine.Profiler) *loose.Driver {
-	return &loose.Driver{DB: src, Mgr: db.mgr, Enricher: db.enricher,
+	return &loose.Driver{DB: src, Mgr: db.mgr, Enricher: db.currentEnricher(),
 		Tracer: tracer, Prof: prof, Stats: db.runtimeStats, Done: done}
 }
 

@@ -187,24 +187,32 @@ func TestAdmissionCounters(t *testing.T) {
 	}
 }
 
-// TestSessionTenant: SessionFor binds the tenant name; Session is the
-// anonymous tenant.
+// TestSessionTenant: SessionFor binds the tenant name, charging its
+// active-session gauge until Close; Session is the anonymous tenant and
+// charges no named tenant.
 func TestSessionTenant(t *testing.T) {
 	db := tenantDB(t)
+	acme := db.Telemetry().Gauge("serve.tenant.acme.active")
 	s, err := db.SessionFor("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Tenant() != "acme" {
-		t.Errorf("Tenant() = %q, want acme", s.Tenant())
+	if got := acme.Value(); got != 1 {
+		t.Errorf("serve.tenant.acme.active = %d with an acme session open, want 1", got)
 	}
 	s.Close()
+	if got := acme.Value(); got != 0 {
+		t.Errorf("serve.tenant.acme.active = %d after Close, want 0", got)
+	}
 	anon, err := db.Session()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if anon.Tenant() != "" {
-		t.Errorf("anonymous Tenant() = %q, want empty", anon.Tenant())
+	if got := acme.Value(); got != 0 {
+		t.Errorf("anonymous session charged acme: serve.tenant.acme.active = %d", got)
+	}
+	if got := db.Telemetry().Gauge("serve.sessions_active").Value(); got != 1 {
+		t.Errorf("serve.sessions_active = %d, want 1", got)
 	}
 	anon.Close()
 }

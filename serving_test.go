@@ -1,6 +1,7 @@
 package enrichdb
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,11 @@ import (
 	"testing"
 	"time"
 )
+
+// sessionRows runs q on s under the plain design and answers its rows.
+func sessionRows(s *Session, q string) (*Rows, error) {
+	return rowsOnly(s.Run(context.Background(), PlainDesign, q, QueryObs{}))
+}
 
 // stepModel is a deterministic pure-function classifier for serving tests:
 // equal features always produce equal distributions.
@@ -71,7 +77,7 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 	defer sess.Close()
 	v0 := sess.Version()
 
-	before, err := sess.QueryLoose("SELECT id, label FROM Events WHERE grp = 1")
+	before, err := sess.Run(context.Background(), LooseDesign, "SELECT id, label FROM Events WHERE grp = 1", QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +94,7 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 	}
 
 	// The old session still sees the pre-write answer, byte for byte.
-	after, err := sess.QueryLoose("SELECT id, label FROM Events WHERE grp = 1")
+	after, err := sess.Run(context.Background(), LooseDesign, "SELECT id, label FROM Events WHERE grp = 1", QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +112,7 @@ func TestSessionSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess2.Close()
-	fresh, err := sess2.Query("SELECT id FROM Events WHERE grp = 1")
+	fresh, err := sessionRows(sess2, "SELECT id FROM Events WHERE grp = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +141,7 @@ func TestSessionSharedEnrichment(t *testing.T) {
 	}
 	defer s2.Close()
 
-	r1, err := s1.QueryLoose("SELECT id, label FROM Events WHERE label = 1")
+	r1, err := s1.Run(context.Background(), LooseDesign, "SELECT id, label FROM Events WHERE label = 1", QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +149,7 @@ func TestSessionSharedEnrichment(t *testing.T) {
 	if runsAfterFirst == 0 {
 		t.Fatal("first query ran no enrichment")
 	}
-	r2, err := s2.QueryTight("SELECT id, label FROM Events WHERE label = 1")
+	r2, err := s2.Run(context.Background(), TightDesign, "SELECT id, label FROM Events WHERE label = 1", QueryObs{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func TestAdmissionControl(t *testing.T) {
 	s4.Close()
 
 	// Closed sessions refuse queries.
-	if _, err := s2.Query("SELECT id FROM Events"); err == nil {
+	if _, err := sessionRows(s2, "SELECT id FROM Events"); err == nil {
 		t.Error("query on closed session must fail")
 	}
 }

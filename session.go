@@ -298,7 +298,7 @@ func (db *DB) Version() uint64 { return db.version.Load() }
 // Session is a snapshot-isolated read view of the database, taken atomically
 // across all relations at one commit version.
 //
-// Queries on a session (Query, QueryLoose, QueryTight) see exactly the data
+// Queries on a session (Run, under any design) see exactly the data
 // committed as of Version(), regardless of concurrent writers. Query-time
 // enrichment performed inside a session is written into the session's own
 // view (so the session's answers include it) and shared back to the live
@@ -373,10 +373,6 @@ func (s *Session) Close() error {
 // Version returns the commit version the session's snapshot was taken at.
 func (s *Session) Version() uint64 { return s.version }
 
-// Tenant returns the tenant name the session was opened for ("" for the
-// default tenant).
-func (s *Session) Tenant() string { return s.tenant }
-
 // errSessionClosed is returned by every query method of a closed session.
 var errSessionClosed = errors.New("enrichdb: session is closed")
 
@@ -392,24 +388,4 @@ func (s *Session) Run(ctx context.Context, design Design, query string, obs Quer
 		return nil, errSessionClosed
 	}
 	return s.db.run(ctx, s.snap, design, query, obs)
-}
-
-// Query executes a query against the snapshot without any enrichment:
-// derived attributes read as frozen in the snapshot.
-func (s *Session) Query(query string) (*Rows, error) {
-	return rowsOnly(s.Run(context.Background(), PlainDesign, query, QueryObs{}))
-}
-
-// QueryLoose executes a query against the snapshot with the loose design.
-// Enrichment runs on the snapshot's tuple images through the shared manager
-// and enrichment server.
-func (s *Session) QueryLoose(query string) (*Result, error) {
-	return s.Run(context.Background(), LooseDesign, query, QueryObs{})
-}
-
-// QueryTight executes a query against the snapshot with the tight design:
-// rewritten UDFs enrich the snapshot's tuple images lazily during predicate
-// evaluation, sharing state and deduplication with every other session.
-func (s *Session) QueryTight(query string) (*Result, error) {
-	return s.Run(context.Background(), TightDesign, query, QueryObs{})
 }

@@ -3,10 +3,7 @@ package enrichdb
 import (
 	"fmt"
 
-	"enrichdb/internal/enrich"
-	"enrichdb/internal/loose"
 	"enrichdb/internal/shard"
-	"enrichdb/internal/stats"
 )
 
 // ShardConfig parameterizes OpenSharded.
@@ -25,13 +22,7 @@ func OpenSharded(cfg ShardConfig) (*DB, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("enrichdb: ShardConfig.Shards must be >= 1, got %d", cfg.Shards)
 	}
-	mgr := enrich.NewManager()
-	return &DB{
-		store:        shard.New(shard.Config{Shards: cfg.Shards}),
-		mgr:          mgr,
-		enricher:     &loose.LocalEnricher{Mgr: mgr},
-		runtimeStats: stats.NewStore(),
-	}, nil
+	return newDB(shard.New(shard.Config{Shards: cfg.Shards})), nil
 }
 
 // Shards returns the number of shard replicas (1 for an unsharded DB).

@@ -82,7 +82,7 @@ func TestShardEquivalencePlain(t *testing.T) {
 				if got := renderExact(rows); got != want[i] {
 					t.Errorf("live query %q diverged:\n--- sharded\n%s--- unsharded\n%s", q, got, want[i])
 				}
-				srows, err := sess.Query(q)
+				srows, err := sessionRows(sess, q)
 				if err != nil {
 					t.Fatalf("session %q: %v", q, err)
 				}
