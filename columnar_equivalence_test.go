@@ -193,7 +193,7 @@ func TestColumnarEquivalence(t *testing.T) {
 // fused Project allocates no arena rows) and the scatter keeps its node
 // counts: the shards' scanned rows in, the merged answer out.
 func TestColumnarExplainAnalyze(t *testing.T) {
-	const q = "SELECT id, a FROM T WHERE a < 20 AND b > 2"
+	const q = "SELECT id, a FROM T WHERE a < 20 AND s <> 's1'"
 	for _, shards := range []int{0, 4} {
 		db := openColDB(t, shards)
 		plain, err := db.Query(q)

@@ -205,35 +205,37 @@ func (db *DB) InsertEnriched(relation string, id int64, values ...Value) (int64,
 	return tid, nil
 }
 
-// Update replaces one column of one tuple. Updating any column of a tuple
-// resets its enrichment state (§3.3.5 of the paper): stale derived values
-// must be recomputed.
+// Update replaces one fixed column of one tuple. Updating a fixed column
+// resets the tuple's enrichment state (§3.3.5 of the paper): stale derived
+// values must be recomputed. A derived column is refused: its one writer is
+// enrichment (enrich.Manager.WriteBack), which guards each write with the
+// tuple's generation and keeps the enrichment state beside the value.
 func (db *DB) Update(relation string, id int64, column string, v Value) error {
 	tbl, err := db.store.BaseTable(relation)
 	if err != nil {
 		return err
 	}
+	c := tbl.Schema().Col(column)
+	switch {
+	case c == nil:
+		return fmt.Errorf("enrichdb: %s has no column %s", relation, column)
+	case c.Derived:
+		return fmt.Errorf("enrichdb: %s.%s is a derived column; enrichment writes its values", relation, column)
+	}
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	schema := tbl.Schema()
-	if c := schema.Col(column); c != nil && !c.Derived {
-		if tbl.Get(id) == nil {
-			return fmt.Errorf("enrichdb: %s has no tuple %d", relation, id)
-		}
-		// A fixed-attribute write supersedes the tuple's enrichment (§3.3.5).
-		// Invalidate the shared state first, at the generation the commit
-		// installs, so enrichment of the old image arriving in the window is
-		// dropped and enrichment of the new image is never invalidated; then
-		// swap the new fixed value and the cleared derived values in as one
-		// atomic image (readers never see a torn half-updated tuple).
-		db.mgr.ResetTuple(relation, id, tbl.Gen(id)+1)
-		if _, err := tbl.CommitFixed(id, column, v); err != nil {
-			return err
-		}
-	} else {
-		if _, err := tbl.Update(id, column, v); err != nil {
-			return err
-		}
+	if tbl.Get(id) == nil {
+		return fmt.Errorf("enrichdb: %s has no tuple %d", relation, id)
+	}
+	// A fixed-attribute write supersedes the tuple's enrichment (§3.3.5).
+	// Invalidate the shared state first, at the generation the commit
+	// installs, so enrichment of the old image arriving in the window is
+	// dropped and enrichment of the new image is never invalidated; then
+	// swap the new fixed value and the cleared derived values in as one
+	// atomic image (readers never see a torn half-updated tuple).
+	db.mgr.ResetTuple(relation, id, tbl.Gen(id)+1)
+	if _, err := tbl.CommitFixed(id, column, v); err != nil {
+		return err
 	}
 	db.version.Add(1)
 	return nil
@@ -487,9 +489,3 @@ type EnrichmentStats struct {
 	ReExecutions   int64
 	StateSizeBytes int64
 }
-
-// RuntimeStats renders the database's runtime-statistics store — the EWMA
-// selectivities, function costs and operator cardinalities the adaptive
-// optimizer has accumulated (DESIGN §14). Deterministically ordered; empty
-// string before any query ran.
-func (db *DB) RuntimeStats() string { return db.runtimeStats.String() }

@@ -416,6 +416,36 @@ func TestUpdateResetsState(t *testing.T) {
 	}
 }
 
+// TestUpdateRefusesDerived: a derived column has one writer, the enrichment
+// write-back, which guards each value with the tuple's generation and keeps
+// the enrichment state beside it. DB.Update refuses a derived column by name
+// and leaves the stored image, its value and its mark as they were.
+func TestUpdateRefusesDerived(t *testing.T) {
+	db, _, _ := buildReviewDB(t)
+	if _, err := db.QueryLoose("SELECT * FROM Reviews WHERE rating = 1"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.store.BaseTable("Reviews")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci, bit := tbl.Schema().ColIndex("rating"), tbl.Schema().MarkBit("rating")
+	before, version := tbl.Get(1), db.Version()
+	if before.Enriched&bit == 0 || before.Vals[ci].IsNull() {
+		t.Fatalf("tuple 1 not enriched: mark %b, rating %v", before.Enriched, before.Vals[ci])
+	}
+	err = db.Update("Reviews", 1, "rating", Int(before.Vals[ci].Int()+1))
+	if err == nil || !strings.Contains(err.Error(), "Reviews.rating") || !strings.Contains(err.Error(), "derived") {
+		t.Fatalf("derived Update: err %v, want a refusal naming Reviews.rating", err)
+	}
+	if after := tbl.Get(1); after != before || db.Version() != version {
+		t.Errorf("refused Update wrote: image %v → %v, version %d → %d", before, after, version, db.Version())
+	}
+	if err := db.CheckEnrichmentMarks(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestDeletePublic(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	if err := db.Delete("Reviews", 1); err != nil {
@@ -535,9 +565,11 @@ func TestProgressiveTimingTotalsWall(t *testing.T) {
 	}
 }
 
-// RuntimeStats stays bounded under queries whose predicates differ only in
-// their constants: the store keys predicates by rendered text, and each of
-// its predicate and operator maps holds at most stats.MaxKeys keys.
+// The runtime-statistics store stays bounded under queries whose predicates
+// differ only in their constants: it keys predicates by rendered text, and a
+// full predicate map (stats.MaxKeys keys; internal/stats pins the bound)
+// starts over. So after MaxKeys+200 distinct constants the newest predicate
+// reads as observed in EXPLAIN and the first one has been dropped.
 func TestRuntimeStatsBoundedByDistinctConstants(t *testing.T) {
 	db, _, _ := buildReviewDB(t)
 	n := stats.MaxKeys + 200
@@ -546,19 +578,17 @@ func TestRuntimeStatsBoundedByDistinctConstants(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dump := db.RuntimeStats()
-	lines := strings.Split(strings.TrimRight(dump, "\n"), "\n")
-	preds := 0
-	for _, l := range lines {
-		if strings.HasPrefix(l, "pred ") {
-			preds++
+	for _, tc := range []struct {
+		day      int
+		observed bool
+	}{{n - 1, true}, {0, false}} {
+		res, err := db.Run(context.Background(), PlainDesign, fmt.Sprintf("EXPLAIN SELECT id FROM Reviews WHERE day < %d", tc.day), QueryObs{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if preds == 0 || preds > stats.MaxKeys || len(lines) > 2*stats.MaxKeys {
-		t.Fatalf("after %d distinct-constant queries: %d lines, %d predicates; want 1..%d predicates, at most %d lines",
-			n, len(lines), preds, stats.MaxKeys, 2*stats.MaxKeys)
-	}
-	if last := fmt.Sprintf("day < %d", n-1); !strings.Contains(dump, last) {
-		t.Errorf("the newest predicate (%s) is missing from the store", last)
+		plan := renderPlan(res.Rows)
+		if got := strings.Contains(plan, " observed)"); got != tc.observed {
+			t.Errorf("day < %d after %d distinct constants: observed %v, want %v\n%s", tc.day, n, got, tc.observed, plan)
+		}
 	}
 }

@@ -2,27 +2,22 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"enrichdb/internal/expr"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
-	"enrichdb/internal/storage"
 )
 
 // This file implements the engine half of the adaptive cost-based
 // optimization layer (DESIGN §14): runtime build-side selection for hash
-// joins, and the small observed-cardinality cost model behind cost-based join
-// ordering and plan-only EXPLAIN annotations. Filters keep their static
-// conjunct order: every Filter execution, on whichever path ran, reports its
-// pass rate to ExecCtx.Adapt (a stats.Store) under predKey, and the cost model
-// reads it back. A nil store — the default — keeps every hot loop on the exact
-// pre-adaptive code path.
+// joins, and the small observed-selectivity cost model behind plan-only
+// EXPLAIN annotations. Joins keep the static order Build gives them, and
+// filters their static conjunct order: every Filter execution, on whichever
+// path ran, reports its pass rate to ExecCtx.Adapt (a stats.Store) under
+// predKey, and the cost model reads it back. A nil store — the default —
+// keeps every hot loop on the exact pre-adaptive code path.
 //
 // Correctness contract: adaptivity never changes an answer's rows or their
-// order. The swapped-build join emits in the default path's order, and
-// cost-based join ordering applies only to outputs that canonicalize under any
-// join order (orderInsensitiveOutput).
+// order. The swapped-build join emits in the default path's order.
 
 // adaptiveBuildSwapFactor: a hash join builds on the left input when it is at
 // least this factor smaller than the right (the default build side). The
@@ -108,9 +103,8 @@ func (j *Join) opKey() string {
 
 // CostModel estimates cardinalities and costs from the stats store's
 // observed selectivities, falling back to textbook heuristics for
-// predicates it has never seen. It backs cost-based join ordering and the
-// plan-only EXPLAIN annotations; estimates are advisory, never load-bearing
-// for correctness.
+// predicates it has never seen. It backs the plan-only EXPLAIN annotations;
+// estimates are advisory, never load-bearing for correctness.
 type CostModel struct {
 	Store *stats.Store
 }
@@ -150,91 +144,4 @@ func heuristicSel(e expr.Expr) float64 {
 	default:
 		return 1.0 / 3
 	}
-}
-
-// leafCard estimates a table's post-selection cardinality: live row count
-// times the selectivity of the alias's pushed-down predicate, looked up under
-// the key its leaf Filter observes.
-func (cm *CostModel) leafCard(tbl storage.Relation, push expr.Expr) float64 {
-	card := float64(tbl.Len()) * cm.Selectivity(push)
-	if card < 1 {
-		card = 1
-	}
-	return card
-}
-
-// orderInsensitiveOutput reports whether the query's output is canonical
-// regardless of join input order: every select item aggregates with an
-// order-insensitive function (COUNT/MIN/MAX — SUM and AVG accumulate floats
-// in input order) or is a group-by column, and the Aggregate node sorts its
-// group keys. Only such queries are eligible for cost-based join
-// reordering; everything else keeps the static order so results stay
-// byte-identical with adaptivity off.
-func orderInsensitiveOutput(a *Analysis) bool {
-	stmt := a.Stmt
-	if stmt == nil || !stmt.HasAggregate() {
-		return false
-	}
-	for _, it := range stmt.Items {
-		switch it.Agg {
-		case sqlparser.AggNone, sqlparser.AggCount, sqlparser.AggMin, sqlparser.AggMax:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// orderTablesCost is orderTables with the cost model over opts.Stats breaking
-// ties: the greedy left-deep order still prefers the best connectivity tier
-// (cheap join conditions before UDF-bearing ones — the semantic ordering the
-// designs rely on), but within a tier it joins the table with the smallest
-// estimated post-selection cardinality next, and it starts from the smallest
-// estimated leaf instead of FROM order. Callers gate it on
-// orderInsensitiveOutput.
-func orderTablesCost(a *Analysis, db storage.Source, opts BuildOptions) []int {
-	n := len(a.Tables)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	if n <= 1 {
-		return out
-	}
-	cm := &CostModel{Store: opts.Stats}
-	cards := make([]float64, n)
-	for i, tm := range a.Tables {
-		tbl, err := db.Table(tm.Relation)
-		if err != nil {
-			return out // unknown table: bail to FROM order, Build will error
-		}
-		push, _ := splitSelPred(a, tm.Alias, !opts.NoUDFPullUp, opts.NoFixedFirstOrdering)
-		cards[i] = cm.leafCard(tbl, push)
-	}
-	start := 0
-	for i := 1; i < n; i++ {
-		if cards[i] < cards[start] {
-			start = i
-		}
-	}
-	perm := []int{start}
-	inSet := map[string]bool{a.Tables[start].Alias: true}
-	used := make([]bool, n)
-	used[start] = true
-	for len(perm) < n {
-		best, bestScore, bestCard := -1, -1, math.Inf(1)
-		for ti := 0; ti < n; ti++ {
-			if used[ti] {
-				continue
-			}
-			score := connectivity(a, inSet, a.Tables[ti].Alias)
-			if score > bestScore || (score == bestScore && cards[ti] < bestCard) {
-				best, bestScore, bestCard = ti, score, cards[ti]
-			}
-		}
-		used[best] = true
-		inSet[a.Tables[best].Alias] = true
-		perm = append(perm, best)
-	}
-	return perm
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -15,22 +14,31 @@ import (
 
 // TestAdaptiveFilterObservesOncePerExecution: a filter reports its pass rate
 // to the stats store exactly once per execution, whichever path ran — row or
-// vector, or fused under a projection. The predicate passes only in the
-// first batches, so a per-batch observation would leave a different decayed
-// selectivity.
+// vector, or fused under a projection. Each run's store starts from the same
+// prior (one evaluation, no pass), so the selectivity it ends with matches
+// the prior plus one whole-execution observation only if there was exactly
+// one: a second observation, or one per batch (the predicate passes only in
+// the first batches), decays it to a different value. No conjunct and no
+// operator gets an entry of its own.
 func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 	const n = 2500
 	tbl := vectorTestTable(t, n)
-	pred := expr.NewAnd(
-		expr.NewCmp(expr.LE, expr.NewCol("V", "id"), expr.NewConst(types.NewInt(700))),
-		expr.NewCmp(expr.GE, expr.NewCol("V", "b"), expr.NewConst(types.NewInt(2))))
+	le := expr.NewCmp(expr.LE, expr.NewCol("V", "id"), expr.NewConst(types.NewInt(700)))
+	ge := expr.NewCmp(expr.GE, expr.NewCol("V", "b"), expr.NewConst(types.NewInt(2)))
+	pred := expr.NewAnd(le, ge)
 	if err := pred.Resolve(NewScan(tbl, "V").Schema()); err != nil {
 		t.Fatal(err)
 	}
-	run := func(noVector, project bool) (string, int) {
+	key := predKey(pred)
+	primed := func() *stats.Store {
+		st := stats.NewStore()
+		st.ObservePredicate(key, 1, 0)
+		return st
+	}
+	run := func(noVector, project bool) (*stats.Store, int) {
 		ctx := NewExecCtx()
 		ctx.NoVector = noVector
-		ctx.Adapt = stats.NewStore()
+		ctx.Adapt = primed()
 		var plan Plan = NewFilter(NewScan(tbl, "V"), pred)
 		if project {
 			plan = NewProject(plan, []int{0, 1})
@@ -39,20 +47,31 @@ func TestAdaptiveFilterObservesOncePerExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ctx.Adapt.String(), len(out)
+		return ctx.Adapt, len(out)
 	}
-	want, rows := run(true, false)
+	_, rows := run(true, false)
 	if rows == 0 || rows == n {
 		t.Fatalf("filter kept %d of %d rows; test data broken", rows, n)
 	}
-	if exact := fmt.Sprintf("pred %q sel=%.3f evals=%d\n", fmt.Sprint(pred), float64(rows)/n, n); want != exact {
-		t.Fatalf("row path left store\n%s\nwant\n%s", want, exact)
-	}
+	ref := primed()
+	ref.ObservePredicate(key, n, int64(rows))
+	want, _ := ref.PredicateSelectivity(key)
 	for _, noVector := range []bool{false, true} {
 		for _, project := range []bool{false, true} {
-			if got, _ := run(noVector, project); got != want {
-				t.Errorf("noVector=%v project=%v left store\n%s\nwant\n%s",
-					noVector, project, got, want)
+			st, _ := run(noVector, project)
+			if got, ok := st.PredicateSelectivity(key); !ok || got != want {
+				t.Errorf("noVector=%v project=%v left selectivity %v (ok=%v), want %v after one observation of %d/%d",
+					noVector, project, got, ok, want, rows, n)
+			}
+			for _, k := range []string{predKey(le), predKey(ge)} {
+				if sel, ok := st.PredicateSelectivity(k); ok {
+					t.Errorf("noVector=%v project=%v: conjunct %q observed on its own (sel=%v)", noVector, project, k, sel)
+				}
+			}
+			for _, k := range []string{key, predKey(le), predKey(ge)} {
+				if _, _, ok := st.OpCardinality(k); ok {
+					t.Errorf("noVector=%v project=%v: operator entry under %q", noVector, project, k)
+				}
 			}
 		}
 	}
@@ -143,100 +162,7 @@ func TestAdaptiveBuildSwap(t *testing.T) {
 	}
 	// The join's observed cardinality must be in the store for the planner.
 	if _, _, ok := ctx.Adapt.OpCardinality(mkJoin().opKey()); !ok {
-		t.Errorf("join cardinality not recorded; store:\n%s", ctx.Adapt.String())
-	}
-}
-
-// TestAdaptiveJoinOrderCountInvariant: cost-based join ordering only fires
-// for order-insensitive aggregate outputs, and must not change them.
-func TestAdaptiveJoinOrderCountInvariant(t *testing.T) {
-	db := testDB(t)
-	q := "SELECT COUNT(*) FROM TweetData T1, State S WHERE T1.location = S.city AND T1.TweetTime < 7"
-	a, err := Analyze(sqlparser.MustParse(q), db.Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !orderInsensitiveOutput(a) {
-		t.Fatal("COUNT query should be eligible for cost-based join ordering")
-	}
-	static, err := Build(a, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := stats.NewStore()
-	// Seed the store with a selectivity making T1 look tiny, so the
-	// cost-based order has a reason to differ from the static one.
-	st.ObservePredicate("T1.TweetTime < 7", 1000, 3)
-	adaptive, err := BuildOpt(a, db, BuildOptions{Stats: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := static.Execute(NewExecCtx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewExecCtx()
-	ctx.Adapt = st
-	r2, err := adaptive.Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsFingerprint(r1) != rowsFingerprint(r2) {
-		t.Fatalf("cost-based join order changed a COUNT result:\n%s\nvs\n%s",
-			static.Explain(""), adaptive.Explain(""))
-	}
-}
-
-// TestAdaptiveJoinOrderLearnsFromLeafFilter: cost-based join ordering reads
-// the pass rate the alias's leaf filter observed on the vector path. The
-// heuristic guesses T1's two range conjuncts keep a ninth of its 9 rows, so
-// T1 (est. 1 row) starts ahead of State (3 rows); once a run has observed
-// that every T1 row passes, State starts.
-func TestAdaptiveJoinOrderLearnsFromLeafFilter(t *testing.T) {
-	db := testDB(t)
-	q := "SELECT COUNT(*) FROM TweetData T1, State S WHERE T1.location = S.city AND T1.TweetTime > 0 AND T1.tid > 0"
-	a, err := Analyze(sqlparser.MustParse(q), db.Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := stats.NewStore()
-	opts := BuildOptions{Stats: st}
-	if got := fmt.Sprint(orderTablesCost(a, db, opts)); got != "[0 1]" {
-		t.Fatalf("heuristic order = %s, want [0 1]", got)
-	}
-	plan, err := BuildOpt(a, db, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewExecCtx()
-	ctx.Adapt = st
-	if _, err := plan.Execute(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(orderTablesCost(a, db, opts)); got != "[1 0]" {
-		t.Errorf("order after one run = %s, want [1 0]; store:\n%s", got, st)
-	}
-}
-
-// TestAdaptiveOffIsStatic: a non-aggregate query must never be reordered even
-// with a store attached (no store is Build itself, the static plan).
-func TestAdaptiveOffIsStatic(t *testing.T) {
-	db := testDB(t)
-	q := "SELECT * FROM TweetData T1, State S WHERE T1.location = S.city AND T1.TweetTime < 7"
-	a, err := Analyze(sqlparser.MustParse(q), db.Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(a, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, err := BuildOpt(a, db, BuildOptions{Stats: stats.NewStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.Explain("") != want.Explain("") {
-		t.Errorf("order-sensitive query was reordered under adaptivity: %q", q)
+		t.Error("join cardinality not recorded")
 	}
 }
 

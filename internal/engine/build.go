@@ -5,7 +5,6 @@ import (
 
 	"enrichdb/internal/expr"
 	"enrichdb/internal/sqlparser"
-	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
@@ -36,12 +35,6 @@ type BuildOptions struct {
 	NoUDFPullUp bool
 	// NoJoinReorder joins strictly in FROM order.
 	NoJoinReorder bool
-	// Stats, when non-nil, enables cost-based join ordering from observed
-	// cardinalities and selectivities (DESIGN §14). It only ever applies to
-	// queries whose output is canonical under any join order (see
-	// orderInsensitiveOutput); everything else keeps the static greedy
-	// order, so results stay byte-identical with adaptivity off.
-	Stats *stats.Store
 }
 
 // BuildOpt is Build with optimizer toggles.
@@ -65,16 +58,7 @@ func BuildOpt(a *Analysis, db storage.Source, opts BuildOptions) (Plan, error) {
 	// loose design even though its join must run as a nested loop.
 	ordered := a
 	if !opts.NoJoinReorder {
-		if opts.Stats != nil && orderInsensitiveOutput(a) {
-			// Cost-based order from observed cardinalities: same greedy
-			// connectivity tiers, ties broken by estimated post-selection
-			// cardinality instead of FROM order. Gated on queries whose
-			// output canonicalizes (order-insensitive aggregates), so the
-			// result is byte-identical to the static order.
-			ordered = a.withTableOrder(orderTablesCost(a, db, opts))
-		} else {
-			ordered = a.withTableOrder(orderTables(a))
-		}
+		ordered = a.withTableOrder(orderTables(a))
 	}
 
 	leaves := make([]Plan, len(ordered.Tables))
@@ -501,26 +485,11 @@ func BuildAggregate(child Plan, items []sqlparser.SelectItem, groupBy []*expr.Co
 		outCols = append(outCols, crs.Cols[ci])
 	}
 	for _, it := range items {
-		if it.Agg == sqlparser.AggNone {
-			continue
+		if it.Agg == sqlparser.AggCount {
+			name := it.String()
+			agg.Aggs = append(agg.Aggs, name)
+			outCols = append(outCols, expr.ColInfo{Alias: "", Name: name, Kind: types.KindInt, Slot: 0})
 		}
-		spec := AggSpec{Kind: it.Agg, ColIndex: -1, Name: it.String()}
-		kind := types.KindInt
-		if it.Col != nil {
-			ci, err := crs.Lookup(it.Col.Alias, it.Col.Name)
-			if err != nil {
-				return nil, err
-			}
-			spec.ColIndex = ci
-			switch it.Agg {
-			case sqlparser.AggSum, sqlparser.AggAvg:
-				kind = types.KindFloat
-			case sqlparser.AggMin, sqlparser.AggMax:
-				kind = crs.Cols[ci].Kind
-			}
-		}
-		agg.Aggs = append(agg.Aggs, spec)
-		outCols = append(outCols, expr.ColInfo{Alias: "", Name: spec.Name, Kind: kind, Slot: 0})
 	}
 	agg.rs = &expr.RowSchema{
 		Slots: []expr.TableSlot{{Alias: "", Relation: "", Schema: nil, ColStart: 0}},

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"enrichdb/internal/expr"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/stats"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
@@ -63,11 +62,6 @@ type ExecCtx struct {
 	// Arena amortizes row materialization; nil falls back to per-row
 	// allocation (all arena methods are nil-safe).
 	Arena *expr.RowArena
-	// CopyRows makes scans materialize rows with owned value slices instead
-	// of aliasing the immutable stored tuples. The tight driver enables it
-	// (together with Eval.PatchRows) so UDF evaluation can patch freshly
-	// enriched derived values into rows already flowing through the plan.
-	CopyRows bool
 	// NoVector forces the row-at-a-time path even where a vectorized
 	// filter-over-scan is available (ablations, equivalence testing).
 	NoVector bool
@@ -110,11 +104,10 @@ func (ctx *ExecCtx) Fork() *ExecCtx {
 		// Counters, arena and eval scratch are not goroutine-safe: fresh per
 		// fork, the parent folds in what it reports. The UDF runtime is
 		// shared (it synchronizes itself).
-		Eval:  &expr.EvalCtx{Runtime: ctx.Eval.Runtime},
+		Eval:  &expr.EvalCtx{Runtime: ctx.Eval.Runtime, PatchRows: ctx.Eval.PatchRows},
 		Stats: &Stats{},
 		Arena: &expr.RowArena{},
 
-		CopyRows: ctx.CopyRows,
 		NoVector: ctx.NoVector,
 		Done:     ctx.Done,
 		Adapt:    ctx.Adapt,
@@ -229,7 +222,7 @@ func (s *Scan) materialize(ctx *ExecCtx) []*expr.Row {
 	tuples := s.Table.Tuples()
 	ctx.Arena.Reserve(len(tuples), 0, len(tuples))
 	out := make([]*expr.Row, len(tuples))
-	if ctx.CopyRows {
+	if ctx.Eval.PatchRows {
 		for i, tu := range tuples {
 			out[i] = ctx.Arena.RowFromTupleCopy(s.rs, tu)
 		}
@@ -647,20 +640,13 @@ func (j *Join) Explain(indent string) string {
 		j.L.Explain(indent+"  "), j.R.Explain(indent+"  "))
 }
 
-// AggSpec is one aggregate in the select list, resolved against the child
-// schema (ColIndex < 0 for COUNT(*)).
-type AggSpec struct {
-	Kind     sqlparser.AggKind
-	ColIndex int
-	Name     string
-}
-
-// Aggregate groups its input and computes the aggregates. With no group-by
-// columns it produces a single row over the whole input.
+// Aggregate groups its input and counts each group's rows: COUNT(*) is the
+// one aggregate. With no group-by columns it produces a single row over the
+// whole input.
 type Aggregate struct {
 	Child   Plan
-	GroupBy []int // column indexes into the child schema
-	Aggs    []AggSpec
+	GroupBy []int    // column indexes into the child schema
+	Aggs    []string // one COUNT(*) output column per select-list count, by name
 	rs      *expr.RowSchema
 }
 
@@ -673,11 +659,7 @@ func (a *Aggregate) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	if ctx.Prof == nil {
 		return a.execute(ctx)
 	}
-	names := make([]string, len(a.Aggs))
-	for i, s := range a.Aggs {
-		names[i] = s.Name
-	}
-	n := ctx.profEnter("Aggregate", fmt.Sprintf("group=%v aggs=%s", a.GroupBy, strings.Join(names, ",")))
+	n := ctx.profEnter("Aggregate", fmt.Sprintf("group=%v aggs=%s", a.GroupBy, strings.Join(a.Aggs, ",")))
 	out, err := a.execute(ctx)
 	ctx.profExit(n, len(out), err)
 	return out, err
@@ -694,10 +676,7 @@ func (a *Aggregate) execute(ctx *ExecCtx) ([]*expr.Row, error) {
 // aggState accumulates one group.
 type aggState struct {
 	groupVals []types.Value
-	count     []int64   // per agg: rows contributing
-	sum       []float64 // per agg: running sum
-	minmax    []types.Value
-	rows      int64 // COUNT(*) denominator
+	rows      int64
 }
 
 // AggregateRows aggregates explicit input rows (shared with tests; IVM keeps
@@ -713,92 +692,36 @@ func (a *Aggregate) AggregateRows(in []*expr.Row) ([]*expr.Row, error) {
 			for i, gi := range a.GroupBy {
 				gv[i] = r.Vals[gi]
 			}
-			st = &aggState{
-				groupVals: gv,
-				count:     make([]int64, len(a.Aggs)),
-				sum:       make([]float64, len(a.Aggs)),
-				minmax:    make([]types.Value, len(a.Aggs)),
-			}
+			st = &aggState{groupVals: gv}
 			groups[key] = st
 			order = append(order, key)
 		}
 		st.rows++
-		for ai, spec := range a.Aggs {
-			if spec.ColIndex < 0 { // COUNT(*)
-				continue
-			}
-			v := r.Vals[spec.ColIndex]
-			if v.IsNull() {
-				continue
-			}
-			st.count[ai]++
-			switch spec.Kind {
-			case sqlparser.AggSum, sqlparser.AggAvg:
-				st.sum[ai] += v.Float()
-			case sqlparser.AggMin:
-				if st.minmax[ai].IsNull() {
-					st.minmax[ai] = v
-				} else if c, ok := v.Compare(st.minmax[ai]); ok && c < 0 {
-					st.minmax[ai] = v
-				}
-			case sqlparser.AggMax:
-				if st.minmax[ai].IsNull() {
-					st.minmax[ai] = v
-				} else if c, ok := v.Compare(st.minmax[ai]); ok && c > 0 {
-					st.minmax[ai] = v
-				}
-			}
-		}
 	}
 	sort.Strings(order) // deterministic output
 	out := make([]*expr.Row, 0, len(order))
 	for _, key := range order {
 		st := groups[key]
-		vals := make([]types.Value, len(a.rs.Cols))
-		for i := range a.GroupBy {
-			vals[i] = st.groupVals[i]
-		}
-		base := len(a.GroupBy)
-		for ai, spec := range a.Aggs {
-			vals[base+ai] = finishAgg(spec, st, ai)
-		}
-		out = append(out, &expr.Row{Schema: a.rs, Vals: vals})
+		out = append(out, &expr.Row{Schema: a.rs, Vals: a.GroupRow(st.groupVals, st.rows)})
 	}
 	return out, nil
 }
 
-func finishAgg(spec AggSpec, st *aggState, ai int) types.Value {
-	switch spec.Kind {
-	case sqlparser.AggCount:
-		if spec.ColIndex < 0 {
-			return types.NewInt(st.rows)
-		}
-		return types.NewInt(st.count[ai])
-	case sqlparser.AggSum:
-		if st.count[ai] == 0 {
-			return types.Null
-		}
-		return types.NewFloat(st.sum[ai])
-	case sqlparser.AggAvg:
-		if st.count[ai] == 0 {
-			return types.Null
-		}
-		return types.NewFloat(st.sum[ai] / float64(st.count[ai]))
-	case sqlparser.AggMin, sqlparser.AggMax:
-		return st.minmax[ai]
-	default:
-		return types.Null
+// GroupRow is the output row of a group: its group-by values, then its row
+// count once per COUNT(*) in the select list.
+func (a *Aggregate) GroupRow(groupVals []types.Value, rows int64) []types.Value {
+	vals := make([]types.Value, len(a.rs.Cols))
+	copy(vals, groupVals)
+	for i := len(groupVals); i < len(vals); i++ {
+		vals[i] = types.NewInt(rows)
 	}
+	return vals
 }
 
 // Explain renders the subtree.
 func (a *Aggregate) Explain(indent string) string {
-	names := make([]string, len(a.Aggs))
-	for i, s := range a.Aggs {
-		names[i] = s.Name
-	}
 	return fmt.Sprintf("%sAggregate group=%v aggs=%s\n%s", indent, a.GroupBy,
-		strings.Join(names, ","), a.Child.Explain(indent+"  "))
+		strings.Join(a.Aggs, ","), a.Child.Explain(indent+"  "))
 }
 
 // Project narrows the child's rows to the listed column indexes.

@@ -161,7 +161,7 @@ func eachSet(a, b expr.Bitmap, fn func(i int) bool) bool {
 
 // vecRow materializes one surviving tuple exactly as Scan.materialize would.
 func (f *Filter) vecRow(ctx *ExecCtx, s *Scan, tu *types.Tuple) *expr.Row {
-	if ctx.CopyRows {
+	if ctx.Eval.PatchRows {
 		return ctx.Arena.RowFromTupleCopy(s.rs, tu)
 	}
 	return ctx.Arena.RowFromTuple(s.rs, tu)

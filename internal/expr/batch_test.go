@@ -148,7 +148,9 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 }
 
 // TestCompileVecPredShapes pins the prefix rule: compilable conjuncts before
-// the first exotic one become kernels, the rest stays as residual.
+// the first exotic one become kernels, the rest stays as residual. The
+// compilable comparisons are an INT/BOOL column against an integral constant
+// and a STRING column against a string constant, column first.
 func TestCompileVecPredShapes(t *testing.T) {
 	rs := batchTestSchema()
 	col := func(n string) *Col { return NewCol("T", n) }
@@ -164,7 +166,7 @@ func TestCompileVecPredShapes(t *testing.T) {
 		NewCmp(LT, col("i"), NewConst(types.NewInt(5))),
 		TruePred{},
 		&IsNull{Kid: col("s"), Negate: true},
-		NewCmp(GE, NewConst(types.NewFloat(1)), col("f")),
+		NewCmp(GE, col("s"), NewConst(types.NewString("a"))),
 	))
 	vp := CompileVecPred(full, rs)
 	if vp == nil || vp.Residual != nil || vp.NumKernels() != 3 {
@@ -196,10 +198,18 @@ func TestCompileVecPredShapes(t *testing.T) {
 		t.Fatal("INT-vs-STRING comparison should stay on the row path")
 	}
 
-	// NULL literal compiles to the all-Unknown kernel.
-	vp = CompileVecPred(resolve(NewCmp(EQ, col("i"), NewConst(types.Null))), rs)
-	if vp == nil || vp.NumKernels() != 1 || vp.Residual != nil {
-		t.Fatalf("NULL-literal compile: %+v", vp)
+	// Every other comparison runs on the row path: a FLOAT side, two
+	// columns, a constant first, a NULL literal.
+	for _, e := range []Expr{
+		NewCmp(GT, col("f"), NewConst(types.NewFloat(0))),
+		NewCmp(LT, col("i"), NewConst(types.NewFloat(1.5))),
+		NewCmp(EQ, col("i"), col("i")),
+		NewCmp(GE, NewConst(types.NewInt(1)), col("i")),
+		NewCmp(EQ, col("i"), NewConst(types.Null)),
+	} {
+		if vp := CompileVecPred(resolve(e), rs); vp != nil {
+			t.Errorf("%s compiled to %d kernels; want the row path", e, vp.NumKernels())
+		}
 	}
 }
 

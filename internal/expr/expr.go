@@ -109,8 +109,8 @@ type EvalCtx struct {
 	// into the evaluated row's derived column, so operators above the filter
 	// (projection, grouping) observe enrichment performed during this query.
 	// Stored tuples are copy-on-write and rows normally alias tuple values,
-	// so this must only be enabled when the executor materializes rows that
-	// own their value slices (engine.ExecCtx.CopyRows).
+	// so the engine's scans materialize rows that own their value slices
+	// while it is set.
 	PatchRows bool
 }
 

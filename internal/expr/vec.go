@@ -161,23 +161,6 @@ func compileConjunct(e Expr, rs *RowSchema) vecKernel {
 	return nil
 }
 
-// swapOp mirrors an operator across swapped operands: const OP col becomes
-// col swapOp(OP) const.
-func swapOp(op CmpOp) CmpOp {
-	switch op {
-	case LT:
-		return GT
-	case LE:
-		return GE
-	case GT:
-		return LT
-	case GE:
-		return LE
-	default: // EQ, NE are symmetric
-		return op
-	}
-}
-
 // opHolds translates a Compare-style ordering into the operator's boolean.
 func opHolds(op CmpOp, cmp int) bool {
 	switch op {
@@ -196,20 +179,6 @@ func opHolds(op CmpOp, cmp int) bool {
 	}
 }
 
-// cmpFloat orders two float64 exactly as Value.Compare does: NaN compares
-// "equal" to everything (neither < nor >), so kernels must not use direct
-// operator fast paths on floats.
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:
@@ -221,77 +190,32 @@ func cmpInt(a, b int64) int {
 	}
 }
 
+// compileCmp compiles column OP constant for an INT/BOOL column against an
+// integral constant and a STRING column against a string constant, the
+// shapes the paper's queries and their rewrites produce. Every other
+// comparison ends the compiled prefix and runs on the residual row path.
 func compileCmp(c *Cmp, rs *RowSchema) vecKernel {
-	if lc, ok := c.L.(*Col); ok {
-		switch r := c.R.(type) {
-		case *Const:
-			return compileColConst(lc, c.Op, r.Val, rs)
-		case *Col:
-			return compileColCol(lc, r, c.Op, rs)
-		}
+	col, ok := c.L.(*Col)
+	if !ok || !col.bound {
 		return nil
 	}
-	if lk, ok := c.L.(*Const); ok {
-		if rc, ok2 := c.R.(*Col); ok2 {
-			return compileColConst(rc, swapOp(c.Op), lk.Val, rs)
-		}
+	k, ok := c.R.(*Const)
+	if !ok {
+		return nil
+	}
+	cv, kind := k.Val, rs.Cols[col.Index].Kind
+	switch {
+	case integralKind(kind) && integralKind(cv.Kind()):
+		return kCmpIntConst{ci: col.Index, op: c.Op, rhs: cv.Int()}
+	case kind == types.KindString && cv.Kind() == types.KindString:
+		return kCmpStrConst{ci: col.Index, op: c.Op, rhs: cv.Str()}
 	}
 	return nil
 }
 
 func integralKind(k types.Kind) bool { return k == types.KindInt || k == types.KindBool }
-func numericKind(k types.Kind) bool  { return integralKind(k) || k == types.KindFloat }
-
-func compileColConst(col *Col, op CmpOp, cv types.Value, rs *RowSchema) vecKernel {
-	if !col.bound {
-		return nil
-	}
-	kind := rs.Cols[col.Index].Kind
-	if cv.IsNull() {
-		// Comparison with a NULL literal is Unknown on every lane.
-		return kUnknown{}
-	}
-	switch {
-	case integralKind(kind) && integralKind(cv.Kind()):
-		return kCmpIntConst{ci: col.Index, op: op, rhs: cv.Int()}
-	case numericKind(kind) && numericKind(cv.Kind()):
-		// Either side FLOAT: Compare widens to float64.
-		return kCmpFloatConst{ci: col.Index, op: op, rhs: cv.Float(), colIntegral: integralKind(kind)}
-	case kind == types.KindString && cv.Kind() == types.KindString:
-		return kCmpStrConst{ci: col.Index, op: op, rhs: cv.Str()}
-	}
-	// Mismatched kinds are an eval error on non-NULL lanes in the row path;
-	// leave the conjunct uncompiled so the error surfaces identically.
-	return nil
-}
-
-func compileColCol(l, r *Col, op CmpOp, rs *RowSchema) vecKernel {
-	if !l.bound || !r.bound {
-		return nil
-	}
-	lk, rk := rs.Cols[l.Index].Kind, rs.Cols[r.Index].Kind
-	switch {
-	case integralKind(lk) && integralKind(rk):
-		return kCmpColCol{li: l.Index, ri: r.Index, op: op, mode: ccInt}
-	case numericKind(lk) && numericKind(rk):
-		return kCmpColCol{li: l.Index, ri: r.Index, op: op, mode: ccFloat}
-	case lk == types.KindString && rk == types.KindString:
-		return kCmpColCol{li: l.Index, ri: r.Index, op: op, mode: ccStr}
-	}
-	return nil
-}
 
 // ---- kernels ----
-
-// kUnknown: every lane Unknown (comparison against a NULL literal).
-type kUnknown struct{}
-
-func (kUnknown) apply(_ *Batch, t, _ Bitmap) bool {
-	for i := range t {
-		t[i] = 0
-	}
-	return true
-}
 
 // kIsNull: IS [NOT] NULL on a column — never Unknown.
 type kIsNull struct {
@@ -411,40 +335,6 @@ func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) bool {
 	return true
 }
 
-// kCmpFloatConst: numeric column vs constant compared in float64 space
-// (NaN-exact per cmpFloat). colIntegral widens INT/BOOL lanes.
-type kCmpFloatConst struct {
-	ci          int
-	op          CmpOp
-	rhs         float64
-	colIntegral bool
-}
-
-func (k kCmpFloatConst) apply(b *Batch, t, nf Bitmap) bool {
-	cv, ok := b.Col(k.ci)
-	if !ok {
-		return false
-	}
-	nulls := cv.Nulls.Any()
-	for i := 0; i < b.Len(); i++ {
-		if nulls && cv.Nulls.Get(i) {
-			t.Clear(i)
-			continue
-		}
-		var x float64
-		if k.colIntegral {
-			x = float64(cv.I[i])
-		} else {
-			x = cv.F[i]
-		}
-		if !opHolds(k.op, cmpFloat(x, k.rhs)) {
-			t.Clear(i)
-			nf.Clear(i)
-		}
-	}
-	return true
-}
-
 // kCmpStrConst: STRING column vs string constant.
 type kCmpStrConst struct {
 	ci  int
@@ -469,59 +359,4 @@ func (k kCmpStrConst) apply(b *Batch, t, nf Bitmap) bool {
 		}
 	}
 	return true
-}
-
-type ccMode uint8
-
-const (
-	ccInt ccMode = iota
-	ccFloat
-	ccStr
-)
-
-// kCmpColCol: column-vs-column comparison within one batch.
-type kCmpColCol struct {
-	li, ri int
-	op     CmpOp
-	mode   ccMode
-}
-
-func (k kCmpColCol) apply(b *Batch, t, nf Bitmap) bool {
-	lv, ok := b.Col(k.li)
-	if !ok {
-		return false
-	}
-	rv, ok := b.Col(k.ri)
-	if !ok {
-		return false
-	}
-	lNulls, rNulls := lv.Nulls.Any(), rv.Nulls.Any()
-	for i := 0; i < b.Len(); i++ {
-		if (lNulls && lv.Nulls.Get(i)) || (rNulls && rv.Nulls.Get(i)) {
-			t.Clear(i)
-			continue
-		}
-		var cmp int
-		switch k.mode {
-		case ccInt:
-			cmp = cmpInt(lv.I[i], rv.I[i])
-		case ccFloat:
-			cmp = cmpFloat(laneFloat(lv, i), laneFloat(rv, i))
-		default:
-			cmp = strings.Compare(lv.S[i], rv.S[i])
-		}
-		if !opHolds(k.op, cmp) {
-			t.Clear(i)
-			nf.Clear(i)
-		}
-	}
-	return true
-}
-
-// laneFloat widens one lane to float64 regardless of the column's storage.
-func laneFloat(cv *ColVec, i int) float64 {
-	if cv.Kind == types.KindFloat {
-		return cv.F[i]
-	}
-	return float64(cv.I[i])
 }

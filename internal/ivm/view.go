@@ -23,7 +23,6 @@ import (
 
 	"enrichdb/internal/engine"
 	"enrichdb/internal/expr"
-	"enrichdb/internal/sqlparser"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
 	"enrichdb/internal/types"
@@ -523,7 +522,7 @@ func (v *View) SizeBytes() int64 {
 	}
 	for _, g := range v.groups {
 		if g.rows > 0 {
-			size += int64(len(g.groupVals))*8 + int64(len(g.count))*24
+			size += int64(len(g.groupVals))*8 + int64(len(v.out.Agg.Aggs))*24
 		}
 	}
 	for _, in := range v.inputs {
@@ -568,23 +567,15 @@ func sameRowVals(a, b *expr.Row) bool {
 	return true
 }
 
-// groupState accumulates one aggregation group incrementally. MIN/MAX keep a
-// value multiset so deletions can be maintained exactly.
+// groupState accumulates one aggregation group incrementally: its row
+// count, which every COUNT(*) of the select list reads.
 type groupState struct {
 	groupVals []types.Value
 	rows      int64
-	count     []int64
-	sum       []float64
-	valCounts []map[string]*valCount
 }
 
-type valCount struct {
-	val   types.Value
-	count int64
-}
-
-// applyAgg folds signed combined rows into the per-group accumulators and
-// reports changed groups as delete-old/insert-new row pairs.
+// applyAgg folds signed combined rows into the per-group counts and reports
+// changed groups as delete-old/insert-new row pairs.
 func (v *View) applyAgg(signed []signedRow) (*Delta, error) {
 	agg := v.out.Agg
 	touched := make(map[string]*expr.Row) // key -> output row before the batch (nil entry = absent)
@@ -596,48 +587,13 @@ func (v *View) applyAgg(signed []signedRow) (*Delta, error) {
 			for i, gi := range agg.GroupBy {
 				gv[i] = sr.row.Vals[gi]
 			}
-			g = &groupState{
-				groupVals: gv,
-				count:     make([]int64, len(agg.Aggs)),
-				sum:       make([]float64, len(agg.Aggs)),
-				valCounts: make([]map[string]*valCount, len(agg.Aggs)),
-			}
-			for i := range g.valCounts {
-				g.valCounts[i] = make(map[string]*valCount)
-			}
+			g = &groupState{groupVals: gv}
 			v.groups[key] = g
 		}
 		if _, seen := touched[key]; !seen {
 			touched[key] = v.groupRow(g) // nil when rows == 0
 		}
 		g.rows += int64(sr.sign)
-		for ai, spec := range agg.Aggs {
-			if spec.ColIndex < 0 {
-				continue
-			}
-			val := sr.row.Vals[spec.ColIndex]
-			if val.IsNull() {
-				continue
-			}
-			g.count[ai] += int64(sr.sign)
-			switch spec.Kind {
-			case sqlparser.AggSum, sqlparser.AggAvg:
-				g.sum[ai] += float64(sr.sign) * val.Float()
-			case sqlparser.AggMin, sqlparser.AggMax:
-				vk := val.Key()
-				vc, ok := g.valCounts[ai][vk]
-				if !ok {
-					vc = &valCount{val: val}
-					g.valCounts[ai][vk] = vc
-				}
-				vc.count += int64(sr.sign)
-				if vc.count == 0 {
-					delete(g.valCounts[ai], vk)
-				} else if vc.count < 0 {
-					return nil, fmt.Errorf("ivm: negative multiplicity for %s in MIN/MAX state", val)
-				}
-			}
-		}
 		if g.rows < 0 {
 			return nil, fmt.Errorf("ivm: negative group cardinality for key %q", key)
 		}
@@ -673,13 +629,7 @@ func (v *View) groupRow(g *groupState) *expr.Row {
 	if g.rows <= 0 {
 		return nil
 	}
-	agg := v.out.Agg
-	vals := make([]types.Value, len(agg.Schema().Cols))
-	copy(vals, g.groupVals)
-	base := len(agg.GroupBy)
-	for ai, spec := range agg.Aggs {
-		vals[base+ai] = v.finishAgg(spec, g, ai)
-	}
+	vals := v.out.Agg.GroupRow(g.groupVals, g.rows)
 	if v.out.Reorder != nil {
 		re := make([]types.Value, len(v.out.Reorder))
 		for i, w := range v.out.Reorder {
@@ -688,44 +638,6 @@ func (v *View) groupRow(g *groupState) *expr.Row {
 		vals = re
 	}
 	return &expr.Row{Schema: v.out.Schema, Vals: vals}
-}
-
-func (v *View) finishAgg(spec engine.AggSpec, g *groupState, ai int) types.Value {
-	switch spec.Kind {
-	case sqlparser.AggCount:
-		if spec.ColIndex < 0 {
-			return types.NewInt(g.rows)
-		}
-		return types.NewInt(g.count[ai])
-	case sqlparser.AggSum:
-		if g.count[ai] == 0 {
-			return types.Null
-		}
-		return types.NewFloat(g.sum[ai])
-	case sqlparser.AggAvg:
-		if g.count[ai] == 0 {
-			return types.Null
-		}
-		return types.NewFloat(g.sum[ai] / float64(g.count[ai]))
-	case sqlparser.AggMin, sqlparser.AggMax:
-		var best types.Value
-		for _, vc := range g.valCounts[ai] {
-			if best.IsNull() {
-				best = vc.val
-				continue
-			}
-			c, ok := vc.val.Compare(best)
-			if !ok {
-				continue
-			}
-			if (spec.Kind == sqlparser.AggMin && c < 0) || (spec.Kind == sqlparser.AggMax && c > 0) {
-				best = vc.val
-			}
-		}
-		return best
-	default:
-		return types.Null
-	}
 }
 
 // aggRows renders all non-empty groups in deterministic order.

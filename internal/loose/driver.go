@@ -192,7 +192,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	t2 := time.Now()
 	spExec := d.Tracer.Start("loose.execute")
 	xn := d.Prof.Phase("LooseExecute", "")
-	plan, err := engine.BuildOpt(a, d.DB, engine.BuildOptions{Stats: d.Stats})
+	plan, err := engine.Build(a, d.DB)
 	if err != nil {
 		spExec.Str("error", err.Error()).End()
 		return nil, err

@@ -32,6 +32,11 @@ func TestBadQueriesEveryEntryPoint(t *testing.T) {
 	cases := []struct{ name, sql string }{
 		{"order by", "SELECT id FROM events WHERE grp = 1 ORDER BY id"},
 		{"limit", "SELECT id, label FROM events LIMIT 3"},
+		{"sum", "SELECT grp, SUM(id) FROM events GROUP BY grp"},
+		{"avg", "SELECT AVG(id) FROM events"},
+		{"min", "SELECT MIN(id) FROM events WHERE grp = 1"},
+		{"max", "SELECT grp, count(*), MAX(label) FROM events GROUP BY grp"},
+		{"count of a column", "SELECT COUNT(label) FROM events"},
 		{"unknown column", "SELECT id, nosuch FROM events"},
 		{"ambiguous column in self-join", "SELECT id FROM events a, events b WHERE a.id = b.id"},
 		{"bad join column", "SELECT a.id FROM events a, events b WHERE a.grp = b.nosuch"},

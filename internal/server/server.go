@@ -442,11 +442,18 @@ func (c *conn) serveLoop() {
 		fr, err := wire.ReadFrame(cr, cfg.MaxFrame)
 		if err != nil {
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && cr.n == before && c.inFlight() > 0 {
+			transport := errors.As(err, &ne) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+			if ne != nil && ne.Timeout() && cr.n == before && c.inFlight() > 0 {
 				// Idle timeout at a frame boundary with queries still
 				// running: the client is waiting on us, not gone. A timeout
 				// mid-frame falls through — the stream is desynchronized.
 				continue
+			}
+			if !transport {
+				// The frame arrived but does not decode (an unknown or
+				// reserved type, a malformed payload, an oversize length):
+				// say why before hanging up, as for an unexpected frame.
+				c.write(&wire.Error{Code: wire.CodeBadFrame, Msg: err.Error()})
 			}
 			return
 		}

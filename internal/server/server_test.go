@@ -171,11 +171,11 @@ func TestPrepareExecute(t *testing.T) {
 	if err := c.Prepare(ctx, "q1", wire.DesignLoose, "SELECT id FROM events WHERE label = 2"); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	first, err := c.Execute(ctx, "q1")
+	first, err := c.ExecuteTrace(ctx, "q1", wire.TraceContext{})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-	second, err := c.Execute(ctx, "q1")
+	second, err := c.ExecuteTrace(ctx, "q1", wire.TraceContext{})
 	if err != nil {
 		t.Fatalf("re-execute: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestPrepareExecute(t *testing.T) {
 		t.Error("prepared statement is not stable across executions")
 	}
 	var we *wire.Error
-	if _, err := c.Execute(ctx, "nope"); !errors.As(err, &we) || we.Code != wire.CodeUnknownStmt {
+	if _, err := c.ExecuteTrace(ctx, "nope", wire.TraceContext{}); !errors.As(err, &we) || we.Code != wire.CodeUnknownStmt {
 		t.Errorf("unprepared name: got %v, want CodeUnknownStmt", err)
 	}
 }
@@ -198,16 +198,25 @@ func TestAuthTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Tenant() != "alpha" {
-		t.Errorf("tenant: got %q want alpha", c.Tenant())
-	}
-	if c.Version() != 8 {
-		t.Errorf("handshake version = %d, want 8 (one commit per seeded row)", c.Version())
-	}
 	if got := db.Telemetry().Gauge("serve.tenant.alpha.active").Value(); got != 1 {
 		t.Errorf("serve.tenant.alpha.active = %d, want 1", got)
 	}
 	c.Close()
+
+	// The Welcome frame names the tenant the token resolved to and the
+	// commit version the session opened at.
+	nc, err := newRawConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, &wire.Hello{Proto: wire.ProtoVersion, Token: "tok-alpha"}); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := wire.ReadFrame(nc, 0)
+	if w, ok := fr.(*wire.Welcome); err != nil || !ok || w.Tenant != "alpha" || w.Version != 8 {
+		t.Errorf("handshake answered %#v, %v; want Welcome{Tenant: alpha, Version: 8} (one commit per seeded row)", fr, err)
+	}
 
 	var we *wire.Error
 	if _, err := client.Dial(addr, client.Options{Token: "wrong"}); !errors.As(err, &we) || we.Code != wire.CodeAuth {
@@ -284,8 +293,9 @@ func TestCancelQuery(t *testing.T) {
 }
 
 // TestRemovedFrameTypeHangsUp: a frame of a type number protocol 2
-// removed (here 8, the old Kill) is corruption: the server hangs up that
-// connection only, and a query running on another connection completes.
+// removed (here 8, the old Kill) is corruption: the server answers a
+// connection-level BadFrame error that says why, hangs up that connection
+// only, and a query running on another connection completes.
 func TestRemovedFrameTypeHangsUp(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	_, _, addr := start(t, 60, &faultinject.SlowModel{Inner: testutil.StepModel(), Delay: time.Millisecond}, nil)
@@ -318,8 +328,12 @@ func TestRemovedFrameTypeHangsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	fr, err := wire.ReadFrame(nc, 0)
+	if we, ok := fr.(*wire.Error); err != nil || !ok || we.Code != wire.CodeBadFrame || we.Query != 0 || we.Msg == "" {
+		t.Fatalf("after a removed frame type: got %v, %v; want a connection-level BadFrame error", fr, err)
+	}
 	if fr, err := wire.ReadFrame(nc, 0); err != io.EOF && err != io.ErrUnexpectedEOF {
-		t.Fatalf("after a removed frame type: got %v, %v; want the server to hang up", fr, err)
+		t.Fatalf("after the BadFrame error: got %v, %v; want the server to hang up", fr, err)
 	}
 
 	select {

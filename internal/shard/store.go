@@ -188,11 +188,6 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 // Get returns the tuple by id from its owning replica.
 func (t *Table) Get(id int64) *types.Tuple { return t.route(id).Get(id) }
 
-// Update routes a single-column update.
-func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error) {
-	return t.route(id).Update(id, col, v)
-}
-
 // CommitFixed routes the atomic fixed+derived-clear swap.
 func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error) {
 	return t.route(id).CommitFixed(id, col, v)

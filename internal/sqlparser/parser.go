@@ -9,53 +9,29 @@ import (
 	"enrichdb/internal/types"
 )
 
-// AggKind identifies an aggregation function in the select list.
+// AggKind identifies an aggregation function in the select list. COUNT(*)
+// is the one aggregate: it is the only one a paper query (Q9) runs.
 type AggKind uint8
 
 // Supported aggregates.
 const (
 	AggNone AggKind = iota
 	AggCount
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
 )
 
-// String renders the aggregate name.
-func (k AggKind) String() string {
-	switch k {
-	case AggCount:
-		return "count"
-	case AggSum:
-		return "sum"
-	case AggAvg:
-		return "avg"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	default:
-		return "none"
-	}
-}
-
-// SelectItem is one entry in the select list: either a plain column or an
-// aggregate over a column (Col nil for COUNT(*)).
+// SelectItem is one entry in the select list: a plain column, or COUNT(*)
+// (Agg AggCount, Col nil).
 type SelectItem struct {
 	Agg AggKind
-	Col *expr.Col // nil only for COUNT(*)
+	Col *expr.Col // nil for COUNT(*)
 }
 
 // String renders the item.
 func (it SelectItem) String() string {
-	if it.Agg == AggNone {
-		return it.Col.String()
+	if it.Agg == AggCount {
+		return "count(*)"
 	}
-	if it.Col == nil {
-		return it.Agg.String() + "(*)"
-	}
-	return fmt.Sprintf("%s(%s)", it.Agg, it.Col)
+	return it.Col.String()
 }
 
 // TableRef is one FROM-clause entry.
@@ -305,40 +281,23 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	t := p.peek()
 	if t.kind == tokKeyword {
-		var agg AggKind
 		switch t.text {
+		case "SUM", "AVG", "MIN", "MAX":
+			// No paper query runs them, so they have no accumulator; the
+			// words stay reserved so the error names the function.
+			return SelectItem{}, p.errf("%s is not supported; the one aggregate is COUNT(*)", t.text)
 		case "COUNT":
-			agg = AggCount
-		case "SUM":
-			agg = AggSum
-		case "AVG":
-			agg = AggAvg
-		case "MIN":
-			agg = AggMin
-		case "MAX":
-			agg = AggMax
-		}
-		if agg != AggNone {
 			p.next()
 			if _, err := p.expect(tokPunct, "("); err != nil {
 				return SelectItem{}, err
 			}
-			var col *expr.Col
-			if p.accept(tokPunct, "*") {
-				if agg != AggCount {
-					return SelectItem{}, p.errf("%s(*) is not supported; only COUNT(*)", agg)
-				}
-			} else {
-				c, err := p.parseColRef()
-				if err != nil {
-					return SelectItem{}, err
-				}
-				col = c
+			if !p.accept(tokPunct, "*") {
+				return SelectItem{}, p.errf("COUNT(column) is not supported; the one aggregate is COUNT(*)")
 			}
 			if _, err := p.expect(tokPunct, ")"); err != nil {
 				return SelectItem{}, err
 			}
-			return SelectItem{Agg: agg, Col: col}, nil
+			return SelectItem{Agg: AggCount}, nil
 		}
 	}
 	c, err := p.parseColRef()

@@ -67,13 +67,6 @@ func TestParseAggregates(t *testing.T) {
 	if len(s.GroupBy) != 1 || s.GroupBy[0].Name != "topic" {
 		t.Errorf("group by: %+v", s.GroupBy)
 	}
-	s2 := MustParse("SELECT sum(x), avg(x), min(x), max(x), count(x) FROM T")
-	wantAggs := []AggKind{AggSum, AggAvg, AggMin, AggMax, AggCount}
-	for i, it := range s2.Items {
-		if it.Agg != wantAggs[i] || it.Col == nil {
-			t.Errorf("item %d: %+v", i, it)
-		}
-	}
 }
 
 func TestParseOrNotNull(t *testing.T) {

@@ -37,7 +37,6 @@ func randStmt(r *rand.Rand) *SelectStmt {
 		stmt.Items = []SelectItem{
 			{Col: expr.NewCol(g.Alias, g.Name)},
 			{Agg: AggCount},
-			{Agg: AggSum, Col: col()},
 		}
 	} else {
 		n := r.Intn(3) + 1

@@ -107,6 +107,12 @@ func TestParseRejections(t *testing.T) {
 		{sql: "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a", want: "ORDER BY is not supported"},
 		{sql: "SELECT * FROM t LIMIT 10", want: "LIMIT is not supported"},
 		{sql: "SELECT * FROM t a, u b WHERE a.x = b.x LIMIT 1", want: "LIMIT is not supported"},
+		{sql: "SELECT SUM(x) FROM t", want: "SUM is not supported"},
+		{sql: "SELECT g, avg(x) FROM t GROUP BY g", want: "AVG is not supported"},
+		{sql: "SELECT MIN(t.x) FROM t", want: "MIN is not supported"},
+		{sql: "SELECT count(*), MAX(x) FROM t", want: "MAX is not supported"},
+		{sql: "SELECT COUNT(x) FROM t", want: "COUNT(column) is not supported"},
+		{sql: "SELECT g, count(t.x) FROM t GROUP BY g", want: "COUNT(column) is not supported"},
 	} {
 		_, err := Parse(tc.sql)
 		if err == nil {

@@ -2,9 +2,9 @@
 // EWMA-decayed accumulator of per-predicate selectivities, per-enrichment-
 // function costs and answer impacts, and per-operator cardinalities. The
 // engine (one pass rate per filter execution, join cardinalities) and the
-// progressive executor feed it online from observed execution; cost-based
-// join ordering, the progressive Adaptive strategy and the plan-only EXPLAIN
-// annotator read estimates back out. Exponential decay (alpha-weighted)
+// progressive executor feed it online from observed execution; the
+// progressive Adaptive strategy and the plan-only EXPLAIN annotator read
+// estimates back out. Exponential decay (alpha-weighted)
 // keeps the estimates tracking drifting data instead of averaging over the
 // whole history.
 //
@@ -14,10 +14,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -229,53 +226,4 @@ func (s *Store) OpCardinality(key string) (in, out float64, ok bool) {
 		return st.rowsIn.v, st.rowsOut.v, true
 	}
 	return 0, 0, false
-}
-
-// String renders the store deterministically (sorted keys) for debugging
-// and tests.
-func (s *Store) String() string {
-	if s == nil {
-		return "stats: nil"
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sb strings.Builder
-	pkeys := make([]string, 0, len(s.preds))
-	for k := range s.preds {
-		pkeys = append(pkeys, k)
-	}
-	sort.Strings(pkeys)
-	for _, k := range pkeys {
-		st := s.preds[k]
-		fmt.Fprintf(&sb, "pred %q sel=%.3f evals=%d\n", k, st.sel.v, st.evals)
-	}
-	fkeys := make([]FnKey, 0, len(s.fns))
-	for k := range s.fns {
-		fkeys = append(fkeys, k)
-	}
-	sort.Slice(fkeys, func(i, j int) bool {
-		a, b := fkeys[i], fkeys[j]
-		if a.Relation != b.Relation {
-			return a.Relation < b.Relation
-		}
-		if a.Attr != b.Attr {
-			return a.Attr < b.Attr
-		}
-		return a.FnID < b.FnID
-	})
-	for _, k := range fkeys {
-		st := s.fns[k]
-		fmt.Fprintf(&sb, "fn %s.%s/%d cost=%.0fns impact=%.3f runs=%d\n",
-			k.Relation, k.Attr, k.FnID, st.costNs.v, st.impact.v, st.runs)
-	}
-	okeys := make([]string, 0, len(s.ops))
-	for k := range s.ops {
-		okeys = append(okeys, k)
-	}
-	sort.Strings(okeys)
-	for _, k := range okeys {
-		st := s.ops[k]
-		fmt.Fprintf(&sb, "op %q in=%.0f out=%.0f obs=%d\n", k, st.rowsIn.v, st.rowsOut.v, st.obs)
-	}
-	return sb.String()
 }

@@ -24,8 +24,8 @@ func TestPredicateEWMA(t *testing.T) {
 	if math.Abs(sel-want) > 1e-12 {
 		t.Fatalf("EWMA update: got %v want %v", sel, want)
 	}
-	if got := s.String(); got != "pred \"p\" sel=0.650 evals=200\n" {
-		t.Fatalf("String: got %q", got)
+	if got := s.preds["p"].evals; got != 200 {
+		t.Fatalf("evals: got %d want 200", got)
 	}
 }
 
@@ -77,9 +77,6 @@ func TestFnAndOpStats(t *testing.T) {
 	in, out, ok := s.OpCardinality("join:t.id = i.tid")
 	if !ok || in != 100 || out != 40 {
 		t.Fatalf("op cardinality: got %v/%v ok=%v", in, out, ok)
-	}
-	if s.String() == "" {
-		t.Fatal("String rendered nothing")
 	}
 }
 

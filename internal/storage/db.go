@@ -50,7 +50,6 @@ type BaseTable interface {
 	Relation
 	Insert(tu *types.Tuple) (int64, error)
 	Delete(id int64) *types.Tuple
-	Update(id int64, col string, v types.Value) (types.Value, error)
 	CommitFixed(id int64, col string, v types.Value) (uint64, error)
 	Gen(id int64) uint64
 }

@@ -32,10 +32,9 @@ func TestMarkSetOnlyByCompleteWriteBack(t *testing.T) {
 	if _, err := tb.WriteDerived(1, "a", types.NewInt(1), 0, true); err == nil {
 		t.Fatal("write-back to a fixed column accepted")
 	}
-	// A derived Update is not the family's value: its bit goes.
-	tb.Update(1, "d", types.NewInt(0))
-	if tb.Get(1).Enriched != 0 {
-		t.Fatal("derived Update kept the mark")
+	// A write-back that does not mark is not the family's value: its bit goes.
+	if _, err := tb.WriteDerived(1, "d", types.NewInt(0), 0, false); err != nil || tb.Get(1).Enriched != 0 {
+		t.Fatalf("an unmarked write-back kept the mark (err=%v)", err)
 	}
 }
 
@@ -71,11 +70,11 @@ func TestMarkClearedByCommitFixedAndInsert(t *testing.T) {
 	if tb.Get(2).Enriched != 0 || moved.Enriched == 0 {
 		t.Fatalf("Insert: stored mark %b, caller's mark %b", tb.Get(2).Enriched, moved.Enriched)
 	}
-	// A fixed Update bumps the generation and clears the mark.
+	// A second CommitFixed bumps the generation and clears the mark again.
 	tb.WriteDerived(2, "d", types.NewInt(1), tb.Gen(2), true)
-	tb.Update(2, "a", types.NewInt(3))
+	tb.CommitFixed(2, "a", types.NewInt(3))
 	if tb.Get(2).Enriched != 0 {
-		t.Fatal("fixed Update kept the mark")
+		t.Fatal("CommitFixed kept the mark")
 	}
 }
 

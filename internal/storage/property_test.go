@@ -48,7 +48,7 @@ func TestTableModelProperty(t *testing.T) {
 			case 1: // update
 				id := int64(r.Intn(100) + 1)
 				a := int64(r.Intn(10))
-				_, err := tbl.Update(id, "a", types.NewInt(a))
+				_, err := tbl.CommitFixed(id, "a", types.NewInt(a))
 				if _, exists := model[id]; exists {
 					if err != nil {
 						t.Fatalf("trial %d step %d: update failed: %v", trial, step, err)

@@ -172,7 +172,8 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 }
 
 // Get returns the tuple with the given id, or nil. The returned tuple is the
-// stored one; callers must not mutate it directly (use Update).
+// stored one; callers must not mutate it directly (use CommitFixed or
+// WriteDerived).
 func (t *Table) Get(id int64) *types.Tuple {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -180,43 +181,6 @@ func (t *Table) Get(id int64) *types.Tuple {
 		return t.chunks[i/expr.BatchSize].Tuples[i%expr.BatchSize]
 	}
 	return nil
-}
-
-// Update replaces the value of one column of one tuple, returning the old
-// value.
-//
-// The write is copy-on-write: the stored tuple is replaced by a clone
-// carrying the new value, never mutated in place, so rows and snapshots that
-// alias the old tuple's value slice keep reading a consistent pre-update
-// image. Updating a fixed (non-derived) column bumps the tuple's generation,
-// marking enrichment computed from the old feature vectors as stale, and
-// clears the enrichment mark; a derived write clears that column's bit (the
-// value no longer comes from the function family).
-func (t *Table) Update(id int64, col string, v types.Value) (types.Value, error) {
-	ci := t.schema.ColIndex(col)
-	if ci < 0 {
-		return types.Null, fmt.Errorf("storage: %s: unknown column %s", t.schema.Name, col)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	i, ok := t.slot[id]
-	if !ok {
-		return types.Null, fmt.Errorf("storage: %s: no tuple %d", t.schema.Name, id)
-	}
-	k, lane := i/expr.BatchSize, i%expr.BatchSize
-	c := t.own(k, true)
-	tu := c.Tuples[lane]
-	old := tu.Vals[ci]
-	nu := tu.Clone()
-	nu.Vals[ci] = v
-	nu.Enriched &^= t.schema.MarkBit(col)
-	if !t.schema.Cols[ci].Derived {
-		nu.Gen++
-		nu.Enriched = 0
-	}
-	c.Set(lane, nu, ci)
-	t.updates++
-	return old, nil
 }
 
 // CommitFixed replaces a fixed column's value, clears every derived column,
@@ -231,7 +195,7 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 		return 0, fmt.Errorf("storage: %s: unknown column %s", t.schema.Name, col)
 	}
 	if t.schema.Cols[ci].Derived {
-		return 0, fmt.Errorf("storage: %s: %s is a derived column; use Update", t.schema.Name, col)
+		return 0, fmt.Errorf("storage: %s: %s is a derived column; use WriteDerived", t.schema.Name, col)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -76,24 +76,6 @@ func TestInsertErrors(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	tb := testTable(t)
-	tb.Insert(mkTuple(1, 10))
-	old, err := tb.Update(1, "d", types.NewInt(2))
-	if err != nil || !old.IsNull() {
-		t.Fatalf("Update: old=%v err=%v", old, err)
-	}
-	if got := tb.Get(1).Vals[3]; got.Int() != 2 {
-		t.Errorf("after update: %v", got)
-	}
-	if _, err := tb.Update(1, "zz", types.NewInt(0)); err == nil {
-		t.Error("unknown column must fail")
-	}
-	if _, err := tb.Update(99, "d", types.NewInt(0)); err == nil {
-		t.Error("unknown tuple must fail")
-	}
-}
-
 func TestDelete(t *testing.T) {
 	tb := testTable(t)
 	tb.Insert(mkTuple(1, 10))

@@ -107,7 +107,7 @@ func checkRel(rel Relation, m *relModel, ever []int64, bit uint64) error {
 }
 
 // TestViewModelProperty drives random interleavings of table writes (Insert,
-// Update, CommitFixed, Delete singly and in runs that compact, WriteDerived),
+// CommitFixed, Delete singly and in runs that compact, WriteDerived),
 // view write-backs and View, and checks the table and every open view
 // against a model after each step: a view keeps the image it was taken
 // with plus its own write-backs, whatever the table did since — including a
@@ -157,25 +157,6 @@ func TestViewModelProperty(t *testing.T) {
 				for n := 1 + r.Intn(8); n > 0; n-- {
 					insert()
 				}
-			case op < 5: // Update a fixed or the derived column
-				id, ok := pickLive()
-				if !ok {
-					continue
-				}
-				im := live.img[id]
-				v := int64(r.Intn(10))
-				if r.Intn(2) == 0 {
-					if _, err := tb.Update(id, "a", types.NewInt(v)); err != nil {
-						t.Fatal(err)
-					}
-					im.a, im.gen, im.mrk = v, im.gen+1, false
-				} else {
-					if _, err := tb.Update(id, "d", types.NewInt(v)); err != nil {
-						t.Fatal(err)
-					}
-					im.d, im.null, im.mrk = v, false, false
-				}
-				live.img[id] = im
 			case op < 7: // CommitFixed
 				id, ok := pickLive()
 				if !ok {
@@ -295,7 +276,7 @@ func TestViewStableBesideConcurrentWriter(t *testing.T) {
 			case 2:
 				tb.CommitFixed(id, "a", types.NewInt(int64(i)))
 			case 3:
-				tb.Update(id, "d", types.NewInt(2))
+				tb.WriteDerived(id, "d", types.NewInt(2), tb.Gen(id), false)
 			case 4:
 				if i%50 == 4 {
 					tb.Delete(id)

@@ -78,10 +78,9 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	ctx.Adapt = d.Stats
 	ctx.Done = d.Done
 	ctx.Eval.Runtime = rt
-	// Stored tuples are immutable; rows must own their values so read_udf
-	// can patch freshly determined derived values into rows mid-plan (the
-	// visibility in-place updates used to provide).
-	ctx.CopyRows = true
+	// Stored tuples are immutable; with PatchRows the scans copy each row's
+	// values, so read_udf can patch freshly determined derived values into
+	// rows mid-plan (the visibility in-place updates used to provide).
 	ctx.Eval.PatchRows = true
 
 	t0 := time.Now()
@@ -108,16 +107,12 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 }
 
 // Plan rewrites an analyzed query with UDF-wrapped derived conditions and
-// builds the plan ExecuteAnalyzed runs, with the driver's build options and
-// runtime-statistics store. Nothing executes; EXPLAIN renders this tree.
+// builds the plan ExecuteAnalyzed runs, with the driver's build options.
+// Nothing executes; EXPLAIN renders this tree.
 func (d *Driver) Plan(a *engine.Analysis) (engine.Plan, error) {
 	rewritten, err := RewriteAnalysis(a)
 	if err != nil {
 		return nil, err
 	}
-	bo := d.BuildOptions
-	if bo.Stats == nil {
-		bo.Stats = d.Stats
-	}
-	return engine.BuildOpt(rewritten, d.DB, bo)
+	return engine.BuildOpt(rewritten, d.DB, d.BuildOptions)
 }

@@ -77,9 +77,6 @@ type Client struct {
 	conn     net.Conn
 	maxFrame int
 
-	tenant  string
-	version uint64
-
 	wmu  sync.Mutex
 	wbuf []byte
 
@@ -122,8 +119,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("wire client: handshake read: %w", err)
 	}
 	switch f := fr.(type) {
-	case *wire.Welcome:
-		c.tenant, c.version = f.Tenant, f.Version
+	case *wire.Welcome: // accepted; the client keeps nothing of it
 	case *wire.Error:
 		conn.Close()
 		return nil, f
@@ -134,19 +130,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 	conn.SetDeadline(time.Time{})
 	go c.readLoop()
 	return c, nil
-}
-
-// Tenant returns the tenant name the server bound this connection to.
-func (c *Client) Tenant() string { return c.tenant }
-
-// Version returns the server's commit version at handshake time.
-func (c *Client) Version() uint64 { return c.version }
-
-// Err returns the sticky transport error, if the connection has failed.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sticky
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
@@ -405,12 +388,8 @@ func (c *Client) Prepare(ctx context.Context, name string, design wire.Design, s
 	return err
 }
 
-// Execute runs a previously prepared statement.
-func (c *Client) Execute(ctx context.Context, name string) (*Result, error) {
-	return c.ExecuteTrace(ctx, name, wire.TraceContext{})
-}
-
-// ExecuteTrace is Execute with a trace context (see QueryTrace).
+// ExecuteTrace runs a previously prepared statement with a trace context
+// (see QueryTrace; the zero context encodes to nothing).
 func (c *Client) ExecuteTrace(ctx context.Context, name string, tc wire.TraceContext) (*Result, error) {
 	cl, err := c.roundTrip(ctx, func(id uint32) wire.Frame {
 		return &wire.Execute{ID: id, Name: name, Trace: tc}

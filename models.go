@@ -37,27 +37,11 @@ func NewLogisticRegression(seed int64) Classifier {
 	return m
 }
 
-// NewLDA returns a Linear Discriminant Analysis classifier with shrinkage.
-func NewLDA() Classifier { return ml.NewLDA() }
-
-// NewLinearSVM returns a one-vs-rest linear SVM whose margins are calibrated
-// with Platt sigmoids (the paper's SVM setup).
-func NewLinearSVM(seed int64) Classifier {
-	m := ml.NewLinearSVM()
-	m.Seed = seed
-	return m
-}
-
 // NewMLP returns a one-hidden-layer perceptron with the given width.
 func NewMLP(hidden int, seed int64) Classifier {
 	m := ml.NewMLP(hidden)
 	m.Seed = seed
 	return m
-}
-
-// TrainTestSplit deterministically shuffles and splits a labelled dataset.
-func TrainTestSplit(X [][]float64, y []int, testFrac float64, seed int64) (trX [][]float64, trY []int, teX [][]float64, teY []int) {
-	return ml.TrainTestSplit(X, y, testFrac, seed)
 }
 
 // Accuracy measures a classifier's argmax accuracy on a labelled set; use

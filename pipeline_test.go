@@ -262,9 +262,9 @@ func TestCancelStopsProgressiveAtEpochBoundary(t *testing.T) {
 // TestExplainPlanMatchesExecution: for every design, through DB and Session,
 // the tree `EXPLAIN q` prints is the tree `EXPLAIN ANALYZE q` runs for the
 // same stats state — the loose design's final plan, the tight design's
-// rewritten plan, and the cost-based join order (the filtered side first),
-// which the static FROM order would not pick. Fused scan paths execute
-// without entering their children, so the executed operators are a
+// rewritten plan and the join over both — in both rounds, the second
+// planning with the first round's observed selectivities. Fused scan paths
+// execute without entering their children, so the executed operators are a
 // subsequence of the planned ones.
 func TestExplainPlanMatchesExecution(t *testing.T) {
 	q := "SELECT count(*) FROM Reviews a, Reviews b WHERE a.id = b.id AND b.day < 3 AND a.rating = 1"

@@ -338,20 +338,12 @@ func (db *DB) runPlain(a *engine.Analysis, src storage.Source, done <-chan struc
 			return ans, schema, err
 		}
 	}
-	plan, err := db.buildPlan(a, src)
+	plan, err := engine.Build(a, src)
 	if err != nil {
 		return engine.Answer{}, nil, err
 	}
 	ans, err = engine.ExecuteAnswer(plan, ec)
 	return ans, plan.Schema(), err
-}
-
-// buildPlan is the root package's one plain plan builder: plain execution,
-// the loose driver's final step (which builds the same way) and EXPLAIN all
-// build through it, so the tree EXPLAIN prints is the tree that runs for the
-// same query and stats state.
-func (db *DB) buildPlan(a *engine.Analysis, src storage.Source) (engine.Plan, error) {
-	return engine.BuildOpt(a, src, engine.BuildOptions{Stats: db.runtimeStats})
 }
 
 // explain answers a plan-only EXPLAIN: the plan design runs for a over src —
@@ -371,7 +363,7 @@ func (db *DB) explain(a *engine.Analysis, src storage.Source, design Design) (*R
 		if sc, ok := src.(shard.Scatterable); ok && design == PlainDesign && shard.Eligible(a) {
 			scatter, src = sc.NumShards(), sc.ShardSource(0)
 		}
-		plan, err = db.buildPlan(a, src)
+		plan, err = engine.Build(a, src)
 	case TightDesign:
 		plan, err = db.tightDriver(src, nil, nil, nil).Plan(a)
 	default:

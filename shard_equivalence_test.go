@@ -32,7 +32,7 @@ var equivalenceQueries = []string{
 	"SELECT id, store, day FROM Reviews",
 	"SELECT id, day FROM Reviews WHERE day < 10",
 	"SELECT id FROM Reviews WHERE store = 'north' AND day >= 3",
-	"SELECT store, count(*), avg(day) FROM Reviews GROUP BY store",
+	"SELECT store, count(*) FROM Reviews GROUP BY store",
 	"SELECT count(*) FROM Reviews WHERE day < 15",
 	"SELECT a.id, b.id FROM Reviews a, Reviews b WHERE a.id = b.id AND a.day > 27",
 }
