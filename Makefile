@@ -15,8 +15,9 @@ check: vet staticcheck build test race serve-race trace-e2e bench-smoke adaptive
 # calls of the storage write-back outside storage and shard), the methods
 # of storage.Relation (the read surface queries execute against) and of
 # storage.BaseTable (the write surface commits go through; the embedded
-# Relation counts as one), the frame types the wire protocol defines, and
-# non-test Go lines outside benchmark/.
+# Relation counts as one), the frame types the wire protocol defines, the
+# value kinds (NULL, INT, STRING, VECTOR), and non-test Go lines outside
+# benchmark/.
 CONFIG_STRUCTS := enrichdb.go:DB progressive.go:ProgressiveOptions internal/progressive/run.go:Config \
 	internal/loose/driver.go:Driver internal/tight/driver.go:Driver
 surface:
@@ -30,6 +31,7 @@ surface:
 	@echo "storage.Relation methods:    $$(awk '/^type Relation interface/ {f = 1; next} f && /^}/ {f = 0} f && /^\t[A-Z]/' internal/storage/db.go | wc -l)"
 	@echo "storage.BaseTable methods:   $$(awk '/^type BaseTable interface/ {f = 1; next} f && /^}/ {f = 0} f && /^\t[A-Z]/' internal/storage/db.go | wc -l)"
 	@echo "wire frame types:            $$(awk '/^\tType[A-Za-z]+ +Type = [0-9]/' internal/wire/frames.go | wc -l)"
+	@echo "value kinds:                 $$(awk '/^const \(/ {f = 1; next} f && /^\)/ {f = 0} f && /^\tKind[A-Z]/' internal/types/value.go | wc -l)"
 	@echo "non-test Go lines:           $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
 
 # Reachability report: the non-test statements no owner runs, per package,

@@ -38,7 +38,7 @@ import (
 	"enrichdb/internal/types"
 )
 
-// Value is a database value (NULL, INT, FLOAT, TEXT, BOOL or VECTOR).
+// Value is a database value: NULL, INT, TEXT or VECTOR.
 type Value = types.Value
 
 // Null is the NULL value.
@@ -47,21 +47,17 @@ var Null = types.Null
 // Value constructors.
 var (
 	Int    = types.NewInt
-	Float  = types.NewFloat
 	String = types.NewString
-	Bool   = types.NewBool
 	Vector = types.NewVector
 )
 
 // Kind is a column type.
 type Kind = types.Kind
 
-// Column kinds.
+// Column kinds: a column is INT, TEXT or VECTOR.
 const (
 	KindInt    = types.KindInt
-	KindFloat  = types.KindFloat
 	KindString = types.KindString
-	KindBool   = types.KindBool
 	KindVector = types.KindVector
 )
 

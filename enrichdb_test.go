@@ -103,6 +103,14 @@ func TestPublicAPISchemaErrors(t *testing.T) {
 	}); err == nil {
 		t.Error("bad feature column must fail")
 	}
+	// A column is INT, STRING or VECTOR; the retired kinds 2 and 4 are
+	// refused as FLOAT and BOOL.
+	for k, want := range map[Kind]string{2: "FLOAT is not supported", 4: "BOOL is not supported", 0: "NULL is not a column kind"} {
+		err := db.CreateRelation("R", []Column{{Name: "id", Kind: KindInt}, {Name: "x", Kind: k}})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("column kind %d: got %v, want an error naming %q", k, err, want)
+		}
+	}
 	if _, err := db.Insert("Missing", 0); err == nil {
 		t.Error("unknown relation must fail")
 	}

@@ -38,8 +38,8 @@ type Schema struct {
 }
 
 // NewSchema builds a schema and validates it: column names must be unique,
-// derived columns must name an existing fixed FeatureCol and a positive
-// Domain.
+// every kind INT, STRING or VECTOR, and derived columns must name an
+// existing fixed FeatureCol and a positive Domain.
 func NewSchema(name string, cols []Column) (*Schema, error) {
 	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols)), marks: make(map[string]uint64)}
 	for i, c := range cols {
@@ -51,6 +51,13 @@ func NewSchema(name string, cols []Column) (*Schema, error) {
 		}
 		if _, dup := s.byName[c.Name]; dup {
 			return nil, fmt.Errorf("catalog: relation %s: duplicate column %s", name, c.Name)
+		}
+		if c.Kind != types.KindInt && c.Kind != types.KindString && c.Kind != types.KindVector {
+			err := types.CheckKind(c.Kind)
+			if err == nil {
+				err = fmt.Errorf("%s is not a column kind; a column is INT, STRING or VECTOR", c.Kind)
+			}
+			return nil, fmt.Errorf("catalog: relation %s: column %s: %w", name, c.Name, err)
 		}
 		s.byName[c.Name] = i
 	}

@@ -71,7 +71,9 @@ func TestVectorPatchedChunkMatchesRowPath(t *testing.T) {
 				ctx.NoVector = noVector
 				out, err := NewFilter(NewScan(v, "V"), pred).Execute(ctx)
 				if err != nil {
-					t.Fatal(err)
+					// A comparison that meets the deviating cell fails on
+					// both paths, with the same error.
+					return err.Error(), ctx.Stats
 				}
 				return rowsFingerprint(out), ctx.Stats
 			}
@@ -103,7 +105,7 @@ func TestVectorPatchedChunkMatchesRowPath(t *testing.T) {
 	check("NULL over value", true)
 	write(types.NewInt(2))
 	check("value over NULL", true)
-	write(types.NewFloat(2))
+	write(types.NewString("2"))
 	check("value of another kind", false)
 }
 

@@ -129,17 +129,6 @@ func TestSelectionQuery(t *testing.T) {
 	}
 }
 
-// An INT column equals a FLOAT constant of the same numeric value: Compare
-// widens numerics, so TweetTime = 3.0 selects the row TweetTime = 3 does.
-func TestCrossKindEqualityWidens(t *testing.T) {
-	db := testDB(t)
-	rows := runQuery(t, db, "SELECT * FROM TweetData WHERE TweetTime = 3.0")
-	same := runQuery(t, db, "SELECT * FROM TweetData WHERE TweetTime = 3")
-	if len(rows) != 1 || len(same) != 1 || rows[0].TIDs[0] != same[0].TIDs[0] {
-		t.Fatalf("TweetTime = 3.0: %d rows, TweetTime = 3: %d rows; want the same one row", len(rows), len(same))
-	}
-}
-
 func TestProjection(t *testing.T) {
 	db := testDB(t)
 	rows := runQuery(t, db, "SELECT city FROM State WHERE state = 'California'")

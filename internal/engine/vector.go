@@ -294,7 +294,7 @@ func (p *Project) gather(ctx *ExecCtx, s *Scan, chunks []*expr.Chunk, t expr.Bit
 	kinds := make([]types.Kind, len(p.Cols))
 	for vi, ci := range p.Cols {
 		switch kinds[vi] = s.rs.Cols[ci].Kind; kinds[vi] {
-		case types.KindInt, types.KindBool, types.KindFloat, types.KindString:
+		case types.KindInt, types.KindString:
 		default:
 			return nil
 		}

@@ -19,13 +19,13 @@ func vectorTestTable(t *testing.T, n int) *storage.Table {
 	schema := catalog.MustSchema("V", []catalog.Column{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "a", Kind: types.KindInt},
-		{Name: "f", Kind: types.KindFloat},
+		{Name: "f", Kind: types.KindInt},
 		{Name: "s", Kind: types.KindString},
 		{Name: "b", Kind: types.KindInt},
 	})
 	tbl := storage.NewTable(schema)
 	for i := 0; i < n; i++ {
-		a, f, s := types.NewInt(int64(i%100)), types.NewFloat(float64(i%50)/2), types.NewString(fmt.Sprintf("s%02d", i%20))
+		a, f, s := types.NewInt(int64(i%100)), types.NewInt(int64(i%50)), types.NewString(fmt.Sprintf("s%02d", i%20))
 		if i%3 == 0 {
 			a = types.Null
 		}
@@ -56,8 +56,7 @@ func vectorTestPreds() map[string]func() expr.Expr {
 		"all-fail":   func() expr.Expr { return expr.NewCmp(expr.LT, col("id"), ci(0)) },
 		"int-half":   func() expr.Expr { return expr.NewCmp(expr.LT, col("a"), ci(50)) },
 		"int-rev":    func() expr.Expr { return expr.NewCmp(expr.GT, ci(50), col("a")) },
-		"float-cmp":  func() expr.Expr { return expr.NewCmp(expr.LE, col("f"), expr.NewConst(types.NewFloat(10.5))) },
-		"int-vs-flt": func() expr.Expr { return expr.NewCmp(expr.NE, col("a"), expr.NewConst(types.NewFloat(4.0))) },
+		"int-le":     func() expr.Expr { return expr.NewCmp(expr.LE, col("f"), ci(10)) },
 		"str-eq":     func() expr.Expr { return expr.NewCmp(expr.EQ, col("s"), expr.NewConst(types.NewString("s03"))) },
 		"str-range":  func() expr.Expr { return expr.NewCmp(expr.GT, col("s"), expr.NewConst(types.NewString("s10"))) },
 		"is-null":    func() expr.Expr { return &expr.IsNull{Kid: col("a")} },
@@ -219,14 +218,17 @@ func TestVectorFillBailFallsBack(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		v := types.NewInt(int64(i))
 		if i == 57 {
-			v = types.NewFloat(57) // deviates from the declared INT kind
+			v = types.NewString("57") // deviates from the declared INT kind
 		}
 		if _, err := tbl.Insert(&types.Tuple{Vals: []types.Value{types.NewInt(int64(i + 1)), v}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	scan := NewScan(tbl, "W")
-	pred := expr.NewCmp(expr.GE, expr.NewCol("W", "a"), expr.NewConst(types.NewInt(50)))
+	// The NULL test reads a's vector; an INT comparison would meet the
+	// STRING cell and fail on either path.
+	pred := expr.NewAnd(&expr.IsNull{Kid: expr.NewCol("W", "a"), Negate: true},
+		expr.NewCmp(expr.GE, expr.NewCol("W", "id"), expr.NewConst(types.NewInt(50))))
 	if err := pred.Resolve(scan.Schema()); err != nil {
 		t.Fatal(err)
 	}

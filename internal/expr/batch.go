@@ -84,13 +84,11 @@ func (b Bitmap) Count() int {
 }
 
 // ColVec is one typed column of a batch. Exactly one payload slice is
-// populated, chosen by Kind: I for INT/BOOL (bools as 0/1, matching
-// Value.Compare's numeric treatment), F for FLOAT, S for STRING. NULL lanes
-// have the corresponding bit set in Nulls and a zero payload.
+// populated, chosen by Kind: I for INT, S for STRING. NULL lanes have the
+// corresponding bit set in Nulls and a zero payload.
 type ColVec struct {
 	Kind  types.Kind
 	I     []int64
-	F     []float64
 	S     []string
 	Nulls Bitmap
 }
@@ -106,7 +104,7 @@ func (cv *ColVec) fill(kind types.Kind, tuples []*types.Tuple, ci int) {
 	n := len(tuples)
 	cv.Nulls = cv.Nulls.Reset(n)
 	switch kind {
-	case types.KindInt, types.KindBool:
+	case types.KindInt:
 		if cap(cv.I) < n {
 			cv.I = make([]int64, n)
 		}
@@ -117,25 +115,8 @@ func (cv *ColVec) fill(kind types.Kind, tuples []*types.Tuple, ci int) {
 			case types.KindNull:
 				cv.Nulls.Set(i)
 				cv.I[i] = 0
-			case kind:
+			case types.KindInt:
 				cv.I[i] = v.Int()
-			default:
-				return
-			}
-		}
-	case types.KindFloat:
-		if cap(cv.F) < n {
-			cv.F = make([]float64, n)
-		}
-		cv.F = cv.F[:n]
-		for i, tu := range tuples {
-			v := tu.Vals[ci]
-			switch v.Kind() {
-			case types.KindNull:
-				cv.Nulls.Set(i)
-				cv.F[i] = 0
-			case types.KindFloat:
-				cv.F[i] = v.Float()
 			default:
 				return
 			}
@@ -171,24 +152,18 @@ func (cv *ColVec) patch(i int, v types.Value) {
 	case cv.Kind == types.KindNull:
 	case k == types.KindNull:
 		cv.Nulls.Set(i)
-		switch cv.Kind {
-		case types.KindFloat:
-			cv.F[i] = 0
-		case types.KindString:
+		if cv.Kind == types.KindString {
 			cv.S[i] = ""
-		default:
+		} else {
 			cv.I[i] = 0
 		}
 	case k != cv.Kind:
 		cv.Kind = types.KindNull
 	default:
 		cv.Nulls.Clear(i)
-		switch k {
-		case types.KindFloat:
-			cv.F[i] = v.Float()
-		case types.KindString:
+		if k == types.KindString {
 			cv.S[i] = v.Str()
-		default:
+		} else {
 			cv.I[i] = v.Int()
 		}
 	}
@@ -202,7 +177,6 @@ func (cv *ColVec) clone() *ColVec {
 	return &ColVec{
 		Kind:  cv.Kind,
 		I:     append([]int64(nil), cv.I...),
-		F:     append([]float64(nil), cv.F...),
 		S:     append([]string(nil), cv.S...),
 		Nulls: append(Bitmap(nil), cv.Nulls...),
 	}

@@ -49,20 +49,20 @@ func TestBitmapOps(t *testing.T) {
 func batchTestSchema() *RowSchema {
 	return SchemaForTable("T", catalog.MustSchema("T", []catalog.Column{
 		{Name: "i", Kind: types.KindInt},
-		{Name: "f", Kind: types.KindFloat},
+		{Name: "f", Kind: types.KindInt},
 		{Name: "s", Kind: types.KindString},
 	}))
 }
 
 func TestBatchColFillAndReuse(t *testing.T) {
 	rs := batchTestSchema()
-	mk := func(i int64, f float64, s string) *types.Tuple {
+	mk := func(i, f int64, s string) *types.Tuple {
 		return &types.Tuple{ID: i, Vals: []types.Value{
-			types.NewInt(i), types.NewFloat(f), types.NewString(s),
+			types.NewInt(i), types.NewInt(f), types.NewString(s),
 		}}
 	}
 	var b Batch
-	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(1, 1.5, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 3.5, "c")}})
+	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(1, 15, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 35, "c")}})
 	iv, ok := b.Col(0)
 	if !ok || iv.Kind != types.KindInt {
 		t.Fatal("INT column fill failed")
@@ -71,8 +71,8 @@ func TestBatchColFillAndReuse(t *testing.T) {
 		t.Fatalf("INT column lanes wrong: %v nulls=%v", iv.I, iv.Nulls)
 	}
 	fv, ok := b.Col(1)
-	if !ok || fv.F[2] != 3.5 || !fv.Nulls.Get(1) {
-		t.Fatal("FLOAT column fill failed")
+	if !ok || fv.I[2] != 35 || !fv.Nulls.Get(1) {
+		t.Fatal("second INT column fill failed")
 	}
 	sv, ok := b.Col(2)
 	if !ok || sv.S[0] != "a" || !sv.Nulls.Get(1) {
@@ -89,7 +89,7 @@ func TestBatchColFillAndReuse(t *testing.T) {
 		t.Fatal("cached deviation lost on second access")
 	}
 	// And a fresh Reset clears the poisoned state.
-	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(9, 9.5, "z")}})
+	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(9, 95, "z")}})
 	if iv, ok := b.Col(0); !ok || iv.I[0] != 9 {
 		t.Fatal("batch did not recover after Reset")
 	}
@@ -105,9 +105,9 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 		return &types.Tuple{ID: id, Vals: []types.Value{i, f, s}}
 	}
 	c := NewChunk([]*types.Tuple{
-		row(1, types.NewInt(1), types.NewFloat(1), types.NewString("a")),
+		row(1, types.NewInt(1), types.NewInt(1), types.NewString("a")),
 		row(2, types.Null, types.Null, types.Null),
-		row(3, types.NewInt(3), types.NewFloat(3), types.NewString("c")),
+		row(3, types.NewInt(3), types.NewInt(3), types.NewString("c")),
 	}, 3)
 	var b Batch
 	b.Reset(rs, c)
@@ -120,18 +120,18 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	}
 
 	cp := c.Clone()
-	cp.Set(0, row(1, types.NewInt(7), types.NewFloat(1), types.NewString("a")), 0) // value over value
-	cp.Set(2, row(3, types.NewInt(3), types.Null, types.NewString("c")), 1)        // NULL over value
-	cp.Set(1, row(2, types.Null, types.Null, types.NewString("b")), 2)             // value over NULL
-	cp.Set(1, row(2, types.NewString("x"), types.Null, types.NewString("b")), 0)   // another kind
+	cp.Set(0, row(1, types.NewInt(7), types.NewInt(1), types.NewString("a")), 0) // value over value
+	cp.Set(2, row(3, types.NewInt(3), types.Null, types.NewString("c")), 1)      // NULL over value
+	cp.Set(1, row(2, types.Null, types.Null, types.NewString("b")), 2)           // value over NULL
+	cp.Set(1, row(2, types.NewString("x"), types.Null, types.NewString("b")), 0) // another kind
 	b.Reset(rs, cp)
 	if _, ok := b.Col(0); ok {
 		t.Fatal("a value of another kind did not poison the copy's INT vector")
 	}
 	cf, _ := b.Col(1)
 	cs, _ := b.Col(2)
-	if !cf.Nulls.Get(2) || cf.F[2] != 0 || cs.Nulls.Get(1) || cs.S[1] != "b" {
-		t.Fatalf("patched copy: floats %v nulls %v, strings %q nulls %v", cf.F, cf.Nulls, cs.S, cs.Nulls)
+	if !cf.Nulls.Get(2) || cf.I[2] != 0 || cs.Nulls.Get(1) || cs.S[1] != "b" {
+		t.Fatalf("patched copy: ints %v nulls %v, strings %q nulls %v", cf.I, cf.Nulls, cs.S, cs.Nulls)
 	}
 	if iv.I[0] != 1 || fv.Nulls.Get(2) || !sv.Nulls.Get(1) || c.Tuples[0].Vals[0].Int() != 1 {
 		t.Fatal("Set on the copy changed the original chunk")
@@ -141,7 +141,7 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	fresh.Reset(rs, &Chunk{Tuples: cp.Tuples})
 	for ci, got := range []*ColVec{cf, cs} {
 		want, _ := fresh.Col(ci + 1)
-		if fmt.Sprint(got.F, got.S, got.Nulls) != fmt.Sprint(want.F, want.S, want.Nulls) {
+		if fmt.Sprint(got.I, got.S, got.Nulls) != fmt.Sprint(want.I, want.S, want.Nulls) {
 			t.Errorf("column %d: patched %v, rebuilt %v", ci+1, got, want)
 		}
 	}
@@ -149,8 +149,8 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 
 // TestCompileVecPredShapes pins the prefix rule: compilable conjuncts before
 // the first exotic one become kernels, the rest stays as residual. The
-// compilable comparisons are an INT/BOOL column against an integral constant
-// and a STRING column against a string constant, column first.
+// compilable comparisons are an INT column against an INT constant and a
+// STRING column against a string constant, column first.
 func TestCompileVecPredShapes(t *testing.T) {
 	rs := batchTestSchema()
 	col := func(n string) *Col { return NewCol("T", n) }
@@ -178,7 +178,7 @@ func TestCompileVecPredShapes(t *testing.T) {
 	part := resolve(NewAnd(
 		NewCmp(EQ, col("i"), NewConst(types.NewInt(1))),
 		NewOr(NewCmp(EQ, col("i"), NewConst(types.NewInt(2))), TruePred{}),
-		NewCmp(GT, col("f"), NewConst(types.NewFloat(0))),
+		NewCmp(GT, col("f"), NewConst(types.NewInt(0))),
 	))
 	vp = CompileVecPred(part, rs)
 	if vp == nil || vp.NumKernels() != 1 || vp.Residual == nil {
@@ -198,11 +198,9 @@ func TestCompileVecPredShapes(t *testing.T) {
 		t.Fatal("INT-vs-STRING comparison should stay on the row path")
 	}
 
-	// Every other comparison runs on the row path: a FLOAT side, two
-	// columns, a constant first, a NULL literal.
+	// Every other comparison runs on the row path: two columns, a constant
+	// first, a NULL literal.
 	for _, e := range []Expr{
-		NewCmp(GT, col("f"), NewConst(types.NewFloat(0))),
-		NewCmp(LT, col("i"), NewConst(types.NewFloat(1.5))),
 		NewCmp(EQ, col("i"), col("i")),
 		NewCmp(GE, NewConst(types.NewInt(1)), col("i")),
 		NewCmp(EQ, col("i"), NewConst(types.Null)),
@@ -219,9 +217,9 @@ func TestCompileVecPredShapes(t *testing.T) {
 func TestVecPredKleeneLanes(t *testing.T) {
 	rs := batchTestSchema()
 	tuples := []*types.Tuple{
-		{ID: 1, Vals: []types.Value{types.NewInt(1), types.NewFloat(0), types.NewString("")}}, // i<5: True
-		{ID: 2, Vals: []types.Value{types.Null, types.NewFloat(0), types.NewString("")}},      // NULL<5: Unknown
-		{ID: 3, Vals: []types.Value{types.NewInt(9), types.NewFloat(0), types.NewString("")}}, // 9<5: False
+		{ID: 1, Vals: []types.Value{types.NewInt(1), types.NewInt(0), types.NewString("")}}, // i<5: True
+		{ID: 2, Vals: []types.Value{types.Null, types.NewInt(0), types.NewString("")}},      // NULL<5: Unknown
+		{ID: 3, Vals: []types.Value{types.NewInt(9), types.NewInt(0), types.NewString("")}}, // 9<5: False
 	}
 	pred := NewCmp(LT, NewCol("T", "i"), NewConst(types.NewInt(5)))
 	if err := pred.Resolve(rs); err != nil {

@@ -28,12 +28,9 @@ func NewColumns(kinds []types.Kind, n int, seqs bool) *Columns {
 		cv := &c.Cols[i]
 		cv.Kind = k
 		cv.Nulls = make(Bitmap, bitmapWords(n))
-		switch k {
-		case types.KindFloat:
-			cv.F = make([]float64, n)
-		case types.KindString:
+		if k == types.KindString {
 			cv.S = make([]string, n)
-		default:
+		} else {
 			cv.I = make([]int64, n)
 		}
 	}
@@ -82,10 +79,6 @@ func (cv *ColVec) Value(k int) types.Value {
 	switch cv.Kind {
 	case types.KindInt:
 		return types.NewInt(cv.I[k])
-	case types.KindBool:
-		return types.NewBool(cv.I[k] != 0)
-	case types.KindFloat:
-		return types.NewFloat(cv.F[k])
 	case types.KindString:
 		return types.NewString(cv.S[k])
 	default:
@@ -96,18 +89,12 @@ func (cv *ColVec) Value(k int) types.Value {
 // Gather copies lanes sel of src, a vector of cv's kind, into cv's lanes
 // [at, at+len(sel)).
 func (cv *ColVec) Gather(at int, src *ColVec, sel []int32) {
-	switch cv.Kind {
-	case types.KindFloat:
-		dst := cv.F[at : at+len(sel)]
-		for j, i := range sel {
-			dst[j] = src.F[i]
-		}
-	case types.KindString:
+	if cv.Kind == types.KindString {
 		dst := cv.S[at : at+len(sel)]
 		for j, i := range sel {
 			dst[j] = src.S[i]
 		}
-	default:
+	} else {
 		dst := cv.I[at : at+len(sel)]
 		for j, i := range sel {
 			dst[j] = src.I[i]
@@ -124,12 +111,9 @@ func (cv *ColVec) Gather(at int, src *ColVec, sel []int32) {
 
 // CopyLane copies lane p of src, a vector of cv's kind, into cv's lane k.
 func (cv *ColVec) CopyLane(k int, src *ColVec, p int) {
-	switch cv.Kind {
-	case types.KindFloat:
-		cv.F[k] = src.F[p]
-	case types.KindString:
+	if cv.Kind == types.KindString {
 		cv.S[k] = src.S[p]
-	default:
+	} else {
 		cv.I[k] = src.I[p]
 	}
 	if src.Nulls.Get(p) {

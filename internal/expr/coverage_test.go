@@ -7,59 +7,37 @@ import (
 	"enrichdb/internal/types"
 )
 
-// TestBooleanNodesAsValueExpressions covers Eval (as opposed to EvalPred) on
-// the logical nodes: they must produce BOOL values, or NULL for Unknown.
-func TestBooleanNodesAsValueExpressions(t *testing.T) {
+// TestPredicateNodesAnswerTruth: the logical nodes answer EvalPred's truth
+// value, and a predicate has no value to compare.
+func TestPredicateNodesAnswerTruth(t *testing.T) {
 	rs := testSchema(t)
 	r := row(rs, types.NewInt(1), types.NewInt(7), types.NewString("x"), types.Null, types.Null)
-
-	and := NewAnd(
-		NewCmp(EQ, NewCol("R", "a"), NewConst(types.NewInt(7))),
-		NewCmp(NE, NewCol("R", "b"), NewConst(types.NewString("y"))),
-	)
-	MustResolve(and, rs)
-	v, err := and.Eval(nil, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("And.Eval = %v, %v", v, err)
+	a7 := func(op CmpOp, k int64) Expr { return NewCmp(op, NewCol("R", "a"), NewConst(types.NewInt(k))) }
+	for _, c := range []struct {
+		e    Expr
+		want TV
+	}{
+		{NewAnd(a7(EQ, 7), NewCmp(NE, NewCol("R", "b"), NewConst(types.NewString("y")))), True},
+		{NewOr(a7(EQ, 0), a7(EQ, 7)), True},
+		{&Not{Kid: a7(EQ, 0)}, True},
+		{&IsNull{Kid: NewCol("R", "d")}, True},
+		{&IsNull{Kid: NewCol("R", "d"), Negate: true}, False},
+		{NewCmp(EQ, NewCol("R", "d"), NewConst(types.NewInt(1))), Unknown},
+		{TruePred{}, True},
+	} {
+		MustResolve(c.e, rs)
+		if tv, err := EvalPred(nil, c.e, r); err != nil || tv != c.want {
+			t.Errorf("EvalPred(%s) = %v, %v; want %v", c.e, tv, err, c.want)
+		}
 	}
-
-	or := NewOr(
-		NewCmp(EQ, NewCol("R", "a"), NewConst(types.NewInt(0))),
-		NewCmp(EQ, NewCol("R", "a"), NewConst(types.NewInt(7))),
-	)
-	MustResolve(or, rs)
-	v, err = or.Eval(nil, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("Or.Eval = %v, %v", v, err)
-	}
-
-	not := &Not{Kid: NewCmp(EQ, NewCol("R", "a"), NewConst(types.NewInt(0)))}
-	MustResolve(not, rs)
-	v, err = not.Eval(nil, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("Not.Eval = %v, %v", v, err)
-	}
-
-	isn := &IsNull{Kid: NewCol("R", "d")}
-	MustResolve(isn, rs)
-	v, err = isn.Eval(nil, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("IsNull.Eval = %v, %v", v, err)
-	}
-
-	// Unknown evaluates to NULL as a value.
-	unk := NewCmp(EQ, NewCol("R", "d"), NewConst(types.NewInt(1)))
-	MustResolve(unk, rs)
-	v, err = unk.Eval(nil, r)
-	if err != nil || !v.IsNull() {
-		t.Errorf("Unknown as value = %v, %v", v, err)
+	// A predicate compared as a value is an error, not a BOOL.
+	nested := NewCmp(EQ, a7(EQ, 7), NewConst(types.NewInt(1)))
+	MustResolve(nested, rs)
+	if _, err := EvalPred(nil, nested, r); err == nil || !strings.Contains(err.Error(), "has no value") {
+		t.Errorf("predicate as a comparison operand = %v, want a no-value error", err)
 	}
 
 	tp := TruePred{}
-	v, err = tp.Eval(nil, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("TruePred.Eval = %v, %v", v, err)
-	}
 	if tp.Clone().String() != "TRUE" {
 		t.Error("TruePred rendering")
 	}
@@ -82,9 +60,6 @@ func TestIncomparableCmpErrors(t *testing.T) {
 	if _, err := EvalPred(nil, c, r); err == nil {
 		t.Error("string < int must error")
 	}
-	if _, err := c.Eval(nil, r); err == nil {
-		t.Error("Eval path must error too")
-	}
 	// The error propagates through enclosing And/Or/Not.
 	wrapped := NewAnd(TruePred{}, c.Clone())
 	MustResolve(wrapped, rs)
@@ -106,7 +81,7 @@ func TestIncomparableCmpErrors(t *testing.T) {
 func TestRenderingCoverage(t *testing.T) {
 	e := NewOr(
 		NewAnd(
-			NewCmp(GE, NewCol("", "a"), NewConst(types.NewFloat(1.5))),
+			NewCmp(GE, NewCol("", "a"), NewConst(types.NewInt(15))),
 			&IsNull{Kid: NewCol("T", "d"), Negate: true},
 		),
 		&Not{Kid: NewUDFCall(UDFGetValue, "T", "d")},
@@ -162,8 +137,11 @@ func TestResolveErrorPaths(t *testing.T) {
 	}
 	// Unresolved UDF eval fails.
 	r := row(rs, types.NewInt(1), types.NewInt(7), types.NewString("x"), types.Null, types.Null)
-	if _, err := NewUDFCall(UDFCheckState, "R", "d").Eval(&EvalCtx{Runtime: &countingRuntime{}}, r); err == nil {
+	if _, err := NewUDFCall(UDFReadUDF, "R", "d").Eval(&EvalCtx{Runtime: &countingRuntime{}}, r); err == nil {
 		t.Error("unresolved UDF eval must fail")
+	}
+	if _, err := EvalPred(&EvalCtx{Runtime: &countingRuntime{}}, NewUDFCall(UDFCheckState, "R", "d"), r); err == nil {
+		t.Error("unresolved CheckState must fail")
 	}
 	// MustResolve panics.
 	defer func() {
@@ -194,11 +172,18 @@ func TestNonBooleanPredicateErrors(t *testing.T) {
 	if _, err := EvalPred(nil, c, r); err == nil {
 		t.Error("INT predicate must error")
 	}
-	// A bare NULL column is Unknown, not an error.
+	// So must a bare NULL column: a column is never a predicate, whatever
+	// it holds.
 	d := NewCol("R", "d")
 	MustResolve(d, rs)
-	tv, err := EvalPred(nil, d, r)
-	if err != nil || tv != Unknown {
-		t.Errorf("NULL predicate = %v, %v", tv, err)
+	if _, err := EvalPred(nil, d, r); err == nil {
+		t.Error("NULL column predicate must error")
+	}
+	// A value-returning UDF is not a predicate either, and is not called.
+	rt := &countingRuntime{value: types.NewInt(1)}
+	gv := NewUDFCall(UDFGetValue, "R", "d")
+	MustResolve(gv, rs)
+	if _, err := EvalPred(&EvalCtx{Runtime: rt}, gv, r); err == nil || rt.gets != 0 {
+		t.Errorf("GetValue predicate = %v after %d calls, want an error and none", err, rt.gets)
 	}
 }

@@ -43,6 +43,14 @@ func Or3(a, b TV) TV {
 // Not3 negates a truth value.
 func Not3(a TV) TV { return -a }
 
+// truth maps a two-valued answer to True or False.
+func truth(b bool) TV {
+	if b {
+		return True
+	}
+	return False
+}
+
 // CmpOp is a comparison operator.
 type CmpOp uint8
 
@@ -128,12 +136,13 @@ type EnrichRuntime interface {
 	ReadUDF(rel string, tid int64, attr string) (types.Value, error)
 }
 
-// Expr is a typed expression evaluated against executor rows.
+// Expr is an expression node evaluated against executor rows: a scalar (a
+// column, a literal or a value-returning UDF call), whose value evalValue
+// computes, or a predicate, whose three-valued truth EvalPred answers.
+// Truth is never a types.Value.
 type Expr interface {
-	// Eval computes the expression's value for the row.
-	Eval(ctx *EvalCtx, row *Row) (types.Value, error)
 	// Resolve binds column references against the row schema. It must be
-	// called once before Eval.
+	// called once before evaluation.
 	Resolve(rs *RowSchema) error
 	// Clone returns a deep copy with unresolved bindings preserved.
 	Clone() Expr
@@ -179,40 +188,39 @@ func EvalPred(ctx *EvalCtx, e Expr, row *Row) (TV, error) {
 		}
 		return Not3(tv), nil
 	case *IsNull:
-		v, err := n.Kid.Eval(ctx, row)
+		v, err := evalValue(ctx, n.Kid, row)
 		if err != nil {
 			return Unknown, err
 		}
-		got := v.IsNull()
-		if n.Negate {
-			got = !got
-		}
-		if got {
-			return True, nil
-		}
-		return False, nil
+		return truth(v.IsNull() != n.Negate), nil
 	case *Cmp:
 		return n.eval3(ctx, row)
 	case *Guarded:
 		return EvalPred(ctx, n.Omega, row)
-	case *TruePred:
+	case *Enriched:
+		return n.eval3(row)
+	case *UDFCall:
+		if n.Kind == UDFCheckState {
+			return n.checkState(ctx, row)
+		}
+	case TruePred:
 		return True, nil
-	default:
-		v, err := e.Eval(ctx, row)
-		if err != nil {
-			return Unknown, err
-		}
-		if v.IsNull() {
-			return Unknown, nil
-		}
-		if v.Kind() == types.KindBool {
-			if v.Bool() {
-				return True, nil
-			}
-			return False, nil
-		}
-		return Unknown, fmt.Errorf("expr: non-boolean predicate %s", e)
 	}
+	return Unknown, fmt.Errorf("expr: non-boolean predicate %s", e)
+}
+
+// evalValue computes a scalar's value. A predicate has none: EvalPred
+// answers its truth.
+func evalValue(ctx *EvalCtx, e Expr, row *Row) (types.Value, error) {
+	switch n := e.(type) {
+	case *Col:
+		return n.Eval(ctx, row)
+	case *Const:
+		return n.Val, nil
+	case *UDFCall:
+		return n.Eval(ctx, row)
+	}
+	return types.Null, fmt.Errorf("expr: predicate %s has no value", e)
 }
 
 // Col is a (possibly qualified) column reference.
@@ -271,9 +279,6 @@ type Const struct{ Val types.Value }
 // NewConst returns a literal expression.
 func NewConst(v types.Value) *Const { return &Const{Val: v} }
 
-// Eval returns the literal.
-func (c *Const) Eval(*EvalCtx, *Row) (types.Value, error) { return c.Val, nil }
-
 // Resolve is a no-op for literals.
 func (c *Const) Resolve(*RowSchema) error { return nil }
 
@@ -296,11 +301,11 @@ type Cmp struct {
 func NewCmp(op CmpOp, l, r Expr) *Cmp { return &Cmp{Op: op, L: l, R: r} }
 
 func (c *Cmp) eval3(ctx *EvalCtx, row *Row) (TV, error) {
-	lv, err := c.L.Eval(ctx, row)
+	lv, err := evalValue(ctx, c.L, row)
 	if err != nil {
 		return Unknown, err
 	}
-	rv, err := c.R.Eval(ctx, row)
+	rv, err := evalValue(ctx, c.R, row)
 	if err != nil {
 		return Unknown, err
 	}
@@ -326,22 +331,7 @@ func (c *Cmp) eval3(ctx *EvalCtx, row *Row) (TV, error) {
 	case GE:
 		res = cmp >= 0
 	}
-	if res {
-		return True, nil
-	}
-	return False, nil
-}
-
-// Eval evaluates the comparison to a BOOL (or NULL for Unknown).
-func (c *Cmp) Eval(ctx *EvalCtx, row *Row) (types.Value, error) {
-	tv, err := c.eval3(ctx, row)
-	if err != nil {
-		return types.Null, err
-	}
-	if tv == Unknown {
-		return types.Null, nil
-	}
-	return types.NewBool(tv == True), nil
+	return truth(res), nil
 }
 
 // Resolve binds both sides.
@@ -380,9 +370,6 @@ func NewAnd(kids ...Expr) Expr {
 	return &And{Kids: flat}
 }
 
-// Eval evaluates the conjunction to BOOL/NULL.
-func (a *And) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return predToVal(ctx, a, row) }
-
 // Resolve binds every conjunct.
 func (a *And) Resolve(rs *RowSchema) error { return resolveAll(rs, a.Kids) }
 
@@ -414,9 +401,6 @@ func NewOr(kids ...Expr) Expr {
 	return &Or{Kids: flat}
 }
 
-// Eval evaluates the disjunction to BOOL/NULL.
-func (o *Or) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return predToVal(ctx, o, row) }
-
 // Resolve binds every disjunct.
 func (o *Or) Resolve(rs *RowSchema) error { return resolveAll(rs, o.Kids) }
 
@@ -432,9 +416,6 @@ func (o *Or) String() string { return "(" + joinKids(o.Kids, " OR ") + ")" }
 // Not is logical negation.
 type Not struct{ Kid Expr }
 
-// Eval evaluates the negation to BOOL/NULL.
-func (n *Not) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return predToVal(ctx, n, row) }
-
 // Resolve binds the operand.
 func (n *Not) Resolve(rs *RowSchema) error { return n.Kid.Resolve(rs) }
 
@@ -447,15 +428,12 @@ func (n *Not) Walk(fn func(Expr)) { fn(n); n.Kid.Walk(fn) }
 // String renders the negation.
 func (n *Not) String() string { return "NOT (" + n.Kid.String() + ")" }
 
-// IsNull tests for NULL (or, with Negate, NOT NULL). The loose design's
-// probe-query rewrite (§2.1 Step 1) injects these tests.
+// IsNull tests for NULL (or, with Negate, NOT NULL); never Unknown. The
+// loose design's probe-query rewrite (§2.1 Step 1) injects these tests.
 type IsNull struct {
 	Kid    Expr
 	Negate bool
 }
-
-// Eval evaluates the NULL test (never Unknown).
-func (n *IsNull) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return predToVal(ctx, n, row) }
 
 // Resolve binds the operand.
 func (n *IsNull) Resolve(rs *RowSchema) error { return n.Kid.Resolve(rs) }
@@ -506,12 +484,12 @@ func (e *Enriched) holds(tu *types.Tuple) bool {
 	return tu != nil && e.markable && tu.Enriched&e.mask == e.mask
 }
 
-// Eval reads the slot's image mark.
-func (e *Enriched) Eval(_ *EvalCtx, row *Row) (types.Value, error) {
+// eval3 reads the slot's image mark: True or False, never Unknown.
+func (e *Enriched) eval3(row *Row) (TV, error) {
 	if !e.bound {
-		return types.Null, fmt.Errorf("expr: unresolved mark test %s", e)
+		return Unknown, fmt.Errorf("expr: unresolved mark test %s", e)
 	}
-	return types.NewBool(e.holds(e.Images.Get(row.TIDs[e.slot])) != e.Negate), nil
+	return truth(e.holds(e.Images.Get(row.TIDs[e.slot])) != e.Negate), nil
 }
 
 // Resolve binds the slot and the attributes' mark bits.
@@ -566,9 +544,6 @@ func NewGuarded(refs []DerivedRef, stored, omega Expr) *Guarded {
 	return &Guarded{Refs: refs, Stored: stored, Omega: omega}
 }
 
-// Eval evaluates ω.
-func (g *Guarded) Eval(ctx *EvalCtx, row *Row) (types.Value, error) { return g.Omega.Eval(ctx, row) }
-
 // Resolve binds both branches and the refs' mark bits.
 func (g *Guarded) Resolve(rs *RowSchema) error {
 	if err := g.Omega.Resolve(rs); err != nil {
@@ -609,9 +584,6 @@ func (g *Guarded) String() string {
 
 // TruePred is the always-true predicate (an empty WHERE clause).
 type TruePred struct{}
-
-// Eval returns TRUE.
-func (TruePred) Eval(*EvalCtx, *Row) (types.Value, error) { return types.NewBool(true), nil }
 
 // Resolve is a no-op.
 func (TruePred) Resolve(*RowSchema) error { return nil }
@@ -668,34 +640,51 @@ func NewUDFCall(kind UDFKind, alias, attr string) *UDFCall {
 	return &UDFCall{Kind: kind, Alias: alias, Attr: attr}
 }
 
-// Eval dispatches to the enrichment runtime.
-func (u *UDFCall) Eval(ctx *EvalCtx, row *Row) (types.Value, error) {
+// start checks the call is bound and has a runtime, counts it, and returns
+// its tuple id.
+func (u *UDFCall) start(ctx *EvalCtx, row *Row) (int64, error) {
 	if !u.bound {
-		return types.Null, fmt.Errorf("expr: unresolved UDF call %s", u)
+		return 0, fmt.Errorf("expr: unresolved UDF call %s", u)
 	}
 	if ctx == nil || ctx.Runtime == nil {
-		return types.Null, fmt.Errorf("expr: UDF %s evaluated without enrichment runtime", u)
+		return 0, fmt.Errorf("expr: UDF %s evaluated without enrichment runtime", u)
 	}
 	ctx.UDFInvocations++
-	tid := row.TIDs[u.slot]
-	switch u.Kind {
-	case UDFCheckState:
-		ok, err := ctx.Runtime.CheckState(u.relation, tid, u.Attr)
-		if err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(ok), nil
-	case UDFGetValue:
-		v, err := ctx.Runtime.GetValue(u.relation, tid, u.Attr)
-		u.patch(ctx, row, v, err)
-		return v, err
-	case UDFReadUDF:
-		v, err := ctx.Runtime.ReadUDF(u.relation, tid, u.Attr)
-		u.patch(ctx, row, v, err)
-		return v, err
-	default:
-		return types.Null, fmt.Errorf("expr: unknown UDF kind %d", u.Kind)
+	return row.TIDs[u.slot], nil
+}
+
+// checkState answers CheckState: True when the runtime reports the planned
+// functions executed, else False; never Unknown.
+func (u *UDFCall) checkState(ctx *EvalCtx, row *Row) (TV, error) {
+	tid, err := u.start(ctx, row)
+	if err != nil {
+		return Unknown, err
 	}
+	ok, err := ctx.Runtime.CheckState(u.relation, tid, u.Attr)
+	if err != nil {
+		return Unknown, err
+	}
+	return truth(ok), nil
+}
+
+// Eval dispatches GetValue and read_udf to the enrichment runtime.
+// CheckState answers a truth value, which EvalPred evaluates.
+func (u *UDFCall) Eval(ctx *EvalCtx, row *Row) (types.Value, error) {
+	if u.Kind != UDFGetValue && u.Kind != UDFReadUDF {
+		return types.Null, fmt.Errorf("expr: %s has no value", u)
+	}
+	tid, err := u.start(ctx, row)
+	if err != nil {
+		return types.Null, err
+	}
+	var v types.Value
+	if u.Kind == UDFGetValue {
+		v, err = ctx.Runtime.GetValue(u.relation, tid, u.Attr)
+	} else {
+		v, err = ctx.Runtime.ReadUDF(u.relation, tid, u.Attr)
+	}
+	u.patch(ctx, row, v, err)
+	return v, err
 }
 
 // patch writes a freshly determined derived value into the row itself (see
@@ -733,17 +722,6 @@ func (u *UDFCall) Walk(fn func(Expr)) { fn(u) }
 // String renders the call in the paper's notation.
 func (u *UDFCall) String() string {
 	return fmt.Sprintf("%s(%s, %s.%s)", u.Kind, u.Alias, u.Alias, u.Attr)
-}
-
-func predToVal(ctx *EvalCtx, e Expr, row *Row) (types.Value, error) {
-	tv, err := EvalPred(ctx, e, row)
-	if err != nil {
-		return types.Null, err
-	}
-	if tv == Unknown {
-		return types.Null, nil
-	}
-	return types.NewBool(tv == True), nil
 }
 
 func resolveAll(rs *RowSchema, kids []Expr) error {

@@ -176,13 +176,15 @@ func TestUDFCallDispatch(t *testing.T) {
 
 	cs := NewUDFCall(UDFCheckState, "R", "d")
 	MustResolve(cs, rs)
-	v, err := cs.Eval(ctx, r)
-	if err != nil || !v.Bool() {
-		t.Errorf("CheckState = %v %v", v, err)
+	if tv, err := EvalPred(ctx, cs, r); err != nil || tv != True {
+		t.Errorf("CheckState = %v %v", tv, err)
+	}
+	if _, err := cs.Eval(ctx, r); err == nil {
+		t.Error("CheckState has no value")
 	}
 	gv := NewUDFCall(UDFGetValue, "R", "d")
 	MustResolve(gv, rs)
-	v, err = gv.Eval(ctx, r)
+	v, err := gv.Eval(ctx, r)
 	if err != nil || v.Int() != 2 {
 		t.Errorf("GetValue = %v %v", v, err)
 	}

@@ -190,8 +190,8 @@ func cmpInt(a, b int64) int {
 	}
 }
 
-// compileCmp compiles column OP constant for an INT/BOOL column against an
-// integral constant and a STRING column against a string constant, the
+// compileCmp compiles column OP constant for an INT column against an INT
+// constant and a STRING column against a string constant, the
 // shapes the paper's queries and their rewrites produce. Every other
 // comparison ends the compiled prefix and runs on the residual row path.
 func compileCmp(c *Cmp, rs *RowSchema) vecKernel {
@@ -205,15 +205,13 @@ func compileCmp(c *Cmp, rs *RowSchema) vecKernel {
 	}
 	cv, kind := k.Val, rs.Cols[col.Index].Kind
 	switch {
-	case integralKind(kind) && integralKind(cv.Kind()):
+	case kind == types.KindInt && cv.Kind() == types.KindInt:
 		return kCmpIntConst{ci: col.Index, op: c.Op, rhs: cv.Int()}
 	case kind == types.KindString && cv.Kind() == types.KindString:
 		return kCmpStrConst{ci: col.Index, op: c.Op, rhs: cv.Str()}
 	}
 	return nil
 }
-
-func integralKind(k types.Kind) bool { return k == types.KindInt || k == types.KindBool }
 
 // ---- kernels ----
 
@@ -259,8 +257,7 @@ type kGuarded struct {
 	mask uint64
 }
 
-// kCmpIntConst: INT/BOOL column vs integral constant, compared in int64
-// space (no float rounding on large ids). The hot per-operator loops skip
+// kCmpIntConst: INT column vs INT constant. The hot per-operator loops skip
 // the NULL check entirely when the column has no NULL lanes.
 type kCmpIntConst struct {
 	ci  int

@@ -42,7 +42,7 @@ func nullDerived(t *testing.T, d *dataset.Data) int {
 		if tu == nil {
 			break
 		}
-		if tu.Vals[ti].Float() < 5000 && tu.Vals[si].IsNull() {
+		if tu.Vals[ti].Int() < 5000 && tu.Vals[si].IsNull() {
 			n++
 		}
 	}

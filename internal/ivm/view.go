@@ -45,9 +45,6 @@ type Delta struct {
 	Deleted  []*expr.Row
 }
 
-// Empty reports whether the delta carries no changes.
-func (d *Delta) Empty() bool { return len(d.Inserted) == 0 && len(d.Deleted) == 0 }
-
 // aliasInput is the materialized, selection-filtered input of one FROM-clause
 // occurrence (the view's subview for that alias).
 type aliasInput struct {
@@ -510,7 +507,9 @@ func (v *View) InputRows(alias string) []*expr.Row {
 }
 
 // SizeBytes estimates the materialized view's footprint (Exp 5): 8 bytes per
-// value plus tuple-id bookkeeping per stored result row or group.
+// value plus tuple-id bookkeeping per stored result row, 8 bytes per group
+// value plus the group's one int64 row count, and one tid index entry per
+// filtered input row.
 func (v *View) SizeBytes() int64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -522,7 +521,7 @@ func (v *View) SizeBytes() int64 {
 	}
 	for _, g := range v.groups {
 		if g.rows > 0 {
-			size += int64(len(g.groupVals))*8 + int64(len(v.out.Agg.Aggs))*24
+			size += int64(len(g.groupVals))*8 + 8
 		}
 	}
 	for _, in := range v.inputs {

@@ -165,7 +165,7 @@ func TestSelectionViewMaintenance(t *testing.T) {
 	// Enrich to a non-matching value: no change.
 	d = enrichTweet(t, db, 2, types.NewInt(0), types.Null)
 	delta, _ = v.Apply(nil, []TupleDelta{d})
-	if !delta.Empty() {
+	if len(delta.Inserted) != 0 || len(delta.Deleted) != 0 {
 		t.Fatalf("non-matching enrichment should not change view: %+v", delta)
 	}
 	// Re-determinization flips tuple 1 out of the result.
@@ -194,7 +194,7 @@ func TestJoinViewMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta.Empty() {
+	if len(delta.Inserted) == 0 && len(delta.Deleted) == 0 {
 		t.Fatal("expected insertions")
 	}
 	if !sameRowSet(v.Rows(), reexecute(t, db, q)) {
@@ -247,6 +247,26 @@ func TestAggregationViewMaintenance(t *testing.T) {
 	}
 	if !sameRowSet(v.Rows(), reexecute(t, db, q)) {
 		t.Error("agg view diverged")
+	}
+}
+
+// TestAggregateViewSizeBytes: a group costs its group-by values and its one
+// int64 row count; each filtered input row costs a tid index entry.
+func TestAggregateViewSizeBytes(t *testing.T) {
+	db := testDB(t)
+	v, err := New(analyze(t, db, "SELECT topic, count(*) FROM TweetData WHERE TweetTime BETWEEN 1 AND 12 GROUP BY topic"), db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const inputs = 12 * 8
+	if got, want := v.SizeBytes(), int64(1*(8+8)+inputs); got != want {
+		t.Errorf("one NULL group: SizeBytes = %d, want %d", got, want)
+	}
+	if _, err := v.Apply(nil, []TupleDelta{enrichTweet(t, db, 1, types.Null, types.NewInt(2))}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := v.SizeBytes(), int64(2*(8+8)+inputs); got != want {
+		t.Errorf("two groups: SizeBytes = %d, want %d", got, want)
 	}
 }
 
@@ -462,7 +482,7 @@ func TestConstFalseView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() || v.Len() != 0 {
+	if len(delta.Inserted) != 0 || len(delta.Deleted) != 0 || v.Len() != 0 {
 		t.Error("constant-false view must stay empty")
 	}
 }
@@ -479,7 +499,7 @@ func TestNoChangeNoDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Empty() {
+	if len(delta.Inserted) != 0 || len(delta.Deleted) != 0 {
 		t.Errorf("no-op update produced delta: +%d -%d", len(delta.Inserted), len(delta.Deleted))
 	}
 }

@@ -92,7 +92,7 @@ func GroupRMSE(got, want []*expr.Row) (rmse float64, ok bool) {
 		if v.IsNull() {
 			return 0
 		}
-		return v.Float()
+		return float64(v.Int())
 	}
 	for _, r := range got {
 		k := key(r)

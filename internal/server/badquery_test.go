@@ -37,6 +37,9 @@ func TestBadQueriesEveryEntryPoint(t *testing.T) {
 		{"min", "SELECT MIN(id) FROM events WHERE grp = 1"},
 		{"max", "SELECT grp, count(*), MAX(label) FROM events GROUP BY grp"},
 		{"count of a column", "SELECT COUNT(label) FROM events"},
+		{"float literal", "SELECT id FROM events WHERE grp < 1.5"},
+		{"TRUE literal", "SELECT id FROM events WHERE label = TRUE"},
+		{"FALSE literal", "SELECT id FROM events WHERE grp = 1 AND label <> FALSE"},
 		{"unknown column", "SELECT id, nosuch FROM events"},
 		{"ambiguous column in self-join", "SELECT id FROM events a, events b WHERE a.id = b.id"},
 		{"bad join column", "SELECT a.id FROM events a, events b WHERE a.grp = b.nosuch"},

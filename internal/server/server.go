@@ -419,7 +419,7 @@ func (c *conn) handshake() bool {
 	c.sess = sess
 	c.tenant = tenant
 	c.mu.Unlock()
-	if err := c.write(&wire.Welcome{Proto: wire.ProtoVersion, ConnID: c.id, Tenant: tenant, Version: sess.Version()}); err != nil {
+	if err := c.write(&wire.Welcome{Proto: wire.ProtoVersion}); err != nil {
 		sess.Close() // rejected handshakes skip handle's deferred Close
 		sp.Str("error", "welcome write").End()
 		return false

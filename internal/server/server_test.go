@@ -188,34 +188,40 @@ func TestPrepareExecute(t *testing.T) {
 	}
 }
 
-// TestAuthTokens: tokens bind tenants; unknown tokens are refused.
+// TestAuthTokens: tokens bind tenants, as each tenant's serve.tenant.*
+// gauges show; the Welcome carries only the protocol; unknown tokens are
+// refused.
 func TestAuthTokens(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	db, _, addr := start(t, 8, nil, func(cfg *Config) {
 		cfg.Tokens = map[string]string{"tok-alpha": "alpha", "tok-beta": "beta"}
 	})
+	active := func(tenant string) int64 {
+		return db.Telemetry().Gauge("serve.tenant." + tenant + ".active").Value()
+	}
 	c, err := client.Dial(addr, client.Options{Token: "tok-alpha"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Telemetry().Gauge("serve.tenant.alpha.active").Value(); got != 1 {
-		t.Errorf("serve.tenant.alpha.active = %d, want 1", got)
+	if a, b := active("alpha"), active("beta"); a != 1 || b != 0 {
+		t.Errorf("after a tok-alpha dial: alpha.active = %d, beta.active = %d; want 1, 0", a, b)
 	}
 	c.Close()
 
-	// The Welcome frame names the tenant the token resolved to and the
-	// commit version the session opened at.
 	nc, err := newRawConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, &wire.Hello{Proto: wire.ProtoVersion, Token: "tok-alpha"}); err != nil {
+	if err := wire.WriteFrame(nc, &wire.Hello{Proto: wire.ProtoVersion, Token: "tok-beta"}); err != nil {
 		t.Fatal(err)
 	}
 	fr, err := wire.ReadFrame(nc, 0)
-	if w, ok := fr.(*wire.Welcome); err != nil || !ok || w.Tenant != "alpha" || w.Version != 8 {
-		t.Errorf("handshake answered %#v, %v; want Welcome{Tenant: alpha, Version: 8} (one commit per seeded row)", fr, err)
+	if w, ok := fr.(*wire.Welcome); err != nil || !ok || *w != (wire.Welcome{Proto: wire.ProtoVersion}) {
+		t.Errorf("handshake answered %#v, %v; want Welcome{Proto: %d}", fr, err, wire.ProtoVersion)
+	}
+	if b := active("beta"); b != 1 {
+		t.Errorf("after a tok-beta handshake: beta.active = %d, want 1", b)
 	}
 
 	var we *wire.Error
@@ -225,8 +231,9 @@ func TestAuthTokens(t *testing.T) {
 }
 
 // TestBadFrameOnHandshake: a non-Hello first frame is refused, and so is a
-// Hello of another protocol version (a protocol-1 peer is turned away at
-// the handshake, before it can send a frame type protocol 2 removed).
+// Hello of another protocol version (a protocol-1 or -2 peer is turned away
+// at the handshake, before it can send a frame type or read a column kind
+// a later protocol removed).
 func TestBadFrameOnHandshake(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 	_, _, addr := start(t, 4, nil, nil)
@@ -236,6 +243,7 @@ func TestBadFrameOnHandshake(t *testing.T) {
 	}{
 		{&wire.Cancel{Query: 1}, wire.CodeBadFrame},
 		{&wire.Hello{Proto: 1}, wire.CodeUnsupported},
+		{&wire.Hello{Proto: 2}, wire.CodeUnsupported},
 	} {
 		nc, err := newRawConn(addr)
 		if err != nil {

@@ -8,10 +8,12 @@ import (
 )
 
 // FuzzPartition probes the routing invariants the shard store and executor
-// lean on: routing is total (every key, including NaN and -0.0, lands on
-// exactly one shard in range), deterministic, agrees with the engine's
-// types.Hasher, and co-locates key-equal values. The fourth argument is a
-// second integer key (the checked-in corpus keeps the four-argument shape).
+// lean on: routing is total (every key lands on exactly one shard in
+// range), deterministic, agrees with the engine's types.Hasher, and
+// co-locates key-equal values. The third and fourth arguments are more
+// integer keys (the checked-in corpus keeps the four-argument shape); the
+// third's bits, read as a float, also make a one-element vector, whose -0.0
+// folds into +0.0.
 func FuzzPartition(f *testing.F) {
 	f.Add(1, int64(0), uint64(0), int64(0))
 	f.Add(4, int64(-1), math.Float64bits(math.Copysign(0, -1)), int64(10))
@@ -22,9 +24,9 @@ func FuzzPartition(f *testing.F) {
 		if n < 1 || n > 64 {
 			n = 1 + int(uint(n)%64)
 		}
-		fv := types.NewFloat(math.Float64frombits(fbits))
+		fv := types.NewVector([]float64{math.Float64frombits(fbits)})
 		hp := NewHashPartitioner(n)
-		for _, v := range []types.Value{types.NewInt(key), types.NewInt(key2), fv, types.Null} {
+		for _, v := range []types.Value{types.NewInt(key), types.NewInt(key2), types.NewInt(int64(fbits)), fv, types.Null} {
 			got := hp.Route(v)
 			if got < 0 || got >= n {
 				t.Fatalf("hash Route(%v) = %d out of [0,%d)", v, got, n)
@@ -37,8 +39,8 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		// -0.0 folds into +0.0 (key-equal values co-locate).
-		if math.Float64frombits(fbits) == 0 && hp.Route(types.NewFloat(0)) != hp.Route(fv) {
-			t.Fatalf("±0.0 split across shards")
+		if math.Float64frombits(fbits) == 0 && hp.Route(types.NewVector([]float64{0})) != hp.Route(fv) {
+			t.Fatalf("[±0.0] split across shards")
 		}
 	})
 }

@@ -13,8 +13,8 @@ import (
 //     form is canonical, so one round settles it).
 //
 // The corpus seeds the supported grammar's corners: joins, aggregation,
-// IS [NOT] NULL, string/float literals, NOT/OR nesting, the rejected ORDER
-// BY/LIMIT clauses, plus
+// IS [NOT] NULL, string literals, NOT/OR nesting, the rejected FLOAT
+// literals and ORDER BY/LIMIT clauses, plus
 // the generator from property_test.go for structured depth. Run with
 // `go test -fuzz=FuzzParse ./internal/sqlparser` to explore further.
 func FuzzParse(f *testing.F) {

@@ -489,11 +489,7 @@ func (p *parser) parseOperand() (expr.Expr, error) {
 	case tokNumber:
 		p.next()
 		if strings.ContainsAny(t.text, ".eE") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q: %v", t.text, err)
-			}
-			return expr.NewConst(types.NewFloat(f)), nil
+			return nil, p.errf("FLOAT literal %s is not supported; a value is NULL, INT, STRING or VECTOR", t.text)
 		}
 		i, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
@@ -505,12 +501,8 @@ func (p *parser) parseOperand() (expr.Expr, error) {
 		return expr.NewConst(types.NewString(t.text)), nil
 	case tokKeyword:
 		switch t.text {
-		case "TRUE":
-			p.next()
-			return expr.NewConst(types.NewBool(true)), nil
-		case "FALSE":
-			p.next()
-			return expr.NewConst(types.NewBool(false)), nil
+		case "TRUE", "FALSE":
+			return nil, p.errf("BOOL literal %s is not supported; a value is NULL, INT, STRING or VECTOR", t.text)
 		case "NULL":
 			p.next()
 			return expr.NewConst(types.Null), nil

@@ -80,11 +80,11 @@ func TestParseOrNotNull(t *testing.T) {
 }
 
 func TestParseLiterals(t *testing.T) {
-	s := MustParse("SELECT * FROM R WHERE a = -5 AND b = 2.5 AND c = 'it''s' AND d = TRUE")
+	s := MustParse("SELECT * FROM R WHERE a = -5 AND c = 'it''s' AND d IS NULL")
 	str := s.Where.String()
 	// The embedded quote renders re-escaped ('' per SQL), so the printed
 	// statement parses back to the same literal.
-	for _, want := range []string{"-5", "2.5", "'it''s'", "true"} {
+	for _, want := range []string{"-5", "'it''s'", "NULL"} {
 		if !strings.Contains(str, want) {
 			t.Errorf("WHERE %q missing %q", str, want)
 		}

@@ -58,7 +58,7 @@ func randWhere(r *rand.Rand, col func() *expr.Col, depth int) expr.Expr {
 			return expr.NewCmp(expr.EQ, col(), expr.NewConst(types.NewInt(int64(r.Intn(100)))))
 		case 1:
 			ops := []expr.CmpOp{expr.NE, expr.LT, expr.LE, expr.GT, expr.GE}
-			return expr.NewCmp(ops[r.Intn(len(ops))], col(), expr.NewConst(types.NewFloat(r.Float64()*10)))
+			return expr.NewCmp(ops[r.Intn(len(ops))], col(), expr.NewConst(types.NewInt(int64(r.Intn(10)))))
 		case 2:
 			return &expr.IsNull{Kid: col(), Negate: r.Intn(2) == 0}
 		default:

@@ -8,14 +8,17 @@ import (
 // TestParseRegressions pins inputs that broke the parser or printer in the
 // past (and near neighbors of them). Each case asserts the round-trip
 // property the fuzz target checks — Parse → String → Parse → String reaches
-// a fixed point — plus, where it matters, a detail of the printed form. The
-// same inputs are checked into testdata/fuzz/FuzzParse so the fuzzer starts
-// from them too.
+// a fixed point — plus, where it matters, a detail of the printed form. A
+// case with refuse set is a FLOAT literal: it must fail with an error that
+// names the whole literal, which the lexer must read as one number token.
+// The same inputs are checked into testdata/fuzz/FuzzParse so the fuzzer
+// starts from them too.
 func TestParseRegressions(t *testing.T) {
 	cases := []struct {
-		name  string
-		sql   string
-		wants []string // substrings the printed form must contain
+		name   string
+		sql    string
+		wants  []string // substrings the printed form must contain
+		refuse string   // the error's substring, for a refused literal
 	}{
 		{
 			// String literals containing quotes must be re-escaped when
@@ -37,21 +40,24 @@ func TestParseRegressions(t *testing.T) {
 		{
 			// The lexer once stopped a number at 'e', splitting 1.5e3
 			// into 1.5 and an identifier e3.
-			name:  "float exponent lexing",
-			sql:   "SELECT x FROM t WHERE f > 1.5e3",
-			wants: []string{"1500"},
+			name:   "float exponent lexing",
+			sql:    "SELECT x FROM t WHERE f > 1.5e3",
+			refuse: "FLOAT literal 1.5e3 is not supported",
 		},
 		{
-			name: "negative exponent",
-			sql:  "SELECT x FROM t WHERE f < 2E-7",
+			name:   "negative exponent",
+			sql:    "SELECT x FROM t WHERE f < 2E-7",
+			refuse: "FLOAT literal 2E-7 is not supported",
 		},
 		{
-			name: "exponent with explicit plus",
-			sql:  "SELECT x FROM t WHERE f >= 1e+2",
+			name:   "exponent with explicit plus",
+			sql:    "SELECT x FROM t WHERE f >= 1e+2",
+			refuse: "FLOAT literal 1e+2 is not supported",
 		},
 		{
-			name: "long fraction keeps value",
-			sql:  "SELECT * FROM A WHERE 0 < 0.00000010000000",
+			name:   "long fraction keeps value",
+			sql:    "SELECT * FROM A WHERE 0 < 0.00000010000000",
+			refuse: "FLOAT literal 0.00000010000000 is not supported",
 		},
 		{
 			name: "no whitespace between tokens",
@@ -73,6 +79,12 @@ func TestParseRegressions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Parse(tc.sql)
+			if tc.refuse != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.refuse) {
+					t.Fatalf("Parse(%q) = %v, want an error naming %q", tc.sql, err, tc.refuse)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("Parse(%q): %v", tc.sql, err)
 			}
@@ -113,6 +125,9 @@ func TestParseRejections(t *testing.T) {
 		{sql: "SELECT count(*), MAX(x) FROM t", want: "MAX is not supported"},
 		{sql: "SELECT COUNT(x) FROM t", want: "COUNT(column) is not supported"},
 		{sql: "SELECT g, count(t.x) FROM t GROUP BY g", want: "COUNT(column) is not supported"},
+		{sql: "SELECT * FROM t WHERE a = 1.5", want: "FLOAT literal 1.5 is not supported"},
+		{sql: "SELECT * FROM t WHERE a = TRUE", want: "BOOL literal TRUE is not supported"},
+		{sql: "SELECT * FROM t WHERE a <> false", want: "BOOL literal FALSE is not supported"},
 	} {
 		_, err := Parse(tc.sql)
 		if err == nil {

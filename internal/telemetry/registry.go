@@ -430,21 +430,3 @@ func (s Snapshot) String() string {
 	}
 	return sb.String()
 }
-
-// Compact renders the non-zero counters and gauges as one sorted
-// `name=value` line — the form the bench tables attach to their rows.
-func (s Snapshot) Compact() string {
-	var parts []string
-	for name, v := range s.Counters {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
-		}
-	}
-	for name, v := range s.Gauges {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
-		}
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
-}

@@ -122,14 +122,6 @@ func (t *Tracer) Start(name string) *ActiveSpan {
 	return &ActiveSpan{t: t, sp: Span{Name: name, Start: time.Now(), Worker: -1, Trace: t.trace}}
 }
 
-// Trace overrides the span's trace ID (normally inherited from WithTrace).
-func (s *ActiveSpan) Trace(id uint64) *ActiveSpan {
-	if s != nil {
-		s.sp.Trace = id
-	}
-	return s
-}
-
 // Epoch tags the span with its epoch number.
 func (s *ActiveSpan) Epoch(e int) *ActiveSpan {
 	if s != nil {
@@ -156,14 +148,6 @@ func (s *ActiveSpan) Int(key string, v int64) *ActiveSpan {
 
 // Str attaches a string annotation.
 func (s *ActiveSpan) Str(key, v string) *ActiveSpan {
-	if s != nil {
-		s.sp.Attrs = append(s.sp.Attrs, Attr{Key: key, Val: v})
-	}
-	return s
-}
-
-// Float attaches a float annotation.
-func (s *ActiveSpan) Float(key string, v float64) *ActiveSpan {
 	if s != nil {
 		s.sp.Attrs = append(s.sp.Attrs, Attr{Key: key, Val: v})
 	}

@@ -13,10 +13,8 @@ func (v Value) GobEncode() ([]byte, error) {
 	buf := []byte{byte(v.kind)}
 	switch v.kind {
 	case KindNull:
-	case KindInt, KindBool:
+	case KindInt:
 		buf = binary.AppendVarint(buf, v.i)
-	case KindFloat:
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.f))
 	case KindString:
 		buf = append(buf, v.s...)
 	case KindVector:
@@ -39,17 +37,12 @@ func (v *Value) GobDecode(data []byte) error {
 	switch kind {
 	case KindNull:
 		*v = Null
-	case KindInt, KindBool:
+	case KindInt:
 		i, n := binary.Varint(payload)
 		if n <= 0 {
 			return fmt.Errorf("types: bad integer encoding")
 		}
-		*v = Value{kind: kind, i: i}
-	case KindFloat:
-		if len(payload) != 8 {
-			return fmt.Errorf("types: bad float encoding")
-		}
-		*v = Value{kind: KindFloat, f: math.Float64frombits(binary.BigEndian.Uint64(payload))}
+		*v = Value{kind: KindInt, i: i}
 	case KindString:
 		*v = Value{kind: KindString, s: string(payload)}
 	case KindVector:
@@ -62,7 +55,7 @@ func (v *Value) GobDecode(data []byte) error {
 		}
 		*v = Value{kind: KindVector, vec: vec}
 	default:
-		return fmt.Errorf("types: cannot decode kind %d", kind)
+		return fmt.Errorf("types: cannot decode value: %w", CheckKind(kind))
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import "math"
 //
 // The hash is injective-intent-compatible with Value.Key(): two values
 // receive the same hash stream exactly when their Key() strings are equal
-// (kinds are tagged, -0.0 folds into +0.0 for FLOAT, NULLs share one tag).
+// (kinds are tagged, -0.0 folds into +0.0 in vectors, NULLs share one tag).
 type Hasher uint64
 
 const (
@@ -48,21 +48,15 @@ func (h *Hasher) WriteString(s string) {
 	*h = v
 }
 
-// WriteValue folds one value into the hash, tagged by kind so INT 1, BOOL
-// true and STRING "1" hash differently (mirroring Value.Key).
+// WriteValue folds one value into the hash, tagged by kind so INT 1 and
+// STRING "1" hash differently (mirroring Value.Key).
 func (h *Hasher) WriteValue(v Value) {
 	h.Fold(byte(v.kind))
 	switch v.kind {
 	case KindNull:
 		// Tag byte alone: all NULLs share one hash, as Key() shares "∅".
-	case KindInt, KindBool:
+	case KindInt:
 		h.WriteUint64(uint64(v.i))
-	case KindFloat:
-		f := v.f
-		if f == 0 {
-			f = 0 // fold -0.0 into +0.0, matching Compare and Key
-		}
-		h.WriteUint64(math.Float64bits(f))
 	case KindString:
 		h.WriteString(v.s)
 	case KindVector:
@@ -89,7 +83,7 @@ func HashValue(v Value) uint64 {
 // KeyEqual reports whether two values are equal under hash-key semantics:
 // exactly when their Key() strings coincide. Unlike Equal, NULL matches NULL
 // (one group, as SQL GROUP BY and the old string keys treat it) and kinds
-// never cross (INT 1 ≠ FLOAT 1.0 ≠ BOOL true). This is the verification step
+// never cross (INT 1 ≠ STRING "1"). This is the verification step
 // behind every Hasher-keyed bucket.
 func KeyEqual(a, b Value) bool {
 	if a.kind != b.kind {
@@ -98,17 +92,8 @@ func KeyEqual(a, b Value) bool {
 	switch a.kind {
 	case KindNull:
 		return true
-	case KindInt, KindBool:
+	case KindInt:
 		return a.i == b.i
-	case KindFloat:
-		af, bf := a.f, b.f
-		if af == 0 {
-			af = 0
-		}
-		if bf == 0 {
-			bf = 0
-		}
-		return math.Float64bits(af) == math.Float64bits(bf)
 	case KindString:
 		return a.s == b.s
 	case KindVector:

@@ -8,6 +8,7 @@
 package types
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -17,15 +18,17 @@ import (
 // Kind enumerates the dynamic type of a Value.
 type Kind uint8
 
-// The supported value kinds. KindVector holds feature vectors used as the
-// input of enrichment functions (e.g. tweet embeddings, image features).
+// The value kinds: a value is NULL, INT, STRING or VECTOR. Derived
+// attributes are INT class labels, fixed attributes INT or STRING, and
+// KindVector holds the feature vectors enrichment functions read (e.g. tweet
+// embeddings, image features). Truth is not a value: predicates answer
+// expr.TV. Numbers 2 and 4 are reserved (they were FLOAT and BOOL), so
+// snapshots and wire frames keep their kind bytes and refuse those two.
 const (
-	KindNull Kind = iota
-	KindInt
-	KindFloat
-	KindString
-	KindBool
-	KindVector
+	KindNull   Kind = 0
+	KindInt    Kind = 1
+	KindString Kind = 3
+	KindVector Kind = 5
 )
 
 // String returns the SQL-ish name of the kind.
@@ -35,12 +38,8 @@ func (k Kind) String() string {
 		return "NULL"
 	case KindInt:
 		return "INT"
-	case KindFloat:
-		return "FLOAT"
 	case KindString:
 		return "TEXT"
-	case KindBool:
-		return "BOOL"
 	case KindVector:
 		return "VECTOR"
 	default:
@@ -48,11 +47,25 @@ func (k Kind) String() string {
 	}
 }
 
+// CheckKind refuses a kind byte that is not a value kind: the reserved 2
+// and 4 by the names FLOAT and BOOL, any other by number. The snapshot
+// loader, the wire decoder and the catalog call it on the kinds they read.
+func CheckKind(k Kind) error {
+	switch k {
+	case KindNull, KindInt, KindString, KindVector:
+		return nil
+	case 2:
+		return errors.New("FLOAT is not supported; a value is NULL, INT, STRING or VECTOR")
+	case 4:
+		return errors.New("BOOL is not supported; a value is NULL, INT, STRING or VECTOR")
+	}
+	return fmt.Errorf("unknown value kind %d", uint8(k))
+}
+
 // Value is a tagged union over the kinds above. The zero Value is NULL.
 type Value struct {
 	kind Kind
 	i    int64
-	f    float64
 	s    string
 	vec  []float64
 }
@@ -63,20 +76,8 @@ var Null = Value{}
 // NewInt returns an integer value.
 func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
 
-// NewFloat returns a floating-point value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
-
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
-
-// NewBool returns a boolean value.
-func NewBool(v bool) Value {
-	var i int64
-	if v {
-		i = 1
-	}
-	return Value{kind: KindBool, i: i}
-}
 
 // NewVector returns a feature-vector value. The slice is not copied; callers
 // that mutate the input after construction must copy it themselves.
@@ -88,26 +89,13 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Int returns the integer payload. It panics if the value is not an INT or
-// BOOL; use Kind first when the kind is not statically known.
+// Int returns the integer payload. It panics if the value is not an INT;
+// use Kind first when the kind is not statically known.
 func (v Value) Int() int64 {
-	if v.kind != KindInt && v.kind != KindBool {
+	if v.kind != KindInt {
 		panic(fmt.Sprintf("types: Int() on %s value", v.kind))
 	}
 	return v.i
-}
-
-// Float returns the numeric payload widened to float64. Valid for INT, FLOAT
-// and BOOL values.
-func (v Value) Float() float64 {
-	switch v.kind {
-	case KindFloat:
-		return v.f
-	case KindInt, KindBool:
-		return float64(v.i)
-	default:
-		panic(fmt.Sprintf("types: Float() on %s value", v.kind))
-	}
 }
 
 // Str returns the string payload. It panics for non-string values.
@@ -118,25 +106,12 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// Bool returns the boolean payload. It panics for non-bool values.
-func (v Value) Bool() bool {
-	if v.kind != KindBool {
-		panic(fmt.Sprintf("types: Bool() on %s value", v.kind))
-	}
-	return v.i != 0
-}
-
 // Vector returns the feature-vector payload. It panics for non-vector values.
 func (v Value) Vector() []float64 {
 	if v.kind != KindVector {
 		panic(fmt.Sprintf("types: Vector() on %s value", v.kind))
 	}
 	return v.vec
-}
-
-// numeric reports whether the value participates in numeric comparison.
-func (v Value) numeric() bool {
-	return v.kind == KindInt || v.kind == KindFloat || v.kind == KindBool
 }
 
 // Compare orders two values. It returns a negative, zero or positive integer
@@ -147,25 +122,11 @@ func (v Value) Compare(o Value) (int, bool) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, false
 	}
-	if v.numeric() && o.numeric() {
-		// Compare in int64 space when both sides are integral to avoid
-		// float64 rounding on large ids.
-		if v.kind != KindFloat && o.kind != KindFloat {
-			a, b := v.i, o.i
-			switch {
-			case a < b:
-				return -1, true
-			case a > b:
-				return 1, true
-			default:
-				return 0, true
-			}
-		}
-		a, b := v.Float(), o.Float()
+	if v.kind == KindInt && o.kind == KindInt {
 		switch {
-		case a < b:
+		case v.i < o.i:
 			return -1, true
-		case a > b:
+		case v.i > o.i:
 			return 1, true
 		default:
 			return 0, true
@@ -205,23 +166,14 @@ func (v Value) Key() string {
 		return "∅"
 	case KindInt:
 		return "i" + strconv.FormatInt(v.i, 10)
-	case KindBool:
-		return "b" + strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		// Normalize -0 so it hashes with +0, matching Compare.
-		f := v.f
-		if f == 0 {
-			f = 0
-		}
-		return "f" + strconv.FormatUint(math.Float64bits(f), 16)
 	case KindString:
 		return "s" + v.s
 	case KindVector:
 		var sb strings.Builder
 		sb.WriteByte('v')
 		for _, f := range v.vec {
-			// Normalize -0 per element, exactly as the scalar FLOAT case
-			// does, so [-0.0] and [0.0] share one group-by/join key.
+			// Normalize -0 per element so [-0.0] and [0.0] share one
+			// group-by/join key.
 			if f == 0 {
 				f = 0
 			}
@@ -241,13 +193,6 @@ func (v Value) String() string {
 		return "NULL"
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
-	case KindBool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		// Escape embedded quotes SQL-style so the rendering re-parses (the
 		// lexer reads '' inside a literal as one quote).

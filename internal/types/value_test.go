@@ -1,9 +1,10 @@
 package types
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNullSemantics(t *testing.T) {
@@ -38,20 +39,17 @@ func TestCompareInts(t *testing.T) {
 	}
 }
 
+// TestCompareMixedNumeric: an INT compares only with an INT, exactly at any
+// magnitude; against a STRING or a VECTOR it is incomparable.
 func TestCompareMixedNumeric(t *testing.T) {
-	got, ok := NewInt(2).Compare(NewFloat(2.5))
-	if !ok || got != -1 {
-		t.Errorf("2 vs 2.5 = %d,%v want -1,true", got, ok)
-	}
-	got, ok = NewFloat(3.0).Compare(NewInt(3))
-	if !ok || got != 0 {
-		t.Errorf("3.0 vs 3 = %d,%v want 0,true", got, ok)
-	}
-	// Large int64 ids must not lose precision through float64.
-	a, b := int64(1<<62), int64(1<<62)+1
-	got, ok = NewInt(a).Compare(NewInt(b))
+	got, ok := NewInt(1 << 62).Compare(NewInt(1<<62 + 1))
 	if !ok || got != -1 {
 		t.Errorf("large int compare = %d,%v want -1,true", got, ok)
+	}
+	for _, o := range []Value{NewString("1"), NewVector([]float64{1})} {
+		if _, ok := NewInt(1).Compare(o); ok {
+			t.Errorf("INT 1 and %s must be incomparable", o)
+		}
 	}
 }
 
@@ -69,11 +67,8 @@ func TestKeyDistinguishesKinds(t *testing.T) {
 	if NewInt(1).Key() == NewString("1").Key() {
 		t.Error("INT 1 and TEXT '1' must have distinct keys")
 	}
-	if NewInt(1).Key() == NewBool(true).Key() {
-		t.Error("INT 1 and TRUE must have distinct keys")
-	}
-	if NewFloat(0).Key() != NewFloat(-0.0).Key() {
-		t.Error("+0 and -0 must share a key (they compare equal)")
+	if NewInt(1).Key() == NewVector([]float64{1}).Key() {
+		t.Error("INT 1 and VECTOR [1] must have distinct keys")
 	}
 }
 
@@ -104,15 +99,7 @@ func TestAccessorPanics(t *testing.T) {
 	}
 	mustPanic("Int", func() { NewString("x").Int() })
 	mustPanic("Str", func() { NewInt(1).Str() })
-	mustPanic("Float", func() { NewString("x").Float() })
-	mustPanic("Bool", func() { NewInt(1).Bool() })
 	mustPanic("Vector", func() { NewInt(1).Vector() })
-}
-
-func TestBoolAsNumeric(t *testing.T) {
-	if NewBool(true).Float() != 1 || NewBool(false).Float() != 0 {
-		t.Error("bools must widen to 1/0")
-	}
 }
 
 // Property: Compare is antisymmetric and Key agrees with equality for ints.
@@ -131,28 +118,6 @@ func TestCompareKeyConsistencyQuick(t *testing.T) {
 	}
 }
 
-// Property: Compare on floats is a total order consistent with < (ignoring
-// NaN, which the generator never produces here).
-func TestFloatCompareQuick(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		a, b := r.NormFloat64()*100, r.NormFloat64()*100
-		got, ok := NewFloat(a).Compare(NewFloat(b))
-		if !ok {
-			t.Fatalf("floats must compare: %v vs %v", a, b)
-		}
-		want := 0
-		if a < b {
-			want = -1
-		} else if a > b {
-			want = 1
-		}
-		if got != want {
-			t.Fatalf("Compare(%v,%v) = %d want %d", a, b, got, want)
-		}
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -160,14 +125,36 @@ func TestStringRendering(t *testing.T) {
 	}{
 		{Null, "NULL"},
 		{NewInt(42), "42"},
-		{NewBool(true), "true"},
-		{NewBool(false), "false"},
 		{NewString("hi"), "'hi'"},
-		{NewFloat(2.5), "2.5"},
+		{NewString("it's"), "'it''s'"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%v) = %q want %q", c.v.Kind(), got, c.want)
+		}
+	}
+}
+
+// TestValueSize: a value is a kind, an INT payload, a string header and a
+// vector header, 56 bytes on a 64-bit target; every tuple cell and row value
+// pays it.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 56 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 56", n)
+	}
+}
+
+// TestCheckKind: the four value kinds pass; 2 and 4 are refused as FLOAT
+// and BOOL, any other number as unknown.
+func TestCheckKind(t *testing.T) {
+	for _, k := range []Kind{KindNull, KindInt, KindString, KindVector} {
+		if err := CheckKind(k); err != nil {
+			t.Errorf("CheckKind(%s) = %v", k, err)
+		}
+	}
+	for k, want := range map[Kind]string{2: "FLOAT is not supported", 4: "BOOL is not supported", 9: "unknown value kind 9"} {
+		if err := CheckKind(k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("CheckKind(%d) = %v, want %q", k, err, want)
 		}
 	}
 }

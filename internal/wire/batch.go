@@ -20,17 +20,16 @@ const DefaultBatchRows = 1024
 
 // Col is one column of a result batch, in the columnar layout of
 // expr.ColVec: a NULL bitmap plus one typed payload holding the non-NULL
-// lanes densely. Kind selects the payload: Ints for INT and BOOL (0/1),
-// Floats for FLOAT, Strs for STRING. KindNull marks a generic column — a
-// mixed-kind or VECTOR column whose lanes are individually encoded Values
-// (Nulls is nil there; NULL lanes are Null values).
+// lanes densely. Kind selects the payload: Ints for INT, Strs for STRING.
+// KindNull marks a generic column — a mixed-kind or VECTOR column whose
+// lanes are individually encoded Values (Nulls is nil there; NULL lanes are
+// Null values). Any other kind byte is a bad frame.
 type Col struct {
-	Kind   types.Kind
-	Nulls  []byte // bitmap over lanes, bit i = lane i is NULL; nil when generic
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Vals   []types.Value // generic payload, one per lane
+	Kind  types.Kind
+	Nulls []byte // bitmap over lanes, bit i = lane i is NULL; nil when generic
+	Ints  []int64
+	Strs  []string
+	Vals  []types.Value // generic payload, one per lane
 }
 
 // ResultBatch is one columnar stride of a result stream.
@@ -88,13 +87,9 @@ func (f *ResultBatch) appendPayload(dst []byte) []byte {
 		}
 		dst = append(dst, c.Nulls...)
 		switch c.Kind {
-		case types.KindInt, types.KindBool:
+		case types.KindInt:
 			for _, v := range c.Ints {
 				dst = appendVarint(dst, v)
-			}
-		case types.KindFloat:
-			for _, v := range c.Floats {
-				dst = appendF64(dst, v)
 			}
 		case types.KindString:
 			for _, s := range c.Strs {
@@ -134,6 +129,13 @@ func decodeResultBatch(r *buf) (Frame, error) {
 			return nil, err
 		}
 		c.Kind = types.Kind(k)
+		if c.Kind != types.KindNull && c.Kind != types.KindInt && c.Kind != types.KindString {
+			err := types.CheckKind(c.Kind)
+			if err == nil {
+				err = fmt.Errorf("%s has no columnar layout", c.Kind)
+			}
+			return nil, fmt.Errorf("batch column %d: %w", ci, err)
+		}
 		if c.Kind == types.KindNull {
 			// Generic column: one encoded Value per lane.
 			if n > 0 {
@@ -163,45 +165,26 @@ func decodeResultBatch(r *buf) (Frame, error) {
 			r.b = r.b[nb:]
 		}
 		dense := nonNullCount(c.Nulls, n)
-		switch c.Kind {
-		case types.KindInt, types.KindBool:
-			if dense > r.remaining() {
-				return nil, ErrTruncated
-			}
-			if dense > 0 {
-				c.Ints = make([]int64, dense)
-				for i := range c.Ints {
-					if c.Ints[i], err = r.varint(); err != nil {
-						return nil, err
-					}
+		if dense > r.remaining() { // every lane costs ≥1 byte
+			return nil, ErrTruncated
+		}
+		if dense == 0 {
+			continue
+		}
+		if c.Kind == types.KindInt {
+			c.Ints = make([]int64, dense)
+			for i := range c.Ints {
+				if c.Ints[i], err = r.varint(); err != nil {
+					return nil, err
 				}
 			}
-		case types.KindFloat:
-			if dense > r.remaining()/8 {
-				return nil, ErrTruncated
-			}
-			if dense > 0 {
-				c.Floats = make([]float64, dense)
-				for i := range c.Floats {
-					if c.Floats[i], err = r.f64(); err != nil {
-						return nil, err
-					}
+		} else {
+			c.Strs = make([]string, dense)
+			for i := range c.Strs {
+				if c.Strs[i], err = r.str(); err != nil {
+					return nil, err
 				}
 			}
-		case types.KindString:
-			if dense > r.remaining() {
-				return nil, ErrTruncated
-			}
-			if dense > 0 {
-				c.Strs = make([]string, dense)
-				for i := range c.Strs {
-					if c.Strs[i], err = r.str(); err != nil {
-						return nil, err
-					}
-				}
-			}
-		default:
-			return nil, fmt.Errorf("unknown column kind %d", k)
 		}
 	}
 	return &f, nil
@@ -209,7 +192,7 @@ func decodeResultBatch(r *buf) (Frame, error) {
 
 // BatchFromValues builds a columnar batch from row-major values (all rows
 // the same width). Columns whose non-NULL lanes share one of the kernel
-// kinds (INT, FLOAT, BOOL, STRING) take the typed layout; mixed-kind and
+// kinds (INT, STRING) take the typed layout; mixed-kind and
 // VECTOR columns fall back to the generic per-value encoding — mirroring
 // the executor's expr.Batch kind-deviation rule.
 func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
@@ -261,12 +244,9 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 			c.Nulls = make([]byte, nb)
 		}
 		if dense > 0 {
-			switch kind {
-			case types.KindInt, types.KindBool:
+			if kind == types.KindInt {
 				c.Ints = make([]int64, 0, dense)
-			case types.KindFloat:
-				c.Floats = make([]float64, 0, dense)
-			case types.KindString:
+			} else {
 				c.Strs = make([]string, 0, dense)
 			}
 		}
@@ -274,14 +254,9 @@ func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 			v := row[ci]
 			if v.IsNull() {
 				setNull(c.Nulls, i)
-				continue
-			}
-			switch kind {
-			case types.KindInt, types.KindBool:
+			} else if kind == types.KindInt {
 				c.Ints = append(c.Ints, v.Int())
-			case types.KindFloat:
-				c.Floats = append(c.Floats, v.Float())
-			case types.KindString:
+			} else {
 				c.Strs = append(c.Strs, v.Str())
 			}
 		}
@@ -302,12 +277,9 @@ func ColOf(cv *expr.ColVec, lo, hi int) Col {
 		}
 	}
 	if nulls == 0 {
-		switch cv.Kind {
-		case types.KindFloat:
-			c.Floats = cv.F[lo:hi]
-		case types.KindString:
+		if cv.Kind == types.KindString {
 			c.Strs = cv.S[lo:hi]
-		default:
+		} else {
 			c.Ints = cv.I[lo:hi]
 		}
 		return c
@@ -316,12 +288,9 @@ func ColOf(cv *expr.ColVec, lo, hi int) Col {
 		if cv.Nulls.Get(i) {
 			continue
 		}
-		switch cv.Kind {
-		case types.KindFloat:
-			c.Floats = append(c.Floats, cv.F[i])
-		case types.KindString:
+		if cv.Kind == types.KindString {
 			c.Strs = append(c.Strs, cv.S[i])
-		default:
+		} else {
 			c.Ints = append(c.Ints, cv.I[i])
 		}
 	}
@@ -390,16 +359,6 @@ func (f *ResultBatch) expand(rows [][]types.Value) error {
 					return fmt.Errorf("wire: column %d INT payload underflow", ci)
 				}
 				rows[i][ci] = types.NewInt(c.Ints[di])
-			case types.KindBool:
-				if di >= len(c.Ints) {
-					return fmt.Errorf("wire: column %d BOOL payload underflow", ci)
-				}
-				rows[i][ci] = types.NewBool(c.Ints[di] != 0)
-			case types.KindFloat:
-				if di >= len(c.Floats) {
-					return fmt.Errorf("wire: column %d FLOAT payload underflow", ci)
-				}
-				rows[i][ci] = types.NewFloat(c.Floats[di])
 			case types.KindString:
 				if di >= len(c.Strs) {
 					return fmt.Errorf("wire: column %d STRING payload underflow", ci)

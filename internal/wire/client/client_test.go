@@ -34,7 +34,7 @@ func fakeServer(t *testing.T, answer func(id uint32) []wire.Frame) string {
 		if _, err := wire.ReadFrame(conn, 0); err != nil {
 			return
 		}
-		if wire.WriteFrame(conn, &wire.Welcome{Proto: wire.ProtoVersion, ConnID: 1, Tenant: "t"}) != nil {
+		if wire.WriteFrame(conn, &wire.Welcome{Proto: wire.ProtoVersion}) != nil {
 			return
 		}
 		for {

@@ -26,8 +26,9 @@ import (
 // ProtoVersion is the protocol revision. A server refuses a Hello whose
 // version it does not speak (CodeUnsupported), so a peer of another revision
 // is turned away at the handshake, not cut off mid-stream at a frame type it
-// does not know (see the reserved numbers in frames.go).
-const ProtoVersion = 2
+// does not know (see the reserved numbers in frames.go) or a batch column
+// kind it does not read (types.CheckKind).
+const ProtoVersion = 3
 
 // MaxFrameLen is the default cap on one frame's encoded size (type byte +
 // payload). Result batches are bounded by the batch lane count, so 4 MiB

@@ -16,7 +16,7 @@ import (
 // the values BatchFromValues would have carried.
 func TestColOfMatchesBatchFromValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	kinds := []types.Kind{types.KindInt, types.KindBool, types.KindFloat, types.KindString}
+	kinds := []types.Kind{types.KindInt, types.KindString, types.KindInt}
 	const n = 300
 	cols := expr.NewColumns(kinds, n, false)
 	rows := make([][]types.Value, n)
@@ -32,12 +32,6 @@ func TestColOfMatchesBatchFromValues(t *testing.T) {
 			case types.KindInt:
 				cv.I[k] = rng.Int63n(1000) - 500
 				rows[k][ci] = types.NewInt(cv.I[k])
-			case types.KindBool:
-				cv.I[k] = rng.Int63n(2)
-				rows[k][ci] = types.NewBool(cv.I[k] == 1)
-			case types.KindFloat:
-				cv.F[k] = rng.NormFloat64()
-				rows[k][ci] = types.NewFloat(cv.F[k])
 			case types.KindString:
 				cv.S[k] = fmt.Sprint("s", rng.Intn(9))
 				rows[k][ci] = types.NewString(cv.S[k])

@@ -119,15 +119,10 @@ type Hello struct {
 	Client string
 }
 
-// Welcome accepts a handshake: the server's protocol version, the
-// server-assigned connection id (the id its log lines and slow-query records
-// carry), the tenant the token resolved to, and the database commit version
-// the connection's session snapshot was taken at.
+// Welcome accepts a handshake: the server's protocol version, the one
+// field clients read.
 type Welcome struct {
-	Proto   uint32
-	ConnID  uint64
-	Tenant  string
-	Version uint64
+	Proto uint32
 }
 
 // Query runs SQL under a design. ID is chosen by the client, must be nonzero
@@ -261,25 +256,13 @@ func decodeHello(r *buf) (Frame, error) {
 }
 
 func (f *Welcome) appendPayload(dst []byte) []byte {
-	dst = appendUvarint(dst, uint64(f.Proto))
-	dst = appendUvarint(dst, f.ConnID)
-	dst = appendStr(dst, f.Tenant)
-	return appendUvarint(dst, f.Version)
+	return appendUvarint(dst, uint64(f.Proto))
 }
 
 func decodeWelcome(r *buf) (Frame, error) {
 	var f Welcome
 	var err error
 	if f.Proto, err = r.u32(); err != nil {
-		return nil, err
-	}
-	if f.ConnID, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if f.Tenant, err = r.str(); err != nil {
-		return nil, err
-	}
-	if f.Version, err = r.uvarint(); err != nil {
 		return nil, err
 	}
 	return &f, nil

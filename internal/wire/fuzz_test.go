@@ -10,23 +10,15 @@ import (
 )
 
 // hasNaN reports whether a frame carries any NaN float payload (Quality,
-// FLOAT columns, vector elements) — the one case where DeepEqual disagrees
-// with byte-level identity.
+// vector elements) — the one case where DeepEqual disagrees with byte-level
+// identity.
 func hasNaN(fr Frame) bool {
 	switch f := fr.(type) {
 	case *Epoch:
 		return math.IsNaN(f.Quality)
 	case *ResultBatch:
 		for ci := range f.Cols {
-			for _, v := range f.Cols[ci].Floats {
-				if math.IsNaN(v) {
-					return true
-				}
-			}
 			for _, v := range f.Cols[ci].Vals {
-				if v.Kind() == types.KindFloat && math.IsNaN(v.Float()) {
-					return true
-				}
 				if v.Kind() == types.KindVector {
 					for _, e := range v.Vector() {
 						if math.IsNaN(e) {

@@ -17,7 +17,7 @@ import (
 func sampleFrames() []Frame {
 	return []Frame{
 		&Hello{Proto: ProtoVersion, Token: "tok-alpha", Client: "loadgen/1"},
-		&Welcome{Proto: ProtoVersion, ConnID: 42, Tenant: "alpha", Version: 17},
+		&Welcome{Proto: ProtoVersion},
 		&Query{ID: 7, Design: DesignTight, SQL: "SELECT * FROM T WHERE label = 3"},
 		&Query{ID: 11, Design: DesignProgressive, SQL: "SELECT id FROM T",
 			Trace: TraceContext{TraceID: 0xdeadbeefcafe, SpanID: 17, Sampled: true}},
@@ -31,12 +31,12 @@ func sampleFrames() []Frame {
 		&ResultHeader{Query: 7, Columns: []string{"id", "grp", "label"}},
 		BatchFromValues(7, [][]types.Value{
 			{types.NewInt(1), types.NewString("a"), types.Null},
-			{types.NewInt(2), types.Null, types.NewFloat(0.5)},
-			{types.Null, types.NewString("c"), types.NewFloat(-0.0)},
+			{types.NewInt(2), types.Null, types.NewInt(5)},
+			{types.Null, types.NewString("c"), types.NewInt(-3)},
 		}),
 		BatchFromValues(7, [][]types.Value{
-			{types.NewBool(true), types.NewVector([]float64{1, 2})},
-			{types.NewBool(false), types.NewInt(3)}, // mixed → generic col
+			{types.NewString("t"), types.NewVector([]float64{1, 2})},
+			{types.NewString("f"), types.NewInt(3)}, // mixed → generic col
 		}),
 		&ResultBatch{Query: 3, NRows: 0},
 		&ResultDone{Query: 7, Rows: 1000, Enrichments: 12, Failed: 1, UDFCalls: 30, Epochs: 4, WallNs: 5_000_000},
@@ -85,9 +85,9 @@ func TestFrameRoundTrip(t *testing.T) {
 // every value, including NULLs, negative zero, and vectors.
 func TestBatchValuesRoundTrip(t *testing.T) {
 	rows := [][]types.Value{
-		{types.NewInt(-5), types.NewFloat(math.Inf(1)), types.NewString(""), types.NewBool(true), types.NewVector([]float64{1.5})},
+		{types.NewInt(-5), types.NewVector([]float64{math.Inf(1)}), types.NewString(""), types.NewInt(1), types.NewVector([]float64{1.5})},
 		{types.Null, types.Null, types.Null, types.Null, types.Null},
-		{types.NewInt(1 << 40), types.NewFloat(-0.0), types.NewString("héllo"), types.NewBool(false), types.NewVector(nil)},
+		{types.NewInt(1 << 40), types.NewVector([]float64{math.Copysign(0, -1)}), types.NewString("héllo"), types.NewInt(0), types.NewVector(nil)},
 	}
 	b := BatchFromValues(9, rows)
 	got, err := b.Values()
@@ -167,6 +167,17 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	forged = appendUvarint(forged, 1<<40)
 	if _, err := DecodeFrame(TypeResultBatch, forged); err == nil {
 		t.Error("forged column count must be rejected")
+	}
+	// A batch column of kind 2 or 4 (FLOAT and BOOL once) is refused by
+	// name, as is a VECTOR column outside the generic layout.
+	for kind, want := range map[byte]string{2: "FLOAT is not supported", 4: "BOOL is not supported", 5: "VECTOR has no columnar layout"} {
+		forged = appendUvarint(nil, 1)                    // query
+		forged = appendUvarint(forged, 1)                 // rows
+		forged = appendUvarint(forged, 1)                 // cols
+		forged = appendVarint(append(forged, kind, 0), 1) // kind, NULL bitmap, one lane
+		if _, err := DecodeFrame(TypeResultBatch, forged); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("column kind %d: got %v, want an error naming %q", kind, err, want)
+		}
 	}
 	// Trailing garbage after a valid frame payload.
 	cancel, _ := AppendFrame(nil, &Cancel{Query: 1})

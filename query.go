@@ -29,9 +29,8 @@ type Rows struct {
 	view sync.Once
 }
 
-// ColVec is one typed result column: Kind selects the payload (I for INT
-// and BOOL, F for FLOAT, S for STRING), one slot per row, and a NULL row's
-// bit is set in Nulls.
+// ColVec is one typed result column: Kind selects the payload (I for INT,
+// S for STRING), one slot per row, and a NULL row's bit is set in Nulls.
 type ColVec = expr.ColVec
 
 // Columns returns the result's column names.

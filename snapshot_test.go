@@ -175,6 +175,47 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesRemovedKinds: a snapshot value of kind 2 or 4 (FLOAT
+// and BOOL once) fails the load by name. The forged snapshots are a saved
+// one with one INT value's kind byte overwritten.
+func TestSnapshotRefusesRemovedKinds(t *testing.T) {
+	open := func() *DB {
+		db := Open()
+		if err := db.CreateRelation("K", []Column{{Name: "id", Kind: KindInt}, {Name: "x", Kind: KindInt}}); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	src := open()
+	const marker = 987654321
+	if _, err := src.Insert("K", 1, Int(1), Int(marker)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := Int(marker).GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	at := bytes.Index(img, enc)
+	if at < 0 || bytes.Contains(img[at+1:], enc) {
+		t.Fatal("the marker value is not in the snapshot exactly once")
+	}
+	if err := open().LoadSnapshot(bytes.NewReader(img)); err != nil {
+		t.Fatalf("unforged snapshot: %v", err)
+	}
+	for kind, want := range map[byte]string{2: "FLOAT is not supported", 4: "BOOL is not supported"} {
+		forged := bytes.Clone(img)
+		forged[at] = kind
+		if err := open().LoadSnapshot(bytes.NewReader(forged)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("value of kind %d: got %v, want an error naming %q", kind, err, want)
+		}
+	}
+}
+
 // TestSnapshotConcurrentEnrichmentAndTombstones saves a snapshot while
 // enriching queries run against the source and after deletions have both
 // compacted the slab and left fresh tombstones behind. The loaded database
