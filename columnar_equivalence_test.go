@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"enrichdb/internal/engine"
+	"enrichdb/internal/loose"
+	"enrichdb/internal/storage"
 )
 
 // The columnar result path (Project.vecExecute's gather, the shard merge of
@@ -147,7 +149,8 @@ func openColDB(t *testing.T, shards int) *DB {
 // on the unsharded store and on 1 and 4 shards, through DB and Session,
 // with the row path; it also requires that both the columnar answer and
 // the row fallback were taken, and that a VECTOR projection never answers
-// in columns.
+// in columns. It then does the same for loose and tight answers over a
+// partly enriched relation (checkEnrichedDesigns).
 func TestColumnarEquivalence(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -185,7 +188,166 @@ func TestColumnarEquivalence(t *testing.T) {
 			if columnar == 0 || fallback == 0 {
 				t.Fatalf("columnar answers %d, row fallbacks %d: both paths must run", columnar, fallback)
 			}
+			checkEnrichedDesigns(t, db, shards)
 		})
+	}
+}
+
+// enrichedColRelation creates and fills E over three chunks: NULLs in a and
+// s, a feature vector v and two derived columns d and e, each enriched by a
+// deterministic function; every 23rd row is deleted. It then enriches part
+// of the table through the loose design: both columns of ids up to 1100 (the
+// first chunk fully marked whatever the deletes shifted) and d of ids 1500
+// to 1700 (a mixed chunk), and deletes id 60 in the marked chunk; the rest
+// stays fresh.
+func enrichedColRelation(t *testing.T, db *DB) {
+	t.Helper()
+	err := db.CreateRelation("E", []Column{
+		{Name: "id", Kind: KindInt},
+		{Name: "a", Kind: KindInt},
+		{Name: "s", Kind: KindString},
+		{Name: "v", Kind: KindVector},
+		{Name: "d", Kind: KindInt, Derived: true, FeatureCol: "v", Domain: 3},
+		{Name: "e", Kind: KindInt, Derived: true, FeatureCol: "v", Domain: 2},
+	})
+	if err == nil {
+		err = db.RegisterEnrichment("E", "d", Function{Model: stepModel{classes: 3}, Quality: 0.9})
+	}
+	if err == nil {
+		err = db.RegisterEnrichment("E", "e", Function{Model: stepModel{classes: 2}, Quality: 0.9})
+	}
+	for i := int64(1); err == nil && i <= colRows; i++ {
+		a := Int(i % 37)
+		if i%11 == 0 {
+			a = Null
+		}
+		s := String(fmt.Sprintf("s%d", i%5))
+		if i%17 == 0 {
+			s = Null
+		}
+		_, err = db.Insert("E", i, Int(i), a, s, Vector([]float64{float64(i), float64(i % 7)}), Null, Null)
+	}
+	for i := int64(23); err == nil && i <= colRows; i += 23 {
+		err = db.Delete("E", i)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT id FROM E WHERE id <= 1100 AND d >= 0 AND e >= 0",
+		"SELECT id FROM E WHERE id BETWEEN 1500 AND 1700 AND d = 1",
+	} {
+		if _, err := db.QueryLoose(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Delete("E", 60); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomEnrichedQuery draws a projection of one to three columns of E and a
+// conjunction of an id window of at most 400 rows, one or two derived
+// conjuncts and up to one more fixed one, in random order: each query
+// enriches a little, so the store stays partly enriched across the run.
+func randomEnrichedQuery(rng *rand.Rand) string {
+	cols := []string{"id", "a", "s", "d", "e", "v"}
+	rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+	derived := []func() string{
+		func() string { return fmt.Sprintf("d = %d", rng.Intn(3)) },
+		func() string { return fmt.Sprintf("d <> %d", rng.Intn(3)) },
+		func() string { return fmt.Sprintf("d <= %d", rng.Intn(3)) },
+		func() string { return fmt.Sprintf("e = %d", rng.Intn(2)) },
+	}
+	fixed := []func() string{
+		func() string { return fmt.Sprintf("a < %d", rng.Intn(40)) },
+		func() string { return fmt.Sprintf("a >= %d", rng.Intn(40)) },
+		func() string { return fmt.Sprintf("s = 's%d'", rng.Intn(5)) },
+		func() string { return fmt.Sprintf("id > %d", rng.Intn(colRows)) },
+		func() string { return "a IS NOT NULL" },
+	}
+	lo := 1 + rng.Intn(colRows)
+	preds := []string{fmt.Sprintf("id BETWEEN %d AND %d", lo, lo+rng.Intn(400))}
+	for range 1 + rng.Intn(2) {
+		preds = append(preds, derived[rng.Intn(len(derived))]())
+	}
+	for range rng.Intn(2) {
+		preds = append(preds, fixed[rng.Intn(len(fixed))]())
+	}
+	rng.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
+	return fmt.Sprintf("SELECT %s FROM E WHERE %s",
+		strings.Join(cols[:1+rng.Intn(3)], ", "), strings.Join(preds, " AND "))
+}
+
+// probeTIDs runs q's loose probes over src with the vector path on or off
+// and renders the tuples each probe selected.
+func probeTIDs(t *testing.T, db *DB, src storage.Source, q string, noVector bool) string {
+	t.Helper()
+	st, err := db.parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := engine.NewExecCtx()
+	ctx.NoVector = noVector
+	probes, err := loose.GenerateProbes(st.a, src, db.mgr, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprint(probes)
+}
+
+// checkEnrichedDesigns runs seeded random queries over the partly enriched
+// E under the loose and tight designs, through DB and through a session
+// opened on the partly enriched store, whose chunks keep column and mark
+// vectors. Before each loose query its probes must select what the row
+// path's probes select over the same source, and every answer must be the
+// row path's over the store the query left. Each query's write-back lands
+// between two scans of the chunks it touched, so the next query's mark
+// tests read rebuilt mark vectors. Both columnar answers and row fallbacks
+// must occur.
+func checkEnrichedDesigns(t *testing.T, db *DB, shards int) {
+	t.Helper()
+	enrichedColRelation(t, db)
+	sess, err := db.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	rng := rand.New(rand.NewSource(int64(31 + shards)))
+	columnar, fallback := 0, 0
+	for i := 0; i < 80; i++ {
+		q := randomEnrichedQuery(rng)
+		design := []Design{LooseDesign, TightDesign}[i%2]
+		vias := []struct {
+			name string
+			src  storage.Source
+			run  runFunc
+		}{{"DB", db.store, db.Run}, {"Session", sess.snap, sess.Run}}
+		if i/2%2 == 1 {
+			vias[0], vias[1] = vias[1], vias[0] // the session enriches first
+		}
+		for _, via := range vias {
+			if design == LooseDesign {
+				if got, want := probeTIDs(t, db, via.src, q, false), probeTIDs(t, db, via.src, q, true); got != want {
+					t.Fatalf("%s %s: probes\ngot  %.400s\nwant %.400s", via.name, q, got, want)
+				}
+			}
+			res, err := via.run(context.Background(), design, q, QueryObs{})
+			if err != nil {
+				t.Fatalf("%s %v %s: %v", via.name, design, q, err)
+			}
+			if got, want := renderWithTIDs(res.Rows), rowPathAnswer(t, db, q); got != want {
+				t.Fatalf("%s %v %s:\ngot  %.400s\nwant %.400s", via.name, design, q, got, want)
+			}
+			if _, ok := res.Rows.Vec(0); ok {
+				columnar++
+			} else {
+				fallback++
+			}
+		}
+	}
+	if columnar == 0 || fallback == 0 {
+		t.Fatalf("loose and tight: columnar answers %d, row fallbacks %d: both paths must run", columnar, fallback)
 	}
 }
 

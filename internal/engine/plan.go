@@ -30,6 +30,10 @@ type Stats struct {
 	BatchesBuilt      int64
 	BatchRows         int64
 	BatchFallbackRows int64
+	// MarkChunksDecided counts batches whose chunk a mark test (a loose
+	// probe's AnyUnenriched, a tight guard's pending test) decided from the
+	// chunk's mark-vector AND, reading no lane.
+	MarkChunksDecided int64
 	// AdaptiveBuildSwaps counts hash joins that built on the (smaller) left
 	// input instead of the default right side.
 	AdaptiveBuildSwaps int64
@@ -51,6 +55,7 @@ func (s *Stats) Publish(add func(name string, delta int64)) {
 	add("engine.batch_built", s.BatchesBuilt)
 	add("engine.batch_rows", s.BatchRows)
 	add("engine.batch_fallback_rows", s.BatchFallbackRows)
+	add("engine.mark_chunks_decided", s.MarkChunksDecided)
 	add("engine.adaptive_build_swaps", s.AdaptiveBuildSwaps)
 }
 

@@ -134,6 +134,9 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*exp
 			return nil, nil, nil, false
 		}
 		ctx.Stats.BatchesBuilt++
+		if bufs.batch.MarksDecided {
+			ctx.Stats.MarkChunksDecided++
+		}
 		ctx.Stats.BatchRows += int64(m)
 		lo += m
 	}

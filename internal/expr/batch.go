@@ -190,10 +190,29 @@ func (cv *ColVec) clone() *ColVec {
 // readers must never change its lanes again (Set is for a private copy no
 // reader holds). A zero Chunk with only Tuples set keeps no vectors: a
 // batch over it fills scratch columns per scan.
+//
+// Such a chunk also keeps its lanes' enrichment marks as one contiguous
+// vector (markVec), built by the first mark test that reads the chunk, so a
+// mark test reads no tuple pointer and, where every lane carries its mask,
+// decides the whole chunk from the marks' AND.
 type Chunk struct {
 	Tuples []*types.Tuple
 	cols   []atomic.Pointer[ColVec] // nil: no vector cache
+	marks  atomic.Pointer[markVec]
 }
+
+// markVec is a chunk's enrichment-mark vector: lane i's types.Tuple.Enriched
+// mask (0 for a nil lane, a tombstone, which holds no mark), and the AND of
+// every lane's mask. Like the column vectors it depends only on the chunk's
+// tuple pointers, so it is immutable once published.
+type markVec struct {
+	lanes []uint64
+	and   uint64
+}
+
+// covers reports whether every lane carries all of mask's bits: a mark test
+// of mask then holds on the whole chunk.
+func (m *markVec) covers(mask uint64) bool { return m.and&mask == mask }
 
 // NewChunk returns a chunk over tuples that caches vectors for ncols
 // columns.
@@ -216,8 +235,29 @@ func (c *Chunk) col(ci int, kind types.Kind) *ColVec {
 	return c.cols[ci].Load()
 }
 
+// markVec returns the chunk's mark vector, building and publishing it on
+// first use as col does; nil for a chunk that keeps no vectors.
+func (c *Chunk) markVec() *markVec {
+	if c.cols == nil {
+		return nil
+	}
+	if m := c.marks.Load(); m != nil {
+		return m
+	}
+	m := &markVec{lanes: make([]uint64, len(c.Tuples)), and: ^uint64(0)}
+	for i, tu := range c.Tuples {
+		if tu != nil {
+			m.lanes[i] = tu.Enriched
+		}
+		m.and &= m.lanes[i]
+	}
+	c.marks.CompareAndSwap(nil, m) // a concurrent build is equal; either wins
+	return c.marks.Load()
+}
+
 // Clone returns a private copy of the chunk: the same tuple pointers and a
-// copy of every vector built so far, which Set may then change in place.
+// copy of every column vector built so far, which Set may then change in
+// place. The mark vector is not copied: the next mark test rebuilds it.
 func (c *Chunk) Clone() *Chunk {
 	nc := NewChunk(append([]*types.Tuple(nil), c.Tuples...), len(c.cols))
 	for ci := range c.cols {
@@ -229,14 +269,17 @@ func (c *Chunk) Clone() *Chunk {
 }
 
 // Set replaces lane i's tuple with tu, an image that differs from the old
-// one in column ci's value (and in its enrichment marks) only, and patches
-// ci's vector if one is built. Only the owner of a private copy (Clone) may
-// call it, before any reader has the chunk.
+// one in column ci's value (and in its enrichment marks) only, patches ci's
+// vector if one is built and drops the mark vector (a write-back batch sets
+// many lanes; recomputing the AND per lane would cost a chunk per write).
+// Only the owner of a private copy (Clone) may call it, before any reader
+// has the chunk.
 func (c *Chunk) Set(i int, tu *types.Tuple, ci int) {
 	c.Tuples[i] = tu
 	if cv := c.cols[ci].Load(); cv != nil {
 		cv.patch(i, tu.Vals[ci])
 	}
+	c.marks.Store(nil)
 }
 
 // Append adds lane tu to a private copy (see Set) and drops the vectors
@@ -248,6 +291,7 @@ func (c *Chunk) Append(tu *types.Tuple) {
 			c.cols[ci].Store(nil)
 		}
 	}
+	c.marks.Store(nil)
 }
 
 // Batch is a column-oriented window over one chunk of base-table tuples:
@@ -264,6 +308,9 @@ func (c *Chunk) Append(tu *types.Tuple) {
 type Batch struct {
 	Schema *RowSchema
 	Tuples []*types.Tuple
+	// MarksDecided reports that a mark test decided this chunk from its
+	// mark vector's AND, reading no lane (engine.Stats counts such chunks).
+	MarksDecided bool
 
 	chunk *Chunk
 	vecs  []*ColVec // column ci's vector once Col resolved it
@@ -276,6 +323,7 @@ func (b *Batch) Reset(rs *RowSchema, c *Chunk) {
 	b.Schema = rs
 	b.Tuples = c.Tuples
 	b.chunk = c
+	b.MarksDecided = false
 	nc := len(rs.Cols)
 	if cap(b.vecs) < nc {
 		b.vecs = make([]*ColVec, nc)

@@ -61,18 +61,22 @@ func (vp *VecPred) NumKernels() int { return len(vp.kernels) }
 // pend cleared (it may be nil when Pending is). It returns false when a
 // referenced column's values deviate from the declared kind — the caller
 // must discard the bitmaps and evaluate the batch row-at-a-time.
+//
+// Once no lane is not-False, no later kernel runs: it could clear nothing
+// (t ⊆ nf), and pending lanes come only from nf. A column-fill bail it would
+// have hit is skipped too, which is harmless: the bail's row path answers
+// the same.
 func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
 	var prefix [BatchSize / 64]uint64 // t as the first guarded conjunct finds it
 	for i, k := range vp.kernels {
+		if !nf.Any() {
+			break
+		}
 		if i == vp.guardAt {
 			// The lanes the row path carries into the first guarded
 			// conjunct whose image misses a guarded mark bit are pending.
 			copy(prefix[:], t)
-			for lane, tu := range b.Tuples {
-				if nf.Get(lane) && tu.Enriched&vp.guardMask != vp.guardMask {
-					pend.Set(lane)
-				}
-			}
+			vp.pending(b, nf, pend)
 		}
 		if !k.apply(b, t, nf) {
 			return false
@@ -83,6 +87,30 @@ func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
 		t[w] = t[w]&^pend[w] | prefix[w]&pend[w]
 	}
 	return true
+}
+
+// pending sets pend for the not-False lanes whose image misses a guarded
+// mark bit. It reads the chunk's mark vector where the chunk keeps one, and
+// when every lane carries guardMask no lane is pending and none is read.
+func (vp *VecPred) pending(b *Batch, nf, pend Bitmap) {
+	mv := b.chunk.markVec()
+	if mv == nil {
+		for lane, tu := range b.Tuples {
+			if nf.Get(lane) && tu.Enriched&vp.guardMask != vp.guardMask {
+				pend.Set(lane)
+			}
+		}
+		return
+	}
+	if mv.covers(vp.guardMask) {
+		b.MarksDecided = true
+		return
+	}
+	for lane, m := range mv.lanes {
+		if nf.Get(lane) && m&vp.guardMask != vp.guardMask {
+			pend.Set(lane)
+		}
+	}
 }
 
 // CompileVecPred compiles pred against a single-slot (base scan) schema.
@@ -235,13 +263,36 @@ func (k kIsNull) apply(b *Batch, t, nf Bitmap) bool {
 	return true
 }
 
-// kEnriched: the enrichment-mark test read off the lanes' tuple images — no
-// column fill, never Unknown; on warm data AnyUnenriched clears every lane.
+// kEnriched: the enrichment-mark test — no column fill, never Unknown. It
+// reads the chunk's mark vector where the chunk keeps one, and decides the
+// whole chunk from the vector's AND when every lane carries the mask: on
+// warm data AnyUnenriched then clears every lane without reading one. A
+// chunk without vectors reads the lanes' tuple images.
 type kEnriched struct{ e *Enriched }
 
 func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
-	for i, tu := range b.Tuples {
-		if k.e.holds(tu) == k.e.Negate {
+	e := k.e
+	mv := b.chunk.markVec()
+	if mv == nil || !e.markable || e.mask == 0 {
+		for i, tu := range b.Tuples {
+			if e.holds(tu) == e.Negate {
+				t.Clear(i)
+				nf.Clear(i)
+			}
+		}
+		return true
+	}
+	// A nil lane's mask is 0: with a non-zero mask it never holds.
+	if mv.covers(e.mask) {
+		b.MarksDecided = true
+		if e.Negate {
+			clear(t)
+			clear(nf)
+		}
+		return true
+	}
+	for i, m := range mv.lanes {
+		if (m&e.mask == e.mask) == e.Negate {
 			t.Clear(i)
 			nf.Clear(i)
 		}

@@ -29,6 +29,8 @@ func (t Timing) Total() time.Duration { return t.Probe + t.Enrich + t.Network + 
 
 // Result is the outcome of a loose, non-progressive query execution.
 type Result struct {
+	// Rows is the answer's row view (ExecuteAnalyzed); ExecuteAnswer leaves
+	// it nil and hands the answer on as the plan built it.
 	Rows []*expr.Row
 	// Schema is the output schema of the final plan (column names survive an
 	// empty answer).
@@ -106,8 +108,21 @@ func (d *Driver) Execute(query string) (*Result, error) {
 	return d.ExecuteAnalyzed(a)
 }
 
-// ExecuteAnalyzed runs an already-analyzed query.
+// ExecuteAnalyzed runs an already-analyzed query and answers in rows: the
+// row view of ExecuteAnswer's answer.
 func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
+	res, ans, err := d.ExecuteAnswer(a)
+	if err == nil {
+		res.Rows = ans.View(res.Schema)
+	}
+	return res, err
+}
+
+// ExecuteAnswer runs an already-analyzed query end to end and answers the
+// final plan's result as engine.ExecuteAnswer built it: columns when a
+// projection's fused scan branch answered in columns, rows otherwise.
+// Result.Rows stays nil.
+func (d *Driver) ExecuteAnswer(a *engine.Analysis) (*Result, engine.Answer, error) {
 	res := &Result{}
 	ctx := engine.NewExecCtx()
 	ctx.Prof = d.Prof
@@ -122,7 +137,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	probes, err := GenerateProbes(a, d.DB, d.Mgr, ctx)
 	if err != nil {
 		spProbe.Str("error", err.Error()).End()
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
 	for _, p := range probes {
 		res.ProbeTuples += len(p.TIDs)
@@ -135,10 +150,10 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	// not-yet-executed family function of every probe tuple.
 	reqs, err := d.BuildRequests(probes)
 	if err != nil {
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
 	if err := ctx.CancelErr(); err != nil {
-		return nil, err // canceled while probing: pay for no enrichment
+		return nil, engine.Answer{}, err // canceled while probing: pay for no enrichment
 	}
 
 	// Phase 3: enrich at the server, then write the state and the
@@ -174,7 +189,7 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 			spWB := d.Tracer.Start("loose.writeback").Int("responses", int64(len(ok)))
 			if err := d.WriteBack(ok); err != nil {
 				spWB.Str("error", err.Error()).End()
-				return nil, err
+				return nil, engine.Answer{}, err
 			}
 			spWB.End()
 			applied = int64(len(ok))
@@ -195,21 +210,21 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 	plan, err := engine.Build(a, d.DB)
 	if err != nil {
 		spExec.Str("error", err.Error()).End()
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
-	rows, err := plan.Execute(ctx)
+	ans, err := engine.ExecuteAnswer(plan, ctx)
 	if err != nil {
 		spExec.Str("error", err.Error()).End()
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
-	d.Prof.End(xn, 0, int64(len(rows)))
-	spExec.Int("rows", int64(len(rows))).End()
+	d.Prof.End(xn, 0, int64(ans.Len()))
+	spExec.Int("rows", int64(ans.Len())).End()
 	res.Timing.DBMS += time.Since(t2)
-	res.Rows, res.Schema = rows, plan.Schema()
+	res.Schema = plan.Schema()
 	res.Stats = *ctx.Stats
 	ctx.PublishStats(d.Mgr.Telemetry().Add)
-	d.Prof.End(qn, int64(res.ProbeTuples), int64(len(rows)))
-	return res, nil
+	d.Prof.End(qn, int64(res.ProbeTuples), int64(ans.Len()))
+	return res, ans, nil
 }
 
 // BuildRequests expands probe results into enrichment requests: for each

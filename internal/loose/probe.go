@@ -50,14 +50,20 @@ type ProbeOptions struct {
 //	Step 2: build the join graph over fixed join conditions only.
 //	Step 3: for each target alias, a semi-join node per edge of a spanning
 //	        tree rooted at the alias, each child reduced recursively.
-//	Step 4: the target's filter also holds AnyUnenriched(attrs) right after
-//	        the fixed conjuncts, keeping only tuples with at least one
-//	        attribute not yet determined by its complete function family.
+//	Step 4: the target's filter also holds AnyUnenriched(attrs), keeping
+//	        only tuples with at least one attribute not yet determined by
+//	        its complete function family. It is the filter's first
+//	        conjunct, ahead of Step 1's fixed conjuncts: the probe predicate
+//	        runs no UDF and the mark test never errors, so the order changes
+//	        only the cost (a fixed conjunct that errors on a stored cell
+//	        still errors in the final plan), and on enriched data the mark
+//	        test decides each chunk before any fixed kernel runs.
 //
 // Prior work is read from the tuple images' enrichment marks
-// (types.Tuple.Enriched), in a vector kernel; mgr is not consulted — an
-// unmarked tuple whose functions all ran is probed, and BuildRequests marks
-// it without running anything.
+// (types.Tuple.Enriched), in a vector kernel that reads a chunk's mark
+// vector and decides a chunk whose lanes all carry the marks from the
+// vector's AND; mgr is not consulted — an unmarked tuple whose functions
+// all ran is probed, and BuildRequests marks it without running anything.
 func GenerateProbes(a *engine.Analysis, db storage.Source, mgr *enrich.Manager, ctx *engine.ExecCtx) ([]ProbeResult, error) {
 	return GenerateProbesOpt(a, db, mgr, ctx, ProbeOptions{})
 }
@@ -133,8 +139,9 @@ func (pb *probeBuilder) plan(tm engine.TableMeta, attrs []string, visited map[st
 	return plan, nil
 }
 
-// filter is the alias's probe predicate, nil when nothing filters: fixed
-// conjuncts first, then the mark test, then the rewritten derived conjuncts.
+// filter is the alias's probe predicate, nil when nothing filters: the mark
+// test first, then the fixed conjuncts, then the rewritten derived
+// conjuncts.
 // A derived condition C over attributes A₁..Aₙ passes a tuple when C holds
 // on the current values or some Aᵢ is unmarked — the paper's
 // (⋁ Aᵢ IS NULL) ∨ C rewrite, generalized to the progressive bitmap test.
@@ -155,11 +162,11 @@ func (pb *probeBuilder) filter(tm engine.TableMeta, tbl storage.Relation, attrs 
 			derived = append(derived, expr.NewOr(c.E.Clone(), expr.NewEnriched(tbl, tm.Alias, refs, true)))
 		}
 	}
-	kids := fixed
+	var kids []expr.Expr
 	if attrs != nil && !pb.opts.NoPriorWork {
 		kids = append(kids, expr.NewEnriched(tbl, tm.Alias, attrs, true))
 	}
-	if kids = append(kids, derived...); len(kids) == 0 {
+	if kids = append(append(kids, fixed...), derived...); len(kids) == 0 {
 		return nil
 	}
 	return expr.NewAnd(kids...)

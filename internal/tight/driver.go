@@ -13,6 +13,8 @@ import (
 
 // Result is the outcome of a tight, non-progressive query execution.
 type Result struct {
+	// Rows is the answer's row view (ExecuteAnalyzed); ExecuteAnswer leaves
+	// it nil and hands the answer on as the plan built it.
 	Rows []*expr.Row
 	// Schema is the executed plan's output schema. The rewrite keeps the
 	// statement's select list and tables, so it is the original query's.
@@ -66,11 +68,24 @@ func (d *Driver) Execute(query string) (*Result, error) {
 	return d.ExecuteAnalyzed(a)
 }
 
-// ExecuteAnalyzed runs an already-analyzed query.
+// ExecuteAnalyzed runs an already-analyzed query and answers in rows: the
+// row view of ExecuteAnswer's answer.
 func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
+	res, ans, err := d.ExecuteAnswer(a)
+	if err == nil {
+		res.Rows = ans.View(res.Schema)
+	}
+	return res, err
+}
+
+// ExecuteAnswer runs an already-analyzed query and answers the rewritten
+// plan's result as engine.ExecuteAnswer built it: columns when a
+// projection's fused scan branch decided every lane from stored values,
+// rows otherwise. Result.Rows stays nil.
+func (d *Driver) ExecuteAnswer(a *engine.Analysis) (*Result, engine.Answer, error) {
 	plan, err := d.Plan(a)
 	if err != nil {
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
 	rt := NewRuntime(d.DB, d.Mgr)
 	ctx := engine.NewExecCtx()
@@ -85,25 +100,24 @@ func (d *Driver) ExecuteAnalyzed(a *engine.Analysis) (*Result, error) {
 
 	t0 := time.Now()
 	sp := d.Tracer.Start("tight.execute")
-	rows, err := plan.Execute(ctx)
+	ans, err := engine.ExecuteAnswer(plan, ctx)
 	if err != nil {
 		sp.Str("error", err.Error()).End()
-		return nil, err
+		return nil, engine.Answer{}, err
 	}
 	ctx.PublishStats(d.Mgr.Telemetry().Add)
 	res := &Result{
-		Rows:           rows,
 		Schema:         plan.Schema(),
 		UDFInvocations: ctx.Eval.UDFInvocations,
 		DBMS:           time.Since(t0),
 		Stats:          *ctx.Stats,
 	}
 	res.Enrichments, res.EnrichTime = rt.Enrichments()
-	sp.Int("rows", int64(len(rows))).
+	sp.Int("rows", int64(ans.Len())).
 		Int("enrichments", res.Enrichments).
 		Int("udf_invocations", res.UDFInvocations).
 		End()
-	return res, nil
+	return res, ans, nil
 }
 
 // Plan rewrites an analyzed query with UDF-wrapped derived conditions and

@@ -1,6 +1,8 @@
 package tight
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -479,5 +481,41 @@ func TestTightEnrichmentsArePerQuery(t *testing.T) {
 	}
 	if delta := after.EnrichTime - before.EnrichTime; resA.EnrichTime+resB.EnrichTime != delta {
 		t.Errorf("enrich time A+B = %v, manager ran for %v", resA.EnrichTime+resB.EnrichTime, delta)
+	}
+}
+
+// TestResultRowsAreTheAnswer: Execute's Result.Rows is the row view of the
+// answer ExecuteAnswer hands on, row by row with TIDs, when the rewritten
+// plan answers in columns (a second run: every lane the guard reaches is
+// marked).
+func TestResultRowsAreTheAnswer(t *testing.T) {
+	d, _, drv := fixture(t)
+	q := "SELECT tid, TweetTime FROM TweetData WHERE TweetTime < 3000 AND sentiment = 1"
+	if _, err := drv.Execute(q); err != nil {
+		t.Fatal(err)
+	}
+	res, err := drv.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := engine.Analyze(sqlparser.MustParse(q), d.DB.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ans, err := drv.ExecuteAnswer(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Cols == nil || ans.Len() == 0 {
+		t.Fatalf("the answer is not a non-empty column answer (%d rows, columns %v)", ans.Len(), ans.Cols != nil)
+	}
+	want := ans.View(res.Schema)
+	if len(res.Rows) != len(want) {
+		t.Fatalf("Result.Rows has %d rows, the answer %d", len(res.Rows), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(res.Rows[i].TIDs, want[i].TIDs) || fmt.Sprint(res.Rows[i].Vals) != fmt.Sprint(want[i].Vals) {
+			t.Fatalf("row %d: %v %v, the answer's %v %v", i, res.Rows[i].TIDs, res.Rows[i].Vals, want[i].TIDs, want[i].Vals)
+		}
 	}
 }

@@ -232,16 +232,16 @@ func (db *DB) run(ctx context.Context, src storage.Source, design Design, query 
 		ans, schema, err = db.runPlain(st.a, src, ctx.Done(), tracer, prof)
 	case LooseDesign:
 		var lr *loose.Result
-		if lr, err = db.looseDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
-			ans.Rows, schema = lr.Rows, lr.Schema
+		if lr, ans, err = db.looseDriver(src, ctx.Done(), tracer, prof).ExecuteAnswer(st.a); err == nil {
+			schema = lr.Schema
 			res.Enrichments = lr.Enrichments
 			res.FailedEnrichments, res.EnrichErrors = lr.FailedEnrichments, lr.EnrichErrors
 			res.Timing = lr.Timing
 		}
 	case TightDesign:
 		var tr *tight.Result
-		if tr, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnalyzed(st.a); err == nil {
-			ans.Rows, schema = tr.Rows, tr.Schema
+		if tr, ans, err = db.tightDriver(src, ctx.Done(), tracer, prof).ExecuteAnswer(st.a); err == nil {
+			schema = tr.Schema
 			res.Enrichments, res.UDFInvocations = tr.Enrichments, tr.UDFInvocations
 			// Everything runs inside the DBMS in the tight design; split the
 			// wall-clock into enrichment-function execution vs the rest so that
