@@ -298,12 +298,12 @@ func probeTIDs(t *testing.T, db *DB, src storage.Source, q string, noVector bool
 
 // checkEnrichedDesigns runs seeded random queries over the partly enriched
 // E under the loose and tight designs, through DB and through a session
-// opened on the partly enriched store, whose chunks keep column and mark
-// vectors. Before each loose query its probes must select what the row
-// path's probes select over the same source, and every answer must be the
-// row path's over the store the query left. Each query's write-back lands
-// between two scans of the chunks it touched, so the next query's mark
-// tests read rebuilt mark vectors. Both columnar answers and row fallbacks
+// opened on the partly enriched store, whose chunks keep column vectors and
+// their marks' AND. Before each loose query its probes must select what the
+// row path's probes select over the same source, and every answer must be
+// the row path's over the store the query left. Each query's write-back
+// lands between two scans of the chunks it touched, so the next query's
+// mark tests read a recomputed AND. Both columnar answers and row fallbacks
 // must occur.
 func checkEnrichedDesigns(t *testing.T, db *DB, shards int) {
 	t.Helper()

@@ -191,28 +191,14 @@ func (cv *ColVec) clone() *ColVec {
 // reader holds). A zero Chunk with only Tuples set keeps no vectors: a
 // batch over it fills scratch columns per scan.
 //
-// Such a chunk also keeps its lanes' enrichment marks as one contiguous
-// vector (markVec), built by the first mark test that reads the chunk, so a
-// mark test reads no tuple pointer and, where every lane carries its mask,
-// decides the whole chunk from the marks' AND.
+// Such a chunk also keeps the AND of its lanes' enrichment marks, computed
+// by the first mark test that reads the chunk: a mark test whose mask the
+// AND covers holds on every lane, and decides the chunk without reading one.
 type Chunk struct {
 	Tuples []*types.Tuple
 	cols   []atomic.Pointer[ColVec] // nil: no vector cache
-	marks  atomic.Pointer[markVec]
+	marks  atomic.Pointer[uint64]   // the lanes' marks' AND, once computed
 }
-
-// markVec is a chunk's enrichment-mark vector: lane i's types.Tuple.Enriched
-// mask (0 for a nil lane, a tombstone, which holds no mark), and the AND of
-// every lane's mask. Like the column vectors it depends only on the chunk's
-// tuple pointers, so it is immutable once published.
-type markVec struct {
-	lanes []uint64
-	and   uint64
-}
-
-// covers reports whether every lane carries all of mask's bits: a mark test
-// of mask then holds on the whole chunk.
-func (m *markVec) covers(mask uint64) bool { return m.and&mask == mask }
 
 // NewChunk returns a chunk over tuples that caches vectors for ncols
 // columns.
@@ -235,29 +221,37 @@ func (c *Chunk) col(ci int, kind types.Kind) *ColVec {
 	return c.cols[ci].Load()
 }
 
-// markVec returns the chunk's mark vector, building and publishing it on
-// first use as col does; nil for a chunk that keeps no vectors.
-func (c *Chunk) markVec() *markVec {
+// marksCover reports whether every lane carries all of mask's bits, read
+// from the AND of the lanes' types.Tuple.Enriched masks, which it computes
+// and publishes on first use as col does. A nil lane (a tombstone) holds no
+// mark. A chunk that keeps no vectors answers false: its mark tests read
+// the lanes.
+func (c *Chunk) marksCover(mask uint64) bool {
 	if c.cols == nil {
-		return nil
+		return false
 	}
-	if m := c.marks.Load(); m != nil {
-		return m
-	}
-	m := &markVec{lanes: make([]uint64, len(c.Tuples)), and: ^uint64(0)}
-	for i, tu := range c.Tuples {
-		if tu != nil {
-			m.lanes[i] = tu.Enriched
+	and := c.marks.Load()
+	if and == nil {
+		v := ^uint64(0)
+		for _, tu := range c.Tuples {
+			if tu == nil {
+				v = 0
+			} else {
+				v &= tu.Enriched
+			}
+			if v == 0 {
+				break
+			}
 		}
-		m.and &= m.lanes[i]
+		c.marks.CompareAndSwap(nil, &v) // a concurrent build is equal; either wins
+		and = c.marks.Load()
 	}
-	c.marks.CompareAndSwap(nil, m) // a concurrent build is equal; either wins
-	return c.marks.Load()
+	return *and&mask == mask
 }
 
 // Clone returns a private copy of the chunk: the same tuple pointers and a
 // copy of every column vector built so far, which Set may then change in
-// place. The mark vector is not copied: the next mark test rebuilds it.
+// place. The marks' AND is not copied: the next mark test recomputes it.
 func (c *Chunk) Clone() *Chunk {
 	nc := NewChunk(append([]*types.Tuple(nil), c.Tuples...), len(c.cols))
 	for ci := range c.cols {
@@ -270,7 +264,7 @@ func (c *Chunk) Clone() *Chunk {
 
 // Set replaces lane i's tuple with tu, an image that differs from the old
 // one in column ci's value (and in its enrichment marks) only, patches ci's
-// vector if one is built and drops the mark vector (a write-back batch sets
+// vector if one is built and drops the marks' AND (a write-back batch sets
 // many lanes; recomputing the AND per lane would cost a chunk per write).
 // Only the owner of a private copy (Clone) may call it, before any reader
 // has the chunk.
@@ -309,7 +303,7 @@ type Batch struct {
 	Schema *RowSchema
 	Tuples []*types.Tuple
 	// MarksDecided reports that a mark test decided this chunk from its
-	// mark vector's AND, reading no lane (engine.Stats counts such chunks).
+	// marks' AND, reading no lane (engine.Stats counts such chunks).
 	MarksDecided bool
 
 	chunk *Chunk

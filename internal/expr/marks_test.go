@@ -26,7 +26,7 @@ func markTuple(id int64, mark uint64, x, d1, d2 types.Value) *types.Tuple {
 	return &types.Tuple{ID: id, Enriched: mark, Vals: []types.Value{types.NewInt(id), x, types.Null, d1, d2}}
 }
 
-// markChunks are the chunk shapes the mark vector must answer exactly as
+// markChunks are the chunk shapes the marks' AND must answer exactly as
 // the tuples do: every lane marked, every lane unmarked, every mark and value
 // combination, and one whose lanes the first guarded conjunct leaves all
 // False while some are pending (marked lanes whose d1 fails, unmarked lanes
@@ -139,14 +139,14 @@ func checkGuarded(t *testing.T, name string, pred Expr, vp *VecPred, rs *RowSche
 	return decided
 }
 
-// TestMarkVectorMatchesRowPath: a chunk's mark vector answers every mark
+// TestChunkMarksMatchRowPath: a chunk's marks' AND answers every mark
 // test exactly as its tuples' images do. Over every chunk shape, on a chunk
 // that keeps vectors (read twice: built, then published) and one that does
 // not, the guarded predicate's verdicts, pending lanes and UDF calls are the
 // row path's, and the mark test's verdicts are its row evaluation's. A nil
 // lane reads as unmarked. Only a chunk whose every lane carries the mask is
 // decided from the AND.
-func TestMarkVectorMatchesRowPath(t *testing.T) {
+func TestChunkMarksMatchRowPath(t *testing.T) {
 	s, rs, m1, m2 := markSchema(t)
 	pred := guardedPred()
 	MustResolve(pred, rs)
@@ -208,11 +208,11 @@ func TestMarkVectorMatchesRowPath(t *testing.T) {
 	}
 }
 
-// TestMarkVectorDroppedOnWrite: a write between two scans of one chunk
-// (Clone, then Set, as a write-back does) leaves no stale mark vector: the
+// TestChunkMarksDroppedOnWrite: a write between two scans of one chunk
+// (Clone, then Set, as a write-back does) leaves no stale marks' AND: the
 // copy's next scan reads the written images' marks, whichever way a mark
 // moved, and a fully marked chunk stops being decided from its old AND.
-func TestMarkVectorDroppedOnWrite(t *testing.T) {
+func TestChunkMarksDroppedOnWrite(t *testing.T) {
 	s, rs, m1, m2 := markSchema(t)
 	pred := guardedPred()
 	MustResolve(pred, rs)
@@ -244,7 +244,7 @@ func TestMarkVectorDroppedOnWrite(t *testing.T) {
 	if !checkGuarded(t, "after the write back", pred, vp, rs, nc, imgs, s, m1|m2) {
 		t.Error("the rewritten copy was not decided from its AND")
 	}
-	// Append drops the vector too.
+	// Append drops the AND too.
 	nc.Append(markTuple(13, 0, zero, one, one))
 	imgs[13] = nc.Tuples[12]
 	checkGuarded(t, "after an append", pred, vp, rs, nc, imgs, s, m1|m2)

@@ -90,24 +90,15 @@ func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
 }
 
 // pending sets pend for the not-False lanes whose image misses a guarded
-// mark bit. It reads the chunk's mark vector where the chunk keeps one, and
-// when every lane carries guardMask no lane is pending and none is read.
+// mark bit. When the chunk's marks' AND covers guardMask no lane is pending
+// and none is read.
 func (vp *VecPred) pending(b *Batch, nf, pend Bitmap) {
-	mv := b.chunk.markVec()
-	if mv == nil {
-		for lane, tu := range b.Tuples {
-			if nf.Get(lane) && tu.Enriched&vp.guardMask != vp.guardMask {
-				pend.Set(lane)
-			}
-		}
-		return
-	}
-	if mv.covers(vp.guardMask) {
+	if b.chunk.marksCover(vp.guardMask) {
 		b.MarksDecided = true
 		return
 	}
-	for lane, m := range mv.lanes {
-		if nf.Get(lane) && m&vp.guardMask != vp.guardMask {
+	for lane, tu := range b.Tuples {
+		if nf.Get(lane) && tu.Enriched&vp.guardMask != vp.guardMask {
 			pend.Set(lane)
 		}
 	}
@@ -263,27 +254,16 @@ func (k kIsNull) apply(b *Batch, t, nf Bitmap) bool {
 	return true
 }
 
-// kEnriched: the enrichment-mark test — no column fill, never Unknown. It
-// reads the chunk's mark vector where the chunk keeps one, and decides the
-// whole chunk from the vector's AND when every lane carries the mask: on
-// warm data AnyUnenriched then clears every lane without reading one. A
-// chunk without vectors reads the lanes' tuple images.
+// kEnriched: the enrichment-mark test — no column fill, never Unknown. When
+// the chunk's marks' AND covers the mask it decides the whole chunk without
+// reading a lane: on warm data AnyUnenriched then clears every lane.
+// Otherwise it reads the lanes' tuple images.
 type kEnriched struct{ e *Enriched }
 
 func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
 	e := k.e
-	mv := b.chunk.markVec()
-	if mv == nil || !e.markable || e.mask == 0 {
-		for i, tu := range b.Tuples {
-			if e.holds(tu) == e.Negate {
-				t.Clear(i)
-				nf.Clear(i)
-			}
-		}
-		return true
-	}
-	// A nil lane's mask is 0: with a non-zero mask it never holds.
-	if mv.covers(e.mask) {
+	// A nil lane holds no mark: with a non-zero mask the AND never covers it.
+	if e.markable && e.mask != 0 && b.chunk.marksCover(e.mask) {
 		b.MarksDecided = true
 		if e.Negate {
 			clear(t)
@@ -291,8 +271,8 @@ func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
 		}
 		return true
 	}
-	for i, m := range mv.lanes {
-		if (m&e.mask == e.mask) == e.Negate {
+	for i, tu := range b.Tuples {
+		if e.holds(tu) == e.Negate {
 			t.Clear(i)
 			nf.Clear(i)
 		}

@@ -48,7 +48,7 @@ func TestResultRowsAreTheAnswer(t *testing.T) {
 }
 
 // TestProbeDecidesMarkedChunksFromAnd: over a snapshot, whose chunks keep
-// mark vectors, a probe of a fully enriched table decides every chunk from
+// their marks' AND, a probe of a fully enriched table decides every chunk from
 // its marks' AND and probes nothing; on a fresh table it decides none. The
 // loose driver publishes the count as engine.mark_chunks_decided.
 func TestProbeDecidesMarkedChunksFromAnd(t *testing.T) {

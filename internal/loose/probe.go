@@ -53,17 +53,19 @@ type ProbeOptions struct {
 //	Step 4: the target's filter also holds AnyUnenriched(attrs), keeping
 //	        only tuples with at least one attribute not yet determined by
 //	        its complete function family. It is the filter's first
-//	        conjunct, ahead of Step 1's fixed conjuncts: the probe predicate
-//	        runs no UDF and the mark test never errors, so the order changes
-//	        only the cost (a fixed conjunct that errors on a stored cell
-//	        still errors in the final plan), and on enriched data the mark
-//	        test decides each chunk before any fixed kernel runs.
+//	        conjunct, ahead of Step 1's fixed conjuncts, so on enriched data
+//	        the mark test decides each chunk before any fixed kernel runs.
+//	        The probe predicate runs no UDF and the mark test never errors,
+//	        so the order changes which rows the probe selects in no case.
+//	        It can drop a probe-time error: a fixed conjunct that errors on
+//	        a stored cell is no longer evaluated on a marked row, as the
+//	        plain design's short-circuit skips it (TestProbeTestsMarksFirst).
 //
 // Prior work is read from the tuple images' enrichment marks
-// (types.Tuple.Enriched), in a vector kernel that reads a chunk's mark
-// vector and decides a chunk whose lanes all carry the marks from the
-// vector's AND; mgr is not consulted — an unmarked tuple whose functions
-// all ran is probed, and BuildRequests marks it without running anything.
+// (types.Tuple.Enriched), in a vector kernel that decides a chunk whose
+// lanes all carry the marks from the chunk's marks' AND; mgr is not
+// consulted — an unmarked tuple whose functions all ran is probed, and
+// BuildRequests marks it without running anything.
 func GenerateProbes(a *engine.Analysis, db storage.Source, mgr *enrich.Manager, ctx *engine.ExecCtx) ([]ProbeResult, error) {
 	return GenerateProbesOpt(a, db, mgr, ctx, ProbeOptions{})
 }

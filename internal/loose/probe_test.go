@@ -8,6 +8,7 @@ import (
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/expr"
 	"enrichdb/internal/storage"
+	"enrichdb/internal/types"
 )
 
 // referenceProbes is GenerateProbesOpt spelled as a plain loop over the
@@ -150,6 +151,58 @@ func TestProbeEqualsReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestProbeTestsMarksFirst pins what the probe's order (mark test ahead of
+// the fixed conjuncts) does to a fixed conjunct that errors on a stored
+// cell, a STRING in the INT TweetTime. On a row that still needs the
+// attribute the probe evaluates the conjunct and errors, on either path. On
+// a marked row the mark test answers False first and the probe skips the
+// row without an error, as the plain design's short-circuit would; a
+// fixed-first order errored there too.
+func TestProbeTestsMarksFirst(t *testing.T) {
+	d, mgr, drv := fixture(t)
+	tbl := d.DB.MustTable("TweetData")
+	insert := func(id int64) {
+		t.Helper()
+		vals := append([]types.Value(nil), tbl.Get(1).Vals...)
+		vals[0], vals[5], vals[7] = types.NewInt(id), types.NewString("late"), types.Null
+		if _, err := tbl.Insert(&types.Tuple{ID: id, Vals: vals}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := func() error {
+		t.Helper()
+		a := analyze(t, d, "SELECT tid FROM TweetData WHERE sentiment = 1 AND TweetTime < 4000")
+		for _, noVector := range []bool{false, true} {
+			ctx := engine.NewExecCtx()
+			ctx.NoVector = noVector
+			probes, err := GenerateProbes(a, d.DB, mgr, ctx)
+			if err != nil {
+				return err
+			}
+			for _, tid := range probes[0].TIDs {
+				if tid == 1000 {
+					t.Errorf("NoVector=%v: the marked row was probed", noVector)
+				}
+			}
+		}
+		return nil
+	}
+	insert(1000)
+	if _, err := drv.Execute("SELECT tid FROM TweetData WHERE tid = 1000 AND sentiment = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Get(1000).Enriched&tbl.Schema().MarkBit("sentiment") == 0 {
+		t.Fatal("the first query did not mark the row's sentiment")
+	}
+	if err := probe(); err != nil {
+		t.Fatalf("a marked row's bad cell failed the probe: %v", err)
+	}
+	insert(1001)
+	if err := probe(); err == nil {
+		t.Fatal("an unmarked row's bad cell passed the probe")
 	}
 }
 

@@ -8,11 +8,8 @@ import "fmt"
 type KNN struct {
 	K       int
 	classes int
-	// x is the training set as one row-major block, point i at
-	// x[i*dim : (i+1)*dim]: one pass over contiguous memory per prediction.
-	x   []float64
-	dim int
-	y   []int
+	X       [][]float64
+	y       []int
 }
 
 // NewKNN returns a k-NN model; k defaults to 5 when non-positive.
@@ -29,17 +26,12 @@ func (k *KNN) Name() string { return fmt.Sprintf("knn%d", k.K) }
 // Classes returns the fitted class count.
 func (k *KNN) Classes() int { return k.classes }
 
-// Fit memorizes a copy of the training set.
+// Fit memorizes the training set.
 func (k *KNN) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {
 		return err
 	}
-	k.dim = len(X[0])
-	k.x = make([]float64, 0, len(X)*k.dim)
-	for _, p := range X {
-		k.x = append(k.x, p...)
-	}
-	k.y, k.classes = y, classes
+	k.X, k.y, k.classes = X, y, classes
 	return nil
 }
 
@@ -49,13 +41,13 @@ func (k *KNN) Fit(X [][]float64, y []int, classes int) error {
 // every point; K ≤ 0 votes over none and answers the uniform distribution.
 func (k *KNN) PredictProba(x []float64) []float64 {
 	votes := make([]float64, k.classes)
-	n := min(k.K, len(k.y))
+	n := min(k.K, len(k.X))
 	if n <= 0 {
 		return Normalize(votes)
 	}
 	d, c, m := make([]float64, n), make([]int, n), 0 // d[:m] ascending, c its classes
-	for i := range k.y {
-		di := sqDist(x, k.point(i))
+	for i, t := range k.X {
+		di := sqDist(x, t)
 		if m == n && di >= d[n-1] {
 			continue
 		}
@@ -70,9 +62,4 @@ func (k *KNN) PredictProba(x []float64) []float64 {
 		votes[ci]++
 	}
 	return Normalize(votes)
-}
-
-// point returns training point i, capped at its own dim values.
-func (k *KNN) point(i int) []float64 {
-	return k.x[i*k.dim : (i+1)*k.dim : (i+1)*k.dim]
 }

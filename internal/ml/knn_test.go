@@ -17,9 +17,9 @@ func sortedKNNProba(k *KNN, x []float64) []float64 {
 		d float64
 		c int
 	}
-	ds := make([]nd, len(k.y))
-	for i := range ds {
-		ds[i] = nd{sqDist(x, k.point(i)), k.y[i]}
+	ds := make([]nd, len(k.X))
+	for i, t := range k.X {
+		ds[i] = nd{sqDist(x, t), k.y[i]}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i].d < ds[j].d })
 	n := k.K

@@ -131,11 +131,10 @@ func validateFit(X [][]float64, y []int, classes int) error {
 }
 
 func sqDist(a, b []float64) float64 {
-	// One bounds check per call keeps the loop 28 bytes. KNN hands every
-	// training point in as a sub-slice of its one flat block, so the scan
-	// walks contiguous memory whatever the heap did at Fit. Where the loop
-	// falls in its 64-byte line still moves cold_loose by 10-15% between
-	// link layouts: measure a change to this file at both (-tags layoutpad).
+	// A placement fix, not a speed-up: one bounds check per call makes the
+	// loop 28 bytes, one 64-byte line in the benchmark binary's default
+	// layout (the 37-byte loop crossed a line: cold_loose +17-24%); the ml
+	// test binary places it across a line. Real fix: ROADMAP's flat KNN set.
 	b = b[:len(a)]
 	s := 0.0
 	for i, ai := range a {
