@@ -69,6 +69,7 @@ import (
 	"enrichdb/internal/bench"
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/harness"
+	"enrichdb/internal/storage"
 	"enrichdb/internal/telemetry"
 )
 
@@ -219,7 +220,7 @@ func loadDemo(db *enrichdb.DB, d *dataset.Data) error {
 		if err := db.CreateRelation(rel, cols); err != nil {
 			return err
 		}
-		for _, tu := range d.DB.MustTable(rel).Tuples() {
+		for _, tu := range storage.Tuples(d.DB.MustTable(rel)) {
 			if _, err := db.Insert(rel, tu.ID, tu.Vals...); err != nil {
 				return err
 			}

@@ -52,7 +52,6 @@ type parityModel struct{}
 
 func (parityModel) Name() string                      { return "parity" }
 func (parityModel) Fit([][]float64, []int, int) error { return nil }
-func (parityModel) Classes() int                      { return 2 }
 func (parityModel) PredictProba(x []float64) []float64 {
 	p := int(x[0]) % 2
 	return []float64{float64(1 - p), float64(p)}

@@ -273,7 +273,7 @@ func (db *DB) CheckEnrichmentMarks() error {
 			return err
 		}
 		s := tbl.Schema()
-		for _, tu := range tbl.Tuples() {
+		for _, tu := range storage.Tuples(tbl) {
 			for _, attr := range s.DerivedCols() {
 				if tu.Enriched&s.MarkBit(attr) != 0 && (tu.Vals[s.ColIndex(attr)].IsNull() ||
 					!db.mgr.FullyEnriched(rel, tu.ID, attr, tu.Gen)) {

@@ -227,3 +227,52 @@ func TestProgressiveWithoutOnDeltaSkipsCollection(t *testing.T) {
 		t.Error("no results")
 	}
 }
+
+// TestStoredValuesHaveTheirColumnKind: Insert, Update and LoadSnapshot
+// refuse a STRING in an INT column with one message naming the relation,
+// the column and both kinds, and CreateRelation refuses a derived column
+// that is not INT.
+func TestStoredValuesHaveTheirColumnKind(t *testing.T) {
+	cols := func(m Kind) []Column {
+		return []Column{{Name: "id", Kind: KindInt}, {Name: "m", Kind: m}, {Name: "v", Kind: KindVector},
+			{Name: "d", Kind: KindInt, Derived: true, FeatureCol: "v", Domain: 2}}
+	}
+	open := func(m Kind) *DB {
+		db := Open()
+		t.Cleanup(func() { db.Close() })
+		if err := db.CreateRelation("K", cols(m)); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	const want = "catalog: relation K: column m holds INT, not TEXT"
+	refused := func(entry string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", entry, err, want)
+		}
+	}
+	db := open(KindInt)
+	_, err := db.Insert("K", 1, Int(1), String("x"), Vector([]float64{1}), Null)
+	refused("Insert", err)
+	if _, err := db.Insert("K", 1, Int(1), Int(2), Vector([]float64{1}), Null); err != nil {
+		t.Fatal(err)
+	}
+	refused("Update", db.Update("K", 1, "m", String("x")))
+
+	src := open(KindString)
+	if _, err := src.Insert("K", 1, Int(1), String("x"), Vector([]float64{1}), Null); err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := src.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	refused("LoadSnapshot", open(KindInt).LoadSnapshot(strings.NewReader(buf.String())))
+
+	bad := cols(KindInt)
+	bad[3].Kind = KindString
+	if err := db.CreateRelation("B", bad); err == nil || !strings.Contains(err.Error(), "derived column d is TEXT") {
+		t.Errorf("CreateRelation of a derived STRING column: err = %v", err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"enrichdb/internal/engine"
 	"enrichdb/internal/loose"
 	"enrichdb/internal/sqlparser"
+	"enrichdb/internal/storage"
 )
 
 // AblationProbe quantifies each probe-query minimality strategy of §2.1 by
@@ -182,7 +183,7 @@ func AblationBatching(s Scale, extra time.Duration) (*Table, error) {
 	tbl := env.Data.DB.MustTable("MultiPie")
 	fi := tbl.Schema().ColIndex("feature")
 	var reqs []loose.Request
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		reqs = append(reqs, loose.Request{
 			Relation: "MultiPie", TID: tu.ID, Attr: "gender", FnID: 0,
 			Feature: tu.Vals[fi].Vector(),

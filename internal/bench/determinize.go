@@ -6,6 +6,7 @@ import (
 	"enrichdb/internal/dataset"
 	"enrichdb/internal/enrich"
 	"enrichdb/internal/ml"
+	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
 
@@ -28,7 +29,7 @@ func DeterminizerComparison(s Scale) (*Table, error) {
 
 	// Execute the whole family on every tuple once.
 	outputs := make(map[int64][][]float64, tbl.Len())
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		x := tu.Vals[fi].Vector()
 		outs := make([][]float64, len(fam.Functions))
 		for _, fn := range fam.Functions {

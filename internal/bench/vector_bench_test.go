@@ -7,7 +7,7 @@ package bench
 // as directly comparable "rowpath" and "vector" labels.
 //
 // The batch-level benches (VectorScan, VectorFilter) reuse every buffer
-// (snapshot, batch columns, bitmaps) across operations: after one warm-up
+// (chunk list, batch, bitmaps) across operations: after one warm-up
 // pass the vector label must run at (near-)zero allocations per op. The Exec
 // bench keeps full row materialization in the measured region for context —
 // that part of the cost is unchanged by vectorization.
@@ -29,8 +29,8 @@ var benchNoVector = os.Getenv("BENCH_NOVECTOR") != ""
 // BenchmarkVectorScan scans the table and sums scanned columns — "col" reads
 // one column (the classic columnar consumer: an aggregate over a scan),
 // "wide" reads every column (SELECT * width). The row path answers by
-// materializing rows and reading cells; the vector path snapshots the slab
-// and columnizes batch by batch, one Col fill per column read.
+// materializing rows and reading cells; the vector path takes the table's
+// sealed chunks and reads each chunk's cached column vectors.
 func BenchmarkVectorScan(b *testing.B) {
 	variants := []struct {
 		name string
@@ -64,23 +64,15 @@ func BenchmarkVectorScan(b *testing.B) {
 						return s
 					}
 				} else {
-					var snap []*types.Tuple
+					var chunks []*expr.Chunk
 					var batch expr.Batch
 					pass = func() int64 {
-						snap = tbl.TuplesInto(snap)
+						chunks = tbl.ChunksInto(chunks)
 						var s int64
-						for lo := 0; lo < len(snap); lo += expr.BatchSize {
-							hi := lo + expr.BatchSize
-							if hi > len(snap) {
-								hi = len(snap)
-							}
-							batch.Reset(rs, &expr.Chunk{Tuples: snap[lo:hi]})
+						for _, c := range chunks {
+							batch.Reset(rs, c)
 							for _, ci := range v.cols {
-								cv, ok := batch.Col(ci)
-								if !ok {
-									b.Fatal("column fill bailed")
-								}
-								for _, x := range cv.I {
+								for _, x := range batch.Col(ci).I {
 									s += x
 								}
 							}
@@ -136,25 +128,19 @@ func BenchmarkVectorFilter(b *testing.B) {
 				if vp == nil || vp.Residual != nil {
 					b.Fatal("predicate did not fully compile to kernels")
 				}
-				var snap []*types.Tuple
+				var chunks []*expr.Chunk
 				var batch expr.Batch
 				var t, nf expr.Bitmap
 				pass = func() int {
-					snap = tbl.TuplesInto(snap)
-					t = t.Reset(len(snap))
-					t.SetAll(len(snap))
-					nf = nf.Reset(len(snap))
-					nf.SetAll(len(snap))
-					for lo := 0; lo < len(snap); lo += expr.BatchSize {
-						hi := lo + expr.BatchSize
-						if hi > len(snap) {
-							hi = len(snap)
-						}
-						batch.Reset(rs, &expr.Chunk{Tuples: snap[lo:hi]})
-						wlo, wn := lo/64, (hi-lo+63)/64
-						if !vp.Eval(&batch, t[wlo:wlo+wn], nf[wlo:wlo+wn], nil) {
-							b.Fatal("kernel pass bailed")
-						}
+					chunks = tbl.ChunksInto(chunks)
+					t = t.Reset(n)
+					t.SetAll(n)
+					nf = nf.Reset(n)
+					nf.SetAll(n)
+					for k, c := range chunks {
+						batch.Reset(rs, c)
+						wlo, wn := k*expr.BatchSize/64, (len(c.Tuples)+63)/64
+						vp.Eval(&batch, t[wlo:wlo+wn], nf[wlo:wlo+wn], nil)
 					}
 					return t.Count()
 				}

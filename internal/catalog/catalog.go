@@ -14,8 +14,8 @@ import (
 type Column struct {
 	// Name of the attribute, unique within the relation.
 	Name string
-	// Kind is the value type stored in this column. For a derived attribute
-	// this is the type of the *determined* value (usually INT: a class label).
+	// Kind is the value type stored in this column: every non-NULL cell
+	// has it. A derived attribute's is INT, the determined class label.
 	Kind types.Kind
 	// Derived marks the attribute as requiring enrichment (the paper's 𝒜ᵢ
 	// attributes). Derived attributes are NULL until enriched.
@@ -38,8 +38,8 @@ type Schema struct {
 }
 
 // NewSchema builds a schema and validates it: column names must be unique,
-// every kind INT, STRING or VECTOR, and derived columns must name an
-// existing fixed FeatureCol and a positive Domain.
+// every kind INT, STRING or VECTOR, and derived columns must be INT and name
+// an existing fixed FeatureCol and a positive Domain.
 func NewSchema(name string, cols []Column) (*Schema, error) {
 	s := &Schema{Name: name, Cols: cols, byName: make(map[string]int, len(cols)), marks: make(map[string]uint64)}
 	for i, c := range cols {
@@ -64,6 +64,9 @@ func NewSchema(name string, cols []Column) (*Schema, error) {
 	for _, c := range cols {
 		if !c.Derived {
 			continue
+		}
+		if c.Kind != types.KindInt {
+			return nil, fmt.Errorf("catalog: relation %s: derived column %s is %s; a derived column is INT", name, c.Name, c.Kind)
 		}
 		if c.Domain <= 0 {
 			return nil, fmt.Errorf("catalog: relation %s: derived column %s needs a positive domain", name, c.Name)
@@ -104,6 +107,23 @@ func (s *Schema) Col(name string) *Column {
 		return nil
 	}
 	return &s.Cols[i]
+}
+
+// CheckKinds refuses vals, the values of the columns from on, unless each
+// non-NULL one has its column's kind. Storage runs it where values enter
+// (a row from 0, an update's one cell), so every stored cell has its
+// column's kind.
+func (s *Schema) CheckKinds(from int, vals ...types.Value) error {
+	for i := range vals {
+		if k := vals[i].Kind(); k != types.KindNull && k != s.Cols[from+i].Kind {
+			return s.kindError(from+i, k)
+		}
+	}
+	return nil
+}
+
+func (s *Schema) kindError(ci int, k types.Kind) error {
+	return fmt.Errorf("catalog: relation %s: column %s holds %s, not %s", s.Name, s.Cols[ci].Name, s.Cols[ci].Kind, k)
 }
 
 // MarkBit returns the column's bit in types.Tuple.Enriched, 1<<k for the k-th

@@ -329,7 +329,7 @@ func (d *Data) TruthDB() (*storage.DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range src.Tuples() {
+		for _, t := range storage.Tuples(src) {
 			nt := t.Clone()
 			for ci, col := range schema.Cols {
 				if !col.Derived {

@@ -207,8 +207,8 @@ func NewScan(t storage.Relation, alias string) *Scan {
 // Schema returns the scan's row schema.
 func (s *Scan) Schema() *expr.RowSchema { return s.rs }
 
-// Execute materializes the table: one snapshot of the slab under the read
-// lock, then lock-free arena-backed row wrapping.
+// Execute materializes the table: its sealed chunks, taken once, then
+// lock-free arena-backed row wrapping.
 func (s *Scan) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	if ctx.Prof == nil {
 		return s.materialize(ctx), nil
@@ -220,20 +220,20 @@ func (s *Scan) Execute(ctx *ExecCtx) ([]*expr.Row, error) {
 	return out, nil
 }
 
-// materialize wraps a snapshot of the table as executor rows, in order. The
-// cardinality is known, so the arena's chunks are reserved up front: one
-// allocation each for the row and TID arrays.
+// materialize wraps the table's sealed chunks as executor rows, in order.
+// The cardinality is known, so the arena's chunks are reserved up front:
+// one allocation each for the row and TID arrays.
 func (s *Scan) materialize(ctx *ExecCtx) []*expr.Row {
-	tuples := s.Table.Tuples()
-	ctx.Arena.Reserve(len(tuples), 0, len(tuples))
-	out := make([]*expr.Row, len(tuples))
-	if ctx.Eval.PatchRows {
-		for i, tu := range tuples {
-			out[i] = ctx.Arena.RowFromTupleCopy(s.rs, tu)
-		}
-	} else {
-		for i, tu := range tuples {
-			out[i] = ctx.Arena.RowFromTuple(s.rs, tu)
+	chunks, n := ctx.scanChunks(s.Table)
+	ctx.Arena.Reserve(n, 0, n)
+	out := make([]*expr.Row, 0, n)
+	for _, c := range chunks {
+		for _, tu := range c.Tuples {
+			if ctx.Eval.PatchRows {
+				out = append(out, ctx.Arena.RowFromTupleCopy(s.rs, tu))
+			} else {
+				out = append(out, ctx.Arena.RowFromTuple(s.rs, tu))
+			}
 		}
 	}
 	ctx.Stats.RowsScanned += int64(len(out))
@@ -432,7 +432,8 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 			}
 			return swapped, err
 		}
-		if fast, ok, err := j.hashJoinInt(ctx, left, right, rOffset); ok {
+		if j.intKey() {
+			fast, err := j.hashJoinInt(ctx, left, right, rOffset)
 			if err == nil && ctx.Adapt != nil {
 				ctx.Adapt.ObserveOp(j.opKey(), int64(len(left)+len(right)), int64(len(fast)))
 			}
@@ -511,14 +512,17 @@ func (j *Join) joinRows(ctx *ExecCtx, left, right []*expr.Row) ([]*expr.Row, err
 	return out, nil
 }
 
-// hashJoinInt is the single-INT-key join fast path: probe a map[int64]
-// directly instead of hashing values. Exact integer equality replaces the
-// hash-then-verify dance. Returns ok=false — fall back to the generic hashed
-// join — when the key is composite or a non-NULL build-side key is not INT.
-func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) ([]*expr.Row, bool, error) {
-	if len(j.HashKeysL) != 1 {
-		return nil, false, nil
-	}
+// intKey reports whether the join has one key, declared INT on both sides:
+// every non-NULL key cell is then an INT, since storage refuses any other.
+func (j *Join) intKey() bool {
+	return len(j.HashKeysL) == 1 && j.rs.Cols[j.HashKeysL[0]].Kind == types.KindInt &&
+		j.rs.Cols[j.HashKeysR[0]].Kind == types.KindInt
+}
+
+// hashJoinInt is the single-INT-key join fast path (see intKey): probe a
+// map[int64] directly instead of hashing values. Exact integer equality
+// replaces the hash-then-verify dance.
+func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) ([]*expr.Row, error) {
 	lk, rk := j.HashKeysL[0], j.HashKeysR[0]-rOffset
 	// Grouped (CSR-style) build table: a pointer-free map from key to a span
 	// in one shared rows array, instead of one []*Row per distinct key. The
@@ -531,9 +535,6 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 		v := r.Vals[rk]
 		if v.IsNull() {
 			continue // NULL join keys never match
-		}
-		if v.Kind() != types.KindInt {
-			return nil, false, nil
 		}
 		s := spans[v.Int()]
 		s.n++
@@ -561,7 +562,7 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 		// slice and the arena's chunks are sized exactly.
 		total := 0
 		for _, l := range left {
-			if v := l.Vals[lk]; !v.IsNull() && v.Kind() == types.KindInt {
+			if v := l.Vals[lk]; !v.IsNull() {
 				total += int(spans[v.Int()].n)
 			}
 		}
@@ -570,11 +571,11 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 		for li, l := range left {
 			if li%cancelCheckStride == 0 {
 				if err := ctx.CancelErr(); err != nil {
-					return nil, true, err
+					return nil, err
 				}
 			}
 			v := l.Vals[lk]
-			if v.IsNull() || v.Kind() != types.KindInt {
+			if v.IsNull() {
 				continue
 			}
 			s := spans[v.Int()]
@@ -582,32 +583,32 @@ func (j *Join) hashJoinInt(ctx *ExecCtx, left, right []*expr.Row, rOffset int) (
 				out = append(out, ctx.Arena.JoinRows(j.rs, l, r))
 			}
 		}
-		return out, true, nil
+		return out, nil
 	}
 	var out []*expr.Row
 	for li, l := range left {
 		if li%cancelCheckStride == 0 {
 			if err := ctx.CancelErr(); err != nil {
-				return nil, true, err
+				return nil, err
 			}
 		}
 		v := l.Vals[lk]
-		if v.IsNull() || v.Kind() != types.KindInt {
-			continue // non-INT probe keys can never equal an INT build key
+		if v.IsNull() {
+			continue
 		}
 		s := spans[v.Int()]
 		for _, r := range build[s.off : s.off+s.n] {
 			row := ctx.Arena.JoinRows(j.rs, l, r)
 			tv, err := expr.EvalPred(ctx.Eval, j.Cond, row)
 			if err != nil {
-				return nil, true, err
+				return nil, err
 			}
 			if tv == expr.True {
 				out = append(out, row)
 			}
 		}
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // hashRowKey hashes the composite equi-join key through the shared

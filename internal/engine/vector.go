@@ -22,35 +22,22 @@ import (
 // guarded conjunct on. For a single-table tight filter the row evaluator is
 // thus only the UDF residual over unmarked images.
 //
-// The pass structure is: (1) kernels over all batches into whole-scan
-// bitmaps — no rows built, no side effects, so a column-fill bail (declared
-// kind deviating from stored values) falls back to the row path with nothing
-// observable having happened; (2) emit rows from set lanes, or, under a
-// projection the kernels decided alone, gather the projected columns from
-// the chunks' vectors with no row built (Project.gather). Output is
-// byte-identical to the row path by construction and enforced by the
-// equivalence batteries with ExecCtx.NoVector on and off.
-
-// chunkSource is satisfied by storage.TableView: its snapshot as sealed
-// chunks, whose column vectors outlive the scan.
-type chunkSource interface {
-	ChunksInto(buf []*expr.Chunk) []*expr.Chunk
-}
-
-// tupleSnapshotter is satisfied by storage.Table: a slab snapshot appended
-// into a caller-reused buffer.
-type tupleSnapshotter interface {
-	TuplesInto(buf []*types.Tuple) []*types.Tuple
-}
+// Every relation hands scans its sealed chunks (storage.Relation's
+// ChunksInto), whose column vectors outlive the scan, and every stored cell
+// has its column's declared kind. So whether a conjunct runs as a kernel is
+// decided once, when the predicate compiles against the declared kinds,
+// never mid-scan. The pass structure is: (1) kernels over all batches into
+// whole-scan bitmaps, with no rows built and no side effects; (2) emit rows
+// from set lanes, or, under a projection the kernels decided alone, gather
+// the projected columns from the chunks' vectors with no row built
+// (Project.gather). Output is byte-identical to the row path by
+// construction and enforced by the equivalence batteries with
+// ExecCtx.NoVector on and off.
 
 // vecBufs are an ExecCtx's reusable vectorized-scan buffers. They are scoped
 // to the context's goroutine and never escape an Execute call.
 type vecBufs struct {
-	chunks []*expr.Chunk
-	// snap and strides hold a flat source's snapshot and the vector-less
-	// chunks over it.
-	snap        []*types.Tuple
-	strides     []expr.Chunk
+	chunks      []*expr.Chunk
 	batch       expr.Batch
 	t, nf, pend expr.Bitmap
 }
@@ -62,29 +49,12 @@ func (ctx *ExecCtx) vecbufs() *vecBufs {
 	return ctx.vec
 }
 
-// scanChunks snapshots the relation as chunks into the context's reused
-// buffers: a view's own, or vector-less strides over a flat snapshot of any
-// other relation. Every chunk but the last holds BatchSize lanes, so each
-// chunk's bitmap window is word-aligned; n is the lane total.
+// scanChunks takes the relation's sealed chunks into the context's reused
+// buffer. Every chunk but the last holds BatchSize lanes, so each chunk's
+// bitmap window is word-aligned; n is the lane total.
 func (ctx *ExecCtx) scanChunks(rel storage.Relation) (chunks []*expr.Chunk, n int) {
 	bufs := ctx.vecbufs()
-	if cs, ok := rel.(chunkSource); ok {
-		bufs.chunks = cs.ChunksInto(bufs.chunks)
-	} else {
-		if ts, ok := rel.(tupleSnapshotter); ok {
-			bufs.snap = ts.TuplesInto(bufs.snap)
-		} else {
-			bufs.snap = rel.Tuples()
-		}
-		bufs.strides = bufs.strides[:0]
-		for lo := 0; lo < len(bufs.snap); lo += expr.BatchSize {
-			bufs.strides = append(bufs.strides, expr.Chunk{Tuples: bufs.snap[lo:min(lo+expr.BatchSize, len(bufs.snap))]})
-		}
-		bufs.chunks = bufs.chunks[:0]
-		for i := range bufs.strides {
-			bufs.chunks = append(bufs.chunks, &bufs.strides[i])
-		}
-	}
+	bufs.chunks = rel.ChunksInto(bufs.chunks)
 	for _, c := range bufs.chunks {
 		n += len(c.Tuples)
 	}
@@ -104,11 +74,10 @@ func (f *Filter) vecPred(rs *expr.RowSchema) *expr.VecPred {
 
 // vecSelect runs the compiled kernels over the n lanes of the chunks, batch
 // by batch, leaving the selection in the context's t/nf bitmaps and the
-// pending lanes in pend (nil when the predicate has no guarded conjunct). ok
-// is false on a column-fill bail. Each chunk's bitmap window is word-aligned
-// (see scanChunks), so kernels write the whole-scan bitmaps directly through
-// subslices.
-func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*expr.Chunk, n int) (t, nf, pend expr.Bitmap, ok bool) {
+// pending lanes in pend (nil when the predicate has no guarded conjunct).
+// Each chunk's bitmap window is word-aligned (see scanChunks), so kernels
+// write the whole-scan bitmaps directly through subslices.
+func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*expr.Chunk, n int) (t, nf, pend expr.Bitmap, err error) {
 	bufs := ctx.vecbufs()
 	bufs.t = bufs.t.Reset(n)
 	bufs.t.SetAll(n)
@@ -120,8 +89,8 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*exp
 	}
 	lo := 0
 	for _, c := range chunks {
-		if ctx.CancelErr() != nil {
-			return nil, nil, nil, false // caller's row path surfaces ErrCanceled
+		if err := ctx.CancelErr(); err != nil {
+			return nil, nil, nil, err
 		}
 		m := len(c.Tuples)
 		bufs.batch.Reset(rs, c)
@@ -130,9 +99,7 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*exp
 		if pend != nil {
 			pw = pend[wlo : wlo+wn]
 		}
-		if !vp.Eval(&bufs.batch, bufs.t[wlo:wlo+wn], bufs.nf[wlo:wlo+wn], pw) {
-			return nil, nil, nil, false
-		}
+		vp.Eval(&bufs.batch, bufs.t[wlo:wlo+wn], bufs.nf[wlo:wlo+wn], pw)
 		ctx.Stats.BatchesBuilt++
 		if bufs.batch.MarksDecided {
 			ctx.Stats.MarkChunksDecided++
@@ -140,7 +107,7 @@ func vecSelect(ctx *ExecCtx, rs *expr.RowSchema, vp *expr.VecPred, chunks []*exp
 		ctx.Stats.BatchRows += int64(m)
 		lo += m
 	}
-	return bufs.t, bufs.nf, pend, true
+	return bufs.t, bufs.nf, pend, nil
 }
 
 // eachSet calls fn for every lane set in a or in b (b may be nil), in
@@ -170,10 +137,9 @@ func (f *Filter) vecRow(ctx *ExecCtx, s *Scan, tu *types.Tuple) *expr.Row {
 	return ctx.Arena.RowFromTuple(s.rs, tu)
 }
 
-// vecExecute attempts the vectorized filter-over-scan; n is the snapshot's
+// vecExecute runs the vectorized filter-over-scan; n is the snapshot's
 // size. handled is false when the path does not apply (ablation knob,
-// uncompilable predicate, column-fill bail) — the caller then runs the row
-// path.
+// uncompilable predicate): the caller then runs the row path.
 func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, n int, handled bool, err error) {
 	if ctx.NoVector {
 		return nil, 0, false, nil
@@ -183,9 +149,9 @@ func (f *Filter) vecExecute(ctx *ExecCtx, s *Scan) (out []*expr.Row, n int, hand
 		return nil, 0, false, nil
 	}
 	chunks, n := ctx.scanChunks(s.Table)
-	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, chunks, n)
-	if !ok {
-		return nil, 0, false, nil
+	t, nf, pend, err := vecSelect(ctx, s.rs, vp, chunks, n)
+	if err != nil {
+		return nil, n, true, err
 	}
 	out, err = f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
 	return out, n, true, err
@@ -244,13 +210,14 @@ func (f *Filter) vecEmit(ctx *ExecCtx, s *Scan, vp *expr.VecPred, chunks []*expr
 	return out, nil
 }
 
-// vecExecute attempts the fused project-filter-scan. When the child
-// filter's predicate compiled fully (no residual) and no lane is pending,
-// the kernels decided every lane from stored values, so the projection is
-// gathered straight from the chunks' column vectors into columns (see
-// gather), with no row built. Pending lanes run ω, which may patch enriched
-// values into their rows, and a projected column with no kernel vector
-// cannot be gathered; the filter's rows are then projected.
+// vecExecute runs the fused project-filter-scan. When the child filter's
+// predicate compiled fully (no residual), no projected column is VECTOR
+// (which has no kernel vector, decided before the scan) and no lane is
+// pending, the kernels decided every lane from stored values, so the
+// projection is gathered straight from the chunks' column vectors into
+// columns (see gather), with no row built. Pending lanes run ω, which may
+// patch enriched values into their rows; the filter's rows are then
+// projected.
 func (p *Project) vecExecute(ctx *ExecCtx) (ans Answer, handled bool, err error) {
 	if ctx.NoVector {
 		return Answer{}, false, nil
@@ -267,17 +234,17 @@ func (p *Project) vecExecute(ctx *ExecCtx) (ans Answer, handled bool, err error)
 	if vp == nil || vp.Residual != nil {
 		return Answer{}, false, nil
 	}
+	kinds := p.gatherKinds()
 	chunks, n := ctx.scanChunks(s.Table)
-	t, nf, pend, ok := vecSelect(ctx, s.rs, vp, chunks, n)
-	if !ok {
-		return Answer{}, false, nil
+	t, nf, pend, err := vecSelect(ctx, s.rs, vp, chunks, n)
+	if err != nil {
+		return Answer{}, true, err
 	}
-	if !pend.Any() {
-		if cols := p.gather(ctx, s, chunks, t); cols != nil {
-			f.observe(ctx, n, cols.Len())
-			ctx.Stats.RowsScanned += int64(n)
-			return Answer{Cols: cols}, true, nil
-		}
+	if kinds != nil && !pend.Any() {
+		cols := p.gather(ctx, s, kinds, chunks, t)
+		f.observe(ctx, n, cols.Len())
+		ctx.Stats.RowsScanned += int64(n)
+		return Answer{Cols: cols}, true, nil
 	}
 	rows, err := f.vecEmit(ctx, s, vp, chunks, n, t, nf, pend)
 	if err != nil {
@@ -287,21 +254,23 @@ func (p *Project) vecExecute(ctx *ExecCtx) (ans Answer, handled bool, err error)
 	return Answer{Rows: p.project(ctx, rows)}, true, nil
 }
 
-// gather builds the projection of the lanes t selects as columns, chunk by
-// chunk: the selected lanes' indexes, then one typed copy per projected
-// column out of the chunk's vector, and each lane's tuple id and insertion
-// sequence. It returns nil when a projected column has no kernel vector in
-// some chunk (a VECTOR column, or stored kinds deviating from the declared
-// one); nothing observable has happened then.
-func (p *Project) gather(ctx *ExecCtx, s *Scan, chunks []*expr.Chunk, t expr.Bitmap) *expr.Columns {
+// gatherKinds returns the projected columns' kinds, or nil when one is
+// VECTOR: it has no kernel vector, so its projection is built from rows.
+func (p *Project) gatherKinds() []types.Kind {
 	kinds := make([]types.Kind, len(p.Cols))
-	for vi, ci := range p.Cols {
-		switch kinds[vi] = s.rs.Cols[ci].Kind; kinds[vi] {
-		case types.KindInt, types.KindString:
-		default:
+	for vi := range p.Cols {
+		if kinds[vi] = p.rs.Cols[vi].Kind; kinds[vi] == types.KindVector {
 			return nil
 		}
 	}
+	return kinds
+}
+
+// gather builds the projection of the lanes t selects as columns of the
+// given kinds, chunk by chunk: the selected lanes' indexes, then one typed
+// copy per projected column out of the chunk's vector, and each lane's
+// tuple id and insertion sequence.
+func (p *Project) gather(ctx *ExecCtx, s *Scan, kinds []types.Kind, chunks []*expr.Chunk, t expr.Bitmap) *expr.Columns {
 	cols := expr.NewColumns(kinds, t.Count(), true)
 	batch := &ctx.vecbufs().batch
 	var sel [expr.BatchSize]int32
@@ -322,11 +291,7 @@ func (p *Project) gather(ctx *ExecCtx, s *Scan, chunks []*expr.Chunk, t expr.Bit
 		}
 		batch.Reset(s.rs, c)
 		for vi, ci := range p.Cols {
-			cv, ok := batch.Col(ci)
-			if !ok {
-				return nil
-			}
-			cols.Cols[vi].Gather(k, cv, sel[:ns])
+			cols.Cols[vi].Gather(k, batch.Col(ci), sel[:ns])
 		}
 		for j, i := range sel[:ns] {
 			tu := c.Tuples[i]

@@ -205,45 +205,3 @@ func TestVectorStatsCounters(t *testing.T) {
 		t.Errorf("RowsScanned = %d, want 2500", ctx.Stats.RowsScanned)
 	}
 }
-
-// TestVectorFillBailFallsBack: a stored value whose dynamic kind deviates
-// from the declared column kind must push the whole filter onto the row path
-// (same output), not crash or mis-evaluate.
-func TestVectorFillBailFallsBack(t *testing.T) {
-	schema := catalog.MustSchema("W", []catalog.Column{
-		{Name: "id", Kind: types.KindInt},
-		{Name: "a", Kind: types.KindInt},
-	})
-	tbl := storage.NewTable(schema)
-	for i := 0; i < 100; i++ {
-		v := types.NewInt(int64(i))
-		if i == 57 {
-			v = types.NewString("57") // deviates from the declared INT kind
-		}
-		if _, err := tbl.Insert(&types.Tuple{Vals: []types.Value{types.NewInt(int64(i + 1)), v}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scan := NewScan(tbl, "W")
-	// The NULL test reads a's vector; an INT comparison would meet the
-	// STRING cell and fail on either path.
-	pred := expr.NewAnd(&expr.IsNull{Kid: expr.NewCol("W", "a"), Negate: true},
-		expr.NewCmp(expr.GE, expr.NewCol("W", "id"), expr.NewConst(types.NewInt(50))))
-	if err := pred.Resolve(scan.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	rowCtx := NewExecCtx()
-	rowCtx.NoVector = true
-	want, err := NewFilter(NewScan(tbl, "W"), pred).Execute(rowCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := NewExecCtx()
-	got, err := NewFilter(NewScan(tbl, "W"), pred).Execute(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowsFingerprint(got) != rowsFingerprint(want) {
-		t.Errorf("fill bail did not fall back to the row path cleanly")
-	}
-}

@@ -19,7 +19,6 @@ type fixedModel struct {
 func (f *fixedModel) Name() string                                  { return f.name }
 func (f *fixedModel) Fit(X [][]float64, y []int, classes int) error { return nil }
 func (f *fixedModel) PredictProba(x []float64) []float64            { return f.probs }
-func (f *fixedModel) Classes() int                                  { return len(f.probs) }
 
 var _ ml.Classifier = (*fixedModel)(nil)
 

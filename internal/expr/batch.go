@@ -93,87 +93,45 @@ type ColVec struct {
 	Nulls Bitmap
 }
 
-// fill builds the vector of column ci, declared kind, over the tuple lanes
-// into cv, reusing its backing storage. A non-NULL cell whose dynamic kind
-// deviates from kind, or a kind with no kernel representation (VECTOR),
-// leaves cv poisoned (Kind NULL): the caller falls back to row-at-a-time
-// evaluation (the row path re-derives semantics from dynamic kinds, so
-// nothing is lost but speed).
+// fill builds the vector of column ci, of kind INT or STRING, over the
+// tuple lanes. Storage refuses a cell whose kind is not its column's
+// (catalog.Schema.CheckKinds), so every non-NULL cell has the vector's kind.
 func (cv *ColVec) fill(kind types.Kind, tuples []*types.Tuple, ci int) {
-	cv.Kind = types.KindNull // poison until the fill succeeds
 	n := len(tuples)
-	cv.Nulls = cv.Nulls.Reset(n)
-	switch kind {
-	case types.KindInt:
-		if cap(cv.I) < n {
-			cv.I = make([]int64, n)
-		}
-		cv.I = cv.I[:n]
-		for i, tu := range tuples {
-			v := tu.Vals[ci]
-			switch v.Kind() {
-			case types.KindNull:
-				cv.Nulls.Set(i)
-				cv.I[i] = 0
-			case types.KindInt:
-				cv.I[i] = v.Int()
-			default:
-				return
-			}
-		}
-	case types.KindString:
-		if cap(cv.S) < n {
-			cv.S = make([]string, n)
-		}
-		cv.S = cv.S[:n]
-		for i, tu := range tuples {
-			v := tu.Vals[ci]
-			switch v.Kind() {
-			case types.KindNull:
-				cv.Nulls.Set(i)
-				cv.S[i] = ""
-			case types.KindString:
-				cv.S[i] = v.Str()
-			default:
-				return
-			}
-		}
-	default:
-		return
-	}
 	cv.Kind = kind
+	cv.Nulls = make(Bitmap, bitmapWords(n))
+	if kind == types.KindString {
+		cv.S = make([]string, n)
+	} else {
+		cv.I = make([]int64, n)
+	}
+	for i, tu := range tuples {
+		cv.patch(i, tu.Vals[ci])
+	}
 }
 
-// patch writes v into lane i by the fill rules: a NULL sets the lane's NULL
-// bit, a value of the vector's kind replaces the payload, and a value of any
-// other kind poisons the vector. A poisoned vector stays poisoned.
+// patch writes v, NULL or of the vector's kind, into lane i: a NULL sets
+// the lane's NULL bit over a zero payload, a value replaces the payload.
 func (cv *ColVec) patch(i int, v types.Value) {
-	switch k := v.Kind(); {
-	case cv.Kind == types.KindNull:
-	case k == types.KindNull:
+	switch {
+	case v.IsNull():
 		cv.Nulls.Set(i)
 		if cv.Kind == types.KindString {
 			cv.S[i] = ""
 		} else {
 			cv.I[i] = 0
 		}
-	case k != cv.Kind:
-		cv.Kind = types.KindNull
+	case cv.Kind == types.KindString:
+		cv.Nulls.Clear(i)
+		cv.S[i] = v.Str()
 	default:
 		cv.Nulls.Clear(i)
-		if k == types.KindString {
-			cv.S[i] = v.Str()
-		} else {
-			cv.I[i] = v.Int()
-		}
+		cv.I[i] = v.Int()
 	}
 }
 
 // clone returns a deep copy of the vector.
 func (cv *ColVec) clone() *ColVec {
-	if cv.Kind == types.KindNull {
-		return &ColVec{} // poisoned: no payload worth copying
-	}
 	return &ColVec{
 		Kind:  cv.Kind,
 		I:     append([]int64(nil), cv.I...),
@@ -183,21 +141,20 @@ func (cv *ColVec) clone() *ColVec {
 }
 
 // Chunk is a run of at most BatchSize tuple lanes of a scan source. A chunk
-// made by NewChunk keeps, per column, the typed vector the first kernel to
-// read the column built, so later scans of the same chunk read it instead
-// of the tuples. That is sound because a chunk's vectors depend only on its
-// tuple pointers, and tuples are immutable: whoever hands a chunk to
-// readers must never change its lanes again (Set is for a private copy no
-// reader holds). A zero Chunk with only Tuples set keeps no vectors: a
-// batch over it fills scratch columns per scan.
+// keeps, per column, the typed vector the first kernel to read the column
+// built, so later scans of the same chunk read it instead of the tuples.
+// That is sound because a chunk's vectors depend only on its tuple
+// pointers, and tuples are immutable: whoever hands a chunk to readers must
+// never change its lanes again (Set is for a private copy no reader holds).
+// Make one with NewChunk.
 //
-// Such a chunk also keeps the AND of its lanes' enrichment marks, computed
+// A chunk also keeps the AND of its lanes' enrichment marks, computed
 // by the first mark test that reads the chunk: a mark test whose mask the
 // AND covers holds on every lane, and decides the chunk without reading one.
 type Chunk struct {
 	Tuples []*types.Tuple
-	cols   []atomic.Pointer[ColVec] // nil: no vector cache
-	marks  atomic.Pointer[uint64]   // the lanes' marks' AND, once computed
+	cols   []atomic.Pointer[ColVec]
+	marks  atomic.Pointer[uint64] // the lanes' marks' AND, once computed
 }
 
 // NewChunk returns a chunk over tuples that caches vectors for ncols
@@ -224,12 +181,8 @@ func (c *Chunk) col(ci int, kind types.Kind) *ColVec {
 // marksCover reports whether every lane carries all of mask's bits, read
 // from the AND of the lanes' types.Tuple.Enriched masks, which it computes
 // and publishes on first use as col does. A nil lane (a tombstone) holds no
-// mark. A chunk that keeps no vectors answers false: its mark tests read
-// the lanes.
+// mark.
 func (c *Chunk) marksCover(mask uint64) bool {
-	if c.cols == nil {
-		return false
-	}
 	and := c.marks.Load()
 	if and == nil {
 		v := ^uint64(0)
@@ -290,15 +243,13 @@ func (c *Chunk) Append(tu *types.Tuple) {
 
 // Batch is a column-oriented window over one chunk of base-table tuples:
 // its tuple lanes plus the typed columns a compiled predicate reads, taken
-// from the chunk's vectors or, for a chunk without them, filled into the
-// batch's scratch. The batch assumes single-slot (base scan) schemas:
-// column index ci addresses Tuples[lane].Vals[ci] directly.
+// from the chunk's vectors. The batch assumes single-slot (base scan)
+// schemas: column index ci addresses Tuples[lane].Vals[ci] directly.
 //
 // Ownership: a Batch never owns tuple storage — Tuples aliases the chunk,
-// and column payloads are copies of tuple cells, either the chunk's (shared
-// with every scan of it) or the batch's own scratch. Batches are reused
-// across chunks via Reset; consumers must not modify column slices, nor
-// retain scratch ones across callbacks.
+// and column payloads are the chunk's, shared with every scan of it.
+// Batches are reused across chunks via Reset; consumers must not modify
+// column slices.
 type Batch struct {
 	Schema *RowSchema
 	Tuples []*types.Tuple
@@ -308,11 +259,9 @@ type Batch struct {
 
 	chunk *Chunk
 	vecs  []*ColVec // column ci's vector once Col resolved it
-	cols  []ColVec  // scratch fills for a chunk without vectors
 }
 
-// Reset points the batch at a new chunk, forgetting every resolved column
-// while keeping the scratch storage for reuse.
+// Reset points the batch at a new chunk, forgetting every resolved column.
 func (b *Batch) Reset(rs *RowSchema, c *Chunk) {
 	b.Schema = rs
 	b.Tuples = c.Tuples
@@ -321,31 +270,21 @@ func (b *Batch) Reset(rs *RowSchema, c *Chunk) {
 	nc := len(rs.Cols)
 	if cap(b.vecs) < nc {
 		b.vecs = make([]*ColVec, nc)
-		b.cols = make([]ColVec, nc)
 	}
 	b.vecs = b.vecs[:nc]
-	b.cols = b.cols[:nc]
 	clear(b.vecs)
 }
 
 // Len returns the lane count.
 func (b *Batch) Len() int { return len(b.Tuples) }
 
-// Col returns the typed vector for column ci: the chunk's, built on the
-// chunk's first read of the column, or a scratch fill. ok is false when a
-// non-NULL cell's dynamic kind deviates from the schema's declared kind —
-// the caller must fall back to row-at-a-time evaluation for the whole batch.
-func (b *Batch) Col(ci int) (*ColVec, bool) {
+// Col returns the typed vector of column ci, an INT or STRING column: the
+// chunk's, built on the chunk's first read of the column.
+func (b *Batch) Col(ci int) *ColVec {
 	cv := b.vecs[ci]
 	if cv == nil {
-		kind := b.Schema.Cols[ci].Kind
-		if b.chunk.cols != nil {
-			cv = b.chunk.col(ci, kind)
-		} else {
-			cv = &b.cols[ci]
-			cv.fill(kind, b.Tuples, ci)
-		}
+		cv = b.chunk.col(ci, b.Schema.Cols[ci].Kind)
 		b.vecs[ci] = cv
 	}
-	return cv, cv.Kind != types.KindNull
+	return cv
 }

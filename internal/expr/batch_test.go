@@ -62,43 +62,32 @@ func TestBatchColFillAndReuse(t *testing.T) {
 		}}
 	}
 	var b Batch
-	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(1, 15, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 35, "c")}})
-	iv, ok := b.Col(0)
-	if !ok || iv.Kind != types.KindInt {
+	b.Reset(rs, NewChunk([]*types.Tuple{mk(1, 15, "a"), {ID: 2, Vals: []types.Value{types.Null, types.Null, types.Null}}, mk(3, 35, "c")}, 3))
+	iv := b.Col(0)
+	if iv.Kind != types.KindInt {
 		t.Fatal("INT column fill failed")
 	}
 	if iv.I[0] != 1 || iv.I[2] != 3 || !iv.Nulls.Get(1) || iv.Nulls.Get(0) {
 		t.Fatalf("INT column lanes wrong: %v nulls=%v", iv.I, iv.Nulls)
 	}
-	fv, ok := b.Col(1)
-	if !ok || fv.I[2] != 35 || !fv.Nulls.Get(1) {
+	if fv := b.Col(1); fv.I[2] != 35 || !fv.Nulls.Get(1) {
 		t.Fatal("second INT column fill failed")
 	}
-	sv, ok := b.Col(2)
-	if !ok || sv.S[0] != "a" || !sv.Nulls.Get(1) {
+	if sv := b.Col(2); sv.S[0] != "a" || !sv.Nulls.Get(1) {
 		t.Fatal("STRING column fill failed")
 	}
 
-	// Reuse with a kind deviation: the refill must bail, and keep bailing on
-	// repeated access within the same stride.
-	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{{ID: 4, Vals: []types.Value{types.NewString("oops"), types.Null, types.Null}}}})
-	if _, ok := b.Col(0); ok {
-		t.Fatal("kind deviation not detected")
-	}
-	if _, ok := b.Col(0); ok {
-		t.Fatal("cached deviation lost on second access")
-	}
-	// And a fresh Reset clears the poisoned state.
-	b.Reset(rs, &Chunk{Tuples: []*types.Tuple{mk(9, 95, "z")}})
-	if iv, ok := b.Col(0); !ok || iv.I[0] != 9 {
-		t.Fatal("batch did not recover after Reset")
+	// Reuse over another chunk reads that chunk's vectors.
+	b.Reset(rs, NewChunk([]*types.Tuple{mk(9, 95, "z")}, 3))
+	if iv := b.Col(0); iv.I[0] != 9 {
+		t.Fatal("batch kept the previous chunk's vector after Reset")
 	}
 }
 
 // TestChunkVectorsBuiltOnceAndPatchedInCopy: a chunk keeps the vector the
 // first batch built and hands it to the next batch; Set on a clone patches
 // the clone's copy by the fill rules (value, NULL over value, value over
-// NULL, another kind poisons) and leaves the original's vector alone.
+// NULL) and leaves the original's vector alone.
 func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	rs := batchTestSchema()
 	row := func(id int64, i, f, s types.Value) *types.Tuple {
@@ -111,11 +100,9 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	}, 3)
 	var b Batch
 	b.Reset(rs, c)
-	iv, _ := b.Col(0)
-	fv, _ := b.Col(1)
-	sv, _ := b.Col(2)
+	iv, fv, sv := b.Col(0), b.Col(1), b.Col(2)
 	b.Reset(rs, c)
-	if again, _ := b.Col(0); again != iv {
+	if b.Col(0) != iv {
 		t.Fatal("second batch over the chunk rebuilt its vector")
 	}
 
@@ -123,13 +110,8 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	cp.Set(0, row(1, types.NewInt(7), types.NewInt(1), types.NewString("a")), 0) // value over value
 	cp.Set(2, row(3, types.NewInt(3), types.Null, types.NewString("c")), 1)      // NULL over value
 	cp.Set(1, row(2, types.Null, types.Null, types.NewString("b")), 2)           // value over NULL
-	cp.Set(1, row(2, types.NewString("x"), types.Null, types.NewString("b")), 0) // another kind
 	b.Reset(rs, cp)
-	if _, ok := b.Col(0); ok {
-		t.Fatal("a value of another kind did not poison the copy's INT vector")
-	}
-	cf, _ := b.Col(1)
-	cs, _ := b.Col(2)
+	ci, cf, cs := b.Col(0), b.Col(1), b.Col(2)
 	if !cf.Nulls.Get(2) || cf.I[2] != 0 || cs.Nulls.Get(1) || cs.S[1] != "b" {
 		t.Fatalf("patched copy: ints %v nulls %v, strings %q nulls %v", cf.I, cf.Nulls, cs.S, cs.Nulls)
 	}
@@ -138,11 +120,11 @@ func TestChunkVectorsBuiltOnceAndPatchedInCopy(t *testing.T) {
 	}
 	// A patched vector equals a fresh build over the copy's lanes.
 	var fresh Batch
-	fresh.Reset(rs, &Chunk{Tuples: cp.Tuples})
-	for ci, got := range []*ColVec{cf, cs} {
-		want, _ := fresh.Col(ci + 1)
+	fresh.Reset(rs, NewChunk(cp.Tuples, 3))
+	for col, got := range []*ColVec{ci, cf, cs} {
+		want := fresh.Col(col)
 		if fmt.Sprint(got.I, got.S, got.Nulls) != fmt.Sprint(want.I, want.S, want.Nulls) {
-			t.Errorf("column %d: patched %v, rebuilt %v", ci+1, got, want)
+			t.Errorf("column %d: patched %v, rebuilt %v", col, got, want)
 		}
 	}
 }
@@ -230,15 +212,13 @@ func TestVecPredKleeneLanes(t *testing.T) {
 		t.Fatal("predicate did not compile")
 	}
 	var b Batch
-	b.Reset(rs, &Chunk{Tuples: tuples})
+	b.Reset(rs, NewChunk(tuples, 3))
 	var tm, nf Bitmap
 	tm = tm.Reset(3)
 	tm.SetAll(3)
 	nf = nf.Reset(3)
 	nf.SetAll(3)
-	if !vp.Eval(&b, tm, nf, nil) {
-		t.Fatal("fill bailed unexpectedly")
-	}
+	vp.Eval(&b, tm, nf, nil)
 	wantT := []bool{true, false, false}
 	wantNF := []bool{true, true, false}
 	for i := 0; i < 3; i++ {

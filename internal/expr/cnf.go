@@ -109,29 +109,6 @@ func orPair(a, b Expr) Expr {
 	}
 }
 
-// ColRef is an unresolved (alias, column) pair appearing in an expression.
-type ColRef struct {
-	Alias string
-	Name  string
-}
-
-// CollectCols returns every column referenced by the expression, in
-// first-appearance order without duplicates.
-func CollectCols(e Expr) []ColRef {
-	var out []ColRef
-	seen := make(map[ColRef]bool)
-	e.Walk(func(n Expr) {
-		if c, ok := n.(*Col); ok {
-			r := ColRef{Alias: c.Alias, Name: c.Name}
-			if !seen[r] {
-				seen[r] = true
-				out = append(out, r)
-			}
-		}
-	})
-	return out
-}
-
 // DerivedRef is a derived attribute referenced by an expression.
 type DerivedRef struct {
 	Alias string

@@ -209,14 +209,3 @@ func TestAliases(t *testing.T) {
 		t.Errorf("Aliases = %v", got)
 	}
 }
-
-func TestCollectCols(t *testing.T) {
-	e := NewAnd(
-		NewCmp(EQ, NewCol("R", "a"), NewCol("R", "b")),
-		NewCmp(EQ, NewCol("R", "a"), NewConst(types.NewInt(1))), // duplicate a
-	)
-	got := CollectCols(e)
-	if len(got) != 2 {
-		t.Errorf("CollectCols = %v, want deduplicated [a b]", got)
-	}
-}

@@ -6,8 +6,7 @@ import "enrichdb/internal/types"
 // project branch builds it: one typed vector per output column, lane k of
 // every vector holding output row k's value, plus row k's base tuple id and
 // insertion sequence. The vectors keep ColVec's layout (one payload slot per
-// lane, NULL lanes set in Nulls over a zero payload) and are never poisoned.
-// An answer is immutable once built: consumers slice it, never write it.
+// lane, NULL lanes set in Nulls over a zero payload). An answer is immutable once built: consumers slice it, never write it.
 type Columns struct {
 	Cols []ColVec
 	TIDs []int64

@@ -43,7 +43,7 @@ func TestEnrichedKernelMatchesRowPath(t *testing.T) {
 				t.Fatalf("%s did not compile to one kernel", e)
 			}
 			var b Batch
-			b.Reset(rs, &Chunk{Tuples: tuples})
+			b.Reset(rs, NewChunk(tuples, len(rs.Cols)))
 			tb, nf := Bitmap(nil).Reset(len(tuples)), Bitmap(nil).Reset(len(tuples))
 			tb.SetAll(len(tuples))
 			nf.SetAll(len(tuples))
@@ -138,14 +138,12 @@ func TestGuardedKernelMatchesRowPath(t *testing.T) {
 		t.Fatalf("%s did not compile to three kernels with a pending suffix", pred)
 	}
 	var b Batch
-	b.Reset(rs, &Chunk{Tuples: tuples})
+	b.Reset(rs, NewChunk(tuples, len(rs.Cols)))
 	n := len(tuples)
 	tb, nf, pend := Bitmap(nil).Reset(n), Bitmap(nil).Reset(n), Bitmap(nil).Reset(n)
 	tb.SetAll(n)
 	nf.SetAll(n)
-	if !vp.Eval(&b, tb, nf, pend) {
-		t.Fatal("column fill bailed")
-	}
+	vp.Eval(&b, tb, nf, pend)
 	for i, tu := range tuples {
 		row := RowFromTuple(rs, tu)
 		rowRT := &markRuntime{imgs: imgs, s: s}

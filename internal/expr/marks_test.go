@@ -89,9 +89,7 @@ func evalChunk(t *testing.T, vp *VecPred, rs *RowSchema, c *Chunk, imgs images, 
 	if vp.Pending == nil {
 		pb = nil
 	}
-	if !vp.Eval(&b, tb, nf, pb) {
-		t.Fatal("column fill bailed")
-	}
+	vp.Eval(&b, tb, nf, pb)
 	pass, pend, calls = make([]bool, n), make([]bool, n), make([]int, n)
 	for i, tu := range c.Tuples {
 		pass[i] = tb.Get(i)
@@ -133,17 +131,16 @@ func checkGuarded(t *testing.T, name string, pred Expr, vp *VecPred, rs *RowSche
 		}
 		all = all && tu.Enriched&guard == guard
 	}
-	if wantDecided := all && c.cols != nil && len(c.Tuples) > 0; decided != wantDecided {
+	if wantDecided := all && len(c.Tuples) > 0; decided != wantDecided {
 		t.Errorf("%s: decided from the marks' AND %v, want %v", name, decided, wantDecided)
 	}
 	return decided
 }
 
 // TestChunkMarksMatchRowPath: a chunk's marks' AND answers every mark
-// test exactly as its tuples' images do. Over every chunk shape, on a chunk
-// that keeps vectors (read twice: built, then published) and one that does
-// not, the guarded predicate's verdicts, pending lanes and UDF calls are the
-// row path's, and the mark test's verdicts are its row evaluation's. A nil
+// test exactly as its tuples' images do. Over every chunk shape, read twice
+// (the AND built, then published), the guarded predicate's verdicts,
+// pending lanes and UDF calls are the row path's, and the mark test's verdicts are its row evaluation's. A nil
 // lane reads as unmarked. Only a chunk whose every lane carries the mask is
 // decided from the AND.
 func TestChunkMarksMatchRowPath(t *testing.T) {
@@ -160,11 +157,8 @@ func TestChunkMarksMatchRowPath(t *testing.T) {
 			imgs[tu.ID] = tu
 		}
 		vc := NewChunk(tuples, len(rs.Cols))
-		for _, c := range []struct {
-			name  string
-			chunk *Chunk
-		}{{"vectors", vc}, {"vectors again", vc}, {"tuples", &Chunk{Tuples: tuples}}} {
-			checkGuarded(t, name+"/"+c.name, pred, vp, rs, c.chunk, imgs, s, m1|m2)
+		for _, read := range []string{"built", "published"} {
+			checkGuarded(t, name+"/"+read, pred, vp, rs, vc, imgs, s, m1|m2)
 		}
 	}
 
@@ -182,26 +176,24 @@ func TestChunkMarksMatchRowPath(t *testing.T) {
 				e := NewEnriched(imgs, "R", attrs, negate)
 				MustResolve(e, rs)
 				vp := CompileVecPred(e, rs)
-				for _, c := range []*Chunk{NewChunk(lanes, len(rs.Cols)), {Tuples: lanes}} {
-					pass, _, _, decided := evalChunk(t, vp, rs, c, imgs, s)
-					all := c.cols != nil
-					for i, tu := range lanes {
-						want := e.holds(tu) != negate // a nil lane holds no mark
-						if tu != nil {
-							tv, err := EvalPred(nil, e, RowFromTuple(rs, tu))
-							if err != nil {
-								t.Fatal(err)
-							}
-							want = tv == True
+				pass, _, _, decided := evalChunk(t, vp, rs, NewChunk(lanes, len(rs.Cols)), imgs, s)
+				all := true
+				for i, tu := range lanes {
+					want := e.holds(tu) != negate // a nil lane holds no mark
+					if tu != nil {
+						tv, err := EvalPred(nil, e, RowFromTuple(rs, tu))
+						if err != nil {
+							t.Fatal(err)
 						}
-						if pass[i] != want {
-							t.Errorf("%s over %d lanes (vectors %v) lane %d: %v, want %v", e, len(lanes), c.cols != nil, i, pass[i], want)
-						}
-						all = all && e.holds(tu)
+						want = tv == True
 					}
-					if decided != all {
-						t.Errorf("%s over %d lanes (vectors %v): decided from the AND %v, want %v", e, len(lanes), c.cols != nil, decided, all)
+					if pass[i] != want {
+						t.Errorf("%s over %d lanes, lane %d: %v, want %v", e, len(lanes), i, pass[i], want)
 					}
+					all = all && e.holds(tu)
+				}
+				if decided != all {
+					t.Errorf("%s over %d lanes decided from the AND %v, want %v", e, len(lanes), decided, all)
 				}
 			}
 		}

@@ -58,15 +58,14 @@ func (vp *VecPred) NumKernels() int { return len(vp.kernels) }
 // Eval applies every kernel to the batch, folding results into t (all
 // conjuncts so far True) and nf (no conjunct so far False), and sets pend
 // for the pending lanes. t and nf must arrive with the first Len lanes set,
-// pend cleared (it may be nil when Pending is). It returns false when a
-// referenced column's values deviate from the declared kind — the caller
-// must discard the bitmaps and evaluate the batch row-at-a-time.
+// pend cleared (it may be nil when Pending is). Whether a conjunct runs as
+// a kernel was decided when the predicate compiled, from the columns'
+// declared kinds, which every stored cell has: Eval never gives a batch
+// back to the row path.
 //
 // Once no lane is not-False, no later kernel runs: it could clear nothing
-// (t ⊆ nf), and pending lanes come only from nf. A column-fill bail it would
-// have hit is skipped too, which is harmless: the bail's row path answers
-// the same.
-func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
+// (t ⊆ nf), and pending lanes come only from nf.
+func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) {
 	var prefix [BatchSize / 64]uint64 // t as the first guarded conjunct finds it
 	for i, k := range vp.kernels {
 		if !nf.Any() {
@@ -78,15 +77,12 @@ func (vp *VecPred) Eval(b *Batch, t, nf, pend Bitmap) bool {
 			copy(prefix[:], t)
 			vp.pending(b, nf, pend)
 		}
-		if !k.apply(b, t, nf) {
-			return false
-		}
+		k.apply(b, t, nf)
 	}
 	// A pending lane keeps the prefix's verdict: Pending decides the rest.
 	for w := range pend {
 		t[w] = t[w]&^pend[w] | prefix[w]&pend[w]
 	}
-	return true
 }
 
 // pending sets pend for the not-False lanes whose image misses a guarded
@@ -148,17 +144,18 @@ func conjunction(conj []Expr) Expr {
 	return &And{Kids: conj}
 }
 
-// vecKernel evaluates one conjunct over a batch. apply returns false on a
-// column fill bail (declared-kind mismatch).
+// vecKernel evaluates one conjunct over a batch.
 type vecKernel interface {
-	apply(b *Batch, t, nf Bitmap) bool
+	apply(b *Batch, t, nf Bitmap)
 }
 
 func compileConjunct(e Expr, rs *RowSchema) vecKernel {
 	switch n := e.(type) {
 	case *IsNull:
+		// A VECTOR column has no kernel vector: its test stays on the
+		// residual.
 		col, ok := n.Kid.(*Col)
-		if !ok || !col.bound {
+		if !ok || !col.bound || rs.Cols[col.Index].Kind == types.KindVector {
 			return nil
 		}
 		return kIsNull{ci: col.Index, negate: n.Negate}
@@ -240,18 +237,14 @@ type kIsNull struct {
 	negate bool
 }
 
-func (k kIsNull) apply(b *Batch, t, nf Bitmap) bool {
-	cv, ok := b.Col(k.ci)
-	if !ok {
-		return false
-	}
+func (k kIsNull) apply(b *Batch, t, nf Bitmap) {
+	cv := b.Col(k.ci)
 	for i := 0; i < b.Len(); i++ {
 		if cv.Nulls.Get(i) != !k.negate {
 			t.Clear(i)
 			nf.Clear(i)
 		}
 	}
-	return true
 }
 
 // kEnriched: the enrichment-mark test — no column fill, never Unknown. When
@@ -260,7 +253,7 @@ func (k kIsNull) apply(b *Batch, t, nf Bitmap) bool {
 // Otherwise it reads the lanes' tuple images.
 type kEnriched struct{ e *Enriched }
 
-func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
+func (k kEnriched) apply(b *Batch, t, nf Bitmap) {
 	e := k.e
 	// A nil lane holds no mark: with a non-zero mask the AND never covers it.
 	if e.markable && e.mask != 0 && b.chunk.marksCover(e.mask) {
@@ -269,7 +262,7 @@ func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
 			clear(t)
 			clear(nf)
 		}
-		return true
+		return
 	}
 	for i, tu := range b.Tuples {
 		if e.holds(tu) == e.Negate {
@@ -277,7 +270,6 @@ func (k kEnriched) apply(b *Batch, t, nf Bitmap) bool {
 			nf.Clear(i)
 		}
 	}
-	return true
 }
 
 // kGuarded: a guarded conjunct's C over the stored columns. It runs on every
@@ -296,11 +288,8 @@ type kCmpIntConst struct {
 	rhs int64
 }
 
-func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) bool {
-	cv, ok := b.Col(k.ci)
-	if !ok {
-		return false
-	}
+func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) {
+	cv := b.Col(k.ci)
 	xs := cv.I
 	if cv.Nulls.Any() {
 		for i, x := range xs {
@@ -313,7 +302,7 @@ func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) bool {
 				nf.Clear(i)
 			}
 		}
-		return true
+		return
 	}
 	rhs := k.rhs
 	switch k.op {
@@ -360,7 +349,6 @@ func (k kCmpIntConst) apply(b *Batch, t, nf Bitmap) bool {
 			}
 		}
 	}
-	return true
 }
 
 // kCmpStrConst: STRING column vs string constant.
@@ -370,11 +358,8 @@ type kCmpStrConst struct {
 	rhs string
 }
 
-func (k kCmpStrConst) apply(b *Batch, t, nf Bitmap) bool {
-	cv, ok := b.Col(k.ci)
-	if !ok {
-		return false
-	}
+func (k kCmpStrConst) apply(b *Batch, t, nf Bitmap) {
+	cv := b.Col(k.ci)
 	nulls := cv.Nulls.Any()
 	for i, s := range cv.S {
 		if nulls && cv.Nulls.Get(i) {
@@ -386,5 +371,4 @@ func (k kCmpStrConst) apply(b *Batch, t, nf Bitmap) bool {
 			nf.Clear(i)
 		}
 	}
-	return true
 }

@@ -161,9 +161,6 @@ func (m *PanicModel) Fit(X [][]float64, y []int, classes int) error {
 	return m.Inner.Fit(X, y, classes)
 }
 
-// Classes implements ml.Classifier.
-func (m *PanicModel) Classes() int { return m.Inner.Classes() }
-
 // PredictProba implements ml.Classifier, panicking on the configured call.
 func (m *PanicModel) PredictProba(x []float64) []float64 {
 	n := m.calls.Add(1)
@@ -199,9 +196,6 @@ func (m *SlowModel) Name() string { return "slow(" + m.Inner.Name() + ")" }
 func (m *SlowModel) Fit(X [][]float64, y []int, classes int) error {
 	return m.Inner.Fit(X, y, classes)
 }
-
-// Classes implements ml.Classifier.
-func (m *SlowModel) Classes() int { return m.Inner.Classes() }
 
 // PredictProba implements ml.Classifier with the configured delay.
 func (m *SlowModel) PredictProba(x []float64) []float64 {

@@ -197,7 +197,6 @@ type stepClassifier struct{}
 
 func (stepClassifier) Name() string                            { return "harness-step" }
 func (stepClassifier) Fit(_ [][]float64, _ []int, _ int) error { return nil }
-func (stepClassifier) Classes() int                            { return domain }
 func (stepClassifier) PredictProba(x []float64) []float64 {
 	h := uint64(1469598103934665603)
 	for _, v := range x {

@@ -370,7 +370,7 @@ func replayView(t *testing.T, db *storage.DB, a *engine.Analysis) *View {
 		if _, err := empty.CreateTable(tm.Schema); err != nil {
 			t.Fatal(err)
 		}
-		for _, tu := range db.MustTable(tm.Relation).Tuples() {
+		for _, tu := range storage.Tuples(db.MustTable(tm.Relation)) {
 			inserts = append(inserts, TupleDelta{Relation: tm.Relation, New: tu})
 		}
 	}

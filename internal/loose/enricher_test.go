@@ -121,7 +121,6 @@ type panicClassifier struct{ classes int }
 
 func (p *panicClassifier) Name() string                       { return "panic" }
 func (p *panicClassifier) Fit([][]float64, []int, int) error  { return nil }
-func (p *panicClassifier) Classes() int                       { return p.classes }
 func (p *panicClassifier) PredictProba(x []float64) []float64 { panic("model exploded") }
 
 func TestWorkerPoolRecoversFromPanic(t *testing.T) {

@@ -1,6 +1,7 @@
 package loose
 
 import (
+	"enrichdb/internal/storage"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -239,7 +240,7 @@ func TestLooseEnrichesOnlyNeededAttrs(t *testing.T) {
 	}
 	st := mgr.StateTable("TweetData")
 	tbl := d.DB.MustTable("TweetData")
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		if st.BitmapAt(tu.ID, "topic", tu.Gen) != 0 {
 			t.Fatalf("topic of tuple %d was enriched by a sentiment-only query", tu.ID)
 		}
@@ -397,7 +398,7 @@ func TestLooseEnrichmentsArePerQuery(t *testing.T) {
 	tbl := d.DB.MustTable("TweetData")
 	timeCol := tbl.Schema().ColIndex("TweetTime")
 	var wantA, wantB int64
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		if tu.Vals[timeCol].Int() < 5000 {
 			wantA++
 		} else {

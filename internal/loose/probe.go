@@ -57,9 +57,10 @@ type ProbeOptions struct {
 //	        the mark test decides each chunk before any fixed kernel runs.
 //	        The probe predicate runs no UDF and the mark test never errors,
 //	        so the order changes which rows the probe selects in no case.
-//	        It can drop a probe-time error: a fixed conjunct that errors on
-//	        a stored cell is no longer evaluated on a marked row, as the
-//	        plain design's short-circuit skips it (TestProbeTestsMarksFirst).
+//	        It can drop a probe-time error: a fixed conjunct that errors
+//	        (an INT column against a STRING literal) is no longer evaluated
+//	        on a marked row, as the plain design's short-circuit skips it
+//	        (TestProbeTestsMarksFirst).
 //
 // Prior work is read from the tuple images' enrichment marks
 // (types.Tuple.Enriched), in a vector kernel that decides a chunk whose

@@ -169,9 +169,6 @@ type CalibratedClassifier struct {
 // Name identifies the wrapped model.
 func (cc *CalibratedClassifier) Name() string { return cc.Base.Name() + "+" + cc.Method }
 
-// Classes returns the base model's class count.
-func (cc *CalibratedClassifier) Classes() int { return cc.Base.Classes() }
-
 // Fit trains the base classifier on 80% of the data and fits the calibration
 // maps on the held-out 20% (cross-validation-style calibration as in the
 // paper's setup).

@@ -31,9 +31,6 @@ func NewRandomForest(n, maxDepth int, seed int64) *RandomForest {
 // Name identifies the model including its tree count.
 func (f *RandomForest) Name() string { return fmt.Sprintf("rf%d", f.Trees) }
 
-// Classes returns the fitted class count.
-func (f *RandomForest) Classes() int { return f.classes }
-
 // Fit trains each tree on a bootstrap sample with sqrt(dim) feature
 // subsampling.
 func (f *RandomForest) Fit(X [][]float64, y []int, classes int) error {

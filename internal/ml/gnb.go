@@ -18,9 +18,6 @@ func NewGNB() *GNB { return &GNB{} }
 // Name identifies the model.
 func (g *GNB) Name() string { return "gnb" }
 
-// Classes returns the fitted class count.
-func (g *GNB) Classes() int { return g.classes }
-
 // Fit estimates per-class feature means and variances.
 func (g *GNB) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {

@@ -23,9 +23,6 @@ func NewKNN(k int) *KNN {
 // Name identifies the model including its k.
 func (k *KNN) Name() string { return fmt.Sprintf("knn%d", k.K) }
 
-// Classes returns the fitted class count.
-func (k *KNN) Classes() int { return k.classes }
-
 // Fit memorizes the training set.
 func (k *KNN) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {

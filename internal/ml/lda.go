@@ -23,9 +23,6 @@ func NewLDA() *LDA { return &LDA{Shrinkage: 1e-3} }
 // Name identifies the model.
 func (m *LDA) Name() string { return "lda" }
 
-// Classes returns the fitted class count.
-func (m *LDA) Classes() int { return m.classes }
-
 // Fit estimates class means and the pooled covariance, and inverts it.
 func (m *LDA) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {

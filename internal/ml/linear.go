@@ -26,9 +26,6 @@ func NewLogisticRegression() *LogisticRegression {
 // Name identifies the model.
 func (m *LogisticRegression) Name() string { return "lr" }
 
-// Classes returns the fitted class count.
-func (m *LogisticRegression) Classes() int { return m.classes }
-
 // Fit trains with SGD over shuffled epochs.
 func (m *LogisticRegression) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {
@@ -93,9 +90,6 @@ func NewLinearSVM() *LinearSVM {
 
 // Name identifies the model.
 func (m *LinearSVM) Name() string { return "svm" }
-
-// Classes returns the fitted class count.
-func (m *LinearSVM) Classes() int { return m.classes }
 
 // Fit trains one binary hinge-loss classifier per class and calibrates each
 // with a Platt sigmoid on a held-out fifth of the data.

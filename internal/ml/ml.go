@@ -26,8 +26,6 @@ type Classifier interface {
 	Fit(X [][]float64, y []int, classes int) error
 	// PredictProba returns a probability distribution over the classes.
 	PredictProba(x []float64) []float64
-	// Classes returns the number of classes the model was fit for (0 before Fit).
-	Classes() int
 }
 
 // Predict returns the argmax class of the classifier's distribution.

@@ -35,9 +35,6 @@ func NewMLP(hidden int) *MLP {
 // Name identifies the model including its hidden width.
 func (m *MLP) Name() string { return fmt.Sprintf("mlp%d", m.Hidden) }
 
-// Classes returns the fitted class count.
-func (m *MLP) Classes() int { return m.classes }
-
 // Fit trains by SGD with backpropagation.
 func (m *MLP) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {

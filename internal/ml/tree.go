@@ -41,9 +41,6 @@ func (t *DecisionTree) Name() string {
 	return fmt.Sprintf("dt%d", t.MaxDepth)
 }
 
-// Classes returns the fitted class count.
-func (t *DecisionTree) Classes() int { return t.classes }
-
 // Fit grows the tree greedily.
 func (t *DecisionTree) Fit(X [][]float64, y []int, classes int) error {
 	if err := validateFit(X, y, classes); err != nil {

@@ -1,5 +1,11 @@
 package shard
 
+import (
+	"enrichdb/internal/expr"
+	"enrichdb/internal/storage"
+	"enrichdb/internal/types"
+)
+
 // mergeSeq visits the elements of runs that are each ascending by seq in
 // one ascending order, calling emit(run, pos) for each; lens[r] is run r's
 // length and seq(r, pos) its element's key. It is the one place sharded
@@ -34,17 +40,28 @@ func mergeSeq(lens []int, seq func(r, pos int) uint64, emit func(r, pos int)) {
 	}
 }
 
-// mergeRuns merges runs of elements by mergeSeq's order into one slice.
-func mergeRuns[T any](runs [][]T, seq func(T) uint64) []T {
-	lens := make([]int, len(runs))
+// mergeChunks merges the relations' tuples (a nil relation holds none) by
+// mergeSeq's order into new chunks of expr.BatchSize lanes over ncols
+// columns.
+func mergeChunks(ncols int, rels []storage.Relation) []*expr.Chunk {
+	runs := make([][]*types.Tuple, len(rels))
+	lens := make([]int, len(rels))
 	n := 0
-	for r, run := range runs {
-		lens[r] = len(run)
-		n += len(run)
+	for r, rel := range rels {
+		if rel != nil {
+			runs[r] = storage.Tuples(rel)
+		}
+		lens[r] = len(runs[r])
+		n += lens[r]
 	}
-	out := make([]T, 0, n)
-	mergeSeq(lens, func(r, p int) uint64 { return seq(runs[r][p]) }, func(r, p int) {
-		out = append(out, runs[r][p])
+	all := make([]*types.Tuple, 0, n)
+	mergeSeq(lens, func(r, p int) uint64 { return runs[r][p].Seq }, func(r, p int) {
+		all = append(all, runs[r][p])
 	})
+	var out []*expr.Chunk
+	for lo := 0; lo < n; lo += expr.BatchSize {
+		hi := min(lo+expr.BatchSize, n)
+		out = append(out, expr.NewChunk(all[lo:hi:hi], ncols))
+	}
 	return out
 }

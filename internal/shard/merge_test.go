@@ -22,15 +22,22 @@ func TestMergeRunsOrdersBySeqThenRunThenPos(t *testing.T) {
 		{{2, "c0"}, {4, "c1"}, {10, "c2"}},
 		{{0, "d0"}},
 	}
-	var got []string
-	for _, e := range mergeRuns(runs, func(e el) uint64 { return e.seq }) {
-		got = append(got, e.tag)
+	merge := func(runs [][]el) []string {
+		lens := make([]int, len(runs))
+		for r := range runs {
+			lens[r] = len(runs[r])
+		}
+		var got []string
+		mergeSeq(lens, func(r, p int) uint64 { return runs[r][p].seq }, func(r, p int) {
+			got = append(got, runs[r][p].tag)
+		})
+		return got
 	}
 	want := []string{"d0", "a0", "c0", "a1", "a2", "c1", "a3", "c2"}
-	if !reflect.DeepEqual(got, want) {
+	if got := merge(runs); !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %v, want %v", got, want)
 	}
-	if out := mergeRuns[el](nil, func(e el) uint64 { return e.seq }); len(out) != 0 {
+	if out := merge(nil); len(out) != 0 {
 		t.Fatalf("merge of no runs = %v", out)
 	}
 }
@@ -135,7 +142,7 @@ func checkMergeInvariant(t *testing.T, step int, reps []*storage.Table, ut, st s
 	t.Helper()
 	for i, r := range reps {
 		var prev uint64
-		for _, tu := range r.Tuples() {
+		for _, tu := range storage.Tuples(r) {
 			if tu.Seq <= prev {
 				t.Fatalf("step %d: replica %d slab not strictly Seq-ascending: %d after %d", step, i, tu.Seq, prev)
 			}
@@ -184,7 +191,7 @@ func TestConcurrentWritesKeepMergedReadsOrdered(t *testing.T) {
 				case 1:
 					st.CommitFixed(id, "kind", types.NewString(fmt.Sprintf("k%d", rng.Intn(3))))
 				case 2:
-					st.WriteDerived(id, "label", types.NewString("x"), st.Gen(id), true)
+					st.WriteDerived(id, "label", types.NewInt(1), st.Gen(id), true)
 				default:
 					if st.Delete(id) != nil {
 						st.Insert(&types.Tuple{ID: id, Vals: []types.Value{types.NewInt(id), types.NewString("k1"), types.Null}})
@@ -198,7 +205,7 @@ func TestConcurrentWritesKeepMergedReadsOrdered(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if !ascending(st.Tuples()) {
+				if !ascending(storage.Tuples(st)) {
 					t.Error("merged read not Seq-ascending under concurrent writers")
 					return
 				}

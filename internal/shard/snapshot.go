@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
@@ -39,13 +41,18 @@ func (s *Snap) NumShards() int { return len(s.shards) }
 func (s *Snap) ShardSource(i int) storage.Source { return s.shards[i] }
 
 // mergedView is the frozen merged Relation over one relation's per-shard
-// views. Reads merge the views in insertion-sequence order; derived-value
-// writes route to the owning shard's view, which keeps the session-local
-// image and performs the gen-guarded write-through to the live replica.
+// views. Scans read the views merged in insertion-sequence order into
+// chunks, built on the first scan and kept, vectors included, since the
+// views are frozen; derived-value writes route to the owning shard's view,
+// which keeps the session-local image and performs the gen-guarded
+// write-through to the live replica, and drop the merged chunks.
 type mergedView struct {
 	schema *catalog.Schema
 	part   *HashPartitioner
 	views  []storage.Relation
+
+	mu     sync.Mutex
+	chunks []*expr.Chunk // the merged chunks once built; nil after a write
 }
 
 var _ storage.Relation = (*mergedView)(nil)
@@ -77,17 +84,16 @@ func (v *mergedView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Tuples returns the merged insertion-order snapshot with session-local
-// derived writes folded in: each shard view's Tuples already carries its
+// ChunksInto appends the merged chunks into buf[:0], with session-local
+// derived writes folded in: each shard view's chunks already carry its
 // writes, and a derived write never changes a tuple's Seq.
-func (v *mergedView) Tuples() []*types.Tuple {
-	runs := make([][]*types.Tuple, len(v.views))
-	for i, sv := range v.views {
-		if sv != nil {
-			runs[i] = sv.Tuples()
-		}
+func (v *mergedView) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.chunks == nil {
+		v.chunks = mergeChunks(len(v.schema.Cols), v.views)
 	}
-	return mergeRuns(runs, tupleSeq)
+	return append(buf[:0], v.chunks...)
 }
 
 // WriteDerived routes the derived write and its mark to the owning shard's
@@ -98,5 +104,8 @@ func (v *mergedView) WriteDerived(id int64, col string, val types.Value, gen uin
 	if sv == nil {
 		return false, fmt.Errorf("shard: %s: no view for tuple %d", v.schema.Name, id)
 	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.chunks = nil
 	return sv.WriteDerived(id, col, val, gen, mark)
 }

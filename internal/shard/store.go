@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
@@ -215,17 +216,14 @@ func (t *Table) Len() int {
 	return n
 }
 
-// Tuples returns all live tuples merged across replicas in insertion order,
-// byte-identical to the unsharded slab.
-func (t *Table) Tuples() []*types.Tuple {
+// ChunksInto appends all live tuples merged across replicas in insertion
+// order into buf[:0], as new chunks, byte-identical to the unsharded table's.
+func (t *Table) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	runs := make([][]*types.Tuple, len(t.reps))
+	reps := make([]storage.Relation, len(t.reps))
 	for i, r := range t.reps {
-		runs[i] = r.Tuples()
+		reps[i] = r
 	}
-	return mergeRuns(runs, tupleSeq)
+	return append(buf[:0], mergeChunks(len(t.schema.Cols), reps)...)
 }
-
-// tupleSeq is the merge key of a tuple run.
-func tupleSeq(tu *types.Tuple) uint64 { return tu.Seq }

@@ -15,7 +15,7 @@ func eventsSchema(t *testing.T) *catalog.Schema {
 	sc, err := catalog.NewSchema("Events", []catalog.Column{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "kind", Kind: types.KindString},
-		{Name: "label", Kind: types.KindString, Derived: true, FeatureCol: "kind", Domain: 3},
+		{Name: "label", Kind: types.KindInt, Derived: true, FeatureCol: "kind", Domain: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func insertN(t *testing.T, tbl storage.BaseTable, n int) {
 
 func tupleOrder(tbl storage.Relation) []int64 {
 	var out []int64
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		out = append(out, tu.ID)
 	}
 	return out
@@ -117,7 +117,7 @@ func TestShardedGenGuard(t *testing.T) {
 	id := int64(5)
 	gen := st.Gen(id)
 	// Write-back at the current generation lands.
-	ok, err := st.WriteDerived(id, "label", types.NewString("cat"), gen, true)
+	ok, err := st.WriteDerived(id, "label", types.NewInt(1), gen, true)
 	if err != nil || !ok {
 		t.Fatalf("WriteDerived at gen %d: ok=%v err=%v", gen, ok, err)
 	}
@@ -134,7 +134,7 @@ func TestShardedGenGuard(t *testing.T) {
 		t.Fatalf("CommitFixed gen %d did not advance past %d", newGen, gen)
 	}
 	// ...and a stale write-back is a silent no-op.
-	ok, err = st.WriteDerived(id, "label", types.NewString("stale"), gen, true)
+	ok, err = st.WriteDerived(id, "label", types.NewInt(2), gen, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,27 +166,27 @@ func TestFreezeSnapshotIsolation(t *testing.T) {
 		t.Fatalf("frozen view drifted:\n got %v\nwant %v", got, wantOrder)
 	}
 	// Session-local derived writes are visible through the frozen view only.
-	if _, err := frozen.WriteDerived(7, "label", types.NewString("local"), frozen.Get(7).Gen, true); err != nil {
+	if _, err := frozen.WriteDerived(7, "label", types.NewInt(7), frozen.Get(7).Gen, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := frozen.Get(7).Vals[2]; got.Kind() != types.KindString || got.Str() != "local" {
-		t.Fatalf("frozen Get(7) derived = %v, want session-local 'local'", got)
+	if got := frozen.Get(7).Vals[2]; got.Kind() != types.KindInt || got.Int() != 7 {
+		t.Fatalf("frozen Get(7) derived = %v, want session-local 7", got)
 	}
 	mark := st.Schema().MarkBit("label")
 	if frozen.Get(7).Enriched != mark || st.Get(7).Enriched != mark {
 		t.Fatalf("write-through marks: view %b, live %b, want %b", frozen.Get(7).Enriched, st.Get(7).Enriched, mark)
 	}
 	found := false
-	for _, tu := range frozen.Tuples() {
+	for _, tu := range storage.Tuples(frozen) {
 		if tu.ID == 7 {
-			found = tu.Vals[2].Kind() == types.KindString && tu.Vals[2].Str() == "local"
+			found = tu.Vals[2].Kind() == types.KindInt && tu.Vals[2].Int() == 7
 		}
 	}
 	if !found {
 		t.Fatal("frozen Tuples() does not fold in the session-local write")
 	}
 	// Gen-guarded write-through landed on the live replica too.
-	if got := st.Get(7).Vals[2]; got.Kind() != types.KindString || got.Str() != "local" {
+	if got := st.Get(7).Vals[2]; got.Kind() != types.KindInt || got.Int() != 7 {
 		t.Fatalf("live write-through missing: %v", got)
 	}
 }
@@ -217,12 +217,12 @@ func TestMergedTuplesMatchUnshardedAfterWriteBack(t *testing.T) {
 			st.Delete(60)
 			for _, id := range []int64{5, 60, 99} {
 				for _, rel := range []storage.Relation{uv, sv} {
-					if _, err := rel.WriteDerived(id, "label", types.NewString("w"), rel.Get(id).Gen, true); err != nil {
+					if _, err := rel.WriteDerived(id, "label", types.NewInt(3), rel.Get(id).Gen, true); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			got, want := sv.Tuples(), uv.Tuples()
+			got, want := storage.Tuples(sv), storage.Tuples(uv)
 			if len(got) != len(want) || sv.Len() != uv.Len() {
 				t.Fatalf("merged holds %d (Len %d), unsharded %d (Len %d)", len(got), sv.Len(), len(want), uv.Len())
 			}
@@ -233,7 +233,7 @@ func TestMergedTuplesMatchUnshardedAfterWriteBack(t *testing.T) {
 				}
 			}
 			for _, id := range []int64{5, 60, 99} {
-				if tu := sv.Get(id); tu.Vals[2].Kind() != types.KindString || tu.Vals[2].Str() != "w" {
+				if tu := sv.Get(id); tu.Vals[2].Kind() != types.KindInt || tu.Vals[2].Int() != 3 {
 					t.Fatalf("merged Get(%d) = %v, want the write-back", id, tu.Vals[2])
 				}
 			}

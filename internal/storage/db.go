@@ -5,12 +5,14 @@ import (
 	"sync"
 
 	"enrichdb/internal/catalog"
+	"enrichdb/internal/expr"
 	"enrichdb/internal/types"
 )
 
 // Relation is the surface query execution reads and enriches through: the
 // live *Table, or a session's frozen *TableView. Reads return immutable
-// tuples (storage is copy-on-write); WriteDerived is the one enrichment
+// tuples (storage is copy-on-write), and ChunksInto hands scans the
+// relation's sealed chunks, which never change once handed out; WriteDerived is the one enrichment
 // write-back — a derived value plus its enrichment mark, generation-guarded,
 // and written through to the live table from a view. Its one caller above
 // storage is enrich.Manager.WriteBack, which determinizes the value and
@@ -19,7 +21,7 @@ type Relation interface {
 	Schema() *catalog.Schema
 	Len() int
 	Get(id int64) *types.Tuple
-	Tuples() []*types.Tuple
+	ChunksInto(buf []*expr.Chunk) []*expr.Chunk
 	WriteDerived(id int64, col string, v types.Value, gen uint64, mark bool) (bool, error)
 }
 
@@ -27,6 +29,16 @@ var (
 	_ Relation = (*Table)(nil)
 	_ Relation = (*TableView)(nil)
 )
+
+// Tuples returns the relation's tuples in insertion order, read from its
+// sealed chunks: the one walk for readers outside the scan kernel.
+func Tuples(rel Relation) []*types.Tuple {
+	out := make([]*types.Tuple, 0, rel.Len())
+	for _, c := range rel.ChunksInto(nil) {
+		out = append(out, c.Tuples...)
+	}
+	return out
+}
 
 // Source resolves relation names for query execution: the live *DB or a
 // point-in-time *Snapshot. Everything above storage (engine, probe

@@ -85,7 +85,7 @@ func TestTableModelProperty(t *testing.T) {
 					t.Fatalf("trial %d step %d: Get(%d) a=%d, model %d", trial, step, id, tu.Vals[1].Int(), a)
 				}
 			case 4: // snapshot order: Tuples must mirror insertion order
-				snap := tbl.Tuples()
+				snap := Tuples(tbl)
 				if len(snap) != len(order) {
 					t.Fatalf("trial %d step %d: snapshot len %d, model %d",
 						trial, step, len(snap), len(order))
@@ -105,7 +105,7 @@ func TestTableModelProperty(t *testing.T) {
 
 		// Final full comparison including scan order.
 		var scanned []mrow
-		for _, tu := range tbl.Tuples() {
+		for _, tu := range Tuples(tbl) {
 			scanned = append(scanned, mrow{tu.ID, tu.Vals[1].Int()})
 		}
 		if len(scanned) != len(order) {

@@ -19,13 +19,13 @@ import (
 //
 // Storage layout: tuples live in insertion order in a list of chunks of
 // expr.BatchSize lanes, every chunk but the last full, with an id→lane map
-// giving O(1) point access. The chunks are the ones snapshot views hand to
-// scans: View copies the chunk pointers and seals them, and a write to a
-// sealed chunk copies that chunk first, so a view costs the number of
-// chunks, and the next view shares every chunk no write touched, column
-// vectors included. Deletions leave nil tombstones; the chunks compact from
-// the first tombstone on once tombstones outnumber live tuples, and before
-// a view (scans read dense chunks).
+// giving O(1) point access. The chunks are the ones scans read: ChunksInto
+// (a scan of the live table) and View (a snapshot) seal them, and a write
+// to a sealed chunk copies that chunk first, so a scan or a view costs the
+// number of chunks, and the next one shares every chunk no write touched,
+// column vectors included. Deletions leave nil tombstones; the chunks
+// compact from the first tombstone on once tombstones outnumber live
+// tuples, and before a seal (scans read dense chunks).
 type Table struct {
 	schema *catalog.Schema
 
@@ -124,7 +124,8 @@ func (t *Table) own(k int, vecs bool) *expr.Chunk {
 }
 
 // Insert stores a tuple. A zero ID is auto-assigned; explicit ids must be
-// unique. The value slice length must match the schema. The stored image
+// unique. The value slice length must match the schema, and every non-NULL
+// value must have its column's kind. The stored image
 // carries no enrichment mark: a marked tuple (an image read back from a
 // table) is stored as an unmarked copy, so the caller's published image is
 // never mutated.
@@ -132,6 +133,9 @@ func (t *Table) Insert(tu *types.Tuple) (int64, error) {
 	if len(tu.Vals) != len(t.schema.Cols) {
 		return 0, fmt.Errorf("storage: %s: tuple has %d values, schema has %d columns",
 			t.schema.Name, len(tu.Vals), len(t.schema.Cols))
+	}
+	if err := t.schema.CheckKinds(0, tu.Vals...); err != nil {
+		return 0, err
 	}
 	if tu.Enriched != 0 {
 		c := *tu
@@ -197,6 +201,9 @@ func (t *Table) CommitFixed(id int64, col string, v types.Value) (uint64, error)
 	if t.schema.Cols[ci].Derived {
 		return 0, fmt.Errorf("storage: %s: %s is a derived column; use WriteDerived", t.schema.Name, col)
 	}
+	if err := t.schema.CheckKinds(ci, v); err != nil {
+		return 0, err
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.slot[id]
@@ -233,6 +240,9 @@ func (t *Table) WriteDerived(id int64, col string, v types.Value, gen uint64, ma
 	ci := t.schema.ColIndex(col)
 	if ci < 0 || !t.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: %s is not a derived column", t.schema.Name, col)
+	}
+	if err := t.schema.CheckKinds(ci, v); err != nil {
+		return false, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -333,33 +343,22 @@ func (t *Table) compact() {
 	t.moves++
 }
 
-// Tuples returns a snapshot slice of all stored tuples in insertion order.
-// The slice is freshly allocated; the tuples are the stored ones and must
-// not be mutated.
-func (t *Table) Tuples() []*types.Tuple {
-	return t.TuplesInto(nil)
+// ChunksInto seals the table's chunks, compacting away any tombstone first,
+// and appends them, in insertion order, into buf[:0]: a later write copies
+// the chunk it lands in, so the returned chunks, and the vectors scans build
+// on them, never change.
+func (t *Table) ChunksInto(buf []*expr.Chunk) []*expr.Chunk {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append(buf[:0], t.seal()...)
 }
 
-// TuplesInto is Tuples with caller-provided backing storage: the snapshot is
-// appended into buf[:0] (growing it only when capacity runs out), so repeated
-// scans of a live table — the vectorized executor snapshots any source that
-// is not a view this way — reuse one buffer instead of allocating a fresh
-// slice per call. The returned slice holds live tuple pointers in insertion
-// order; the tuples themselves stay immutable copy-on-write as everywhere
-// else.
-func (t *Table) TuplesInto(buf []*types.Tuple) []*types.Tuple {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := buf[:0]
-	if cap(out) < t.live {
-		out = make([]*types.Tuple, 0, t.live)
+// seal compacts away any tombstone and marks every chunk shared, returning
+// the chunk list. Caller holds t.mu for writing.
+func (t *Table) seal() []*expr.Chunk {
+	if t.live < t.lanes() {
+		t.compact()
 	}
-	for _, c := range t.chunks {
-		for _, tu := range c.Tuples {
-			if tu != nil {
-				out = append(out, tu)
-			}
-		}
-	}
-	return out
+	clear(t.private)
+	return t.chunks
 }

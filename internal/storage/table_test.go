@@ -40,7 +40,7 @@ func TestInsertGetScan(t *testing.T) {
 	if tb.Get(99) != nil {
 		t.Error("Get(99) should be nil")
 	}
-	for i, tu := range tb.Tuples() {
+	for i, tu := range Tuples(tb) {
 		if tu.ID != int64(i+1) {
 			t.Errorf("scan order: id %d at %d", tu.ID, i)
 			break
@@ -87,7 +87,7 @@ func TestDelete(t *testing.T) {
 	if tb.Delete(1) != nil {
 		t.Error("second delete should return nil")
 	}
-	if tus := tb.Tuples(); len(tus) != 1 || tus[0].ID != 2 {
+	if tus := Tuples(tb); len(tus) != 1 || tus[0].ID != 2 {
 		t.Errorf("after delete: %v", tus)
 	}
 }
@@ -144,7 +144,7 @@ func TestSlabCompaction(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), n/2)
 	}
 	want := int64(2)
-	for _, tu := range tb.Tuples() {
+	for _, tu := range Tuples(tb) {
 		if tu.ID != want {
 			t.Fatalf("scan order: got id %d, want %d", tu.ID, want)
 		}
@@ -159,7 +159,7 @@ func TestSlabCompaction(t *testing.T) {
 	if _, err := tb.Insert(mkTuple(n+1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	tus := tb.Tuples()
+	tus := Tuples(tb)
 	if last := tus[len(tus)-1].ID; last != n+1 {
 		t.Fatalf("Tuples tail = %d, want %d", last, n+1)
 	}
@@ -174,7 +174,7 @@ func TestTuplesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := tb.Tuples()
+	snap := Tuples(tb)
 	tb.Delete(5)
 	if len(snap) != 10 {
 		t.Fatalf("snapshot len %d, want 10", len(snap))
@@ -184,7 +184,7 @@ func TestTuplesSnapshot(t *testing.T) {
 			t.Fatalf("snapshot[%d] = id %d, want %d", i, tu.ID, i+1)
 		}
 	}
-	if fresh := tb.Tuples(); len(fresh) != 9 {
+	if fresh := Tuples(tb); len(fresh) != 9 {
 		t.Fatalf("post-delete snapshot len %d, want 9", len(fresh))
 	}
 }

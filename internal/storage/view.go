@@ -57,17 +57,14 @@ type TableView struct {
 func (t *Table) View() *TableView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.live < t.lanes() {
-		t.compact()
-	}
-	clear(t.private)
+	chunks := slices.Clone(t.seal())
 	return &TableView{
 		parent:  t,
 		schema:  t.schema,
 		n:       t.live,
 		moves:   t.moves,
-		chunks:  slices.Clone(t.chunks),
-		private: make([]bool, len(t.chunks)),
+		chunks:  chunks,
+		private: make([]bool, len(chunks)),
 	}
 }
 
@@ -108,18 +105,6 @@ func (v *TableView) Get(id int64) *types.Tuple {
 	return nil
 }
 
-// Tuples returns a freshly allocated slice of the snapshot's tuples in
-// insertion order.
-func (v *TableView) Tuples() []*types.Tuple {
-	v.parent.mu.RLock()
-	defer v.parent.mu.RUnlock()
-	out := make([]*types.Tuple, 0, v.n)
-	for _, c := range v.chunks {
-		out = append(out, c.Tuples...)
-	}
-	return out
-}
-
 // ChunksInto seals the view's chunks and appends them, in insertion order,
 // into buf[:0]: a write after this call copies the chunk it lands in, so the
 // returned chunks, and the vectors scans build on them, never change.
@@ -140,6 +125,9 @@ func (v *TableView) WriteDerived(id int64, col string, val types.Value, gen uint
 	ci := v.schema.ColIndex(col)
 	if ci < 0 || !v.schema.Cols[ci].Derived {
 		return false, fmt.Errorf("storage: %s: cannot write %s through a snapshot view", v.schema.Name, col)
+	}
+	if err := v.schema.CheckKinds(ci, val); err != nil {
+		return false, err
 	}
 	v.parent.mu.Lock()
 	defer v.parent.mu.Unlock()

@@ -55,9 +55,10 @@ func (m *relModel) writeDerived(id int64, v types.Value, gen uint64, mark bool) 
 	return true
 }
 
-// checkRel checks a relation against the model: Len, Tuples order and
+// checkRel checks a relation against the model: Len, its tuples' order and
 // images, Get for every id ever inserted, and that every chunk but the last
-// is full.
+// is full. It reads the chunks without sealing them, so the table's
+// writes meet private chunks as often as the history makes them.
 func checkRel(rel Relation, m *relModel, ever []int64, bit uint64) error {
 	if rel.Len() != len(m.ids) {
 		return fmt.Errorf("Len %d, model %d", rel.Len(), len(m.ids))
@@ -71,7 +72,21 @@ func checkRel(rel Relation, m *relModel, ever []int64, bit uint64) error {
 		}
 		return !tu.Vals[3].IsNull() && tu.Vals[3].Int() == im.d
 	}
-	tus := rel.Tuples()
+	var chunks []*expr.Chunk
+	switch r := rel.(type) {
+	case *TableView:
+		chunks = r.chunks
+	case *Table:
+		chunks = r.chunks
+	}
+	var tus []*types.Tuple
+	for _, c := range chunks {
+		for _, tu := range c.Tuples {
+			if tu != nil {
+				tus = append(tus, tu)
+			}
+		}
+	}
 	if len(tus) != len(m.ids) {
 		return fmt.Errorf("Tuples holds %d, model %d", len(tus), len(m.ids))
 	}
@@ -91,13 +106,6 @@ func checkRel(rel Relation, m *relModel, ever []int64, bit uint64) error {
 			return fmt.Errorf("Get(%d) = id %d %v gen %d mark %b, model %+v", id, tu.ID, tu.Vals, tu.Gen, tu.Enriched, im)
 		}
 	}
-	var chunks []*expr.Chunk
-	switch r := rel.(type) {
-	case *TableView:
-		chunks = r.chunks
-	case *Table:
-		chunks = r.chunks
-	}
 	for k, c := range chunks {
 		if k < len(chunks)-1 && len(c.Tuples) != expr.BatchSize {
 			return fmt.Errorf("chunk %d of %d holds %d lanes", k, len(chunks), len(c.Tuples))
@@ -106,17 +114,44 @@ func checkRel(rel Relation, m *relModel, ever []int64, bit uint64) error {
 	return nil
 }
 
+// checkVectors checks that each chunk's vectors of a and d, built now or
+// kept from an earlier scan, hold its lanes' values.
+func checkVectors(chunks []*expr.Chunk, rs *expr.RowSchema) error {
+	var b expr.Batch
+	for k, c := range chunks {
+		b.Reset(rs, c)
+		for _, ci := range []int{1, 3} {
+			cv := b.Col(ci)
+			for i, tu := range c.Tuples {
+				if v := tu.Vals[ci]; cv.Nulls.Get(i) != v.IsNull() || !v.IsNull() && cv.I[i] != v.Int() {
+					return fmt.Errorf("chunk %d lane %d (id %d): column %d's vector disagrees with %v", k, i, tu.ID, ci, v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // TestViewModelProperty drives random interleavings of table writes (Insert,
 // CommitFixed, Delete singly and in runs that compact, WriteDerived),
-// view write-backs and View, and checks the table and every open view
-// against a model after each step: a view keeps the image it was taken
-// with plus its own write-backs, whatever the table did since — including a
-// write-back that lands after the table deleted the tuple or compacted.
+// view write-backs, View, and scans of the table and of views, and checks
+// the table and every open view against a model after each step: a view
+// keeps the image it was taken with plus its own write-backs, whatever the
+// table did since — including a write-back that lands after the table
+// deleted the tuple or compacted. Every chunk a scan was handed keeps its
+// lanes whatever is written after, and a scan's chunks' vectors hold their
+// lanes' values.
 func TestViewModelProperty(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		r := rand.New(rand.NewSource(int64(trial)))
 		tb := testTable(t)
+		rs := expr.SchemaForTable("R", tb.Schema())
 		bit := tb.Schema().MarkBit("d")
+		type sealedChunk struct {
+			c     *expr.Chunk
+			lanes []*types.Tuple
+		}
+		var sealed []sealedChunk
 		live := &relModel{img: map[int64]image{}}
 		var ever []int64
 		next := int64(1)
@@ -219,9 +254,17 @@ func TestViewModelProperty(t *testing.T) {
 				if want := live.writeDerived(id, v, gen, mark); got != want {
 					t.Fatalf("step %d: view WriteDerived(%d) applied %v live, model %v", step, id, got, want)
 				}
-			case op < 18: // a scan seals the view's chunks
-				if len(views) > 0 {
-					views[r.Intn(len(views))].v.ChunksInto(nil)
+			case op < 18: // a scan seals the table's or a view's chunks
+				var rel Relation = tb
+				if len(views) > 0 && r.Intn(2) == 0 {
+					rel = views[r.Intn(len(views))].v
+				}
+				chunks := rel.ChunksInto(nil)
+				if err := checkVectors(chunks, rs); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+				for _, c := range chunks {
+					sealed = append(sealed, sealedChunk{c, slices.Clone(c.Tuples)})
 				}
 			default: // a new view; at most three stay open
 				views = append(views, openView{tb.View(), live.clone()})
@@ -231,6 +274,11 @@ func TestViewModelProperty(t *testing.T) {
 			}
 			if err := checkRel(tb, live, ever, bit); err != nil {
 				t.Fatalf("trial %d step %d: table: %v", trial, step, err)
+			}
+			for i, sc := range sealed {
+				if !slices.Equal(sc.c.Tuples, sc.lanes) {
+					t.Fatalf("trial %d step %d: sealed chunk %d changed after its scan", trial, step, i)
+				}
 			}
 			for i, ov := range views {
 				if err := checkRel(ov.v, ov.m, ever, bit); err != nil {
@@ -286,7 +334,7 @@ func TestViewStableBesideConcurrentWriter(t *testing.T) {
 	}()
 	for round := 0; round < 50; round++ {
 		v := tb.View()
-		first := v.Tuples()
+		first := Tuples(v)
 		if len(first) != v.Len() {
 			t.Fatalf("round %d: Tuples holds %d, Len %d", round, len(first), v.Len())
 		}
@@ -303,7 +351,7 @@ func TestViewStableBesideConcurrentWriter(t *testing.T) {
 			t.Fatalf("round %d: view write-back of %d lost: %v", round, tu.ID, got.Vals)
 		}
 		v.ChunksInto(nil)
-		for i, tu2 := range v.Tuples() {
+		for i, tu2 := range Tuples(v) {
 			if tu2.ID != first[i].ID || (tu2 != first[i] && tu2.ID != tu.ID) {
 				t.Fatalf("round %d: lane %d changed under a concurrent writer", round, i)
 			}

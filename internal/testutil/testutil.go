@@ -22,7 +22,6 @@ type stepModel struct{}
 
 func (stepModel) Name() string                            { return "testutil-step" }
 func (stepModel) Fit(_ [][]float64, _ []int, _ int) error { return nil }
-func (stepModel) Classes() int                            { return Domain }
 func (stepModel) PredictProba(x []float64) []float64 {
 	h := uint64(1469598103934665603)
 	for _, v := range x {

@@ -112,7 +112,7 @@ func markShare(t *testing.T, d *Driver, p float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(17))
 	rt := NewRuntime(d.DB, d.Mgr)
-	for _, tu := range tweets(d).Tuples() {
+	for _, tu := range storage.Tuples(tweets(d)) {
 		for _, attr := range []string{"sentiment", "topic"} {
 			if rng.Float64() < p {
 				if _, err := rt.ReadUDF("TweetData", tu.ID, attr); err != nil {
@@ -136,7 +136,7 @@ func tweets(d *Driver) storage.Relation {
 func images(d *Driver) (string, map[int64]uint64) {
 	var b strings.Builder
 	marks := make(map[int64]uint64)
-	for _, tu := range tweets(d).Tuples() {
+	for _, tu := range storage.Tuples(tweets(d)) {
 		marks[tu.ID] = tu.Enriched
 		fmt.Fprintf(&b, "%d %b %v\n", tu.ID, tu.Enriched, tu.Vals[6:])
 	}
@@ -218,7 +218,7 @@ func TestGuardedVectorMatchesRowPath(t *testing.T) {
 					}
 				}
 				topic := s.ColIndex("topic")
-				for _, tu := range tweets(vecDrv).Tuples() {
+				for _, tu := range storage.Tuples(tweets(vecDrv)) {
 					sawCompleteNull = sawCompleteNull || tu.Vals[topic].IsNull() &&
 						vecDrv.Mgr.FullyEnriched("TweetData", tu.ID, "topic", tu.Gen)
 				}
@@ -238,7 +238,7 @@ func TestGuardedVectorMatchesRowPath(t *testing.T) {
 func TestGuardedVectorSeesConcurrentMark(t *testing.T) {
 	drv := batteryDriver(t, 300)
 	tbl := tweets(drv)
-	tuples := tbl.Tuples()
+	tuples := storage.Tuples(tbl)
 	last := tuples[len(tuples)-1].ID
 	other := NewRuntime(drv.DB, drv.Mgr)
 	var once sync.Once

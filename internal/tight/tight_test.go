@@ -1,6 +1,7 @@
 package tight
 
 import (
+	"enrichdb/internal/storage"
 	"fmt"
 	"slices"
 	"sort"
@@ -445,7 +446,7 @@ func TestTightEnrichmentsArePerQuery(t *testing.T) {
 	tbl := d.DB.MustTable("TweetData")
 	timeCol := tbl.Schema().ColIndex("TweetTime")
 	var wantA, wantB int64
-	for _, tu := range tbl.Tuples() {
+	for _, tu := range storage.Tuples(tbl) {
 		if tu.Vals[timeCol].Int() < 5000 {
 			wantA++
 		} else {

@@ -193,8 +193,7 @@ func decodeResultBatch(r *buf) (Frame, error) {
 // BatchFromValues builds a columnar batch from row-major values (all rows
 // the same width). Columns whose non-NULL lanes share one of the kernel
 // kinds (INT, STRING) take the typed layout; mixed-kind and
-// VECTOR columns fall back to the generic per-value encoding — mirroring
-// the executor's expr.Batch kind-deviation rule.
+// VECTOR columns fall back to the generic per-value encoding.
 func BatchFromValues(query uint32, rows [][]types.Value) *ResultBatch {
 	b := &ResultBatch{Query: query, NRows: uint32(len(rows))}
 	if len(rows) == 0 {

@@ -21,7 +21,6 @@ type stepModel struct{ classes int }
 
 func (m stepModel) Name() string                            { return "step" }
 func (m stepModel) Fit(_ [][]float64, _ []int, _ int) error { return nil }
-func (m stepModel) Classes() int                            { return m.classes }
 func (m stepModel) PredictProba(x []float64) []float64 {
 	h := uint64(1469598103934665603)
 	for _, v := range x {

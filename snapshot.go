@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"enrichdb/internal/enrich"
+	"enrichdb/internal/storage"
 	"enrichdb/internal/types"
 )
 
@@ -61,7 +62,7 @@ func (db *DB) SaveSnapshot(w io.Writer) error {
 		for _, c := range schema.Cols {
 			rs.Columns = append(rs.Columns, c.Name)
 		}
-		for _, tu := range tbl.Tuples() {
+		for _, tu := range storage.Tuples(tbl) {
 			vals := make([]types.Value, len(tu.Vals))
 			copy(vals, tu.Vals)
 			rs.Tuples = append(rs.Tuples, tupleSnapshot{ID: tu.ID, Vals: vals})
@@ -124,7 +125,7 @@ func (db *DB) LoadSnapshot(r io.Reader) error {
 		// attribute the imported state completed, which determinizes from
 		// the state (running nothing) and sets the mark.
 		var slots []enrich.WriteBackSlot
-		for _, tu := range tbl.Tuples() {
+		for _, tu := range storage.Tuples(tbl) {
 			for _, attr := range schema.DerivedCols() {
 				if db.mgr.FullyEnriched(rs.Name, tu.ID, attr, tu.Gen) {
 					slots = append(slots, enrich.WriteBackSlot{Tuple: tu, Attr: attr})
